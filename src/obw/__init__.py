@@ -5,7 +5,6 @@ from .bounds import (
     BoundSet,
     BranchTriple,
     audit_paper_vs_exact,
-    bound_ostrowski,
     bound_set,
     bounds_cerone,
     bounds_dragomir,
@@ -20,7 +19,6 @@ from .cdf import (
     DensityModel,
     cdf_bound_general,
     cdf_bound_left,
-    cdf_bound_symmetric,
     cdf_value,
     expectation_identity_check,
     normalized_density,
@@ -34,19 +32,15 @@ from .kernel import (
     kernel_l1,
     kernel_lq,
     kernel_sup,
-    montgomery_kernel,
     peano_kernel,
 )
-from .norms import NormTriple, NormValue, conjugate, norm_inf, norm_p, norm_triple
+from .norms import NormTriple, conjugate, norm_inf, norm_p, norm_triple
 from .quadrature import (
     DegenerateIntervalError,
     Fn1D,
     QuadConfig,
     QuadratureError,
     integrate,
-    integrate_oriented,
-    unweighted_mean,
-    weighted_integral,
     weighted_mean,
 )
 from .weights import DomainError, Weight, builtin_weight

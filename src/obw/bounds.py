@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .functionals import tau
-from .kernel import TauParams, kernel_l1, kernel_lq, kernel_sup, peano_kernel
+from .kernel import TauParams, kernel_l1, kernel_lq, kernel_sup
 from .norms import NormTriple, conjugate, norm_triple
 from .quadrature import DEFAULT_CONFIG, Fn1D, QuadConfig, derivative_callable
 from .weights import Weight
@@ -22,7 +22,6 @@ __all__ = [
     "bound_set",
     "bounds_cerone",
     "bounds_dragomir",
-    "bound_ostrowski",
     "bounds_split",
     "corollary_bounds",
     "sign_kernel_fn",
@@ -184,12 +183,6 @@ def bounds_dragomir(
         p=p_factor * norms.p_norm,
         one=one_factor * norms.one,
     )
-
-
-def bound_ostrowski(x: float, a: float, b: float, sup_norm: float) -> float:
-    """Original sup-norm bound with the sharp 1/4 constant."""
-    mid = 0.5 * (a + b)
-    return (((b - a) / 2.0) ** 2 + (x - mid) ** 2) * sup_norm / (b - a)
 
 
 def bounds_split(

@@ -3,7 +3,8 @@ expectation identities."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Sequence
 
 from .bounds import BranchTriple, bounds_paper
 from .kernel import TauParams
@@ -13,6 +14,7 @@ from .quadrature import (
     DEFAULT_CONFIG,
     Fn1D,
     QuadConfig,
+    QuadratureError,
     derivative_callable,
     integrate,
 )
@@ -24,7 +26,6 @@ __all__ = [
     "cdf_value",
     "reliability",
     "cdf_bound_general",
-    "cdf_bound_symmetric",
     "cdf_bound_left",
     "expectation_identity_check",
     "cdf_report",
@@ -95,7 +96,16 @@ def cdf_bound_general(
 
     The lhs is algebraically (alpha+beta) m(a,x) m(x,b) |tau|, so the
     bounds are that prefactor times the printed deviation-bound triple.
+    Raises QuadratureError when the two sides disagree beyond 1e-10.
     """
+    lhs, triple, _ = _cdf_bound(model, params, model.norms(p, cfg), p, cfg)
+    return lhs, triple
+
+
+def _cdf_bound(
+    model: DensityModel, params: TauParams, norms: NormTriple, p: float, cfg: QuadConfig
+) -> tuple[float, BranchTriple, float]:
+    """cdf_bound_general with the density's norms given; also returns F_w(x)."""
     w = model.weight
     f = model.density
     x = params.x
@@ -107,24 +117,16 @@ def cdf_bound_general(
         - m_l * (params.weight_sum * m_r * f(x) - params.beta)
     )
     pref = params.weight_sum * m_l * m_r
-    norms = model.norms(p, cfg)
     base = bounds_paper(params, w, norms, p, cfg)
     triple = BranchTriple(inf=pref * base.inf, p=pref * base.p, one=pref * base.one)
 
     bridge = pref * abs(tau(f, w, params, cfg))
     if abs(lhs - bridge) > 1e-10 * max(1.0, abs(lhs)):
-        raise AssertionError(
-            f"CDF lhs {lhs:.12e} disagrees with tau identity {bridge:.12e}"
+        raise QuadratureError(
+            f"CDF identity check failed at x={x}: lhs {lhs:.12e} disagrees "
+            f"with the tau identity {bridge:.12e}"
         )
-    return lhs, triple
-
-
-def cdf_bound_symmetric(
-    model: DensityModel, x: float, p: float = 2.0, cfg: QuadConfig = DEFAULT_CONFIG
-) -> tuple[float, BranchTriple]:
-    """Equal-coefficient specialization (alpha = beta = 1/2)."""
-    params = TauParams(a=model.a, b=model.b, x=x, alpha=0.5, beta=0.5)
-    return cdf_bound_general(model, params, p, cfg)
+    return lhs, triple, fw
 
 
 def cdf_bound_left(
@@ -153,10 +155,8 @@ def cdf_bound_left(
 def expectation_identity_check(model: DensityModel, cfg: QuadConfig = DEFAULT_CONFIG) -> float:
     """Residual of int F_w versus b - E[X w(X)]; near zero for valid models."""
     a, b = model.a, model.b
-    int_f = integrate(lambda u: cdf_value(model, u, cfg), a, b, QuadConfig(
-        abs_tol=max(cfg.abs_tol, 1e-9), rel_tol=cfg.rel_tol,
-        max_subdivisions=cfg.max_subdivisions,
-    ))[0]
+    outer = replace(cfg, abs_tol=max(cfg.abs_tol, 1e-9))
+    int_f = integrate(lambda u: cdf_value(model, u, cfg), a, b, outer)[0]
     ex = model.weight.integrate_against(
         lambda u: u * model.density(u), a, b, cfg
     )
@@ -189,18 +189,19 @@ CDF_COLUMNS = (
 
 def cdf_report(
     model: DensityModel,
-    params: TauParams,
+    xs: Sequence[float],
+    alpha: float,
+    beta: float,
     p: float = 2.0,
     cfg: QuadConfig = DEFAULT_CONFIG,
-) -> CdfReport:
-    lhs, triple = cdf_bound_general(model, params, p, cfg)
-    return CdfReport(
-        x=params.x,
-        f_w=cdf_value(model, params.x, cfg),
-        r_w=reliability(model, params.x, cfg),
-        lhs=lhs,
-        bound_inf=triple.inf,
-        bound_p=triple.p,
-        bound_one=triple.one,
-        identity_residual=expectation_identity_check(model, cfg),
-    )
+) -> list[CdfReport]:
+    """One report row per x; the density's norms and the expectation
+    identity residual do not depend on x and are computed once."""
+    norms = model.norms(p, cfg)
+    residual = expectation_identity_check(model, cfg)
+    rows = []
+    for x in xs:
+        params = TauParams(a=model.a, b=model.b, x=x, alpha=alpha, beta=beta)
+        lhs, triple, fw = _cdf_bound(model, params, norms, p, cfg)
+        rows.append(CdfReport(x, fw, 1.0 - fw, lhs, triple.inf, triple.p, triple.one, residual))
+    return rows

@@ -8,6 +8,7 @@ import io
 import json
 import os
 import sys
+from dataclasses import astuple
 from typing import Sequence
 
 from .bounds import (
@@ -17,17 +18,12 @@ from .bounds import (
     sharpness_search,
 )
 from .cdf import CDF_COLUMNS, cdf_report, normalized_density
-from .corpus import corpus_weights, function_by_name
+from .corpus import function_by_name
 from .expr import ParseError, as_fn1d
 from .kernel import TauParams
-from .quadrature import (
-    DegenerateIntervalError,
-    Fn1D,
-    QuadConfig,
-    QuadratureError,
-)
+from .quadrature import Fn1D, QuadConfig, QuadratureError
 from .suites import run_verify_suites
-from .weights import Weight, builtin_weight
+from .weights import Weight, WeightSpecError, builtin_weight
 
 __all__ = ["main", "build_parser"]
 
@@ -35,7 +31,9 @@ EXIT_OK = 0
 EXIT_COMPUTE = 1
 EXIT_USAGE = 2
 
-_REGISTRY_FUNCTIONS = ("linear", "quadratic", "cubic", "quartic", "sine", "exponential")
+
+class _UsageError(ValueError):
+    """Missing or conflicting flags, or a bad config file."""
 
 
 def _fmt(v) -> str:
@@ -46,39 +44,15 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _parse_weight_spec(spec: str, a: float, b: float) -> Weight:
-    """Specs look like "uniform" or "power:p=1,q=0"."""
-    name, _, tail = spec.partition(":")
-    params = {}
-    if tail:
-        for item in tail.split(","):
-            key, _, value = item.partition("=")
-            if not value:
-                raise ValueError(f"bad weight parameter {item!r} in {spec!r}")
-            params[key.strip()] = float(value)
-    return builtin_weight(name, a, b, **params)
-
-
-def _resolve_function(text: str) -> Fn1D:
-    if text in _REGISTRY_FUNCTIONS:
-        return function_by_name(text)
-    return as_fn1d(text)
-
-
-def _quad_config(args) -> QuadConfig:
-    tol = args.tol
-    if tol is None:
-        tol = float(os.environ.get("OBW_TOL", "1e-10"))
-    return QuadConfig(abs_tol=tol, max_subdivisions=args.max_subdiv)
-
-
-def _write_rows(path, header, rows) -> None:
+def _csv(header, rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(v) for v in row])
-    text = buf.getvalue()
+    writer.writerows([_fmt(v) for v in row] for row in rows)
+    return buf.getvalue()
+
+
+def _write(path, text: str) -> None:
     if path:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
@@ -86,77 +60,38 @@ def _write_rows(path, header, rows) -> None:
         sys.stdout.write(text)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="obw",
-        description=(
-            "Weighted deviation functionals, their derivative-norm error "
-            "bounds, and CDF applications."
-        ),
-    )
-    parser.add_argument("--config", help="JSON file with default flag values")
-    sub = parser.add_subparsers(dest="command")
-
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--a", type=float, default=None)
-        p.add_argument("--b", type=float, default=None)
-        p.add_argument("--tol", type=float, default=None,
-                       help="absolute quadrature tolerance (default 1e-10 or OBW_TOL)")
-        p.add_argument("--max-subdiv", type=int, default=1000)
-        p.add_argument("--output", default=None, help="output path (default stdout)")
-        p.add_argument("--format", choices=("csv", "json", "text"), default="text")
-
-    p_bounds = sub.add_parser("bounds", help="deviation and bound set for one configuration")
-    common(p_bounds)
-    p_bounds.add_argument("--x", type=float, default=None)
-    p_bounds.add_argument("--alpha", type=float, default=1.0)
-    p_bounds.add_argument("--beta", type=float, default=1.0)
-    p_bounds.add_argument("--weight", default=None, help="builtin weight spec")
-    p_bounds.add_argument("--weight-expr", default=None, help="weight as an expression in t")
-    p_bounds.add_argument("--function", default=None, help="expression in t or registry name")
-    p_bounds.add_argument("--p", type=float, default=2.0)
-    p_bounds.add_argument("--norm", choices=("inf", "p", "one"), default=None,
-                          help="restrict the report to one branch")
-
-    p_verify = sub.add_parser("verify", help="run the corpus-wide verification suites")
-    common(p_verify)
-
-    p_audit = sub.add_parser("audit", help="printed vs exact sup-norm bound factors")
-    common(p_audit)
-    p_audit.add_argument("--weights", default="uniform,decreasing,increasing")
-    p_audit.add_argument("--x-grid", type=int, default=9)
-    p_audit.add_argument("--alphas", default="1:1,2:1",
-                         help="comma list of alpha:beta pairs")
-
-    p_sharp = sub.add_parser("sharpness", help="empirical sharpness sweep")
-    common(p_sharp)
-    p_sharp.add_argument("--weight", default="uniform")
-    p_sharp.add_argument("--x-grid", type=int, default=9)
-    p_sharp.add_argument("--alphas", default="1:1,2:1")
-    p_sharp.add_argument("--kind", choices=("exact_inf", "exact_one"),
-                         default="exact_inf")
-
-    p_cdf = sub.add_parser("cdf", help="CDF bound report for a density")
-    common(p_cdf)
-    p_cdf.add_argument("--density", default=None, help="density expression in t")
-    p_cdf.add_argument("--weight", default="uniform")
-    p_cdf.add_argument("--x", type=float, default=None)
-    p_cdf.add_argument("--x-grid", type=int, default=None)
-    p_cdf.add_argument("--alpha", type=float, default=1.0)
-    p_cdf.add_argument("--beta", type=float, default=1.0)
-    p_cdf.add_argument("--p", type=float, default=2.0)
-    return parser
+def _weight(spec: str, a: float, b: float) -> Weight:
+    """Specs look like "uniform" or "power:p=1,q=0"."""
+    name, _, tail = spec.partition(":")
+    params = {}
+    if tail:
+        for item in tail.split(","):
+            key, _, value = item.partition("=")
+            try:
+                params[key.strip()] = float(value)
+            except ValueError:
+                raise WeightSpecError(
+                    f"bad weight parameter {item!r} in {spec!r}"
+                ) from None
+    return builtin_weight(name, a, b, **params)
 
 
-def _apply_config_file(args) -> None:
-    if not args.config:
-        return
-    with open(args.config, encoding="utf-8") as fh:
-        values = json.load(fh)
-    for key, value in values.items():
-        attr = key.replace("-", "_")
-        if getattr(args, attr, None) is None:
-            setattr(args, attr, value)
+def _weights(text: str, a: float, b: float) -> list[Weight]:
+    """Comma list of specs; a bare key=value item belongs to the spec before it."""
+    specs: list[str] = []
+    for item in text.split(","):
+        if specs and "=" in item and ":" not in item:
+            specs[-1] += "," + item
+        else:
+            specs.append(item)
+    return [_weight(spec, a, b) for spec in specs]
+
+
+def _function(text: str) -> Fn1D:
+    try:
+        return function_by_name(text)
+    except ValueError:
+        return as_fn1d(text)
 
 
 def _coeff_pairs(spec: str) -> list[tuple[float, float]]:
@@ -171,28 +106,23 @@ def _interior_grid(a: float, b: float, n: int) -> list[float]:
     return [a + (b - a) * k / (n + 1) for k in range(1, n + 1)]
 
 
-def _cmd_bounds(args) -> int:
+def _cmd_bounds(args, cfg: QuadConfig) -> tuple[str, int]:
     errors = []
     if args.x is None:
         errors.append("--x is required")
     if args.function is None:
         errors.append("--function is required")
-    if args.weight and args.weight_expr:
+    if args.weight is not None and args.weight_expr is not None:
         errors.append("--weight and --weight-expr are mutually exclusive")
     if errors:
-        print("usage error: " + "; ".join(errors), file=sys.stderr)
-        return EXIT_USAGE
+        raise _UsageError("; ".join(errors))
 
-    a = args.a if args.a is not None else 0.0
-    b = args.b if args.b is not None else 1.0
-    cfg = _quad_config(args)
-    f = _resolve_function(args.function)
-    if args.weight_expr:
-        wf = as_fn1d(args.weight_expr)
-        w = Weight(name=args.weight_expr, a=a, b=b, fn=wf.fn)
+    f = _function(args.function)
+    if args.weight_expr is not None:
+        w = Weight(name=args.weight_expr, a=args.a, b=args.b, fn=as_fn1d(args.weight_expr).fn)
     else:
-        w = _parse_weight_spec(args.weight or "uniform", a, b)
-    params = TauParams(a=a, b=b, x=args.x, alpha=args.alpha, beta=args.beta)
+        w = _weight("uniform" if args.weight is None else args.weight, args.a, args.b)
+    params = TauParams(a=args.a, b=args.b, x=args.x, alpha=args.alpha, beta=args.beta)
     result = bound_set(f, w, params, args.p, cfg)
 
     record = {
@@ -214,27 +144,14 @@ def _cmd_bounds(args) -> int:
 
     if args.format == "json":
         text = json.dumps({k: _fmt(v) for k, v in record.items()}, indent=2) + "\n"
-        _write_text(args.output, text)
     elif args.format == "csv":
-        _write_rows(args.output, list(record), [list(record.values())])
+        text = _csv(list(record), [list(record.values())])
     else:
-        _write_text(
-            args.output,
-            "".join(f"{k} = {_fmt(v)}\n" for k, v in record.items()),
-        )
-    return EXIT_OK
+        text = "".join(f"{k} = {_fmt(v)}\n" for k, v in record.items())
+    return text, EXIT_OK
 
 
-def _write_text(path, text: str) -> None:
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _cmd_verify(args) -> int:
-    cfg = _quad_config(args)
+def _cmd_verify(args, cfg: QuadConfig) -> tuple[str, int]:
     report = run_verify_suites(cfg)
     lines = report.summary_lines()
     for failure in (
@@ -244,19 +161,15 @@ def _cmd_verify(args) -> int:
         + report.equivalence_failures
     ):
         lines.append(f"FAIL {failure}")
-    _write_text(args.output, "".join(line + "\n" for line in lines))
-    return EXIT_OK if report.passed else EXIT_COMPUTE
+    text = "".join(line + "\n" for line in lines)
+    return text, EXIT_OK if report.passed else EXIT_COMPUTE
 
 
-def _cmd_audit(args) -> int:
-    a = args.a if args.a is not None else 0.0
-    b = args.b if args.b is not None else 1.0
-    cfg = _quad_config(args)
-    weights = [_parse_weight_spec(s, a, b) for s in args.weights.split(",")]
-    xs = _interior_grid(a, b, args.x_grid)
+def _cmd_audit(args, cfg: QuadConfig) -> tuple[str, int]:
+    weights = _weights(args.weights, args.a, args.b)
+    xs = _interior_grid(args.a, args.b, args.x_grid)
     rows = audit_paper_vs_exact(weights, xs, _coeff_pairs(args.alphas), cfg=cfg)
-    _write_rows(
-        args.output,
+    text = _csv(
         AUDIT_COLUMNS,
         [
             [r.weight_name, r.x, r.alpha, r.beta, r.paper_inf_factor,
@@ -264,80 +177,146 @@ def _cmd_audit(args) -> int:
             for r in rows
         ],
     )
-    return EXIT_OK
+    return text, EXIT_OK
 
 
-def _cmd_sharpness(args) -> int:
-    a = args.a if args.a is not None else 0.0
-    b = args.b if args.b is not None else 1.0
-    cfg = _quad_config(args)
-    w = _parse_weight_spec(args.weight, a, b)
-    xs = _interior_grid(a, b, args.x_grid)
+def _cmd_sharpness(args, cfg: QuadConfig) -> tuple[str, int]:
+    w = _weight(args.weight, args.a, args.b)
+    xs = _interior_grid(args.a, args.b, args.x_grid)
     best, rows = sharpness_search(w, xs, _coeff_pairs(args.alphas), args.kind, cfg)
-    header = ("x", "alpha", "beta", "ratio")
-    _write_rows(args.output, header, [[r.x, r.alpha, r.beta, r.ratio] for r in rows])
     print(
         f"best ratio {_fmt(best.ratio)} at x={_fmt(best.x)} "
         f"(alpha={best.alpha:g}, beta={best.beta:g})",
         file=sys.stderr,
     )
-    return EXIT_OK
+    return _csv(("x", "alpha", "beta", "ratio"), map(astuple, rows)), EXIT_OK
 
 
-def _cmd_cdf(args) -> int:
+def _cmd_cdf(args, cfg: QuadConfig) -> tuple[str, int]:
     errors = []
     if args.density is None:
         errors.append("--density is required")
     if args.x is None and args.x_grid is None:
         errors.append("one of --x or --x-grid is required")
     if errors:
-        print("usage error: " + "; ".join(errors), file=sys.stderr)
-        return EXIT_USAGE
+        raise _UsageError("; ".join(errors))
 
-    a = args.a if args.a is not None else 0.0
-    b = args.b if args.b is not None else 1.0
-    cfg = _quad_config(args)
-    w = _parse_weight_spec(args.weight, a, b)
+    w = _weight(args.weight, args.a, args.b)
     model = normalized_density(as_fn1d(args.density), w, cfg)
-    xs = [args.x] if args.x is not None else _interior_grid(a, b, args.x_grid)
-    rows = []
-    for x in xs:
-        params = TauParams(a=a, b=b, x=x, alpha=args.alpha, beta=args.beta)
-        rep = cdf_report(model, params, args.p, cfg)
-        rows.append(
-            [rep.x, rep.f_w, rep.r_w, rep.lhs, rep.bound_inf, rep.bound_p,
-             rep.bound_one, rep.identity_residual]
-        )
-    _write_rows(args.output, CDF_COLUMNS, rows)
-    return EXIT_OK
+    xs = [args.x] if args.x is not None else _interior_grid(args.a, args.b, args.x_grid)
+    rows = cdf_report(model, xs, args.alpha, args.beta, args.p, cfg)
+    return _csv(CDF_COLUMNS, map(astuple, rows)), EXIT_OK
 
 
-_COMMANDS = {
-    "bounds": _cmd_bounds,
-    "verify": _cmd_verify,
-    "audit": _cmd_audit,
-    "sharpness": _cmd_sharpness,
-    "cdf": _cmd_cdf,
-}
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and the parser of each command, by name."""
+    parser = argparse.ArgumentParser(
+        prog="obw",
+        description=(
+            "Weighted deviation functionals, their derivative-norm error "
+            "bounds, and CDF applications."
+        ),
+    )
+    parser.add_argument("--config", help="JSON file with default flag values")
+    sub = parser.add_subparsers(dest="command")
+
+    def command(name: str, run, summary: str, interval: bool = True) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(run=run)
+        if interval:
+            p.add_argument("--a", type=float, default=0.0)
+            p.add_argument("--b", type=float, default=1.0)
+        p.add_argument("--tol", type=float, default=os.environ.get("OBW_TOL", "1e-10"),
+                       help="absolute quadrature tolerance (default 1e-10 or OBW_TOL)")
+        p.add_argument("--max-subdiv", type=int, default=1000)
+        p.add_argument("--output", default=None, help="output path (default stdout)")
+        return p
+
+    p_bounds = command("bounds", _cmd_bounds, "deviation and bound set for one configuration")
+    p_bounds.add_argument("--format", choices=("csv", "json", "text"), default="text")
+    p_bounds.add_argument("--x", type=float, default=None)
+    p_bounds.add_argument("--alpha", type=float, default=1.0)
+    p_bounds.add_argument("--beta", type=float, default=1.0)
+    p_bounds.add_argument("--weight", default=None, help="builtin weight spec")
+    p_bounds.add_argument("--weight-expr", default=None, help="weight as an expression in t")
+    p_bounds.add_argument("--function", default=None, help="expression in t or registry name")
+    p_bounds.add_argument("--p", type=float, default=2.0)
+    p_bounds.add_argument("--norm", choices=("inf", "p", "one"), default=None,
+                          help="restrict the report to one branch")
+
+    command("verify", _cmd_verify, "run the corpus-wide verification suites", interval=False)
+
+    p_audit = command("audit", _cmd_audit, "printed vs exact sup-norm bound factors")
+    p_audit.add_argument("--weights", default="uniform,decreasing,increasing")
+    p_audit.add_argument("--x-grid", type=int, default=9)
+    p_audit.add_argument("--alphas", default="1:1,2:1",
+                         help="comma list of alpha:beta pairs")
+
+    p_sharp = command("sharpness", _cmd_sharpness, "empirical sharpness sweep")
+    p_sharp.add_argument("--weight", default="uniform")
+    p_sharp.add_argument("--x-grid", type=int, default=9)
+    p_sharp.add_argument("--alphas", default="1:1,2:1")
+    p_sharp.add_argument("--kind", choices=("exact_inf", "exact_one"),
+                         default="exact_inf")
+
+    p_cdf = command("cdf", _cmd_cdf, "CDF bound report for a density")
+    p_cdf.add_argument("--density", default=None, help="density expression in t")
+    p_cdf.add_argument("--weight", default="uniform")
+    p_cdf.add_argument("--x", type=float, default=None)
+    p_cdf.add_argument("--x-grid", type=int, default=None)
+    p_cdf.add_argument("--alpha", type=float, default=1.0)
+    p_cdf.add_argument("--beta", type=float, default=1.0)
+    p_cdf.add_argument("--p", type=float, default=2.0)
+    return parser, sub.choices
+
+
+def build_parser() -> argparse.ArgumentParser:
+    return _parsers()[0]
+
+
+def _apply_config(command: argparse.ArgumentParser, path: str) -> None:
+    """Make the file's values the command's defaults, as if typed as flags."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            values = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise _UsageError(f"bad config file: {exc}") from None
+    if not isinstance(values, dict):
+        raise _UsageError("bad config file: expected a JSON object")
+    flags = {action.dest: action for action in command._actions if action.dest != "help"}
+    defaults = {}
+    for key, value in values.items():
+        action = flags.get(key.replace("-", "_"))
+        if action is None:
+            raise _UsageError(f"config key {key!r} is not a flag of {command.prog}")
+        text = str(value)
+        if action.choices is not None and text not in action.choices:
+            raise _UsageError(f"config key {key!r}: {text!r} is not one of {action.choices}")
+        defaults[action.dest] = text
+    command.set_defaults(**defaults)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    parser, commands = _parsers()
     args = parser.parse_args(argv)
     if args.command is None:
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
     try:
-        _apply_config_file(args)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"usage error: bad config file: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        return _COMMANDS[args.command](args)
-    except ParseError as exc:
+        if args.config:
+            _apply_config(commands[args.command], args.config)
+            args = parser.parse_args(argv)
+        cfg = QuadConfig(abs_tol=args.tol, max_subdivisions=args.max_subdiv)
+        text, code = args.run(args, cfg)
+        _write(args.output, text)
+        return code
+    except (ParseError, WeightSpecError, _UsageError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (QuadratureError, DegenerateIntervalError, ValueError, OSError) as exc:
+    except ArithmeticError as exc:
+        print(f"error: arithmetic failure ({type(exc).__name__}: {exc})", file=sys.stderr)
+        return EXIT_COMPUTE
+    except (QuadratureError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
 

@@ -12,29 +12,21 @@ __all__ = [
     "corpus_weights",
     "corpus_x_values",
     "COEFF_PAIRS",
-    "COEFF_PAIRS_EXTENDED",
     "function_by_name",
 ]
 
 COEFF_PAIRS = ((1.0, 1.0), (2.0, 1.0))
-COEFF_PAIRS_EXTENDED = ((1.0, 1.0), (2.0, 1.0), (1.0, 0.0), (0.0, 1.0), (3.0, 5.0))
 
 
 def corpus_functions() -> tuple[Fn1D, ...]:
     """Six smooth test functions: polynomials up to degree 4, sin, exp."""
     return (
-        Fn1D(fn=lambda t: t, derivative=lambda t: 1.0,
-             antiderivative=lambda t: t * t / 2, name="linear"),
-        Fn1D(fn=lambda t: t * t, derivative=lambda t: 2 * t,
-             antiderivative=lambda t: t**3 / 3, name="quadratic"),
-        Fn1D(fn=lambda t: t**3, derivative=lambda t: 3 * t * t,
-             antiderivative=lambda t: t**4 / 4, name="cubic"),
-        Fn1D(fn=lambda t: t**4, derivative=lambda t: 4 * t**3,
-             antiderivative=lambda t: t**5 / 5, name="quartic"),
-        Fn1D(fn=math.sin, derivative=math.cos,
-             antiderivative=lambda t: -math.cos(t), name="sine"),
-        Fn1D(fn=math.exp, derivative=math.exp,
-             antiderivative=math.exp, name="exponential"),
+        Fn1D(fn=lambda t: t, derivative=lambda t: 1.0, name="linear"),
+        Fn1D(fn=lambda t: t * t, derivative=lambda t: 2 * t, name="quadratic"),
+        Fn1D(fn=lambda t: t**3, derivative=lambda t: 3 * t * t, name="cubic"),
+        Fn1D(fn=lambda t: t**4, derivative=lambda t: 4 * t**3, name="quartic"),
+        Fn1D(fn=math.sin, derivative=math.cos, name="sine"),
+        Fn1D(fn=math.exp, derivative=math.exp, name="exponential"),
     )
 
 

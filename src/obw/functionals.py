@@ -2,33 +2,17 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .kernel import TauParams
 from .quadrature import DEFAULT_CONFIG, Fn1D, QuadConfig, weighted_mean
 from .weights import Weight
 
 __all__ = [
-    "DeviationResult",
     "deviation_S",
     "tau",
-    "tau_result",
     "tau_combination",
     "tau_decomposed",
     "sigma_w",
 ]
-
-
-@dataclass(frozen=True)
-class DeviationResult:
-    """tau value together with the pieces it was assembled from."""
-
-    value: float
-    f_at_x: float
-    left_mean: float
-    right_mean: float
-    alpha: float
-    beta: float
 
 
 def deviation_S(
@@ -38,9 +22,7 @@ def deviation_S(
     return f(x) - weighted_mean(f, w, c, d, cfg)
 
 
-def tau_result(
-    f: Fn1D, w: Weight, params: TauParams, cfg: QuadConfig = DEFAULT_CONFIG
-) -> DeviationResult:
+def tau(f: Fn1D, w: Weight, params: TauParams, cfg: QuadConfig = DEFAULT_CONFIG) -> float:
     """Deviation of f(x) from the coefficient combination of one-sided means."""
     s = params.weight_sum
     left = (
@@ -49,20 +31,7 @@ def tau_result(
     right = (
         weighted_mean(f, w, params.x, params.b, cfg) if params.beta > 0 else 0.0
     )
-    fx = f(params.x)
-    value = fx - (params.alpha * left + params.beta * right) / s
-    return DeviationResult(
-        value=value,
-        f_at_x=fx,
-        left_mean=left,
-        right_mean=right,
-        alpha=params.alpha,
-        beta=params.beta,
-    )
-
-
-def tau(f: Fn1D, w: Weight, params: TauParams, cfg: QuadConfig = DEFAULT_CONFIG) -> float:
-    return tau_result(f, w, params, cfg).value
+    return f(params.x) - (params.alpha * left + params.beta * right) / s
 
 
 def tau_combination(

@@ -22,7 +22,6 @@ from .weights import Weight
 __all__ = [
     "TauParams",
     "peano_kernel",
-    "montgomery_kernel",
     "kernel_l1",
     "kernel_lq",
     "kernel_sup",
@@ -83,13 +82,6 @@ def peano_kernel(
     if params.beta == 0:
         return 0.0
     return (params.beta / s) * w.moment(params.b, t, cfg) / m_right
-
-
-def montgomery_kernel(x: float, t: float, a: float, b: float) -> float:
-    """Unweighted two-branch kernel: t - a left of x, t - b right of it."""
-    if t < a or t > b:
-        raise ValueError(f"t={t} outside [{a}, {b}]")
-    return t - a if t <= x else t - b
 
 
 def kernel_l1(params: TauParams, w: Weight, cfg: QuadConfig = DEFAULT_CONFIG) -> float:

@@ -8,7 +8,7 @@ from typing import Callable
 
 from .quadrature import DEFAULT_CONFIG, QuadConfig, integrate
 
-__all__ = ["NormValue", "NormTriple", "norm_inf", "norm_p", "norm_triple", "conjugate"]
+__all__ = ["NormTriple", "norm_inf", "norm_p", "norm_triple", "conjugate"]
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _N_CHEB = 1024
@@ -20,15 +20,6 @@ def conjugate(p: float) -> float:
     if p <= 1:
         raise ValueError("conjugate exponent requires p > 1")
     return p / (p - 1.0)
-
-
-@dataclass(frozen=True)
-class NormValue:
-    kind: str  # "inf", "p", or "one"
-    value: float
-    c: float
-    d: float
-    p: float = math.inf
 
 
 @dataclass(frozen=True)

@@ -14,10 +14,7 @@ __all__ = [
     "DegenerateIntervalError",
     "DEFAULT_CONFIG",
     "integrate",
-    "integrate_oriented",
-    "weighted_integral",
     "weighted_mean",
-    "unweighted_mean",
     "derivative_callable",
 ]
 
@@ -34,13 +31,11 @@ class DegenerateIntervalError(ValueError):
 class Fn1D:
     """Scalar function of one real variable.
 
-    Optional closed-form derivative and antiderivative are used as oracles
-    and to avoid finite differencing where a closed form is known.
+    An optional closed-form derivative avoids finite differencing.
     """
 
     fn: Callable[[float], float]
     derivative: Optional[Callable[[float], float]] = None
-    antiderivative: Optional[Callable[[float], float]] = None
     name: str = ""
 
     def __call__(self, t: float) -> float:
@@ -50,14 +45,11 @@ class Fn1D:
 @dataclass(frozen=True)
 class QuadConfig:
     abs_tol: float = 1e-10
-    rel_tol: float = 0.0
     max_subdivisions: int = 1000
 
     def __post_init__(self) -> None:
-        if self.abs_tol <= 0:
+        if not self.abs_tol > 0:
             raise ValueError("abs_tol must be positive")
-        if self.rel_tol < 0:
-            raise ValueError("rel_tol must be nonnegative")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be >= 1")
 
@@ -133,7 +125,7 @@ def integrate(
     subdivision budget is exhausted before the tolerance is met.
     """
     if c > d:
-        raise ValueError("integrate requires c <= d; use integrate_oriented")
+        raise ValueError("integrate requires c <= d")
     if c == d:
         return 0.0, 0.0
     val, err = _gk15(g, c, d)
@@ -143,7 +135,7 @@ def integrate(
     total = val
     total_err = err
     n = 1
-    while total_err > max(cfg.abs_tol, cfg.rel_tol * abs(total)):
+    while total_err > cfg.abs_tol:
         if n >= cfg.max_subdivisions:
             raise QuadratureError(
                 f"no convergence after {n} subdivisions "
@@ -163,23 +155,6 @@ def integrate(
     return total, total_err
 
 
-def integrate_oriented(
-    g: Callable[[float], float],
-    c: float,
-    d: float,
-    cfg: QuadConfig = DEFAULT_CONFIG,
-) -> float:
-    """Signed integral: negative when d < c."""
-    if d < c:
-        return -integrate(g, d, c, cfg)[0]
-    return integrate(g, c, d, cfg)[0]
-
-
-def weighted_integral(f, w, c: float, d: float, cfg: QuadConfig = DEFAULT_CONFIG) -> float:
-    """Oriented integral of f(t) w(t) over [c, d]."""
-    return w.integrate_against(f, c, d, cfg)
-
-
 def weighted_mean(f, w, c: float, d: float, cfg: QuadConfig = DEFAULT_CONFIG) -> float:
     """Weighted integral mean of f over [c, d]: int(f w) / int(w)."""
     lo, hi = (c, d) if c <= d else (d, c)
@@ -190,14 +165,6 @@ def weighted_mean(f, w, c: float, d: float, cfg: QuadConfig = DEFAULT_CONFIG) ->
             f"zero weight mass on [{lo}, {hi}]; weighted mean is undefined"
         )
     return w.integrate_against(f, lo, hi, cfg) / mass
-
-
-def unweighted_mean(f, c: float, d: float, cfg: QuadConfig = DEFAULT_CONFIG) -> float:
-    """(1/(d-c)) int_c^d f."""
-    if not d > c:
-        raise DegenerateIntervalError("mean requires c < d")
-    g = f.fn if isinstance(f, Fn1D) else f
-    return integrate(g, c, d, cfg)[0] / (d - c)
 
 
 _FD_STEP = (2.0 ** -52) ** (1.0 / 3.0)

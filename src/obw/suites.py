@@ -60,17 +60,11 @@ class SuiteReport:
         ]
 
 
-def run_verify_suites(
-    cfg: QuadConfig = DEFAULT_CONFIG,
-    uniform_only: bool = False,
-    identity_tol: float = IDENTITY_TOL,
-) -> SuiteReport:
+def run_verify_suites(cfg: QuadConfig = DEFAULT_CONFIG) -> SuiteReport:
     """Identity, soundness, reduction, and equivalent-forms sweeps."""
     report = SuiteReport()
     functions = corpus_functions()
     weights = corpus_weights()
-    if uniform_only:
-        weights = tuple(w for w in weights if w.name == "uniform")
     xs = corpus_x_values()
 
     for w in weights:
@@ -84,7 +78,7 @@ def run_verify_suites(
 
                     res = identity_residual(f, params, w, cfg)
                     report.identity_checked += 1
-                    if abs(res) > identity_tol:
+                    if abs(res) > IDENTITY_TOL:
                         report.identity_failures.append(
                             f"{label}: residual {res:.3e}"
                         )

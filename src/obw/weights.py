@@ -11,11 +11,15 @@ from scipy.special import betainc
 
 from .quadrature import DEFAULT_CONFIG, QuadConfig, integrate
 
-__all__ = ["Weight", "DomainError", "builtin_weight", "WEIGHT_NAMES"]
+__all__ = ["Weight", "DomainError", "WeightSpecError", "builtin_weight"]
 
 
 class DomainError(ValueError):
     """Evaluation point outside the weight's domain."""
+
+
+class WeightSpecError(ValueError):
+    """Unknown built-in weight name or parameter."""
 
 
 @dataclass(frozen=True)
@@ -171,41 +175,34 @@ def _power(a: float, b: float, p: float, q: float) -> Weight:
     )
 
 
-# Named presets accepted by the CLI; parametrized forms go through specs
-# like "power:p=1,q=0".
-WEIGHT_NAMES = (
-    "uniform",
-    "increasing",
-    "decreasing",
-    "exponential",
-    "truncnorm",
-    "arcsine",
-    "power",
-)
-
-
 def builtin_weight(spec: str, a: float, b: float, **params: float) -> Weight:
     """Construct a built-in weight by name.
 
     Supported: uniform; power (p, q exponents); exponential (lam);
     truncnorm (mu, sigma); plus the shorthands increasing = power(1, 0),
-    decreasing = power(0, 1), arcsine = power(-1/2, -1/2).
+    decreasing = power(0, 1), arcsine = power(-1/2, -1/2). An unknown name
+    or parameter raises WeightSpecError.
     """
     name = spec.strip().lower()
     if name == "uniform":
-        return _uniform(a, b)
-    if name == "increasing":
-        return replace(_power(a, b, 1.0, 0.0), name="increasing")
-    if name == "decreasing":
-        return replace(_power(a, b, 0.0, 1.0), name="decreasing")
-    if name == "arcsine":
-        return replace(_power(a, b, -0.5, -0.5), name="arcsine")
-    if name == "power":
-        return _power(a, b, params.get("p", 1.0), params.get("q", 0.0))
-    if name in ("exponential", "exp"):
-        return _exponential(a, b, params.get("lam", 1.0))
-    if name == "truncnorm":
-        mu = params.get("mu", 0.5 * (a + b))
-        sigma = params.get("sigma", 0.25 * (b - a))
-        return _truncnorm(a, b, mu, sigma)
-    raise ValueError(f"unknown weight name: {spec!r}")
+        w = _uniform(a, b)
+    elif name == "increasing":
+        w = replace(_power(a, b, 1.0, 0.0), name="increasing")
+    elif name == "decreasing":
+        w = replace(_power(a, b, 0.0, 1.0), name="decreasing")
+    elif name == "arcsine":
+        w = replace(_power(a, b, -0.5, -0.5), name="arcsine")
+    elif name == "power":
+        w = _power(a, b, params.pop("p", 1.0), params.pop("q", 0.0))
+    elif name in ("exponential", "exp"):
+        w = _exponential(a, b, params.pop("lam", 1.0))
+    elif name == "truncnorm":
+        mu = params.pop("mu", 0.5 * (a + b))
+        sigma = params.pop("sigma", 0.25 * (b - a))
+        w = _truncnorm(a, b, mu, sigma)
+    else:
+        raise WeightSpecError(f"unknown weight name: {spec!r}")
+    if params:
+        key = next(iter(params))
+        raise WeightSpecError(f"unknown parameter {key!r} for weight {name!r}")
+    return w

@@ -31,7 +31,6 @@ def quadratic():
     return Fn1D(
         fn=lambda t: t * t,
         derivative=lambda t: 2 * t,
-        antiderivative=lambda t: t**3 / 3,
         name="quadratic",
     )
 

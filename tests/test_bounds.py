@@ -4,7 +4,6 @@ import pytest
 
 from obw.bounds import (
     audit_paper_vs_exact,
-    bound_ostrowski,
     bound_set,
     bounds_cerone,
     bounds_dragomir,
@@ -113,9 +112,11 @@ class TestLegacyBounds:
         assert triple.one == pytest.approx(1.0, abs=1e-14)
 
     def test_classic_sup_bound(self):
-        assert bound_ostrowski(0.5, 0, 1, 1.0) == pytest.approx(0.25)
-        assert bound_ostrowski(0.0, 0, 1, 1.0) == pytest.approx(0.5)
-        assert bound_ostrowski(0.3, 0, 1, 0.0) == 0.0
+        # the original Ostrowski bound, sharp constant 1/4 at the midpoint
+        assert bounds_dragomir(0.5, 0, 1, unit_norms(), 2.0).inf == pytest.approx(0.25)
+        assert bounds_dragomir(0.0, 0, 1, unit_norms(), 2.0).inf == pytest.approx(0.5)
+        zero = NormTriple(inf=0.0, p_norm=1.0, one=1.0, p=2.0, c=0.0, d=1.0)
+        assert bounds_dragomir(0.3, 0, 1, zero, 2.0).inf == 0.0
 
 
 class TestSplitBounds:

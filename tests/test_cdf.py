@@ -6,7 +6,6 @@ from obw.cdf import (
     DensityModel,
     cdf_bound_general,
     cdf_bound_left,
-    cdf_bound_symmetric,
     cdf_value,
     expectation_identity_check,
     normalized_density,
@@ -142,24 +141,17 @@ class TestGeneralBound:
 
 
 class TestSymmetricBound:
-    def test_uniform_density(self):
-        lhs, _ = cdf_bound_symmetric(uniform_model(), 0.3)
-        assert lhs == pytest.approx(0.0, abs=1e-12)
+    """Equal coefficients alpha = beta = 1/2."""
 
-    def test_equals_general_specialization(self):
-        model = linear_model()
-        for x in (0.25, 0.6):
-            lhs_s, triple_s = cdf_bound_symmetric(model, x)
-            params = TauParams(a=0, b=1, x=x, alpha=0.5, beta=0.5)
-            lhs_g, triple_g = cdf_bound_general(model, params)
-            assert lhs_s == pytest.approx(lhs_g, abs=1e-12)
-            for s, g in zip(triple_s.as_tuple(), triple_g.as_tuple()):
-                assert s == pytest.approx(g, abs=1e-12)
+    def test_uniform_density(self):
+        params = TauParams(a=0, b=1, x=0.3, alpha=0.5, beta=0.5)
+        lhs, _ = cdf_bound_general(uniform_model(), params)
+        assert lhs == pytest.approx(0.0, abs=1e-12)
 
     def test_bridge_identity(self):
         model = linear_model()
         params = TauParams(a=0, b=1, x=0.25, alpha=0.5, beta=0.5)
-        lhs, _ = cdf_bound_symmetric(model, 0.25)
+        lhs, _ = cdf_bound_general(model, params)
         m_l = model.weight.moment(0, 0.25)
         m_r = model.weight.moment(0.25, 1)
         assert lhs == pytest.approx(

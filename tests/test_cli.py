@@ -1,7 +1,13 @@
+import contextlib
+import csv
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import obw.cdf
 from obw.cli import main
 
 
@@ -76,6 +82,94 @@ class TestBoundsCommand:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("argv, kind", [
+        (("--function", "1/t"), "OverflowError"),
+        (("--function", "t^2", "--weight-expr", "0*t"), "ZeroDivisionError"),
+    ])
+    def test_arithmetic_error_is_compute_error(self, capsys, argv, kind):
+        code, out, err = run(capsys, "bounds", "--x", "0.5", *argv)
+        assert code == 1
+        assert out == ""
+        assert f"error: arithmetic failure ({kind}" in err
+
+
+def _exit_and_stderr(argv):
+    """Exit code and stderr of one invocation; argparse errors exit via SystemExit."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+_NUMBERS = st.sampled_from(["0", "1", "0.5", "0.25", "-1", "2", "nan", "inf", "-inf", "1e308"])
+_FLAGS = {
+    "--a": st.sampled_from(["0", "-1", "0.5", "nan", "inf", "-inf"]),
+    "--b": st.sampled_from(["1", "0", "2", "nan", "inf"]),
+    "--alpha": _NUMBERS,
+    "--beta": _NUMBERS,
+    "--p": st.sampled_from(["2", "1", "0.5", "0", "-3", "1.5", "nan", "inf"]),
+    "--tol": st.sampled_from(["1e-8", "0", "-1", "nan", "inf"]),
+    "--weight": st.sampled_from(
+        ["uniform", "", ":", "nope", "power", "power:", "power:p", "power:p=",
+         "power:=1", "power:p=1,q=0,r=3", "power:p=-1", "power:p=nan,q=0.5",
+         "power:p=-0.5,q=inf", "exponential:lam=inf", "truncnorm:sigma=0"]
+    ),
+    "--weight-expr": st.sampled_from(["", "0*t", "1+t", "t-0.2", "1/t", "t +", "exp(1000*t)"]),
+    "--norm": st.sampled_from(["inf", "p", "one"]),
+}
+
+
+@st.composite
+def bounds_argv(draw):
+    argv = ["bounds", "--x", draw(_NUMBERS), "--function", draw(st.sampled_from(
+        ["t^2", "", "t +", "1/t", "sqrt(t)", "log(t)", "exp(1000*t)", "quadratic", "3"]
+    ))]
+    for flag in draw(st.lists(st.sampled_from(sorted(_FLAGS)), unique=True, max_size=4)):
+        argv += [flag, draw(_FLAGS[flag])]
+    return argv
+
+
+@given(bounds_argv())
+@settings(max_examples=150, deadline=None)
+def test_bounds_bad_input_exits_cleanly(argv):
+    code, err = _exit_and_stderr(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+
+
+class TestWeightSpecs:
+    @pytest.mark.parametrize("spec, names", [
+        ("power:p=-0.3,q=0.5,uniform", ["power(p=-0.3,q=0.5)", "uniform"]),
+        ("uniform,exponential:lam=2", ["uniform", "exponential(lam=2)"]),
+        ("power:p=-0.3,q=0.5,exponential:lam=2",
+         ["power(p=-0.3,q=0.5)", "exponential(lam=2)"]),
+    ])
+    def test_audit_weight_list(self, capsys, spec, names):
+        code, out, _ = run(capsys, "audit", "--weights", spec, "--x-grid", "1")
+        assert code == 0
+        rows = [row[0] for row in csv.reader(io.StringIO(out))][1:]
+        assert rows == [n for n in names for _ in range(2)]
+
+    @pytest.mark.parametrize("spec, part", [
+        ("power:p=1,q=0,r=3", "'r'"),
+        ("nope", "'nope'"),
+        ("power:p", "'p'"),
+        ("power:p=1,q=", "'q='"),
+    ])
+    def test_malformed_spec_is_usage_error(self, capsys, spec, part):
+        for argv in (("audit", "--weights", spec), ("sharpness", "--weight", spec)):
+            code, _, err = run(capsys, *argv, "--x-grid", "1")
+            assert code == 2
+            assert err.startswith("usage error:") and part in err
+
+    def test_out_of_range_parameter_is_compute_error(self, capsys):
+        code, _, err = run(capsys, "audit", "--weights", "power:p=-1", "--x-grid", "1")
+        assert code == 1
+        assert "integrability" in err
+
 
 class TestVerifyCommand:
     def test_default_corpus_passes(self, capsys):
@@ -88,6 +182,20 @@ class TestVerifyCommand:
     def test_broken_budget_fails(self, capsys):
         code, _, err = run(capsys, "verify", "--tol", "1e-14", "--max-subdiv", "1")
         assert code == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--a", "0"),
+    ("verify", "--b", "1"),
+    ("verify", "--format", "csv"),
+    ("audit", "--format", "csv"),
+    ("sharpness", "--format", "csv"),
+    ("cdf", "--format", "csv"),
+])
+def test_flag_the_command_ignores_is_rejected(argv):
+    code, err = _exit_and_stderr(list(argv))
+    assert code == 2
+    assert "unrecognized arguments" in err
 
 
 class TestAuditCommand:
@@ -143,6 +251,32 @@ class TestCdfCommand:
         assert "--density is required" in err
         assert "--x or --x-grid" in err
 
+    def test_identity_check_runs_once_per_invocation(self, capsys, monkeypatch):
+        calls = []
+        check = obw.cdf.expectation_identity_check
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return check(*args, **kwargs)
+
+        monkeypatch.setattr(obw.cdf, "expectation_identity_check", counted)
+        code, out, _ = run(capsys, "cdf", "--density", "3*t^2", "--x-grid", "4")
+        assert code == 0
+        rows = out.strip().splitlines()[1:]
+        assert len(rows) == 4
+        assert len(calls) == 1
+        assert len({row.split(",")[-1] for row in rows}) == 1
+
+    def test_failed_identity_check_is_compute_error(self, capsys):
+        code, out, err = run(
+            capsys, "cdf", "--a", "0.14", "--b", "1.449",
+            "--density", "0.516 + 1.245*t + 1.04*(abs(t - 0.857) + 0.488)",
+            "--weight", "uniform", "--x-grid", "7", "--tol", "1e-10",
+        )
+        assert code == 1
+        assert out == ""
+        assert "error: CDF identity check failed at x=" in err
+
 
 class TestConfigFile:
     def test_flags_override_file(self, capsys, tmp_path):
@@ -167,6 +301,49 @@ class TestConfigFile:
         cfg.write_text("{not json")
         code, _, err = run(capsys, "--config", str(cfg), "bounds", "--x", "0.5")
         assert code == 2
+
+    def test_file_sets_any_flag(self, capsys, tmp_path):
+        argv = ("bounds", "--x", "0.3", "--function", "sine", "--weight", "decreasing")
+        _, default_out, _ = run(capsys, *argv)
+        _, flag_out, _ = run(capsys, *argv, "--p", "3", "--alpha", "2")
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"p": 3, "alpha": 2}))
+        code, out, _ = run(capsys, "--config", str(cfg), *argv)
+        assert code == 0
+        assert out == flag_out != default_out
+
+    def test_file_sets_audit_grid(self, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"x_grid": 3, "weights": "uniform"}))
+        code, out, _ = run(capsys, "--config", str(cfg), "audit")
+        assert code == 0
+        assert len(out.strip().splitlines()) == 1 + 3 * 2
+        code, out, _ = run(capsys, "--config", str(cfg), "audit", "--x-grid", "1")
+        assert len(out.strip().splitlines()) == 1 + 1 * 2
+
+    def test_tol_precedence(self, capsys, tmp_path, monkeypatch):
+        # flag > config > OBW_TOL; a negative tolerance fails with exit 1
+        argv = ("bounds", "--x", "0.5", "--function", "t^2")
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"tol": 1e-9}))
+        monkeypatch.setenv("OBW_TOL", "-1")
+        assert run(capsys, *argv)[0] == 1
+        assert run(capsys, "--config", str(cfg), *argv)[0] == 0
+        assert run(capsys, "--config", str(cfg), *argv, "--tol", "-1")[0] == 1
+
+    @pytest.mark.parametrize("values", [
+        {"x_grid": 3},  # an audit flag, not a bounds flag
+        {"nope": 1},
+        {"norm": "two"},
+    ])
+    def test_key_naming_no_flag_is_usage_error(self, capsys, tmp_path, values):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(values))
+        code, _, err = run(
+            capsys, "--config", str(cfg), "bounds", "--x", "0.5", "--function", "t^2"
+        )
+        assert code == 2
+        assert "usage error: config key" in err
 
 
 class TestDeterminism:

@@ -10,10 +10,9 @@ from obw.functionals import (
     tau,
     tau_combination,
     tau_decomposed,
-    tau_result,
 )
 from obw.kernel import TauParams
-from obw.quadrature import DegenerateIntervalError, Fn1D
+from obw.quadrature import DegenerateIntervalError, Fn1D, weighted_mean
 from obw.weights import builtin_weight
 
 
@@ -54,11 +53,11 @@ class TestTau:
 
     def test_components_reproduce_value(self, expdecay, sine):
         params = params_at(0.3, alpha=2.0, beta=1.0)
-        res = tau_result(sine, expdecay, params)
-        rebuilt = res.f_at_x - (
-            res.alpha * res.left_mean + res.beta * res.right_mean
-        ) / (res.alpha + res.beta)
-        assert res.value == pytest.approx(rebuilt, abs=1e-14)
+        rebuilt = sine(0.3) - (
+            2.0 * weighted_mean(sine, expdecay, 0, 0.3)
+            + 1.0 * weighted_mean(sine, expdecay, 0.3, 1)
+        ) / 3.0
+        assert tau(sine, expdecay, params) == pytest.approx(rebuilt, abs=1e-14)
 
 
 class TestSigma:

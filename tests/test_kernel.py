@@ -2,18 +2,20 @@ import math
 
 import pytest
 
-from obw.corpus import COEFF_PAIRS_EXTENDED, corpus_functions, corpus_weights
+from obw.corpus import corpus_functions, corpus_weights
 from obw.kernel import (
     TauParams,
     identity_residual,
     kernel_l1,
     kernel_lq,
     kernel_sup,
-    montgomery_kernel,
     peano_kernel,
 )
 from obw.quadrature import Fn1D, integrate
 from obw.weights import builtin_weight
+
+# Both two-coefficient and one-branch (alpha or beta zero) configurations.
+COEFF_PAIRS_EXTENDED = ((1.0, 1.0), (2.0, 1.0), (1.0, 0.0), (0.0, 1.0), (3.0, 5.0))
 
 
 def mid_params(alpha=1.0, beta=1.0, x=0.5):
@@ -63,24 +65,16 @@ class TestPeanoKernel:
 
 
 class TestMontgomeryKernel:
-    def test_left(self):
-        assert montgomery_kernel(0.3, 0.2, 0, 1) == pytest.approx(0.2)
-
-    def test_right(self):
-        assert montgomery_kernel(0.3, 0.8, 0, 1) == pytest.approx(-0.2)
-
-    def test_right_endpoint(self):
-        assert montgomery_kernel(0.3, 1.0, 0, 1) == 0.0
-
     def test_reduction_from_weighted(self, uniform):
         # alpha = x - a, beta = b - x with constant weight recovers the
-        # unweighted kernel up to the interval-length factor
+        # unweighted Montgomery kernel (t - a left of x, t - b right of it)
+        # up to the interval-length factor
         for x in (0.3, 0.5, 0.8):
             params = TauParams(a=0, b=1, x=x, alpha=x, beta=1 - x)
             for k in range(0, 101):
                 t = k / 100
                 assert (1 - 0) * peano_kernel(params, uniform, t) == pytest.approx(
-                    montgomery_kernel(x, t, 0, 1), abs=1e-12
+                    t - 0 if t <= x else t - 1, abs=1e-12
                 )
 
 

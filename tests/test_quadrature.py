@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from obw.corpus import corpus_functions
 from obw.quadrature import (
     DegenerateIntervalError,
     Fn1D,
@@ -11,12 +12,23 @@ from obw.quadrature import (
     QuadratureError,
     derivative_callable,
     integrate,
-    integrate_oriented,
-    unweighted_mean,
-    weighted_integral,
     weighted_mean,
 )
 from obw.weights import builtin_weight
+
+# Closed-form antiderivatives of the corpus functions: integration oracles.
+ANTIDERIVATIVES = {
+    "linear": lambda t: t * t / 2,
+    "quadratic": lambda t: t**3 / 3,
+    "cubic": lambda t: t**4 / 4,
+    "quartic": lambda t: t**5 / 5,
+    "sine": lambda t: -math.cos(t),
+    "exponential": math.exp,
+}
+
+
+def unweighted_mean(f, c, d):
+    return integrate(f, c, d)[0] / (d - c)
 
 
 class TestIntegrate:
@@ -36,7 +48,8 @@ class TestIntegrate:
         assert err <= 1e-10
 
     def test_oriented_flip(self):
-        assert integrate_oriented(lambda t: t, 1, 0) == pytest.approx(-0.5, abs=1e-12)
+        w = builtin_weight("uniform", 0, 1)
+        assert w.integrate_against(lambda t: t, 1, 0) == pytest.approx(-0.5, abs=1e-12)
 
     def test_empty_interval(self):
         assert integrate(lambda t: 1.0, 0.5, 0.5) == (0.0, 0.0)
@@ -58,15 +71,15 @@ class TestIntegrate:
 class TestWeightedIntegral:
     def test_unit_mass(self):
         w = builtin_weight("uniform", 0, 1)
-        assert weighted_integral(lambda t: 1.0, w, 0, 1) == pytest.approx(1.0, abs=1e-12)
+        assert w.integrate_against(lambda t: 1.0, 0, 1) == pytest.approx(1.0, abs=1e-12)
 
     def test_linear_times_linear(self):
         w = builtin_weight("increasing", 0, 1)
-        assert weighted_integral(lambda t: t, w, 0, 1) == pytest.approx(1 / 3, abs=1e-10)
+        assert w.integrate_against(lambda t: t, 0, 1) == pytest.approx(1 / 3, abs=1e-10)
 
     def test_subinterval(self):
         w = builtin_weight("uniform", 0, 1)
-        assert weighted_integral(lambda t: t * t, w, 0, 0.5) == pytest.approx(
+        assert w.integrate_against(lambda t: t * t, 0, 0.5) == pytest.approx(
             1 / 24, abs=1e-10
         )
 
@@ -138,11 +151,9 @@ class TestDerivativeFallback:
         assert derivative_callable(f, 0, 1)(0.5) == 42.0
 
     def test_antiderivative_consistency(self):
-        f = Fn1D(
-            fn=math.exp,
-            antiderivative=math.exp,
-        )
-        numeric = integrate(f.fn, 0.2, 0.9)[0]
-        assert f.antiderivative(0.9) - f.antiderivative(0.2) == pytest.approx(
-            numeric, abs=1e-10
-        )
+        for f in corpus_functions():
+            antiderivative = ANTIDERIVATIVES[f.name]
+            numeric = integrate(f.fn, 0.2, 0.9)[0]
+            assert antiderivative(0.9) - antiderivative(0.2) == pytest.approx(
+                numeric, abs=1e-10
+            )
