@@ -24,7 +24,7 @@ from .cdf import (
     normalized_density,
     reliability,
 )
-from .expr import as_fn1d, differentiate, evaluate, parse, to_str
+from .expr import as_fn1d, compile_expr, differentiate, parse, to_str
 from .functionals import deviation_S, sigma_w, tau, tau_combination, tau_decomposed
 from .kernel import (
     TauParams,

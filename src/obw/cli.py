@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
+import math
 import os
 import sys
 from dataclasses import astuple
@@ -19,7 +21,7 @@ from .bounds import (
 )
 from .cdf import CDF_COLUMNS, cdf_report, normalized_density
 from .corpus import function_by_name
-from .expr import ParseError, as_fn1d
+from .expr import ParseError, as_fn1d, compile_expr, parse
 from .kernel import TauParams
 from .quadrature import Fn1D, QuadConfig, QuadratureError
 from .suites import run_verify_suites
@@ -98,8 +100,37 @@ def _coeff_pairs(spec: str) -> list[tuple[float, float]]:
     pairs = []
     for item in spec.split(","):
         a_str, _, b_str = item.partition(":")
-        pairs.append((float(a_str), float(b_str)))
+        try:
+            pairs.append((float(a_str), float(b_str)))
+        except ValueError:
+            raise _UsageError(f"--alphas: bad item {item!r} (expected alpha:beta)") from None
     return pairs
+
+
+# 129 Chebyshev points of the first kind on [-1, 1], ascending.
+_SIGN_CHECK_NODES = tuple(math.cos(math.pi * (k + 0.5) / 129) for k in reversed(range(129)))
+
+
+def _weight_expr(text: str, a: float, b: float) -> Weight:
+    """The weight w(t) = text; it must not be negative on a grid inside (a, b).
+
+    NaN and infinite values are left to the quadrature, which rejects them.
+    """
+    w = Weight(name=text, a=a, b=b, fn=compile_expr(parse(text)))
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    ts = [mid + half * c for c in _SIGN_CHECK_NODES]
+    values = list(map(w.fn, ts))
+    try:
+        if min(values) >= 0:
+            return w
+    except TypeError:  # a complex value
+        pass
+    for t, v in zip(ts, values):
+        if isinstance(v, complex):
+            raise ValueError(f"--weight-expr is not real at t={t:.9g}: w(t) = {v}")
+        if v < 0:
+            raise ValueError(f"--weight-expr is negative at t={t:.9g}: w(t) = {v:.9g}")
+    return w
 
 
 def _interior_grid(a: float, b: float, n: int) -> list[float]:
@@ -119,7 +150,7 @@ def _cmd_bounds(args, cfg: QuadConfig) -> tuple[str, int]:
 
     f = _function(args.function)
     if args.weight_expr is not None:
-        w = Weight(name=args.weight_expr, a=args.a, b=args.b, fn=as_fn1d(args.weight_expr).fn)
+        w = _weight_expr(args.weight_expr, args.a, args.b)
     else:
         w = _weight("uniform" if args.weight is None else args.weight, args.a, args.b)
     params = TauParams(a=args.a, b=args.b, x=args.x, alpha=args.alpha, beta=args.beta)
@@ -208,8 +239,13 @@ def _cmd_cdf(args, cfg: QuadConfig) -> tuple[str, int]:
     return _csv(CDF_COLUMNS, map(astuple, rows)), EXIT_OK
 
 
+@functools.cache
 def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser and the parser of each command, by name."""
+    """The top-level parser and the parser of each command, by name.
+
+    Built on first use and kept for the process: nothing in it depends on
+    the invocation (`OBW_TOL` and `--config` are read by `main`).
+    """
     parser = argparse.ArgumentParser(
         prog="obw",
         description=(
@@ -226,8 +262,8 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
         if interval:
             p.add_argument("--a", type=float, default=0.0)
             p.add_argument("--b", type=float, default=1.0)
-        p.add_argument("--tol", type=float, default=os.environ.get("OBW_TOL", "1e-10"),
-                       help="absolute quadrature tolerance (default 1e-10 or OBW_TOL)")
+        p.add_argument("--tol", type=float, default=None,
+                       help="absolute quadrature tolerance (default OBW_TOL, else 1e-10)")
         p.add_argument("--max-subdiv", type=int, default=1000)
         p.add_argument("--output", default=None, help="output path (default stdout)")
         return p
@@ -271,11 +307,14 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The parser `main` uses, shared by every call in the process."""
     return _parsers()[0]
 
 
-def _apply_config(command: argparse.ArgumentParser, path: str) -> None:
-    """Make the file's values the command's defaults, as if typed as flags."""
+def _config_defaults(
+    command: argparse.ArgumentParser, path: str
+) -> dict[argparse.Action, str]:
+    """The file's values by the command's flag, each as if typed on the command line."""
     try:
         with open(path, encoding="utf-8") as fh:
             values = json.load(fh)
@@ -292,8 +331,41 @@ def _apply_config(command: argparse.ArgumentParser, path: str) -> None:
         text = str(value)
         if action.choices is not None and text not in action.choices:
             raise _UsageError(f"config key {key!r}: {text!r} is not one of {action.choices}")
-        defaults[action.dest] = text
-    command.set_defaults(**defaults)
+        defaults[action] = text
+    return defaults
+
+
+def _parse_with_config(
+    parser: argparse.ArgumentParser,
+    command: argparse.ArgumentParser,
+    path: str,
+    argv: Sequence[str] | None,
+) -> argparse.Namespace:
+    """Parse argv with the config file's values as the command's defaults.
+
+    The parsers are shared by every call in the process, so the defaults
+    are put back before returning.
+    """
+    defaults = _config_defaults(command, path)
+    saved = {action: action.default for action in defaults}
+    try:
+        for action, text in defaults.items():
+            action.default = text
+        return parser.parse_args(argv)
+    finally:
+        for action, default in saved.items():
+            action.default = default
+
+
+def _tol(flag: float | None) -> float:
+    """--tol if given, else OBW_TOL as it is set now, else 1e-10."""
+    if flag is not None:
+        return flag
+    text = os.environ.get("OBW_TOL", "1e-10")
+    try:
+        return float(text)
+    except ValueError:
+        raise _UsageError(f"OBW_TOL: invalid float value: {text!r}") from None
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -304,9 +376,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_USAGE
     try:
         if args.config:
-            _apply_config(commands[args.command], args.config)
-            args = parser.parse_args(argv)
-        cfg = QuadConfig(abs_tol=args.tol, max_subdivisions=args.max_subdiv)
+            args = _parse_with_config(parser, commands[args.command], args.config, argv)
+        cfg = QuadConfig(abs_tol=_tol(args.tol), max_subdivisions=args.max_subdiv)
         text, code = args.run(args, cfg)
         _write(args.output, text)
         return code

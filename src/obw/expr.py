@@ -3,18 +3,22 @@
 Grammar: numeric literals, the variable t, + - * / ^, unary minus,
 single-argument calls (sin cos exp log abs sqrt), parentheses. ^ is
 right-associative and binds tighter than unary minus; no implicit
-multiplication.
+multiplication. A parsed tree is evaluated through compile_expr, which
+turns it into one Python function of t, once.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Union
 
 from .quadrature import Fn1D, derivative_callable
 
-__all__ = ["ParseError", "Expr", "parse", "to_str", "evaluate", "differentiate", "as_fn1d"]
+__all__ = [
+    "ParseError", "Expr", "parse", "to_str", "compile_expr", "differentiate", "as_fn1d",
+]
 
 
 class ParseError(ValueError):
@@ -206,28 +210,118 @@ def parse(source: str) -> Expr:
     return expr
 
 
-# --- evaluation / printing -----------------------------------------------
+# --- compilation / printing ----------------------------------------------
 
-def evaluate(e: Expr, t: float) -> float:
-    if isinstance(e, Num):
-        return e.value
-    if isinstance(e, Var):
-        return t
-    if isinstance(e, Neg):
-        return -evaluate(e.operand, t)
+_OPERATORS: dict[str, Callable[[float, float], float]] = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": operator.truediv,
+    "^": operator.pow,
+}
+_PY_OPERATORS = {"+": "+", "-": "-", "*": "*", "/": "/", "^": "**"}
+# Names the generated code may use: nothing else is reachable from it.
+_NAMESPACE = {**_FUNCTIONS, "inf": math.inf, "nan": math.nan, "__builtins__": {}}
+# Parentheses one generated expression may nest; CPython's parser stops at 200.
+_MAX_NESTING = 50
+
+
+def _literal(v: float) -> str:
+    v = float(v)
+    mag = repr(abs(v)) if math.isfinite(v) else ("nan" if math.isnan(v) else "inf")
+    return f"(-{mag})" if math.copysign(1.0, v) < 0 else mag
+
+
+def _children(e: Expr) -> tuple[Expr, ...]:
     if isinstance(e, BinOp):
-        lv = evaluate(e.left, t)
-        rv = evaluate(e.right, t)
-        if e.op == "+":
-            return lv + rv
-        if e.op == "-":
-            return lv - rv
-        if e.op == "*":
-            return lv * rv
-        if e.op == "/":
-            return lv / rv
-        return lv**rv
-    return _FUNCTIONS[e.fn](evaluate(e.arg, t))
+        return (e.left, e.right)
+    if isinstance(e, Neg):
+        return (e.operand,)
+    if isinstance(e, Call):
+        return (e.arg,)
+    return ()
+
+
+def compile_expr(e: Expr) -> Callable[[float], float]:
+    """One Python function of t that computes e, built once per tree.
+
+    The source is generated from the tree alone (float literals, the five
+    operators, the names in _FUNCTIONS) and runs without builtins. Every
+    node is evaluated children first, left before right, with the same
+    float operations, so values and raised exceptions are those of a
+    direct walk of the tree. A subtree shared within the tree (derivatives
+    share them) is computed once into a local, and so is any subtree
+    nested deeper than _MAX_NESTING, so every tree compiles.
+    """
+    uses: dict[int, int] = {}
+    stack = [e]
+    while stack:
+        for child in _children(stack.pop()):
+            uses[id(child)] = uses.get(id(child), 0) + 1
+            if uses[id(child)] == 1:
+                stack.append(child)
+
+    lines: list[str] = []
+    names: dict[int, str] = {}
+    n_locals = 0
+
+    def local(text: str, at: int) -> str:
+        nonlocal n_locals
+        name = f"_{n_locals}"
+        n_locals += 1
+        lines.insert(at, f"    {name} = {text}")
+        return name
+
+    # Post-order walk; each result is (source, nesting depth), depth 0
+    # meaning a name or literal. A BinOp notes where the lines of its right
+    # operand start: if there are any, its left operand is bound before
+    # them, so that it is still evaluated first.
+    results: list[tuple[str, int]] = []
+    marks: list[int] = []
+    todo: list[tuple[int, Expr]] = [(0, e)]
+    while todo:
+        step, node = todo.pop()
+        if step == 0:
+            if id(node) in names:
+                results.append((names[id(node)], 0))
+            elif isinstance(node, Num):
+                results.append((_literal(node.value), 0))
+            elif isinstance(node, Var):
+                results.append(("t", 0))
+            elif isinstance(node, Call) and node.fn not in _FUNCTIONS:
+                raise ValueError(f"unknown function {node.fn!r}")
+            else:
+                todo.append((2, node))
+                if isinstance(node, BinOp):
+                    todo += [(0, node.right), (1, node), (0, node.left)]
+                else:
+                    todo.append((0, _children(node)[0]))
+            continue
+        if step == 1:
+            marks.append(len(lines))
+            continue
+        if isinstance(node, BinOp):
+            (left, ldepth), (right, rdepth) = results[-2:]
+            del results[-2:]
+            mark = marks.pop()
+            if ldepth and len(lines) > mark:
+                left, ldepth = local(left, mark), 0
+            text = f"({left} {_PY_OPERATORS[node.op]} {right})"
+            depth = max(ldepth, rdepth) + 1
+        else:
+            arg, depth = results.pop()
+            text = f"(-{arg})" if isinstance(node, Neg) else f"{node.fn}({arg})"
+            depth += 1
+        if depth >= _MAX_NESTING or uses.get(id(node), 0) > 1:
+            text = names[id(node)] = local(text, len(lines))
+            depth = 0
+        results.append((text, depth))
+
+    source = "def _f(t):\n" + "".join(line + "\n" for line in lines)
+    source += f"    return {results[0][0]}\n"
+    namespace = dict(_NAMESPACE)
+    exec(compile(source, "<obw.expr>", "exec"), namespace)
+    return namespace["_f"]
 
 
 def _prec(e: Expr) -> int:
@@ -267,29 +361,35 @@ def _num(v: float) -> Num:
     return Num(float(v))
 
 
-def _fold(e: Expr) -> Expr:
-    """Constant folding only; no further simplification."""
+def _fold(e: Expr, memo: dict[int, Expr]) -> Expr:
+    """Constant folding only; no further simplification.
+
+    memo maps each node already folded to its result, so a subtree shared
+    within e is folded once and stays shared.
+    """
+    done = memo.get(id(e))
+    if done is not None:
+        return done
+    out = e
     if isinstance(e, Neg):
-        inner = _fold(e.operand)
-        if isinstance(inner, Num):
-            return _num(-inner.value)
-        return Neg(inner)
-    if isinstance(e, BinOp):
-        left = _fold(e.left)
-        right = _fold(e.right)
+        inner = _fold(e.operand, memo)
+        out = _num(-inner.value) if isinstance(inner, Num) else Neg(inner)
+    elif isinstance(e, BinOp):
+        left = _fold(e.left, memo)
+        right = _fold(e.right, memo)
         if isinstance(left, Num) and isinstance(right, Num):
-            return _num(evaluate(BinOp(e.op, left, right), 0.0))
-        return BinOp(e.op, left, right)
-    if isinstance(e, Call):
-        arg = _fold(e.arg)
-        if isinstance(arg, Num):
-            return _num(_FUNCTIONS[e.fn](arg.value))
-        return Call(e.fn, arg)
-    return e
+            out = _num(_OPERATORS[e.op](left.value, right.value))
+        else:
+            out = BinOp(e.op, left, right)
+    elif isinstance(e, Call):
+        arg = _fold(e.arg, memo)
+        out = _num(_FUNCTIONS[e.fn](arg.value)) if isinstance(arg, Num) else Call(e.fn, arg)
+    memo[id(e)] = out
+    return out
 
 
 def differentiate(e: Expr) -> Expr:
-    return _fold(_diff(e))
+    return _fold(_diff(e), {})
 
 
 def _diff(e: Expr) -> Expr:
@@ -340,16 +440,17 @@ def _diff(e: Expr) -> Expr:
 def as_fn1d(source: str, name: str = "") -> Fn1D:
     """Parse source into an evaluable function with a symbolic derivative.
 
-    Points where the symbolic derivative fails to evaluate (abs at zero)
-    fall back to finite differences.
+    The tree and its derivative are each compiled once. Points where the
+    symbolic derivative fails to evaluate (abs at zero) fall back to
+    finite differences.
     """
     tree = parse(source)
-    dtree = differentiate(tree)
-    base = Fn1D(fn=lambda t: evaluate(tree, t), name=name or source)
+    base = Fn1D(fn=compile_expr(tree), name=name or source)
+    dfn = compile_expr(differentiate(tree))
 
     def deriv(t: float) -> float:
         try:
-            v = evaluate(dtree, t)
+            v = dfn(t)
         except (ZeroDivisionError, ValueError, OverflowError):
             v = math.nan
         if math.isfinite(v):

@@ -3,6 +3,11 @@
 The kernel's right branch keeps the oriented (negative) moment so the
 integration-by-parts identity holds exactly; absolute values appear only
 inside the norm integrals, which split at the jump point.
+
+kernel_l1 integrates each branch in its Fubini form, one weighted integral
+of the distance to x, so the power weights' endpoint substitution applies
+to it; kernel_lq and identity_residual still take a weight moment at every
+quadrature node.
 """
 
 from __future__ import annotations
@@ -85,15 +90,21 @@ def peano_kernel(
 
 
 def kernel_l1(params: TauParams, w: Weight, cfg: QuadConfig = DEFAULT_CONFIG) -> float:
-    """Exact int_a^b |rho(x, t)| dt, split at the jump point t = x."""
+    """Exact int_a^b |rho(x, t)| dt, split at the jump point t = x.
+
+    By Fubini each branch is one weighted integral, with no moment inside
+    an integrand: int_a^x m(a, t) dt = int_a^x (x - s) w(s) ds on the left
+    and int_x^b m(t, b) dt = int_x^b (s - x) w(s) ds on the right.
+    """
     m_left, m_right = _branch_masses(params, w, cfg)
     s = params.weight_sum
+    x = params.x
     total = 0.0
     if params.alpha > 0:
-        left = integrate(lambda t: w.moment(params.a, t, cfg), params.a, params.x, cfg)[0]
+        left = w.integrate_against(lambda t: x - t, params.a, x, cfg)
         total += (params.alpha / s) * left / m_left
     if params.beta > 0:
-        right = integrate(lambda t: -w.moment(params.b, t, cfg), params.x, params.b, cfg)[0]
+        right = w.integrate_against(lambda t: t - x, x, params.b, cfg)
         total += (params.beta / s) * right / m_right
     return total
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import obw.cdf
+import obw.cli
 from obw.cli import main
 
 
@@ -169,6 +170,105 @@ class TestWeightSpecs:
         code, _, err = run(capsys, "audit", "--weights", "power:p=-1", "--x-grid", "1")
         assert code == 1
         assert "integrability" in err
+
+
+@pytest.mark.parametrize("command", ["audit", "sharpness"])
+@pytest.mark.parametrize("item", ["1:", ":1", "1", "a:b", ""])
+def test_malformed_alphas_is_usage_error(capsys, command, item):
+    code, out, err = run(capsys, command, "--alphas", f"1:1,{item}", "--x-grid", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error: --alphas") and repr(item) in err
+
+
+class TestWeightExprSign:
+    def test_negative_weight_is_compute_error(self, capsys):
+        code, out, err = run(
+            capsys, "bounds", "--x", "0.5", "--function", "t^2", "--weight-expr", "t-0.2"
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: --weight-expr is negative at t=")
+        # the first grid point, just inside a = 0
+        t = float(err.split("t=")[1].split(":")[0])
+        assert 0 < t < 1e-4
+
+    def test_first_negative_point_is_named(self, capsys):
+        code, _, err = run(
+            capsys, "bounds", "--a", "-1", "--b", "2", "--x", "0.5", "--function", "t^2",
+            "--weight-expr", "1.5 - t",
+        )
+        assert code == 1
+        t = float(err.split("t=")[1].split(":")[0])
+        assert 1.5 < t < 1.5 + 3 * 3.2 / 129
+
+    def test_complex_weight_is_compute_error(self, capsys):
+        code, _, err = run(
+            capsys, "bounds", "--x", "0.5", "--function", "t^2", "--weight-expr", "(t-0.5)^0.5"
+        )
+        assert code == 1
+        assert "--weight-expr is not real at t=" in err
+
+    def test_non_finite_weight_left_to_quadrature(self, capsys):
+        code, _, err = run(
+            capsys, "bounds", "--x", "0.5", "--function", "t^2", "--weight-expr", "1e308*10*t"
+        )
+        assert code == 1
+        assert "non-finite integrand value" in err
+
+    def test_nonnegative_weight_accepted(self, capsys):
+        code, out, _ = run(
+            capsys, "bounds", "--x", "0.5", "--function", "t^2", "--weight-expr", "(t-0.5)^2"
+        )
+        assert code == 0
+        assert out.startswith("tau = ")
+
+
+def test_deeply_nested_function(capsys):
+    source = "sin(" * 400 + "t" + ")" * 400
+    code, out, _ = run(capsys, "bounds", "--x", "0.5", "--function", source)
+    assert code == 0
+    assert "tau = 5.87892843e-03" in out
+
+
+class TestParserPerProcess:
+    ARGV = ("bounds", "--x", "0.3", "--function", "sine", "--weight", "decreasing")
+
+    def test_built_once(self, capsys):
+        run(capsys, *self.ARGV)
+        built = obw.cli._parsers.cache_info().misses
+        run(capsys, *self.ARGV)
+        run(capsys, "audit", "--x-grid", "1")
+        assert obw.cli._parsers.cache_info().misses == built == 1
+
+    def test_config_defaults_end_with_the_invocation(self, capsys, tmp_path):
+        _, default_out, _ = run(capsys, *self.ARGV)
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"p": 3, "alpha": 2}))
+        _, config_out, _ = run(capsys, "--config", str(cfg), *self.ARGV)
+        code, out, _ = run(capsys, *self.ARGV)
+        assert code == 0
+        assert out == default_out != config_out
+
+    def test_failed_config_parse_restores_defaults(self, capsys, tmp_path):
+        _, default_out, _ = run(capsys, *self.ARGV)
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"p": 3, "alpha": "two"}))
+        assert _exit_and_stderr(["--config", str(cfg), *self.ARGV])[0] == 2
+        assert run(capsys, *self.ARGV)[1] == default_out
+
+    def test_obw_tol_read_per_invocation(self, capsys, monkeypatch):
+        monkeypatch.setenv("OBW_TOL", "-1")
+        assert run(capsys, *self.ARGV)[0] == 1
+        monkeypatch.setenv("OBW_TOL", "1e-9")
+        assert run(capsys, *self.ARGV)[0] == 0
+        monkeypatch.setenv("OBW_TOL", "tight")
+        code, _, err = run(capsys, *self.ARGV)
+        assert code == 2
+        assert "OBW_TOL" in err and "'tight'" in err
+        assert run(capsys, *self.ARGV, "--tol", "1e-9")[0] == 0
+        monkeypatch.delenv("OBW_TOL")
+        assert run(capsys, *self.ARGV)[0] == 0
 
 
 class TestVerifyCommand:

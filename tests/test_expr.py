@@ -1,14 +1,56 @@
 import math
+import struct
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from obw.expr import ParseError, as_fn1d, differentiate, evaluate, parse, to_str
+from obw.expr import (
+    _FUNCTIONS,
+    BinOp,
+    Call,
+    Neg,
+    Num,
+    ParseError,
+    Var,
+    as_fn1d,
+    compile_expr,
+    differentiate,
+    parse,
+    to_str,
+)
+
+
+def evaluate(e, t):
+    """Oracle: walk the tree at t, children first, left before right."""
+    if isinstance(e, Num):
+        return e.value
+    if isinstance(e, Var):
+        return t
+    if isinstance(e, Neg):
+        return -evaluate(e.operand, t)
+    if isinstance(e, BinOp):
+        lv = evaluate(e.left, t)
+        rv = evaluate(e.right, t)
+        if e.op == "+":
+            return lv + rv
+        if e.op == "-":
+            return lv - rv
+        if e.op == "*":
+            return lv * rv
+        if e.op == "/":
+            return lv / rv
+        return lv**rv
+    return _FUNCTIONS[e.fn](evaluate(e.arg, t))
 
 
 def value(source, t):
-    return evaluate(parse(source), t)
+    return compile_expr(parse(source))(t)
+
+
+def evaluated(d, t):
+    return compile_expr(d)(t)
 
 
 class TestParseEval:
@@ -97,9 +139,7 @@ class TestRoundTrip:
     def test_printed_form_evaluates_identically(self, source):
         tree = parse(source)
         for t in (0.1, 0.45, 0.9):
-            assert evaluate(parse(to_str(tree)), t) == pytest.approx(
-                evaluate(tree, t), abs=1e-14
-            )
+            assert value(to_str(tree), t) == pytest.approx(evaluated(tree, t), abs=1e-14)
 
 
 def finite_difference(fn, t, h=1e-6):
@@ -109,17 +149,17 @@ def finite_difference(fn, t, h=1e-6):
 class TestDifferentiate:
     def test_power_rule(self):
         d = differentiate(parse("t^2"))
-        assert evaluate(d, 3.0) == pytest.approx(6.0)
+        assert evaluated(d, 3.0) == pytest.approx(6.0)
 
     def test_sine(self):
         d = differentiate(parse("sin(t)"))
-        assert evaluate(d, 0.7) == pytest.approx(math.cos(0.7))
+        assert evaluated(d, 0.7) == pytest.approx(math.cos(0.7))
 
     @pytest.mark.parametrize("t", [0.1, 0.5, 0.9])
     def test_product_vs_finite_differences(self, t):
         tree = parse("exp(-t)*t")
         d = differentiate(tree)
-        assert evaluate(d, t) == pytest.approx(
+        assert evaluated(d, t) == pytest.approx(
             finite_difference(lambda u: evaluate(tree, u), t), abs=1e-6
         )
 
@@ -132,12 +172,12 @@ class TestDifferentiate:
         tree = parse(source)
         d = differentiate(tree)
         expected = finite_difference(lambda u: evaluate(tree, u), t)
-        assert evaluate(d, t) == pytest.approx(expected, rel=1e-6, abs=1e-6)
+        assert evaluated(d, t) == pytest.approx(expected, rel=1e-6, abs=1e-6)
 
     def test_abs_away_from_zero(self):
         d = differentiate(parse("abs(t - 0.5)"))
-        assert evaluate(d, 0.8) == pytest.approx(1.0)
-        assert evaluate(d, 0.2) == pytest.approx(-1.0)
+        assert evaluated(d, 0.8) == pytest.approx(1.0)
+        assert evaluated(d, 0.2) == pytest.approx(-1.0)
 
     def test_abs_at_kink_falls_back(self):
         f = as_fn1d("abs(t)")
@@ -146,7 +186,7 @@ class TestDifferentiate:
 
     def test_constant_folding_only(self):
         d = differentiate(parse("2*t"))
-        assert evaluate(d, 123.0) == pytest.approx(2.0)
+        assert evaluated(d, 123.0) == pytest.approx(2.0)
 
 
 class TestAsFn1d:
@@ -162,3 +202,128 @@ class TestAsFn1d:
         assert f.derivative(t) == pytest.approx(
             finite_difference(f.fn, t), rel=1e-5, abs=1e-6
         )
+
+
+def _bits(v):
+    # CPython's float paths may order a sum's operands either way, so which
+    # NaN operand propagates is not defined: every NaN compares as one value
+    return "nan" if math.isnan(v) else struct.pack("<d", v)
+
+
+def outcome(fn, *args):
+    """The exact bits of fn's value, or the type of the exception it raised."""
+    try:
+        v = fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the type is what is compared
+        return type(exc)
+    if isinstance(v, complex):
+        return ("complex", _bits(v.real), _bits(v.imag))
+    return ("float", _bits(v))
+
+
+_LEAVES = st.one_of(
+    st.just(Var()),
+    st.builds(Num, st.floats()),
+    st.builds(Num, st.sampled_from([0.0, -0.0, 0.5, -1.0, 2.0, 3.0, 1e308, math.nan, -math.nan])),
+)
+TREES = st.recursive(
+    _LEAVES,
+    lambda kids: st.one_of(
+        st.builds(Neg, kids),
+        st.builds(BinOp, st.sampled_from(["+", "-", "*", "/", "^"]), kids, kids),
+        st.builds(Call, st.sampled_from(sorted(_FUNCTIONS)), kids),
+    ),
+    max_leaves=40,
+)
+POINTS = st.one_of(st.floats(-4.0, 4.0), st.sampled_from([0.0, -0.0, 0.5, 1.0, -2.0]))
+
+
+def nested(kind, depth):
+    """A tree `depth` levels deep of one node kind, and a loop computing it."""
+    e, steps = Var(), []
+    for k in range(depth):
+        c = 1.0 / (k + 2)
+        if kind == "call":
+            e, step = Call("sin", e), math.sin
+        elif kind == "neg":
+            e, step = Neg(e), lambda v: -v
+        elif kind == "left":
+            e, step = BinOp("+", e, Num(c)), lambda v, c=c: v + c
+        else:
+            e, step = BinOp("^", Num(1.0 + c), e), lambda v, c=c: (1.0 + c) ** v
+        steps.append(step)
+
+    def loop(t):
+        for step in steps:
+            t = step(t)
+        return t
+
+    return e, loop
+
+
+class TestCompile:
+    @given(TREES, POINTS)
+    @settings(max_examples=400, deadline=None)
+    def test_matches_tree_walk(self, tree, t):
+        assert outcome(compile_expr(tree), t) == outcome(evaluate, tree, t)
+
+    @given(TREES, POINTS)
+    @settings(max_examples=200, deadline=None)
+    def test_derivative_matches_tree_walk(self, tree, t):
+        # derivative trees share subtrees; the compiled form computes each once
+        try:
+            d = differentiate(tree)
+        except (ArithmeticError, ValueError, TypeError):  # folding a bad constant
+            return
+        assert outcome(compile_expr(d), t) == outcome(evaluate, d, t)
+
+    @pytest.mark.parametrize("source, t, kind", [
+        ("1/(t-0.5)", 0.5, ZeroDivisionError),
+        ("log(t-2)", 0.3, ValueError),
+        ("exp(1000*t)", 1.0, OverflowError),
+        ("sqrt(t) - log(t) + 1/t", -1.0, ValueError),
+    ])
+    def test_same_exception(self, source, t, kind):
+        tree = parse(source)
+        assert outcome(compile_expr(tree), t) is kind
+        assert outcome(evaluate, tree, t) is kind
+
+    def test_folded_inf_constant(self):
+        # 1e308*10 folds to inf; cos(0.5*inf) is a domain error either way
+        d = differentiate(parse("sin(t*(1e308*10))"))
+        assert "inf" in repr(d)
+        assert outcome(compile_expr(d), 0.5) is ValueError
+        assert outcome(evaluate, d, 0.5) is ValueError
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, -math.nan, -0.0, -1.5])
+    def test_special_literals(self, value):
+        fn = compile_expr(BinOp("+", Num(value), Num(0.0)))
+        assert outcome(fn, 0.0) == outcome(lambda t: value + 0.0, 0.0)
+
+    @pytest.mark.parametrize("kind", ["call", "neg", "left", "right"])
+    def test_deep_trees_compile(self, kind):
+        # deeper than any tree the recursive parser can build
+        tree, loop = nested(kind, 3 * sys.getrecursionlimit())
+        assert outcome(compile_expr(tree), -0.25) == outcome(loop, -0.25)
+
+    def test_deep_derivative_is_shared(self):
+        f = as_fn1d("sin(" * 400 + "t" + ")" * 400)
+        v, dv = 0.3, 1.0
+        for _ in range(400):
+            v, dv = math.sin(v), math.cos(v) * dv
+        assert f(0.3) == v
+        assert f.derivative(0.3) == pytest.approx(dv, rel=1e-12)
+
+    def test_no_builtins_reachable(self):
+        fn = compile_expr(parse("abs(t) + 1"))
+        assert fn.__globals__["__builtins__"] == {}
+        assert set(fn.__code__.co_names) == {"abs"}
+
+
+@pytest.mark.parametrize("tree", [
+    Call("__import__", Var()),
+    BinOp("**", Var(), Num(2.0)),
+])
+def test_compile_rejects_names_outside_the_language(tree):
+    with pytest.raises((ValueError, KeyError)):
+        compile_expr(tree)

@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from scipy.special import beta as beta_fn
+from scipy.special import betainc
 
 from obw.corpus import corpus_functions, corpus_weights
 from obw.kernel import (
@@ -11,7 +13,7 @@ from obw.kernel import (
     kernel_sup,
     peano_kernel,
 )
-from obw.quadrature import Fn1D, integrate
+from obw.quadrature import Fn1D, QuadConfig, integrate
 from obw.weights import builtin_weight
 
 # Both two-coefficient and one-branch (alpha or beta zero) configurations.
@@ -136,6 +138,57 @@ class TestKernelNorms:
                 params = TauParams(a=0, b=1, x=0.4, alpha=alpha, beta=beta)
                 expected = max(alpha, beta) / (alpha + beta)
                 assert kernel_sup(params, w) == pytest.approx(expected, abs=1e-9)
+
+
+POWER_EXPONENTS = (-0.5, -0.31, 0.0, 1.0, 2.5)
+CLOSED_FORM_XS = (0.02, 0.3, 0.9)
+CLOSED_FORM_TOLS = (1e-10, 1e-13)
+
+
+def power_integral(p, q, k, c, d):
+    """int_c^d s^(p+k) (1-s)^q ds on [0, 1], from the regularized betainc."""
+    return beta_fn(p + 1 + k, q + 1) * (betainc(p + 1 + k, q + 1, d) - betainc(p + 1 + k, q + 1, c))
+
+
+class TestKernelL1ClosedForms:
+    """||rho||_1 of the power weights against exact values.
+
+    The quadrature error of a branch integral is within abs_tol, and the
+    branch is divided by its mass m, so 10 * abs_tol / m is allowed.
+    """
+
+    @pytest.mark.parametrize("tol", CLOSED_FORM_TOLS)
+    @pytest.mark.parametrize("x", CLOSED_FORM_XS)
+    @pytest.mark.parametrize("p", POWER_EXPONENTS)
+    def test_left_branch(self, p, x, tol):
+        # int_0^x (x - s) s^p ds / int_0^x s^p ds = x / (p + 2)
+        w = builtin_weight("power", 0.0, 1.0, p=p, q=0.0)
+        got = kernel_l1(mid_params(alpha=1.0, beta=0.0, x=x), w, QuadConfig(abs_tol=tol))
+        mass = x ** (p + 1) / (p + 1)
+        assert got == pytest.approx(x / (p + 2), rel=0, abs=10 * tol / mass)
+
+    @pytest.mark.parametrize("tol", CLOSED_FORM_TOLS)
+    @pytest.mark.parametrize("x", CLOSED_FORM_XS)
+    @pytest.mark.parametrize("q", POWER_EXPONENTS)
+    def test_right_branch(self, q, x, tol):
+        w = builtin_weight("power", 0.0, 1.0, p=0.0, q=q)
+        got = kernel_l1(mid_params(alpha=0.0, beta=1.0, x=x), w, QuadConfig(abs_tol=tol))
+        mass = (1 - x) ** (q + 1) / (q + 1)
+        assert got == pytest.approx((1 - x) / (q + 2), rel=0, abs=10 * tol / mass)
+
+    @pytest.mark.parametrize("tol", CLOSED_FORM_TOLS)
+    @pytest.mark.parametrize("x", CLOSED_FORM_XS)
+    @pytest.mark.parametrize("alpha, beta", ((1.0, 1.0), (2.0, 1.0), (3.0, 5.0)))
+    @pytest.mark.parametrize("name, p, q", (("arcsine", -0.5, -0.5), ("power", -0.5, 0.6)))
+    def test_two_branches(self, name, p, q, alpha, beta, x, tol):
+        w = builtin_weight(name, 0.0, 1.0, **({"p": p, "q": q} if name == "power" else {}))
+        got = kernel_l1(mid_params(alpha, beta, x), w, QuadConfig(abs_tol=tol))
+        m_left, m_right = power_integral(p, q, 0, 0, x), power_integral(p, q, 0, x, 1)
+        left = x * m_left - power_integral(p, q, 1, 0, x)
+        right = power_integral(p, q, 1, x, 1) - x * m_right
+        expected = (alpha * left / m_left + beta * right / m_right) / (alpha + beta)
+        slack = 10 * tol * (alpha / m_left + beta / m_right) / (alpha + beta)
+        assert got == pytest.approx(expected, rel=1e-14, abs=slack)
 
 
 class TestIdentityResidual:

@@ -1,0 +1,100 @@
+"""Work counts of the hot paths: no per-node work where it was removed.
+
+Deterministic counts, no wall time: kernel_l1 takes its weight moments
+outside any integrand, and a compiled expression is one Python call.
+"""
+
+import sys
+
+import pytest
+
+import obw.expr
+from obw import quadrature
+from obw.corpus import corpus_weights
+from obw.expr import as_fn1d, compile_expr, parse
+from obw.kernel import TauParams, kernel_l1, kernel_lq
+from obw.weights import Weight
+
+
+@pytest.fixture
+def counts(monkeypatch):
+    """Counters on Weight.moment and on quadrature.integrate in every obw module."""
+    counts = {"moment": 0, "integrate": 0, "nested": 0}
+    inside = [0]
+    integrate = quadrature.integrate
+    moment = Weight.moment
+
+    def counted_integrate(g, *args, **kwargs):
+        counts["integrate"] += 1
+        counts["nested"] += inside[0] > 0
+
+        def integrand(t):
+            inside[0] += 1
+            try:
+                return g(t)
+            finally:
+                inside[0] -= 1
+
+        return integrate(integrand, *args, **kwargs)
+
+    def counted_moment(self, *args, **kwargs):
+        counts["moment"] += 1
+        return moment(self, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("obw") and getattr(module, "integrate", None) is integrate:
+            monkeypatch.setattr(module, "integrate", counted_integrate)
+    monkeypatch.setattr(Weight, "moment", counted_moment)
+    return counts
+
+
+def expression_weight():
+    return Weight(name="expr", a=0.0, b=1.0, fn=compile_expr(parse("abs(t - 0.37) + 0.1")))
+
+
+WEIGHTS = [*corpus_weights(), expression_weight()]
+
+
+@pytest.mark.parametrize("w", WEIGHTS, ids=lambda w: w.name)
+@pytest.mark.parametrize("alpha, beta", [(1.0, 1.0), (2.0, 0.0), (0.0, 3.0)])
+def test_kernel_l1_moments_outside_integrands(counts, w, alpha, beta):
+    kernel_l1(TauParams(a=0.0, b=1.0, x=0.3, alpha=alpha, beta=beta), w)
+    assert counts["moment"] <= 3
+    assert counts["nested"] == 0
+    assert counts["integrate"] >= 1
+
+
+def test_counters_see_nested_quadrature(counts):
+    # kernel_lq still takes a moment per node: the counters must notice
+    kernel_lq(TauParams(a=0.0, b=1.0, x=0.3, alpha=1.0, beta=1.0), expression_weight(), 2.0)
+    assert counts["nested"] > 0
+    assert counts["moment"] > 3
+
+
+def python_calls(fn, t):
+    """Names of the Python functions entered while fn(t) runs."""
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        fn(t)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_no_tree_walker():
+    assert not hasattr(obw.expr, "evaluate")
+    assert "evaluate" not in obw.expr.__all__
+
+
+@pytest.mark.parametrize("source", ["t^2 + sin(3*t) / (1 + exp(-t))", "sin(" * 60 + "t" + ")" * 60])
+def test_compiled_expression_is_one_call(source):
+    f = as_fn1d(source)
+    fn = compile_expr(parse(source))
+    assert python_calls(fn, 0.3) == [fn.__code__.co_name]
+    assert python_calls(f.fn, 0.3) == [f.fn.__code__.co_name]
