@@ -3,8 +3,8 @@ expectation identities."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Sequence
+from dataclasses import dataclass, field, replace
+from typing import Callable, Optional, Sequence
 
 from .bounds import BranchTriple, bounds_paper
 from .kernel import TauParams
@@ -35,14 +35,22 @@ __all__ = [
 @dataclass(frozen=True)
 class DensityModel:
     """Probability density f paired with a weight, normalized so the
-    weighted total mass over the weight's domain is one."""
+    weighted total mass over the weight's domain is one.
+
+    The mass is integrated at `cfg`, and must be within max(1e-8, abs_tol)
+    of one; `mass` skips the integral when the caller knows the mass.
+    """
 
     density: Fn1D
     weight: Weight
+    cfg: QuadConfig = field(default=DEFAULT_CONFIG, compare=False, repr=False)
+    mass: Optional[float] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        total = self.weight.integrate_against(self.density, self.a, self.b)
-        if abs(total - 1.0) > 1e-8:
+        total = self.mass
+        if total is None:
+            total = self.weight.integrate_against(self.density, self.a, self.b, self.cfg)
+        if abs(total - 1.0) > max(1e-8, self.cfg.abs_tol):
             raise ValueError(
                 f"weighted density mass is {total:.10f}, expected 1 "
                 "(renormalize the density)"
@@ -71,7 +79,8 @@ def normalized_density(f: Fn1D, w: Weight, cfg: QuadConfig = DEFAULT_CONFIG) -> 
         derivative=(None if f.derivative is None else lambda t: f.derivative(t) / total),
         name=f.name,
     )
-    return DensityModel(density=scaled, weight=w)
+    # f / total has weighted mass total / total: no second integral
+    return DensityModel(density=scaled, weight=w, cfg=cfg, mass=1.0)
 
 
 def cdf_value(model: DensityModel, x: float, cfg: QuadConfig = DEFAULT_CONFIG) -> float:
@@ -98,20 +107,24 @@ def cdf_bound_general(
     bounds are that prefactor times the printed deviation-bound triple.
     Raises QuadratureError when the two sides disagree beyond 1e-10.
     """
-    lhs, triple, _ = _cdf_bound(model, params, model.norms(p, cfg), p, cfg)
-    return lhs, triple
+    fw = cdf_value(model, params.x, cfg)
+    return _cdf_bound(model, params, model.norms(p, cfg), fw, p, cfg)
 
 
 def _cdf_bound(
-    model: DensityModel, params: TauParams, norms: NormTriple, p: float, cfg: QuadConfig
-) -> tuple[float, BranchTriple, float]:
-    """cdf_bound_general with the density's norms given; also returns F_w(x)."""
+    model: DensityModel,
+    params: TauParams,
+    norms: NormTriple,
+    fw: float,
+    p: float,
+    cfg: QuadConfig,
+) -> tuple[float, BranchTriple]:
+    """cdf_bound_general with the density's norms and F_w(x) given."""
     w = model.weight
     f = model.density
     x = params.x
     m_l = w.moment(params.a, x, cfg)
     m_r = w.moment(x, params.b, cfg)
-    fw = cdf_value(model, x, cfg)
     lhs = abs(
         (params.alpha * m_r - params.beta * m_l) * fw
         - m_l * (params.weight_sum * m_r * f(x) - params.beta)
@@ -126,7 +139,7 @@ def _cdf_bound(
             f"CDF identity check failed at x={x}: lhs {lhs:.12e} disagrees "
             f"with the tau identity {bridge:.12e}"
         )
-    return lhs, triple, fw
+    return lhs, triple
 
 
 def cdf_bound_left(
@@ -152,11 +165,27 @@ def cdf_bound_left(
     return lhs, triple
 
 
-def expectation_identity_check(model: DensityModel, cfg: QuadConfig = DEFAULT_CONFIG) -> float:
-    """Residual of int F_w versus b - E[X w(X)]; near zero for valid models."""
+def _cdf_table(model: DensityModel, cfg: QuadConfig) -> Callable[[float], float]:
+    """x -> F_w(x) on [a, b], from one cumulative table of f w built now."""
+    return model.weight.cumulative(model.density, model.a, model.b, cfg)
+
+
+def expectation_identity_check(
+    model: DensityModel,
+    cfg: QuadConfig = DEFAULT_CONFIG,
+    cdf: Optional[Callable[[float], float]] = None,
+) -> float:
+    """Residual of int F_w versus b - E[X w(X)]; near zero for valid models.
+
+    The two sides are computed apart: int F_w integrates `cdf` (a
+    `_cdf_table` of the model, built here when not given), and E[X w(X)]
+    integrates x f(x) w(x) directly.
+    """
     a, b = model.a, model.b
+    if cdf is None:
+        cdf = _cdf_table(model, cfg)
     outer = replace(cfg, abs_tol=max(cfg.abs_tol, 1e-9))
-    int_f = integrate(lambda u: cdf_value(model, u, cfg), a, b, outer)[0]
+    int_f = integrate(cdf, a, b, outer)[0]
     ex = model.weight.integrate_against(
         lambda u: u * model.density(u), a, b, cfg
     )
@@ -195,13 +224,15 @@ def cdf_report(
     p: float = 2.0,
     cfg: QuadConfig = DEFAULT_CONFIG,
 ) -> list[CdfReport]:
-    """One report row per x; the density's norms and the expectation
-    identity residual do not depend on x and are computed once."""
+    """One report row per x; the density's norms, the table of F_w and the
+    expectation identity residual do not depend on x and are computed once."""
     norms = model.norms(p, cfg)
-    residual = expectation_identity_check(model, cfg)
+    cdf = _cdf_table(model, cfg)
+    residual = expectation_identity_check(model, cfg, cdf)
     rows = []
     for x in xs:
         params = TauParams(a=model.a, b=model.b, x=x, alpha=alpha, beta=beta)
-        lhs, triple, fw = _cdf_bound(model, params, norms, p, cfg)
+        fw = cdf(x)
+        lhs, triple = _cdf_bound(model, params, norms, fw, p, cfg)
         rows.append(CdfReport(x, fw, 1.0 - fw, lhs, triple.inf, triple.p, triple.one, residual))
     return rows

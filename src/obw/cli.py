@@ -89,13 +89,6 @@ def _weights(text: str, a: float, b: float) -> list[Weight]:
     return [_weight(spec, a, b) for spec in specs]
 
 
-def _function(text: str) -> Fn1D:
-    try:
-        return function_by_name(text)
-    except ValueError:
-        return as_fn1d(text)
-
-
 def _coeff_pairs(spec: str) -> list[tuple[float, float]]:
     pairs = []
     for item in spec.split(","):
@@ -111,25 +104,40 @@ def _coeff_pairs(spec: str) -> list[tuple[float, float]]:
 _SIGN_CHECK_NODES = tuple(math.cos(math.pi * (k + 0.5) / 129) for k in reversed(range(129)))
 
 
-def _weight_expr(text: str, a: float, b: float) -> Weight:
-    """The weight w(t) = text; it must not be negative on a grid inside (a, b).
+def _check_samples(fn, a: float, b: float, flag: str, nonnegative: bool = False) -> None:
+    """Sample fn on a grid inside (a, b); a complex value, or with
+    `nonnegative` a negative one, raises ValueError naming flag and t.
 
     NaN and infinite values are left to the quadrature, which rejects them.
     """
-    w = Weight(name=text, a=a, b=b, fn=compile_expr(parse(text)))
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    ts = [mid + half * c for c in _SIGN_CHECK_NODES]
-    values = list(map(w.fn, ts))
-    try:
-        if min(values) >= 0:
-            return w
-    except TypeError:  # a complex value
-        pass
-    for t, v in zip(ts, values):
+    for c in _SIGN_CHECK_NODES:
+        t = mid + half * c
+        v = fn(t)
         if isinstance(v, complex):
-            raise ValueError(f"--weight-expr is not real at t={t:.9g}: w(t) = {v}")
-        if v < 0:
-            raise ValueError(f"--weight-expr is negative at t={t:.9g}: w(t) = {v:.9g}")
+            raise ValueError(f"{flag} is not real at t={t:.9g}: value {v}")
+        if nonnegative and v < 0:
+            raise ValueError(f"{flag} is negative at t={t:.9g}: value {v:.9g}")
+
+
+def _expression(text: str, flag: str, a: float, b: float) -> Fn1D:
+    """The expression with its derivative; it must be real on the sample grid."""
+    f = as_fn1d(text)
+    _check_samples(f.fn, a, b, flag)
+    return f
+
+
+def _function(text: str, a: float, b: float) -> Fn1D:
+    try:
+        return function_by_name(text)
+    except ValueError:
+        return _expression(text, "--function", a, b)
+
+
+def _weight_expr(text: str, a: float, b: float) -> Weight:
+    """The weight w(t) = text; it must not be negative on the sample grid."""
+    w = Weight(name=text, a=a, b=b, fn=compile_expr(parse(text)))
+    _check_samples(w.fn, a, b, "--weight-expr", nonnegative=True)
     return w
 
 
@@ -148,7 +156,7 @@ def _cmd_bounds(args, cfg: QuadConfig) -> tuple[str, int]:
     if errors:
         raise _UsageError("; ".join(errors))
 
-    f = _function(args.function)
+    f = _function(args.function, args.a, args.b)
     if args.weight_expr is not None:
         w = _weight_expr(args.weight_expr, args.a, args.b)
     else:
@@ -233,7 +241,7 @@ def _cmd_cdf(args, cfg: QuadConfig) -> tuple[str, int]:
         raise _UsageError("; ".join(errors))
 
     w = _weight(args.weight, args.a, args.b)
-    model = normalized_density(as_fn1d(args.density), w, cfg)
+    model = normalized_density(_expression(args.density, "--density", args.a, args.b), w, cfg)
     xs = [args.x] if args.x is not None else _interior_grid(args.a, args.b, args.x_grid)
     rows = cdf_report(model, xs, args.alpha, args.beta, args.p, cfg)
     return _csv(CDF_COLUMNS, map(astuple, rows)), EXIT_OK

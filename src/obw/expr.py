@@ -131,6 +131,10 @@ def _tokenize(source: str) -> list[_Token]:
 # Binding powers: ^ > unary minus > * / > + -
 _LEFT_BP = {"+": 10, "-": 10, "*": 20, "/": 20, "^": 40}
 _UNARY_BP = 30
+# Levels of nesting (parentheses, calls, unary signs, right operands of ^)
+# one expression may have. The parser and `_diff` recurse once or twice per
+# level, so this keeps them inside Python's default recursion limit.
+_MAX_PARSE_DEPTH = 400
 
 
 class _Parser:
@@ -138,6 +142,7 @@ class _Parser:
         self.source = source
         self.tokens = _tokenize(source)
         self.pos = 0
+        self.depth = -1
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -154,6 +159,13 @@ class _Parser:
         return self.advance()
 
     def parse_expr(self, min_bp: int = 0) -> Expr:
+        # depth is not restored when a ParseError ends the parse
+        if self.depth == _MAX_PARSE_DEPTH:
+            raise ParseError(
+                f"expression nested more than {_MAX_PARSE_DEPTH} levels deep",
+                self.peek().offset,
+            )
+        self.depth += 1
         left = self.parse_prefix()
         while True:
             tok = self.peek()
@@ -167,6 +179,7 @@ class _Parser:
             next_bp = bp if tok.text == "^" else bp + 1
             right = self.parse_expr(next_bp)
             left = BinOp(op=tok.text, left=left, right=right)
+        self.depth -= 1
         return left
 
     def parse_prefix(self) -> Expr:
@@ -361,35 +374,52 @@ def _num(v: float) -> Num:
     return Num(float(v))
 
 
-def _fold(e: Expr, memo: dict[int, Expr]) -> Expr:
+def _fold_node(e: Expr, kids: list[Expr]) -> Expr:
+    """e with its children replaced by their folded forms `kids`, folded.
+
+    A constant whose value is not a real number (a negative number to a
+    fractional power) stays unfolded; evaluation meets it instead.
+    """
+    if isinstance(e, Neg):
+        (inner,) = kids
+        return _num(-inner.value) if isinstance(inner, Num) else Neg(inner)
+    if isinstance(e, BinOp):
+        left, right = kids
+        if isinstance(left, Num) and isinstance(right, Num):
+            value = _OPERATORS[e.op](left.value, right.value)
+            if not isinstance(value, complex):
+                return _num(value)
+        return BinOp(e.op, left, right)
+    if isinstance(e, Call):
+        (arg,) = kids
+        return _num(_FUNCTIONS[e.fn](arg.value)) if isinstance(arg, Num) else Call(e.fn, arg)
+    return e
+
+
+def _fold(e: Expr) -> Expr:
     """Constant folding only; no further simplification.
 
-    memo maps each node already folded to its result, so a subtree shared
-    within e is folded once and stays shared.
+    Children first, without recursion, so trees of any depth fold. Each
+    node is folded once and its result reused, so a subtree shared within
+    e stays shared.
     """
-    done = memo.get(id(e))
-    if done is not None:
-        return done
-    out = e
-    if isinstance(e, Neg):
-        inner = _fold(e.operand, memo)
-        out = _num(-inner.value) if isinstance(inner, Num) else Neg(inner)
-    elif isinstance(e, BinOp):
-        left = _fold(e.left, memo)
-        right = _fold(e.right, memo)
-        if isinstance(left, Num) and isinstance(right, Num):
-            out = _num(_OPERATORS[e.op](left.value, right.value))
+    memo: dict[int, Expr] = {}
+    stack: list[tuple[Expr, bool]] = [(e, False)]
+    while stack:
+        node, ready = stack.pop()
+        if id(node) in memo:
+            continue
+        kids = _children(node)
+        if ready or not kids:
+            memo[id(node)] = _fold_node(node, [memo[id(k)] for k in kids])
         else:
-            out = BinOp(e.op, left, right)
-    elif isinstance(e, Call):
-        arg = _fold(e.arg, memo)
-        out = _num(_FUNCTIONS[e.fn](arg.value)) if isinstance(arg, Num) else Call(e.fn, arg)
-    memo[id(e)] = out
-    return out
+            stack.append((node, True))
+            stack.extend((k, False) for k in kids)
+    return memo[id(e)]
 
 
 def differentiate(e: Expr) -> Expr:
-    return _fold(_diff(e), {})
+    return _fold(_diff(e))
 
 
 def _diff(e: Expr) -> Expr:

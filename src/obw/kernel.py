@@ -6,13 +6,17 @@ inside the norm integrals, which split at the jump point.
 
 kernel_l1 integrates each branch in its Fubini form, one weighted integral
 of the distance to x, so the power weights' endpoint substitution applies
-to it; kernel_lq and identity_residual still take a weight moment at every
-quadrature node.
+to it. kernel_lq and identity_residual read the moments t -> m(a, t) and
+t -> m(b, t) inside their integrands from `_moments`: the closed moment
+when the weight has one, else one cumulative table of the weight built
+before the integrals, so no quadrature runs inside an integrand.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 from .quadrature import (
     DEFAULT_CONFIG,
@@ -72,6 +76,23 @@ def _branch_masses(params: TauParams, w: Weight, cfg: QuadConfig) -> tuple[float
     return m_left, m_right
 
 
+def _moments(
+    params: TauParams, w: Weight, cfg: QuadConfig
+) -> tuple[Callable[[float], float], Callable[[float], float]]:
+    """t -> m(a, t) and t -> m(b, t), each valid on a branch with a coefficient.
+
+    The closed moment when w has one; otherwise one cumulative table of w
+    over the branches in use, built here, so a call runs no quadrature.
+    """
+    if w.closed_moment is not None:
+        return partial(w.closed_moment, params.a), partial(w.closed_moment, params.b)
+    lo = params.a if params.alpha > 0 else params.x
+    hi = params.b if params.beta > 0 else params.x
+    table = w.cumulative(lambda t: 1.0, lo, hi, cfg)
+    top = table(hi)
+    return table, lambda t: table(t) - top
+
+
 def peano_kernel(
     params: TauParams, w: Weight, t: float, cfg: QuadConfig = DEFAULT_CONFIG
 ) -> float:
@@ -116,23 +137,18 @@ def kernel_lq(
     if q <= 1:
         raise ValueError("kernel_lq requires q > 1")
     m_left, m_right = _branch_masses(params, w, cfg)
+    from_a, from_b = _moments(params, w, cfg)
     s = params.weight_sum
     total = 0.0
     if params.alpha > 0:
         coef = params.alpha / (s * m_left)
         total += integrate(
-            lambda t: max(coef * w.moment(params.a, t, cfg), 0.0) ** q,
-            params.a,
-            params.x,
-            cfg,
+            lambda t: max(coef * from_a(t), 0.0) ** q, params.a, params.x, cfg
         )[0]
     if params.beta > 0:
         coef = params.beta / (s * m_right)
         total += integrate(
-            lambda t: max(-coef * w.moment(params.b, t, cfg), 0.0) ** q,
-            params.x,
-            params.b,
-            cfg,
+            lambda t: max(-coef * from_b(t), 0.0) ** q, params.x, params.b, cfg
         )[0]
     return max(total, 0.0) ** (1.0 / q)
 
@@ -153,6 +169,7 @@ def identity_residual(
     Near zero (combined quadrature tolerance) for smooth f.
     """
     m_left, m_right = _branch_masses(params, w, cfg)
+    from_a, from_b = _moments(params, w, cfg)
     s = params.weight_sum
     fprime = derivative_callable(f, params.a, params.b)
 
@@ -160,18 +177,12 @@ def identity_residual(
     if params.alpha > 0:
         coef = params.alpha / (s * m_left)
         lhs += integrate(
-            lambda t: coef * w.moment(params.a, t, cfg) * fprime(t),
-            params.a,
-            params.x,
-            cfg,
+            lambda t: coef * from_a(t) * fprime(t), params.a, params.x, cfg
         )[0]
     if params.beta > 0:
         coef = params.beta / (s * m_right)
         lhs += integrate(
-            lambda t: coef * w.moment(params.b, t, cfg) * fprime(t),
-            params.x,
-            params.b,
-            cfg,
+            lambda t: coef * from_b(t) * fprime(t), params.x, params.b, cfg
         )[0]
 
     combo = 0.0

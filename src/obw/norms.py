@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -13,6 +14,10 @@ __all__ = ["NormTriple", "norm_inf", "norm_p", "norm_triple", "conjugate"]
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _N_CHEB = 1024
 _N_REFINE = 8
+# The _N_CHEB Chebyshev extreme points of [-1, 1], ascending; norm_inf maps
+# them onto [c, d], where mid + half * u is monotone in u, so the samples
+# come out sorted.
+_CHEB_UNIT = tuple(sorted(math.cos(math.pi * k / (_N_CHEB - 1)) for k in range(_N_CHEB)))
 
 
 def conjugate(p: float) -> float:
@@ -64,8 +69,7 @@ def norm_inf(g: Callable[[float], float], c: float, d: float) -> float:
         raise ValueError("norm_inf requires c < d")
     mid = 0.5 * (c + d)
     half = 0.5 * (d - c)
-    ts = [mid + half * math.cos(math.pi * k / (_N_CHEB - 1)) for k in range(_N_CHEB)]
-    ts.sort()
+    ts = [mid + half * u for u in _CHEB_UNIT]
     vals = []
     for t in ts:
         v = abs(g(t))
@@ -73,7 +77,8 @@ def norm_inf(g: Callable[[float], float], c: float, d: float) -> float:
             raise ValueError(f"non-finite evaluation at t={t}")
         vals.append(v)
     best = max(vals)
-    ranked = sorted(range(len(ts)), key=lambda i: (-vals[i], i))[:_N_REFINE]
+    # the _N_REFINE largest, ties in sample order (nlargest sorts stably)
+    ranked = heapq.nlargest(_N_REFINE, range(len(ts)), key=vals.__getitem__)
     tol = 1e-12 * max(1.0, d - c)
     for i in ranked:
         lo = ts[max(i - 1, 0)]

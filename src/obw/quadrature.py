@@ -1,11 +1,17 @@
-"""Adaptive Gauss-Kronrod integration and weighted integral means."""
+"""Adaptive Gauss-Kronrod integration, cumulative integral tables and
+weighted integral means."""
 
 from __future__ import annotations
 
+import bisect
+import functools
 import heapq
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
+
+import numpy as np
 
 __all__ = [
     "Fn1D",
@@ -14,6 +20,8 @@ __all__ = [
     "DegenerateIntervalError",
     "DEFAULT_CONFIG",
     "integrate",
+    "Cumulative",
+    "cumulative",
     "weighted_mean",
     "derivative_callable",
 ]
@@ -56,37 +64,42 @@ class QuadConfig:
 
 DEFAULT_CONFIG = QuadConfig()
 
-# 15-point Kronrod extension of 7-point Gauss (QUADPACK abscissae, half set).
+# 15-point Kronrod extension of 7-point Gauss: the abscissae and weights of
+# QUADPACK's qk15 (half set, largest abscissa first), to full precision.
 _XGK = (
-    0.991455371120813,
-    0.949107912342759,
-    0.864864423359769,
-    0.741531185599394,
-    0.586087235467691,
-    0.405845151377397,
-    0.207784955007898,
-    0.0,
+    0.991455371120812639206854697526329,
+    0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926,
+    0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013,
+    0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245,
+    0.000000000000000000000000000000000,
 )
 _WGK = (
-    0.022935322010529,
-    0.063092092629979,
-    0.104790010322250,
-    0.140653259715525,
-    0.169004726639267,
-    0.190350578064785,
-    0.204432940075298,
-    0.209482141084728,
+    0.022935322010529224963732008058970,
+    0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518,
+    0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550,
+    0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649,
+    0.209482141084727828012999174891714,
 )
 _WG = (
-    0.129484966168870,
-    0.279705391489277,
-    0.381830050505119,
-    0.417959183673469,
+    0.129484966168869693270611432679082,
+    0.279705391489276667901467771423780,
+    0.381830050505118944950369775488975,
+    0.417959183673469387755102040816327,
 )
 
 
 def _gk15(g: Callable[[float], float], c: float, d: float) -> tuple[float, float]:
-    """One Gauss-Kronrod panel; returns (kronrod value, error estimate)."""
+    """One Gauss-Kronrod panel; returns (kronrod value, error estimate).
+
+    g is evaluated at the panel's midpoint, then at mid - dx and mid + dx
+    for each abscissa of _XGK in turn: the order _NODES records.
+    """
     half = 0.5 * (d - c)
     mid = 0.5 * (c + d)
     fc = g(mid)
@@ -118,16 +131,21 @@ def integrate(
     c: float,
     d: float,
     cfg: QuadConfig = DEFAULT_CONFIG,
+    _table: Optional["Cumulative"] = None,
 ) -> tuple[float, float]:
     """Adaptive bisection with a nested G7/K15 rule pair.
 
     Returns (value, error estimate). Raises QuadratureError if the
     subdivision budget is exhausted before the tolerance is met.
+    `_table` is the sink `cumulative` passes: the leaf panels are then
+    refined to the table's criterion and handed to it.
     """
     if c > d:
         raise ValueError("integrate requires c <= d")
     if c == d:
         return 0.0, 0.0
+    if _table is not None:
+        return _table_pass(g, c, d, cfg, _table)
     val, err = _gk15(g, c, d)
     # heap of (-err, tiebreak, c, d, val, err); tiebreak keeps it deterministic
     counter = 0
@@ -153,6 +171,193 @@ def integrate(
         heapq.heappush(heap, (-e2, counter, mid, hi, v2, e2))
         n += 1
     return total, total_err
+
+
+# --- cumulative tables -----------------------------------------------------
+
+# The abscissae of one panel on [-1, 1] in the order _gk15 evaluates them,
+# and the positions of the 7 Gauss abscissae among them.
+_NODES = (0.0,) + tuple(s for x in _XGK[:7] for s in (-x, x))
+_GAUSS = (0, 3, 4, 7, 8, 11, 12)
+# P_{k+1}(s) = A_k s P_k(s) - B_k P_{k-1}(s): one (A_k, B_k) per coefficient
+# of a leaf's antiderivative (degree 15).
+_LEGENDRE_STEPS = tuple(((2 * k + 1) / (k + 1), k / (k + 1)) for k in range(16))
+
+
+def _legendre_rows(xs, degree: int) -> list[list[float]]:
+    """P_0(x), ..., P_degree(x) for each x, one row per x."""
+    rows = []
+    for x in xs:
+        row = [1.0, x]
+        for k, (a_k, b_k) in enumerate(_LEGENDRE_STEPS[1:degree], start=1):
+            row.append(a_k * x * row[k] - b_k * row[k - 1])
+        rows.append(row)
+    return rows
+
+
+def _inverse(m: list[list[float]]) -> list[list[float]]:
+    """Gauss-Jordan inverse with partial pivoting, for the small matrices here."""
+    n = len(m)
+    rows = [[*row, *(float(i == j) for j in range(n))] for i, row in enumerate(m)]
+    for col in range(n):
+        pivot = max(range(col, n), key=lambda r: abs(rows[r][col]))
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        top = [v / rows[col][col] for v in rows[col]]
+        rows = [top if r == col else [v - row[col] * t for v, t in zip(row, top)]
+                for r, row in enumerate(rows)]
+    return [row[n:] for row in rows]
+
+
+@functools.cache
+def _leaf_matrices() -> tuple[np.ndarray, np.ndarray]:
+    """The maps from one leaf's 15 values (in _NODES order), built once.
+
+    Let p = sum_n a_n P_n be the degree-14 Legendre interpolant through the
+    values and p7 = sum_n b_n P_n the G7 interpolant through the 7 Gauss
+    values. The first map (16 x 15) gives the Legendre coefficients of
+    s -> int_{-1}^s p. The second (15 x 15) gives the differences a_n - b_n,
+    row n divided by 2n + 1 for n >= 1: as int_{-1}^s P_0 = s + 1 <= 2 and
+    |int_{-1}^s P_n| = |P_{n+1}(s) - P_{n-1}(s)| / (2n + 1) <= 2 / (2n + 1),
+    the width of the leaf times the sum of their magnitudes bounds every
+    partial integral of p - p7 over the leaf.
+    Built in plain Python and applied by `_product`, so no BLAS or LAPACK
+    routine runs (their first call costs resident memory).
+    """
+    to_coef = np.array(_inverse(_legendre_rows(_NODES, 14)))
+    gauss = np.array(_inverse(_legendre_rows([_NODES[i] for i in _GAUSS], 6)))
+    # int_{-1}^s P_n = (P_{n+1} - P_{n-1}) / (2n + 1) for n >= 1, and s + 1 for n = 0
+    integ = np.zeros((16, 15))
+    integ[0, 0] = integ[1, 0] = 1.0
+    for n in range(1, 15):
+        integ[n + 1, n] = 1.0 / (2 * n + 1)
+        integ[n - 1, n] = -1.0 / (2 * n + 1)
+    diff = to_coef.copy()
+    diff[:7, list(_GAUSS)] -= gauss
+    diff[1:] /= np.arange(3, 31, 2)[:, None]
+    return _product(integ, to_coef.T).T, diff
+
+
+def _product(m: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """m applied to each row of `rows` (rows @ m.T), without BLAS."""
+    return np.einsum("ij,kj->ki", m, rows)
+
+
+def _table_pass(
+    g: Callable[[float], float], c: float, d: float, cfg: QuadConfig, table: "Cumulative"
+) -> tuple[float, float]:
+    """integrate's pass for a cumulative table; returns (value, error estimate).
+
+    A leaf's estimate is the bound of `_leaf_matrices` on the partial
+    integrals of its K15 interpolant minus its G7 interpolant. It covers the
+    leaf's full integral too, and is never below the |K15 - G7| difference
+    integrate starts from. Starting from [c, d], every round bisects each
+    leaf whose estimate exceeds its share, abs_tol / (number of leaves),
+    until the estimates sum to at most abs_tol, so that every query of the
+    table meets abs_tol.
+    """
+    integ, diff = _leaf_matrices()
+    values: list[float] = []
+    append = values.append
+
+    def record(t: float) -> float:
+        v = g(t)
+        append(v)
+        return v
+
+    def leaves_of(spans: list[tuple[float, float]]) -> list[tuple]:
+        """(lo, hi, K15 value, estimate, the 15 values) for each span."""
+        kvals = [_gk15(record, lo, hi)[0] for lo, hi in spans]
+        block = np.array(values).reshape(len(spans), 15)
+        values.clear()
+        widths = np.array([hi - lo for lo, hi in spans])
+        est = (np.abs(_product(diff, block)).sum(axis=1) * widths).tolist()
+        return list(zip(*zip(*spans), kvals, est, block))
+
+    leaves = leaves_of([(c, d)])
+    while (total_err := sum(leaf[3] for leaf in leaves)) > cfg.abs_tol:
+        share = cfg.abs_tol / len(leaves)
+        over = [leaf for leaf in leaves if leaf[3] > share]
+        if len(leaves) + len(over) > cfg.max_subdivisions:
+            raise QuadratureError(
+                f"no convergence after {len(leaves)} subdivisions "
+                f"(table err={total_err:.3e} on [{c}, {d}])"
+            )
+        spans = []
+        for lo, hi, *_ in over:
+            mid = 0.5 * (lo + hi)
+            spans += ((lo, mid), (mid, hi))
+        children = iter(leaves_of(spans))
+        refined = []
+        for leaf in leaves:
+            if leaf[3] > share:
+                refined += (next(children), next(children))
+            else:
+                refined.append(leaf)
+        leaves = refined
+    table._fill(leaves, integ)
+    return math.fsum(leaf[2] for leaf in leaves), total_err
+
+
+class Cumulative:
+    """t -> int_c^t g for t in [c, d], read from a table built once.
+
+    A query finds its leaf by bisection and adds the leaves before it to
+    the integral, over the leaf up to t, of the leaf's degree-14 Legendre
+    interpolant; g is not evaluated again. `total` and `error` are the
+    integral over [c, d] and the table's error estimate, which bounds the
+    error of every query.
+    """
+
+    def __init__(self, c: float, d: float) -> None:
+        self.c, self.d = c, d
+        self.total = self.error = 0.0
+        self._lefts: list[float] = []
+        self._mids: list[float] = []
+        self._halves: list[float] = []
+        self._coef: list[list[float]] = []
+        self._prefix: list[float] = []
+
+    def _fill(self, leaves: list[tuple], integ: np.ndarray) -> None:
+        """Take the sorted leaves of `_table_pass`; integ maps values to
+        the coefficients of their antiderivative (`_leaf_matrices`)."""
+        lo, hi, kvals, _, block = zip(*leaves)
+        halves = 0.5 * (np.array(hi) - np.array(lo))
+        self._lefts = list(lo)
+        self._mids = [0.5 * (u + v) for u, v in zip(lo, hi)]
+        self._halves = halves.tolist()
+        self._coef = (_product(integ, np.array(block)) * halves[:, None]).tolist()
+        self._prefix = [0.0, *itertools.accumulate(kvals)][:-1]
+
+    def __call__(self, t: float) -> float:
+        if not self.c <= t <= self.d:
+            raise ValueError(f"t={t} outside the table's [{self.c}, {self.d}]")
+        i = bisect.bisect_right(self._lefts, t) - 1
+        if i < 0:  # an empty table: c == d
+            return 0.0
+        s = (t - self._mids[i]) / self._halves[i]
+        acc = 0.0
+        p_prev, p = 0.0, 1.0
+        for coef, (a_k, b_k) in zip(self._coef[i], _LEGENDRE_STEPS):
+            acc += coef * p
+            p_prev, p = p, a_k * s * p - b_k * p_prev
+        return self._prefix[i] + acc
+
+
+def cumulative(
+    g: Callable[[float], float],
+    c: float,
+    d: float,
+    cfg: QuadConfig = DEFAULT_CONFIG,
+) -> Cumulative:
+    """The table t -> int_c^t g on [c, d], built now by one adaptive pass.
+
+    The pass runs inside `integrate`, so its work is counted there. Every
+    query is within cfg.abs_tol by the table's error estimate; QuadratureError
+    when the subdivision budget runs out first.
+    """
+    table = Cumulative(c, d)
+    table.total, table.error = integrate(g, c, d, cfg, _table=table)
+    return table
 
 
 def weighted_mean(f, w, c: float, d: float, cfg: QuadConfig = DEFAULT_CONFIG) -> float:

@@ -9,7 +9,7 @@ from typing import Callable, Optional
 from scipy.special import beta as beta_fn
 from scipy.special import betainc
 
-from .quadrature import DEFAULT_CONFIG, QuadConfig, integrate
+from .quadrature import DEFAULT_CONFIG, QuadConfig, cumulative, integrate
 
 __all__ = ["Weight", "DomainError", "WeightSpecError", "builtin_weight"]
 
@@ -27,10 +27,15 @@ class Weight:
     """Nonnegative integrable density on [a, b].
 
     `closed_moment(c, d)` when present returns the oriented integral of w
-    over [c, d] in closed form. `integrator`, when present, integrates
-    g(t) w(t) over a subinterval with any endpoint singularity of w
-    regularized by substitution; otherwise plain adaptive quadrature of
-    the product is used.
+    over [c, d] in closed form. `substitution(g, c, d)`, when present,
+    describes int_c^d g(t) w(t) dt as a list of pieces, each a change of
+    variable that regularizes an endpoint singularity of w; otherwise the
+    product g w is integrated as it is. A piece is a tuple
+    (hi, s_lo, s_hi, h, s_of, reverse) for the stretch [lo, hi] of t that
+    starts where the previous piece ends (at c for the first): there
+    int g w dt = int_{s_lo}^{s_hi} h(s) ds, where s = s_of(t) maps [lo, hi]
+    onto [s_lo, s_hi], increasing, or decreasing when `reverse`; s_of None
+    stands for s = t. (Plain tuples: they are built on every call.)
     """
 
     name: str
@@ -38,7 +43,7 @@ class Weight:
     b: float
     fn: Callable[[float], float]
     closed_moment: Optional[Callable[[float, float], float]] = None
-    integrator: Optional[Callable] = field(default=None, repr=False)
+    substitution: Optional[Callable[..., list[tuple]]] = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if not self.a < self.b:
@@ -67,9 +72,51 @@ class Weight:
             return -self.integrate_against(geval, d, c, cfg)
         if c == d:
             return 0.0
-        if self.integrator is not None:
-            return self.integrator(geval, c, d, cfg)
-        return integrate(lambda t: geval(t) * self.fn(t), c, d, cfg)[0]
+        if self.substitution is None:
+            fn = self.fn
+            return integrate(lambda t: geval(t) * fn(t), c, d, cfg)[0]
+        total = 0.0
+        for _, s_lo, s_hi, h, _, _ in self.substitution(geval, c, d):
+            total += integrate(h, s_lo, s_hi, cfg)[0]
+        return total
+
+    def cumulative(
+        self, g, c: float, d: float, cfg: QuadConfig = DEFAULT_CONFIG
+    ) -> Callable[[float], float]:
+        """t -> int_c^t g w for t in [c, d], from tables built now.
+
+        One quadrature.cumulative table per piece of the substitution, each
+        to its share of cfg.abs_tol, so every query is within abs_tol; a
+        query evaluates neither g nor w.
+        """
+        geval = getattr(g, "fn", g)
+        if not c <= d:
+            raise ValueError("cumulative requires c <= d")
+        if self.substitution is None:
+            fn = self.fn
+            pieces = [(d, c, d, lambda t: geval(t) * fn(t), None, False)]
+        else:
+            pieces = self.substitution(geval, c, d)
+        share = replace(cfg, abs_tol=cfg.abs_tol / max(len(pieces), 1))
+        parts = []
+        before = 0.0
+        for hi, s_lo, s_hi, h, s_of, reverse in pieces:
+            table = cumulative(h, s_lo, s_hi, share)
+            parts.append((hi, s_of, reverse, table, before))
+            before += table.total
+
+        def integral(t: float) -> float:
+            if not c <= t <= d:
+                raise ValueError(f"t={t} outside [{c}, {d}]")
+            for hi, s_of, reverse, table, base in parts:
+                if t <= hi:
+                    if s_of is None:
+                        return base + table(t)
+                    s = s_of(t)
+                    return base + (table.total - table(s) if reverse else table(s))
+            return 0.0  # no pieces: c == d
+
+        return integral
 
 
 def _uniform(a: float, b: float) -> Weight:
@@ -133,37 +180,42 @@ def _power(a: float, b: float, p: float, q: float) -> Weight:
         zc, zd = (c - a) / span, (d - a) / span
         return bcoef * (betainc(p + 1, q + 1, zd) - betainc(p + 1, q + 1, zc))
 
-    def integrator(g, c: float, d: float, cfg: QuadConfig) -> float:
+    mid = 0.5 * (a + b)
+    ep, eq = 1.0 + p, 1.0 + q
+
+    def left_s(t: float) -> float:
+        return (t - a) ** ep
+
+    def right_s(t: float) -> float:
+        return (b - t) ** eq
+
+    def substitution(g, c: float, d: float) -> list[tuple]:
         # Split at the domain midpoint; substitute near a singular endpoint
         # so the adaptive engine only ever sees bounded integrands.
-        mid = 0.5 * (a + b)
-        total = 0.0
+        pieces = []
         lo, hi = c, min(d, mid)
         if lo < hi:
             if p < 0:
-                # s = (t-a)^(1+p) turns (t-a)^p dt into ds/(1+p)
-                e = 1.0 + p
+                def left(s: float) -> float:
+                    # s = (t-a)^(1+p) turns (t-a)^p dt into ds/(1+p)
+                    t = a + s ** (1.0 / ep)
+                    return g(t) * (b - t) ** q / ep
 
-                def left_sub(s: float) -> float:
-                    t = a + s ** (1.0 / e)
-                    return g(t) * (b - t) ** q / e
-
-                total += integrate(left_sub, (lo - a) ** e, (hi - a) ** e, cfg)[0]
+                pieces.append((hi, (lo - a) ** ep, (hi - a) ** ep, left, left_s, False))
             else:
-                total += integrate(lambda t: g(t) * fn(t), lo, hi, cfg)[0]
+                pieces.append((hi, lo, hi, lambda t: g(t) * fn(t), None, False))
         lo, hi = max(c, mid), d
         if lo < hi:
             if q < 0:
-                e = 1.0 + q
+                def right(s: float) -> float:
+                    # s = (b-t)^(1+q), decreasing in t
+                    t = b - s ** (1.0 / eq)
+                    return g(t) * (t - a) ** p / eq
 
-                def right_sub(s: float) -> float:
-                    t = b - s ** (1.0 / e)
-                    return g(t) * (t - a) ** p / e
-
-                total += integrate(right_sub, (b - hi) ** e, (b - lo) ** e, cfg)[0]
+                pieces.append((hi, (b - hi) ** eq, (b - lo) ** eq, right, right_s, True))
             else:
-                total += integrate(lambda t: g(t) * fn(t), lo, hi, cfg)[0]
-        return total
+                pieces.append((hi, lo, hi, lambda t: g(t) * fn(t), None, False))
+        return pieces
 
     return Weight(
         name=f"power(p={p:g},q={q:g})",
@@ -171,7 +223,7 @@ def _power(a: float, b: float, p: float, q: float) -> Weight:
         b=b,
         fn=fn,
         closed_moment=closed,
-        integrator=integrator if (p < 0 or q < 0) else None,
+        substitution=substitution if (p < 0 or q < 0) else None,
     )
 
 

@@ -13,8 +13,8 @@ from obw.cdf import (
 )
 from obw.functionals import tau
 from obw.kernel import TauParams
-from obw.quadrature import Fn1D
-from obw.weights import builtin_weight
+from obw.quadrature import DEFAULT_CONFIG, Fn1D, QuadConfig
+from obw.weights import Weight, builtin_weight
 
 
 def uniform_model():
@@ -53,6 +53,27 @@ class TestModel:
         w = builtin_weight("uniform", 0, 1)
         with pytest.raises(ValueError, match="mass"):
             DensityModel(density=Fn1D(fn=lambda t: 2.0), weight=w)
+
+    def test_mass_integrated_at_the_callers_config(self, monkeypatch):
+        seen = []
+        original = Weight.integrate_against
+
+        def recording(self, g, c, d, cfg=DEFAULT_CONFIG):
+            seen.append(cfg)
+            return original(self, g, c, d, cfg)
+
+        monkeypatch.setattr(Weight, "integrate_against", recording)
+        cfg = QuadConfig(abs_tol=1e-12)
+        w = builtin_weight("uniform", 0, 1)
+        DensityModel(density=Fn1D(fn=lambda t: 2 * t), weight=w, cfg=cfg)
+        assert seen == [cfg]
+
+    def test_mass_tolerance_follows_abs_tol(self):
+        w = builtin_weight("uniform", 0, 1)
+        f = Fn1D(fn=lambda t: 1.0 + 5e-7)
+        DensityModel(density=f, weight=w, cfg=QuadConfig(abs_tol=1e-6))
+        with pytest.raises(ValueError, match="mass"):
+            DensityModel(density=f, weight=w)
 
     def test_normalized_density_helper(self):
         w = builtin_weight("increasing", 0, 1)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import obw.cdf
 import obw.cli
+import obw.weights
 from obw.cli import main
 
 
@@ -231,6 +232,41 @@ def test_deeply_nested_function(capsys):
     assert "tau = 5.87892843e-03" in out
 
 
+def test_deep_power_tower(capsys):
+    # 400 levels parse; the derivative is about three times as deep
+    code, out, _ = run(capsys, "bounds", "--x", "0.5", "--function", "t" + "^t" * 400)
+    assert code == 0
+    assert out.startswith("tau = ")
+
+
+@pytest.mark.parametrize("source", [
+    "t" + "^t" * 900,
+    "sin(" * 497 + "t" + ")" * 497,
+    "-" * 401 + "t",
+    "(" * 401 + "t" + ")" * 401,
+], ids=["pow900", "sin497", "neg401", "paren401"])
+def test_nesting_limit_is_usage_error(capsys, source):
+    code, out, err = run(capsys, "bounds", "--x", "0.5", "--function=" + source)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error: expression nested more than 400 levels deep")
+
+
+@pytest.mark.parametrize("source", ["(t-0.5)^0.5", "t + (0-8)^0.5"])
+def test_complex_function_is_compute_error(capsys, source):
+    code, out, err = run(capsys, "bounds", "--x", "0.5", "--function", source)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: --function is not real at t=")
+    assert "Traceback" not in err
+
+
+def test_complex_density_is_compute_error(capsys):
+    code, out, err = run(capsys, "cdf", "--x", "0.5", "--density", "(t-0.5)^0.5")
+    assert code == 1
+    assert err.startswith("error: --density is not real at t=")
+
+
 class TestParserPerProcess:
     ARGV = ("bounds", "--x", "0.3", "--function", "sine", "--weight", "decreasing")
 
@@ -366,6 +402,22 @@ class TestCdfCommand:
         assert len(rows) == 4
         assert len(calls) == 1
         assert len({row.split(",")[-1] for row in rows}) == 1
+
+    def test_one_density_mass_integral(self, capsys, monkeypatch):
+        # the density "t" has weighted mass 1/2: raw f(0.7) = 0.7, scaled f(0.7) = 1.4
+        masses = []
+        integrate_against = obw.weights.Weight.integrate_against
+
+        def counted(self, g, c, d, *args, **kwargs):
+            if (c, d) == (0.0, 1.0) and min(abs(g(0.7) - 0.7), abs(g(0.7) - 1.4)) < 1e-9:
+                masses.append(round(g(0.7), 9))
+            return integrate_against(self, g, c, d, *args, **kwargs)
+
+        monkeypatch.setattr(obw.weights.Weight, "integrate_against", counted)
+        code, out, _ = run(capsys, "cdf", "--density", "t", "--x", "0.5")
+        assert code == 0
+        assert out.splitlines()[1].split(",")[1] == "2.50000000e-01"
+        assert masses == [0.7]
 
     def test_failed_identity_check_is_compute_error(self, capsys):
         code, out, err = run(

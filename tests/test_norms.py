@@ -73,3 +73,45 @@ class TestProperties:
         assert triple.inf == pytest.approx(2.0, abs=1e-10)
         assert triple.p_norm == pytest.approx(2 / math.sqrt(3), abs=1e-10)
         assert triple.one == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("c, d", [(0.0, 1.0), (-3.7, 2.25), (0.31, 0.3100001)])
+def test_norm_inf_samples_the_ascending_chebyshev_points(c, d):
+    seen = []
+
+    def g(t):
+        seen.append(t)
+        return t
+
+    norm_inf(g, c, d)
+    mid, half = 0.5 * (c + d), 0.5 * (d - c)
+    expected = sorted(mid + half * math.cos(math.pi * k / 1023) for k in range(1024))
+    assert seen[:1024] == expected
+
+
+def reference_norm_inf(g, c, d):
+    """norm_inf as first written: sort every sample, refine the first eight."""
+    from obw.norms import _golden_max
+
+    mid, half = 0.5 * (c + d), 0.5 * (d - c)
+    ts = sorted(mid + half * math.cos(math.pi * k / 1023) for k in range(1024))
+    vals = [abs(g(t)) for t in ts]
+    best = max(vals)
+    ranked = sorted(range(len(ts)), key=lambda i: (-vals[i], i))[:8]
+    tol = 1e-12 * max(1.0, d - c)
+    for i in ranked:
+        lo, hi = ts[max(i - 1, 0)], ts[min(i + 1, len(ts) - 1)]
+        if hi > lo:
+            best = max(best, _golden_max(lambda t: abs(g(t)), lo, hi, tol))
+    return best
+
+
+@pytest.mark.parametrize("g", [
+    lambda t: math.sin(37 * t),
+    lambda t: min(abs(t - 0.3), 0.25),  # a plateau: many tied samples
+    lambda t: 1.0 if 0.2 < t < 0.21 else 0.0,
+    lambda t: math.exp(-((t - 0.61) / 1e-3) ** 2),
+])
+def test_norm_inf_matches_reference(g):
+    assert norm_inf(g, 0.0, 1.0) == reference_norm_inf(g, 0.0, 1.0)
+    assert norm_inf(g, -0.4, 1.3) == reference_norm_inf(g, -0.4, 1.3)

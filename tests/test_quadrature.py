@@ -5,11 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from obw.corpus import corpus_functions
+from obw import quadrature
 from obw.quadrature import (
     DegenerateIntervalError,
     Fn1D,
     QuadConfig,
     QuadratureError,
+    cumulative,
     derivative_callable,
     integrate,
     weighted_mean,
@@ -66,6 +68,88 @@ class TestIntegrate:
     def test_reversed_endpoints_rejected(self):
         with pytest.raises(ValueError):
             integrate(lambda t: t, 1, 0)
+
+
+class TestKronrodConstants:
+    """The G7/K15 pair at full precision: the K15 rule is exact to degree 22."""
+
+    def k15(self, g):
+        """The K15 rule on [-1, 1] with g's values summed exactly."""
+        xs = quadrature._XGK[:7]
+        return math.fsum(
+            [quadrature._WGK[7] * g(0.0)]
+            + [w * (g(-x) + g(x)) for w, x in zip(quadrature._WGK, xs)]
+        )
+
+    def test_weights_sum_to_two(self):
+        assert abs(self.k15(lambda t: 1.0) - 2.0) <= 4 * math.ulp(2.0)
+        gauss = math.fsum([quadrature._WG[3]] + [2 * w for w in quadrature._WG[:3]])
+        assert abs(gauss - 2.0) <= 4 * math.ulp(2.0)
+
+    @pytest.mark.parametrize("k", [2, 10, 22])
+    def test_exact_to_degree_22(self, k):
+        exact = 2.0 / (k + 1)
+        assert abs(self.k15(lambda t: t**k) - exact) <= 4 * math.ulp(exact)
+
+
+class TestCumulative:
+    CASES = [
+        ("exp", math.exp, lambda t: math.exp(t), 0.0, 1.0),
+        ("sin", lambda t: math.sin(10 * t), lambda t: -math.cos(10 * t) / 10, 0.0, 2.0),
+        ("sqrt", math.sqrt, lambda t: t**1.5 / 1.5, 0.0, 1.0),
+        ("runge", lambda t: 1 / (1 + 25 * t * t), lambda t: math.atan(5 * t) / 5, -1.0, 1.0),
+    ]
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-12])
+    @pytest.mark.parametrize("name, g, antiderivative, c, d", CASES, ids=[c[0] for c in CASES])
+    def test_queries_within_tolerance(self, name, g, antiderivative, c, d, tol):
+        table = cumulative(g, c, d, QuadConfig(abs_tol=tol))
+        assert table.error <= tol
+        for k in range(201):
+            t = c + (d - c) * k / 200
+            assert abs(table(t) - (antiderivative(t) - antiderivative(c))) <= tol
+        assert table.total == pytest.approx(antiderivative(d) - antiderivative(c), abs=tol)
+
+    def test_endpoints(self):
+        table = cumulative(math.cos, 0.2, 1.7)
+        assert table(0.2) == pytest.approx(0.0, abs=1e-15)
+        assert table(1.7) == pytest.approx(table.total, abs=1e-15)
+
+    def test_empty_interval(self):
+        table = cumulative(math.exp, 0.5, 0.5)
+        assert table(0.5) == 0.0
+        assert (table.total, table.error) == (0.0, 0.0)
+
+    def test_outside_is_rejected(self):
+        table = cumulative(math.exp, 0.0, 1.0)
+        with pytest.raises(ValueError, match="outside"):
+            table(1.5)
+
+    def test_budget_exhausted(self):
+        cfg = QuadConfig(abs_tol=1e-14, max_subdivisions=4)
+        with pytest.raises(QuadratureError, match="no convergence"):
+            cumulative(lambda t: math.sin(40 * t) * t**0.1, 0, 1, cfg)
+
+    def test_built_inside_one_integrate_call(self, monkeypatch):
+        calls = []
+        original = quadrature.integrate
+
+        def counted(*args, **kwargs):
+            calls.append(args[1:3])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(quadrature, "integrate", counted)
+        evals = [0]
+
+        def g(t):
+            evals[0] += 1
+            return math.exp(t)
+
+        table = cumulative(g, 0.0, 1.0, QuadConfig(abs_tol=1e-12))
+        assert calls == [(0.0, 1.0)]
+        built = evals[0]
+        table(0.3), table(0.7)
+        assert evals[0] == built  # queries do not evaluate g
 
 
 class TestWeightedIntegral:

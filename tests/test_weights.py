@@ -10,7 +10,7 @@ from obw.weights import DomainError, Weight, builtin_weight
 
 def numeric_moment(w, c, d):
     """Independent oracle: moment without the closed form."""
-    stripped = Weight(name="numeric", a=w.a, b=w.b, fn=w.fn, integrator=w.integrator)
+    stripped = Weight(name="numeric", a=w.a, b=w.b, fn=w.fn, substitution=w.substitution)
     return stripped.moment(c, d)
 
 
@@ -130,3 +130,83 @@ class TestSingularIntegration:
         # int_0^1 t^(-1/2) dt = 2
         w = builtin_weight("power", 0, 1, p=-0.5, q=0.0)
         assert numeric_moment(w, 0, 1) == pytest.approx(2.0, abs=1e-9)
+
+
+def _power_integrals(p, q):
+    """int_0^x s^k s^p (1-s)^q ds for k = 0, 1, by the regularized beta function."""
+    from scipy.special import beta, betainc
+
+    return (
+        lambda x: beta(p + 1, q + 1) * betainc(p + 1, q + 1, x),
+        lambda x: beta(p + 2, q + 1) * betainc(p + 2, q + 1, x),
+    )
+
+
+def _closed_integrals(name, params):
+    """(int_0^x w, int_0^x s w(s) ds) on [0, 1], from closed forms."""
+    if name == "uniform":
+        return lambda x: x, lambda x: x * x / 2
+    if name == "increasing":
+        return lambda x: x * x / 2, lambda x: x**3 / 3
+    if name == "decreasing":
+        return lambda x: x - x * x / 2, lambda x: x * x / 2 - x**3 / 3
+    if name == "exponential":
+        lam = params["lam"]
+        return (
+            lambda x: -math.expm1(-lam * x) / lam,
+            lambda x: (1 - math.exp(-lam * x) * (lam * x + 1)) / lam**2,
+        )
+    if name == "truncnorm":
+        mu, sigma = params["mu"], params["sigma"]
+        amp, s2 = sigma * math.sqrt(math.pi / 2), sigma * math.sqrt(2)
+        w = lambda x: math.exp(-0.5 * ((x - mu) / sigma) ** 2)  # noqa: E731
+        m0 = lambda x: amp * (math.erf((x - mu) / s2) + math.erf(mu / s2))  # noqa: E731
+        return m0, lambda x: mu * m0(x) - sigma**2 * (w(x) - w(0.0))
+    if name == "arcsine":
+        return _power_integrals(-0.5, -0.5)
+    return _power_integrals(params["p"], params["q"])
+
+
+class TestCumulative:
+    """Weight.cumulative against closed forms, every query within abs_tol."""
+
+    WEIGHTS = [
+        ("uniform", {}),
+        ("increasing", {}),
+        ("decreasing", {}),
+        ("exponential", {"lam": 1.7}),
+        ("truncnorm", {"mu": 0.45, "sigma": 0.3}),
+        ("arcsine", {}),
+        ("power", {"p": -0.4, "q": 0.0}),
+        ("power", {"p": -0.49, "q": 0.7}),
+        ("power", {"p": 0.5, "q": -0.3}),
+    ]
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-12])
+    @pytest.mark.parametrize("g_index", [0, 1], ids=["g=1", "g=t"])
+    @pytest.mark.parametrize("c, d", [(0.0, 1.0), (0.15, 0.85)])
+    @pytest.mark.parametrize("name, params", WEIGHTS, ids=[f"{n}{p}" for n, p in WEIGHTS])
+    def test_against_closed_forms(self, name, params, c, d, g_index, tol):
+        w = builtin_weight(name, 0, 1, **params)
+        g = (lambda t: 1.0, lambda t: t)[g_index]
+        primitive = _closed_integrals(name, params)[g_index]
+        table = w.cumulative(g, c, d, QuadConfig(abs_tol=tol))
+        for k in range(61):
+            x = c + (d - c) * k / 60
+            assert abs(table(x) - (primitive(x) - primitive(c))) <= tol, x
+
+    def test_matches_integrate_against(self):
+        w = builtin_weight("arcsine", 0, 1)
+        g = lambda t: math.exp(t) * math.cos(3 * t)  # noqa: E731
+        table = w.cumulative(g, 0.0, 1.0)
+        for x in (0.01, 0.3, 0.5, 0.77, 0.999):
+            assert table(x) == pytest.approx(w.integrate_against(g, 0.0, x), abs=2e-10)
+
+    def test_outside_is_rejected(self):
+        table = builtin_weight("uniform", 0, 1).cumulative(lambda t: 1.0, 0.2, 0.6)
+        with pytest.raises(ValueError, match="outside"):
+            table(0.7)
+
+    def test_empty_interval(self):
+        table = builtin_weight("arcsine", 0, 1).cumulative(lambda t: 1.0, 0.4, 0.4)
+        assert table(0.4) == 0.0

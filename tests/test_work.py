@@ -1,7 +1,9 @@
 """Work counts of the hot paths: no per-node work where it was removed.
 
 Deterministic counts, no wall time: kernel_l1 takes its weight moments
-outside any integrand, and a compiled expression is one Python call.
+outside any integrand, kernel_lq, identity_residual and the CDF report read
+moments and F_w from tables built before their integrals, and a compiled
+expression is one Python call.
 """
 
 import sys
@@ -10,10 +12,12 @@ import pytest
 
 import obw.expr
 from obw import quadrature
+from obw.cdf import cdf_report, expectation_identity_check, normalized_density
 from obw.corpus import corpus_weights
 from obw.expr import as_fn1d, compile_expr, parse
-from obw.kernel import TauParams, kernel_l1, kernel_lq
-from obw.weights import Weight
+from obw.kernel import TauParams, identity_residual, kernel_l1, kernel_lq
+from obw.quadrature import QuadConfig
+from obw.weights import Weight, builtin_weight
 
 
 @pytest.fixture
@@ -64,11 +68,40 @@ def test_kernel_l1_moments_outside_integrands(counts, w, alpha, beta):
     assert counts["integrate"] >= 1
 
 
+@pytest.mark.parametrize("alpha, beta", [(1.0, 1.0), (2.0, 0.0), (0.0, 3.0)])
+def test_kernel_lq_and_identity_residual_do_not_nest(counts, alpha, beta):
+    params = TauParams(a=0.0, b=1.0, x=0.3, alpha=alpha, beta=beta)
+    w = expression_weight()
+    kernel_lq(params, w, 2.0)
+    identity_residual(as_fn1d("sin(3*t) + t^2"), params, w)
+    assert counts["nested"] == 0
+    assert counts["moment"] <= 6  # the branch masses of each call
+    assert counts["integrate"] >= 2
+
+
+def density_models():
+    cfg = QuadConfig(abs_tol=1e-12)
+    density = as_fn1d("1 + 0.5*sin(3*t) + t^2")
+    return [
+        normalized_density(density, builtin_weight("arcsine", 0, 1), cfg),
+        normalized_density(as_fn1d("exp(t) + 0.2"), expression_weight(), cfg),
+    ]
+
+
+@pytest.mark.parametrize("model", density_models(), ids=["arcsine", "expression"])
+def test_cdf_layer_does_not_nest(counts, model):
+    cfg = QuadConfig(abs_tol=1e-12)
+    expectation_identity_check(model, cfg)
+    cdf_report(model, [0.2, 0.5, 0.8], 1.0, 2.0, 2.0, cfg)
+    assert counts["nested"] == 0
+    assert counts["integrate"] >= 2
+
+
 def test_counters_see_nested_quadrature(counts):
-    # kernel_lq still takes a moment per node: the counters must notice
-    kernel_lq(TauParams(a=0.0, b=1.0, x=0.3, alpha=1.0, beta=1.0), expression_weight(), 2.0)
+    # an integrand that integrates: the counters must notice
+    quadrature.integrate(lambda t: quadrature.integrate(lambda s: s * t, 0.0, 1.0)[0], 0.0, 1.0)
     assert counts["nested"] > 0
-    assert counts["moment"] > 3
+    assert counts["integrate"] > 1
 
 
 def python_calls(fn, t):
