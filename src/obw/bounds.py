@@ -310,20 +310,12 @@ def sharpness_search(
     for x in x_grid:
         for alpha, beta in coeff_grid:
             params = TauParams(a=w.a, b=w.b, x=x, alpha=alpha, beta=beta)
-            if kind == "exact_inf":
-                f = sign_kernel_fn(params)
-                dev = abs(tau(f, w, params, cfg))
-                bound = kernel_l1(params, w, cfg)  # sup norm of f' is 1
-            else:
-                f = _hat_fn(params)
-                dev = abs(tau(f, w, params, cfg))
-                # the hat derivative has unit L1 mass by construction
-                bound = kernel_sup(params, w, cfg)
-            rows.append(
-                SharpnessRow(
-                    x=x, alpha=alpha, beta=beta, ratio=dev / bound if bound > 0 else 0.0
-                )
-            )
+            if kind == "exact_inf":  # the sup norm of f' is 1
+                f, bound = sign_kernel_fn(params), kernel_l1(params, w, cfg)
+            else:  # the hat derivative has unit L1 mass by construction
+                f, bound = _hat_fn(params), kernel_sup(params, w, cfg)
+            dev = abs(tau(f, w, params, cfg))
+            rows.append(SharpnessRow(x, alpha, beta, dev / bound if bound > 0 else 0.0))
     best = max(rows, key=lambda r: (round(r.ratio, 12), -r.x))
     return best, rows
 
@@ -333,33 +325,24 @@ _HAT_WIDTH = 1e-3
 
 def _hat_fn(params: TauParams) -> Fn1D:
     """f whose derivative is a unit-mass hat just inside the peak branch."""
-    side_left = params.alpha >= params.beta
     delta = _HAT_WIDTH * (params.b - params.a)
-    if side_left:
-        lo, hi = params.x - delta, params.x
+    if params.alpha >= params.beta:
+        lo, hi, sign = params.x - delta, params.x, 1.0
     else:
-        lo, hi = params.x, params.x + delta
+        lo, hi, sign = params.x, params.x + delta, -1.0
     height = 1.0 / delta
-
-    def deriv(t: float) -> float:
-        return height if lo < t <= hi else 0.0
 
     def fn(t: float) -> float:
         if t <= lo:
             return 0.0
         if t >= hi:
-            return 1.0
-        return (t - lo) * height
+            return sign
+        return sign * ((t - lo) * height)
 
-    sign = 1.0 if side_left else -1.0
+    def deriv(t: float) -> float:
+        return sign * (height if lo < t <= hi else 0.0)
 
-    def signed_fn(t: float) -> float:
-        return sign * fn(t)
-
-    def signed_deriv(t: float) -> float:
-        return sign * deriv(t)
-
-    return Fn1D(fn=signed_fn, derivative=signed_deriv, name="hat")
+    return Fn1D(fn=fn, derivative=deriv, name="hat")
 
 
 @dataclass(frozen=True)
@@ -415,17 +398,7 @@ def audit_paper_vs_exact(
                 if flagged:
                     f = sign_kernel_fn(params)
                     witness = abs(tau(f, w, params, cfg))
-                rows.append(
-                    AuditRow(
-                        weight_name=w.name,
-                        x=x,
-                        alpha=alpha,
-                        beta=beta,
-                        paper_inf_factor=paper_inf,
-                        exact_inf_factor=exact_inf,
-                        ratio=ratio,
-                        flagged=flagged,
-                        witness_tau=witness,
-                    )
-                )
+                rows.append(AuditRow(
+                    w.name, x, alpha, beta, paper_inf, exact_inf, ratio, flagged, witness
+                ))
     return rows

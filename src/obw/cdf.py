@@ -165,11 +165,6 @@ def cdf_bound_left(
     return lhs, triple
 
 
-def _cdf_table(model: DensityModel, cfg: QuadConfig) -> Callable[[float], float]:
-    """x -> F_w(x) on [a, b], from one cumulative table of f w built now."""
-    return model.weight.cumulative(model.density, model.a, model.b, cfg)
-
-
 def expectation_identity_check(
     model: DensityModel,
     cfg: QuadConfig = DEFAULT_CONFIG,
@@ -177,13 +172,13 @@ def expectation_identity_check(
 ) -> float:
     """Residual of int F_w versus b - E[X w(X)]; near zero for valid models.
 
-    The two sides are computed apart: int F_w integrates `cdf` (a
-    `_cdf_table` of the model, built here when not given), and E[X w(X)]
-    integrates x f(x) w(x) directly.
+    The two sides are computed apart: int F_w integrates `cdf` (x -> F_w(x)
+    from the weight's cumulative table of f, built here when not given), and
+    E[X w(X)] integrates x f(x) w(x) directly.
     """
     a, b = model.a, model.b
     if cdf is None:
-        cdf = _cdf_table(model, cfg)
+        cdf = model.weight.cumulative(model.density, a, b, cfg)
     outer = replace(cfg, abs_tol=max(cfg.abs_tol, 1e-9))
     int_f = integrate(cdf, a, b, outer)[0]
     ex = model.weight.integrate_against(
@@ -227,7 +222,7 @@ def cdf_report(
     """One report row per x; the density's norms, the table of F_w and the
     expectation identity residual do not depend on x and are computed once."""
     norms = model.norms(p, cfg)
-    cdf = _cdf_table(model, cfg)
+    cdf = model.weight.cumulative(model.density, model.a, model.b, cfg)
     residual = expectation_identity_check(model, cfg, cdf)
     rows = []
     for x in xs:

@@ -105,17 +105,19 @@ _SIGN_CHECK_NODES = tuple(math.cos(math.pi * (k + 0.5) / 129) for k in reversed(
 
 
 def _check_samples(fn, a: float, b: float, flag: str, nonnegative: bool = False) -> None:
-    """Sample fn on a grid inside (a, b); a complex value, or with
-    `nonnegative` a negative one, raises ValueError naming flag and t.
+    """Sample fn on a grid inside (a, b); a point with no real value (fn
+    raises ValueError), or with `nonnegative` a negative value, raises
+    ValueError naming flag and t.
 
     NaN and infinite values are left to the quadrature, which rejects them.
     """
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     for c in _SIGN_CHECK_NODES:
         t = mid + half * c
-        v = fn(t)
-        if isinstance(v, complex):
-            raise ValueError(f"{flag} is not real at t={t:.9g}: value {v}")
+        try:
+            v = fn(t)
+        except ValueError as exc:
+            raise ValueError(f"{flag} is not real at t={t:.9g}: {exc}") from None
         if nonnegative and v < 0:
             raise ValueError(f"{flag} is negative at t={t:.9g}: value {v:.9g}")
 

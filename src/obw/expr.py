@@ -3,8 +3,11 @@
 Grammar: numeric literals, the variable t, + - * / ^, unary minus,
 single-argument calls (sin cos exp log abs sqrt), parentheses. ^ is
 right-associative and binds tighter than unary minus; no implicit
-multiplication. A parsed tree is evaluated through compile_expr, which
-turns it into one Python function of t, once.
+multiplication. ^ is math.pow, so a value is always a real number: a power
+with no real value (a negative base to a fractional exponent, zero to a
+negative one) raises ValueError, like log and sqrt outside their domain.
+A parsed tree is evaluated through compile_expr, which turns it into one
+Python function of t, once.
 """
 
 from __future__ import annotations
@@ -230,11 +233,13 @@ _OPERATORS: dict[str, Callable[[float, float], float]] = {
     "-": operator.sub,
     "*": operator.mul,
     "/": operator.truediv,
-    "^": operator.pow,
+    "^": math.pow,
 }
-_PY_OPERATORS = {"+": "+", "-": "-", "*": "*", "/": "/", "^": "**"}
+_PY_OPERATORS = {"+": "({} + {})", "-": "({} - {})", "*": "({} * {})", "/": "({} / {})",
+                 "^": "pow({}, {})"}
 # Names the generated code may use: nothing else is reachable from it.
-_NAMESPACE = {**_FUNCTIONS, "inf": math.inf, "nan": math.nan, "__builtins__": {}}
+_NAMESPACE = {**_FUNCTIONS, "pow": math.pow, "inf": math.inf, "nan": math.nan,
+              "__builtins__": {}}
 # Parentheses one generated expression may nest; CPython's parser stops at 200.
 _MAX_NESTING = 50
 
@@ -258,8 +263,8 @@ def _children(e: Expr) -> tuple[Expr, ...]:
 def compile_expr(e: Expr) -> Callable[[float], float]:
     """One Python function of t that computes e, built once per tree.
 
-    The source is generated from the tree alone (float literals, the five
-    operators, the names in _FUNCTIONS) and runs without builtins. Every
+    The source is generated from the tree alone (float literals, + - * /,
+    pow for ^, the names in _FUNCTIONS) and runs without builtins. Every
     node is evaluated children first, left before right, with the same
     float operations, so values and raised exceptions are those of a
     direct walk of the tree. A subtree shared within the tree (derivatives
@@ -319,7 +324,7 @@ def compile_expr(e: Expr) -> Callable[[float], float]:
             mark = marks.pop()
             if ldepth and len(lines) > mark:
                 left, ldepth = local(left, mark), 0
-            text = f"({left} {_PY_OPERATORS[node.op]} {right})"
+            text = _PY_OPERATORS[node.op].format(left, right)
             depth = max(ldepth, rdepth) + 1
         else:
             arg, depth = results.pop()
@@ -377,8 +382,8 @@ def _num(v: float) -> Num:
 def _fold_node(e: Expr, kids: list[Expr]) -> Expr:
     """e with its children replaced by their folded forms `kids`, folded.
 
-    A constant whose value is not a real number (a negative number to a
-    fractional power) stays unfolded; evaluation meets it instead.
+    A power of constants with no real value (math.pow's ValueError) stays
+    unfolded; evaluation meets it instead.
     """
     if isinstance(e, Neg):
         (inner,) = kids
@@ -386,9 +391,10 @@ def _fold_node(e: Expr, kids: list[Expr]) -> Expr:
     if isinstance(e, BinOp):
         left, right = kids
         if isinstance(left, Num) and isinstance(right, Num):
-            value = _OPERATORS[e.op](left.value, right.value)
-            if not isinstance(value, complex):
-                return _num(value)
+            try:
+                return _num(_OPERATORS[e.op](left.value, right.value))
+            except ValueError:
+                pass
         return BinOp(e.op, left, right)
     if isinstance(e, Call):
         (arg,) = kids
@@ -472,7 +478,8 @@ def as_fn1d(source: str, name: str = "") -> Fn1D:
 
     The tree and its derivative are each compiled once. Points where the
     symbolic derivative fails to evaluate (abs at zero) fall back to
-    finite differences.
+    finite differences: central ones, else forward ones where the central
+    stencil leaves the expression's real domain.
     """
     tree = parse(source)
     base = Fn1D(fn=compile_expr(tree), name=name or source)
@@ -485,6 +492,9 @@ def as_fn1d(source: str, name: str = "") -> Fn1D:
             v = math.nan
         if math.isfinite(v):
             return v
-        return derivative_callable(base, -math.inf, math.inf)(t)
+        try:
+            return derivative_callable(base, -math.inf, math.inf)(t)
+        except ValueError:
+            return derivative_callable(base, t, math.inf)(t)
 
     return Fn1D(fn=base.fn, derivative=deriv, name=base.name)

@@ -9,7 +9,9 @@ of the distance to x, so the power weights' endpoint substitution applies
 to it. kernel_lq and identity_residual read the moments t -> m(a, t) and
 t -> m(b, t) inside their integrands from `_moments`: the closed moment
 when the weight has one, else one cumulative table of the weight built
-before the integrals, so no quadrature runs inside an integrand.
+before the integrals, so no quadrature runs inside an integrand. The table
+comes from `integrate`'s own refinement loop, with a per-panel estimate that
+bounds every partial integral, so each moment read is within abs_tol.
 """
 
 from __future__ import annotations

@@ -1,5 +1,10 @@
 """Adaptive Gauss-Kronrod integration, cumulative integral tables and
-weighted integral means."""
+weighted integral means.
+
+`integrate` has the one refinement loop: it bisects the panel with the
+largest estimate until the estimates sum to at most abs_tol. A cumulative
+table is built by that loop; only its per-panel estimate differs.
+"""
 
 from __future__ import annotations
 
@@ -8,6 +13,7 @@ import functools
 import heapq
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -137,39 +143,44 @@ def integrate(
 
     Returns (value, error estimate). Raises QuadratureError if the
     subdivision budget is exhausted before the tolerance is met.
-    `_table` is the sink `cumulative` passes: the leaf panels are then
-    refined to the table's criterion and handed to it.
+    `_table` is the sink `cumulative` passes: each panel's estimate is then
+    `_table_panels`' bound, and the leaves are handed to the table.
     """
     if c > d:
         raise ValueError("integrate requires c <= d")
     if c == d:
         return 0.0, 0.0
-    if _table is not None:
-        return _table_pass(g, c, d, cfg, _table)
-    val, err = _gk15(g, c, d)
-    # heap of (-err, tiebreak, c, d, val, err); tiebreak keeps it deterministic
-    counter = 0
-    heap = [(-err, counter, c, d, val, err)]
-    total = val
-    total_err = err
-    n = 1
+    if _table is None:
+        (val, err), values, panels = _gk15(g, c, d), None, None
+    else:
+        panels = _table_panels(g)
+        ((val, err, values),) = panels((c, d))
+    # heap of (-err, tiebreak, c, d, val, err, values): the unique tiebreak keeps
+    # it deterministic; values are a table panel's 15 integrand values, else None
+    heap = [(-err, 0, c, d, val, err, values)]
+    total, total_err, n = val, err, 1
     while total_err > cfg.abs_tol:
         if n >= cfg.max_subdivisions:
             raise QuadratureError(
                 f"no convergence after {n} subdivisions "
                 f"(err={total_err:.3e} on [{c}, {d}])"
             )
-        _, _, lo, hi, v_old, e_old = heapq.heappop(heap)
+        _, _, lo, hi, v_old, e_old, _ = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
-        v1, e1 = _gk15(g, lo, mid)
-        v2, e2 = _gk15(g, mid, hi)
+        if panels is None:
+            v1, e1 = _gk15(g, lo, mid)
+            v2, e2 = _gk15(g, mid, hi)
+            x1 = x2 = None
+        else:
+            (v1, e1, x1), (v2, e2, x2) = panels((lo, mid), (mid, hi))
         total += (v1 + v2) - v_old
         total_err += (e1 + e2) - e_old
-        counter += 1
-        heapq.heappush(heap, (-e1, counter, lo, mid, v1, e1))
-        counter += 1
-        heapq.heappush(heap, (-e2, counter, mid, hi, v2, e2))
+        heapq.heappush(heap, (-e1, 2 * n, lo, mid, v1, e1, x1))
+        heapq.heappush(heap, (-e2, 2 * n + 1, mid, hi, v2, e2, x2))
         n += 1
+    if _table is not None:
+        _table._fill(sorted(heap, key=operator.itemgetter(2)))
+        total = math.fsum(entry[4] for entry in heap)  # the leaves' sum, correctly rounded
     return total, total_err
 
 
@@ -242,60 +253,28 @@ def _product(m: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return np.einsum("ij,kj->ki", m, rows)
 
 
-def _table_pass(
-    g: Callable[[float], float], c: float, d: float, cfg: QuadConfig, table: "Cumulative"
-) -> tuple[float, float]:
-    """integrate's pass for a cumulative table; returns (value, error estimate).
-
-    A leaf's estimate is the bound of `_leaf_matrices` on the partial
-    integrals of its K15 interpolant minus its G7 interpolant. It covers the
-    leaf's full integral too, and is never below the |K15 - G7| difference
-    integrate starts from. Starting from [c, d], every round bisects each
-    leaf whose estimate exceeds its share, abs_tol / (number of leaves),
-    until the estimates sum to at most abs_tol, so that every query of the
-    table meets abs_tol.
+def _table_panels(g: Callable[[float], float]) -> Callable[..., list[tuple]]:
+    """The panel rule of a cumulative table: spans -> (K15 value, estimate,
+    the 15 values) per span. The estimate is `_leaf_matrices`' bound on the
+    panel's partial integrals, which covers its full integral too and is
+    never below the plain |K15 - G7| estimate; so when the estimates sum to
+    at most abs_tol, every query of the table meets abs_tol.
     """
-    integ, diff = _leaf_matrices()
+    diff = _leaf_matrices()[1]
     values: list[float] = []
-    append = values.append
 
     def record(t: float) -> float:
-        v = g(t)
-        append(v)
+        values.append(v := g(t))
         return v
 
-    def leaves_of(spans: list[tuple[float, float]]) -> list[tuple]:
-        """(lo, hi, K15 value, estimate, the 15 values) for each span."""
+    def panels(*spans: tuple[float, float]) -> list[tuple]:
         kvals = [_gk15(record, lo, hi)[0] for lo, hi in spans]
         block = np.array(values).reshape(len(spans), 15)
         values.clear()
-        widths = np.array([hi - lo for lo, hi in spans])
-        est = (np.abs(_product(diff, block)).sum(axis=1) * widths).tolist()
-        return list(zip(*zip(*spans), kvals, est, block))
+        est = np.abs(_product(diff, block)).sum(axis=1) * [hi - lo for lo, hi in spans]
+        return list(zip(kvals, est.tolist(), block))
 
-    leaves = leaves_of([(c, d)])
-    while (total_err := sum(leaf[3] for leaf in leaves)) > cfg.abs_tol:
-        share = cfg.abs_tol / len(leaves)
-        over = [leaf for leaf in leaves if leaf[3] > share]
-        if len(leaves) + len(over) > cfg.max_subdivisions:
-            raise QuadratureError(
-                f"no convergence after {len(leaves)} subdivisions "
-                f"(table err={total_err:.3e} on [{c}, {d}])"
-            )
-        spans = []
-        for lo, hi, *_ in over:
-            mid = 0.5 * (lo + hi)
-            spans += ((lo, mid), (mid, hi))
-        children = iter(leaves_of(spans))
-        refined = []
-        for leaf in leaves:
-            if leaf[3] > share:
-                refined += (next(children), next(children))
-            else:
-                refined.append(leaf)
-        leaves = refined
-    table._fill(leaves, integ)
-    return math.fsum(leaf[2] for leaf in leaves), total_err
+    return panels
 
 
 class Cumulative:
@@ -317,10 +296,10 @@ class Cumulative:
         self._coef: list[list[float]] = []
         self._prefix: list[float] = []
 
-    def _fill(self, leaves: list[tuple], integ: np.ndarray) -> None:
-        """Take the sorted leaves of `_table_pass`; integ maps values to
-        the coefficients of their antiderivative (`_leaf_matrices`)."""
-        lo, hi, kvals, _, block = zip(*leaves)
+    def _fill(self, leaves: list[tuple]) -> None:
+        """Take `integrate`'s heap entries for a table, sorted by panel."""
+        _, _, lo, hi, kvals, _, block = zip(*leaves)
+        integ = _leaf_matrices()[0]
         halves = 0.5 * (np.array(hi) - np.array(lo))
         self._lefts = list(lo)
         self._mids = [0.5 * (u + v) for u, v in zip(lo, hi)]
@@ -349,11 +328,11 @@ def cumulative(
     d: float,
     cfg: QuadConfig = DEFAULT_CONFIG,
 ) -> Cumulative:
-    """The table t -> int_c^t g on [c, d], built now by one adaptive pass.
+    """The table t -> int_c^t g on [c, d], built now by one `integrate` call.
 
-    The pass runs inside `integrate`, so its work is counted there. Every
-    query is within cfg.abs_tol by the table's error estimate; QuadratureError
-    when the subdivision budget runs out first.
+    Its work is counted there. Every query is within cfg.abs_tol by the
+    table's error estimate; QuadratureError when the subdivision budget
+    runs out first.
     """
     table = Cumulative(c, d)
     table.total, table.error = integrate(g, c, d, cfg, _table=table)

@@ -3,6 +3,7 @@ acceptance tests."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from .bounds import bounds_cerone, bounds_exact, bounds_paper
@@ -14,8 +15,8 @@ from .corpus import (
 )
 from .functionals import tau, tau_combination, tau_decomposed
 from .kernel import TauParams, identity_residual
-from .norms import norm_triple
-from .quadrature import DEFAULT_CONFIG, QuadConfig, derivative_callable
+from .norms import NormTriple, norm_triple
+from .quadrature import DEFAULT_CONFIG, Fn1D, QuadConfig, derivative_callable
 
 __all__ = ["SuiteReport", "run_verify_suites", "P_GRID"]
 
@@ -67,10 +68,14 @@ def run_verify_suites(cfg: QuadConfig = DEFAULT_CONFIG) -> SuiteReport:
     weights = corpus_weights()
     xs = corpus_x_values()
 
+    @functools.cache
+    def norm_set(f: Fn1D, a: float, b: float) -> dict[float, NormTriple]:
+        # the norms of f' depend on f and [a, b] only, not on the weight
+        fprime = derivative_callable(f, a, b)
+        return {p: norm_triple(fprime, p, a, b, cfg) for p in P_GRID}
+
     for w in weights:
         for f in functions:
-            fprime = derivative_callable(f, w.a, w.b)
-            norm_cache = {p: norm_triple(fprime, p, w.a, w.b, cfg) for p in P_GRID}
             for x in xs:
                 for alpha, beta in COEFF_PAIRS:
                     params = TauParams(a=w.a, b=w.b, x=x, alpha=alpha, beta=beta)
@@ -83,9 +88,10 @@ def run_verify_suites(cfg: QuadConfig = DEFAULT_CONFIG) -> SuiteReport:
                             f"{label}: residual {res:.3e}"
                         )
 
-                    dev = abs(tau(f, w, params, cfg))
+                    t0 = tau(f, w, params, cfg)
+                    dev = abs(t0)
                     for p in P_GRID:
-                        exact = bounds_exact(params, w, norm_cache[p], p, cfg)
+                        exact = bounds_exact(params, w, norm_set(f, w.a, w.b)[p], p, cfg)
                         report.soundness_checked += 1
                         for branch, bval in zip(
                             ("inf", "p", "one"), exact.as_tuple()
@@ -96,7 +102,6 @@ def run_verify_suites(cfg: QuadConfig = DEFAULT_CONFIG) -> SuiteReport:
                                     f"exact_{branch}={bval:.6e} (p={p})"
                                 )
 
-                    t0 = tau(f, w, params, cfg)
                     t1 = tau_combination(f, w, params, cfg)
                     t2 = tau_decomposed(f, w, params, cfg)
                     report.equivalence_checked += 1
@@ -107,12 +112,10 @@ def run_verify_suites(cfg: QuadConfig = DEFAULT_CONFIG) -> SuiteReport:
                         )
 
     # Uniform-weight reduction to the unweighted two-coefficient bounds.
-    uniform = corpus_weights()[0]
+    uniform = weights[0]
     reduction_x = [0.1 * k for k in range(1, 10)]
     reduction_coeffs = ((1.0, 1.0), (2.0, 1.0), (1.0, 3.0), (5.0, 2.0))
-    f = corpus_functions()[1]
-    fprime = derivative_callable(f, uniform.a, uniform.b)
-    norms = norm_triple(fprime, 2.0, uniform.a, uniform.b, cfg)
+    norms = norm_set(functions[1], uniform.a, uniform.b)[2.0]
     for x in reduction_x:
         for alpha, beta in reduction_coeffs:
             params = TauParams(a=uniform.a, b=uniform.b, x=x, alpha=alpha, beta=beta)

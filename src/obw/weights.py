@@ -65,6 +65,13 @@ class Weight:
             return self.closed_moment(c, d)
         return self.integrate_against(lambda t: 1.0, c, d, cfg)
 
+    def _pieces(self, g, c: float, d: float) -> list[tuple]:
+        """The substitution's pieces of int_c^d g w, or the one plain piece."""
+        if self.substitution is not None:
+            return self.substitution(g, c, d)
+        fn = self.fn
+        return [(d, c, d, lambda t: g(t) * fn(t), None, False)]
+
     def integrate_against(self, g, c: float, d: float, cfg: QuadConfig = DEFAULT_CONFIG) -> float:
         """Oriented integral of g(t) w(t) over [c, d]."""
         geval = getattr(g, "fn", g)
@@ -72,11 +79,8 @@ class Weight:
             return -self.integrate_against(geval, d, c, cfg)
         if c == d:
             return 0.0
-        if self.substitution is None:
-            fn = self.fn
-            return integrate(lambda t: geval(t) * fn(t), c, d, cfg)[0]
         total = 0.0
-        for _, s_lo, s_hi, h, _, _ in self.substitution(geval, c, d):
+        for _, s_lo, s_hi, h, _, _ in self._pieces(geval, c, d):
             total += integrate(h, s_lo, s_hi, cfg)[0]
         return total
 
@@ -92,11 +96,7 @@ class Weight:
         geval = getattr(g, "fn", g)
         if not c <= d:
             raise ValueError("cumulative requires c <= d")
-        if self.substitution is None:
-            fn = self.fn
-            pieces = [(d, c, d, lambda t: geval(t) * fn(t), None, False)]
-        else:
-            pieces = self.substitution(geval, c, d)
+        pieces = self._pieces(geval, c, d)
         share = replace(cfg, abs_tol=cfg.abs_tol / max(len(pieces), 1))
         parts = []
         before = 0.0

@@ -267,6 +267,24 @@ def test_complex_density_is_compute_error(capsys):
     assert err.startswith("error: --density is not real at t=")
 
 
+# Not real only for |t - 0.3| < 1e-3, which no sample point reaches: the
+# quadrature meets the point instead.
+_NOT_REAL_BETWEEN_SAMPLES = "((t-0.3)^2 - 1e-6)^0.5"
+
+
+@pytest.mark.parametrize("argv", [
+    ("bounds", "--x", "0.5", "--function", _NOT_REAL_BETWEEN_SAMPLES),
+    ("bounds", "--x", "0.5", "--function", "t^2", "--weight-expr", _NOT_REAL_BETWEEN_SAMPLES),
+    ("cdf", "--x", "0.5", "--density", _NOT_REAL_BETWEEN_SAMPLES),
+], ids=["function", "weight-expr", "density"])
+def test_not_real_between_samples_is_compute_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 class TestParserPerProcess:
     ARGV = ("bounds", "--x", "0.3", "--function", "sine", "--weight", "decreasing")
 

@@ -41,7 +41,7 @@ def evaluate(e, t):
             return lv * rv
         if e.op == "/":
             return lv / rv
-        return lv**rv
+        return math.pow(lv, rv)
     return _FUNCTIONS[e.fn](evaluate(e.arg, t))
 
 

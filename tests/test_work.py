@@ -6,14 +6,16 @@ moments and F_w from tables built before their integrals, and a compiled
 expression is one Python call.
 """
 
+import math
 import sys
 
 import pytest
 
 import obw.expr
+import obw.suites
 from obw import quadrature
 from obw.cdf import cdf_report, expectation_identity_check, normalized_density
-from obw.corpus import corpus_weights
+from obw.corpus import COEFF_PAIRS, corpus_functions, corpus_weights, corpus_x_values
 from obw.expr import as_fn1d, compile_expr, parse
 from obw.kernel import TauParams, identity_residual, kernel_l1, kernel_lq
 from obw.quadrature import QuadConfig
@@ -131,3 +133,68 @@ def test_compiled_expression_is_one_call(source):
     fn = compile_expr(parse(source))
     assert python_calls(fn, 0.3) == [fn.__code__.co_name]
     assert python_calls(f.fn, 0.3) == [f.fn.__code__.co_name]
+
+
+def test_verify_computes_each_norm_and_deviation_once(monkeypatch):
+    # every corpus weight is on [0, 1], so the norms depend only on f
+    calls = {"norm_triple": 0, "tau": 0}
+
+    def counted(name):
+        fn = getattr(obw.suites, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(obw.suites, name, counted(name))
+    report = obw.suites.run_verify_suites()
+    n_configs = (
+        len(corpus_functions()) * len(corpus_weights()) * len(corpus_x_values()) * len(COEFF_PAIRS)
+    )
+    assert report.passed
+    assert calls["norm_triple"] == len(corpus_functions()) * len(obw.suites.P_GRID)
+    assert calls["tau"] == report.identity_checked == n_configs
+    assert report.soundness_checked == 3 * n_configs
+    assert report.reduction_checked == 36
+
+
+def test_table_panel_count(monkeypatch):
+    # refined like integrate, largest estimate first (19 panels when every
+    # panel over an even share of abs_tol was bisected each round)
+    panels = [0]
+    gk15 = quadrature._gk15
+
+    def counted(*args):
+        panels[0] += 1
+        return gk15(*args)
+
+    monkeypatch.setattr(quadrature, "_gk15", counted)
+    density = as_fn1d("exp(1.469*t) + 0.291 + 1.15*(1/(t + 0.475))")
+    builtin_weight("increasing", 0.0, 1.0).cumulative(density, 0.0, 1.0, QuadConfig(abs_tol=1e-10))
+    assert panels[0] == 15
+
+
+_TABLE_CASES = {
+    "exp": (math.exp, 0.0, 1.0),
+    "sin": (lambda t: math.sin(10 * t), 0.0, 2.0),
+    "sqrt": (math.sqrt, 0.0, 1.0),
+    "runge": (lambda t: 1 / (1 + 25 * t * t), -1.0, 1.0),
+}
+# integrate's |K15 - G7| estimate misses its error next to the square-root end
+# point: at 1e-12 it is off by 2.3e-12 and reports 7.0e-13, while the table's
+# total is within 3e-16 of 2/3
+_SQRT_MISSES = pytest.mark.xfail(strict=True, reason="integrate's estimate misses at sqrt's end")
+
+
+@pytest.mark.parametrize("g, c, d, tol", [
+    pytest.param(*case, tol, id=f"{name}-{tol:g}",
+                 marks=_SQRT_MISSES if (name, tol) == ("sqrt", 1e-12) else ())
+    for name, case in _TABLE_CASES.items()
+    for tol in (1e-9, 1e-12)
+])
+def test_table_total_matches_integrate(g, c, d, tol):
+    cfg = QuadConfig(abs_tol=tol)
+    assert abs(quadrature.cumulative(g, c, d, cfg).total - quadrature.integrate(g, c, d, cfg)[0]) <= tol
