@@ -43,6 +43,6 @@ from .quadrature import (
     integrate,
     weighted_mean,
 )
-from .weights import DomainError, Weight, builtin_weight
+from .weights import DomainError, Weight, builtin_weight, tabulated_weight
 
 __version__ = "0.1.0"

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .functionals import tau
-from .kernel import TauParams, kernel_l1, kernel_lq, kernel_sup
+from .kernel import TauParams, _sides, kernel_l1, kernel_lq, kernel_sup
 from .norms import NormTriple, conjugate, norm_triple
 from .quadrature import DEFAULT_CONFIG, Fn1D, QuadConfig, derivative_callable
 from .weights import Weight
@@ -62,36 +62,21 @@ class BoundSet:
         return out
 
 
-def _paper_factors(
-    params: TauParams, w: Weight, q: float, cfg: QuadConfig
-) -> tuple[float, float]:
+def _paper_factors(params: TauParams, w: Weight, q: float) -> tuple[float, float]:
     """Bracket factors of the printed closed forms (inf and L_p branches)."""
-    a, b, x = params.a, params.b, params.x
-    al, be = params.alpha, params.beta
     s = params.weight_sum
-    wx = w.eval(x)
-    inf_term = 0.0
-    p_term = 0.0
-    if al > 0:
-        m_l = w.moment(a, x, cfg)
-        inf_term += al * (x - a) ** 2 / m_l
-        p_term += al**q * (x - a) ** 2 / m_l
-    if be > 0:
-        m_r = w.moment(x, b, cfg)
-        inf_term += be * (b - x) ** 2 / m_r
-        p_term += be**q * (b - x) ** 2 / m_r
+    wx = w.eval(params.x)
+    inf_term = p_term = 0.0
+    for coef, c, d, _ in _sides(params):
+        mass = w.moment(c, d)
+        inf_term += coef * (d - c) ** 2 / mass
+        p_term += coef**q * (d - c) ** 2 / mass
     inf_factor = inf_term * wx / (2.0 * s)
     p_factor = (p_term * wx) ** (1.0 / q) / ((q + 1.0) ** (1.0 / q) * s)
     return inf_factor, p_factor
 
 
-def bounds_paper(
-    params: TauParams,
-    w: Weight,
-    norms: NormTriple,
-    p: float,
-    cfg: QuadConfig = DEFAULT_CONFIG,
-) -> BranchTriple:
+def bounds_paper(params: TauParams, w: Weight, norms: NormTriple, p: float) -> BranchTriple:
     """The three printed branches of the weighted deviation bound.
 
     The inf and L_p brackets carry the w(x) factor of the printed form,
@@ -99,7 +84,7 @@ def bounds_paper(
     audit sweep quantifies the gap.
     """
     q = conjugate(p)
-    inf_factor, p_factor = _paper_factors(params, w, q, cfg)
+    inf_factor, p_factor = _paper_factors(params, w, q)
     one_factor = 0.5 * (1.0 + abs(params.alpha - params.beta) / params.weight_sum)
     return BranchTriple(
         inf=inf_factor * norms.inf,
@@ -120,7 +105,7 @@ def bounds_exact(
     return BranchTriple(
         inf=kernel_l1(params, w, cfg) * norms.inf,
         p=kernel_lq(params, w, q, cfg) * norms.p_norm,
-        one=kernel_sup(params, w, cfg) * norms.one,
+        one=kernel_sup(params, w) * norms.one,
     )
 
 
@@ -135,7 +120,7 @@ def bound_set(
     fprime = derivative_callable(f, params.a, params.b)
     norms = norm_triple(fprime, p, params.a, params.b, cfg)
     return BoundSet(
-        paper=bounds_paper(params, w, norms, p, cfg),
+        paper=bounds_paper(params, w, norms, p),
         exact=bounds_exact(params, w, norms, p, cfg),
         deviation=tau(f, w, params, cfg),
         norms=norms,
@@ -199,7 +184,6 @@ def bounds_split(
     """
     q = conjugate(p)
     a, b, x = params.a, params.b, params.x
-    al, be = params.alpha, params.beta
     wx = w.eval(x)
     fprime = derivative_callable(f, a, b)
     full = norm_triple(fprime, p, a, b, cfg)
@@ -212,10 +196,8 @@ def bounds_split(
 
     fine_inf = fine_p = fine_one = 0.0
     coarse_inf = coarse_p = 0.0
-    for coef, c, d in ((al, a, x), (be, x, b)):
-        if coef == 0:
-            continue
-        mass = w.moment(c, d, cfg)
+    for coef, c, d, _ in _sides(params):
+        mass = w.moment(c, d)
         sub = norm_triple(fprime, p, c, d, cfg)
         inf_t, p_t = terms(coef, c, d, mass)
         fine_inf += inf_t * sub.inf
@@ -261,7 +243,7 @@ def corollary_bounds(
     fprime = derivative_callable(f, a, b)
     norms = norm_triple(fprime, p, a, b, cfg)
     lhs = abs(tau(f, w, params, cfg))
-    return lhs, bounds_paper(params, w, norms, p, cfg)
+    return lhs, bounds_paper(params, w, norms, p)
 
 
 def sign_kernel_fn(params: TauParams) -> Fn1D:
@@ -313,7 +295,7 @@ def sharpness_search(
             if kind == "exact_inf":  # the sup norm of f' is 1
                 f, bound = sign_kernel_fn(params), kernel_l1(params, w, cfg)
             else:  # the hat derivative has unit L1 mass by construction
-                f, bound = _hat_fn(params), kernel_sup(params, w, cfg)
+                f, bound = _hat_fn(params), kernel_sup(params, w)
             dev = abs(tau(f, w, params, cfg))
             rows.append(SharpnessRow(x, alpha, beta, dev / bound if bound > 0 else 0.0))
     best = max(rows, key=lambda r: (round(r.ratio, 12), -r.x))
@@ -389,7 +371,7 @@ def audit_paper_vs_exact(
         for x in x_grid:
             for alpha, beta in coeff_grid:
                 params = TauParams(a=w.a, b=w.b, x=x, alpha=alpha, beta=beta)
-                paper_inf, _ = _paper_factors(params, w, q, cfg)
+                paper_inf, _ = _paper_factors(params, w, q)
                 paper_inf = float(paper_inf)
                 exact_inf = float(kernel_l1(params, w, cfg))
                 ratio = paper_inf / exact_inf if exact_inf > 0 else math.inf

@@ -123,14 +123,14 @@ def _cdf_bound(
     w = model.weight
     f = model.density
     x = params.x
-    m_l = w.moment(params.a, x, cfg)
-    m_r = w.moment(x, params.b, cfg)
+    m_l = w.moment(params.a, x)
+    m_r = w.moment(x, params.b)
     lhs = abs(
         (params.alpha * m_r - params.beta * m_l) * fw
         - m_l * (params.weight_sum * m_r * f(x) - params.beta)
     )
     pref = params.weight_sum * m_l * m_r
-    base = bounds_paper(params, w, norms, p, cfg)
+    base = bounds_paper(params, w, norms, p)
     triple = BranchTriple(inf=pref * base.inf, p=pref * base.p, one=pref * base.one)
 
     bridge = pref * abs(tau(f, w, params, cfg))
@@ -152,7 +152,7 @@ def cdf_bound_left(
     """
     w = model.weight
     q = conjugate(p)
-    m_l = w.moment(model.a, x, cfg)
+    m_l = w.moment(model.a, x)
     lhs = abs(m_l * model.density(x) - cdf_value(model, x, cfg))
     wx = w.eval(x)
     norms = model.norms(p, cfg)

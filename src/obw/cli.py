@@ -25,7 +25,7 @@ from .expr import ParseError, as_fn1d, compile_expr, parse
 from .kernel import TauParams
 from .quadrature import Fn1D, QuadConfig, QuadratureError
 from .suites import run_verify_suites
-from .weights import Weight, WeightSpecError, builtin_weight
+from .weights import Weight, WeightSpecError, builtin_weight, tabulated_weight
 
 __all__ = ["main", "build_parser"]
 
@@ -136,14 +136,16 @@ def _function(text: str, a: float, b: float) -> Fn1D:
         return _expression(text, "--function", a, b)
 
 
-def _weight_expr(text: str, a: float, b: float) -> Weight:
+def _weight_expr(text: str, a: float, b: float, cfg: QuadConfig) -> Weight:
     """The weight w(t) = text; it must not be negative on the sample grid."""
-    w = Weight(name=text, a=a, b=b, fn=compile_expr(parse(text)))
-    _check_samples(w.fn, a, b, "--weight-expr", nonnegative=True)
-    return w
+    fn = compile_expr(parse(text))
+    _check_samples(fn, a, b, "--weight-expr", nonnegative=True)
+    return tabulated_weight(text, fn, a, b, cfg)
 
 
 def _interior_grid(a: float, b: float, n: int) -> list[float]:
+    if n < 1:
+        raise _UsageError(f"--x-grid must be at least 1, got {n}")
     return [a + (b - a) * k / (n + 1) for k in range(1, n + 1)]
 
 
@@ -160,7 +162,7 @@ def _cmd_bounds(args, cfg: QuadConfig) -> tuple[str, int]:
 
     f = _function(args.function, args.a, args.b)
     if args.weight_expr is not None:
-        w = _weight_expr(args.weight_expr, args.a, args.b)
+        w = _weight_expr(args.weight_expr, args.a, args.b, cfg)
     else:
         w = _weight("uniform" if args.weight is None else args.weight, args.a, args.b)
     params = TauParams(a=args.a, b=args.b, x=args.x, alpha=args.alpha, beta=args.beta)
@@ -207,8 +209,8 @@ def _cmd_verify(args, cfg: QuadConfig) -> tuple[str, int]:
 
 
 def _cmd_audit(args, cfg: QuadConfig) -> tuple[str, int]:
-    weights = _weights(args.weights, args.a, args.b)
     xs = _interior_grid(args.a, args.b, args.x_grid)
+    weights = _weights(args.weights, args.a, args.b)
     rows = audit_paper_vs_exact(weights, xs, _coeff_pairs(args.alphas), cfg=cfg)
     text = _csv(
         AUDIT_COLUMNS,
@@ -222,8 +224,8 @@ def _cmd_audit(args, cfg: QuadConfig) -> tuple[str, int]:
 
 
 def _cmd_sharpness(args, cfg: QuadConfig) -> tuple[str, int]:
-    w = _weight(args.weight, args.a, args.b)
     xs = _interior_grid(args.a, args.b, args.x_grid)
+    w = _weight(args.weight, args.a, args.b)
     best, rows = sharpness_search(w, xs, _coeff_pairs(args.alphas), args.kind, cfg)
     print(
         f"best ratio {_fmt(best.ratio)} at x={_fmt(best.x)} "
@@ -242,9 +244,9 @@ def _cmd_cdf(args, cfg: QuadConfig) -> tuple[str, int]:
     if errors:
         raise _UsageError("; ".join(errors))
 
+    xs = [args.x] if args.x is not None else _interior_grid(args.a, args.b, args.x_grid)
     w = _weight(args.weight, args.a, args.b)
     model = normalized_density(_expression(args.density, "--density", args.a, args.b), w, cfg)
-    xs = [args.x] if args.x is not None else _interior_grid(args.a, args.b, args.x_grid)
     rows = cdf_report(model, xs, args.alpha, args.beta, args.p, cfg)
     return _csv(CDF_COLUMNS, map(astuple, rows)), EXIT_OK
 

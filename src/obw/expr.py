@@ -94,6 +94,8 @@ def _tokenize(source: str) -> list[_Token]:
             while j < n and (source[j].isdigit() or (source[j] == "." and not seen_dot)):
                 seen_dot = seen_dot or source[j] == "."
                 j += 1
+            if j == i + 1 and ch == ".":
+                raise ParseError("a number needs a digit, found a lone '.'", i)
             if j < n and source[j] in "eE":
                 k = j + 1
                 if k < n and source[k] in "+-":

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .kernel import TauParams
+from .kernel import TauParams, _branches, _sides
 from .quadrature import DEFAULT_CONFIG, Fn1D, QuadConfig, weighted_mean
 from .weights import Weight
 
@@ -24,38 +24,24 @@ def deviation_S(
 
 def tau(f: Fn1D, w: Weight, params: TauParams, cfg: QuadConfig = DEFAULT_CONFIG) -> float:
     """Deviation of f(x) from the coefficient combination of one-sided means."""
-    s = params.weight_sum
-    left = (
-        weighted_mean(f, w, params.a, params.x, cfg) if params.alpha > 0 else 0.0
+    return f(params.x) - sum(
+        coef * w.integrate_against(f, c, d, cfg) for coef, c, d, _ in _branches(params, w)
     )
-    right = (
-        weighted_mean(f, w, params.x, params.b, cfg) if params.beta > 0 else 0.0
-    )
-    return f(params.x) - (params.alpha * left + params.beta * right) / s
 
 
 def tau_combination(
     f: Fn1D, w: Weight, params: TauParams, cfg: QuadConfig = DEFAULT_CONFIG
 ) -> float:
     """(alpha S_left + beta S_right) / (alpha + beta); algebraically equal to tau."""
-    s = params.weight_sum
-    total = 0.0
-    if params.alpha > 0:
-        total += params.alpha * deviation_S(f, w, params.x, params.a, params.x, cfg)
-    if params.beta > 0:
-        total += params.beta * deviation_S(f, w, params.x, params.x, params.b, cfg)
-    return total / s
+    total = sum(
+        coef * deviation_S(f, w, params.x, c, d, cfg) for coef, c, d, _ in _sides(params)
+    )
+    return total / params.weight_sum
 
 
-def sigma_w(w: Weight, x: float, cfg: QuadConfig = DEFAULT_CONFIG) -> float:
+def sigma_w(w: Weight, x: float) -> float:
     """Mass ratio m(a, b) / m(x, b); >= 1 for nonnegative weights."""
-    total = w.moment(w.a, w.b, cfg)
-    right = w.moment(x, w.b, cfg)
-    if right < 1e-13 * total:
-        from .quadrature import DegenerateIntervalError
-
-        raise DegenerateIntervalError("zero right mass; sigma_w is undefined")
-    return total / right
+    return w.total / w.mass(x, w.b)
 
 
 def tau_decomposed(
@@ -70,7 +56,7 @@ def tau_decomposed(
     if params.beta == 0:
         return tau(f, w, params, cfg)
     s = params.weight_sum
-    sig = sigma_w(w, params.x, cfg)
+    sig = sigma_w(w, params.x)
     left = weighted_mean(f, w, params.a, params.x, cfg)
     full = weighted_mean(f, w, params.a, params.b, cfg)
     frac = params.beta / s * sig

@@ -1,33 +1,26 @@
 """Weighted Peano kernel, its norm integrals, and the identity residual.
 
-The kernel's right branch keeps the oriented (negative) moment so the
-integration-by-parts identity holds exactly; absolute values appear only
-inside the norm integrals, which split at the jump point.
+Every function here walks the branches `_branches` returns: one per
+nonzero coefficient, [a, x] anchored at a and [x, b] anchored at b, where
+the kernel is coef * m(anchor, t). The right branch keeps the oriented
+(negative) moment so the integration-by-parts identity holds exactly;
+absolute values appear only inside the norm integrals, which split at the
+jump point.
 
 kernel_l1 integrates each branch in its Fubini form, one weighted integral
 of the distance to x, so the power weights' endpoint substitution applies
-to it. kernel_lq and identity_residual read the moments t -> m(a, t) and
-t -> m(b, t) inside their integrands from `_moments`: the closed moment
-when the weight has one, else one cumulative table of the weight built
-before the integrals, so no quadrature runs inside an integrand. The table
-comes from `integrate`'s own refinement loop, with a per-panel estimate that
-bounds every partial integral, so each moment read is within abs_tol.
+to it. kernel_lq and identity_residual read t -> m(anchor, t) inside their
+integrands from the weight's `closed_moment`: a closed form, or the one
+table an expression weight builds when it is made. No quadrature runs
+inside an integrand and no table is built per call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable
 
-from .quadrature import (
-    DEFAULT_CONFIG,
-    DegenerateIntervalError,
-    Fn1D,
-    QuadConfig,
-    derivative_callable,
-    integrate,
-)
+from .quadrature import DEFAULT_CONFIG, Fn1D, QuadConfig, derivative_callable, integrate
 from .weights import Weight
 
 __all__ = [
@@ -67,49 +60,33 @@ class TauParams:
         return self.alpha + self.beta
 
 
-def _branch_masses(params: TauParams, w: Weight, cfg: QuadConfig) -> tuple[float, float]:
-    total = w.moment(w.a, w.b, cfg)
-    m_left = w.moment(params.a, params.x, cfg) if params.alpha > 0 else 0.0
-    m_right = w.moment(params.x, params.b, cfg) if params.beta > 0 else 0.0
-    if params.alpha > 0 and m_left < 1e-13 * total:
-        raise DegenerateIntervalError("left branch carries no weight mass")
-    if params.beta > 0 and m_right < 1e-13 * total:
-        raise DegenerateIntervalError("right branch carries no weight mass")
-    return m_left, m_right
+def _sides(params: TauParams) -> list[tuple[float, float, float, float]]:
+    """(coefficient, c, d, anchor) per side with a nonzero coefficient:
+    alpha on [a, x] anchored at a, beta on [x, b] anchored at b."""
+    a, b, x = params.a, params.b, params.x
+    return [side for side in ((params.alpha, a, x, a), (params.beta, x, b, b)) if side[0] > 0]
 
 
-def _moments(
-    params: TauParams, w: Weight, cfg: QuadConfig
-) -> tuple[Callable[[float], float], Callable[[float], float]]:
-    """t -> m(a, t) and t -> m(b, t), each valid on a branch with a coefficient.
-
-    The closed moment when w has one; otherwise one cumulative table of w
-    over the branches in use, built here, so a call runs no quadrature.
+def _branches(params: TauParams, w: Weight) -> list[tuple[float, float, float, float]]:
+    """(coef, c, d, anchor) per side, where coef is the side's share of
+    alpha + beta over its mass (`Weight.mass`, which rejects a degenerate
+    branch); on [c, d] the kernel is coef * m(anchor, t).
     """
-    if w.closed_moment is not None:
-        return partial(w.closed_moment, params.a), partial(w.closed_moment, params.b)
-    lo = params.a if params.alpha > 0 else params.x
-    hi = params.b if params.beta > 0 else params.x
-    table = w.cumulative(lambda t: 1.0, lo, hi, cfg)
-    top = table(hi)
-    return table, lambda t: table(t) - top
+    s = params.weight_sum
+    return [(share / s / w.mass(c, d), c, d, anchor) for share, c, d, anchor in _sides(params)]
 
 
-def peano_kernel(
-    params: TauParams, w: Weight, t: float, cfg: QuadConfig = DEFAULT_CONFIG
-) -> float:
-    """rho(x, t): oriented two-branch kernel, <= 0 on the right branch."""
+def peano_kernel(params: TauParams, w: Weight, t: float) -> float:
+    """rho(x, t): oriented two-branch kernel, <= 0 on the right branch.
+
+    The jump point t = x belongs to the left branch.
+    """
     if t < params.a or t > params.b:
         raise ValueError(f"t={t} outside [{params.a}, {params.b}]")
-    m_left, m_right = _branch_masses(params, w, cfg)
-    s = params.weight_sum
-    if t <= params.x:
-        if params.alpha == 0:
-            return 0.0
-        return (params.alpha / s) * w.moment(params.a, t, cfg) / m_left
-    if params.beta == 0:
-        return 0.0
-    return (params.beta / s) * w.moment(params.b, t, cfg) / m_right
+    for coef, c, d, anchor in _branches(params, w):
+        if c < t <= d:
+            return coef * w.moment(anchor, t)
+    return 0.0  # t = a, or a branch without a coefficient
 
 
 def kernel_l1(params: TauParams, w: Weight, cfg: QuadConfig = DEFAULT_CONFIG) -> float:
@@ -119,16 +96,12 @@ def kernel_l1(params: TauParams, w: Weight, cfg: QuadConfig = DEFAULT_CONFIG) ->
     an integrand: int_a^x m(a, t) dt = int_a^x (x - s) w(s) ds on the left
     and int_x^b m(t, b) dt = int_x^b (s - x) w(s) ds on the right.
     """
-    m_left, m_right = _branch_masses(params, w, cfg)
-    s = params.weight_sum
     x = params.x
     total = 0.0
-    if params.alpha > 0:
-        left = w.integrate_against(lambda t: x - t, params.a, x, cfg)
-        total += (params.alpha / s) * left / m_left
-    if params.beta > 0:
-        right = w.integrate_against(lambda t: t - x, x, params.b, cfg)
-        total += (params.beta / s) * right / m_right
+    for coef, c, d, anchor in _branches(params, w):
+        # |t - x| signed per branch, so no abs() call runs per node
+        dist = (lambda t: x - t) if anchor < x else (lambda t: t - x)
+        total += coef * w.integrate_against(dist, c, d, cfg)
     return total
 
 
@@ -138,26 +111,16 @@ def kernel_lq(
     """Exact (int_a^b |rho(x, t)|^q dt)^(1/q) for q > 1."""
     if q <= 1:
         raise ValueError("kernel_lq requires q > 1")
-    m_left, m_right = _branch_masses(params, w, cfg)
-    from_a, from_b = _moments(params, w, cfg)
-    s = params.weight_sum
     total = 0.0
-    if params.alpha > 0:
-        coef = params.alpha / (s * m_left)
-        total += integrate(
-            lambda t: max(coef * from_a(t), 0.0) ** q, params.a, params.x, cfg
-        )[0]
-    if params.beta > 0:
-        coef = params.beta / (s * m_right)
-        total += integrate(
-            lambda t: max(-coef * from_b(t), 0.0) ** q, params.x, params.b, cfg
-        )[0]
-    return max(total, 0.0) ** (1.0 / q)
+    for coef, c, d, anchor in _branches(params, w):
+        m = partial(w.closed_moment, anchor)
+        total += integrate(lambda t: abs(coef * m(t)) ** q, c, d, cfg)[0]
+    return total ** (1.0 / q)
 
 
-def kernel_sup(params: TauParams, w: Weight, cfg: QuadConfig = DEFAULT_CONFIG) -> float:
+def kernel_sup(params: TauParams, w: Weight) -> float:
     """sup |rho|; equals max(alpha, beta) / (alpha + beta), attained at t = x."""
-    _branch_masses(params, w, cfg)
+    _branches(params, w)  # rejects a branch without mass
     return max(params.alpha, params.beta) / params.weight_sum
 
 
@@ -170,27 +133,10 @@ def identity_residual(
     coefficient-weighted combination of one-sided weighted means.
     Near zero (combined quadrature tolerance) for smooth f.
     """
-    m_left, m_right = _branch_masses(params, w, cfg)
-    from_a, from_b = _moments(params, w, cfg)
-    s = params.weight_sum
     fprime = derivative_callable(f, params.a, params.b)
-
-    lhs = 0.0
-    if params.alpha > 0:
-        coef = params.alpha / (s * m_left)
-        lhs += integrate(
-            lambda t: coef * from_a(t) * fprime(t), params.a, params.x, cfg
-        )[0]
-    if params.beta > 0:
-        coef = params.beta / (s * m_right)
-        lhs += integrate(
-            lambda t: coef * from_b(t) * fprime(t), params.x, params.b, cfg
-        )[0]
-
-    combo = 0.0
-    if params.alpha > 0:
-        combo += params.alpha * w.integrate_against(f, params.a, params.x, cfg) / m_left
-    if params.beta > 0:
-        combo += params.beta * w.integrate_against(f, params.x, params.b, cfg) / m_right
-    rhs = f(params.x) - combo / s
-    return lhs - rhs
+    residual = -f(params.x)
+    for coef, c, d, anchor in _branches(params, w):
+        m = partial(w.closed_moment, anchor)
+        residual += integrate(lambda t: coef * m(t) * fprime(t), c, d, cfg)[0]
+        residual += coef * w.integrate_against(f, c, d, cfg)
+    return residual

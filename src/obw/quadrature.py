@@ -284,7 +284,8 @@ class Cumulative:
     the integral, over the leaf up to t, of the leaf's degree-14 Legendre
     interpolant; g is not evaluated again. `total` and `error` are the
     integral over [c, d] and the table's error estimate, which bounds the
-    error of every query.
+    error of every query. The ends read exactly 0.0 at c and `total` at d,
+    with no interpolant.
     """
 
     def __init__(self, c: float, d: float) -> None:
@@ -310,9 +311,11 @@ class Cumulative:
     def __call__(self, t: float) -> float:
         if not self.c <= t <= self.d:
             raise ValueError(f"t={t} outside the table's [{self.c}, {self.d}]")
-        i = bisect.bisect_right(self._lefts, t) - 1
-        if i < 0:  # an empty table: c == d
+        if t == self.c:
             return 0.0
+        if t == self.d:
+            return self.total
+        i = bisect.bisect_right(self._lefts, t) - 1
         s = (t - self._mids[i]) / self._halves[i]
         acc = 0.0
         p_prev, p = 0.0, 1.0
@@ -340,14 +343,12 @@ def cumulative(
 
 
 def weighted_mean(f, w, c: float, d: float, cfg: QuadConfig = DEFAULT_CONFIG) -> float:
-    """Weighted integral mean of f over [c, d]: int(f w) / int(w)."""
+    """Weighted integral mean of f over [c, d]: int(f w) / int(w).
+
+    DegenerateIntervalError when [c, d] carries no weight mass (`Weight.mass`).
+    """
     lo, hi = (c, d) if c <= d else (d, c)
-    mass = w.moment(lo, hi, cfg)
-    total = w.moment(w.a, w.b, cfg)
-    if mass < 1e-13 * total:
-        raise DegenerateIntervalError(
-            f"zero weight mass on [{lo}, {hi}]; weighted mean is undefined"
-        )
+    mass = w.mass(lo, hi)
     return w.integrate_against(f, lo, hi, cfg) / mass
 
 

@@ -119,7 +119,7 @@ def run_verify_suites(cfg: QuadConfig = DEFAULT_CONFIG) -> SuiteReport:
     for x in reduction_x:
         for alpha, beta in reduction_coeffs:
             params = TauParams(a=uniform.a, b=uniform.b, x=x, alpha=alpha, beta=beta)
-            paper = bounds_paper(params, uniform, norms, 2.0, cfg)
+            paper = bounds_paper(params, uniform, norms, 2.0)
             legacy = bounds_cerone(x, alpha, beta, uniform.a, uniform.b, norms, 2.0)
             report.reduction_checked += 1
             for pv, lv in zip(paper.as_tuple(), legacy.as_tuple()):

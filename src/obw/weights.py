@@ -4,14 +4,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, Optional
 
 from scipy.special import beta as beta_fn
 from scipy.special import betainc
 
-from .quadrature import DEFAULT_CONFIG, QuadConfig, cumulative, integrate
+from .quadrature import (
+    DEFAULT_CONFIG,
+    DegenerateIntervalError,
+    QuadConfig,
+    cumulative,
+    integrate,
+)
 
-__all__ = ["Weight", "DomainError", "WeightSpecError", "builtin_weight"]
+__all__ = ["Weight", "DomainError", "WeightSpecError", "builtin_weight", "tabulated_weight"]
 
 
 class DomainError(ValueError):
@@ -26,8 +33,10 @@ class WeightSpecError(ValueError):
 class Weight:
     """Nonnegative integrable density on [a, b].
 
-    `closed_moment(c, d)` when present returns the oriented integral of w
-    over [c, d] in closed form. `substitution(g, c, d)`, when present,
+    `closed_moment(c, d)` returns the oriented integral of w over [c, d]:
+    in closed form for the built-in weights, from one table for a weight
+    given only as a function (`tabulated_weight`); it evaluates neither w
+    nor a quadrature. `substitution(g, c, d)`, when present,
     describes int_c^d g(t) w(t) dt as a list of pieces, each a change of
     variable that regularizes an endpoint singularity of w; otherwise the
     product g w is integrated as it is. A piece is a tuple
@@ -42,7 +51,7 @@ class Weight:
     a: float
     b: float
     fn: Callable[[float], float]
-    closed_moment: Optional[Callable[[float, float], float]] = None
+    closed_moment: Callable[[float, float], float]
     substitution: Optional[Callable[..., list[tuple]]] = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
@@ -57,13 +66,26 @@ class Weight:
             raise DomainError(f"t={t} outside weight domain [{self.a}, {self.b}]")
         return self.fn(t)
 
-    def moment(self, c: float, d: float, cfg: QuadConfig = DEFAULT_CONFIG) -> float:
+    def moment(self, c: float, d: float) -> float:
         """Oriented moment m(c, d) = int_c^d w(t) dt; negative when d < c."""
         if c == d:
             return 0.0
-        if self.closed_moment is not None:
-            return self.closed_moment(c, d)
-        return self.integrate_against(lambda t: 1.0, c, d, cfg)
+        return self.closed_moment(c, d)
+
+    @cached_property
+    def total(self) -> float:
+        """m(a, b), computed once per weight."""
+        return self.moment(self.a, self.b)
+
+    def mass(self, c: float, d: float) -> float:
+        """m(c, d) of an interval that needs weight, such as a branch of the
+        kernel or the range of a weighted mean. Raises DegenerateIntervalError
+        when it is numerically zero against the total.
+        """
+        m = self.moment(c, d)
+        if m < 1e-13 * self.total:
+            raise DegenerateIntervalError(f"zero weight mass on [{c}, {d}]")
+        return m
 
     def _pieces(self, g, c: float, d: float) -> list[tuple]:
         """The substitution's pieces of int_c^d g w, or the one plain piece."""
@@ -225,6 +247,19 @@ def _power(a: float, b: float, p: float, q: float) -> Weight:
         closed_moment=closed,
         substitution=substitution if (p < 0 or q < 0) else None,
     )
+
+
+def tabulated_weight(
+    name: str, fn: Callable[[float], float], a: float, b: float, cfg: QuadConfig = DEFAULT_CONFIG
+) -> Weight:
+    """The weight fn on [a, b], its moments read from one cumulative table
+    built now. The table is within abs_tol / 2 at every point, so a moment,
+    the difference of two reads, is within abs_tol.
+    """
+    if not a < b:
+        raise ValueError("weight domain requires a < b")
+    table = cumulative(fn, a, b, replace(cfg, abs_tol=cfg.abs_tol / 2))
+    return Weight(name=name, a=a, b=b, fn=fn, closed_moment=lambda c, d: table(d) - table(c))
 
 
 def builtin_weight(spec: str, a: float, b: float, **params: float) -> Weight:

@@ -542,3 +542,24 @@ class TestDeterminism:
     def test_no_command_prints_usage(self, capsys):
         code, _, err = run(capsys)
         assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("sharpness", "--x-grid", "0"),
+    ("audit", "--x-grid", "0"),
+    ("audit", "--x-grid", "-3"),
+    ("cdf", "--density", "1", "--x-grid", "0"),
+], ids=["sharpness", "audit-0", "audit-neg", "cdf"])
+def test_x_grid_below_one_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "--x-grid must be at least 1" in err
+
+
+@pytest.mark.parametrize("source", [".", "t+.", "..5"])
+def test_number_without_digit_is_usage_error(capsys, source):
+    code, out, err = run(capsys, "bounds", "--x", "0.5", "--function", source)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error: a number needs a digit")

@@ -49,6 +49,14 @@ class TestPeanoKernel:
     def test_vanishes_at_left_endpoint(self, expdecay):
         assert peano_kernel(mid_params(), expdecay, 0.0) == pytest.approx(0.0, abs=1e-14)
 
+    def test_jump_point_of_one_sided_pairs(self, expdecay):
+        # t = x belongs to the left branch: zero without it, alpha / (alpha + beta) with it
+        assert peano_kernel(mid_params(alpha=0.0, beta=2.0, x=0.4), expdecay, 0.4) == 0.0
+        assert peano_kernel(mid_params(alpha=2.0, beta=0.0, x=0.4), expdecay, 0.4) == (
+            pytest.approx(1.0, abs=1e-14)
+        )
+        assert peano_kernel(mid_params(alpha=0.0, beta=2.0, x=0.0), expdecay, 0.0) == 0.0
+
     def test_sign_structure(self):
         for w in corpus_weights():
             params = mid_params(alpha=2.0, beta=3.0, x=0.4)

@@ -115,6 +115,11 @@ class TestCumulative:
         assert table(0.2) == pytest.approx(0.0, abs=1e-15)
         assert table(1.7) == pytest.approx(table.total, abs=1e-15)
 
+    def test_ends_are_exact(self):
+        table = cumulative(lambda t: math.exp(3 * t) * math.sin(7 * t) + 2, -0.3, 1.1)
+        assert table(-0.3) == 0.0
+        assert table(1.1) == table.total
+
     def test_empty_interval(self):
         table = cumulative(math.exp, 0.5, 0.5)
         assert table(0.5) == 0.0

@@ -4,14 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from obw.quadrature import QuadConfig, integrate
-from obw.weights import DomainError, Weight, builtin_weight
+from obw.quadrature import DegenerateIntervalError, QuadConfig, integrate
+from obw.weights import DomainError, builtin_weight, tabulated_weight
 
 
 def numeric_moment(w, c, d):
     """Independent oracle: moment without the closed form."""
-    stripped = Weight(name="numeric", a=w.a, b=w.b, fn=w.fn, substitution=w.substitution)
-    return stripped.moment(c, d)
+    return w.integrate_against(lambda t: 1.0, c, d)
 
 
 class TestEval:
@@ -210,3 +209,42 @@ class TestCumulative:
     def test_empty_interval(self):
         table = builtin_weight("arcsine", 0, 1).cumulative(lambda t: 1.0, 0.4, 0.4)
         assert table(0.4) == 0.0
+
+
+def _kink_primitive(t):
+    # int_0^t (|s - 0.37| + 0.1) ds
+    return 0.1 * t + ((t - 0.37) * abs(t - 0.37) + 0.37 * 0.37) / 2
+
+
+class TestTabulatedWeight:
+    CASES = [
+        ("1 + t", lambda t: 1 + t, lambda t: t + t * t / 2),
+        ("exp(t)", math.exp, math.exp),
+        ("abs(t - 0.37) + 0.1", lambda t: abs(t - 0.37) + 0.1, _kink_primitive),
+    ]
+    PAIRS = [(0.0, 1.0), (1.0, 0.0), (0.0, 0.37), (0.37, 1.0), (0.2, 0.9), (0.9, 0.2),
+             (0.61, 0.05), (0.5, 0.5)]
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-12])
+    @pytest.mark.parametrize("name, fn, primitive", CASES, ids=[c[0] for c in CASES])
+    def test_moments_match_closed_forms(self, name, fn, primitive, tol):
+        w = tabulated_weight(name, fn, 0.0, 1.0, QuadConfig(abs_tol=tol))
+        for c, d in self.PAIRS:
+            assert abs(w.moment(c, d) - (primitive(d) - primitive(c))) <= tol, (c, d)
+        assert abs(w.total - (primitive(1.0) - primitive(0.0))) <= tol
+
+    def test_requires_a_below_b(self):
+        with pytest.raises(ValueError, match="a < b"):
+            tabulated_weight("one", lambda t: 1.0, 1.0, 0.0)
+
+
+class TestMass:
+    def test_degenerate_branch_is_rejected(self):
+        w = builtin_weight("decreasing", 0, 1)
+        with pytest.raises(DegenerateIntervalError):
+            w.mass(1 - 1e-8, 1)
+
+    def test_mass_is_the_moment(self):
+        w = builtin_weight("decreasing", 0, 1)
+        assert w.mass(0.2, 0.7) == w.moment(0.2, 0.7)
+        assert w.total == w.moment(0, 1)

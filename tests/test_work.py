@@ -2,8 +2,9 @@
 
 Deterministic counts, no wall time: kernel_l1 takes its weight moments
 outside any integrand, kernel_lq, identity_residual and the CDF report read
-moments and F_w from tables built before their integrals, and a compiled
-expression is one Python call.
+moments and F_w from closed forms or tables built before their integrals,
+an expression weight's moments run no quadrature, and a compiled expression
+is one Python call.
 """
 
 import math
@@ -11,6 +12,7 @@ import sys
 
 import pytest
 
+import obw.cli
 import obw.expr
 import obw.suites
 from obw import quadrature
@@ -19,20 +21,24 @@ from obw.corpus import COEFF_PAIRS, corpus_functions, corpus_weights, corpus_x_v
 from obw.expr import as_fn1d, compile_expr, parse
 from obw.kernel import TauParams, identity_residual, kernel_l1, kernel_lq
 from obw.quadrature import QuadConfig
-from obw.weights import Weight, builtin_weight
+from obw.weights import Weight, builtin_weight, tabulated_weight
 
 
 @pytest.fixture
 def counts(monkeypatch):
-    """Counters on Weight.moment and on quadrature.integrate in every obw module."""
-    counts = {"moment": 0, "integrate": 0, "nested": 0}
+    """Counters on Weight.moment and on quadrature.integrate in every obw module;
+    "nested" counts integrate calls inside an integrand, "in_moment" those
+    inside a Weight.moment call."""
+    counts = {"moment": 0, "integrate": 0, "nested": 0, "in_moment": 0}
     inside = [0]
+    in_moment = [0]
     integrate = quadrature.integrate
     moment = Weight.moment
 
     def counted_integrate(g, *args, **kwargs):
         counts["integrate"] += 1
         counts["nested"] += inside[0] > 0
+        counts["in_moment"] += in_moment[0] > 0
 
         def integrand(t):
             inside[0] += 1
@@ -45,7 +51,11 @@ def counts(monkeypatch):
 
     def counted_moment(self, *args, **kwargs):
         counts["moment"] += 1
-        return moment(self, *args, **kwargs)
+        in_moment[0] += 1
+        try:
+            return moment(self, *args, **kwargs)
+        finally:
+            in_moment[0] -= 1
 
     for name, module in list(sys.modules.items()):
         if name.startswith("obw") and getattr(module, "integrate", None) is integrate:
@@ -55,7 +65,7 @@ def counts(monkeypatch):
 
 
 def expression_weight():
-    return Weight(name="expr", a=0.0, b=1.0, fn=compile_expr(parse("abs(t - 0.37) + 0.1")))
+    return tabulated_weight("expr", compile_expr(parse("abs(t - 0.37) + 0.1")), 0.0, 1.0)
 
 
 WEIGHTS = [*corpus_weights(), expression_weight()]
@@ -79,6 +89,15 @@ def test_kernel_lq_and_identity_residual_do_not_nest(counts, alpha, beta):
     assert counts["nested"] == 0
     assert counts["moment"] <= 6  # the branch masses of each call
     assert counts["integrate"] >= 2
+
+
+def test_expression_weight_moments_run_no_quadrature(counts, capsys):
+    # the weight's one table is built when it is made; a moment reads it
+    argv = ["bounds", "--x", "0.3", "--function", "sin(3*t) + t^2", "--weight-expr", "1 + t"]
+    assert obw.cli.main(argv) == 0
+    assert counts["moment"] >= 2
+    assert counts["integrate"] >= 1
+    assert counts["in_moment"] == 0
 
 
 def density_models():
