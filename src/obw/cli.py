@@ -137,10 +137,19 @@ def _function(text: str, a: float, b: float) -> Fn1D:
 
 
 def _weight_expr(text: str, a: float, b: float, cfg: QuadConfig) -> Weight:
-    """The weight w(t) = text; it must not be negative on the sample grid."""
+    """The weight w(t) = text: not negative on the sample grid, with positive mass."""
     fn = compile_expr(parse(text))
     _check_samples(fn, a, b, "--weight-expr", nonnegative=True)
-    return tabulated_weight(text, fn, a, b, cfg)
+    w = tabulated_weight(text, fn, a, b, cfg)
+    if not w.total > 0:
+        raise ValueError(f"--weight-expr has no positive mass on [{a:g}, {b:g}]")
+    return w
+
+
+def _check_x(x: float, w: Weight) -> None:
+    """--x must lie in the weight's domain [a, b]."""
+    if not w.a <= x <= w.b:
+        raise _UsageError(f"--x must lie in [a, b] = [{w.a:g}, {w.b:g}], got {x:g}")
 
 
 def _interior_grid(a: float, b: float, n: int) -> list[float]:
@@ -165,6 +174,7 @@ def _cmd_bounds(args, cfg: QuadConfig) -> tuple[str, int]:
         w = _weight_expr(args.weight_expr, args.a, args.b, cfg)
     else:
         w = _weight("uniform" if args.weight is None else args.weight, args.a, args.b)
+    _check_x(args.x, w)
     params = TauParams(a=args.a, b=args.b, x=args.x, alpha=args.alpha, beta=args.beta)
     result = bound_set(f, w, params, args.p, cfg)
 
@@ -211,7 +221,7 @@ def _cmd_verify(args, cfg: QuadConfig) -> tuple[str, int]:
 def _cmd_audit(args, cfg: QuadConfig) -> tuple[str, int]:
     xs = _interior_grid(args.a, args.b, args.x_grid)
     weights = _weights(args.weights, args.a, args.b)
-    rows = audit_paper_vs_exact(weights, xs, _coeff_pairs(args.alphas), cfg=cfg)
+    rows = audit_paper_vs_exact(weights, xs, _coeff_pairs(args.alphas), cfg)
     text = _csv(
         AUDIT_COLUMNS,
         [
@@ -246,8 +256,10 @@ def _cmd_cdf(args, cfg: QuadConfig) -> tuple[str, int]:
 
     xs = [args.x] if args.x is not None else _interior_grid(args.a, args.b, args.x_grid)
     w = _weight(args.weight, args.a, args.b)
+    if args.x is not None:
+        _check_x(args.x, w)
     model = normalized_density(_expression(args.density, "--density", args.a, args.b), w, cfg)
-    rows = cdf_report(model, xs, args.alpha, args.beta, args.p, cfg)
+    rows = cdf_report(model, xs, args.alpha, args.beta, args.p)
     return _csv(CDF_COLUMNS, map(astuple, rows)), EXIT_OK
 
 

@@ -80,10 +80,10 @@ class Weight:
     def mass(self, c: float, d: float) -> float:
         """m(c, d) of an interval that needs weight, such as a branch of the
         kernel or the range of a weighted mean. Raises DegenerateIntervalError
-        when it is numerically zero against the total.
+        when it is numerically zero against the total, or the total is zero.
         """
         m = self.moment(c, d)
-        if m < 1e-13 * self.total:
+        if not m > 1e-13 * self.total:
             raise DegenerateIntervalError(f"zero weight mass on [{c}, {d}]")
         return m
 

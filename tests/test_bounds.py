@@ -16,7 +16,7 @@ from obw.bounds import (
 )
 from obw.corpus import corpus_functions, corpus_weights
 from obw.functionals import tau
-from obw.kernel import TauParams
+from obw.kernel import TauParams, kernel_l1
 from obw.norms import NormTriple, norm_triple
 from obw.quadrature import Fn1D, derivative_callable
 from obw.weights import builtin_weight
@@ -224,8 +224,9 @@ class TestAudit:
         assert row.ratio == pytest.approx(0.3, abs=1e-6)
         assert row.paper_inf_factor == pytest.approx(0.0909091, abs=1e-5)
         assert row.exact_inf_factor == pytest.approx(0.3030303, abs=1e-5)
-        # witness deviation (unit sup-norm derivative) exceeds the printed bound
-        assert row.witness_tau > row.paper_inf_factor
+        # the sign-kernel witness (unit sup-norm derivative) exceeds the printed bound
+        params = params_at(0.9)
+        assert abs(tau(sign_kernel_fn(params), decreasing, params)) > row.paper_inf_factor
 
     def test_increasing_near_right_end_looser_unflagged(self, increasing):
         rows = audit_paper_vs_exact([increasing], [0.95], [(1.0, 1.0)])
@@ -233,13 +234,19 @@ class TestAudit:
         assert row.ratio > 1.0
         assert not row.flagged
 
-    def test_witness_checks_out(self, decreasing):
-        params = params_at(0.9)
-        f = sign_kernel_fn(params)
-        dev = abs(tau(f, decreasing, params))
-        from obw.kernel import kernel_l1
-
-        assert dev == pytest.approx(kernel_l1(params, decreasing), abs=1e-8)
+    @pytest.mark.parametrize("name, kwargs", [
+        ("decreasing", {}), ("arcsine", {}), ("power", {"p": -0.3}),
+        ("exponential", {}), ("truncnorm", {}),
+    ], ids=["decreasing", "arcsine", "power:p=-0.3", "exponential", "truncnorm"])
+    @pytest.mark.parametrize("x", [0.1, 0.5, 0.9])
+    def test_witness_checks_out(self, name, kwargs, x):
+        # Hoelder's equality: |tau(sign kernel)| is the exact factor the audit reports
+        w = builtin_weight(name, 0.0, 1.0, **kwargs)
+        params = params_at(x)
+        dev = abs(tau(sign_kernel_fn(params), w, params))
+        (row,) = audit_paper_vs_exact([w], [x], [(1.0, 1.0)])
+        assert dev == pytest.approx(kernel_l1(params, w), abs=1e-8)
+        assert dev == pytest.approx(row.exact_inf_factor, abs=1e-8)
 
 
 class TestSoundnessSweep:

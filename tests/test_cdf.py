@@ -6,6 +6,7 @@ from obw.cdf import (
     DensityModel,
     cdf_bound_general,
     cdf_bound_left,
+    cdf_report,
     cdf_value,
     expectation_identity_check,
     normalized_density,
@@ -56,13 +57,13 @@ class TestModel:
 
     def test_mass_integrated_at_the_callers_config(self, monkeypatch):
         seen = []
-        original = Weight.integrate_against
+        original = Weight.cumulative
 
         def recording(self, g, c, d, cfg=DEFAULT_CONFIG):
             seen.append(cfg)
             return original(self, g, c, d, cfg)
 
-        monkeypatch.setattr(Weight, "integrate_against", recording)
+        monkeypatch.setattr(Weight, "cumulative", recording)
         cfg = QuadConfig(abs_tol=1e-12)
         w = builtin_weight("uniform", 0, 1)
         DensityModel(density=Fn1D(fn=lambda t: 2 * t), weight=w, cfg=cfg)
@@ -74,6 +75,25 @@ class TestModel:
         DensityModel(density=f, weight=w, cfg=QuadConfig(abs_tol=1e-6))
         with pytest.raises(ValueError, match="mass"):
             DensityModel(density=f, weight=w)
+
+    def test_one_table_serves_every_function(self, monkeypatch):
+        tables = []
+        original = Weight.cumulative
+
+        def recording(self, *args, **kwargs):
+            tables.append(args)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Weight, "cumulative", recording)
+        bump = Fn1D(fn=lambda t: 1.0 + t * t, derivative=lambda t: 2 * t)
+        model = normalized_density(bump, builtin_weight("increasing", 0, 1))
+        params = TauParams(a=0.0, b=1.0, x=0.4, alpha=1.0, beta=2.0)
+        cdf_report(model, [0.2, 0.6], 1.0, 2.0)
+        cdf_value(model, 0.3)
+        cdf_bound_general(model, params)
+        cdf_bound_left(model, 0.7)
+        expectation_identity_check(model)
+        assert len(tables) == 1
 
     def test_normalized_density_helper(self):
         w = builtin_weight("increasing", 0, 1)

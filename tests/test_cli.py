@@ -86,13 +86,20 @@ class TestBoundsCommand:
 
     @pytest.mark.parametrize("argv, kind", [
         (("--function", "1/t"), "OverflowError"),
-        (("--function", "t^2", "--weight-expr", "0*t"), "ZeroDivisionError"),
     ])
     def test_arithmetic_error_is_compute_error(self, capsys, argv, kind):
         code, out, err = run(capsys, "bounds", "--x", "0.5", *argv)
         assert code == 1
         assert out == ""
         assert f"error: arithmetic failure ({kind}" in err
+
+    def test_zero_weight_is_compute_error(self, capsys):
+        code, out, err = run(
+            capsys, "bounds", "--x", "0.5", "--function", "t^2", "--weight-expr", "0*t"
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: --weight-expr has no positive mass on [0, 1]\n"
 
 
 def _exit_and_stderr(argv):
@@ -555,6 +562,19 @@ def test_x_grid_below_one_is_usage_error(capsys, argv):
     assert code == 2
     assert out == ""
     assert "--x-grid must be at least 1" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("bounds", "--x", "1.5", "--beta", "0", "--function", "t^2"),
+    ("bounds", "--x", "1.5", "--function", "t^2"),
+    ("cdf", "--x", "1.5", "--density", "2*t"),
+    ("bounds", "--x", "nan", "--function", "t^2"),
+], ids=["bounds-beta-0", "bounds", "cdf", "nan"])
+def test_x_outside_interval_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error: --x must lie in [a, b] = [0, 1], got ")
 
 
 @pytest.mark.parametrize("source", [".", "t+.", "..5"])

@@ -248,3 +248,8 @@ class TestMass:
         w = builtin_weight("decreasing", 0, 1)
         assert w.mass(0.2, 0.7) == w.moment(0.2, 0.7)
         assert w.total == w.moment(0, 1)
+
+    def test_zero_total_is_rejected(self):
+        w = tabulated_weight("zero", lambda t: 0.0, 0, 1)
+        with pytest.raises(DegenerateIntervalError):
+            w.mass(0.2, 0.7)

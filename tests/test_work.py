@@ -12,6 +12,7 @@ import sys
 
 import pytest
 
+import obw.bounds
 import obw.cli
 import obw.expr
 import obw.suites
@@ -111,11 +112,25 @@ def density_models():
 
 @pytest.mark.parametrize("model", density_models(), ids=["arcsine", "expression"])
 def test_cdf_layer_does_not_nest(counts, model):
-    cfg = QuadConfig(abs_tol=1e-12)
-    expectation_identity_check(model, cfg)
-    cdf_report(model, [0.2, 0.5, 0.8], 1.0, 2.0, 2.0, cfg)
+    expectation_identity_check(model)
+    cdf_report(model, [0.2, 0.5, 0.8], 1.0, 2.0, 2.0)
     assert counts["nested"] == 0
     assert counts["integrate"] >= 2
+
+
+def test_audit_takes_no_deviation(monkeypatch, capsys):
+    # the exact factor is the witness's |tau| (Hoelder's equality): no second computation
+    calls = []
+    tau = obw.bounds.tau
+
+    def counted(*args):
+        calls.append(args)
+        return tau(*args)
+
+    monkeypatch.setattr(obw.bounds, "tau", counted)
+    assert obw.cli.main(["audit", "--weights", "decreasing,arcsine", "--x-grid", "9"]) == 0
+    assert "1" in {line.split(",")[-1] for line in capsys.readouterr().out.splitlines()}
+    assert calls == []
 
 
 def test_counters_see_nested_quadrature(counts):
