@@ -7,12 +7,14 @@ the kernel is coef * m(anchor, t). The right branch keeps the oriented
 absolute values appear only inside the norm integrals, which split at the
 jump point.
 
-kernel_l1 integrates each branch in its Fubini form, one weighted integral
-of the distance to x, so the power weights' endpoint substitution applies
-to it. kernel_lq and identity_residual read t -> m(anchor, t) inside their
-integrands from the weight's `closed_moment`: a closed form, or the one
-table an expression weight builds when it is made. No quadrature runs
-inside an integrand and no table is built per call.
+kernel_l1 reads each branch from the weight's `moment_l1`, the integral
+of |m(anchor, t)| between the anchor and x: a closed form for the built-in
+weights, so it runs no quadrature, and one weighted integral of the
+distance to x (the Fubini form) for an expression weight. kernel_lq and
+identity_residual read t -> m(anchor, t) inside their integrands from the
+weight's `closed_moment`: a closed form, or the one table an expression
+weight builds when it is made. No quadrature runs inside an integrand and
+no table is built per call.
 """
 
 from __future__ import annotations
@@ -92,17 +94,12 @@ def peano_kernel(params: TauParams, w: Weight, t: float) -> float:
 def kernel_l1(params: TauParams, w: Weight, cfg: QuadConfig = DEFAULT_CONFIG) -> float:
     """Exact int_a^b |rho(x, t)| dt, split at the jump point t = x.
 
-    By Fubini each branch is one weighted integral, with no moment inside
-    an integrand: int_a^x m(a, t) dt = int_a^x (x - s) w(s) ds on the left
-    and int_x^b m(t, b) dt = int_x^b (s - x) w(s) ds on the right.
+    Each branch is coef * int |m(anchor, t)| dt between its anchor and x,
+    the weight's `moment_l1`; cfg reaches only a weight without a closed
+    form for it.
     """
     x = params.x
-    total = 0.0
-    for coef, c, d, anchor in _branches(params, w):
-        # |t - x| signed per branch, so no abs() call runs per node
-        dist = (lambda t: x - t) if anchor < x else (lambda t: t - x)
-        total += coef * w.integrate_against(dist, c, d, cfg)
-    return total
+    return sum(coef * w.moment_l1(anchor, x, cfg) for coef, _, _, anchor in _branches(params, w))
 
 
 def kernel_lq(

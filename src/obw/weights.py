@@ -36,10 +36,16 @@ class Weight:
     `closed_moment(c, d)` returns the oriented integral of w over [c, d]:
     in closed form for the built-in weights, from one table for a weight
     given only as a function (`tabulated_weight`); it evaluates neither w
-    nor a quadrature. `substitution(g, c, d)`, when present,
+    nor a quadrature. `moment_l1(anchor, x, cfg)`, for anchor a or b,
+    returns the integral of |m(anchor, t)| dt between anchor and x, which
+    by Fubini is int |x - s| w(s) ds over the same stretch (the kernel's L1
+    branch): in closed form for the built-in weights, each written about
+    its anchor so little cancels; one quadrature at cfg for a weight given
+    only as a function. `substitution(g, c, d)`, when present,
     describes int_c^d g(t) w(t) dt as a list of pieces, each a change of
-    variable that regularizes an endpoint singularity of w; otherwise the
-    product g w is integrated as it is. A piece is a tuple
+    variable that regularizes w at an end where it is singular or has an
+    unbounded slope; otherwise the product g w is integrated as it is.
+    A piece is a tuple
     (hi, s_lo, s_hi, h, s_of, reverse) for the stretch [lo, hi] of t that
     starts where the previous piece ends (at c for the first): there
     int g w dt = int_{s_lo}^{s_hi} h(s) ds, where s = s_of(t) maps [lo, hi]
@@ -52,6 +58,7 @@ class Weight:
     b: float
     fn: Callable[[float], float]
     closed_moment: Callable[[float, float], float]
+    moment_l1: Callable[[float, float, QuadConfig], float]
     substitution: Optional[Callable[..., list[tuple]]] = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
@@ -148,7 +155,19 @@ def _uniform(a: float, b: float) -> Weight:
         b=b,
         fn=lambda t: 1.0,
         closed_moment=lambda c, d: d - c,
+        moment_l1=lambda anchor, x, cfg: 0.5 * (x - anchor) ** 2,
     )
+
+
+def _phi(u: float) -> float:
+    """e^(-u) - 1 + u; its Taylor series where the closed form cancels."""
+    if abs(u) >= 0.1:
+        return math.expm1(-u) + u
+    total, term = 0.0, 0.5 * u * u
+    for k in range(3, 13):
+        total += term
+        term *= -u / k
+    return total
 
 
 def _exponential(a: float, b: float, lam: float) -> Weight:
@@ -156,7 +175,12 @@ def _exponential(a: float, b: float, lam: float) -> Weight:
         return _uniform(a, b)
 
     def closed(c: float, d: float) -> float:
-        return (math.exp(-lam * c) - math.exp(-lam * d)) / lam
+        # about c, so a short interval is not a difference of near values
+        return -math.exp(-lam * c) * math.expm1(-lam * (d - c)) / lam
+
+    def moment_l1(anchor: float, x: float, cfg: QuadConfig) -> float:
+        # int (x - s) e^(-lam s) ds from anchor to x, about the anchor
+        return math.exp(-lam * anchor) * _phi(lam * (x - anchor)) / (lam * lam)
 
     return Weight(
         name=f"exponential(lam={lam:g})",
@@ -164,6 +188,7 @@ def _exponential(a: float, b: float, lam: float) -> Weight:
         b=b,
         fn=lambda t: math.exp(-lam * t),
         closed_moment=closed,
+        moment_l1=moment_l1,
     )
 
 
@@ -173,16 +198,35 @@ def _truncnorm(a: float, b: float, mu: float, sigma: float) -> Weight:
     s2 = sigma * math.sqrt(2.0)
     amp = sigma * math.sqrt(math.pi / 2.0)
 
+    def fn(t: float) -> float:
+        return math.exp(-0.5 * ((t - mu) / sigma) ** 2)
+
     def closed(c: float, d: float) -> float:
-        return amp * (math.erf((d - mu) / s2) - math.erf((c - mu) / s2))
+        # erfc differences on the side of mu the interval leans to, so a
+        # mass in a tail is not a difference of two erf values near +-1
+        uc, ud = (c - mu) / s2, (d - mu) / s2
+        if uc + ud > 0:
+            return amp * (math.erfc(uc) - math.erfc(ud))
+        return amp * (math.erfc(-ud) - math.erfc(-uc))
+
+    def moment_l1(anchor: float, x: float, cfg: QuadConfig) -> float:
+        # int (x - s) w ds = (x - mu) m - int (s - mu) w ds, and
+        # (s - mu) w(s) is the derivative of -sigma^2 w(s)
+        return (x - mu) * closed(anchor, x) - sigma * sigma * (fn(anchor) - fn(x))
 
     return Weight(
         name=f"truncnorm(mu={mu:g},sigma={sigma:g})",
         a=a,
         b=b,
-        fn=lambda t: math.exp(-0.5 * ((t - mu) / sigma) ** 2),
+        fn=fn,
         closed_moment=closed,
+        moment_l1=moment_l1,
     )
+
+
+def _rough(e: float) -> bool:
+    """Whether (t-a)^e, -1 < e, is singular or has an unbounded slope at a."""
+    return e < 0 or 0 < e < 1
 
 
 def _power(a: float, b: float, p: float, q: float) -> Weight:
@@ -190,7 +234,10 @@ def _power(a: float, b: float, p: float, q: float) -> Weight:
     if p <= -1 or q <= -1:
         raise ValueError("power weight requires p > -1 and q > -1 for integrability")
     span = b - a
-    bcoef = beta_fn(p + 1, q + 1) * span ** (p + q + 1)
+    bfull = beta_fn(p + 1, q + 1)
+    bcoef = bfull * span ** (p + q + 1)
+    l1coef = span ** (p + q + 2)
+    bleft, bright = beta_fn(p + 2, q + 1), beta_fn(q + 2, p + 1)
 
     def fn(t: float) -> float:
         u, v = t - a, b - t
@@ -199,8 +246,21 @@ def _power(a: float, b: float, p: float, q: float) -> Weight:
         return left * right
 
     def closed(c: float, d: float) -> float:
+        # read from the nearer end, so a mass that ends at b is not 1 - I_z
+        if c + d > a + b:
+            yc, yd = (b - c) / span, (b - d) / span
+            return bcoef * (betainc(q + 1, p + 1, yc) - betainc(q + 1, p + 1, yd))
         zc, zd = (c - a) / span, (d - a) / span
         return bcoef * (betainc(p + 1, q + 1, zd) - betainc(p + 1, q + 1, zc))
+
+    def moment_l1(anchor: float, x: float, cfg: QuadConfig) -> float:
+        # int_0^z (z - u) u^p (1-u)^q du, z the branch length over span,
+        # mirrored (p and q swapped) for the branch anchored at b
+        if anchor == a:
+            z, near, far, bnext = (x - a) / span, p + 1, q + 1, bleft
+        else:
+            z, near, far, bnext = (b - x) / span, q + 1, p + 1, bright
+        return l1coef * (z * bfull * betainc(near, far, z) - bnext * betainc(near + 1, far, z))
 
     mid = 0.5 * (a + b)
     ep, eq = 1.0 + p, 1.0 + q
@@ -212,12 +272,13 @@ def _power(a: float, b: float, p: float, q: float) -> Weight:
         return (b - t) ** eq
 
     def substitution(g, c: float, d: float) -> list[tuple]:
-        # Split at the domain midpoint; substitute near a singular endpoint
-        # so the adaptive engine only ever sees bounded integrands.
+        # Split at the domain midpoint; substitute near an endpoint where w
+        # is singular or has an unbounded derivative, so the adaptive engine
+        # only ever sees bounded integrands with bounded slope there.
         pieces = []
         lo, hi = c, min(d, mid)
         if lo < hi:
-            if p < 0:
+            if _rough(p):
                 def left(s: float) -> float:
                     # s = (t-a)^(1+p) turns (t-a)^p dt into ds/(1+p)
                     t = a + s ** (1.0 / ep)
@@ -228,7 +289,7 @@ def _power(a: float, b: float, p: float, q: float) -> Weight:
                 pieces.append((hi, lo, hi, lambda t: g(t) * fn(t), None, False))
         lo, hi = max(c, mid), d
         if lo < hi:
-            if q < 0:
+            if _rough(q):
                 def right(s: float) -> float:
                     # s = (b-t)^(1+q), decreasing in t
                     t = b - s ** (1.0 / eq)
@@ -245,7 +306,8 @@ def _power(a: float, b: float, p: float, q: float) -> Weight:
         b=b,
         fn=fn,
         closed_moment=closed,
-        substitution=substitution if (p < 0 or q < 0) else None,
+        moment_l1=moment_l1,
+        substitution=substitution if (_rough(p) or _rough(q)) else None,
     )
 
 
@@ -254,12 +316,29 @@ def tabulated_weight(
 ) -> Weight:
     """The weight fn on [a, b], its moments read from one cumulative table
     built now. The table is within abs_tol / 2 at every point, so a moment,
-    the difference of two reads, is within abs_tol.
+    the difference of two reads, is within abs_tol. `moment_l1` has no
+    closed form here: it is one `integrate_against` at the caller's cfg.
     """
     if not a < b:
         raise ValueError("weight domain requires a < b")
     table = cumulative(fn, a, b, replace(cfg, abs_tol=cfg.abs_tol / 2))
-    return Weight(name=name, a=a, b=b, fn=fn, closed_moment=lambda c, d: table(d) - table(c))
+
+    def moment_l1(anchor: float, x: float, cfg: QuadConfig) -> float:
+        # the Fubini form int |x - s| w(s) ds, signed per side so that no
+        # abs() call runs per node
+        if anchor < x:
+            return w.integrate_against(lambda s: x - s, anchor, x, cfg)
+        return w.integrate_against(lambda s: s - x, x, anchor, cfg)
+
+    w = Weight(
+        name=name,
+        a=a,
+        b=b,
+        fn=fn,
+        closed_moment=lambda c, d: table(d) - table(c),
+        moment_l1=moment_l1,
+    )
+    return w
 
 
 def builtin_weight(spec: str, a: float, b: float, **params: float) -> Weight:

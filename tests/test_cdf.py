@@ -12,6 +12,7 @@ from obw.cdf import (
     normalized_density,
     reliability,
 )
+from obw.cli import main
 from obw.functionals import tau
 from obw.kernel import TauParams
 from obw.quadrature import DEFAULT_CONFIG, Fn1D, QuadConfig
@@ -231,3 +232,14 @@ class TestExpectationIdentity:
     def test_corpus(self):
         for model in density_corpus():
             assert abs(expectation_identity_check(model)) <= 1e-8
+
+
+class TestCliPowerWeight:
+    def test_smooth_density_on_a_weight_with_fractional_exponents(self, capsys):
+        # (b - t)^0.2 has an unbounded slope at b: the power weight's endpoint
+        # substitution covers it, so the 1e-10 identity check passes
+        argv = ["cdf", "--density", "1 + 0.5*sin(3*t) + t^2", "--weight", "power:p=-0.3,q=0.2",
+                "--x", "0.9", "--alpha", "1", "--beta", "2"]
+        assert main(argv) == 0
+        header, row = capsys.readouterr().out.splitlines()
+        assert abs(float(row.split(",")[header.split(",").index("identity_residual")])) <= 1e-10

@@ -1,8 +1,10 @@
 import math
 
+import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 from scipy.special import beta as beta_fn
-from scipy.special import betainc
+from scipy.special import betainc, hyp2f1
 
 from obw.corpus import corpus_functions, corpus_weights
 from obw.kernel import (
@@ -197,6 +199,93 @@ class TestKernelL1ClosedForms:
         expected = (alpha * left / m_left + beta * right / m_right) / (alpha + beta)
         slack = 10 * tol * (alpha / m_left + beta / m_right) / (alpha + beta)
         assert got == pytest.approx(expected, rel=1e-14, abs=slack)
+
+
+def first_moment(p, q, z):
+    """int_0^z (z - u) u^p (1-u)^q du: the Gauss series of hyp2f1 for z <= 1/2,
+    else the full integral (beta functions) less the mirrored tail from z."""
+    if z <= 0.5:
+        return z ** (p + 2) * hyp2f1(-q, p + 1, p + 3, z) / ((p + 1) * (p + 2))
+    return z * beta_fn(p + 1, q + 1) - beta_fn(p + 2, q + 1) + first_moment(q, p, 1 - z)
+
+
+_NODES, _WEIGHTS = leggauss(40)
+
+
+def first_moment_smooth(w, anchor, x):
+    """int |x - s| w(s) ds between anchor and x by 40-point Gauss-Legendre,
+    written about x so no node's distance to x is a difference of near values."""
+    h = anchor - x
+    u = 0.5 * (1 + _NODES)  # s = x + h u, |x - s| = |h| u
+    return 0.5 * h * h * float(np.dot(_WEIGHTS, u * np.array([w.fn(x + h * ui) for ui in u])))
+
+
+FIRST_MOMENT_XS = (1e-3, 4e-3, 0.02, 0.1, 0.25, 0.5, 0.75, 0.9, 0.98, 0.996, 0.999)
+
+
+class TestKernelL1FirstMoments:
+    """Each weight's moment_l1, the integral of |m(anchor, t)| between the
+    anchor and x, against references that share no code with it."""
+
+    @pytest.mark.parametrize("name, p, q", (
+        ("power", -0.49, 0.7), ("power", -0.55, 0.58), ("power", -0.3, 0.2),
+        ("power", 2.5, -0.31), ("arcsine", -0.5, -0.5), ("increasing", 1.0, 0.0),
+        ("decreasing", 0.0, 1.0),
+    ))
+    def test_power_family(self, name, p, q):
+        w = builtin_weight(name, 0.0, 1.0, **({"p": p, "q": q} if name == "power" else {}))
+        for x in FIRST_MOMENT_XS:
+            assert w.moment_l1(0.0, x, None) == pytest.approx(first_moment(p, q, x), rel=1e-13, abs=0)
+            assert w.moment_l1(1.0, x, None) == pytest.approx(first_moment(q, p, 1 - x), rel=1e-13, abs=0)
+
+    def test_power_on_a_stretched_interval(self):
+        # L^(p+q+2) scaling: s = a + L u
+        p, q, a, b = -0.49, 0.7, -1.0, 2.0
+        w = builtin_weight("power", a, b, p=p, q=q)
+        scale = (b - a) ** (p + q + 2)
+        for x in (-0.997, 0.5, 1.99):
+            left, right = w.moment_l1(a, x, None), w.moment_l1(b, x, None)
+            assert left == pytest.approx(scale * first_moment(p, q, (x - a) / 3), rel=1e-13, abs=0)
+            assert right == pytest.approx(scale * first_moment(q, p, (b - x) / 3), rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("name, params, lo, hi, rel", (
+        ("uniform", {}, 1e-3, 0.999, 1e-13),
+        ("exponential", {"lam": 1.0}, 1e-3, 0.999, 1e-13),
+        ("exponential", {"lam": -2.0}, 1e-3, 0.999, 1e-13),
+        ("exponential", {"lam": 0.15}, 1e-3, 0.999, 1e-13),
+        ("exponential", {"lam": 5.0}, 1e-3, 0.999, 1e-13),
+        ("truncnorm", {}, 0.01, 0.99, 1e-11),
+        ("truncnorm", {"mu": 0.2, "sigma": 0.1}, 0.01, 0.99, 1e-11),
+    ))
+    def test_smooth_weights(self, name, params, lo, hi, rel):
+        w = builtin_weight(name, 0.0, 1.0, **params)
+        for x in (lo, *(x for x in FIRST_MOMENT_XS if lo < x < hi), hi):
+            for anchor in (0.0, 1.0):
+                expected = first_moment_smooth(w, anchor, x)
+                assert w.moment_l1(anchor, x, None) == pytest.approx(expected, rel=rel, abs=0)
+
+    def test_branch_next_to_a_non_smooth_end(self):
+        # beta only at x = 29/30: (s - x) s^p (1-s)^0.7 over a branch of mass 0.0018
+        p, q, x = -0.49, 0.7, 29 / 30
+        w = builtin_weight("power", 0.0, 1.0, p=p, q=q)
+        y = 1 - x
+        mass = y ** (q + 1) * hyp2f1(-p, q + 1, q + 2, y) / (q + 1)
+        got = kernel_l1(mid_params(alpha=0.0, beta=1.0, x=x), w)
+        assert got == pytest.approx(first_moment(q, p, y) / mass, rel=1e-13, abs=0)
+
+    def test_masses_ending_at_b_are_read_from_b(self):
+        # the branch masses kernel_l1 divides by: m(x, b) from I_y, not 1 - I_z,
+        # and the exponential's from expm1, not a difference of two exponentials
+        p, q = -0.49, 0.7
+        power = builtin_weight("power", 0.0, 1.0, p=p, q=q)
+        exponential = builtin_weight("exponential", 0.0, 1.0, lam=1.0)
+        for x in (0.9, 0.99, 0.999):
+            y = 1 - x
+            mass = y ** (q + 1) * hyp2f1(-p, q + 1, q + 2, y) / (q + 1)
+            assert power.moment(x, 1.0) == pytest.approx(mass, rel=1e-14, abs=0)
+            assert power.moment(1.0, x) == pytest.approx(-mass, rel=1e-14, abs=0)
+            expected = math.exp(-1.0) * math.expm1(y)  # int_x^1 e^-s ds about 1
+            assert exponential.moment(x, 1.0) == pytest.approx(expected, rel=1e-14, abs=0)
 
 
 class TestIdentityResidual:

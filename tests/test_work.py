@@ -1,7 +1,8 @@
 """Work counts of the hot paths: no per-node work where it was removed.
 
-Deterministic counts, no wall time: kernel_l1 takes its weight moments
-outside any integrand, kernel_lq, identity_residual and the CDF report read
+Deterministic counts, no wall time: kernel_l1 runs no quadrature for a
+built-in weight and takes an expression weight's moments outside any
+integrand, kernel_lq, identity_residual and the CDF report read
 moments and F_w from closed forms or tables built before their integrals,
 an expression weight's moments run no quadrature, and a compiled expression
 is one Python call.
@@ -69,13 +70,26 @@ def expression_weight():
     return tabulated_weight("expr", compile_expr(parse("abs(t - 0.37) + 0.1")), 0.0, 1.0)
 
 
-WEIGHTS = [*corpus_weights(), expression_weight()]
+BUILTIN_WEIGHTS = [
+    *corpus_weights(),
+    builtin_weight("arcsine", 0.0, 1.0),
+    builtin_weight("power", 0.0, 1.0, p=-0.49, q=0.7),
+]
 
 
-@pytest.mark.parametrize("w", WEIGHTS, ids=lambda w: w.name)
+@pytest.mark.parametrize("w", BUILTIN_WEIGHTS, ids=lambda w: w.name)
 @pytest.mark.parametrize("alpha, beta", [(1.0, 1.0), (2.0, 0.0), (0.0, 3.0)])
-def test_kernel_l1_moments_outside_integrands(counts, w, alpha, beta):
+def test_kernel_l1_builtin_weights_run_no_quadrature(counts, w, alpha, beta):
+    # both branches are closed forms (moment_l1)
     kernel_l1(TauParams(a=0.0, b=1.0, x=0.3, alpha=alpha, beta=beta), w)
+    assert counts["moment"] <= 3
+    assert counts["integrate"] == 0
+
+
+@pytest.mark.parametrize("alpha, beta", [(1.0, 1.0), (2.0, 0.0), (0.0, 3.0)])
+def test_kernel_l1_moments_outside_integrands(counts, alpha, beta):
+    # an expression weight integrates each branch in its Fubini form
+    kernel_l1(TauParams(a=0.0, b=1.0, x=0.3, alpha=alpha, beta=beta), expression_weight())
     assert counts["moment"] <= 3
     assert counts["nested"] == 0
     assert counts["integrate"] >= 1
