@@ -12,6 +12,7 @@ from .bounds import (
     bounds_paper,
     bounds_split,
     corollary_bounds,
+    kernel_norms,
     sharpness_search,
 )
 from .cdf import (
@@ -19,16 +20,14 @@ from .cdf import (
     DensityModel,
     cdf_bound_general,
     cdf_bound_left,
-    cdf_value,
     expectation_identity_check,
     normalized_density,
-    reliability,
 )
-from .expr import as_fn1d, compile_expr, differentiate, parse, to_str
+from .expr import as_fn1d, compile_expr, differentiate, parse
 from .functionals import deviation_S, sigma_w, tau, tau_combination, tau_decomposed
 from .kernel import (
     TauParams,
-    identity_residual,
+    kernel_integral,
     kernel_l1,
     kernel_lq,
     kernel_sup,

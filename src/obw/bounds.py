@@ -18,6 +18,7 @@ __all__ = [
     "BoundSet",
     "BranchTriple",
     "bounds_paper",
+    "kernel_norms",
     "bounds_exact",
     "bound_set",
     "bounds_cerone",
@@ -34,7 +35,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BranchTriple:
-    """One bound value per derivative-norm branch (sup, L_p, L1)."""
+    """One value per derivative-norm branch (sup, L_p, L1): a bound, or the
+    kernel norm that pairs with it (`kernel_norms`)."""
 
     inf: float
     p: float
@@ -93,19 +95,24 @@ def bounds_paper(params: TauParams, w: Weight, norms: NormTriple, p: float) -> B
     )
 
 
-def bounds_exact(
-    params: TauParams,
-    w: Weight,
-    norms: NormTriple,
-    p: float,
-    cfg: QuadConfig = DEFAULT_CONFIG,
+def kernel_norms(
+    params: TauParams, w: Weight, p: float, cfg: QuadConfig = DEFAULT_CONFIG
 ) -> BranchTriple:
-    """Sound Hoelder companions: exact kernel norms times derivative norms."""
-    q = conjugate(p)
+    """(||rho||_1, ||rho||_q, ||rho||_inf) with q = p / (p - 1): the kernel
+    norms that pair with the derivative norms (sup, L_p, L1) at p."""
     return BranchTriple(
-        inf=kernel_l1(params, w, cfg) * norms.inf,
-        p=kernel_lq(params, w, q, cfg) * norms.p_norm,
-        one=kernel_sup(params, w) * norms.one,
+        inf=kernel_l1(params, w, cfg),
+        p=kernel_lq(params, w, conjugate(p), cfg),
+        one=kernel_sup(params, w),
+    )
+
+
+def bounds_exact(kernel: BranchTriple, norms: NormTriple) -> BranchTriple:
+    """Sound Hoelder companions: kernel norms times derivative norms."""
+    return BranchTriple(
+        inf=kernel.inf * norms.inf,
+        p=kernel.p * norms.p_norm,
+        one=kernel.one * norms.one,
     )
 
 
@@ -121,7 +128,7 @@ def bound_set(
     norms = norm_triple(fprime, p, params.a, params.b, cfg)
     return BoundSet(
         paper=bounds_paper(params, w, norms, p),
-        exact=bounds_exact(params, w, norms, p, cfg),
+        exact=bounds_exact(kernel_norms(params, w, p, cfg), norms),
         deviation=tau(f, w, params, cfg),
         norms=norms,
     )

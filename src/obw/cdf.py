@@ -24,8 +24,6 @@ from .weights import Weight
 __all__ = [
     "DensityModel",
     "CdfReport",
-    "cdf_value",
-    "reliability",
     "cdf_bound_general",
     "cdf_bound_left",
     "expectation_identity_check",
@@ -90,16 +88,6 @@ def normalized_density(f: Fn1D, w: Weight, cfg: QuadConfig = DEFAULT_CONFIG) -> 
     return DensityModel(density=scaled, weight=w, cfg=cfg, mass=1.0)
 
 
-def cdf_value(model: DensityModel, x: float) -> float:
-    """F_w(x): weighted probability mass up to x, read from the model's table."""
-    return model.cdf(x)
-
-
-def reliability(model: DensityModel, x: float) -> float:
-    """R_w(x) = 1 - F_w(x)."""
-    return 1.0 - cdf_value(model, x)
-
-
 def cdf_bound_general(
     model: DensityModel, params: TauParams, p: float = 2.0
 ) -> tuple[float, BranchTriple]:
@@ -147,7 +135,7 @@ def cdf_bound_left(model: DensityModel, x: float, p: float = 2.0) -> tuple[float
     w = model.weight
     q = conjugate(p)
     m_l = w.moment(model.a, x)
-    lhs = abs(m_l * model.density(x) - cdf_value(model, x))
+    lhs = abs(m_l * model.density(x) - model.cdf(x))
     wx = w.eval(x)
     norms = model.norms(p)
     span = x - model.a

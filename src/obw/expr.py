@@ -20,7 +20,7 @@ from typing import Callable, Union
 from .quadrature import Fn1D, derivative_callable
 
 __all__ = [
-    "ParseError", "Expr", "parse", "to_str", "compile_expr", "differentiate", "as_fn1d",
+    "ParseError", "Expr", "parse", "compile_expr", "differentiate", "as_fn1d",
 ]
 
 
@@ -342,37 +342,6 @@ def compile_expr(e: Expr) -> Callable[[float], float]:
     namespace = dict(_NAMESPACE)
     exec(compile(source, "<obw.expr>", "exec"), namespace)
     return namespace["_f"]
-
-
-def _prec(e: Expr) -> int:
-    if isinstance(e, BinOp):
-        return _LEFT_BP[e.op]
-    if isinstance(e, Neg):
-        return _UNARY_BP
-    return 100
-
-
-def to_str(e: Expr) -> str:
-    if isinstance(e, Num):
-        return repr(e.value) if e.value != int(e.value) else str(int(e.value))
-    if isinstance(e, Var):
-        return "t"
-    if isinstance(e, Neg):
-        inner = to_str(e.operand)
-        if _prec(e.operand) < _UNARY_BP or isinstance(e.operand, Neg):
-            inner = f"({inner})"
-        return f"-{inner}"
-    if isinstance(e, BinOp):
-        bp = _LEFT_BP[e.op]
-        ls = to_str(e.left)
-        rs = to_str(e.right)
-        # parenthesize per associativity: left operand may tie except for ^
-        if _prec(e.left) < bp or (e.op == "^" and _prec(e.left) == bp):
-            ls = f"({ls})"
-        if _prec(e.right) < bp or (e.op != "^" and _prec(e.right) == bp):
-            rs = f"({rs})"
-        return f"{ls} {e.op} {rs}"
-    return f"{e.fn}({to_str(e.arg)})"
 
 
 # --- symbolic differentiation --------------------------------------------

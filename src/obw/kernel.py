@@ -1,4 +1,5 @@
-"""Weighted Peano kernel, its norm integrals, and the identity residual.
+"""Weighted Peano kernel, its norm integrals, and its integral against a
+function.
 
 Every function here walks the branches `_branches` returns: one per
 nonzero coefficient, [a, x] anchored at a and [x, b] anchored at b, where
@@ -11,18 +12,23 @@ kernel_l1 reads each branch from the weight's `moment_l1`, the integral
 of |m(anchor, t)| between the anchor and x: a closed form for the built-in
 weights, so it runs no quadrature, and one weighted integral of the
 distance to x (the Fubini form) for an expression weight. kernel_lq and
-identity_residual read t -> m(anchor, t) inside their integrands from the
+kernel_integral read t -> m(anchor, t) inside their integrands from the
 weight's `closed_moment`: a closed form, or the one table an expression
 weight builds when it is made. No quadrature runs inside an integrand and
 no table is built per call.
+
+kernel_integral(f', ...) is the left side of the kernel representation
+int rho(x, t) f'(t) dt = tau(f); its residual is that integral minus
+`functionals.tau`, which alone sums the weighted means.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from typing import Callable
 
-from .quadrature import DEFAULT_CONFIG, Fn1D, QuadConfig, derivative_callable, integrate
+from .quadrature import DEFAULT_CONFIG, QuadConfig, integrate
 from .weights import Weight
 
 __all__ = [
@@ -31,7 +37,7 @@ __all__ = [
     "kernel_l1",
     "kernel_lq",
     "kernel_sup",
-    "identity_residual",
+    "kernel_integral",
 ]
 
 
@@ -121,19 +127,12 @@ def kernel_sup(params: TauParams, w: Weight) -> float:
     return max(params.alpha, params.beta) / params.weight_sum
 
 
-def identity_residual(
-    f: Fn1D, params: TauParams, w: Weight, cfg: QuadConfig = DEFAULT_CONFIG
+def kernel_integral(
+    g: Callable[[float], float], params: TauParams, w: Weight, cfg: QuadConfig = DEFAULT_CONFIG
 ) -> float:
-    """Residual of the kernel representation.
-
-    Left side: int rho(x, t) f'(t) dt. Right side: f(x) minus the
-    coefficient-weighted combination of one-sided weighted means.
-    Near zero (combined quadrature tolerance) for smooth f.
-    """
-    fprime = derivative_callable(f, params.a, params.b)
-    residual = -f(params.x)
+    """int_a^b rho(x, t) g(t) dt, one integral per branch; tau(f) for g = f'."""
+    total = 0.0
     for coef, c, d, anchor in _branches(params, w):
         m = partial(w.closed_moment, anchor)
-        residual += integrate(lambda t: coef * m(t) * fprime(t), c, d, cfg)[0]
-        residual += coef * w.integrate_against(f, c, d, cfg)
-    return residual
+        total += integrate(lambda t: coef * m(t) * g(t), c, d, cfg)[0]
+    return total

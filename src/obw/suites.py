@@ -3,10 +3,9 @@ acceptance tests."""
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
-from .bounds import bounds_cerone, bounds_exact, bounds_paper
+from .bounds import bounds_cerone, bounds_exact, bounds_paper, kernel_norms
 from .corpus import (
     COEFF_PAIRS,
     corpus_functions,
@@ -14,9 +13,9 @@ from .corpus import (
     corpus_x_values,
 )
 from .functionals import tau, tau_combination, tau_decomposed
-from .kernel import TauParams, identity_residual
-from .norms import NormTriple, norm_triple
-from .quadrature import DEFAULT_CONFIG, Fn1D, QuadConfig, derivative_callable
+from .kernel import TauParams, kernel_integral
+from .norms import norm_triple
+from .quadrature import DEFAULT_CONFIG, QuadConfig, derivative_callable
 
 __all__ = ["SuiteReport", "run_verify_suites", "P_GRID"]
 
@@ -62,40 +61,40 @@ class SuiteReport:
 
 
 def run_verify_suites(cfg: QuadConfig = DEFAULT_CONFIG) -> SuiteReport:
-    """Identity, soundness, reduction, and equivalent-forms sweeps."""
-    report = SuiteReport()
-    functions = corpus_functions()
-    weights = corpus_weights()
-    xs = corpus_x_values()
+    """Identity, soundness, reduction, and equivalent-forms sweeps.
 
-    @functools.cache
-    def norm_set(f: Fn1D, a: float, b: float) -> dict[float, NormTriple]:
-        # the norms of f' depend on f and [a, b] only, not on the weight
+    Each quantity is computed once, at the level it depends on: f' and its
+    norms per function, the kernel norms per (weight, x, pair, p), and tau
+    per configuration.
+    """
+    report = SuiteReport()
+    a, b = 0.0, 1.0  # every corpus weight and x lies on [a, b]
+    weights = corpus_weights(a, b)
+    xs = corpus_x_values(a, b)
+    functions = []  # (f, f', {p: norms of f'})
+    for f in corpus_functions():
         fprime = derivative_callable(f, a, b)
-        return {p: norm_triple(fprime, p, a, b, cfg) for p in P_GRID}
+        functions.append((f, fprime, {p: norm_triple(fprime, p, a, b, cfg) for p in P_GRID}))
 
     for w in weights:
-        for f in functions:
-            for x in xs:
-                for alpha, beta in COEFF_PAIRS:
-                    params = TauParams(a=w.a, b=w.b, x=x, alpha=alpha, beta=beta)
+        for x in xs:
+            for alpha, beta in COEFF_PAIRS:
+                params = TauParams(a=a, b=b, x=x, alpha=alpha, beta=beta)
+                kernels = {p: kernel_norms(params, w, p, cfg) for p in P_GRID}
+                for f, fprime, norms in functions:
                     label = f"{f.name}/{w.name}/x={x:g}/({alpha:g},{beta:g})"
+                    t0 = tau(f, w, params, cfg)
 
-                    res = identity_residual(f, params, w, cfg)
+                    res = kernel_integral(fprime, params, w, cfg) - t0
                     report.identity_checked += 1
                     if abs(res) > IDENTITY_TOL:
-                        report.identity_failures.append(
-                            f"{label}: residual {res:.3e}"
-                        )
+                        report.identity_failures.append(f"{label}: residual {res:.3e}")
 
-                    t0 = tau(f, w, params, cfg)
                     dev = abs(t0)
                     for p in P_GRID:
-                        exact = bounds_exact(params, w, norm_set(f, w.a, w.b)[p], p, cfg)
+                        exact = bounds_exact(kernels[p], norms[p])
                         report.soundness_checked += 1
-                        for branch, bval in zip(
-                            ("inf", "p", "one"), exact.as_tuple()
-                        ):
+                        for branch, bval in zip(("inf", "p", "one"), exact.as_tuple()):
                             if dev > bval * (1.0 + SOUNDNESS_RTOL) + 1e-12:
                                 report.soundness_failures.append(
                                     f"{label}: |tau|={dev:.6e} > "
@@ -115,7 +114,7 @@ def run_verify_suites(cfg: QuadConfig = DEFAULT_CONFIG) -> SuiteReport:
     uniform = weights[0]
     reduction_x = [0.1 * k for k in range(1, 10)]
     reduction_coeffs = ((1.0, 1.0), (2.0, 1.0), (1.0, 3.0), (5.0, 2.0))
-    norms = norm_set(functions[1], uniform.a, uniform.b)[2.0]
+    norms = functions[1][2][2.0]  # the quadratic's, at p = 2
     for x in reduction_x:
         for alpha, beta in reduction_coeffs:
             params = TauParams(a=uniform.a, b=uniform.b, x=x, alpha=alpha, beta=beta)

@@ -40,8 +40,9 @@ class Weight:
     returns the integral of |m(anchor, t)| dt between anchor and x, which
     by Fubini is int |x - s| w(s) ds over the same stretch (the kernel's L1
     branch): in closed form for the built-in weights, each written about
-    its anchor so little cancels; one quadrature at cfg for a weight given
-    only as a function. `substitution(g, c, d)`, when present,
+    its anchor so little cancels (a series on a short truncated-normal
+    branch); one quadrature at cfg for a weight given only as a function.
+    `substitution(g, c, d)`, when present,
     describes int_c^d g(t) w(t) dt as a list of pieces, each a change of
     variable that regularizes w at an end where it is singular or has an
     unbounded slope; otherwise the product g w is integrated as it is.
@@ -192,6 +193,9 @@ def _exponential(a: float, b: float, lam: float) -> Weight:
     )
 
 
+_SERIES_TERMS = 60  # truncnorm moment_l1 on a short branch: 10^60 / 62! < 1e-24
+
+
 def _truncnorm(a: float, b: float, mu: float, sigma: float) -> Weight:
     if sigma <= 0:
         raise ValueError("truncated normal requires sigma > 0")
@@ -210,6 +214,21 @@ def _truncnorm(a: float, b: float, mu: float, sigma: float) -> Weight:
         return amp * (math.erfc(-ud) - math.erfc(-uc))
 
     def moment_l1(anchor: float, x: float, cfg: QuadConfig) -> float:
+        h = x - anchor
+        if abs(h) < 0.25 * sigma:
+            # the form below cancels as (sigma / h)^2 on a short branch: sum
+            # the Taylor series about the anchor instead, int |x - s| w ds =
+            # sum_k w^(k)(anchor) h^(k+2) / (k+2)!, where w^(k) = (-1/sigma)^k
+            # He_k(z) w and He_(k+1) = z He_k - k He_(k-1). term is
+            # w(anchor) He_k(z) r^k / (k+2)!, r = -h / sigma; the terms fall
+            # like |z r|^k / (k+2)!, and |z r| < |z| / 4 < 10 unless w(anchor)
+            # underflows to 0 (and with it every term)
+            z, r = (anchor - mu) / sigma, -h / sigma
+            prev, term, total = 0.0, 0.5 * fn(anchor), 0.0
+            for k in range(_SERIES_TERMS):
+                total += term
+                prev, term = term, (z * r * term - k * r * r * prev / (k + 2)) / (k + 3)
+            return h * h * total
         # int (x - s) w ds = (x - mu) m - int (s - mu) w ds, and
         # (s - mu) w(s) is the derivative of -sigma^2 w(s)
         return (x - mu) * closed(anchor, x) - sigma * sigma * (fn(anchor) - fn(x))

@@ -11,6 +11,7 @@ from obw.bounds import (
     bounds_paper,
     bounds_split,
     corollary_bounds,
+    kernel_norms,
     sharpness_search,
     sign_kernel_fn,
 )
@@ -52,7 +53,7 @@ class TestExactBounds:
             for coeffs in ((1.0, 1.0), (2.0, 1.0)):
                 params = params_at(x, *coeffs)
                 paper = bounds_paper(params, uniform, unit_norms(), 2.0)
-                exact = bounds_exact(params, uniform, unit_norms(), 2.0)
+                exact = bounds_exact(kernel_norms(params, uniform, 2.0), unit_norms())
                 assert exact.inf == pytest.approx(paper.inf, abs=1e-9)
                 assert exact.p == pytest.approx(paper.p, abs=1e-9)
                 assert exact.one == pytest.approx(paper.one, abs=1e-9)
@@ -60,7 +61,7 @@ class TestExactBounds:
     def test_decreasing_weight_gap(self, decreasing):
         params = params_at(0.9)
         paper = bounds_paper(params, decreasing, unit_norms(), 2.0)
-        exact = bounds_exact(params, decreasing, unit_norms(), 2.0)
+        exact = bounds_exact(kernel_norms(params, decreasing, 2.0), unit_norms())
         assert exact.inf == pytest.approx(0.303030303, abs=1e-8)
         assert paper.inf == pytest.approx(0.090909091, abs=1e-8)
 
@@ -75,16 +76,25 @@ class TestExactBounds:
 
         params = params_at(0.3, alpha=2.0, beta=1.0)
         norms = NormTriple(inf=7.0, p_norm=1.0, one=1.0, p=2.0, c=0, d=1)
-        exact = bounds_exact(params, expdecay, norms, 2.0)
+        exact = bounds_exact(kernel_norms(params, expdecay, 2.0), norms)
         assert exact.inf == pytest.approx(7.0 * kernel_l1(params, expdecay), abs=1e-12)
 
     def test_norm_homogeneity(self, uniform):
         params = params_at(0.4)
-        base = bounds_exact(params, uniform, unit_norms(), 2.0)
+        base = bounds_exact(kernel_norms(params, uniform, 2.0), unit_norms())
         scaled_norms = NormTriple(inf=3.0, p_norm=3.0, one=3.0, p=2.0, c=0, d=1)
-        scaled = bounds_exact(params, uniform, scaled_norms, 2.0)
+        scaled = bounds_exact(kernel_norms(params, uniform, 2.0), scaled_norms)
         for b0, b1 in zip(base.as_tuple(), scaled.as_tuple()):
             assert b1 == pytest.approx(3.0 * b0, abs=1e-10)
+
+    def test_bound_set_is_kernel_norms_times_derivative_norms(self):
+        # the product the paper states, taken as it is
+        for w in corpus_weights():
+            for f in corpus_functions()[3:5]:
+                for p in (1.5, 3.0):
+                    params = params_at(0.3, alpha=2.0, beta=1.0)
+                    result = bound_set(f, w, params, p)
+                    assert result.exact == bounds_exact(kernel_norms(params, w, p), result.norms)
 
 
 class TestLegacyBounds:

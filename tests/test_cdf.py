@@ -7,10 +7,8 @@ from obw.cdf import (
     cdf_bound_general,
     cdf_bound_left,
     cdf_report,
-    cdf_value,
     expectation_identity_check,
     normalized_density,
-    reliability,
 )
 from obw.cli import main
 from obw.functionals import tau
@@ -90,7 +88,6 @@ class TestModel:
         model = normalized_density(bump, builtin_weight("increasing", 0, 1))
         params = TauParams(a=0.0, b=1.0, x=0.4, alpha=1.0, beta=2.0)
         cdf_report(model, [0.2, 0.6], 1.0, 2.0)
-        cdf_value(model, 0.3)
         cdf_bound_general(model, params)
         cdf_bound_left(model, 0.7)
         expectation_identity_check(model)
@@ -104,44 +101,26 @@ class TestModel:
 
 class TestCdfValue:
     def test_uniform(self):
-        assert cdf_value(uniform_model(), 0.3) == pytest.approx(0.3, abs=1e-10)
+        assert uniform_model().cdf(0.3) == pytest.approx(0.3, abs=1e-10)
 
     def test_linear(self):
-        assert cdf_value(linear_model(), 0.5) == pytest.approx(0.25, abs=1e-10)
+        assert linear_model().cdf(0.5) == pytest.approx(0.25, abs=1e-10)
 
     def test_left_endpoint(self):
-        assert cdf_value(linear_model(), 0.0) == 0.0
+        assert linear_model().cdf(0.0) == 0.0
 
     def test_total_mass(self):
         for model in density_corpus():
-            assert cdf_value(model, 1.0) == pytest.approx(1.0, abs=1e-8)
+            assert model.cdf(1.0) == pytest.approx(1.0, abs=1e-8)
 
     def test_monotone(self):
         model = quadratic_model()
-        values = [cdf_value(model, k / 20) for k in range(21)]
+        values = [model.cdf(k / 20) for k in range(21)]
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
     def test_outside_domain(self):
         with pytest.raises(ValueError):
-            cdf_value(uniform_model(), 1.5)
-
-
-class TestReliability:
-    def test_left_endpoint(self):
-        assert reliability(uniform_model(), 0.0) == pytest.approx(1.0, abs=1e-12)
-
-    def test_uniform(self):
-        assert reliability(uniform_model(), 0.3) == pytest.approx(0.7, abs=1e-10)
-
-    def test_linear(self):
-        assert reliability(linear_model(), 0.5) == pytest.approx(0.75, abs=1e-10)
-
-    def test_complement(self):
-        model = quadratic_model()
-        for x in (0.2, 0.5, 0.9):
-            assert reliability(model, x) + cdf_value(model, x) == pytest.approx(
-                1.0, abs=1e-14
-            )
+            uniform_model().cdf(1.5)
 
 
 class TestGeneralBound:

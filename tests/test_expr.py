@@ -18,7 +18,6 @@ from obw.expr import (
     compile_expr,
     differentiate,
     parse,
-    to_str,
 )
 
 
@@ -112,34 +111,6 @@ class TestParseErrors:
         with pytest.raises(ParseError) as err:
             parse("1 + $")
         assert err.value.offset == 4
-
-
-ROUND_TRIP_SOURCES = [
-    "t^2",
-    "-t^2",
-    "2*t - sin(t)",
-    "exp(-t)*t",
-    "1/(1+t^2)",
-    "sqrt(t) + abs(t - 0.5)",
-    "-(t + 1)",
-    "2^3^t",
-    "t - -t",
-]
-
-
-class TestRoundTrip:
-    @pytest.mark.parametrize("source", ROUND_TRIP_SOURCES)
-    def test_print_parse_fixed_point(self, source):
-        tree = parse(source)
-        printed = to_str(tree)
-        assert parse(printed) == tree
-        assert to_str(parse(printed)) == printed
-
-    @pytest.mark.parametrize("source", ROUND_TRIP_SOURCES)
-    def test_printed_form_evaluates_identically(self, source):
-        tree = parse(source)
-        for t in (0.1, 0.45, 0.9):
-            assert value(to_str(tree), t) == pytest.approx(evaluated(tree, t), abs=1e-14)
 
 
 def finite_difference(fn, t, h=1e-6):

@@ -7,15 +7,16 @@ from scipy.special import beta as beta_fn
 from scipy.special import betainc, hyp2f1
 
 from obw.corpus import corpus_functions, corpus_weights
+from obw.functionals import tau
 from obw.kernel import (
     TauParams,
-    identity_residual,
+    kernel_integral,
     kernel_l1,
     kernel_lq,
     kernel_sup,
     peano_kernel,
 )
-from obw.quadrature import Fn1D, QuadConfig, integrate
+from obw.quadrature import Fn1D, QuadConfig, derivative_callable, integrate
 from obw.weights import builtin_weight
 
 # Both two-coefficient and one-branch (alpha or beta zero) configurations.
@@ -264,6 +265,16 @@ class TestKernelL1FirstMoments:
                 expected = first_moment_smooth(w, anchor, x)
                 assert w.moment_l1(anchor, x, None) == pytest.approx(expected, rel=rel, abs=0)
 
+    @pytest.mark.parametrize("mu, sigma", ((0.5, 0.25), (0.2, 0.1), (0.8, 0.35)))
+    def test_truncnorm_short_branches(self, mu, sigma):
+        # a branch shorter than sigma / 4 sums a Taylor series about its anchor:
+        # the closed form cancels there (3e-9 relative at length 1e-4)
+        w = builtin_weight("truncnorm", 0.0, 1.0, mu=mu, sigma=sigma)
+        for length in (1e-4, 1e-3, 1e-2):
+            for anchor, x in ((0.0, length), (1.0, 1.0 - length)):
+                expected = first_moment_smooth(w, anchor, x)
+                assert w.moment_l1(anchor, x, None) == pytest.approx(expected, rel=1e-13, abs=0)
+
     def test_branch_next_to_a_non_smooth_end(self):
         # beta only at x = 29/30: (s - x) s^p (1-s)^0.7 over a branch of mass 0.0018
         p, q, x = -0.49, 0.7, 29 / 30
@@ -288,6 +299,12 @@ class TestKernelL1FirstMoments:
             assert exponential.moment(x, 1.0) == pytest.approx(expected, rel=1e-14, abs=0)
 
 
+def identity_residual(f, params, w):
+    """int rho f' - tau(f): the kernel representation's residual."""
+    fprime = derivative_callable(f, params.a, params.b)
+    return kernel_integral(fprime, params, w) - tau(f, w, params)
+
+
 class TestIdentityResidual:
     def test_constant(self, uniform):
         f = Fn1D(fn=lambda t: 3.0, derivative=lambda t: 0.0)
@@ -309,6 +326,7 @@ class TestIdentityResidual:
             lambda t: peano_kernel(params, uniform, t) * 2 * t, 0.5, 1
         )[0]
         assert lhs == pytest.approx(-1 / 12, abs=1e-9)
+        assert kernel_integral(lambda t: 2 * t, params, uniform) == pytest.approx(lhs, abs=1e-12)
 
     def test_finite_difference_fallback(self, uniform):
         f = Fn1D(fn=lambda t: t**3)

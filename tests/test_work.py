@@ -2,7 +2,7 @@
 
 Deterministic counts, no wall time: kernel_l1 runs no quadrature for a
 built-in weight and takes an expression weight's moments outside any
-integrand, kernel_lq, identity_residual and the CDF report read
+integrand, kernel_lq, kernel_integral and the CDF report read
 moments and F_w from closed forms or tables built before their integrals,
 an expression weight's moments run no quadrature, and a compiled expression
 is one Python call.
@@ -21,7 +21,7 @@ from obw import quadrature
 from obw.cdf import cdf_report, expectation_identity_check, normalized_density
 from obw.corpus import COEFF_PAIRS, corpus_functions, corpus_weights, corpus_x_values
 from obw.expr import as_fn1d, compile_expr, parse
-from obw.kernel import TauParams, identity_residual, kernel_l1, kernel_lq
+from obw.kernel import TauParams, kernel_integral, kernel_l1, kernel_lq
 from obw.quadrature import QuadConfig
 from obw.weights import Weight, builtin_weight, tabulated_weight
 
@@ -96,11 +96,11 @@ def test_kernel_l1_moments_outside_integrands(counts, alpha, beta):
 
 
 @pytest.mark.parametrize("alpha, beta", [(1.0, 1.0), (2.0, 0.0), (0.0, 3.0)])
-def test_kernel_lq_and_identity_residual_do_not_nest(counts, alpha, beta):
+def test_kernel_lq_and_kernel_integral_do_not_nest(counts, alpha, beta):
     params = TauParams(a=0.0, b=1.0, x=0.3, alpha=alpha, beta=beta)
     w = expression_weight()
     kernel_lq(params, w, 2.0)
-    identity_residual(as_fn1d("sin(3*t) + t^2"), params, w)
+    kernel_integral(as_fn1d("sin(3*t) + t^2").derivative, params, w)
     assert counts["nested"] == 0
     assert counts["moment"] <= 6  # the branch masses of each call
     assert counts["integrate"] >= 2
@@ -207,6 +207,31 @@ def test_verify_computes_each_norm_and_deviation_once(monkeypatch):
     assert calls["tau"] == report.identity_checked == n_configs
     assert report.soundness_checked == 3 * n_configs
     assert report.reduction_checked == 36
+
+
+def test_verify_computes_each_kernel_norm_once(monkeypatch, counts):
+    # the kernel norms depend on (weight, x, pair, p), not on f; the identity
+    # integrates rho f' once per configuration and reads tau from the sweep
+    calls = {"kernel_lq": 0, "kernel_integral": 0, "tau": 0}
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(obw.bounds, "kernel_lq")
+    counted(obw.suites, "kernel_integral")
+    counted(obw.suites, "tau")
+    report = obw.suites.run_verify_suites()
+    n_kernels = len(corpus_weights()) * len(corpus_x_values()) * len(COEFF_PAIRS)
+    assert report.passed
+    assert calls["kernel_lq"] == n_kernels * len(obw.suites.P_GRID) == 90
+    assert calls["kernel_integral"] == calls["tau"] == n_kernels * len(corpus_functions()) == 180
+    assert counts["integrate"] <= 1656
 
 
 def test_table_panel_count(monkeypatch):
