@@ -1,6 +1,8 @@
 import math
+from functools import partial
 
 import pytest
+from numpy.polynomial.legendre import leggauss
 
 from obw.bounds import (
     audit_paper_vs_exact,
@@ -17,7 +19,7 @@ from obw.bounds import (
 )
 from obw.corpus import corpus_functions, corpus_weights
 from obw.functionals import tau
-from obw.kernel import TauParams, kernel_l1
+from obw.kernel import TauParams, kernel_l1, peano_kernel
 from obw.norms import NormTriple, norm_triple
 from obw.quadrature import Fn1D, derivative_callable
 from obw.weights import builtin_weight
@@ -95,6 +97,33 @@ class TestExactBounds:
                     params = params_at(0.3, alpha=2.0, beta=1.0)
                     result = bound_set(f, w, params, p)
                     assert result.exact == bounds_exact(kernel_norms(params, w, p), result.norms)
+
+
+class TestKernelNorms:
+    @pytest.mark.parametrize("p", (1.5, 2.0, 3.0))
+    def test_norms_of_rho_at_the_conjugate_exponent(self, p):
+        # (||rho||_1, ||rho||_q, ||rho||_inf), q = p / (p - 1), against
+        # 40-point Gauss-Legendre on each branch and rho on both sides of x
+        nodes, gl_weights = leggauss(40)
+        q = p / (p - 1.0)
+        params = params_at(0.3, alpha=2.0, beta=1.0)
+        for w in corpus_weights():
+            def branch_integral(fn):
+                total = 0.0
+                for lo, hi in ((0.0, 0.3), (0.3, 1.0)):
+                    half = 0.5 * (hi - lo)
+                    total += half * sum(
+                        wk * fn(lo + half * (nk + 1.0)) for nk, wk in zip(nodes, gl_weights)
+                    )
+                return total
+
+            rho = partial(peano_kernel, params, w)
+            kernel = kernel_norms(params, w, p)
+            assert kernel.inf == pytest.approx(branch_integral(lambda t: abs(rho(t))), rel=1e-10)
+            assert kernel.p == pytest.approx(
+                branch_integral(lambda t: abs(rho(t)) ** q) ** (1.0 / q), rel=1e-7
+            )
+            assert kernel.one == pytest.approx(max(abs(rho(0.3)), abs(rho(0.3 + 1e-12))), rel=1e-9)
 
 
 class TestLegacyBounds:

@@ -113,6 +113,31 @@ class TestParseErrors:
         assert err.value.offset == 4
 
 
+# Each source with the grouping it must parse to, written in Python.
+GROUPING_CASES = [
+    ("t^2", lambda t: t**2),
+    ("-t^2", lambda t: -(t**2)),
+    ("2*t - sin(t)", lambda t: 2 * t - math.sin(t)),
+    ("exp(-t)*t", lambda t: math.exp(-t) * t),
+    ("1/(1+t^2)", lambda t: 1 / (1 + t**2)),
+    ("sqrt(t) + abs(t - 0.5)", lambda t: math.sqrt(t) + abs(t - 0.5)),
+    ("-(t + 1)", lambda t: -(t + 1)),
+    ("2^3^t", lambda t: 2 ** (3**t)),
+    ("t - -t", lambda t: t - (-t)),
+]
+
+
+class TestGrouping:
+    @pytest.mark.parametrize(
+        "source, reference", GROUPING_CASES, ids=[source for source, _ in GROUPING_CASES]
+    )
+    def test_tree_and_compiled_form_group_as_written(self, source, reference):
+        tree = parse(source)
+        for t in (0.1, 0.45, 0.9):
+            assert evaluate(tree, t) == pytest.approx(reference(t), rel=1e-14, abs=1e-15)
+            assert evaluated(tree, t) == pytest.approx(reference(t), rel=1e-14, abs=1e-15)
+
+
 def finite_difference(fn, t, h=1e-6):
     return (fn(t + h) - fn(t - h)) / (2 * h)
 

@@ -299,6 +299,25 @@ class TestKernelL1FirstMoments:
             assert exponential.moment(x, 1.0) == pytest.approx(expected, rel=1e-14, abs=0)
 
 
+def gauss_legendre(fn, lo, hi, n=40):
+    nodes, weights = leggauss(n)
+    half = 0.5 * (hi - lo)
+    return half * sum(wk * fn(lo + half * (nk + 1.0)) for nk, wk in zip(nodes, weights))
+
+
+class TestKernelIntegral:
+    @pytest.mark.parametrize("w", corpus_weights(), ids=lambda w: w.name)
+    def test_matches_gauss_legendre_on_each_branch(self, w):
+        # rho is smooth on [a, x] and on [x, b] for the corpus weights
+        params = mid_params(alpha=2.0, beta=1.0, x=0.3)
+        expected = sum(
+            gauss_legendre(lambda t: peano_kernel(params, w, t) * math.cos(3 * t), lo, hi)
+            for lo, hi in ((0.0, 0.3), (0.3, 1.0))
+        )
+        got = kernel_integral(lambda t: math.cos(3 * t), params, w)
+        assert got == pytest.approx(expected, abs=1e-10)
+
+
 def identity_residual(f, params, w):
     """int rho f' - tau(f): the kernel representation's residual."""
     fprime = derivative_callable(f, params.a, params.b)
