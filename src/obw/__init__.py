@@ -10,7 +10,6 @@ from .bounds import (
     bounds_dragomir,
     bounds_exact,
     bounds_paper,
-    bounds_split,
     corollary_bounds,
     kernel_norms,
     sharpness_search,
@@ -21,7 +20,6 @@ from .cdf import (
     cdf_bound_general,
     cdf_bound_left,
     expectation_identity_check,
-    normalized_density,
 )
 from .expr import as_fn1d, compile_expr, differentiate, parse
 from .functionals import deviation_S, sigma_w, tau, tau_combination, tau_decomposed

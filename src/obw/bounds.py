@@ -1,6 +1,6 @@
 """Right-hand-side bounds: printed closed forms, exact kernel-norm
-companions, legacy unweighted results, split variants, corollaries, and
-the sharpness / audit sweeps."""
+companions, legacy unweighted results, corollaries, and the sharpness /
+audit sweeps."""
 
 from __future__ import annotations
 
@@ -23,7 +23,6 @@ __all__ = [
     "bound_set",
     "bounds_cerone",
     "bounds_dragomir",
-    "bounds_split",
     "corollary_bounds",
     "sign_kernel_fn",
     "sharpness_search",
@@ -124,7 +123,7 @@ def bound_set(
     cfg: QuadConfig = DEFAULT_CONFIG,
 ) -> BoundSet:
     """Measured deviation plus both bound families for one configuration."""
-    fprime = derivative_callable(f, params.a, params.b)
+    fprime = derivative_callable(f)
     norms = norm_triple(fprime, p, params.a, params.b, cfg)
     return BoundSet(
         paper=bounds_paper(params, w, norms, p),
@@ -177,47 +176,6 @@ def bounds_dragomir(
     )
 
 
-def bounds_split(
-    f: Fn1D,
-    w: Weight,
-    params: TauParams,
-    p: float,
-    cfg: QuadConfig = DEFAULT_CONFIG,
-) -> tuple[BranchTriple, BranchTriple]:
-    """Triangle-inequality bounds on |(alpha+beta) tau|: (fine, coarse).
-
-    Fine uses derivative norms on the two subintervals; coarse replaces
-    them with full-interval norms and is never smaller (branchwise).
-    """
-    q = conjugate(p)
-    a, b, x = params.a, params.b, params.x
-    wx = w.eval(x)
-    fprime = derivative_callable(f, a, b)
-    full = norm_triple(fprime, p, a, b, cfg)
-
-    def terms(coef: float, c: float, d: float, mass: float):
-        width2 = (d - c) ** 2
-        inf_t = 0.5 * coef * width2 * wx / mass
-        p_t = coef * (width2 * wx / (mass * (q + 1.0))) ** (1.0 / q)
-        return inf_t, p_t
-
-    fine_inf = fine_p = fine_one = 0.0
-    coarse_inf = coarse_p = 0.0
-    for coef, c, d, _ in _sides(params):
-        mass = w.moment(c, d)
-        sub = norm_triple(fprime, p, c, d, cfg)
-        inf_t, p_t = terms(coef, c, d, mass)
-        fine_inf += inf_t * sub.inf
-        fine_p += p_t * sub.p_norm
-        fine_one += coef * sub.one
-        coarse_inf += inf_t * full.inf
-        coarse_p += p_t * full.p_norm
-    coarse_one = params.weight_sum * full.one
-    fine = BranchTriple(inf=fine_inf, p=fine_p, one=fine_one)
-    coarse = BranchTriple(inf=coarse_inf, p=coarse_p, one=coarse_one)
-    return fine, coarse
-
-
 def corollary_bounds(
     mode: str,
     f: Fn1D,
@@ -247,7 +205,7 @@ def corollary_bounds(
         params = TauParams(a=a, b=b, x=mid, alpha=1.0, beta=1.0)
     else:
         raise ValueError(f"unknown corollary mode: {mode!r}")
-    fprime = derivative_callable(f, a, b)
+    fprime = derivative_callable(f)
     norms = norm_triple(fprime, p, a, b, cfg)
     lhs = abs(tau(f, w, params, cfg))
     return lhs, bounds_paper(params, w, norms, p)

@@ -1,11 +1,12 @@
 """Bounds relating a weighted CDF to its density, reliability and the
-expectation identity, all read from a DensityModel's one F_w table and tolerance."""
+expectation identity. A DensityModel normalizes its input density from
+its one table of f w, and every function here reads F_w from that table
+at the model's one tolerance."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 from .bounds import BranchTriple, bounds_paper
 from .kernel import TauParams
@@ -33,27 +34,40 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DensityModel:
-    """Probability density f paired with a weight, normalized so the
-    weighted total mass over the weight's domain is one.
+    """Probability density read from f against a weight: f / m, where
+    m = int_a^b f w is f's weighted mass, so the density has mass one.
 
-    `cfg` is the model's one tolerance: its table of F_w (`cdf`), its
+    One `Weight.cumulative` table of the unscaled f w is built when the
+    model is made; its total is m (ValueError unless m > 0), and
+    F_w(x) = table(x) / m. `density` is f / m, its derivative scaled the
+    same way. `cfg` is the model's one tolerance: its table, its
     derivative norms and every integral the functions below take of it
-    use it. The mass, the table's total unless `mass` gives it, must be
-    within max(1e-8, abs_tol) of one.
+    use it.
     """
 
-    density: Fn1D
+    f: Fn1D
     weight: Weight
     cfg: QuadConfig = field(default=DEFAULT_CONFIG, compare=False, repr=False)
-    mass: Optional[float] = field(default=None, compare=False, repr=False)
+    density: Fn1D = field(init=False, compare=False, repr=False)
+    cdf: Callable[[float], float] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        total = self.cdf(self.b) if self.mass is None else self.mass
-        if abs(total - 1.0) > max(1e-8, self.cfg.abs_tol):
+        f = self.f
+        table = self.weight.cumulative(f, self.a, self.b, self.cfg)
+        mass = table(self.b)
+        if not mass > 0:
             raise ValueError(
-                f"weighted density mass is {total:.10f}, expected 1 "
-                "(renormalize the density)"
+                f"density {f.name or 'f'} has weighted mass {mass:.10g} on "
+                f"[{self.a:g}, {self.b:g}]; it must be positive"
             )
+        density = Fn1D(
+            fn=lambda t: f.fn(t) / mass,
+            derivative=None if f.derivative is None else lambda t: f.derivative(t) / mass,
+            name=f.name,
+        )
+        object.__setattr__(self, "density", density)
+        # F_w: x -> int_a^x f w / m; ValueError outside [a, b]
+        object.__setattr__(self, "cdf", lambda x: table(x) / mass)
 
     @property
     def a(self) -> float:
@@ -63,29 +77,8 @@ class DensityModel:
     def b(self) -> float:
         return self.weight.b
 
-    @cached_property
-    def cdf(self) -> Callable[[float], float]:
-        """F_w: x -> int_a^x f w, from one `Weight.cumulative` table of f w
-        built on first use; ValueError outside [a, b]."""
-        return self.weight.cumulative(self.density, self.a, self.b, self.cfg)
-
     def norms(self, p: float) -> NormTriple:
-        fprime = derivative_callable(self.density, self.a, self.b)
-        return norm_triple(fprime, p, self.a, self.b, self.cfg)
-
-
-def normalized_density(f: Fn1D, w: Weight, cfg: QuadConfig = DEFAULT_CONFIG) -> DensityModel:
-    """Rescale f so the weighted mass is one and wrap it in a model at cfg."""
-    total = w.integrate_against(f, w.a, w.b, cfg)
-    if total <= 0:
-        raise ValueError("density must carry positive weighted mass")
-    scaled = Fn1D(
-        fn=lambda t: f.fn(t) / total,
-        derivative=(None if f.derivative is None else lambda t: f.derivative(t) / total),
-        name=f.name,
-    )
-    # f / total has weighted mass total / total: no second integral
-    return DensityModel(density=scaled, weight=w, cfg=cfg, mass=1.0)
+        return norm_triple(derivative_callable(self.density), p, self.a, self.b, self.cfg)
 
 
 def cdf_bound_general(

@@ -19,7 +19,7 @@ from .bounds import (
     bound_set,
     sharpness_search,
 )
-from .cdf import CDF_COLUMNS, cdf_report, normalized_density
+from .cdf import CDF_COLUMNS, DensityModel, cdf_report
 from .corpus import function_by_name
 from .expr import ParseError, as_fn1d, compile_expr, parse
 from .kernel import TauParams
@@ -251,6 +251,8 @@ def _cmd_cdf(args, cfg: QuadConfig) -> tuple[str, int]:
         errors.append("--density is required")
     if args.x is None and args.x_grid is None:
         errors.append("one of --x or --x-grid is required")
+    if args.x is not None and args.x_grid is not None:
+        errors.append("--x and --x-grid are mutually exclusive")
     if errors:
         raise _UsageError("; ".join(errors))
 
@@ -258,7 +260,9 @@ def _cmd_cdf(args, cfg: QuadConfig) -> tuple[str, int]:
     w = _weight(args.weight, args.a, args.b)
     if args.x is not None:
         _check_x(args.x, w)
-    model = normalized_density(_expression(args.density, "--density", args.a, args.b), w, cfg)
+    density = as_fn1d(args.density)
+    _check_samples(density.fn, args.a, args.b, "--density", nonnegative=True)
+    model = DensityModel(density, w, cfg)
     rows = cdf_report(model, xs, args.alpha, args.beta, args.p)
     return _csv(CDF_COLUMNS, map(astuple, rows)), EXIT_OK
 

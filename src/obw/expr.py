@@ -17,7 +17,7 @@ import operator
 from dataclasses import dataclass
 from typing import Callable, Union
 
-from .quadrature import Fn1D, derivative_callable
+from .quadrature import Fn1D
 
 __all__ = [
     "ParseError", "Expr", "parse", "compile_expr", "differentiate", "as_fn1d",
@@ -444,16 +444,21 @@ def _diff(e: Expr) -> Expr:
     return BinOp("*", outer, du)
 
 
+# Finite-difference step: the cube root of machine epsilon, the optimum for
+# second-order stencils, scaled by max(1, |t|).
+_FD_STEP = (2.0 ** -52) ** (1.0 / 3.0)
+
+
 def as_fn1d(source: str, name: str = "") -> Fn1D:
     """Parse source into an evaluable function with a symbolic derivative.
 
     The tree and its derivative are each compiled once. Points where the
-    symbolic derivative fails to evaluate (abs at zero) fall back to
-    finite differences: central ones, else forward ones where the central
-    stencil leaves the expression's real domain.
+    symbolic derivative fails to evaluate (abs at zero, sqrt at zero) fall
+    back to second-order finite differences: central ones, else forward
+    ones where the central stencil leaves the expression's real domain.
     """
     tree = parse(source)
-    base = Fn1D(fn=compile_expr(tree), name=name or source)
+    fn = compile_expr(tree)
     dfn = compile_expr(differentiate(tree))
 
     def deriv(t: float) -> float:
@@ -463,9 +468,10 @@ def as_fn1d(source: str, name: str = "") -> Fn1D:
             v = math.nan
         if math.isfinite(v):
             return v
+        h = _FD_STEP * max(1.0, abs(t))
         try:
-            return derivative_callable(base, -math.inf, math.inf)(t)
+            return (fn(t + h) - fn(t - h)) / (2 * h)
         except ValueError:
-            return derivative_callable(base, t, math.inf)(t)
+            return (-3.0 * fn(t) + 4.0 * fn(t + h) - fn(t + 2 * h)) / (2 * h)
 
-    return Fn1D(fn=base.fn, derivative=deriv, name=base.name)
+    return Fn1D(fn=fn, derivative=deriv, name=name or source)

@@ -45,7 +45,9 @@ class DegenerateIntervalError(ValueError):
 class Fn1D:
     """Scalar function of one real variable.
 
-    An optional closed-form derivative avoids finite differencing.
+    `derivative` is its closed-form derivative, where one is known: the
+    derivative norms and bounds read it through `derivative_callable`,
+    which raises when it is None.
     """
 
     fn: Callable[[float], float]
@@ -352,25 +354,8 @@ def weighted_mean(f, w, c: float, d: float, cfg: QuadConfig = DEFAULT_CONFIG) ->
     return w.integrate_against(f, lo, hi, cfg) / mass
 
 
-_FD_STEP = (2.0 ** -52) ** (1.0 / 3.0)
-
-
-def derivative_callable(
-    f: Fn1D, lo: float, hi: float
-) -> Callable[[float], float]:
-    """Derivative of f: closed form if present, else second-order differences.
-
-    Central differences in the interior, one-sided at the interval endpoints.
-    """
-    if f.derivative is not None:
-        return f.derivative
-
-    def d(t: float) -> float:
-        h = _FD_STEP * max(1.0, abs(t))
-        if t - h < lo:
-            return (-3.0 * f.fn(t) + 4.0 * f.fn(t + h) - f.fn(t + 2 * h)) / (2 * h)
-        if t + h > hi:
-            return (3.0 * f.fn(t) - 4.0 * f.fn(t - h) + f.fn(t - 2 * h)) / (2 * h)
-        return (f.fn(t + h) - f.fn(t - h)) / (2 * h)
-
-    return d
+def derivative_callable(f: Fn1D) -> Callable[[float], float]:
+    """The closed-form derivative of f; ValueError naming f when it has none."""
+    if f.derivative is None:
+        raise ValueError(f"function {f.name!r} has no closed-form derivative")
+    return f.derivative

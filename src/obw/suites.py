@@ -73,7 +73,7 @@ def run_verify_suites(cfg: QuadConfig = DEFAULT_CONFIG) -> SuiteReport:
     xs = corpus_x_values(a, b)
     functions = []  # (f, f', {p: norms of f'})
     for f in corpus_functions():
-        fprime = derivative_callable(f, a, b)
+        fprime = derivative_callable(f)
         functions.append((f, fprime, {p: norm_triple(fprime, p, a, b, cfg) for p in P_GRID}))
 
     for w in weights:

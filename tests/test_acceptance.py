@@ -62,7 +62,7 @@ def test_criterion_4_midpoint_agreement(report):
     uniform = builtin_weight("uniform", 0, 1)
     ok = True
     for f in corpus_functions():
-        fprime = derivative_callable(f, 0, 1)
+        fprime = derivative_callable(f)
         norms = norm_triple(fprime, 2.0, 0, 1)
         _, triple = corollary_bounds("midpoint_equal", f, uniform, 2.0, 0, 1)
         classic = bounds_dragomir(0.5, 0, 1, norms, 2.0)
@@ -81,7 +81,7 @@ def test_criterion_5_sharpness(report):
             ok = False
     # equality case of the left-mass bound: density 2t, uniform weight
     model = DensityModel(
-        density=Fn1D(fn=lambda t: 2 * t, derivative=lambda t: 2.0),
+        f=Fn1D(fn=lambda t: 2 * t, derivative=lambda t: 2.0),
         weight=builtin_weight("uniform", 0, 1),
     )
     for x in xs:

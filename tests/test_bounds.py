@@ -11,7 +11,6 @@ from obw.bounds import (
     bounds_dragomir,
     bounds_exact,
     bounds_paper,
-    bounds_split,
     corollary_bounds,
     kernel_norms,
     sharpness_search,
@@ -158,48 +157,11 @@ class TestLegacyBounds:
         assert bounds_dragomir(0.3, 0, 1, zero, 2.0).inf == 0.0
 
 
-class TestSplitBounds:
-    def test_fine_below_coarse(self, uniform):
-        f = Fn1D(fn=lambda t: t**3, derivative=lambda t: 3 * t * t)
-        fine, coarse = bounds_split(f, uniform, params_at(0.5), 2.0)
-        assert fine.inf <= coarse.inf + 1e-9
-        assert fine.one <= coarse.one + 1e-9
-
-    def test_subinterval_sup_norms(self, uniform):
-        # f' = 3t^2: sup over [0, 0.5] is 0.75 against 3 on the full interval
-        f = Fn1D(fn=lambda t: t**3, derivative=lambda t: 3 * t * t)
-        fine, coarse = bounds_split(f, uniform, params_at(0.5), 2.0)
-        # left fine term: (1/2)(0.25)(1/0.5)(0.75); right: same factor times 3
-        assert fine.inf == pytest.approx(0.25 * 0.75 + 0.25 * 3.0, abs=1e-9)
-        assert coarse.inf == pytest.approx(0.25 * 3.0 + 0.25 * 3.0, abs=1e-9)
-
-    def test_one_sided_support(self, uniform):
-        # derivative supported left of x only: right fine L1 term vanishes
-        def fn(t):
-            return min(t, 0.5) ** 2
-
-        def deriv(t):
-            return 2 * t if t < 0.5 else 0.0
-
-        f = Fn1D(fn=fn, derivative=deriv)
-        fine, _ = bounds_split(f, uniform, params_at(0.5, alpha=0.0, beta=1.0), 2.0)
-        assert fine.one == pytest.approx(0.0, abs=1e-10)
-
-    def test_symmetric_equality(self, uniform):
-        # symmetric |f'| about the midpoint: fine and coarse agree on inf
-        f = Fn1D(
-            fn=lambda t: math.sin(math.pi * t),
-            derivative=lambda t: math.pi * math.cos(math.pi * t),
-        )
-        fine, coarse = bounds_split(f, uniform, params_at(0.5), 2.0)
-        assert fine.inf == pytest.approx(coarse.inf, abs=1e-9)
-
-
 class TestCorollaries:
     def test_equal_coeffs_is_substitution(self, expdecay, sine):
         lhs, triple = corollary_bounds("equal_coeffs", sine, expdecay, 2.0, 0, 1, x=0.3)
         params = params_at(0.3)
-        fprime = derivative_callable(sine, 0, 1)
+        fprime = derivative_callable(sine)
         norms = norm_triple(fprime, 2.0, 0, 1)
         general = bounds_paper(params, expdecay, norms, 2.0)
         for got, want in zip(triple.as_tuple(), general.as_tuple()):
@@ -210,13 +172,13 @@ class TestCorollaries:
         _, triple = corollary_bounds(
             "midpoint", sine, uniform, 2.0, 0, 1, alpha=2.0, beta=1.0
         )
-        fprime = derivative_callable(sine, 0, 1)
+        fprime = derivative_callable(sine)
         norms = norm_triple(fprime, 2.0, 0, 1)
         assert triple.inf == pytest.approx(0.25 * norms.inf, abs=1e-10)
 
     def test_midpoint_equal_agrees_with_single_point(self, uniform, quadratic):
         lhs, triple = corollary_bounds("midpoint_equal", quadratic, uniform, 2.0, 0, 1)
-        fprime = derivative_callable(quadratic, 0, 1)
+        fprime = derivative_callable(quadratic)
         norms = norm_triple(fprime, 2.0, 0, 1)
         legacy = bounds_dragomir(0.5, 0, 1, norms, 2.0)
         assert triple.inf == pytest.approx(legacy.inf, abs=1e-12)

@@ -8,7 +8,6 @@ from obw.cdf import (
     cdf_bound_left,
     cdf_report,
     expectation_identity_check,
-    normalized_density,
 )
 from obw.cli import main
 from obw.functionals import tau
@@ -19,20 +18,20 @@ from obw.weights import Weight, builtin_weight
 
 def uniform_model():
     w = builtin_weight("uniform", 0, 1)
-    return DensityModel(density=Fn1D(fn=lambda t: 1.0, derivative=lambda t: 0.0), weight=w)
+    return DensityModel(f=Fn1D(fn=lambda t: 1.0, derivative=lambda t: 0.0), weight=w)
 
 
 def linear_model():
     w = builtin_weight("uniform", 0, 1)
     return DensityModel(
-        density=Fn1D(fn=lambda t: 2 * t, derivative=lambda t: 2.0), weight=w
+        f=Fn1D(fn=lambda t: 2 * t, derivative=lambda t: 2.0), weight=w
     )
 
 
 def quadratic_model():
     w = builtin_weight("uniform", 0, 1)
     return DensityModel(
-        density=Fn1D(fn=lambda t: 3 * t * t, derivative=lambda t: 6 * t), weight=w
+        f=Fn1D(fn=lambda t: 3 * t * t, derivative=lambda t: 6 * t), weight=w
     )
 
 
@@ -44,15 +43,28 @@ def density_corpus():
             fn=lambda t: math.exp(-8 * (t - 0.5) ** 2),
             derivative=lambda t: -16 * (t - 0.5) * math.exp(-8 * (t - 0.5) ** 2),
         )
-        models.append(normalized_density(bump, w))
+        models.append(DensityModel(bump, w))
     return models
 
 
 class TestModel:
-    def test_rejects_unnormalized(self):
+    def test_rejects_no_mass(self):
         w = builtin_weight("uniform", 0, 1)
-        with pytest.raises(ValueError, match="mass"):
-            DensityModel(density=Fn1D(fn=lambda t: 2.0), weight=w)
+        with pytest.raises(ValueError, match="zero has weighted mass 0"):
+            DensityModel(f=Fn1D(fn=lambda t: 0.0, name="zero"), weight=w)
+
+    def test_normalizes_its_input(self):
+        # 1 + t^2 on w(t) = t has weighted mass 3/4: the model reads f / (3/4)
+        w = builtin_weight("increasing", 0, 1)
+        model = DensityModel(Fn1D(fn=lambda t: 1.0 + t * t, derivative=lambda t: 2 * t), w)
+        assert model.cdf(1.0) == 1.0
+        assert w.integrate_against(model.density, 0, 1) == pytest.approx(1.0, abs=1e-10)
+        assert model.density.derivative(0.5) == pytest.approx(1.0 / 0.75, abs=1e-12)
+
+    def test_norms_need_a_derivative(self):
+        model = DensityModel(Fn1D(fn=lambda t: 2 * t, name="ramp"), builtin_weight("uniform", 0, 1))
+        with pytest.raises(ValueError, match="ramp"):
+            model.norms(2.0)
 
     def test_mass_integrated_at_the_callers_config(self, monkeypatch):
         seen = []
@@ -65,15 +77,8 @@ class TestModel:
         monkeypatch.setattr(Weight, "cumulative", recording)
         cfg = QuadConfig(abs_tol=1e-12)
         w = builtin_weight("uniform", 0, 1)
-        DensityModel(density=Fn1D(fn=lambda t: 2 * t), weight=w, cfg=cfg)
+        DensityModel(f=Fn1D(fn=lambda t: 2 * t), weight=w, cfg=cfg)
         assert seen == [cfg]
-
-    def test_mass_tolerance_follows_abs_tol(self):
-        w = builtin_weight("uniform", 0, 1)
-        f = Fn1D(fn=lambda t: 1.0 + 5e-7)
-        DensityModel(density=f, weight=w, cfg=QuadConfig(abs_tol=1e-6))
-        with pytest.raises(ValueError, match="mass"):
-            DensityModel(density=f, weight=w)
 
     def test_one_table_serves_every_function(self, monkeypatch):
         tables = []
@@ -85,18 +90,13 @@ class TestModel:
 
         monkeypatch.setattr(Weight, "cumulative", recording)
         bump = Fn1D(fn=lambda t: 1.0 + t * t, derivative=lambda t: 2 * t)
-        model = normalized_density(bump, builtin_weight("increasing", 0, 1))
+        model = DensityModel(bump, builtin_weight("increasing", 0, 1))
         params = TauParams(a=0.0, b=1.0, x=0.4, alpha=1.0, beta=2.0)
         cdf_report(model, [0.2, 0.6], 1.0, 2.0)
         cdf_bound_general(model, params)
         cdf_bound_left(model, 0.7)
         expectation_identity_check(model)
         assert len(tables) == 1
-
-    def test_normalized_density_helper(self):
-        w = builtin_weight("increasing", 0, 1)
-        model = normalized_density(Fn1D(fn=lambda t: 1.0, derivative=lambda t: 0.0), w)
-        assert w.integrate_against(model.density, 0, 1) == pytest.approx(1.0, abs=1e-10)
 
 
 class TestCdfValue:

@@ -65,6 +65,14 @@ class TestBoundsCommand:
         assert code == 0
         assert "tau = -8.33333333e-02" in out
 
+    def test_kink_at_a_panel_midpoint(self, capsys):
+        # f' of abs(t - 0.5) is 0/0 at t = 0.5, the first GK15 midpoint: the
+        # derivative there is a central difference, and every norm of f' is 1
+        code, out, _ = run(capsys, "bounds", "--x", "0.3", "--function", "abs(t-0.5)")
+        assert code == 0
+        for name in ("norm_inf", "norm_p", "norm_one"):
+            assert f"{name} = 1.00000000e+00" in out
+
     def test_weight_expression(self, capsys):
         code, out, _ = run(
             capsys,
@@ -429,7 +437,9 @@ class TestCdfCommand:
         assert len({row.split(",")[-1] for row in rows}) == 1
 
     def test_one_density_mass_integral(self, capsys, monkeypatch):
-        # the density "t" has weighted mass 1/2: raw f(0.7) = 0.7, scaled f(0.7) = 1.4
+        # the density "t" has weighted mass 1/2: raw f(0.7) = 0.7, scaled f(0.7) = 1.4;
+        # the mass is the total of the model's one F_w table, so no integral of f w
+        # over [0, 1] is taken apart from it
         masses = []
         integrate_against = obw.weights.Weight.integrate_against
 
@@ -442,7 +452,27 @@ class TestCdfCommand:
         code, out, _ = run(capsys, "cdf", "--density", "t", "--x", "0.5")
         assert code == 0
         assert out.splitlines()[1].split(",")[1] == "2.50000000e-01"
-        assert masses == [0.7]
+        assert masses == []
+
+    def test_x_and_x_grid_are_exclusive(self, capsys):
+        code, out, err = run(capsys, "cdf", "--density", "2*t", "--x", "0.5", "--x-grid", "3")
+        assert code == 2
+        assert out == ""
+        assert "--x and --x-grid are mutually exclusive" in err
+
+    def test_negative_density(self, capsys):
+        code, out, err = run(capsys, "cdf", "--density", "t-0.3", "--x-grid", "3")
+        assert code == 1
+        assert out == ""
+        assert "--density is negative at t=" in err
+        assert "Traceback" not in err
+
+    def test_density_without_mass(self, capsys):
+        code, out, err = run(capsys, "cdf", "--density", "0*t", "--x-grid", "3")
+        assert code == 1
+        assert out == ""
+        assert "error: density 0*t has weighted mass 0" in err
+        assert "Traceback" not in err
 
     def test_failed_identity_check_is_compute_error(self, capsys):
         code, out, err = run(

@@ -199,6 +199,24 @@ class TestAsFn1d:
             finite_difference(f.fn, t), rel=1e-5, abs=1e-6
         )
 
+    # the fallback's step, h = eps^(1/3) max(1, |t|)
+    FD_STEP = (2.0 ** -52) ** (1.0 / 3.0)
+
+    def test_forward_stencil_where_central_leaves_the_domain(self):
+        # d/dt sqrt(t)^3 reads 0.5 / sqrt(0) at t = 0, and sqrt(-h) has no real value
+        f = as_fn1d("sqrt(t)^3")
+        h = self.FD_STEP
+        d = f.derivative(0.0)
+        assert math.isfinite(d) and abs(d) < 2e-3
+        assert d == (-3.0 * f(0.0) + 4.0 * f(h) - f(2 * h)) / (2 * h)
+
+    def test_central_stencil_at_a_kink(self):
+        # the symbolic derivative of abs(t - 0.5)^3 is 0/0 at t = 0.5
+        f = as_fn1d("abs(t-0.5)^3")
+        t, h = 0.5, self.FD_STEP
+        forward = (-3.0 * f(t) + 4.0 * f(t + h) - f(t + 2 * h)) / (2 * h)
+        assert f.derivative(t) == (f(t + h) - f(t - h)) / (2 * h) != forward
+
 
 def _bits(v):
     # CPython's float paths may order a sum's operands either way, so which

@@ -320,7 +320,7 @@ class TestKernelIntegral:
 
 def identity_residual(f, params, w):
     """int rho f' - tau(f): the kernel representation's residual."""
-    fprime = derivative_callable(f, params.a, params.b)
+    fprime = derivative_callable(f)
     return kernel_integral(fprime, params, w) - tau(f, w, params)
 
 
@@ -347,8 +347,8 @@ class TestIdentityResidual:
         assert lhs == pytest.approx(-1 / 12, abs=1e-9)
         assert kernel_integral(lambda t: 2 * t, params, uniform) == pytest.approx(lhs, abs=1e-12)
 
-    def test_finite_difference_fallback(self, uniform):
-        f = Fn1D(fn=lambda t: t**3)
+    def test_cubic_closed_form(self, uniform):
+        f = Fn1D(fn=lambda t: t**3, derivative=lambda t: 3 * t * t)
         assert abs(identity_residual(f, mid_params(), uniform)) <= 1e-7
 
     def test_corpus_sweep_spot(self):

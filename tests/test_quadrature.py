@@ -224,20 +224,13 @@ class TestMeans:
 
 
 class TestDerivativeFallback:
-    def test_central_difference(self):
-        f = Fn1D(fn=lambda t: math.sin(3 * t))
-        d = derivative_callable(f, 0, 1)
-        assert d(0.4) == pytest.approx(3 * math.cos(1.2), abs=1e-8)
-
-    def test_one_sided_at_endpoints(self):
-        f = Fn1D(fn=lambda t: t * t)
-        d = derivative_callable(f, 0, 1)
-        assert d(0.0) == pytest.approx(0.0, abs=1e-7)
-        assert d(1.0) == pytest.approx(2.0, abs=1e-7)
+    def test_no_derivative_raises(self):
+        with pytest.raises(ValueError, match="sine"):
+            derivative_callable(Fn1D(fn=math.sin, name="sine"))
 
     def test_closed_form_preferred(self):
         f = Fn1D(fn=lambda t: t, derivative=lambda t: 42.0)
-        assert derivative_callable(f, 0, 1)(0.5) == 42.0
+        assert derivative_callable(f)(0.5) == 42.0
 
     def test_antiderivative_consistency(self):
         for f in corpus_functions():

@@ -18,7 +18,7 @@ import obw.cli
 import obw.expr
 import obw.suites
 from obw import quadrature
-from obw.cdf import cdf_report, expectation_identity_check, normalized_density
+from obw.cdf import DensityModel, cdf_report, expectation_identity_check
 from obw.corpus import COEFF_PAIRS, corpus_functions, corpus_weights, corpus_x_values
 from obw.expr import as_fn1d, compile_expr, parse
 from obw.kernel import TauParams, kernel_integral, kernel_l1, kernel_lq
@@ -119,8 +119,8 @@ def density_models():
     cfg = QuadConfig(abs_tol=1e-12)
     density = as_fn1d("1 + 0.5*sin(3*t) + t^2")
     return [
-        normalized_density(density, builtin_weight("arcsine", 0, 1), cfg),
-        normalized_density(as_fn1d("exp(t) + 0.2"), expression_weight(), cfg),
+        DensityModel(density, builtin_weight("arcsine", 0, 1), cfg),
+        DensityModel(as_fn1d("exp(t) + 0.2"), expression_weight(), cfg),
     ]
 
 
