@@ -3,7 +3,6 @@ applications, with an expression mini-language and a report CLI."""
 
 from .bounds import (
     BoundSet,
-    BranchTriple,
     audit_paper_vs_exact,
     bound_set,
     bounds_cerone,
@@ -31,7 +30,7 @@ from .kernel import (
     kernel_sup,
     peano_kernel,
 )
-from .norms import NormTriple, conjugate, norm_inf, norm_p, norm_triple
+from .norms import Triple, conjugate, norm_inf, norm_p, norm_triple
 from .quadrature import (
     DegenerateIntervalError,
     Fn1D,

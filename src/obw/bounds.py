@@ -10,13 +10,12 @@ from typing import Iterable, Sequence
 
 from .functionals import tau
 from .kernel import TauParams, _sides, kernel_l1, kernel_lq, kernel_sup
-from .norms import NormTriple, conjugate, norm_triple
+from .norms import Triple, conjugate, norm_triple
 from .quadrature import DEFAULT_CONFIG, Fn1D, QuadConfig, derivative_callable
 from .weights import Weight
 
 __all__ = [
     "BoundSet",
-    "BranchTriple",
     "bounds_paper",
     "kernel_norms",
     "bounds_exact",
@@ -33,38 +32,18 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class BranchTriple:
-    """One value per derivative-norm branch (sup, L_p, L1): a bound, or the
-    kernel norm that pairs with it (`kernel_norms`)."""
-
-    inf: float
-    p: float
-    one: float
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.inf, self.p, self.one)
-
-
-@dataclass(frozen=True)
 class BoundSet:
     """Printed-form and exact kernel-norm bounds for one configuration."""
 
-    paper: BranchTriple
-    exact: BranchTriple
+    paper: Triple
+    exact: Triple
     deviation: float
-    norms: NormTriple
-
-    def ratios(self) -> dict[str, float]:
-        out = {}
-        for label, triple in (("paper", self.paper), ("exact", self.exact)):
-            for branch in ("inf", "p", "one"):
-                b = getattr(triple, branch)
-                out[f"{label}_{branch}"] = abs(self.deviation) / b if b > 0 else 0.0
-        return out
+    norms: Triple
 
 
-def _paper_factors(params: TauParams, w: Weight, q: float) -> tuple[float, float]:
-    """Bracket factors of the printed closed forms (inf and L_p branches)."""
+def _paper_factors(params: TauParams, w: Weight, q: float) -> Triple:
+    """Bracket factors of the printed closed forms; the sup factor does not
+    depend on q."""
     s = params.weight_sum
     wx = w.eval(params.x)
     inf_term = p_term = 0.0
@@ -72,47 +51,36 @@ def _paper_factors(params: TauParams, w: Weight, q: float) -> tuple[float, float
         mass = w.moment(c, d)
         inf_term += coef * (d - c) ** 2 / mass
         p_term += coef**q * (d - c) ** 2 / mass
-    inf_factor = inf_term * wx / (2.0 * s)
-    p_factor = (p_term * wx) ** (1.0 / q) / ((q + 1.0) ** (1.0 / q) * s)
-    return inf_factor, p_factor
+    return Triple(
+        inf_term * wx / (2.0 * s),
+        (p_term * wx) ** (1.0 / q) / ((q + 1.0) ** (1.0 / q) * s),
+        0.5 * (1.0 + abs(params.alpha - params.beta) / s),
+    )
 
 
-def bounds_paper(params: TauParams, w: Weight, norms: NormTriple, p: float) -> BranchTriple:
+def bounds_paper(params: TauParams, w: Weight, norms: Triple, p: float) -> Triple:
     """The three printed branches of the weighted deviation bound.
 
     The inf and L_p brackets carry the w(x) factor of the printed form,
     which matches the exact kernel norms only for constant weights; the
     audit sweep quantifies the gap.
     """
-    q = conjugate(p)
-    inf_factor, p_factor = _paper_factors(params, w, q)
-    one_factor = 0.5 * (1.0 + abs(params.alpha - params.beta) / params.weight_sum)
-    return BranchTriple(
-        inf=inf_factor * norms.inf,
-        p=p_factor * norms.p_norm,
-        one=one_factor * norms.one,
-    )
+    return _paper_factors(params, w, conjugate(p)) * norms
 
 
 def kernel_norms(
     params: TauParams, w: Weight, p: float, cfg: QuadConfig = DEFAULT_CONFIG
-) -> BranchTriple:
+) -> Triple:
     """(||rho||_1, ||rho||_q, ||rho||_inf) with q = p / (p - 1): the kernel
     norms that pair with the derivative norms (sup, L_p, L1) at p."""
-    return BranchTriple(
-        inf=kernel_l1(params, w, cfg),
-        p=kernel_lq(params, w, conjugate(p), cfg),
-        one=kernel_sup(params, w),
+    return Triple(
+        kernel_l1(params, w, cfg), kernel_lq(params, w, conjugate(p), cfg), kernel_sup(params, w)
     )
 
 
-def bounds_exact(kernel: BranchTriple, norms: NormTriple) -> BranchTriple:
+def bounds_exact(kernel: Triple, norms: Triple) -> Triple:
     """Sound Hoelder companions: kernel norms times derivative norms."""
-    return BranchTriple(
-        inf=kernel.inf * norms.inf,
-        p=kernel.p * norms.p_norm,
-        one=kernel.one * norms.one,
-    )
+    return kernel * norms
 
 
 def bound_set(
@@ -139,41 +107,31 @@ def bounds_cerone(
     beta: float,
     a: float,
     b: float,
-    norms: NormTriple,
+    norms: Triple,
     p: float,
-) -> BranchTriple:
+) -> Triple:
     """Unweighted two-coefficient bounds (uniform-weight specialization)."""
     q = conjugate(p)
     s = alpha + beta
-    inf_factor = (alpha * (x - a) + beta * (b - x)) / (2.0 * s)
-    p_factor = (alpha**q * (x - a) + beta**q * (b - x)) ** (1.0 / q) / (
-        s * (q + 1.0) ** (1.0 / q)
+    factors = Triple(
+        (alpha * (x - a) + beta * (b - x)) / (2.0 * s),
+        (alpha**q * (x - a) + beta**q * (b - x)) ** (1.0 / q) / (s * (q + 1.0) ** (1.0 / q)),
+        0.5 * (1.0 + abs(alpha - beta) / s),
     )
-    one_factor = 0.5 * (1.0 + abs(alpha - beta) / s)
-    return BranchTriple(
-        inf=inf_factor * norms.inf,
-        p=p_factor * norms.p_norm,
-        one=one_factor * norms.one,
-    )
+    return factors * norms
 
 
-def bounds_dragomir(
-    x: float, a: float, b: float, norms: NormTriple, p: float
-) -> BranchTriple:
+def bounds_dragomir(x: float, a: float, b: float, norms: Triple, p: float) -> Triple:
     """Classic single-point bounds on |f(x) - mean| over [a, b]."""
     q = conjugate(p)
     span = b - a
     mid = 0.5 * (a + b)
-    inf_factor = ((0.5 * span) ** 2 + (x - mid) ** 2) / span
-    p_factor = (((x - a) ** (q + 1) + (b - x) ** (q + 1)) / (q + 1.0)) ** (
-        1.0 / q
-    ) / span
-    one_factor = (0.5 * span + abs(x - mid)) / span
-    return BranchTriple(
-        inf=inf_factor * norms.inf,
-        p=p_factor * norms.p_norm,
-        one=one_factor * norms.one,
+    factors = Triple(
+        ((0.5 * span) ** 2 + (x - mid) ** 2) / span,
+        (((x - a) ** (q + 1) + (b - x) ** (q + 1)) / (q + 1.0)) ** (1.0 / q) / span,
+        (0.5 * span + abs(x - mid)) / span,
     )
+    return factors * norms
 
 
 def corollary_bounds(
@@ -187,7 +145,7 @@ def corollary_bounds(
     alpha: float = 1.0,
     beta: float = 1.0,
     cfg: QuadConfig = DEFAULT_CONFIG,
-) -> tuple[float, BranchTriple]:
+) -> tuple[float, Triple]:
     """Specialized bound statements, each built by direct substitution.
 
     equal_coeffs fixes alpha = beta; midpoint fixes x at the interval
@@ -230,6 +188,8 @@ def sign_kernel_fn(params: TauParams) -> Fn1D:
 
 @dataclass(frozen=True)
 class SharpnessRow:
+    """One row of `obw sharpness`; the field names are its CSV header."""
+
     x: float
     alpha: float
     beta: float
@@ -294,6 +254,8 @@ def _hat_fn(params: TauParams) -> Fn1D:
 
 @dataclass(frozen=True)
 class AuditRow:
+    """One row of `obw audit`; the field names are its CSV header."""
+
     weight_name: str
     x: float
     alpha: float
@@ -302,18 +264,6 @@ class AuditRow:
     exact_inf_factor: float
     ratio: float
     flagged: bool
-
-
-AUDIT_COLUMNS = (
-    "weight_name",
-    "x",
-    "alpha",
-    "beta",
-    "paper_inf_factor",
-    "exact_inf_factor",
-    "ratio",
-    "flagged",
-)
 
 
 def audit_paper_vs_exact(
@@ -334,7 +284,7 @@ def audit_paper_vs_exact(
         for x in x_grid:
             for alpha, beta in coeff_grid:
                 params = TauParams(a=w.a, b=w.b, x=x, alpha=alpha, beta=beta)
-                paper_inf = float(_paper_factors(params, w, 2.0)[0])  # the same at every q
+                paper_inf = float(_paper_factors(params, w, 2.0).inf)  # the same at every q
                 exact_inf = float(kernel_l1(params, w, cfg))
                 ratio = paper_inf / exact_inf if exact_inf > 0 else math.inf
                 rows.append(AuditRow(

@@ -10,16 +10,12 @@ import json
 import math
 import os
 import sys
-from dataclasses import astuple
+from dataclasses import fields
+from operator import attrgetter
 from typing import Sequence
 
-from .bounds import (
-    AUDIT_COLUMNS,
-    audit_paper_vs_exact,
-    bound_set,
-    sharpness_search,
-)
-from .cdf import CDF_COLUMNS, DensityModel, cdf_report
+from .bounds import AuditRow, SharpnessRow, audit_paper_vs_exact, bound_set, sharpness_search
+from .cdf import CdfReport, DensityModel, cdf_report
 from .corpus import function_by_name
 from .expr import ParseError, as_fn1d, compile_expr, parse
 from .kernel import TauParams
@@ -52,6 +48,12 @@ def _csv(header, rows) -> str:
     writer.writerow(header)
     writer.writerows([_fmt(v) for v in row] for row in rows)
     return buf.getvalue()
+
+
+def _table(row_type, rows) -> str:
+    """CSV of dataclass rows, headed by the names of row_type's fields."""
+    names = [f.name for f in fields(row_type)]
+    return _csv(names, map(attrgetter(*names), rows))
 
 
 def _write(path, text: str) -> None:
@@ -178,19 +180,13 @@ def _cmd_bounds(args, cfg: QuadConfig) -> tuple[str, int]:
     params = TauParams(a=args.a, b=args.b, x=args.x, alpha=args.alpha, beta=args.beta)
     result = bound_set(f, w, params, args.p, cfg)
 
-    record = {
-        "tau": result.deviation,
-        "paper_inf": result.paper.inf,
-        "paper_p": result.paper.p,
-        "paper_one": result.paper.one,
-        "exact_inf": result.exact.inf,
-        "exact_p": result.exact.p,
-        "exact_one": result.exact.one,
-        "norm_inf": result.norms.inf,
-        "norm_p": result.norms.p_norm,
-        "norm_one": result.norms.one,
-    }
-    record.update({f"ratio_{k}": v for k, v in result.ratios().items()})
+    dev = abs(result.deviation)
+    triples = [("paper", result.paper), ("exact", result.exact), ("norm", result.norms)]
+    triples += [(f"ratio_{label}", [dev / v if v > 0 else 0.0 for v in t])
+                for label, t in triples[:2]]
+    record = {"tau": result.deviation}
+    for label, values in triples:
+        record.update(zip((f"{label}_inf", f"{label}_p", f"{label}_one"), values))
     if args.norm:
         keep = {"tau"} | {k for k in record if k.endswith(f"_{args.norm}")}
         record = {k: v for k, v in record.items() if k in keep}
@@ -206,15 +202,7 @@ def _cmd_bounds(args, cfg: QuadConfig) -> tuple[str, int]:
 
 def _cmd_verify(args, cfg: QuadConfig) -> tuple[str, int]:
     report = run_verify_suites(cfg)
-    lines = report.summary_lines()
-    for failure in (
-        report.identity_failures
-        + report.soundness_failures
-        + report.reduction_failures
-        + report.equivalence_failures
-    ):
-        lines.append(f"FAIL {failure}")
-    text = "".join(line + "\n" for line in lines)
+    text = "".join(line + "\n" for line in report.lines())
     return text, EXIT_OK if report.passed else EXIT_COMPUTE
 
 
@@ -222,15 +210,7 @@ def _cmd_audit(args, cfg: QuadConfig) -> tuple[str, int]:
     xs = _interior_grid(args.a, args.b, args.x_grid)
     weights = _weights(args.weights, args.a, args.b)
     rows = audit_paper_vs_exact(weights, xs, _coeff_pairs(args.alphas), cfg)
-    text = _csv(
-        AUDIT_COLUMNS,
-        [
-            [r.weight_name, r.x, r.alpha, r.beta, r.paper_inf_factor,
-             r.exact_inf_factor, r.ratio, r.flagged]
-            for r in rows
-        ],
-    )
-    return text, EXIT_OK
+    return _table(AuditRow, rows), EXIT_OK
 
 
 def _cmd_sharpness(args, cfg: QuadConfig) -> tuple[str, int]:
@@ -242,7 +222,7 @@ def _cmd_sharpness(args, cfg: QuadConfig) -> tuple[str, int]:
         f"(alpha={best.alpha:g}, beta={best.beta:g})",
         file=sys.stderr,
     )
-    return _csv(("x", "alpha", "beta", "ratio"), map(astuple, rows)), EXIT_OK
+    return _table(SharpnessRow, rows), EXIT_OK
 
 
 def _cmd_cdf(args, cfg: QuadConfig) -> tuple[str, int]:
@@ -264,7 +244,7 @@ def _cmd_cdf(args, cfg: QuadConfig) -> tuple[str, int]:
     _check_samples(density.fn, args.a, args.b, "--density", nonnegative=True)
     model = DensityModel(density, w, cfg)
     rows = cdf_report(model, xs, args.alpha, args.beta, args.p)
-    return _csv(CDF_COLUMNS, map(astuple, rows)), EXIT_OK
+    return _table(CdfReport, rows), EXIT_OK
 
 
 @functools.cache

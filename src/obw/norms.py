@@ -5,11 +5,11 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
-from .quadrature import DEFAULT_CONFIG, QuadConfig, integrate
+from .quadrature import DEFAULT_CONFIG, QuadConfig, QuadratureError, integrate
 
-__all__ = ["NormTriple", "norm_inf", "norm_p", "norm_triple", "conjugate"]
+__all__ = ["Triple", "norm_inf", "norm_p", "norm_triple", "conjugate"]
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _N_CHEB = 1024
@@ -28,15 +28,25 @@ def conjugate(p: float) -> float:
 
 
 @dataclass(frozen=True)
-class NormTriple:
-    """The sup, L_p, and L_1 norms of one function on one subinterval."""
+class Triple:
+    """One value per derivative-norm branch (sup, L_p, L1): the norms of f',
+    the kernel norms or bound factors that pair with them, or the bounds.
+
+    `u * v` multiplies branch by branch and `u * s` scales every branch;
+    iteration yields (inf, p, one).
+    """
 
     inf: float
-    p_norm: float
-    one: float
     p: float
-    c: float
-    d: float
+    one: float
+
+    def __mul__(self, other: Triple | float) -> Triple:
+        if isinstance(other, Triple):
+            return Triple(self.inf * other.inf, self.p * other.p, self.one * other.one)
+        return Triple(self.inf * other, self.p * other, self.one * other)
+
+    def __iter__(self) -> Iterator[float]:
+        return iter((self.inf, self.p, self.one))
 
 
 def _golden_max(g: Callable[[float], float], lo: float, hi: float, tol: float) -> float:
@@ -95,10 +105,17 @@ def norm_p(
     d: float,
     cfg: QuadConfig = DEFAULT_CONFIG,
 ) -> float:
-    """L_p norm (int_c^d |g|^p)^(1/p); p = 1 gives the L1 norm."""
+    """L_p norm (int_c^d |g|^p)^(1/p); p = 1 gives the L1 norm.
+
+    g is a derivative f', so a QuadratureError says which norm of f'
+    failed, e.g. when f' is not in L_p.
+    """
     if p < 1:
         raise ValueError("norm_p requires p >= 1")
-    val = integrate(lambda t: abs(g(t)) ** p, c, d, cfg)[0]
+    try:
+        val = integrate(lambda t: abs(g(t)) ** p, c, d, cfg)[0]
+    except QuadratureError as exc:
+        raise QuadratureError(f"L{p:g} norm of f' on [{c:g}, {d:g}]: {exc}") from None
     val = max(val, 0.0)
     return val if p == 1 else val ** (1.0 / p)
 
@@ -109,13 +126,6 @@ def norm_triple(
     c: float,
     d: float,
     cfg: QuadConfig = DEFAULT_CONFIG,
-) -> NormTriple:
-    """Sup, L_p, and L1 norms of g on [c, d] in one bundle."""
-    return NormTriple(
-        inf=norm_inf(g, c, d),
-        p_norm=norm_p(g, p, c, d, cfg),
-        one=norm_p(g, 1.0, c, d, cfg),
-        p=p,
-        c=c,
-        d=d,
-    )
+) -> Triple:
+    """Sup, L_p, and L1 norms of g on [c, d]."""
+    return Triple(norm_inf(g, c, d), norm_p(g, p, c, d, cfg), norm_p(g, 1.0, c, d, cfg))

@@ -14,10 +14,10 @@ from .corpus import (
 )
 from .functionals import tau, tau_combination, tau_decomposed
 from .kernel import TauParams, kernel_integral
-from .norms import norm_triple
+from .norms import Triple, norm_inf, norm_p
 from .quadrature import DEFAULT_CONFIG, QuadConfig, derivative_callable
 
-__all__ = ["SuiteReport", "run_verify_suites", "P_GRID"]
+__all__ = ["Suite", "SuiteReport", "run_verify_suites", "P_GRID"]
 
 P_GRID = (1.5, 2.0, 3.0)
 
@@ -28,53 +28,52 @@ EQUIVALENCE_TOL = 1e-10
 
 
 @dataclass
+class Suite:
+    """One sweep's count of checks and its failure messages."""
+
+    label: str
+    checked: int = 0
+    failures: list[str] = field(default_factory=list)
+
+
+@dataclass
 class SuiteReport:
-    identity_checked: int = 0
-    identity_failures: list[str] = field(default_factory=list)
-    soundness_checked: int = 0
-    soundness_failures: list[str] = field(default_factory=list)
-    reduction_checked: int = 0
-    reduction_failures: list[str] = field(default_factory=list)
-    equivalence_checked: int = 0
-    equivalence_failures: list[str] = field(default_factory=list)
+    identity: Suite = field(default_factory=lambda: Suite("identity"))
+    soundness: Suite = field(default_factory=lambda: Suite("soundness"))
+    reduction: Suite = field(default_factory=lambda: Suite("reductions"))
+    equivalence: Suite = field(default_factory=lambda: Suite("equivalent-forms"))
+
+    def suites(self) -> tuple[Suite, ...]:
+        return (self.identity, self.soundness, self.reduction, self.equivalence)
 
     @property
     def passed(self) -> bool:
-        return not (
-            self.identity_failures
-            or self.soundness_failures
-            or self.reduction_failures
-            or self.equivalence_failures
-        )
+        return not any(s.failures for s in self.suites())
 
-    def summary_lines(self) -> list[str]:
+    def lines(self) -> list[str]:
+        """One summary line per suite, then one FAIL line per failure."""
         return [
-            f"identity: {len(self.identity_failures)} failures "
-            f"({self.identity_checked} checked)",
-            f"soundness: {len(self.soundness_failures)} failures "
-            f"({self.soundness_checked} checked)",
-            f"reductions: {len(self.reduction_failures)} failures "
-            f"({self.reduction_checked} checked)",
-            f"equivalent-forms: {len(self.equivalence_failures)} failures "
-            f"({self.equivalence_checked} checked)",
-        ]
+            f"{s.label}: {len(s.failures)} failures ({s.checked} checked)" for s in self.suites()
+        ] + [f"FAIL {failure}" for s in self.suites() for failure in s.failures]
 
 
 def run_verify_suites(cfg: QuadConfig = DEFAULT_CONFIG) -> SuiteReport:
     """Identity, soundness, reduction, and equivalent-forms sweeps.
 
     Each quantity is computed once, at the level it depends on: f' and its
-    norms per function, the kernel norms per (weight, x, pair, p), and tau
-    per configuration.
+    sup and L1 norms per function, its L_p norm per (function, p), the
+    kernel norms per (weight, x, pair, p), and tau per configuration.
     """
     report = SuiteReport()
     a, b = 0.0, 1.0  # every corpus weight and x lies on [a, b]
     weights = corpus_weights(a, b)
     xs = corpus_x_values(a, b)
-    functions = []  # (f, f', {p: norms of f'})
+    functions = []  # (f, f', {p: norms of f'}); the sup and L1 norms do not depend on p
     for f in corpus_functions():
         fprime = derivative_callable(f)
-        functions.append((f, fprime, {p: norm_triple(fprime, p, a, b, cfg) for p in P_GRID}))
+        inf, one = norm_inf(fprime, a, b), norm_p(fprime, 1.0, a, b, cfg)
+        norms = {p: Triple(inf, norm_p(fprime, p, a, b, cfg), one) for p in P_GRID}
+        functions.append((f, fprime, norms))
 
     for w in weights:
         for x in xs:
@@ -86,26 +85,26 @@ def run_verify_suites(cfg: QuadConfig = DEFAULT_CONFIG) -> SuiteReport:
                     t0 = tau(f, w, params, cfg)
 
                     res = kernel_integral(fprime, params, w, cfg) - t0
-                    report.identity_checked += 1
+                    report.identity.checked += 1
                     if abs(res) > IDENTITY_TOL:
-                        report.identity_failures.append(f"{label}: residual {res:.3e}")
+                        report.identity.failures.append(f"{label}: residual {res:.3e}")
 
                     dev = abs(t0)
                     for p in P_GRID:
                         exact = bounds_exact(kernels[p], norms[p])
-                        report.soundness_checked += 1
-                        for branch, bval in zip(("inf", "p", "one"), exact.as_tuple()):
+                        report.soundness.checked += 1
+                        for branch, bval in zip(("inf", "p", "one"), exact):
                             if dev > bval * (1.0 + SOUNDNESS_RTOL) + 1e-12:
-                                report.soundness_failures.append(
+                                report.soundness.failures.append(
                                     f"{label}: |tau|={dev:.6e} > "
                                     f"exact_{branch}={bval:.6e} (p={p})"
                                 )
 
                     t1 = tau_combination(f, w, params, cfg)
                     t2 = tau_decomposed(f, w, params, cfg)
-                    report.equivalence_checked += 1
+                    report.equivalence.checked += 1
                     if abs(t0 - t1) > EQUIVALENCE_TOL or abs(t0 - t2) > EQUIVALENCE_TOL:
-                        report.equivalence_failures.append(
+                        report.equivalence.failures.append(
                             f"{label}: tau={t0:.3e} combination={t1:.3e} "
                             f"decomposed={t2:.3e}"
                         )
@@ -120,10 +119,10 @@ def run_verify_suites(cfg: QuadConfig = DEFAULT_CONFIG) -> SuiteReport:
             params = TauParams(a=uniform.a, b=uniform.b, x=x, alpha=alpha, beta=beta)
             paper = bounds_paper(params, uniform, norms, 2.0)
             legacy = bounds_cerone(x, alpha, beta, uniform.a, uniform.b, norms, 2.0)
-            report.reduction_checked += 1
-            for pv, lv in zip(paper.as_tuple(), legacy.as_tuple()):
+            report.reduction.checked += 1
+            for pv, lv in zip(paper, legacy):
                 if abs(pv - lv) > REDUCTION_TOL * max(1.0, abs(lv)):
-                    report.reduction_failures.append(
+                    report.reduction.failures.append(
                         f"x={x:g}/({alpha:g},{beta:g}): paper {pv:.15e} "
                         f"vs legacy {lv:.15e}"
                     )

@@ -44,17 +44,17 @@ def report(capsys):
 
 
 def test_criterion_1_identity(suites, report):
-    ok = suites.identity_checked >= 180 and not suites.identity_failures
+    ok = suites.identity.checked >= 180 and not suites.identity.failures
     report("1 identity-residual", ok)
 
 
 def test_criterion_2_soundness(suites, report):
-    ok = suites.soundness_checked >= 540 and not suites.soundness_failures
+    ok = suites.soundness.checked >= 540 and not suites.soundness.failures
     report("2 bound-soundness", ok)
 
 
 def test_criterion_3_uniform_reduction(suites, report):
-    ok = suites.reduction_checked == 36 and not suites.reduction_failures
+    ok = suites.reduction.checked == 36 and not suites.reduction.failures
     report("3 uniform-weight-reduction", ok)
 
 
@@ -133,7 +133,7 @@ def test_criterion_8_audit_reproducibility(report):
 
 
 def test_criterion_9_equivalent_forms(suites, report):
-    ok = suites.equivalence_checked >= 180 and not suites.equivalence_failures
+    ok = suites.equivalence.checked >= 180 and not suites.equivalence.failures
     report("9 equivalent-forms", ok)
 
 

@@ -19,13 +19,13 @@ from obw.bounds import (
 from obw.corpus import corpus_functions, corpus_weights
 from obw.functionals import tau
 from obw.kernel import TauParams, kernel_l1, peano_kernel
-from obw.norms import NormTriple, norm_triple
+from obw.norms import Triple, norm_triple
 from obw.quadrature import Fn1D, derivative_callable
 from obw.weights import builtin_weight
 
 
-def unit_norms(p=2.0):
-    return NormTriple(inf=1.0, p_norm=1.0, one=1.0, p=p, c=0.0, d=1.0)
+def unit_norms():
+    return Triple(inf=1.0, p=1.0, one=1.0)
 
 
 def params_at(x, alpha=1.0, beta=1.0):
@@ -42,7 +42,7 @@ class TestPaperBounds:
         assert triple.one == pytest.approx(0.5, abs=1e-14)
 
     def test_dominates_quadratic_deviation(self, uniform, quadratic):
-        norms = NormTriple(inf=2.0, p_norm=2 / math.sqrt(3), one=1.0, p=2.0, c=0, d=1)
+        norms = Triple(inf=2.0, p=2 / math.sqrt(3), one=1.0)
         triple = bounds_paper(params_at(0.5), uniform, norms, 2.0)
         assert triple.inf == pytest.approx(0.5, abs=1e-12)
         assert abs(tau(quadratic, uniform, params_at(0.5))) <= triple.inf
@@ -70,22 +70,22 @@ class TestExactBounds:
         f = Fn1D(fn=lambda t: 0.0, derivative=lambda t: 0.0)
         result = bound_set(f, uniform, params_at(0.5), 2.0)
         assert result.deviation == pytest.approx(0.0, abs=1e-12)
-        assert all(v >= 0 for v in result.exact.as_tuple())
+        assert all(v >= 0 for v in result.exact)
 
     def test_holder_chain_composition(self, expdecay):
         from obw.kernel import kernel_l1
 
         params = params_at(0.3, alpha=2.0, beta=1.0)
-        norms = NormTriple(inf=7.0, p_norm=1.0, one=1.0, p=2.0, c=0, d=1)
+        norms = Triple(inf=7.0, p=1.0, one=1.0)
         exact = bounds_exact(kernel_norms(params, expdecay, 2.0), norms)
         assert exact.inf == pytest.approx(7.0 * kernel_l1(params, expdecay), abs=1e-12)
 
     def test_norm_homogeneity(self, uniform):
         params = params_at(0.4)
         base = bounds_exact(kernel_norms(params, uniform, 2.0), unit_norms())
-        scaled_norms = NormTriple(inf=3.0, p_norm=3.0, one=3.0, p=2.0, c=0, d=1)
+        scaled_norms = Triple(inf=3.0, p=3.0, one=3.0)
         scaled = bounds_exact(kernel_norms(params, uniform, 2.0), scaled_norms)
-        for b0, b1 in zip(base.as_tuple(), scaled.as_tuple()):
+        for b0, b1 in zip(base, scaled):
             assert b1 == pytest.approx(3.0 * b0, abs=1e-10)
 
     def test_bound_set_is_kernel_norms_times_derivative_norms(self):
@@ -153,7 +153,7 @@ class TestLegacyBounds:
         # the original Ostrowski bound, sharp constant 1/4 at the midpoint
         assert bounds_dragomir(0.5, 0, 1, unit_norms(), 2.0).inf == pytest.approx(0.25)
         assert bounds_dragomir(0.0, 0, 1, unit_norms(), 2.0).inf == pytest.approx(0.5)
-        zero = NormTriple(inf=0.0, p_norm=1.0, one=1.0, p=2.0, c=0.0, d=1.0)
+        zero = Triple(inf=0.0, p=1.0, one=1.0)
         assert bounds_dragomir(0.3, 0, 1, zero, 2.0).inf == 0.0
 
 
@@ -164,7 +164,7 @@ class TestCorollaries:
         fprime = derivative_callable(sine)
         norms = norm_triple(fprime, 2.0, 0, 1)
         general = bounds_paper(params, expdecay, norms, 2.0)
-        for got, want in zip(triple.as_tuple(), general.as_tuple()):
+        for got, want in zip(triple, general):
             assert got == pytest.approx(want, abs=1e-12)
         assert lhs == pytest.approx(abs(tau(sine, expdecay, params)), abs=1e-12)
 
@@ -258,5 +258,5 @@ class TestSoundnessSweep:
                 params = params_at(0.7, alpha=2.0, beta=1.0)
                 result = bound_set(f, w, params, p)
                 dev = abs(result.deviation)
-                for bound in result.exact.as_tuple():
+                for bound in result.exact:
                     assert dev <= bound * (1 + 1e-9) + 1e-12

@@ -60,6 +60,20 @@ class TestBoundsCommand:
         record = json.loads(out)
         assert record["tau"] == "-8.33333333e-02"
 
+    def test_csv_columns(self, capsys):
+        code, out, _ = run(
+            capsys,
+            "bounds", "--x", "0.5", "--function", "t^2", "--format", "csv",
+        )
+        assert code == 0
+        header, row = out.strip().splitlines()
+        assert header == (
+            "tau,paper_inf,paper_p,paper_one,exact_inf,exact_p,exact_one,"
+            "norm_inf,norm_p,norm_one,ratio_paper_inf,ratio_paper_p,ratio_paper_one,"
+            "ratio_exact_inf,ratio_exact_p,ratio_exact_one"
+        )
+        assert row.split(",")[0] == "-8.33333333e-02"
+
     def test_registry_function_name(self, capsys):
         code, out, _ = run(capsys, "bounds", "--x", "0.5", "--function", "quadratic")
         assert code == 0
@@ -100,6 +114,14 @@ class TestBoundsCommand:
         assert code == 1
         assert out == ""
         assert f"error: arithmetic failure ({kind}" in err
+
+    def test_divergent_norm_is_named(self, capsys):
+        # f' = 1/(2 sqrt(t)) is not in L2: the message says which norm failed
+        code, out, err = run(capsys, "bounds", "--x", "0.3", "--function", "sqrt(t)")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: L2 norm of f' on [0, 1]: no convergence after 1000")
+        assert "Traceback" not in err
 
     def test_zero_weight_is_compute_error(self, capsys):
         code, out, err = run(
@@ -375,7 +397,9 @@ class TestAuditCommand:
         )
         assert code == 0
         lines = out.strip().splitlines()
-        assert lines[0].startswith("weight_name,x,alpha,beta")
+        assert lines[0] == (
+            "weight_name,x,alpha,beta,paper_inf_factor,exact_inf_factor,ratio,flagged"
+        )
         flagged = [ln for ln in lines[1:] if ln.endswith(",1")]
         assert flagged
         assert all(not ln.startswith("uniform") for ln in flagged)
@@ -398,6 +422,7 @@ class TestSharpnessCommand:
         code, out, err = run(capsys, "sharpness", "--weight", "uniform", "--x-grid", "3")
         assert code == 0
         assert "best ratio" in err
+        assert out.splitlines()[0] == "x,alpha,beta,ratio"
         best = float(err.split()[2])
         assert best >= 0.999
 

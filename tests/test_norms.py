@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from obw.norms import conjugate, norm_inf, norm_p, norm_triple
+from obw.norms import Triple, conjugate, norm_inf, norm_p, norm_triple
 
 
 class TestNormInf:
@@ -68,10 +68,16 @@ class TestProperties:
         with pytest.raises(ValueError):
             conjugate(1.0)
 
+    def test_triple_products_and_order(self):
+        u = Triple(inf=2.0, p=3.0, one=5.0)
+        assert u * Triple(inf=7.0, p=11.0, one=13.0) == Triple(inf=14.0, p=33.0, one=65.0)
+        assert u * 0.5 == Triple(inf=1.0, p=1.5, one=2.5)
+        assert tuple(u) == (2.0, 3.0, 5.0)
+
     def test_triple_bundle(self):
         triple = norm_triple(lambda t: 2 * t, 2.0, 0, 1)
         assert triple.inf == pytest.approx(2.0, abs=1e-10)
-        assert triple.p_norm == pytest.approx(2 / math.sqrt(3), abs=1e-10)
+        assert triple.p == pytest.approx(2 / math.sqrt(3), abs=1e-10)
         assert triple.one == pytest.approx(1.0, abs=1e-10)
 
 
