@@ -12,7 +12,7 @@ import os
 import sys
 from dataclasses import fields
 from operator import attrgetter
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 from .bounds import AuditRow, SharpnessRow, audit_paper_vs_exact, bound_set, sharpness_search
 from .cdf import CdfReport, DensityModel, cdf_report
@@ -31,7 +31,14 @@ EXIT_USAGE = 2
 
 
 class _UsageError(ValueError):
-    """Missing or conflicting flags, or a bad config file."""
+    """A missing, conflicting or malformed flag, or a bad config file."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises a flag error as _UsageError, which `main` reports."""
+
+    def error(self, message: str) -> NoReturn:
+        raise _UsageError(message)
 
 
 def _fmt(v) -> str:
@@ -92,14 +99,26 @@ def _weights(text: str, a: float, b: float) -> list[Weight]:
 
 
 def _coeff_pairs(spec: str) -> list[tuple[float, float]]:
+    """--alphas: a comma list of alpha:beta pairs."""
     pairs = []
     for item in spec.split(","):
         a_str, _, b_str = item.partition(":")
         try:
             pairs.append((float(a_str), float(b_str)))
         except ValueError:
-            raise _UsageError(f"--alphas: bad item {item!r} (expected alpha:beta)") from None
+            raise argparse.ArgumentTypeError(f"bad item {item!r} (expected alpha:beta)") from None
     return pairs
+
+
+def _grid_size(text: str) -> int:
+    """--x-grid: the number of interior points, at least 1."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
 
 
 # 129 Chebyshev points of the first kind on [-1, 1], ascending.
@@ -124,10 +143,10 @@ def _check_samples(fn, a: float, b: float, flag: str, nonnegative: bool = False)
             raise ValueError(f"{flag} is negative at t={t:.9g}: value {v:.9g}")
 
 
-def _expression(text: str, flag: str, a: float, b: float) -> Fn1D:
+def _expression(text: str, flag: str, a: float, b: float, nonnegative: bool = False) -> Fn1D:
     """The expression with its derivative; it must be real on the sample grid."""
     f = as_fn1d(text)
-    _check_samples(f.fn, a, b, flag)
+    _check_samples(f.fn, a, b, flag, nonnegative)
     return f
 
 
@@ -155,28 +174,16 @@ def _check_x(x: float, w: Weight) -> None:
 
 
 def _interior_grid(a: float, b: float, n: int) -> list[float]:
-    if n < 1:
-        raise _UsageError(f"--x-grid must be at least 1, got {n}")
     return [a + (b - a) * k / (n + 1) for k in range(1, n + 1)]
 
 
 def _cmd_bounds(args, cfg: QuadConfig) -> tuple[str, int]:
-    errors = []
-    if args.x is None:
-        errors.append("--x is required")
-    if args.function is None:
-        errors.append("--function is required")
-    if args.weight is not None and args.weight_expr is not None:
-        errors.append("--weight and --weight-expr are mutually exclusive")
-    if errors:
-        raise _UsageError("; ".join(errors))
-
-    f = _function(args.function, args.a, args.b)
     if args.weight_expr is not None:
         w = _weight_expr(args.weight_expr, args.a, args.b, cfg)
     else:
         w = _weight("uniform" if args.weight is None else args.weight, args.a, args.b)
     _check_x(args.x, w)
+    f = _function(args.function, args.a, args.b)
     params = TauParams(a=args.a, b=args.b, x=args.x, alpha=args.alpha, beta=args.beta)
     result = bound_set(f, w, params, args.p, cfg)
 
@@ -209,14 +216,14 @@ def _cmd_verify(args, cfg: QuadConfig) -> tuple[str, int]:
 def _cmd_audit(args, cfg: QuadConfig) -> tuple[str, int]:
     xs = _interior_grid(args.a, args.b, args.x_grid)
     weights = _weights(args.weights, args.a, args.b)
-    rows = audit_paper_vs_exact(weights, xs, _coeff_pairs(args.alphas), cfg)
+    rows = audit_paper_vs_exact(weights, xs, args.alphas, cfg)
     return _table(AuditRow, rows), EXIT_OK
 
 
 def _cmd_sharpness(args, cfg: QuadConfig) -> tuple[str, int]:
     xs = _interior_grid(args.a, args.b, args.x_grid)
     w = _weight(args.weight, args.a, args.b)
-    best, rows = sharpness_search(w, xs, _coeff_pairs(args.alphas), args.kind, cfg)
+    best, rows = sharpness_search(w, xs, args.alphas, args.kind, cfg)
     print(
         f"best ratio {_fmt(best.ratio)} at x={_fmt(best.x)} "
         f"(alpha={best.alpha:g}, beta={best.beta:g})",
@@ -226,43 +233,62 @@ def _cmd_sharpness(args, cfg: QuadConfig) -> tuple[str, int]:
 
 
 def _cmd_cdf(args, cfg: QuadConfig) -> tuple[str, int]:
-    errors = []
-    if args.density is None:
-        errors.append("--density is required")
-    if args.x is None and args.x_grid is None:
-        errors.append("one of --x or --x-grid is required")
-    if args.x is not None and args.x_grid is not None:
-        errors.append("--x and --x-grid are mutually exclusive")
-    if errors:
-        raise _UsageError("; ".join(errors))
-
     xs = [args.x] if args.x is not None else _interior_grid(args.a, args.b, args.x_grid)
     w = _weight(args.weight, args.a, args.b)
     if args.x is not None:
         _check_x(args.x, w)
-    density = as_fn1d(args.density)
-    _check_samples(density.fn, args.a, args.b, "--density", nonnegative=True)
+    density = _expression(args.density, "--density", args.a, args.b, nonnegative=True)
     model = DensityModel(density, w, cfg)
     rows = cdf_report(model, xs, args.alpha, args.beta, args.p)
     return _table(CdfReport, rows), EXIT_OK
 
 
-@functools.cache
-def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser and the parser of each command, by name.
+def _config_flags(command: argparse.ArgumentParser, path: str) -> list[str]:
+    """The file's values as --flag=value tokens of the command."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            values = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise _UsageError(f"bad config file: {exc}") from None
+    if not isinstance(values, dict):
+        raise _UsageError("bad config file: expected a JSON object")
+    flags = {a.dest: a.option_strings[-1] for a in command._actions if a.dest != "help"}
+    tokens = []
+    for key, value in values.items():
+        flag = flags.get(key.replace("-", "_"))
+        if flag is None:
+            raise _UsageError(f"config key {key!r} is not a flag of {command.prog}")
+        tokens.append(f"{flag}={value}")
+    return tokens
 
-    Built on first use and kept for the process: nothing in it depends on
-    the invocation (`OBW_TOL` and `--config` are read by `main`).
+
+class _Commands(argparse._SubParsersAction):
+    """The command and its flags, with the --config file's values read as
+    flags typed right after the command's name: a flag typed after them
+    wins, since argparse keeps the last occurrence."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        name, *rest = values
+        if namespace.config and name in self.choices:
+            rest = _config_flags(self.choices[name], namespace.config) + rest
+        super().__call__(parser, namespace, [name, *rest], option_string)
+
+
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The parser `main` uses, built on first use and shared by every call
+    in the process: nothing in it depends on the invocation (`OBW_TOL` is
+    read by `main`, and a --config file while argv is parsed).
     """
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="obw",
         description=(
             "Weighted deviation functionals, their derivative-norm error "
             "bounds, and CDF applications."
         ),
     )
-    parser.add_argument("--config", help="JSON file with default flag values")
-    sub = parser.add_subparsers(dest="command")
+    parser.add_argument("--config", help="JSON file of flag values, as if typed after the command")
+    sub = parser.add_subparsers(dest="command", required=True, action=_Commands)
 
     def command(name: str, run, summary: str, interval: bool = True) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=summary)
@@ -278,12 +304,15 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
 
     p_bounds = command("bounds", _cmd_bounds, "deviation and bound set for one configuration")
     p_bounds.add_argument("--format", choices=("csv", "json", "text"), default="text")
-    p_bounds.add_argument("--x", type=float, default=None)
+    p_bounds.add_argument("--x", type=float, required=True)
     p_bounds.add_argument("--alpha", type=float, default=1.0)
     p_bounds.add_argument("--beta", type=float, default=1.0)
-    p_bounds.add_argument("--weight", default=None, help="builtin weight spec")
-    p_bounds.add_argument("--weight-expr", default=None, help="weight as an expression in t")
-    p_bounds.add_argument("--function", default=None, help="expression in t or registry name")
+    weight = p_bounds.add_mutually_exclusive_group()
+    # None stands for uniform: argparse tells a typed flag from its default
+    # by identity, and a typed "uniform" may be the default's very object
+    weight.add_argument("--weight", default=None, help="builtin weight spec (default uniform)")
+    weight.add_argument("--weight-expr", default=None, help="weight as an expression in t")
+    p_bounds.add_argument("--function", required=True, help="expression in t or registry name")
     p_bounds.add_argument("--p", type=float, default=2.0)
     p_bounds.add_argument("--norm", choices=("inf", "p", "one"), default=None,
                           help="restrict the report to one branch")
@@ -292,77 +321,27 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
 
     p_audit = command("audit", _cmd_audit, "printed vs exact sup-norm bound factors")
     p_audit.add_argument("--weights", default="uniform,decreasing,increasing")
-    p_audit.add_argument("--x-grid", type=int, default=9)
-    p_audit.add_argument("--alphas", default="1:1,2:1",
+    p_audit.add_argument("--x-grid", type=_grid_size, default=9)
+    p_audit.add_argument("--alphas", type=_coeff_pairs, default="1:1,2:1",
                          help="comma list of alpha:beta pairs")
 
     p_sharp = command("sharpness", _cmd_sharpness, "empirical sharpness sweep")
     p_sharp.add_argument("--weight", default="uniform")
-    p_sharp.add_argument("--x-grid", type=int, default=9)
-    p_sharp.add_argument("--alphas", default="1:1,2:1")
+    p_sharp.add_argument("--x-grid", type=_grid_size, default=9)
+    p_sharp.add_argument("--alphas", type=_coeff_pairs, default="1:1,2:1")
     p_sharp.add_argument("--kind", choices=("exact_inf", "exact_one"),
                          default="exact_inf")
 
     p_cdf = command("cdf", _cmd_cdf, "CDF bound report for a density")
-    p_cdf.add_argument("--density", default=None, help="density expression in t")
+    p_cdf.add_argument("--density", required=True, help="density expression in t")
     p_cdf.add_argument("--weight", default="uniform")
-    p_cdf.add_argument("--x", type=float, default=None)
-    p_cdf.add_argument("--x-grid", type=int, default=None)
+    at = p_cdf.add_mutually_exclusive_group(required=True)
+    at.add_argument("--x", type=float, default=None)
+    at.add_argument("--x-grid", type=_grid_size, default=None)
     p_cdf.add_argument("--alpha", type=float, default=1.0)
     p_cdf.add_argument("--beta", type=float, default=1.0)
     p_cdf.add_argument("--p", type=float, default=2.0)
-    return parser, sub.choices
-
-
-def build_parser() -> argparse.ArgumentParser:
-    """The parser `main` uses, shared by every call in the process."""
-    return _parsers()[0]
-
-
-def _config_defaults(
-    command: argparse.ArgumentParser, path: str
-) -> dict[argparse.Action, str]:
-    """The file's values by the command's flag, each as if typed on the command line."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            values = json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise _UsageError(f"bad config file: {exc}") from None
-    if not isinstance(values, dict):
-        raise _UsageError("bad config file: expected a JSON object")
-    flags = {action.dest: action for action in command._actions if action.dest != "help"}
-    defaults = {}
-    for key, value in values.items():
-        action = flags.get(key.replace("-", "_"))
-        if action is None:
-            raise _UsageError(f"config key {key!r} is not a flag of {command.prog}")
-        text = str(value)
-        if action.choices is not None and text not in action.choices:
-            raise _UsageError(f"config key {key!r}: {text!r} is not one of {action.choices}")
-        defaults[action] = text
-    return defaults
-
-
-def _parse_with_config(
-    parser: argparse.ArgumentParser,
-    command: argparse.ArgumentParser,
-    path: str,
-    argv: Sequence[str] | None,
-) -> argparse.Namespace:
-    """Parse argv with the config file's values as the command's defaults.
-
-    The parsers are shared by every call in the process, so the defaults
-    are put back before returning.
-    """
-    defaults = _config_defaults(command, path)
-    saved = {action: action.default for action in defaults}
-    try:
-        for action, text in defaults.items():
-            action.default = text
-        return parser.parse_args(argv)
-    finally:
-        for action, default in saved.items():
-            action.default = default
+    return parser
 
 
 def _tol(flag: float | None) -> float:
@@ -377,14 +356,9 @@ def _tol(flag: float | None) -> float:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser, commands = _parsers()
-    args = parser.parse_args(argv)
-    if args.command is None:
-        parser.print_usage(sys.stderr)
-        return EXIT_USAGE
+    """Run one obw command; returns its exit code. Only -h raises SystemExit."""
     try:
-        if args.config:
-            args = _parse_with_config(parser, commands[args.command], args.config, argv)
+        args = build_parser().parse_args(argv)
         cfg = QuadConfig(abs_tol=_tol(args.tol), max_subdivisions=args.max_subdiv)
         text, code = args.run(args, cfg)
         _write(args.output, text)

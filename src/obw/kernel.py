@@ -24,6 +24,7 @@ int rho(x, t) f'(t) dt = tau(f); its residual is that integral minus
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable
@@ -54,8 +55,11 @@ class TauParams:
     def __post_init__(self) -> None:
         if not self.a < self.b:
             raise ValueError("requires a < b")
-        if self.alpha < 0 or self.beta < 0:
-            raise ValueError("coefficients must be nonnegative")
+        if not (self.alpha >= 0 and self.beta >= 0 and math.isfinite(self.alpha + self.beta)):
+            raise ValueError(
+                "coefficients must be finite and nonnegative with a finite sum, "
+                f"got alpha={self.alpha:g}, beta={self.beta:g}"
+            )
         if self.alpha == 0 and self.beta == 0:
             raise ValueError("coefficients must not both be zero")
         if self.alpha > 0 and not self.x > self.a:

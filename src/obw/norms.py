@@ -110,8 +110,8 @@ def norm_p(
     g is a derivative f', so a QuadratureError says which norm of f'
     failed, e.g. when f' is not in L_p.
     """
-    if p < 1:
-        raise ValueError("norm_p requires p >= 1")
+    if not 1 <= p < math.inf:
+        raise ValueError(f"norm_p requires finite p >= 1, got p={p:g}")
     try:
         val = integrate(lambda t: abs(g(t)) ** p, c, d, cfg)[0]
     except QuadratureError as exc:

@@ -29,6 +29,11 @@ class WeightSpecError(ValueError):
     """Unknown built-in weight name or parameter."""
 
 
+def _check_domain(a: float, b: float) -> None:
+    if not (math.isfinite(a) and math.isfinite(b) and a < b):
+        raise ValueError(f"weight domain requires finite a < b, got [{a:g}, {b:g}]")
+
+
 @dataclass(frozen=True)
 class Weight:
     """Nonnegative integrable density on [a, b].
@@ -63,8 +68,7 @@ class Weight:
     substitution: Optional[Callable[..., list[tuple]]] = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        if not self.a < self.b:
-            raise ValueError("weight domain requires a < b")
+        _check_domain(self.a, self.b)
 
     def __call__(self, t: float) -> float:
         return self.eval(t)
@@ -338,8 +342,7 @@ def tabulated_weight(
     the difference of two reads, is within abs_tol. `moment_l1` has no
     closed form here: it is one `integrate_against` at the caller's cfg.
     """
-    if not a < b:
-        raise ValueError("weight domain requires a < b")
+    _check_domain(a, b)
     table = cumulative(fn, a, b, replace(cfg, abs_tol=cfg.abs_tol / 2))
 
     def moment_l1(anchor: float, x: float, cfg: QuadConfig) -> float:

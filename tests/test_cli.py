@@ -42,14 +42,26 @@ class TestBoundsCommand:
         assert "ratio_exact_inf = 0.00000000e+00" in out
 
     def test_missing_x_is_usage_error(self, capsys):
-        code, _, err = run(capsys, "bounds", "--function", "t^2")
+        code, out, err = run(capsys, "bounds", "--function", "t^2")
         assert code == 2
-        assert "--x is required" in err
+        assert out == ""
+        assert err == "usage error: the following arguments are required: --x\n"
 
     def test_aggregated_usage_errors(self, capsys):
-        code, _, err = run(capsys, "bounds")
+        code, out, err = run(capsys, "bounds")
         assert code == 2
-        assert "--x is required" in err and "--function is required" in err
+        assert out == ""
+        assert err == "usage error: the following arguments are required: --x, --function\n"
+
+    def test_weight_and_weight_expr_are_exclusive(self, capsys):
+        # "uniform" as typed here is the very object of a "uniform" default
+        code, out, err = run(
+            capsys, "bounds", "--x", "0.5", "--function", "t^2",
+            "--weight", "uniform", "--weight-expr", "1 + t",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "usage error: argument --weight-expr: not allowed with argument --weight\n"
 
     def test_json_format(self, capsys):
         code, out, _ = run(
@@ -132,15 +144,12 @@ class TestBoundsCommand:
         assert err == "error: --weight-expr has no positive mass on [0, 1]\n"
 
 
-def _exit_and_stderr(argv):
-    """Exit code and stderr of one invocation; argparse errors exit via SystemExit."""
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
-    return code, err.getvalue()
+def _exit_and_output(argv):
+    """Exit code, stdout and stderr of one invocation."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
 
 
 _NUMBERS = st.sampled_from(["0", "1", "0.5", "0.25", "-1", "2", "nan", "inf", "-inf", "1e308"])
@@ -171,12 +180,83 @@ def bounds_argv(draw):
     return argv
 
 
+def _assert_clean_exit(argv):
+    """A documented exit code, no traceback, and no NaN in a successful report."""
+    code, out, err = _exit_and_output(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 0:
+        assert "nan" not in out.lower()
+    else:
+        assert out == ""
+        assert err.startswith("usage error: " if code == 2 else "error: ")
+
+
 @given(bounds_argv())
 @settings(max_examples=150, deadline=None)
 def test_bounds_bad_input_exits_cleanly(argv):
-    code, err = _exit_and_stderr(argv)
-    assert code in (0, 1, 2)
-    assert "Traceback" not in err
+    _assert_clean_exit(argv)
+
+
+_WEIGHT_SPECS = st.sampled_from(
+    ["uniform", "decreasing", "arcsine", "power:p=-0.99,q=0", "power:p=50,q=50",
+     "power:p=nan", "exponential:lam=700", "exponential:lam=-inf", "truncnorm:sigma=1e-9",
+     "truncnorm:mu=inf", "nope"]
+)
+_COEFF = st.sampled_from(["0", "1", "2", "1e-300", "1e308", "nan", "inf", "-inf", "-1"])
+_SWEEP_FLAGS = {
+    "--a": _FLAGS["--a"],
+    "--b": _FLAGS["--b"],
+    "--tol": _FLAGS["--tol"],
+    "--x-grid": st.sampled_from(["1", "2", "0", "x"]),
+    "--alphas": st.lists(st.tuples(_COEFF, _COEFF), min_size=1, max_size=2).map(
+        lambda pairs: ",".join(f"{alpha}:{beta}" for alpha, beta in pairs)
+    ),
+}
+
+
+@st.composite
+def sweep_argv(draw):
+    command = draw(st.sampled_from(["audit", "sharpness", "cdf"]))
+    flags = dict(_SWEEP_FLAGS)
+    if command == "audit":
+        flags["--weights"] = _WEIGHT_SPECS
+    else:
+        flags["--weight"] = _WEIGHT_SPECS
+    if command == "sharpness":
+        flags["--kind"] = st.sampled_from(["exact_inf", "exact_one"])
+    if command == "cdf":
+        del flags["--alphas"]
+        flags.update({"--alpha": _COEFF, "--beta": _COEFF, "--p": _FLAGS["--p"]})
+        argv = ["cdf", "--density", draw(st.sampled_from(["2*t", "1", "exp(t)", "t-0.3"]))]
+        argv += ["--x", draw(_NUMBERS)] if draw(st.booleans()) else ["--x-grid", "2"]
+    else:
+        argv = [command]
+    for flag in draw(st.lists(st.sampled_from(sorted(flags)), unique=True, max_size=4)):
+        argv += [flag, draw(flags[flag])]
+    return argv
+
+
+@given(sweep_argv())
+@settings(max_examples=150, deadline=None)
+def test_sweep_bad_input_exits_cleanly(argv):
+    _assert_clean_exit(argv)
+
+
+@pytest.mark.parametrize("argv, named", [
+    (("audit", "--weights", "uniform", "--x-grid", "1", "--alphas", "nan:1"), "alpha=nan"),
+    (("sharpness", "--x-grid", "1", "--alphas", "inf:1"), "alpha=inf"),
+    (("cdf", "--density", "2*t", "--x", "0.5", "--beta", "inf"), "beta=inf"),
+    (("bounds", "--x", "0.5", "--function", "t^2", "--alpha", "1e308", "--beta", "1e308"),
+     "alpha=1e+308, beta=1e+308"),
+    (("bounds", "--x", "0.5", "--function", "t^2", "--b", "inf"), "domain"),
+    (("audit", "--x-grid", "1", "--a", "nan"), "domain"),
+], ids=["audit-nan", "sharpness-inf", "cdf-inf", "bounds-sum", "bounds-domain", "audit-domain"])
+def test_non_finite_coefficients_and_domain_are_compute_errors(capsys, argv, named):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and named in err
 
 
 class TestWeightSpecs:
@@ -216,7 +296,7 @@ def test_malformed_alphas_is_usage_error(capsys, command, item):
     code, out, err = run(capsys, command, "--alphas", f"1:1,{item}", "--x-grid", "1")
     assert code == 2
     assert out == ""
-    assert err.startswith("usage error: --alphas") and repr(item) in err
+    assert err.startswith("usage error: argument --alphas: bad item") and repr(item) in err
 
 
 class TestWeightExprSign:
@@ -327,10 +407,10 @@ class TestParserPerProcess:
 
     def test_built_once(self, capsys):
         run(capsys, *self.ARGV)
-        built = obw.cli._parsers.cache_info().misses
+        built = obw.cli.build_parser.cache_info().misses
         run(capsys, *self.ARGV)
         run(capsys, "audit", "--x-grid", "1")
-        assert obw.cli._parsers.cache_info().misses == built == 1
+        assert obw.cli.build_parser.cache_info().misses == built == 1
 
     def test_config_defaults_end_with_the_invocation(self, capsys, tmp_path):
         _, default_out, _ = run(capsys, *self.ARGV)
@@ -345,7 +425,7 @@ class TestParserPerProcess:
         _, default_out, _ = run(capsys, *self.ARGV)
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"p": 3, "alpha": "two"}))
-        assert _exit_and_stderr(["--config", str(cfg), *self.ARGV])[0] == 2
+        assert _exit_and_output(["--config", str(cfg), *self.ARGV])[0] == 2
         assert run(capsys, *self.ARGV)[1] == default_out
 
     def test_obw_tol_read_per_invocation(self, capsys, monkeypatch):
@@ -381,12 +461,13 @@ class TestVerifyCommand:
     ("verify", "--format", "csv"),
     ("audit", "--format", "csv"),
     ("sharpness", "--format", "csv"),
-    ("cdf", "--format", "csv"),
+    ("cdf", "--density", "2*t", "--x", "0.5", "--format", "csv"),
 ])
 def test_flag_the_command_ignores_is_rejected(argv):
-    code, err = _exit_and_stderr(list(argv))
+    code, out, err = _exit_and_output(list(argv))
     assert code == 2
-    assert "unrecognized arguments" in err
+    assert out == ""
+    assert err.startswith("usage error: unrecognized arguments: ") and argv[-2] in err
 
 
 class TestAuditCommand:
@@ -440,10 +521,14 @@ class TestCdfCommand:
         assert fields[2] == "7.50000000e-01"
 
     def test_requires_density_and_x(self, capsys):
-        code, _, err = run(capsys, "cdf")
+        code, out, err = run(capsys, "cdf")
         assert code == 2
-        assert "--density is required" in err
-        assert "--x or --x-grid" in err
+        assert out == ""
+        assert err == "usage error: the following arguments are required: --density\n"
+        code, out, err = run(capsys, "cdf", "--density", "2*t")
+        assert code == 2
+        assert out == ""
+        assert err == "usage error: one of the arguments --x --x-grid is required\n"
 
     def test_identity_check_runs_once_per_invocation(self, capsys, monkeypatch):
         calls = []
@@ -483,7 +568,7 @@ class TestCdfCommand:
         code, out, err = run(capsys, "cdf", "--density", "2*t", "--x", "0.5", "--x-grid", "3")
         assert code == 2
         assert out == ""
-        assert "--x and --x-grid are mutually exclusive" in err
+        assert err == "usage error: argument --x-grid: not allowed with argument --x\n"
 
     def test_negative_density(self, capsys):
         code, out, err = run(capsys, "cdf", "--density", "t-0.3", "--x-grid", "3")
@@ -563,19 +648,52 @@ class TestConfigFile:
         assert run(capsys, "--config", str(cfg), *argv)[0] == 0
         assert run(capsys, "--config", str(cfg), *argv, "--tol", "-1")[0] == 1
 
-    @pytest.mark.parametrize("values", [
-        {"x_grid": 3},  # an audit flag, not a bounds flag
-        {"nope": 1},
-        {"norm": "two"},
-    ])
-    def test_key_naming_no_flag_is_usage_error(self, capsys, tmp_path, values):
+    @pytest.mark.parametrize("values, message", [
+        ({"x_grid": 3}, "config key 'x_grid' is not a flag of obw bounds"),  # an audit flag
+        ({"nope": 1}, "config key 'nope' is not a flag of obw bounds"),
+        ({"norm": "two"}, "argument --norm: invalid choice: 'two'"),
+    ], ids=["values0", "values1", "values2"])
+    def test_key_naming_no_flag_is_usage_error(self, capsys, tmp_path, values, message):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps(values))
-        code, _, err = run(
+        code, out, err = run(
             capsys, "--config", str(cfg), "bounds", "--x", "0.5", "--function", "t^2"
         )
         assert code == 2
-        assert "usage error: config key" in err
+        assert out == ""
+        assert err.startswith(f"usage error: {message}")
+
+    def test_values_read_as_typed_flags(self, capsys, tmp_path):
+        # a value with a leading "-" or an "=" is one flag value
+        argv = ("bounds", "--a", "-1", "--b", "2", "--x", "0.3", "--function", "sine",
+                "--weight", "power:p=1,q=0.5")
+        _, flag_out, _ = run(capsys, *argv)
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"a": -1, "b": 2, "weight": "power:p=1,q=0.5"}))
+        code, out, _ = run(capsys, "--config", str(cfg), "bounds", *argv[5:9])
+        assert code == 0
+        assert out == flag_out
+
+    def test_file_value_conflicts_with_typed_flag(self, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"x": 0.5}))
+        code, out, err = run(capsys, "--config", str(cfg), "cdf", "--density", "2*t",
+                             "--x-grid", "3")
+        assert code == 2
+        assert out == ""
+        assert err == "usage error: argument --x-grid: not allowed with argument --x\n"
+
+    @pytest.mark.parametrize("argv", [
+        ("bounds", "--config", "run.json", "--x", "0.5", "--function", "t^2"),
+        ("bounds", "--config", "run.json"),
+    ])
+    def test_config_after_the_command_is_usage_error(self, capsys, tmp_path, argv):
+        (tmp_path / "run.json").write_text(json.dumps({"x": 0.5, "function": "t^2"}))
+        code, out, err = run(capsys, *[str(tmp_path / a) if a.endswith(".json") else a
+                                       for a in argv])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("usage error: ")
 
 
 class TestDeterminism:
@@ -602,8 +720,10 @@ class TestDeterminism:
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
     def test_no_command_prints_usage(self, capsys):
-        code, _, err = run(capsys)
+        code, out, err = run(capsys)
         assert code == 2
+        assert out == ""
+        assert err.startswith("usage error: ")
 
 
 @pytest.mark.parametrize("argv", [
@@ -616,7 +736,35 @@ def test_x_grid_below_one_is_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert "--x-grid must be at least 1" in err
+    assert err == f"usage error: argument --x-grid: must be at least 1, got {argv[-1]}\n"
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("bounds", "--x", "half", "--function", "t^2"), "argument --x: invalid float value"),
+    (("bounds", "--x", "0.5", "--function", "t^2", "--norm", "two"), "argument --norm"),
+    (("bounds", "--x", "0.5", "--function", "t^2", "--x"), "argument --x: expected one"),
+    (("audit", "--x-grid", "x"), "argument --x-grid: invalid int value: 'x'"),
+    (("audit", "--x-grid", "1.5"), "argument --x-grid: invalid int value: '1.5'"),
+    (("sharpness", "--kind", "best"), "argument --kind: invalid choice"),
+    (("verify", "--tol"), "argument --tol"),
+    (("plot",), "argument command: invalid choice: 'plot'"),
+    (("bounds", "--x", "0.5", "--function", "t^2", "--we", "uniform"), "ambiguous option: --we"),
+], ids=["float", "choice", "no-value", "int", "int-1.5", "kind", "tol", "command", "ambiguous"])
+def test_flag_error_is_one_usage_line(capsys, argv, flag):
+    # returned, not raised as SystemExit
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error: ") and flag in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [("-h",), ("bounds", "-h")])
+def test_help_exits_zero(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: obw")
 
 
 @pytest.mark.parametrize("argv", [

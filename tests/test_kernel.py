@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -75,6 +76,17 @@ class TestPeanoKernel:
             TauParams(a=0, b=1, x=0.0, alpha=1.0, beta=1.0)
         with pytest.raises(ValueError):
             TauParams(a=0, b=1, x=0.5, alpha=-1.0, beta=1.0)
+
+    @pytest.mark.parametrize("alpha, beta", [
+        (math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (0.0, math.inf),
+        (-math.inf, 1.0), (1e308, 1e308),
+    ])
+    def test_non_finite_coefficients(self, alpha, beta):
+        with pytest.raises(ValueError, match=re.escape(f"alpha={alpha:g}, beta={beta:g}")):
+            TauParams(a=0, b=1, x=0.5, alpha=alpha, beta=beta)
+
+    def test_largest_finite_coefficients(self):
+        assert TauParams(a=0, b=1, x=0.5, alpha=1e308, beta=0.0).weight_sum == 1e308
 
 
 class TestMontgomeryKernel:

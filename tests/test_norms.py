@@ -44,6 +44,12 @@ class TestNormP:
         with pytest.raises(ValueError):
             norm_p(lambda t: t, 0.5, 0, 1)
 
+    @pytest.mark.parametrize("p", [math.inf, math.nan])
+    def test_non_finite_p_rejected(self, p):
+        # the zero function would give 0 ** (1 / inf) = 1 and a NaN bound
+        with pytest.raises(ValueError, match=f"finite p >= 1, got p={p:g}"):
+            norm_p(lambda t: 0.0, p, 0, 1)
+
 
 class TestProperties:
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])

@@ -237,6 +237,19 @@ class TestTabulatedWeight:
         with pytest.raises(ValueError, match="a < b"):
             tabulated_weight("one", lambda t: 1.0, 1.0, 0.0)
 
+    @pytest.mark.parametrize("a, b", [(0.0, math.inf), (math.nan, 1.0), (-math.inf, 0.0)])
+    def test_requires_finite_domain(self, a, b):
+        with pytest.raises(ValueError, match=rf"finite a < b, got \[{a:g}, {b:g}\]"):
+            tabulated_weight("one", lambda t: 1.0, a, b)
+
+
+@pytest.mark.parametrize("name", ["uniform", "decreasing", "exponential", "truncnorm"])
+@pytest.mark.parametrize("a, b", [(0.0, math.inf), (math.nan, 1.0), (-math.inf, 1.0),
+                                  (0.0, math.nan)])
+def test_builtin_weight_requires_finite_domain(name, a, b):
+    with pytest.raises(ValueError, match=r"weight domain requires finite a < b"):
+        builtin_weight(name, a, b)
+
 
 class TestMass:
     def test_degenerate_branch_is_rejected(self):
