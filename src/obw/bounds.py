@@ -48,7 +48,9 @@ def _paper_factors(params: TauParams, w: Weight, q: float) -> Triple:
     wx = w.eval(params.x)
     inf_term = p_term = 0.0
     for coef, c, d, _ in _sides(params):
-        mass = w.moment(c, d)
+        # a Python float: a closed moment may be a numpy scalar, whose
+        # overflow would print a RuntimeWarning
+        mass = float(w.moment(c, d))
         inf_term += coef * (d - c) ** 2 / mass
         p_term += coef**q * (d - c) ** 2 / mass
     return Triple(

@@ -39,10 +39,11 @@ class DensityModel:
 
     One `Weight.cumulative` table of the unscaled f w is built when the
     model is made; its total is m (ValueError unless m > 0), and
-    F_w(x) = table(x) / m. `density` is f / m, its derivative scaled the
-    same way. `cfg` is the model's tolerance: its table, its derivative
-    norms and every integral the functions below take of it use it,
-    except the outer integral of F_w in `expectation_identity_check`.
+    F_w(x) = table(x) / m. `density` is f / m, its derivative (and the
+    derivative's `grid`, where it has one) scaled the same way. `cfg` is
+    the model's tolerance: its table, its derivative norms and every
+    integral the functions below take of it use it, except the outer
+    integral of F_w in `expectation_identity_check`.
     """
 
     f: Fn1D
@@ -60,11 +61,11 @@ class DensityModel:
                 f"density {f.name or 'f'} has weighted mass {mass:.10g} on "
                 f"[{self.a:g}, {self.b:g}]; it must be positive"
             )
-        density = Fn1D(
-            fn=lambda t: f.fn(t) / mass,
-            derivative=None if f.derivative is None else lambda t: f.derivative(t) / mass,
-            name=f.name,
-        )
+        deriv = f.derivative
+        scaled = None if deriv is None else (lambda t: deriv(t) / mass)
+        if hasattr(deriv, "grid"):  # element by element the same division
+            scaled.grid = lambda ts: deriv.grid(ts) / mass
+        density = Fn1D(fn=lambda t: f.fn(t) / mass, derivative=scaled, name=f.name)
         object.__setattr__(self, "density", density)
         # F_w: x -> int_a^x f w / m; ValueError outside [a, b]
         object.__setattr__(self, "cdf", lambda x: table(x) / mass)

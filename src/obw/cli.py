@@ -9,6 +9,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import fields
 from operator import attrgetter
@@ -34,8 +35,18 @@ class _UsageError(ValueError):
     """A missing, conflicting or malformed flag, or a bad config file."""
 
 
+# A negative number in any form float() reads; argparse's own pattern
+# (Python 3.10-3.13) knows only plain decimals, so `--a -1e-3` was a flag.
+_NEGATIVE_NUMBER = re.compile(r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf|infinity|nan)$", re.I)
+
+
 class _Parser(argparse.ArgumentParser):
-    """Raises a flag error as _UsageError, which `main` reports."""
+    """Raises a flag error as _UsageError, which `main` reports, and reads
+    a negative number after a flag as its value."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
 
     def error(self, message: str) -> NoReturn:
         raise _UsageError(message)

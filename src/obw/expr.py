@@ -7,7 +7,8 @@ multiplication. ^ is math.pow, so a value is always a real number: a power
 with no real value (a negative base to a fractional exponent, zero to a
 negative one) raises ValueError, like log and sqrt outside their domain.
 A parsed tree is evaluated through compile_expr, which turns it into one
-Python function of t, once.
+Python function of t, once. The same compiled source, run on numpy's
+functions, evaluates a derivative on a whole array of t at once.
 """
 
 from __future__ import annotations
@@ -15,7 +16,10 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from types import CodeType
 from typing import Callable, Union
+
+import numpy as np
 
 from .quadrature import Fn1D
 
@@ -242,6 +246,9 @@ _PY_OPERATORS = {"+": "({} + {})", "-": "({} - {})", "*": "({} * {})", "/": "({}
 # Names the generated code may use: nothing else is reachable from it.
 _NAMESPACE = {**_FUNCTIONS, "pow": math.pow, "inf": math.inf, "nan": math.nan,
               "__builtins__": {}}
+# The same names over numpy arrays of t.
+_NP_NAMESPACE = {**_NAMESPACE, **{name: getattr(np, name) for name in _FUNCTIONS},
+                 "pow": np.power}
 # Parentheses one generated expression may nest; CPython's parser stops at 200.
 _MAX_NESTING = 50
 
@@ -273,6 +280,19 @@ def compile_expr(e: Expr) -> Callable[[float], float]:
     share them) is computed once into a local, and so is any subtree
     nested deeper than _MAX_NESTING, so every tree compiles.
     """
+    return _bind(_code(e), _NAMESPACE)
+
+
+def _bind(code: CodeType, namespace: dict) -> Callable:
+    """The function `_code` compiled, its names read from namespace:
+    _NAMESPACE for a float t, _NP_NAMESPACE for a numpy array of t."""
+    namespace = dict(namespace)
+    exec(code, namespace)
+    return namespace["_f"]
+
+
+def _code(e: Expr) -> CodeType:
+    """compile_expr's source for e, compiled once, for _bind."""
     uses: dict[int, int] = {}
     stack = [e]
     while stack:
@@ -339,9 +359,7 @@ def compile_expr(e: Expr) -> Callable[[float], float]:
 
     source = "def _f(t):\n" + "".join(line + "\n" for line in lines)
     source += f"    return {results[0][0]}\n"
-    namespace = dict(_NAMESPACE)
-    exec(compile(source, "<obw.expr>", "exec"), namespace)
-    return namespace["_f"]
+    return compile(source, "<obw.expr>", "exec")
 
 
 # --- symbolic differentiation --------------------------------------------
@@ -456,10 +474,18 @@ def as_fn1d(source: str, name: str = "") -> Fn1D:
     symbolic derivative fails to evaluate (abs at zero, sqrt at zero) fall
     back to second-order finite differences: central ones, else forward
     ones where the central stencil leaves the expression's real domain.
+
+    The derivative also has `grid(ts)`: the symbolic derivative on a numpy
+    array of t in one call, from the same compiled source run on numpy's
+    functions, with IEEE values (inf, nan) where the scalar derivative
+    raises or falls back, and numpy's floating-point error handling.
+    numpy's exp, log and pow may differ from math's in the last bit.
     """
     tree = parse(source)
     fn = compile_expr(tree)
-    dfn = compile_expr(differentiate(tree))
+    dcode = _code(differentiate(tree))
+    dfn = _bind(dcode, _NAMESPACE)
+    dgrid = _bind(dcode, _NP_NAMESPACE)
 
     def deriv(t: float) -> float:
         try:
@@ -474,4 +500,6 @@ def as_fn1d(source: str, name: str = "") -> Fn1D:
         except ValueError:
             return (-3.0 * fn(t) + 4.0 * fn(t + h) - fn(t + 2 * h)) / (2 * h)
 
+    # a derivative that does not depend on t returns one number
+    deriv.grid = lambda ts: np.broadcast_to(dgrid(ts), ts.shape)
     return Fn1D(fn=fn, derivative=deriv, name=name or source)

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterator
+
+import numpy as np
 
 from .quadrature import DEFAULT_CONFIG, QuadConfig, QuadratureError, integrate
 
@@ -17,7 +18,7 @@ _N_REFINE = 8
 # The _N_CHEB Chebyshev extreme points of [-1, 1], ascending; norm_inf maps
 # them onto [c, d], where mid + half * u is monotone in u, so the samples
 # come out sorted.
-_CHEB_UNIT = tuple(sorted(math.cos(math.pi * k / (_N_CHEB - 1)) for k in range(_N_CHEB)))
+_CHEB_UNIT = np.array(sorted(math.cos(math.pi * k / (_N_CHEB - 1)) for k in range(_N_CHEB)))
 
 
 def conjugate(p: float) -> float:
@@ -68,27 +69,54 @@ def _golden_max(g: Callable[[float], float], lo: float, hi: float, tol: float) -
     return best
 
 
+def _abs_at(g: Callable[[float], float], t: float) -> float:
+    """|g(t)|; ValueError naming t where it is not finite."""
+    v = abs(g(t))
+    if not math.isfinite(v):
+        raise ValueError(f"non-finite evaluation at t={t}")
+    return v
+
+
+def _grid_abs(g: Callable[[float], float], ts: np.ndarray) -> np.ndarray | None:
+    """|g| on ts in one array call, where g has a `grid` (expr.as_fn1d's
+    derivatives do). None where it has none, or where some sample divided
+    by zero, overflowed, left the reals or is not finite: only there can
+    the scalar g raise or fall back to finite differences."""
+    grid = getattr(g, "grid", None)
+    if grid is None:
+        return None
+    with np.errstate(divide="raise", over="raise", invalid="raise", under="ignore"):
+        try:
+            vals = np.abs(grid(ts))
+        except ArithmeticError:  # a raised flag: the scalar g decides
+            return None
+    return vals if np.isfinite(vals).all() else None
+
+
 def norm_inf(g: Callable[[float], float], c: float, d: float) -> float:
     """Sup-norm estimate of |g| on [c, d].
 
     Dense Chebyshev-spaced sampling followed by golden-section refinement
     around the best candidates. An estimate, not a certificate; never less
     than the max sampled value.
+
+    Where g has a `grid`, the samples are taken in one array call and only
+    choose the candidates: every value returned is one of the scalar g, at
+    a candidate or in its refinement.
     """
     if not d > c:
         raise ValueError("norm_inf requires c < d")
     mid = 0.5 * (c + d)
     half = 0.5 * (d - c)
-    ts = [mid + half * u for u in _CHEB_UNIT]
-    vals = []
-    for t in ts:
-        v = abs(g(t))
-        if not math.isfinite(v):
-            raise ValueError(f"non-finite evaluation at t={t}")
-        vals.append(v)
-    best = max(vals)
-    # the _N_REFINE largest, ties in sample order (nlargest sorts stably)
-    ranked = heapq.nlargest(_N_REFINE, range(len(ts)), key=vals.__getitem__)
+    ts_array = mid + half * _CHEB_UNIT
+    ts = ts_array.tolist()
+    vals = _grid_abs(g, ts_array)
+    on_grid = vals is not None
+    if not on_grid:
+        vals = np.array([_abs_at(g, t) for t in ts])
+    # the _N_REFINE largest, ties in sample order (a stable sort)
+    ranked = np.argsort(-vals, kind="stable")[:_N_REFINE].tolist()
+    best = max(_abs_at(g, ts[i]) for i in ranked) if on_grid else float(vals[ranked[0]])
     tol = 1e-12 * max(1.0, d - c)
     for i in ranked:
         lo = ts[max(i - 1, 0)]

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from obw.cdf import (
@@ -10,6 +11,7 @@ from obw.cdf import (
     expectation_identity_check,
 )
 from obw.cli import main
+from obw.expr import as_fn1d
 from obw.functionals import tau
 from obw.kernel import TauParams
 from obw.quadrature import DEFAULT_CONFIG, Fn1D, QuadConfig
@@ -60,6 +62,19 @@ class TestModel:
         assert model.cdf(1.0) == 1.0
         assert w.integrate_against(model.density, 0, 1) == pytest.approx(1.0, abs=1e-10)
         assert model.density.derivative(0.5) == pytest.approx(1.0 / 0.75, abs=1e-12)
+
+    def test_derivative_grid_is_scaled_like_the_derivative(self):
+        # + and * only, so numpy and math round alike: the two agree bit for bit
+        f = as_fn1d("1 + t*t + 3*t")
+        model = DensityModel(f, builtin_weight("decreasing", 0, 1))
+        ts = np.linspace(0.0, 1.0, 11)
+        d = model.density.derivative
+        assert d.grid(ts).tolist() == [d(t) for t in ts]
+        assert d.grid(ts).tolist() != f.derivative.grid(ts).tolist()
+
+    def test_plain_derivative_has_no_grid(self):
+        model = linear_model()
+        assert not hasattr(model.density.derivative, "grid")
 
     def test_norms_need_a_derivative(self):
         model = DensityModel(Fn1D(fn=lambda t: 2 * t, name="ramp"), builtin_weight("uniform", 0, 1))

@@ -772,7 +772,9 @@ def test_help_exits_zero(capsys, argv):
     ("bounds", "--x", "1.5", "--function", "t^2"),
     ("cdf", "--x", "1.5", "--density", "2*t"),
     ("bounds", "--x", "nan", "--function", "t^2"),
-], ids=["bounds-beta-0", "bounds", "cdf", "nan"])
+    ("bounds", "--x", "-inf", "--function", "t^2"),
+    ("bounds", "--x", "-1e-3", "--function", "t^2"),
+], ids=["bounds-beta-0", "bounds", "cdf", "nan", "minus-inf", "minus-exponent"])
 def test_x_outside_interval_is_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
@@ -786,3 +788,25 @@ def test_number_without_digit_is_usage_error(capsys, source):
     assert code == 2
     assert out == ""
     assert err.startswith("usage error: a number needs a digit")
+
+
+@pytest.mark.parametrize("value", ["-1e-3", "-1E-3", "-.1e-2", "-0.001"])
+def test_negative_number_is_a_value(capsys, value):
+    # argparse's own pattern reads only plain decimals as negative numbers
+    argv = ("bounds", "--x", "0.5", "--function", "t^2")
+    code, out, err = run(capsys, *argv, "--a", value)
+    assert (code, err) == (0, "")
+    assert run(capsys, *argv, "--a=-0.001") == (0, out, "")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("argv", [
+    ("audit", "--alphas", "0:1e308", "--weights", "decreasing", "--x-grid", "3"),
+    ("cdf", "--density", "exp(t)", "--x-grid", "2", "--beta", "1e308", "--weight", "decreasing"),
+], ids=["audit", "cdf"])
+def test_overflow_is_one_error_line(capsys, argv):
+    # a numpy scalar's overflow warned ahead of the error line
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1

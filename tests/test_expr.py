@@ -2,18 +2,22 @@ import math
 import struct
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from obw.expr import (
     _FUNCTIONS,
+    _NP_NAMESPACE,
     BinOp,
     Call,
     Neg,
     Num,
     ParseError,
     Var,
+    _bind,
+    _code,
     as_fn1d,
     compile_expr,
     differentiate,
@@ -341,3 +345,63 @@ class TestCompile:
 def test_compile_rejects_names_outside_the_language(tree):
     with pytest.raises((ValueError, KeyError)):
         compile_expr(tree)
+
+
+_FINITE_LEAVES = st.one_of(
+    st.just(Var()),
+    st.builds(Num, st.floats(allow_nan=False, allow_infinity=False)),
+    st.builds(Num, st.sampled_from([0.0, -0.0, 0.5, -1.0, 2.0, 3.0, 1e308])),
+)
+FINITE_TREES = st.recursive(
+    _FINITE_LEAVES,
+    lambda kids: st.one_of(
+        st.builds(Neg, kids),
+        st.builds(BinOp, st.sampled_from(["+", "-", "*", "/", "^"]), kids, kids),
+        st.builds(Call, st.sampled_from(sorted(_FUNCTIONS)), kids),
+    ),
+    max_leaves=40,
+)
+
+
+class TestGrid:
+    """The compiled source run on numpy's functions, over an array of t."""
+
+    TS = np.array([0.05, 0.3, 0.5, 0.77, 0.95])
+
+    @pytest.mark.parametrize("source", [
+        "sin(3*t) + cos(5*t)^2", "exp(1.3*t) * log(t + 0.7)", "sqrt(t + 0.4) / (t + 2)",
+        "abs(t - 0.37)^3", "(t + 0.2)^2.5 - (t + 1)^-3", "(t + 0.5)^t",
+    ])
+    def test_grid_matches_the_scalar_derivative(self, source):
+        # numpy's exp, log and pow may round differently from math's
+        d = as_fn1d(source).derivative
+        np.testing.assert_allclose(d.grid(self.TS), [d(t) for t in self.TS], rtol=1e-13)
+
+    def test_constant_derivative_has_the_shape_of_t(self):
+        grid = as_fn1d("3*t - 1").derivative.grid(self.TS)
+        assert grid.shape == self.TS.shape
+        assert (grid == 3.0).all()
+
+    def test_ieee_values_where_the_scalar_derivative_falls_back(self):
+        # 0.5 / sqrt(0) raises for a float t; the scalar derivative then
+        # takes a forward difference
+        d = as_fn1d("sqrt(t)").derivative
+        with np.errstate(divide="ignore"):
+            grid = d.grid(np.array([0.0, 0.25]))
+        assert grid.tolist() == [math.inf, 1.0]
+        assert math.isfinite(d(0.0))
+
+    @given(FINITE_TREES, POINTS)
+    @settings(max_examples=300, deadline=None)
+    def test_clean_array_run_means_a_finite_scalar_value(self, tree, t):
+        # norm_inf's grid path rests on this: with finite literals, an array
+        # run that raises no floating-point error and ends finite is a point
+        # where the scalar function raises nothing and is finite
+        grid = _bind(_code(tree), _NP_NAMESPACE)
+        with np.errstate(divide="raise", over="raise", invalid="raise", under="ignore"):
+            try:
+                v = np.asarray(grid(np.array([t])))
+            except ArithmeticError:  # a constant subtree is a Python float
+                return
+        if np.isfinite(v).all():
+            assert math.isfinite(compile_expr(tree)(t))

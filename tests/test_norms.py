@@ -1,8 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 
-from obw.norms import Triple, conjugate, norm_inf, norm_p, norm_triple
+from obw.expr import as_fn1d
+from obw.norms import _CHEB_UNIT, Triple, _grid_abs, conjugate, norm_inf, norm_p, norm_triple
 
 
 class TestNormInf:
@@ -127,3 +129,60 @@ def reference_norm_inf(g, c, d):
 def test_norm_inf_matches_reference(g):
     assert norm_inf(g, 0.0, 1.0) == reference_norm_inf(g, 0.0, 1.0)
     assert norm_inf(g, -0.4, 1.3) == reference_norm_inf(g, -0.4, 1.3)
+
+
+def outcome(fn, *args):
+    """fn's value, or the type and message of the exception it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the type and message are compared
+        return type(exc), str(exc)
+
+
+# f whose derivatives use every function of the language, ^ with integral
+# and fractional exponents, quotients, and a constant
+GRID_FUNCTIONS = [
+    "sin(3*t) + cos(5*t)^2",
+    "exp(1.3*t)*sin(2*t + 0.3) + sqrt(t + 0.4)",
+    "log(t + 0.7) / (t + 2) + abs(t - 0.37)^3",
+    "(t + 0.2)^2.5 - (t + 1)^-3 + t^7",
+    "(t + 0.5)^t + 2^t",
+    "1/(t + 0.05) - exp(-t^2)",
+    "3*t - 1",
+]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestGridPath:
+    """norm_inf on an expression's derivative samples it in one array call
+    (its `grid`); a plain callable takes the scalar loop."""
+
+    @pytest.mark.parametrize("source", GRID_FUNCTIONS)
+    @pytest.mark.parametrize("c, d", [(0.0, 1.0), (0.13, 2.9), (0.31, 0.3100001)])
+    def test_same_value_as_the_scalar_loop(self, source, c, d):
+        g = as_fn1d(source).derivative
+        assert _grid_abs(g, 0.5 * (c + d) + 0.5 * (d - c) * _CHEB_UNIT) is not None
+        assert norm_inf(g, c, d) == norm_inf(lambda t: g(t), c, d)
+
+    @pytest.mark.parametrize("source", [
+        "sqrt(t)", "log(t)", "abs(t-0.5)", "exp(800*t)", "1/(t-0.5)",
+        "((t-0.3)^2 - 1e-6)^0.5", "exp(-1/t)", "t*1e400",
+    ])
+    def test_edge_cases_end_as_in_the_scalar_loop(self, source):
+        # a sample where the symbolic derivative is not finite, raises, or
+        # falls back to differences; the scalar g decides each
+        g = as_fn1d(source).derivative
+        assert outcome(norm_inf, g, 0.0, 1.0) == outcome(norm_inf, lambda t: g(t), 0.0, 1.0)
+
+    @pytest.mark.parametrize("source, sup", [
+        # a peak 1e-3 wide: 1 + max |d/dt exp(-u^2)| = 1 + sqrt(2) e^(-1/2) / 1e-3
+        ("t + exp(-((t-0.61)/0.001)^2)", 1.0 + math.sqrt(2.0) * math.exp(-0.5) / 1e-3),
+        # f' = 2 on (0.2, 0.21), 1 elsewhere
+        ("t + (abs(t-0.2) - abs(t-0.21))/2", 2.0),
+    ], ids=["peak", "step"])
+    def test_narrow_features_are_found(self, source, sup):
+        # a sampler that resolves f' more coarsely than today's grid misses both
+        assert norm_inf(as_fn1d(source).derivative, 0.0, 1.0) == pytest.approx(sup, rel=1e-12)
+
+    def test_plain_callable_has_no_grid(self):
+        assert _grid_abs(math.cos, np.linspace(0.0, 1.0, 5)) is None
