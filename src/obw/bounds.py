@@ -4,6 +4,7 @@ audit sweeps."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -171,6 +172,15 @@ def corollary_bounds(
     return lhs, bounds_paper(params, w, norms, p)
 
 
+@dataclass(frozen=True)
+class _Witness(Fn1D):
+    """A sharpness witness and the kinks of its derivative: a sweep splits
+    each branch integral at those inside the branch (`_split_integral`),
+    so that no quadrature panel straddles one."""
+
+    kinks: tuple[float, ...] = ()
+
+
 def sign_kernel_fn(params: TauParams) -> Fn1D:
     """Piecewise-linear f whose derivative is the sign of the kernel.
 
@@ -185,7 +195,38 @@ def sign_kernel_fn(params: TauParams) -> Fn1D:
     def deriv(t: float) -> float:
         return 1.0 if t <= x else -1.0
 
-    return Fn1D(fn=fn, derivative=deriv, name="sign-kernel")
+    return _Witness(fn=fn, derivative=deriv, name="sign-kernel", kinks=(x,))
+
+
+class _AtX:
+    """A weight's quantities at one x of a sweep over coefficient pairs.
+
+    Masses, first moments (`moment_l1`), w(x) and a witness's branch
+    integrals depend on x and the side, not on (alpha, beta). Each is
+    taken from the weight on first use, so a side that no pair weights is
+    never taken, and read back by every later pair. A failed call is not
+    kept: a pair that needs it raises as it would against the weight.
+    `kernel_l1`, `kernel_sup`, `_paper_factors` and `tau` take it in place
+    of the weight and do their own arithmetic on what it returns.
+    """
+
+    mass = Weight.mass  # the one degenerate-mass rule, over the kept moments
+
+    def __init__(self, w: Weight) -> None:
+        self.total = w.total
+        self.eval = functools.cache(w.eval)
+        self.moment = functools.cache(w.moment)
+        self.moment_l1 = functools.cache(w.moment_l1)
+        self.integrate_against = functools.cache(functools.partial(_split_integral, w))
+
+
+def _split_integral(w: Weight, g: _Witness, c: float, d: float, cfg: QuadConfig) -> float:
+    """int_c^d g w, summed over the pieces between g's kinks inside (c, d)."""
+    ends = [c, *(k for k in g.kinks if c < k < d), d]
+    total = w.integrate_against(g, ends[0], ends[1], cfg)
+    for lo, hi in zip(ends[1:], ends[2:]):
+        total += w.integrate_against(g, lo, hi, cfg)
+    return total
 
 
 @dataclass(frozen=True)
@@ -217,13 +258,19 @@ def sharpness_search(
         raise ValueError(f"unknown sharpness kind: {kind!r}")
     rows = []
     for x in x_grid:
+        at = _AtX(w)
+        # one witness per x, so `at` keeps its integrals: the sign kernel
+        # depends on x alone, the hat also on whether alpha >= beta
+        witnesses: dict[bool, _Witness] = {}
         for alpha, beta in coeff_grid:
             params = TauParams(a=w.a, b=w.b, x=x, alpha=alpha, beta=beta)
             if kind == "exact_inf":  # the sup norm of f' is 1
-                f, bound = sign_kernel_fn(params), kernel_l1(params, w, cfg)
+                side, witness, bound = True, sign_kernel_fn, kernel_l1(params, at, cfg)
             else:  # the hat derivative has unit L1 mass by construction
-                f, bound = _hat_fn(params), kernel_sup(params, w)
-            dev = abs(tau(f, w, params, cfg))
+                side, witness, bound = alpha >= beta, _hat_fn, kernel_sup(params, at)
+            if side not in witnesses:
+                witnesses[side] = witness(params)
+            dev = abs(tau(witnesses[side], at, params, cfg))
             rows.append(SharpnessRow(x, alpha, beta, dev / bound if bound > 0 else 0.0))
     best = max(rows, key=lambda r: (round(r.ratio, 12), -r.x))
     return best, rows
@@ -232,7 +279,7 @@ def sharpness_search(
 _HAT_WIDTH = 1e-3
 
 
-def _hat_fn(params: TauParams) -> Fn1D:
+def _hat_fn(params: TauParams) -> _Witness:
     """f whose derivative is a unit-mass hat just inside the peak branch."""
     delta = _HAT_WIDTH * (params.b - params.a)
     if params.alpha >= params.beta:
@@ -251,7 +298,7 @@ def _hat_fn(params: TauParams) -> Fn1D:
     def deriv(t: float) -> float:
         return sign * (height if lo < t <= hi else 0.0)
 
-    return Fn1D(fn=fn, derivative=deriv, name="hat")
+    return _Witness(fn=fn, derivative=deriv, name="hat", kinks=(lo, hi))
 
 
 @dataclass(frozen=True)
@@ -284,10 +331,11 @@ def audit_paper_vs_exact(
     rows = []
     for w in weight_list:
         for x in x_grid:
+            at = _AtX(w)
             for alpha, beta in coeff_grid:
                 params = TauParams(a=w.a, b=w.b, x=x, alpha=alpha, beta=beta)
-                paper_inf = float(_paper_factors(params, w, 2.0).inf)  # the same at every q
-                exact_inf = float(kernel_l1(params, w, cfg))
+                paper_inf = float(_paper_factors(params, at, 2.0).inf)  # the same at every q
+                exact_inf = float(kernel_l1(params, at, cfg))
                 ratio = paper_inf / exact_inf if exact_inf > 0 else math.inf
                 rows.append(AuditRow(
                     w.name, x, alpha, beta, paper_inf, exact_inf, ratio, bool(ratio < 1.0 - 1e-9)

@@ -35,18 +35,20 @@ class _UsageError(ValueError):
     """A missing, conflicting or malformed flag, or a bad config file."""
 
 
-# A negative number in any form float() reads; argparse's own pattern
-# (Python 3.10-3.13) knows only plain decimals, so `--a -1e-3` was a flag.
-_NEGATIVE_NUMBER = re.compile(r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf|infinity|nan)$", re.I)
+# A token with one leading "-" is a value (a negative number in any form
+# float() reads, the expression -t^2, the pair -1:2) unless it names a flag,
+# which argparse checks first; every flag but -h starts with "--". The
+# pattern argparse has (Python 3.10-3.13) takes only plain decimals.
+_LEADING_MINUS_VALUE = re.compile(r"-[^-]")
 
 
 class _Parser(argparse.ArgumentParser):
     """Raises a flag error as _UsageError, which `main` reports, and reads
-    a negative number after a flag as its value."""
+    a token with one leading "-" after a flag as its value."""
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = _NEGATIVE_NUMBER
+        self._negative_number_matcher = _LEADING_MINUS_VALUE
 
     def error(self, message: str) -> NoReturn:
         raise _UsageError(message)

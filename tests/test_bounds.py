@@ -1,10 +1,13 @@
 import math
+import random
 from functools import partial
 
 import pytest
 from numpy.polynomial.legendre import leggauss
 
 from obw.bounds import (
+    _hat_fn,
+    _paper_factors,
     audit_paper_vs_exact,
     bound_set,
     bounds_cerone,
@@ -17,11 +20,12 @@ from obw.bounds import (
     sign_kernel_fn,
 )
 from obw.corpus import corpus_functions, corpus_weights
+from obw.expr import compile_expr, parse
 from obw.functionals import tau
-from obw.kernel import TauParams, kernel_l1, peano_kernel
+from obw.kernel import TauParams, _branches, kernel_l1, kernel_sup, peano_kernel
 from obw.norms import Triple, norm_triple
 from obw.quadrature import Fn1D, derivative_callable
-from obw.weights import builtin_weight
+from obw.weights import builtin_weight, tabulated_weight
 
 
 def unit_norms():
@@ -260,3 +264,100 @@ class TestSoundnessSweep:
                 dev = abs(result.deviation)
                 for bound in result.exact:
                     assert dev <= bound * (1 + 1e-9) + 1e-12
+
+
+def sweep_weights():
+    return [
+        builtin_weight("uniform", 0.0, 1.0),
+        builtin_weight("exponential", 0.0, 1.0, lam=1.7),
+        builtin_weight("truncnorm", 0.0, 1.0, sigma=0.3),
+        builtin_weight("power", 0.0, 1.0, p=-0.3),
+        builtin_weight("arcsine", 0.0, 1.0),
+        tabulated_weight("1 + t^2", compile_expr(parse("1 + t^2")), 0.0, 1.0),
+    ]
+
+
+def sweep_pairs():
+    rng = random.Random(15)
+    return [(1.0, 0.0), (0.0, 1.0), *((rng.uniform(0.2, 5.0), rng.uniform(0.2, 5.0)) for _ in "ab")]
+
+
+SWEEP_XS = (0.05, 0.37, 0.5, 0.93)
+
+
+def hat_tau(params, w):
+    """tau of the hat witness, each branch integral summed over the pieces
+    between the hat's kinks inside the branch."""
+    f = _hat_fn(params)
+
+    def branch(c, d):
+        ends = [c, *(k for k in f.kinks if c < k < d), d]
+        total = w.integrate_against(f, ends[0], ends[1])
+        for lo, hi in zip(ends[1:], ends[2:]):
+            total += w.integrate_against(f, lo, hi)
+        return total
+
+    return f(params.x) - sum(coef * branch(c, d) for coef, c, d, _ in _branches(params, w))
+
+
+def row_reference(sweep, w):
+    """The numbers of one sweep row, computed on their own in the sweep's order."""
+    if sweep == "audit":
+        return lambda params: (
+            float(_paper_factors(params, w, 2.0).inf), float(kernel_l1(params, w))
+        )
+    if sweep == "exact_inf":
+        return lambda params: (
+            kernel_l1(params, w), abs(tau(sign_kernel_fn(params), w, params))
+        )
+    return lambda params: (kernel_sup(params, w), abs(hat_tau(params, w)))
+
+
+def run_sweep(sweep, w, xs, pairs):
+    if sweep == "audit":
+        return audit_paper_vs_exact([w], xs, pairs)
+    return sharpness_search(w, xs, pairs, kind=sweep)[1]
+
+
+@pytest.mark.parametrize("sweep", ["audit", "exact_inf", "exact_one"])
+@pytest.mark.parametrize("w", sweep_weights(), ids=lambda w: w.name)
+class TestSweepRows:
+    """Each sweep row is bit-equal to the same row computed on its own."""
+
+    def test_rows_equal_their_reference(self, w, sweep):
+        reference = row_reference(sweep, w)
+        rows = run_sweep(sweep, w, SWEEP_XS, sweep_pairs())
+        assert [(r.x, r.alpha, r.beta) for r in rows] == [
+            (x, *pair) for x in SWEEP_XS for pair in sweep_pairs()
+        ]
+        for row in rows:
+            first, second = reference(params_at(row.x, row.alpha, row.beta))
+            if sweep == "audit":
+                assert (row.paper_inf_factor, row.exact_inf_factor) == (first, second)
+                assert row.ratio == first / second
+                assert row.flagged == (first / second < 1.0 - 1e-9)
+            else:
+                assert row.ratio == second / first
+
+    @pytest.mark.parametrize("x, before, bad", [
+        (0.5, sweep_pairs(), (-1.0, 2.0)),
+        (5e-324, [(0.0, 1.0), (0.0, 2.0)], (1.0, 1.0)),
+    ], ids=["negative-alpha", "left-branch-without-mass"])
+    def test_bad_pair_raises_as_its_row_does(self, w, sweep, x, before, bad):
+        # the pairs before it take the quantities that the bad pair reads again
+        with pytest.raises((ValueError, ArithmeticError)) as expected:
+            row_reference(sweep, w)(params_at(x, *bad))
+        with pytest.raises(type(expected.value)) as got:
+            run_sweep(sweep, w, [x], [*before, bad])
+        assert str(got.value) == str(expected.value)
+
+
+class TestHatWitness:
+    @pytest.mark.parametrize("x", [0.25, 0.5, 0.75])
+    def test_ratio_sees_the_ramp(self, uniform, x):
+        # on [a, x] the hat's f is 0, then a ramp of width delta up to 1 at x,
+        # so its left mean is delta / (2 x): the ratio is 1 - delta / (2 x);
+        # mirrored, 1 - delta / (2 (1 - x))
+        _, rows = sharpness_search(uniform, [x], [(1.0, 0.0), (0.0, 1.0)], kind="exact_one")
+        assert rows[0].ratio == pytest.approx(1.0 - 1e-3 / (2 * x), abs=1e-13)
+        assert rows[1].ratio == pytest.approx(1.0 - 1e-3 / (2 * (1 - x)), abs=1e-13)

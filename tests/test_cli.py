@@ -799,6 +799,29 @@ def test_negative_number_is_a_value(capsys, value):
     assert run(capsys, *argv, "--a=-0.001") == (0, out, "")
 
 
+@pytest.mark.parametrize("flag, value, code", [
+    ("--function", "-t^2", 0),
+    ("--function", "-sin(t)", 0),
+    ("--alphas", "-1:2", 1),
+], ids=["function", "function-call", "alphas"])
+def test_leading_minus_is_a_value(capsys, flag, value, code):
+    # argparse reads a token that starts with "-" and is not a plain decimal as a flag
+    command = ("audit", "--x-grid", "1") if flag == "--alphas" else ("bounds", "--x", "0.5")
+    expected = run(capsys, *command, f"{flag}={value}")
+    assert expected[0] == code
+    assert run(capsys, *command, flag, value) == expected
+
+
+@pytest.mark.parametrize("argv", [
+    ("bounds", "--x", "0.5", "--function", "-t^2", "--bogus", "1"),
+    ("audit", "--alphas", "-1:2", "-x", "--x-grid", "1"),
+], ids=["unknown-flag", "stray-value"])
+def test_leading_minus_keeps_flag_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error: unrecognized arguments: ") and err.count("\n") == 1
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("argv", [
     ("audit", "--alphas", "0:1e308", "--weights", "decreasing", "--x-grid", "3"),

@@ -147,6 +147,37 @@ def test_audit_takes_no_deviation(monkeypatch, capsys):
     assert calls == []
 
 
+FEW_PAIRS = [(2.0, 1.0), (1.0, 2.0)]
+MANY_PAIRS = [*FEW_PAIRS, (1.0, 0.0), (0.0, 1.0), (3.0, 3.0), (0.5, 4.0), (4.0, 0.5)]
+
+
+@pytest.mark.parametrize("w", [builtin_weight("arcsine", 0.0, 1.0), expression_weight()],
+                         ids=["arcsine", "expression"])
+@pytest.mark.parametrize("sweep", ["audit", "exact_inf", "exact_one"])
+def test_sweep_work_does_not_grow_with_pairs(counts, w, sweep):
+    # per x and side, the masses, first moments and witness integrals are
+    # taken once; the pairs only combine them (FEW_PAIRS weights both sides
+    # of both hat orientations, so MANY_PAIRS needs nothing more)
+    xs = [0.2, 0.5, 0.9]
+    w.total  # once per weight
+
+    def work(pairs):
+        for key in counts:
+            counts[key] = 0
+        if sweep == "audit":
+            obw.bounds.audit_paper_vs_exact([w], xs, pairs)
+        else:
+            obw.bounds.sharpness_search(w, xs, pairs, kind=sweep)
+        return dict(counts)
+
+    few = work(FEW_PAIRS)
+    assert work(MANY_PAIRS) == few
+    assert few["moment"] == 2 * len(xs)  # m(a, x) and m(x, b)
+    assert few["nested"] == 0
+    # quadrature runs for the witness integrals and an expression weight's moment_l1
+    assert (few["integrate"] > 0) == (sweep != "audit" or w.name == "expr")
+
+
 def test_counters_see_nested_quadrature(counts):
     # an integrand that integrates: the counters must notice
     quadrature.integrate(lambda t: quadrature.integrate(lambda s: s * t, 0.0, 1.0)[0], 0.0, 1.0)
