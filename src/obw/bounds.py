@@ -9,6 +9,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .functionals import tau
 from .kernel import TauParams, _sides, kernel_l1, kernel_lq, kernel_sup
 from .norms import Triple, conjugate, norm_triple
@@ -51,7 +53,7 @@ def _paper_factors(params: TauParams, w: Weight, q: float) -> Triple:
     for coef, c, d, _ in _sides(params):
         # a Python float: a closed moment may be a numpy scalar, whose
         # overflow would print a RuntimeWarning
-        mass = float(w.moment(c, d))
+        mass = float(w.mass(c, d))
         inf_term += coef * (d - c) ** 2 / mass
         p_term += coef**q * (d - c) ** 2 / mass
     return Triple(
@@ -199,22 +201,17 @@ def sign_kernel_fn(params: TauParams) -> Fn1D:
 
 
 class _AtX:
-    """A weight's quantities at one x of a sweep over coefficient pairs.
-
-    Masses, first moments (`moment_l1`), w(x) and a witness's branch
-    integrals depend on x and the side, not on (alpha, beta). Each is
-    taken from the weight on first use, so a side that no pair weights is
-    never taken, and read back by every later pair. A failed call is not
-    kept: a pair that needs it raises as it would against the weight.
-    `kernel_l1`, `kernel_sup`, `_paper_factors` and `tau` take it in place
-    of the weight and do their own arithmetic on what it returns.
+    """A weight's masses, first moments and witness integrals at one x of
+    `sharpness_search`, where `kernel_l1`, `kernel_sup` and `tau` take it in
+    place of the weight. Each is taken on first use, so a side that no pair
+    weights is never taken, and read back by every later pair; a failed call
+    is not kept, so a pair that needs it raises as against the weight.
     """
 
     mass = Weight.mass  # the one degenerate-mass rule, over the kept moments
 
     def __init__(self, w: Weight) -> None:
         self.total = w.total
-        self.eval = functools.cache(w.eval)
         self.moment = functools.cache(w.moment)
         self.moment_l1 = functools.cache(w.moment_l1)
         self.integrate_against = functools.cache(functools.partial(_split_integral, w))
@@ -327,17 +324,57 @@ def audit_paper_vs_exact(
     The exact factor is attained: the sign-kernel function (`sign_kernel_fn`,
     unit derivative sup norm) has |tau| equal to it, so on a flagged row
     that witness exceeds the printed bound (`sharpness_search` reports it).
+
+    Per weight and x, w(x) and each weighted side's mass, (d - c)^2 and
+    first moment are taken once; the pairs combine them as numpy columns,
+    in the operations and order of `_paper_factors`' inf bracket and of
+    `kernel_l1`, so each row is bit-equal to the row computed on its own.
+    Where anything fails at an x, its rows are computed on their own, in
+    order: the first that fails raises what it raises alone.
     """
-    rows = []
+    xs, pairs = list(x_grid), list(coeff_grid)
+    if not pairs:  # no rows, so nothing is read
+        return []
+    coefs = [np.array([pair[k] for pair in pairs], dtype=float) for k in (0, 1)]
+    weighted = [bool((coef > 0).any()) for coef in coefs]
+    s = np.array([alpha + beta for alpha, beta in pairs], dtype=float)
+    rows: list[AuditRow] = []
     for w in weight_list:
-        for x in x_grid:
-            at = _AtX(w)
-            for alpha, beta in coeff_grid:
-                params = TauParams(a=w.a, b=w.b, x=x, alpha=alpha, beta=beta)
-                paper_inf = float(_paper_factors(params, at, 2.0).inf)  # the same at every q
-                exact_inf = float(kernel_l1(params, at, cfg))
-                ratio = paper_inf / exact_inf if exact_inf > 0 else math.inf
-                rows.append(AuditRow(
-                    w.name, x, alpha, beta, paper_inf, exact_inf, ratio, bool(ratio < 1.0 - 1e-9)
-                ))
+        per_x = []
+        for x in xs:
+            try:
+                for alpha, beta in pairs:
+                    TauParams(w.a, w.b, x, alpha, beta)
+                    alpha**2.0, beta**2.0  # the OverflowError of the L_p bracket's coef ** q
+                per_x.append([w.eval(x), *_side(w, w.a, x, weighted[0], cfg),
+                              *_side(w, w.b, x, weighted[1], cfg)])
+                continue
+            except Exception as exc:
+                error = exc
+            for alpha, beta in pairs:  # outside the handler, so no error is chained to it
+                params = TauParams(w.a, w.b, x, alpha, beta)
+                _paper_factors(params, w, 2.0), kernel_l1(params, w, cfg)
+            raise error
+        wx, *sides = np.array(per_x, dtype=float).reshape(-1, 7).T[..., None]
+        inf_term = exact = 0.0
+        with np.errstate(all="ignore"):  # silent inf and nan, as on Python floats
+            for coef, (mass, span2, first) in zip(coefs, (sides[:3], sides[3:])):
+                inf_term = inf_term + np.where(coef > 0, coef * span2 / mass, 0.0)
+                exact = exact + np.where(coef > 0, coef / s / mass * first, 0.0)
+            paper = inf_term * wx / (2.0 * s)
+            ratio = np.where(exact > 0, paper / exact, math.inf)
+        rows += map(
+            AuditRow, [w.name] * paper.size, [x for x in xs for _ in pairs],
+            [alpha for _ in xs for alpha, _ in pairs], [beta for _ in xs for _, beta in pairs],
+            *(v.ravel().tolist() for v in (paper, exact, ratio, ratio < 1.0 - 1e-9)),
+        )
     return rows
+
+
+def _side(w: Weight, anchor: float, x: float, weighted: bool, cfg: QuadConfig) -> list:
+    """The mass, (d - c)^2 and first moment of the side [c, d] of x that
+    ends at anchor, or nan where no pair weights it."""
+    if not weighted:
+        return [math.nan] * 3
+    c, d = sorted((anchor, x))
+    return [float(w.mass(c, d)), (d - c) ** 2, w.moment_l1(anchor, x, cfg)]

@@ -62,18 +62,30 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _csv(header, rows) -> str:
+_FORMATS = {"str": "%s", "float": "%.8e", "bool": "%d"}  # _fmt's forms, by declared type
+
+
+@functools.cache
+def _csv_field(text: str) -> str:
+    """text as csv.writer writes it as one field of a longer row."""
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows([_fmt(v) for v in row] for row in rows)
-    return buf.getvalue()
+    csv.writer(buf, lineterminator="\n").writerow([text, ""])
+    return buf.getvalue()[:-2]
+
+
+def _csv(names: Sequence[str], types: Sequence[str], columns: Sequence[Sequence]) -> str:
+    """CSV of columns of the given types, headed by names: one %-template
+    a row, after a str value is quoted as csv.writer quotes it."""
+    template = ",".join(_FORMATS[t] for t in types) + "\n"
+    columns = [map(_csv_field, c) if t == "str" else c for t, c in zip(types, columns)]
+    return ",".join(names) + "\n" + "".join(map(template.__mod__, zip(*columns)))
 
 
 def _table(row_type, rows) -> str:
     """CSV of dataclass rows, headed by the names of row_type's fields."""
-    names = [f.name for f in fields(row_type)]
-    return _csv(names, map(attrgetter(*names), rows))
+    fs = fields(row_type)
+    return _csv([f.name for f in fs], [f.type for f in fs],
+                [list(map(attrgetter(f.name), rows)) for f in fs])
 
 
 def _write(path, text: str) -> None:
@@ -214,7 +226,7 @@ def _cmd_bounds(args, cfg: QuadConfig) -> tuple[str, int]:
     if args.format == "json":
         text = json.dumps({k: _fmt(v) for k, v in record.items()}, indent=2) + "\n"
     elif args.format == "csv":
-        text = _csv(list(record), [list(record.values())])
+        text = _csv(list(record), ["float"] * len(record), [[v] for v in record.values()])
     else:
         text = "".join(f"{k} = {_fmt(v)}\n" for k, v in record.items())
     return text, EXIT_OK
@@ -238,7 +250,7 @@ def _cmd_sharpness(args, cfg: QuadConfig) -> tuple[str, int]:
     w = _weight(args.weight, args.a, args.b)
     best, rows = sharpness_search(w, xs, args.alphas, args.kind, cfg)
     print(
-        f"best ratio {_fmt(best.ratio)} at x={_fmt(best.x)} "
+        f"best ratio {best.ratio:.8e} at x={best.x:.8e} "
         f"(alpha={best.alpha:g}, beta={best.beta:g})",
         file=sys.stderr,
     )

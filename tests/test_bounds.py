@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 from functools import partial
 
 import pytest
@@ -25,7 +26,7 @@ from obw.functionals import tau
 from obw.kernel import TauParams, _branches, kernel_l1, kernel_sup, peano_kernel
 from obw.norms import Triple, norm_triple
 from obw.quadrature import Fn1D, derivative_callable
-from obw.weights import builtin_weight, tabulated_weight
+from obw.weights import Weight, builtin_weight, tabulated_weight
 
 
 def unit_norms():
@@ -361,3 +362,108 @@ class TestHatWitness:
         _, rows = sharpness_search(uniform, [x], [(1.0, 0.0), (0.0, 1.0)], kind="exact_one")
         assert rows[0].ratio == pytest.approx(1.0 - 1e-3 / (2 * x), abs=1e-13)
         assert rows[1].ratio == pytest.approx(1.0 - 1e-3 / (2 * (1 - x)), abs=1e-13)
+
+
+def column_weights():
+    """Every built-in family and an expression weight."""
+    return [
+        builtin_weight("uniform", 0.0, 1.0),
+        builtin_weight("exponential", 0.0, 1.0, lam=2.3),
+        builtin_weight("truncnorm", 0.0, 1.0, mu=0.2, sigma=0.15),
+        builtin_weight("power", 0.0, 1.0, p=-0.49, q=0.7),
+        builtin_weight("increasing", 0.0, 1.0),
+        builtin_weight("decreasing", 0.0, 1.0),
+        builtin_weight("arcsine", 0.0, 1.0),
+        tabulated_weight("2 + sin(5*t)", compile_expr(parse("2 + sin(5*t)")), 0.0, 1.0),
+    ]
+
+
+COLUMN_XS = [k / 100 for k in range(1, 100)]
+COLUMN_PAIRS = [(1.0, 0.0), (0.0, 1.0), (1e-200, 1.0), (1.0, 1.0), (2.91, 0.37)]
+
+
+class TestAuditColumns:
+    """The audit's columns against each row's factors computed on their own."""
+
+    @pytest.mark.parametrize("w", column_weights(), ids=lambda w: w.name)
+    def test_rows_bit_equal_to_their_reference(self, w):
+        rows = audit_paper_vs_exact([w], COLUMN_XS, COLUMN_PAIRS)
+        assert len(rows) == len(COLUMN_XS) * len(COLUMN_PAIRS)
+        for row in rows:
+            paper, exact = audit_row_alone(w, row.x, (row.alpha, row.beta))
+            assert (row.paper_inf_factor, row.exact_inf_factor) == (paper, exact)
+            assert row.ratio == paper / exact
+            assert row.flagged is (paper / exact < 1.0 - 1e-9)
+
+    def test_every_weight_in_order(self):
+        ws = column_weights()[:3]
+        rows = audit_paper_vs_exact(ws, COLUMN_XS[:2], COLUMN_PAIRS[:2])
+        assert [(r.weight_name, r.x, r.alpha, r.beta) for r in rows] == [
+            (w.name, x, *pair) for w in ws for x in COLUMN_XS[:2] for pair in COLUMN_PAIRS[:2]
+        ]
+        assert all(type(v) is float for r in rows for v in (r.paper_inf_factor, r.ratio))
+        assert audit_paper_vs_exact(ws, [2.0], []) == []  # no row reads w(2)
+
+    @pytest.mark.parametrize("w", column_weights()[:4], ids=lambda w: w.name)
+    def test_lp_bracket_overflow_raises_as_its_row(self, w):
+        # coef ** q of the L_p bracket overflows; no audit column reads it
+        with pytest.raises(OverflowError) as expected:
+            _paper_factors(params_at(COLUMN_XS[0], 0.0, 1e200), w, 2.0)
+        with pytest.raises(OverflowError) as got:
+            audit_paper_vs_exact([w], COLUMN_XS, [*COLUMN_PAIRS, (0.0, 1e200)])
+        assert str(got.value) == str(expected.value)
+
+    @pytest.mark.parametrize("xs, pairs, error", [
+        # a branch without mass at the first x, a coefficient error at the second
+        ([5e-324, 0.5], [(1.0, 1.0), (-1.0, 2.0)], "zero weight mass on [0.0, 5e-324]"),
+        ([0.5, 5e-324], [(1.0, 1.0), (-1.0, 2.0)], "coefficients must be finite"),
+        # a branch error at the last x, after a row that needs no left branch
+        ([0.5, 1.0], [(0.0, 1.0), (1.0, 0.0)], "beta > 0 requires x < b"),
+        ([0.5, 5e-324], [(0.0, 1.0), (1.0, 0.0)], "zero weight mass on [0.0, 5e-324]"),
+        # the L_p overflow and a coefficient error in the same x, either way round
+        ([0.5], [(0.0, 1e200), (-1.0, 2.0)], "Numerical result out of range"),
+        ([0.5], [(-1.0, 2.0), (0.0, 1e200)], "coefficients must be finite"),
+        # a coefficient error before the first row that weights a massless side
+        ([5e-324], [(0.0, 1.0), (-1.0, 2.0), (1.0, 1.0)], "coefficients must be finite"),
+    ], ids=["mass-then-coef", "coef-then-mass", "branch-rule", "mass-at-last-x",
+            "overflow-then-coef", "coef-then-overflow", "coef-before-mass"])
+    def test_first_failing_row_raises(self, xs, pairs, error):
+        w = builtin_weight("decreasing", 0.0, 1.0)
+        with pytest.raises((ValueError, ArithmeticError)) as got:
+            audit_paper_vs_exact([w], xs, pairs)
+        assert error in str(got.value)
+        for x in xs:
+            for pair in pairs:
+                try:
+                    audit_row_alone(w, x, pair)
+                except (ValueError, ArithmeticError) as alone:
+                    assert (type(got.value), str(got.value)) == (type(alone), str(alone))
+                    return
+        pytest.fail("no row fails on its own")
+
+    def test_unweighted_side_never_taken(self, monkeypatch):
+        taken = []
+        w = builtin_weight("power", 0.0, 1.0, p=0.5)
+
+        def counted_l1(anchor, x, cfg, moment_l1=w.moment_l1):
+            taken.append(("l1", anchor, x))
+            return moment_l1(anchor, x, cfg)
+
+        w = replace(w, moment_l1=counted_l1)
+        mass = Weight.mass
+
+        def counted_mass(self, c, d):
+            taken.append(("mass", c, d))
+            return mass(self, c, d)
+
+        monkeypatch.setattr(Weight, "mass", counted_mass)
+        audit_paper_vs_exact([w], [0.25, 0.75], [(1.0, 0.0), (2.0, 0.0)])
+        assert taken == [
+            ("mass", 0.0, 0.25), ("l1", 0.0, 0.25), ("mass", 0.0, 0.75), ("l1", 0.0, 0.75)
+        ]
+
+
+def audit_row_alone(w, x, pair):
+    """The numbers of one audit row, each computed on its own."""
+    params = TauParams(a=w.a, b=w.b, x=x, alpha=pair[0], beta=pair[1])
+    return float(_paper_factors(params, w, 2.0).inf), float(kernel_l1(params, w))

@@ -1,7 +1,9 @@
 import contextlib
 import csv
+import dataclasses
 import io
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,8 @@ from hypothesis import strategies as st
 import obw.cdf
 import obw.cli
 import obw.weights
+from obw.bounds import AuditRow, SharpnessRow
+from obw.cdf import CdfReport
 from obw.cli import main
 
 
@@ -496,6 +500,56 @@ class TestAuditCommand:
         assert code == 0
         assert out == ""
         assert out_path.read_text().startswith("weight_name,")
+
+    @pytest.mark.parametrize("argv", [
+        ("audit", "--weights", "truncnorm:mu=0,sigma=0.01", "--x-grid", "1",
+         "--a", "0.9", "--b", "1"),
+        ("bounds", "--weight", "truncnorm:mu=0,sigma=0.01", "--x", "0.95", "--function", "t",
+         "--a", "0.9", "--b", "1"),
+    ], ids=["audit", "bounds"])
+    def test_underflowed_branch_mass_names_the_branch(self, capsys, argv):
+        # the mass of [0.9, 0.95] is exp(-4050)-small: the printed bracket
+        # takes it by the degenerate-mass rule, not as a zero divisor
+        assert run(capsys, *argv) == (1, "", "error: zero weight mass on [0.9, 0.95]\n")
+
+    def test_weight_name_keeps_csv_quoting(self, capsys):
+        # the exact line of the CSV as csv.writer wrote it
+        code, out, _ = run(capsys, "audit", "--weights", "truncnorm:mu=0.5,sigma=0.32",
+                           "--x-grid", "2", "--alphas", "1:0")
+        assert code == 0
+        assert out.splitlines()[1] == (
+            '"truncnorm(mu=0.5,sigma=0.32)",3.33333333e-01,1.00000000e+00,0.00000000e+00,'
+            "2.49739260e-01,1.38120790e-01,1.80812215e+00,0"
+        )
+
+
+def csv_writer_table(row_type, rows):
+    """A table as csv.writer writes the rows with each value through _fmt."""
+    names = [f.name for f in dataclasses.fields(row_type)]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(names)
+    writer.writerows([obw.cli._fmt(getattr(row, n)) for n in names] for row in rows)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("rows", [
+    [AuditRow("truncnorm(mu=0.5,sigma=0.32)", 0.25, 1.0, 0.0, 0.5, 0.25, 2.0, False),
+     AuditRow('say "so"', 1e-300, 2.5, 1e300, -0.0, 5e-324, 1.0, True),
+     AuditRow("line\nbreak,\r", 0.5, 1.0, 1.0, 0.1, 0.3, 1 / 3, True),
+     AuditRow("plain", math.inf, -math.inf, math.nan, 0.0, math.nan, math.inf, False)],
+    [],
+], ids=["quoting-inf-nan-bools", "no-rows"])
+def test_row_writer_matches_csv_writer(rows):
+    assert obw.cli._table(AuditRow, rows) == csv_writer_table(AuditRow, rows)
+
+
+@pytest.mark.parametrize("row_type, row", [
+    (SharpnessRow, SharpnessRow(0.5, 1.0, 0.0, 0.9990000000000001)),
+    (CdfReport, CdfReport(0.5, 0.25, 0.75, 0.0, 0.25, 0.28867513459481287, 0.5, 5.5e-17)),
+])
+def test_row_writer_matches_csv_writer_for_every_row_type(row_type, row):
+    assert obw.cli._table(row_type, [row, row]) == csv_writer_table(row_type, [row, row])
 
 
 class TestSharpnessCommand:
