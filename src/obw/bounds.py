@@ -50,12 +50,19 @@ def _paper_factors(params: TauParams, w: Weight, q: float) -> Triple:
     s = params.weight_sum
     wx = w.eval(params.x)
     inf_term = p_term = 0.0
-    for coef, c, d, _ in _sides(params):
+    for coef, c, d, anchor in _sides(params):
         # a Python float: a closed moment may be a numpy scalar, whose
         # overflow would print a RuntimeWarning
         mass = float(w.mass(c, d))
         inf_term += coef * (d - c) ** 2 / mass
-        p_term += coef**q * (d - c) ** 2 / mass
+        try:
+            powered = coef**q
+        except OverflowError as exc:
+            name = "alpha" if anchor == params.a else "beta"
+            raise OverflowError(
+                f"printed L_p bracket: {name}**q overflows at {name}={coef:g}, q={q:g} {exc}"
+            ) from exc
+        p_term += powered * (d - c) ** 2 / mass
     return Triple(
         inf_term * wx / (2.0 * s),
         (p_term * wx) ** (1.0 / q) / ((q + 1.0) ** (1.0 / q) * s),

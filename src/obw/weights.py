@@ -7,9 +7,6 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, Optional
 
-from scipy.special import beta as beta_fn
-from scipy.special import betainc
-
 from .quadrature import (
     DEFAULT_CONFIG,
     DegenerateIntervalError,
@@ -256,6 +253,10 @@ def _power(a: float, b: float, p: float, q: float) -> Weight:
     """w(t) = (t-a)^p (b-t)^q with p, q > -1 (integrable endpoint behavior)."""
     if p <= -1 or q <= -1:
         raise ValueError("power weight requires p > -1 and q > -1 for integrability")
+    # here, not at the top: no other weight needs a special function, and
+    # scipy.special is most of a fresh process's start-up
+    from scipy.special import beta as beta_fn, betainc
+
     span = b - a
     bfull = beta_fn(p + 1, q + 1)
     bcoef = bfull * span ** (p + q + 1)

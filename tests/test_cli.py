@@ -887,3 +887,17 @@ def test_overflow_is_one_error_line(capsys, argv):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, beta", [
+    (("audit", "--alphas", "0:1e200", "--weights", "decreasing", "--x-grid", "3"), "1e+200"),
+    (("cdf", "--density", "exp(t)", "--x-grid", "2", "--beta", "1e308", "--weight", "decreasing"),
+     "1e+308"),
+    (("bounds", "--x", "0.5", "--function", "t^2", "--alpha", "0", "--beta", "1e200"), "1e+200"),
+], ids=["audit", "cdf", "bounds"])
+def test_overflow_names_its_quantity(capsys, argv, beta):
+    # beta ** q of the printed L_p bracket overflows, q = 2 at the default p
+    assert run(capsys, *argv) == (1, "", (
+        "error: arithmetic failure (OverflowError: printed L_p bracket: beta**q overflows"
+        f" at beta={beta}, q=2 (34, 'Numerical result out of range'))\n"
+    ))
