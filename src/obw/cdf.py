@@ -5,7 +5,7 @@ table."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .bounds import bounds_paper
@@ -18,7 +18,6 @@ from .quadrature import (
     QuadConfig,
     QuadratureError,
     derivative_callable,
-    integrate,
 )
 from .weights import Weight
 
@@ -40,10 +39,11 @@ class DensityModel:
     One `Weight.cumulative` table of the unscaled f w is built when the
     model is made; its total is m (ValueError unless m > 0), and
     F_w(x) = table(x) / m. `density` is f / m, its derivative (and the
-    derivative's `grid`, where it has one) scaled the same way. `cfg` is
-    the model's tolerance: its table, its derivative norms and every
-    integral the functions below take of it use it, except the outer
-    integral of F_w in `expectation_identity_check`.
+    derivative's `grid`, where it has one) scaled the same way, and
+    `cdf_integral()` is int_a^b F_w, the table's `area()` / m, read from
+    its leaves when called. `cfg` is the model's tolerance: its table, its
+    derivative norms and every integral the functions below take of it
+    use it.
     """
 
     f: Fn1D
@@ -51,6 +51,7 @@ class DensityModel:
     cfg: QuadConfig = field(default=DEFAULT_CONFIG, compare=False, repr=False)
     density: Fn1D = field(init=False, compare=False, repr=False)
     cdf: Callable[[float], float] = field(init=False, compare=False, repr=False)
+    cdf_integral: Callable[[], float] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         f = self.f
@@ -69,6 +70,7 @@ class DensityModel:
         object.__setattr__(self, "density", density)
         # F_w: x -> int_a^x f w / m; ValueError outside [a, b]
         object.__setattr__(self, "cdf", lambda x: table(x) / mass)
+        object.__setattr__(self, "cdf_integral", lambda: table.area() / mass)
 
     @property
     def a(self) -> float:
@@ -140,17 +142,14 @@ def cdf_bound_left(model: DensityModel, x: float, p: float = 2.0) -> tuple[float
 def expectation_identity_check(model: DensityModel) -> float:
     """Residual of int F_w versus b - E[X w(X)]; near zero for valid models.
 
-    The two sides are computed apart: int F_w integrates the model's table
-    of F_w, and E[X w(X)] integrates x f(x) w(x) directly. The outer
-    integral of F_w runs at max(cfg.abs_tol, 1e-9), not at cfg: the
-    residual is gated at 1e-8 (acceptance criterion 7), so a tighter
-    outer tolerance would only add panels, each of which reads the table.
+    The two sides are computed apart: int F_w is read from the leaves of
+    the model's table (`DensityModel.cdf_integral`), with no quadrature
+    and no query of F_w, and E[X w(X)] integrates x f(x) w(x) directly at
+    the model's cfg.
     """
-    a, b, cfg = model.a, model.b, model.cfg
-    outer = replace(cfg, abs_tol=max(cfg.abs_tol, 1e-9))
-    int_f = integrate(model.cdf, a, b, outer)[0]
-    ex = model.weight.integrate_against(lambda u: u * model.density(u), a, b, cfg)
-    return int_f - (b - ex)
+    a, b = model.a, model.b
+    ex = model.weight.integrate_against(lambda u: u * model.density(u), a, b, model.cfg)
+    return model.cdf_integral() - (b - ex)
 
 
 @dataclass(frozen=True)

@@ -49,11 +49,12 @@ class Weight:
     variable that regularizes w at an end where it is singular or has an
     unbounded slope; otherwise the product g w is integrated as it is.
     A piece is a tuple
-    (hi, s_lo, s_hi, h, s_of, reverse) for the stretch [lo, hi] of t that
+    (hi, s_lo, s_hi, h, e, reverse) for the stretch [lo, hi] of t that
     starts where the previous piece ends (at c for the first): there
-    int g w dt = int_{s_lo}^{s_hi} h(s) ds, where s = s_of(t) maps [lo, hi]
-    onto [s_lo, s_hi], increasing, or decreasing when `reverse`; s_of None
-    stands for s = t. (Plain tuples: they are built on every call.)
+    int g w dt = int_{s_lo}^{s_hi} h(s) ds, where s = |t - a|^e maps
+    [lo, hi] onto [s_lo, s_hi], increasing, or s = |t - b|^e decreasing
+    when `reverse`; e None stands for s = t. (Plain tuples: they are built
+    on every call.)
     """
 
     name: str
@@ -122,7 +123,10 @@ class Weight:
 
         One quadrature.cumulative table per piece of the substitution, each
         to its share of cfg.abs_tol, so every query is within abs_tol; a
-        query evaluates neither g nor w.
+        query evaluates neither g nor w. The callable's `area()` is the
+        integral of the tables over [c, d], read from their leaves
+        (`Cumulative.area`) when called; a piece substituted at an end of
+        the domain must reach that end (ValueError otherwise).
         """
         geval = getattr(g, "fn", g)
         if not c <= d:
@@ -131,22 +135,36 @@ class Weight:
         share = replace(cfg, abs_tol=cfg.abs_tol / max(len(pieces), 1))
         parts = []
         before = 0.0
-        for hi, s_lo, s_hi, h, s_of, reverse in pieces:
+        for hi, s_lo, s_hi, h, e, reverse in pieces:
             table = cumulative(h, s_lo, s_hi, share)
-            parts.append((hi, s_of, reverse, table, before))
+            parts.append((hi, e, reverse, self.b if reverse else self.a, table, before))
             before += table.total
 
         def integral(t: float) -> float:
             if not c <= t <= d:
                 raise ValueError(f"t={t} outside [{c}, {d}]")
-            for hi, s_of, reverse, table, base in parts:
+            for hi, e, reverse, anchor, table, base in parts:
                 if t <= hi:
-                    if s_of is None:
+                    if e is None:
                         return base + table(t)
-                    s = s_of(t)
+                    s = abs(t - anchor) ** e
                     return base + (table.total - table(s) if reverse else table(s))
             return 0.0  # no pieces: c == d
 
+        def area() -> float:
+            # piece by piece; where s = |t - anchor|^e, dt = s^(1/e - 1) ds / e
+            total, lo = 0.0, c
+            for hi, e, reverse, _, table, base in parts:
+                if e is None:
+                    total += base * (hi - lo) + table.area()
+                elif reverse:
+                    total += (base + table.total) * (hi - lo) - table.area(1.0 / e - 1.0) / e
+                else:
+                    total += base * (hi - lo) + table.area(1.0 / e - 1.0) / e
+                lo = hi
+            return total
+
+        integral.area = area
         return integral
 
 
@@ -289,12 +307,6 @@ def _power(a: float, b: float, p: float, q: float) -> Weight:
     mid = 0.5 * (a + b)
     ep, eq = 1.0 + p, 1.0 + q
 
-    def left_s(t: float) -> float:
-        return (t - a) ** ep
-
-    def right_s(t: float) -> float:
-        return (b - t) ** eq
-
     def substitution(g, c: float, d: float) -> list[tuple]:
         # Split at the domain midpoint; substitute near an endpoint where w
         # is singular or has an unbounded derivative, so the adaptive engine
@@ -308,7 +320,7 @@ def _power(a: float, b: float, p: float, q: float) -> Weight:
                     t = a + s ** (1.0 / ep)
                     return g(t) * (b - t) ** q / ep
 
-                pieces.append((hi, (lo - a) ** ep, (hi - a) ** ep, left, left_s, False))
+                pieces.append((hi, (lo - a) ** ep, (hi - a) ** ep, left, ep, False))
             else:
                 pieces.append((hi, lo, hi, lambda t: g(t) * fn(t), None, False))
         lo, hi = max(c, mid), d
@@ -319,7 +331,7 @@ def _power(a: float, b: float, p: float, q: float) -> Weight:
                     t = b - s ** (1.0 / eq)
                     return g(t) * (t - a) ** p / eq
 
-                pieces.append((hi, (b - hi) ** eq, (b - lo) ** eq, right, right_s, True))
+                pieces.append((hi, (b - hi) ** eq, (b - lo) ** eq, right, eq, True))
             else:
                 pieces.append((hi, lo, hi, lambda t: g(t) * fn(t), None, False))
         return pieces

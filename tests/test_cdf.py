@@ -228,6 +228,40 @@ class TestExpectationIdentity:
             assert abs(expectation_identity_check(model)) <= 1e-8
 
 
+# E[X w(X)] is one integrate_against at the model's tolerance; where a power
+# exponent lies in (0, 1), its substituted integrand is not smooth at the end,
+# and integrate's |K15 - G7| estimate misses its error there
+_E_SIDE_MISSES = pytest.mark.xfail(
+    strict=True, reason="integrate_against misses 1e-12 where an exponent is in (0, 1)"
+)
+TIGHT_WEIGHTS = [
+    ("arcsine", {}),
+    ("power", {"p": -0.4}),
+    ("power", {"p": -0.4, "q": 0.3}),
+    ("power", {"p": 0.5, "q": -0.3}),
+    ("power", {"p": -0.8, "q": -0.7}),
+    ("uniform", {}),
+    ("increasing", {}),
+    ("truncnorm", {}),
+]
+TIGHT_CASES = [
+    pytest.param(name, params, density, id=f"{name}{params}-{density}",
+                 marks=[_E_SIDE_MISSES] if (params, density) == (
+                     {"p": -0.4, "q": 0.3}, "1 + 0.5*sin(3*t) + t^2") else [])
+    for name, params in TIGHT_WEIGHTS
+    for density in ("1 + 0.5*sin(3*t) + t^2", "exp(t) + 0.2")
+]
+
+
+@pytest.mark.parametrize("name, params, density", TIGHT_CASES)
+def test_expectation_identity_at_tight_tolerance(name, params, density):
+    # int F_w is read from the table's leaves, with no outer quadrature, so
+    # the residual is as small as the two sides' tolerance
+    model = DensityModel(as_fn1d(density), builtin_weight(name, 0, 1, **params),
+                         QuadConfig(abs_tol=1e-12))
+    assert abs(expectation_identity_check(model)) <= 1e-12
+
+
 class TestCliPowerWeight:
     def test_smooth_density_on_a_weight_with_fractional_exponents(self, capsys):
         # (b - t)^0.2 has an unbounded slope at b: the power weight's endpoint

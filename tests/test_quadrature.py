@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -155,6 +156,55 @@ class TestCumulative:
         built = evals[0]
         table(0.3), table(0.7)
         assert evals[0] == built  # queries do not evaluate g
+
+
+class TestArea:
+    """Cumulative.area(gamma) = int T(s) s^gamma ds, read from the leaves."""
+
+    GAMMAS = [0.0, 1.0, 2 / 3, -0.23, -1 / 3, 9.0]
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-12])
+    @pytest.mark.parametrize("gamma", GAMMAS)
+    def test_against_mpmath(self, gamma, tol):
+        # the table of cos is sin within tol at every s, so its area is
+        # within tol int_0^1.3 s^gamma ds of int_0^1.3 sin(s) s^gamma ds
+        table = cumulative(math.cos, 0.0, 1.3, QuadConfig(abs_tol=tol))
+        with mpmath.workdps(30):
+            ref = mpmath.quad(lambda s: mpmath.sin(s) * s**gamma, [0, 1.3])
+        budget = tol * 1.3 ** (gamma + 1) / (gamma + 1)
+        assert abs(table.area(gamma) - float(ref)) <= budget
+
+    def test_gamma_zero_is_the_integral_of_the_queries(self):
+        table = cumulative(lambda t: math.exp(3 * t) * math.sin(7 * t) + 2, -0.3, 1.1)
+        assert table.area() == pytest.approx(integrate(table, -0.3, 1.1)[0], abs=1e-13)
+
+    @pytest.mark.parametrize("gamma", [1.0, 2 / 3, 0.25, -0.23, -1 / 3, 9.0])
+    def test_jacobi_moments_against_mpmath(self, gamma):
+        moments = quadrature._jacobi_moments(gamma, 16)
+        with mpmath.workdps(30):
+            for k, m_k in enumerate(moments):
+                ref = mpmath.quad(lambda u: (1 + u) ** gamma * mpmath.legendre(k, u), [-1, 1])
+                assert abs(m_k - float(ref)) <= 4e-16 * moments[0], k
+
+    def test_gauss_legendre_rule(self):
+        # exact to degree 47: int_{-1}^1 u^k du
+        nodes, weights, _ = quadrature._gauss_legendre()
+        for k in range(0, 48, 3):
+            exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+            assert math.fsum(w * x**k for x, w in zip(nodes, weights)) == pytest.approx(
+                exact, abs=1e-15
+            )
+
+    def test_gamma_needs_a_table_from_zero(self):
+        table = cumulative(math.cos, 0.1, 1.3)
+        # T(s) = sin(s) - sin(0.1)
+        exact = math.cos(0.1) - math.cos(1.3) - 1.2 * math.sin(0.1)
+        assert table.area() == pytest.approx(exact, abs=1e-10)
+        with pytest.raises(ValueError, match="from 0"):
+            table.area(0.5)
+
+    def test_empty_table(self):
+        assert cumulative(math.exp, 0.0, 0.0).area(0.5) == 0.0
 
 
 class TestWeightedIntegral:

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -209,6 +210,69 @@ class TestCumulative:
     def test_empty_interval(self):
         table = builtin_weight("arcsine", 0, 1).cumulative(lambda t: 1.0, 0.4, 0.4)
         assert table(0.4) == 0.0
+
+
+def _area_reference(name, params, g):
+    """mpmath's int_0^1 (1 - s) g(s) w(s) ds, the integral of t -> int_0^t g w
+    over [0, 1]; a power weight's halves are taken in u = s^(1+p) and
+    v = (1-s)^(1+q), where the integrand is smooth enough for mpmath."""
+    with mpmath.workdps(30):
+        if name == "truncnorm":
+            w = lambda s: mpmath.exp(-0.5 * ((s - 0.5) / 0.25) ** 2)  # noqa: E731
+            return float(mpmath.quad(lambda s: (1 - s) * g(s) * w(s), [0, 0.5, 1]))
+        p, q = {"uniform": (0, 0), "increasing": (1, 0), "arcsine": (-0.5, -0.5)}.get(
+            name, (params.get("p", 1.0), params.get("q", 0.0))
+        )
+        p, q = mpmath.mpf(p), mpmath.mpf(q)
+
+        def left(u):
+            s = u ** (1 / (1 + p))
+            return (1 - s) * g(s) * (1 - s) ** q / (1 + p)
+
+        def right(v):
+            s = 1 - v ** (1 / (1 + q))
+            return (1 - s) * g(s) * s**p / (1 + q)
+
+        half = mpmath.mpf(0.5)
+        return float(mpmath.quad(left, [0, half ** (1 + p)])
+                     + mpmath.quad(right, [0, half ** (1 + q)]))
+
+
+class TestCumulativeArea:
+    """Weight.cumulative(g, a, b).area() = int_a^b of the table, from its leaves."""
+
+    WEIGHTS = [
+        ("arcsine", {}),
+        ("power", {"p": -0.4}),
+        ("power", {"p": -0.4, "q": 0.3}),
+        ("power", {"p": 0.5, "q": -0.3}),
+        ("power", {"p": -0.8, "q": -0.7}),
+        ("uniform", {}),
+        ("increasing", {}),
+        ("truncnorm", {}),
+    ]
+
+    @pytest.mark.parametrize("name, params", WEIGHTS, ids=[f"{n}{p}" for n, p in WEIGHTS])
+    def test_against_mpmath(self, name, params):
+        # every query is within 1e-12, so the area over [0, 1] is too
+        w = builtin_weight(name, 0, 1, **params)
+        cfg = QuadConfig(abs_tol=1e-12)
+        table = w.cumulative(lambda t: math.exp(t) * math.cos(3 * t), 0.0, 1.0, cfg)
+        ref = _area_reference(name, params, lambda t: mpmath.exp(t) * mpmath.cos(3 * t))
+        assert abs(table.area() - ref) <= 1e-12
+
+    def test_substituted_piece_must_reach_its_end(self):
+        table = builtin_weight("arcsine", 0, 1).cumulative(lambda t: 1.0, 0.2, 1.0)
+        with pytest.raises(ValueError, match="from 0"):
+            table.area()
+
+    def test_plain_pieces_on_a_subinterval(self):
+        # int_0.2^0.7 (t - 0.2) dt on the uniform weight
+        table = builtin_weight("uniform", 0, 1).cumulative(lambda t: 1.0, 0.2, 0.7)
+        assert table.area() == pytest.approx(0.125, abs=1e-15)
+
+    def test_empty_interval(self):
+        assert builtin_weight("arcsine", 0, 1).cumulative(lambda t: 1.0, 0.4, 0.4).area() == 0.0
 
 
 def _kink_primitive(t):

@@ -132,6 +132,38 @@ def test_cdf_layer_does_not_nest(counts, model):
     assert counts["integrate"] >= 2
 
 
+@pytest.mark.parametrize("index", [0, 1], ids=["arcsine", "expression"])
+def test_identity_check_queries_no_cdf(monkeypatch, index):
+    # int F_w comes from the table's leaves: no query of F_w or of any table,
+    # and the one quadrature is E[X w(X)]'s integrate_against
+    model = density_models()[index]
+    queries, depth = [], [0]
+    calls = [0, 0]  # integrate calls outside and inside integrate_against
+    cdf = model.cdf
+    object.__setattr__(model, "cdf", lambda x: queries.append(x) or cdf(x))
+    monkeypatch.setattr(quadrature.Cumulative, "__call__", lambda self, t: queries.append(t))
+    integrate, integrate_against = quadrature.integrate, Weight.integrate_against
+
+    def counted_integrate(*args, **kwargs):
+        calls[depth[0] > 0] += 1
+        return integrate(*args, **kwargs)
+
+    def counted_against(self, *args, **kwargs):
+        depth[0] += 1
+        try:
+            return integrate_against(self, *args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("obw") and getattr(module, "integrate", None) is integrate:
+            monkeypatch.setattr(module, "integrate", counted_integrate)
+    monkeypatch.setattr(Weight, "integrate_against", counted_against)
+    expectation_identity_check(model)
+    assert queries == []
+    assert calls[0] == 0 and calls[1] >= 1
+
+
 def test_audit_takes_no_deviation(monkeypatch, capsys):
     # the exact factor is the witness's |tau| (Hoelder's equality): no second computation
     calls = []
