@@ -20,7 +20,7 @@ from .cdf import (
     cdf_bound_left,
     expectation_identity_check,
 )
-from .expr import as_fn1d, compile_expr, differentiate, parse
+from .expr import as_fn1d, compile_expr, parse
 from .functionals import deviation_S, sigma_w, tau, tau_combination, tau_decomposed
 from .kernel import (
     TauParams,

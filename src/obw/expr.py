@@ -6,9 +6,10 @@ right-associative and binds tighter than unary minus; no implicit
 multiplication. ^ is math.pow, so a value is always a real number: a power
 with no real value (a negative base to a fractional exponent, zero to a
 negative one) raises ValueError, like log and sqrt outside their domain.
-A parsed tree is evaluated through compile_expr, which turns it into one
-Python function of t, once. The same compiled source, run on numpy's
-functions, evaluates a derivative on a whole array of t at once.
+A parsed tree is compiled once, by one walk that emits a Python function of
+t for its value and one for its derivative in forward mode; compile_expr
+keeps the first, as_fn1d both. The derivative's code, run on numpy's
+functions, evaluates it on a whole array of t at once.
 """
 
 from __future__ import annotations
@@ -23,9 +24,7 @@ import numpy as np
 
 from .quadrature import Fn1D
 
-__all__ = [
-    "ParseError", "Expr", "parse", "compile_expr", "differentiate", "as_fn1d",
-]
+__all__ = ["ParseError", "Expr", "parse", "compile_expr", "as_fn1d"]
 
 
 class ParseError(ValueError):
@@ -141,8 +140,9 @@ def _tokenize(source: str) -> list[_Token]:
 _LEFT_BP = {"+": 10, "-": 10, "*": 20, "/": 20, "^": 40}
 _UNARY_BP = 30
 # Levels of nesting (parentheses, calls, unary signs, right operands of ^)
-# one expression may have. The parser and `_diff` recurse once or twice per
-# level, so this keeps them inside Python's default recursion limit.
+# one expression may have. The parser recurses once or twice per level, so
+# this keeps it inside Python's default recursion limit; + - * / chains are
+# built in a loop, and the compiler does not recurse.
 _MAX_PARSE_DEPTH = 400
 
 
@@ -232,25 +232,29 @@ def parse(source: str) -> Expr:
     return expr
 
 
-# --- compilation / printing ----------------------------------------------
+# --- compilation -----------------------------------------------------------
 
-_OPERATORS: dict[str, Callable[[float, float], float]] = {
-    "+": operator.add,
-    "-": operator.sub,
-    "*": operator.mul,
-    "/": operator.truediv,
-    "^": math.pow,
+# Each operation of the generated code: its source template, and its value
+# on floats, with which constants are folded.
+_OPS: dict[str, tuple[str, Callable]] = {
+    "+": ("({} + {})", operator.add), "-": ("({} - {})", operator.sub),
+    "*": ("({} * {})", operator.mul), "/": ("({} / {})", operator.truediv),
+    "^": ("pow({}, {})", math.pow), "neg": ("(-{})", operator.neg),
+    **{fn: (fn + "({})", f) for fn, f in _FUNCTIONS.items()},
 }
-_PY_OPERATORS = {"+": "({} + {})", "-": "({} - {})", "*": "({} * {})", "/": "({} / {})",
-                 "^": "pow({}, {})"}
 # Names the generated code may use: nothing else is reachable from it.
 _NAMESPACE = {**_FUNCTIONS, "pow": math.pow, "inf": math.inf, "nan": math.nan,
               "__builtins__": {}}
 # The same names over numpy arrays of t.
 _NP_NAMESPACE = {**_NAMESPACE, **{name: getattr(np, name) for name in _FUNCTIONS},
                  "pow": np.power}
-# Parentheses one generated expression may nest; CPython's parser stops at 200.
+# Opening parentheses one generated expression may hold, a bound on how deep
+# it nests; CPython's parser stops at 200 levels.
 _MAX_NESTING = 50
+
+# A node's value or derivative in `_d`: a float folded when the code is
+# emitted, or source text.
+_Value = Union[float, str]
 
 
 def _literal(v: float) -> str:
@@ -259,207 +263,149 @@ def _literal(v: float) -> str:
     return f"(-{mag})" if math.copysign(1.0, v) < 0 else mag
 
 
-def _children(e: Expr) -> tuple[Expr, ...]:
-    if isinstance(e, BinOp):
-        return (e.left, e.right)
-    if isinstance(e, Neg):
-        return (e.operand,)
-    if isinstance(e, Call):
-        return (e.arg,)
-    return ()
-
-
 def compile_expr(e: Expr) -> Callable[[float], float]:
-    """One Python function of t that computes e, built once per tree.
+    """One Python function of t that computes e, built once per tree: the
+    `_f` of `_code`.
 
     The source is generated from the tree alone (float literals, + - * /,
     pow for ^, the names in _FUNCTIONS) and runs without builtins. Every
     node is evaluated children first, left before right, with the same
     float operations, so values and raised exceptions are those of a
-    direct walk of the tree. A subtree shared within the tree (derivatives
-    share them) is computed once into a local, and so is any subtree
-    nested deeper than _MAX_NESTING, so every tree compiles.
+    direct walk of the tree.
     """
-    return _bind(_code(e), _NAMESPACE)
+    return _bind(_code(e, derivative=False), _NAMESPACE)["_f"]
 
 
-def _bind(code: CodeType, namespace: dict) -> Callable:
-    """The function `_code` compiled, its names read from namespace:
-    _NAMESPACE for a float t, _NP_NAMESPACE for a numpy array of t."""
+def _bind(code: CodeType, namespace: dict) -> dict:
+    """The functions of `_code`, `_f` and `_d`, by name, their names read
+    from namespace: _NAMESPACE for a float t, _NP_NAMESPACE for a numpy
+    array of t."""
     namespace = dict(namespace)
     exec(code, namespace)
-    return namespace["_f"]
+    return namespace
 
 
-def _code(e: Expr) -> CodeType:
-    """compile_expr's source for e, compiled once, for _bind."""
-    uses: dict[int, int] = {}
-    stack = [e]
-    while stack:
-        for child in _children(stack.pop()):
-            uses[id(child)] = uses.get(id(child), 0) + 1
-            if uses[id(child)] == 1:
-                stack.append(child)
+def _code(e: Expr, derivative: bool = True) -> CodeType:
+    """Functions of t from one post-order walk of e, without recursion,
+    compiled together once: `_f`, e's value, and with `derivative` `_d`,
+    its derivative.
 
-    lines: list[str] = []
-    names: dict[int, str] = {}
-    n_locals = 0
+    `_f` nests as e does, with no folding. It binds a local only where a
+    text would nest too deep, so every tree compiles, and for a left
+    operand whose right operand needs such locals, so it is still evaluated
+    first.
 
-    def local(text: str, at: int) -> str:
-        nonlocal n_locals
-        name = f"_{n_locals}"
-        n_locals += 1
+    `_d` is forward mode (Griewank & Walther, Evaluating Derivatives, SIAM
+    2008, ch. 3): each node carries its value and its derivative, each a
+    float folded here or source text. A constant operation that raises is
+    left as text, for evaluation to meet. `_d` reads only the values its
+    rules read, and binds a local for a value a rule reads a second time.
+    """
+    f_lines: list[str] = []
+    d_lines: list[str] = []
+
+    def local(lines: list[str], text: str, at: int) -> str:
+        name = f"_{len(lines)}"
         lines.insert(at, f"    {name} = {text}")
         return name
 
-    # Post-order walk; each result is (source, nesting depth), depth 0
-    # meaning a name or literal. A BinOp notes where the lines of its right
-    # operand start: if there are any, its left operand is bound before
-    # them, so that it is still evaluated first.
-    results: list[tuple[str, int]] = []
+    def bind(x: _Value) -> _Value:
+        if x.__class__ is float or x.isidentifier():
+            return x
+        return local(d_lines, x, len(d_lines))
+
+    def op(key: str, *args: _Value) -> _Value:
+        template, fold = _OPS[key]
+        if str not in map(type, args):
+            try:
+                return fold(*args)
+            except (ArithmeticError, ValueError):
+                pass
+        text = template.format(*[a if a.__class__ is str else _literal(a) for a in args])
+        return text if text.count("(") < _MAX_NESTING else bind(text)
+
+    def forward(node: Expr, u: _Value, du: _Value, v: _Value, dv: _Value) -> tuple:
+        """The node's value and derivative from its operands'."""
+        if isinstance(node, Neg):
+            return op("neg", u), op("neg", du)
+        if isinstance(node, BinOp):
+            if node.op in ("+", "-"):
+                return op(node.op, u, v), op(node.op, du, dv)
+            if node.op == "*":
+                u, v = bind(u), bind(v)
+                return op("*", u, v), op("+", op("*", du, v), op("*", u, dv))
+            if node.op == "/":
+                u, v = bind(u), bind(v)
+                d = op("/", op("-", op("*", du, v), op("*", u, dv)), op("^", v, 2.0))
+                return op("/", u, v), d
+            if isinstance(node.right, Num):  # power rule
+                u = bind(u)
+                return op("^", u, v), op("*", op("*", v, op("^", u, v - 1.0)), du)
+            u, v = bind(u), bind(v)  # logarithmic rule
+            val = bind(op("^", u, v))
+            return val, op("*", val, op("+", op("*", dv, op("log", u)),
+                                        op("/", op("*", v, du), u)))
+        # chain rule; exp, sqrt and abs reuse their own value
+        if node.fn in ("exp", "sqrt"):
+            val = bind(op(node.fn, u))
+            outer = val if node.fn == "exp" else op("/", 0.5, val)
+        else:
+            u = bind(u)
+            val = op(node.fn, u)
+            if node.fn == "sin":
+                outer = op("cos", u)
+            elif node.fn == "cos":
+                outer = op("neg", op("sin", u))
+            elif node.fn == "log":
+                outer = op("/", 1.0, u)
+            else:  # abs: 0/0 at zero, where evaluation falls back to differences
+                val = bind(val)
+                outer = op("/", u, val)
+        return val, op("*", outer, du)
+
+    # Each result is (_f's text, the value, the derivative), the last two
+    # None without `derivative`. A BinOp notes where the lines of its right
+    # operand start.
+    results: list[tuple] = []
     marks: list[int] = []
     todo: list[tuple[int, Expr]] = [(0, e)]
     while todo:
         step, node = todo.pop()
         if step == 0:
-            if id(node) in names:
-                results.append((names[id(node)], 0))
-            elif isinstance(node, Num):
-                results.append((_literal(node.value), 0))
+            if isinstance(node, Num):
+                results.append((_literal(node.value), float(node.value), 0.0))
             elif isinstance(node, Var):
-                results.append(("t", 0))
+                results.append(("t", "t", 1.0))
             elif isinstance(node, Call) and node.fn not in _FUNCTIONS:
                 raise ValueError(f"unknown function {node.fn!r}")
+            elif isinstance(node, BinOp):
+                todo += [(2, node), (0, node.right), (1, node), (0, node.left)]
             else:
-                todo.append((2, node))
-                if isinstance(node, BinOp):
-                    todo += [(0, node.right), (1, node), (0, node.left)]
-                else:
-                    todo.append((0, _children(node)[0]))
+                todo += [(2, node), (0, node.operand if isinstance(node, Neg) else node.arg)]
             continue
         if step == 1:
-            marks.append(len(lines))
+            marks.append(len(f_lines))
             continue
         if isinstance(node, BinOp):
-            (left, ldepth), (right, rdepth) = results[-2:]
+            (left, u, du), (right, v, dv) = results[-2:]
             del results[-2:]
             mark = marks.pop()
-            if ldepth and len(lines) > mark:
-                left, ldepth = local(left, mark), 0
-            text = _PY_OPERATORS[node.op].format(left, right)
-            depth = max(ldepth, rdepth) + 1
+            if not left.isidentifier() and len(f_lines) > mark:
+                left = local(f_lines, left, mark)
+            text = _OPS[node.op][0].format(left, right)
         else:
-            arg, depth = results.pop()
-            text = f"(-{arg})" if isinstance(node, Neg) else f"{node.fn}({arg})"
-            depth += 1
-        if depth >= _MAX_NESTING or uses.get(id(node), 0) > 1:
-            text = names[id(node)] = local(text, len(lines))
-            depth = 0
-        results.append((text, depth))
+            (arg, u, du), v, dv = results.pop(), None, None
+            text = _OPS["neg" if isinstance(node, Neg) else node.fn][0].format(arg)
+        if text.count("(") >= _MAX_NESTING:
+            text = local(f_lines, text, len(f_lines))
+        results.append((text, *forward(node, u, du, v, dv)) if derivative else (text, None, None))
 
-    source = "def _f(t):\n" + "".join(line + "\n" for line in lines)
-    source += f"    return {results[0][0]}\n"
+    text, _, der = results[0]
+    source = "def _f(t):\n" + "".join(line + "\n" for line in f_lines) + f"    return {text}\n"
+    if derivative:
+        source += "def _d(t):\n" + "".join(line + "\n" for line in d_lines)
+        source += f"    return {der if der.__class__ is str else _literal(der)}\n"
     return compile(source, "<obw.expr>", "exec")
-
-
-# --- symbolic differentiation --------------------------------------------
-
-def _num(v: float) -> Num:
-    return Num(float(v))
-
-
-def _fold_node(e: Expr, kids: list[Expr]) -> Expr:
-    """e with its children replaced by their folded forms `kids`, folded.
-
-    A power of constants with no real value (math.pow's ValueError) stays
-    unfolded; evaluation meets it instead.
-    """
-    if isinstance(e, Neg):
-        (inner,) = kids
-        return _num(-inner.value) if isinstance(inner, Num) else Neg(inner)
-    if isinstance(e, BinOp):
-        left, right = kids
-        if isinstance(left, Num) and isinstance(right, Num):
-            try:
-                return _num(_OPERATORS[e.op](left.value, right.value))
-            except ValueError:
-                pass
-        return BinOp(e.op, left, right)
-    if isinstance(e, Call):
-        (arg,) = kids
-        return _num(_FUNCTIONS[e.fn](arg.value)) if isinstance(arg, Num) else Call(e.fn, arg)
-    return e
-
-
-def _fold(e: Expr) -> Expr:
-    """Constant folding only; no further simplification.
-
-    Children first, without recursion, so trees of any depth fold. Each
-    node is folded once and its result reused, so a subtree shared within
-    e stays shared.
-    """
-    memo: dict[int, Expr] = {}
-    stack: list[tuple[Expr, bool]] = [(e, False)]
-    while stack:
-        node, ready = stack.pop()
-        if id(node) in memo:
-            continue
-        kids = _children(node)
-        if ready or not kids:
-            memo[id(node)] = _fold_node(node, [memo[id(k)] for k in kids])
-        else:
-            stack.append((node, True))
-            stack.extend((k, False) for k in kids)
-    return memo[id(e)]
-
-
-def differentiate(e: Expr) -> Expr:
-    return _fold(_diff(e))
-
-
-def _diff(e: Expr) -> Expr:
-    if isinstance(e, Num):
-        return _num(0.0)
-    if isinstance(e, Var):
-        return _num(1.0)
-    if isinstance(e, Neg):
-        return Neg(_diff(e.operand))
-    if isinstance(e, BinOp):
-        u, v = e.left, e.right
-        du, dv = _diff(u), _diff(v)
-        if e.op == "+":
-            return BinOp("+", du, dv)
-        if e.op == "-":
-            return BinOp("-", du, dv)
-        if e.op == "*":
-            return BinOp("+", BinOp("*", du, v), BinOp("*", u, dv))
-        if e.op == "/":
-            num = BinOp("-", BinOp("*", du, v), BinOp("*", u, dv))
-            return BinOp("/", num, BinOp("^", v, _num(2.0)))
-        # power rule for constant exponents, full logarithmic rule otherwise
-        if isinstance(v, Num):
-            return BinOp(
-                "*",
-                BinOp("*", v, BinOp("^", u, _num(v.value - 1.0))),
-                du,
-            )
-        log_term = BinOp("*", dv, Call("log", u))
-        frac_term = BinOp("/", BinOp("*", v, du), u)
-        return BinOp("*", e, BinOp("+", log_term, frac_term))
-    u, du = e.arg, _diff(e.arg)
-    if e.fn == "sin":
-        outer: Expr = Call("cos", u)
-    elif e.fn == "cos":
-        outer = Neg(Call("sin", u))
-    elif e.fn == "exp":
-        outer = Call("exp", u)
-    elif e.fn == "log":
-        outer = BinOp("/", _num(1.0), u)
-    elif e.fn == "sqrt":
-        outer = BinOp("/", _num(0.5), Call("sqrt", u))
-    else:  # abs: undefined at zero; evaluation there falls back to differences
-        outer = BinOp("/", u, Call("abs", u))
-    return BinOp("*", outer, du)
 
 
 # Finite-difference step: the cube root of machine epsilon, the optimum for
@@ -468,24 +414,25 @@ _FD_STEP = (2.0 ** -52) ** (1.0 / 3.0)
 
 
 def as_fn1d(source: str, name: str = "") -> Fn1D:
-    """Parse source into an evaluable function with a symbolic derivative.
+    """Parse source into an evaluable function with its derivative in
+    forward mode.
 
-    The tree and its derivative are each compiled once. Points where the
-    symbolic derivative fails to evaluate (abs at zero, sqrt at zero) fall
-    back to second-order finite differences: central ones, else forward
-    ones where the central stencil leaves the expression's real domain.
+    The function and its derivative are `_code`'s `_f` and `_d`, emitted
+    from one walk of the tree and compiled together once. Points where the
+    derivative fails to evaluate (abs at zero, sqrt at zero) fall back to
+    second-order finite differences: central ones, else forward ones where
+    the central stencil leaves the expression's real domain.
 
-    The derivative also has `grid(ts)`: the symbolic derivative on a numpy
-    array of t in one call, from the same compiled source run on numpy's
-    functions, with IEEE values (inf, nan) where the scalar derivative
-    raises or falls back, and numpy's floating-point error handling.
-    numpy's exp, log and pow may differ from math's in the last bit.
+    The derivative also has `grid(ts)`: `_d` on a numpy array of t in one
+    call, the same code run on numpy's functions, with IEEE values (inf,
+    nan) where the scalar derivative raises or falls back, and numpy's
+    floating-point error handling. numpy's exp, log and pow may differ from
+    math's in the last bit.
     """
-    tree = parse(source)
-    fn = compile_expr(tree)
-    dcode = _code(differentiate(tree))
-    dfn = _bind(dcode, _NAMESPACE)
-    dgrid = _bind(dcode, _NP_NAMESPACE)
+    code = _code(parse(source))
+    scalar = _bind(code, _NAMESPACE)
+    fn, dfn = scalar["_f"], scalar["_d"]
+    dgrid = _bind(code, _NP_NAMESPACE)["_d"]
 
     def deriv(t: float) -> float:
         try:

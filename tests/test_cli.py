@@ -354,7 +354,7 @@ def test_deeply_nested_function(capsys):
 
 
 def test_deep_power_tower(capsys):
-    # 400 levels parse; the derivative is about three times as deep
+    # 400 levels parse; each level's logarithmic rule binds its value to a local
     code, out, _ = run(capsys, "bounds", "--x", "0.5", "--function", "t" + "^t" * 400)
     assert code == 0
     assert out.startswith("tau = ")
@@ -386,6 +386,31 @@ def test_complex_density_is_compute_error(capsys):
     code, out, err = run(capsys, "cdf", "--x", "0.5", "--density", "(t-0.5)^0.5")
     assert code == 1
     assert err.startswith("error: --density is not real at t=")
+
+
+@pytest.mark.parametrize("source", ["t + sqrt(0-1)", "t + log(0)"])
+@pytest.mark.parametrize("command, flag", [("bounds", "--function"), ("cdf", "--density")])
+def test_constant_without_real_value_is_named(capsys, command, flag, source):
+    # the constant is left unfolded, so the sample check meets it and names the flag
+    code, out, err = run(capsys, command, "--x", "0.5", flag, source)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {flag} is not real at t=3.70676434e-05: math domain error\n"
+
+
+# 3 001 terms: the parser builds a sum in a loop, so no nesting limit applies
+_LONG_SUM = "+".join(["t"] * 3001)
+
+
+@pytest.mark.parametrize("argv, line", [
+    (("bounds", "--x", "0.5", "--function", _LONG_SUM), "norm_inf = 3.00100000e+03"),
+    (("cdf", "--x", "0.5", "--density", _LONG_SUM), "5.00000000e-01,2.50000000e-01,"),
+], ids=["function", "density"])
+def test_long_sum_is_reported(capsys, argv, line):
+    code, out, err = run(capsys, *argv)
+    assert code == 0
+    assert err == ""
+    assert any(row.startswith(line) for row in out.splitlines())
 
 
 # Not real only for |t - 0.3| < 1e-3, which no sample point reaches: the

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import obw.expr
 from obw.expr import (
     _FUNCTIONS,
+    _NAMESPACE,
     _NP_NAMESPACE,
     BinOp,
     Call,
@@ -20,7 +22,6 @@ from obw.expr import (
     _code,
     as_fn1d,
     compile_expr,
-    differentiate,
     parse,
 )
 
@@ -46,6 +47,46 @@ def evaluate(e, t):
             return lv / rv
         return math.pow(lv, rv)
     return _FUNCTIONS[e.fn](evaluate(e.arg, t))
+
+
+def dual(e, t):
+    """Oracle for the derivative: (value, derivative) at t from a walk of
+    the tree on dual numbers, each rule's float operations in its order.
+    It computes every node's value, where `_d` computes only those a rule
+    reads, so it raises wherever `_d` does, and maybe elsewhere too."""
+    if isinstance(e, Num):
+        return e.value, 0.0
+    if isinstance(e, Var):
+        return t, 1.0
+    if isinstance(e, Neg):
+        u, du = dual(e.operand, t)
+        return -u, -du
+    if isinstance(e, BinOp):
+        (u, du), (v, dv) = dual(e.left, t), dual(e.right, t)
+        if e.op == "+":
+            return u + v, du + dv
+        if e.op == "-":
+            return u - v, du - dv
+        if e.op == "*":
+            return u * v, du * v + u * dv
+        if e.op == "/":
+            return u / v, (du * v - u * dv) / math.pow(v, 2.0)
+        y = math.pow(u, v)
+        if isinstance(e.right, Num):  # power rule
+            return y, v * math.pow(u, v - 1.0) * du
+        return y, y * (dv * math.log(u) + v * du / u)
+    u, du = dual(e.arg, t)
+    y = _FUNCTIONS[e.fn](u)
+    outer = {
+        "sin": lambda: math.cos(u), "cos": lambda: -math.sin(u), "exp": lambda: y,
+        "log": lambda: 1.0 / u, "sqrt": lambda: 0.5 / y, "abs": lambda: u / y,
+    }[e.fn]()
+    return y, outer * du
+
+
+def emitted_derivative(tree):
+    """`_d`, the derivative `_code` emits, for a float t."""
+    return _bind(_code(tree), _NAMESPACE)["_d"]
 
 
 def value(source, t):
@@ -146,20 +187,19 @@ def finite_difference(fn, t, h=1e-6):
     return (fn(t + h) - fn(t - h)) / (2 * h)
 
 
-class TestDifferentiate:
+class TestDerivative:
+    """as_fn1d's derivative: forward mode, with finite differences where it fails."""
+
     def test_power_rule(self):
-        d = differentiate(parse("t^2"))
-        assert evaluated(d, 3.0) == pytest.approx(6.0)
+        assert as_fn1d("t^2").derivative(3.0) == pytest.approx(6.0)
 
     def test_sine(self):
-        d = differentiate(parse("sin(t)"))
-        assert evaluated(d, 0.7) == pytest.approx(math.cos(0.7))
+        assert as_fn1d("sin(t)").derivative(0.7) == pytest.approx(math.cos(0.7))
 
     @pytest.mark.parametrize("t", [0.1, 0.5, 0.9])
     def test_product_vs_finite_differences(self, t):
         tree = parse("exp(-t)*t")
-        d = differentiate(tree)
-        assert evaluated(d, t) == pytest.approx(
+        assert as_fn1d("exp(-t)*t").derivative(t) == pytest.approx(
             finite_difference(lambda u: evaluate(tree, u), t), abs=1e-6
         )
 
@@ -170,23 +210,39 @@ class TestDifferentiate:
     @pytest.mark.parametrize("t", [0.15, 0.55, 0.85])
     def test_corpus_grid(self, source, t):
         tree = parse(source)
-        d = differentiate(tree)
         expected = finite_difference(lambda u: evaluate(tree, u), t)
-        assert evaluated(d, t) == pytest.approx(expected, rel=1e-6, abs=1e-6)
+        assert as_fn1d(source).derivative(t) == pytest.approx(expected, rel=1e-6, abs=1e-6)
 
     def test_abs_away_from_zero(self):
-        d = differentiate(parse("abs(t - 0.5)"))
-        assert evaluated(d, 0.8) == pytest.approx(1.0)
-        assert evaluated(d, 0.2) == pytest.approx(-1.0)
+        d = as_fn1d("abs(t - 0.5)").derivative
+        assert d(0.8) == 1.0
+        assert d(0.2) == -1.0
 
     def test_abs_at_kink_falls_back(self):
         f = as_fn1d("abs(t)")
-        # symbolic derivative is 0/0 at the kink; fallback must return finite
+        # the forward-mode derivative is 0/0 at the kink; fallback must return finite
         assert math.isfinite(f.derivative(0.0))
 
     def test_constant_folding_only(self):
-        d = differentiate(parse("2*t"))
-        assert evaluated(d, 123.0) == pytest.approx(2.0)
+        # 2*1.0 folds; 0.0*t stays, as the walk computes it
+        d = as_fn1d("2*t").derivative
+        assert d(123.0) == 2.0
+        assert math.isnan(emitted_derivative(parse("2*t"))(math.inf))
+
+    def test_compiled_once(self, monkeypatch):
+        sources = []
+
+        def counting(source, *args, **kwargs):
+            sources.append(source)
+            return compile(source, *args, **kwargs)
+
+        monkeypatch.setattr(obw.expr, "compile", counting, raising=False)
+        f = as_fn1d("exp(-t)*sin(3*t)")
+        assert len(sources) == 1
+        assert f(0.4) == math.exp(-0.4) * math.sin(1.2)
+        assert f.derivative(0.4) == pytest.approx(
+            math.exp(-0.4) * (3 * math.cos(1.2) - math.sin(1.2)), rel=1e-15
+        )
 
 
 class TestAsFn1d:
@@ -286,14 +342,15 @@ class TestCompile:
         assert outcome(compile_expr(tree), t) == outcome(evaluate, tree, t)
 
     @given(TREES, POINTS)
-    @settings(max_examples=200, deadline=None)
-    def test_derivative_matches_tree_walk(self, tree, t):
-        # derivative trees share subtrees; the compiled form computes each once
+    @settings(max_examples=400, deadline=None)
+    def test_derivative_matches_dual_number_walk(self, tree, t):
+        # constants folded when the code is emitted, or left to raise, give
+        # the walk's bits wherever the walk raises nothing
         try:
-            d = differentiate(tree)
-        except (ArithmeticError, ValueError, TypeError):  # folding a bad constant
+            _, expected = dual(tree, t)
+        except (ArithmeticError, ValueError):
             return
-        assert outcome(compile_expr(d), t) == outcome(evaluate, d, t)
+        assert outcome(emitted_derivative(tree), t) == ("float", _bits(expected))
 
     @pytest.mark.parametrize("source, t, kind", [
         ("1/(t-0.5)", 0.5, ZeroDivisionError),
@@ -308,10 +365,11 @@ class TestCompile:
 
     def test_folded_inf_constant(self):
         # 1e308*10 folds to inf; cos(0.5*inf) is a domain error either way
-        d = differentiate(parse("sin(t*(1e308*10))"))
-        assert "inf" in repr(d)
-        assert outcome(compile_expr(d), 0.5) is ValueError
-        assert outcome(evaluate, d, 0.5) is ValueError
+        tree = parse("sin(t*(1e308*10))")
+        d = emitted_derivative(tree)
+        assert "inf" in d.__code__.co_names
+        assert outcome(d, 0.5) is ValueError
+        assert outcome(dual, tree, 0.5) is ValueError
 
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, -math.nan, -0.0, -1.5])
     def test_special_literals(self, value):
@@ -394,14 +452,16 @@ class TestGrid:
     @given(FINITE_TREES, POINTS)
     @settings(max_examples=300, deadline=None)
     def test_clean_array_run_means_a_finite_scalar_value(self, tree, t):
-        # norm_inf's grid path rests on this: with finite literals, an array
-        # run that raises no floating-point error and ends finite is a point
-        # where the scalar function raises nothing and is finite
-        grid = _bind(_code(tree), _NP_NAMESPACE)
-        with np.errstate(divide="raise", over="raise", invalid="raise", under="ignore"):
-            try:
-                v = np.asarray(grid(np.array([t])))
-            except ArithmeticError:  # a constant subtree is a Python float
-                return
-        if np.isfinite(v).all():
-            assert math.isfinite(compile_expr(tree)(t))
+        # norm_inf's grid path rests on this for _d: with finite literals, an
+        # array run that raises no floating-point error and ends finite is a
+        # point where the scalar function raises nothing and is finite
+        code = _code(tree)
+        scalar, array = _bind(code, _NAMESPACE), _bind(code, _NP_NAMESPACE)
+        for name in ("_f", "_d"):
+            with np.errstate(divide="raise", over="raise", invalid="raise", under="ignore"):
+                try:
+                    v = np.asarray(array[name](np.array([t])))
+                except ArithmeticError:  # a constant subtree is a Python float
+                    continue
+            if np.isfinite(v).all():
+                assert math.isfinite(scalar[name](t))
