@@ -186,7 +186,10 @@ def _weight_expr(text: str, a: float, b: float, cfg: QuadConfig) -> Weight:
     """The weight w(t) = text: not negative on the sample grid, with positive mass."""
     fn = compile_expr(parse(text))
     _check_samples(fn, a, b, "--weight-expr", nonnegative=True)
-    w = tabulated_weight(text, fn, a, b, cfg)
+    try:
+        w = tabulated_weight(text, fn, a, b, cfg)
+    except QuadratureError as exc:
+        raise QuadratureError(f"--weight-expr table on [{a:g}, {b:g}]: {exc}") from None
     if not w.total > 0:
         raise ValueError(f"--weight-expr has no positive mass on [{a:g}, {b:g}]")
     return w

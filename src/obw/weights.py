@@ -11,6 +11,7 @@ from .quadrature import (
     DEFAULT_CONFIG,
     DegenerateIntervalError,
     QuadConfig,
+    QuadratureError,
     cumulative,
     integrate,
 )
@@ -117,28 +118,32 @@ class Weight:
         return total
 
     def cumulative(
-        self, g, c: float, d: float, cfg: QuadConfig = DEFAULT_CONFIG
+        self, f, c: float, d: float, cfg: QuadConfig = DEFAULT_CONFIG
     ) -> Callable[[float], float]:
-        """t -> int_c^t g w for t in [c, d], from tables built now.
+        """t -> int_c^t f w for t in [c, d], from tables built now.
 
         One quadrature.cumulative table per piece of the substitution, each
-        to its share of cfg.abs_tol, so every query is within abs_tol; a
-        query evaluates neither g nor w. The callable's `area()` is the
-        integral of the tables over [c, d], read from their leaves
-        (`Cumulative.area`) when called; a piece substituted at an end of
-        the domain must reach that end (ValueError otherwise).
+        to its share of cfg.abs_tol, so every query is expected within
+        abs_tol; a query evaluates neither f nor w, and a QuadratureError
+        names the piece's stretch of t. `area()` is the tables' integral over
+        [c, d], read from their leaves (`Cumulative.area`); a piece
+        substituted at an end of the domain must reach it (else ValueError).
         """
-        geval = getattr(g, "fn", g)
+        feval = getattr(f, "fn", f)
         if not c <= d:
             raise ValueError("cumulative requires c <= d")
-        pieces = self._pieces(geval, c, d)
+        pieces = self._pieces(feval, c, d)
         share = replace(cfg, abs_tol=cfg.abs_tol / max(len(pieces), 1))
         parts = []
-        before = 0.0
+        before, lo = 0.0, c
         for hi, s_lo, s_hi, h, e, reverse in pieces:
-            table = cumulative(h, s_lo, s_hi, share)
+            try:
+                table = cumulative(h, s_lo, s_hi, share)
+            except QuadratureError as exc:
+                raise QuadratureError(f"table of f*w on [{lo:g}, {hi:g}]: {exc}") from None
             parts.append((hi, e, reverse, self.b if reverse else self.a, table, before))
             before += table.total
+            lo = hi
 
         def integral(t: float) -> float:
             if not c <= t <= d:
@@ -351,9 +356,9 @@ def tabulated_weight(
     name: str, fn: Callable[[float], float], a: float, b: float, cfg: QuadConfig = DEFAULT_CONFIG
 ) -> Weight:
     """The weight fn on [a, b], its moments read from one cumulative table
-    built now. The table is within abs_tol / 2 at every point, so a moment,
-    the difference of two reads, is within abs_tol. `moment_l1` has no
-    closed form here: it is one `integrate_against` at the caller's cfg.
+    built now to abs_tol / 2, so a moment, the difference of two reads, is
+    expected within abs_tol (by the table's estimate, not a bound).
+    `moment_l1` has no closed form here: one `integrate_against` at cfg.
     """
     _check_domain(a, b)
     table = cumulative(fn, a, b, replace(cfg, abs_tol=cfg.abs_tol / 2))

@@ -139,6 +139,16 @@ class TestBoundsCommand:
         assert err.startswith("error: L2 norm of f' on [0, 1]: no convergence after 1000")
         assert "Traceback" not in err
 
+    def test_weight_expr_table_out_of_subdivisions_is_named(self, capsys):
+        code, out, err = run(
+            capsys, "bounds", "--x", "0.5", "--function", "t^2",
+            "--weight-expr", "1 + sin(40*t)^2", "--max-subdiv", "2",
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: --weight-expr table on [0, 1]: no convergence after 2 ")
+        assert "Traceback" not in err
+
     def test_zero_weight_is_compute_error(self, capsys):
         code, out, err = run(
             capsys, "bounds", "--x", "0.5", "--function", "t^2", "--weight-expr", "0*t"
@@ -661,6 +671,19 @@ class TestCdfCommand:
         assert code == 1
         assert out == ""
         assert "error: density 0*t has weighted mass 0" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("weight, stretch", [("arcsine", "[0, 0.5]"), ("uniform", "[0, 1]")])
+    def test_table_out_of_subdivisions_is_named(self, capsys, weight, stretch):
+        # the arcsine table's first piece runs in s = sqrt(t): the message
+        # names the piece's stretch of t
+        code, out, err = run(
+            capsys, "cdf", "--density", "1 + sin(40*t)^2", "--weight", weight,
+            "--x", "0.5", "--max-subdiv", "2",
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: table of f*w on {stretch}: no convergence after 2 ")
         assert "Traceback" not in err
 
     def test_failed_identity_check_is_compute_error(self, capsys):

@@ -4,6 +4,7 @@ import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.legendre import legval
 
 from obw.corpus import corpus_functions
 from obw import quadrature
@@ -135,6 +136,28 @@ class TestCumulative:
         cfg = QuadConfig(abs_tol=1e-14, max_subdivisions=4)
         with pytest.raises(QuadratureError, match="no convergence"):
             cumulative(lambda t: math.sin(40 * t) * t**0.1, 0, 1, cfg)
+
+    def test_tail_estimate_of_polynomials(self):
+        # the degree-14 interpolant of a polynomial of degree <= 10 has no
+        # P_11..P_14 terms: one leaf of 15 values, its estimate at rounding
+        # level; a P_14 term of size eps is read back as 4 (d - c) eps / 29
+        c, d = 0.5, 2.0
+        poly = lambda t: sum((-1) ** k * t**k / (k + 1) for k in range(11))  # noqa: E731
+        evals = [0]
+
+        def g(t):
+            evals[0] += 1
+            return poly(t)
+
+        table = cumulative(g, c, d, QuadConfig(abs_tol=1e-13))
+        assert evals[0] == 15
+        peak = max(abs(poly(c + (d - c) * k / 100)) for k in range(101))
+        assert table.error <= 1e-15 * (d - c) * peak
+        eps = 1e-6
+        p14 = [0.0] * 14 + [1.0]
+        tail = lambda t: poly(t) + eps * legval((2 * t - c - d) / (d - c), p14)  # noqa: E731
+        table = cumulative(tail, c, d, QuadConfig(abs_tol=1e-5))
+        assert table.error == pytest.approx(4 * (d - c) * eps / 29, rel=1e-6)
 
     def test_built_inside_one_integrate_call(self, monkeypatch):
         calls = []

@@ -2,7 +2,7 @@ import math
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from obw.quadrature import DegenerateIntervalError, QuadConfig, integrate
@@ -273,6 +273,105 @@ class TestCumulativeArea:
 
     def test_empty_interval(self):
         assert builtin_weight("arcsine", 0, 1).cumulative(lambda t: 1.0, 0.4, 0.4).area() == 0.0
+
+
+# Positive terms on [0, 1], each in the functions of a module m (math for the
+# table, mpmath for the reference) and a parameter k drawn from its range.
+# "kink" is not smooth at t = k, which the reference takes as a break; it is
+# not drawn, as a kink in the sliver between a leaf's outermost node and its
+# end is invisible to the leaf's values (ROADMAP item 6).
+_TEMPLATES = {
+    "exp": ((-3.0, 3.0), lambda m, k: lambda t: m.exp(k * t)),
+    "reciprocal": ((0.05, 1.0), lambda m, k: lambda t: 1 / (t + k)),
+    "sqrt": ((0.01, 1.0), lambda m, k: lambda t: m.sqrt(t + k)),
+    "trig": ((1.0, 15.0), lambda m, k: lambda t: 1.5 + m.sin(k * t)),
+    "power": ((-2.0, 3.0), lambda m, k: lambda t: (t + 0.5) ** k),
+    "kink": ((0.1, 0.9), lambda m, k: lambda t: abs(t - k) + 0.1),
+}
+_TERMS = st.lists(
+    st.one_of(*(
+        st.tuples(st.just(kind), st.floats(*bounds), st.floats(0.2, 2.0))
+        for kind, (bounds, _) in _TEMPLATES.items() if kind != "kink"
+    )),
+    min_size=1,
+    max_size=3,
+)
+
+
+def _sum_of_terms(terms, m):
+    parts = [(coef, _TEMPLATES[kind][1](m, k)) for kind, k, coef in terms]
+    return lambda t: sum(coef * part(t) for coef, part in parts)
+
+
+def _cumulative_reference(name, params, g, ts, breaks):
+    """mpmath's int_0^t g w at each t of ts (ascending from 0 to 1, through
+    0.5); `breaks` are points of t where g is not smooth. A power weight's
+    halves are taken in u = t^(1+p) and v = (1-t)^(1+q), as its substitution
+    takes them, where the integrand is smooth enough for mpmath."""
+    refs, acc = [0.0], mpmath.mpf(0)
+    with mpmath.workdps(20):
+        if name in ("arcsine", "power"):
+            p, q = (-0.5, -0.5) if name == "arcsine" else (params["p"], params["q"])
+            ep, eq = mpmath.mpf(1 + p), mpmath.mpf(1 + q)
+
+            def left(u):
+                s = u ** (1 / ep)
+                return g(s) * (1 - s) ** q / ep
+
+            def right(v):
+                s = 1 - v ** (1 / eq)
+                return g(s) * s**p / eq
+
+        else:
+            w = {
+                "uniform": lambda t: 1,
+                "truncnorm": lambda t: mpmath.exp(
+                    -0.5 * ((t - params["mu"]) / params["sigma"]) ** 2),
+                "exponential": lambda t: mpmath.exp(-params["lam"] * t),
+            }[name]
+        for lo, hi in zip(ts, ts[1:]):
+            points = [mpmath.mpf(t) for t in (lo, *(b for b in breaks if lo < b < hi), hi)]
+            # tanh-sinh where a substituted variable meets its end, which
+            # Gauss-Legendre would resolve slowly
+            method = "tanh-sinh" if lo == 0 or hi == 1 else "gauss-legendre"
+            if name not in ("arcsine", "power"):
+                acc += mpmath.quad(lambda t: g(t) * w(t), points, method=method)
+            elif hi <= 0.5:
+                acc += mpmath.quad(left, [t**ep for t in points], method=method)
+            else:
+                acc += mpmath.quad(right, [(1 - t) ** eq for t in reversed(points)], method=method)
+            refs.append(float(acc))
+    return refs
+
+
+class TestCumulativeAccuracy:
+    """Weight.cumulative of random sums of smooth terms, every query on 201
+    points within abs_tol of mpmath: the leaves' tail-coefficient estimate
+    is a heuristic, and this is its check."""
+
+    WEIGHTS = [
+        ("uniform", {}),
+        ("arcsine", {}),
+        ("power", {"p": 0.5, "q": -0.3}),
+        ("power", {"p": -0.4, "q": 0.3}),
+        ("truncnorm", {"mu": 0.2, "sigma": 0.05}),
+        ("exponential", {"lam": 30.0}),
+    ]
+
+    @pytest.mark.parametrize("name, params", WEIGHTS, ids=[f"{n}{p}" for n, p in WEIGHTS])
+    @given(terms=_TERMS)
+    @example(terms=[("kink", 0.437, 1.0)])
+    @settings(max_examples=4, deadline=None)
+    def test_queries_against_mpmath(self, name, params, terms):
+        w = builtin_weight(name, 0, 1, **params)
+        ts = [k / 200 for k in range(201)]
+        breaks = [k for kind, k, _ in terms if kind == "kink"]
+        refs = _cumulative_reference(name, params, _sum_of_terms(terms, mpmath), ts, breaks)
+        g = _sum_of_terms(terms, math)
+        for tol in (1e-9, 1e-12):
+            table = w.cumulative(g, 0.0, 1.0, QuadConfig(abs_tol=tol))
+            worst = max(abs(table(t) - ref) for t, ref in zip(ts, refs))
+            assert worst <= tol, (tol, worst)
 
 
 def _kink_primitive(t):

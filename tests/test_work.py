@@ -300,8 +300,9 @@ def test_verify_computes_each_kernel_norm_once(monkeypatch, counts):
 
 
 def test_table_panel_count(monkeypatch):
-    # refined like integrate, largest estimate first (19 panels when every
-    # panel over an even share of abs_tol was bisected each round)
+    # refined like integrate, largest estimate first: the whole interval and
+    # two bisections, each leaf judged by its interpolant's last four Legendre
+    # coefficients (15 panels under the bound on p - p7 that this replaced)
     panels = [0]
     gk15 = quadrature._gk15
 
@@ -312,7 +313,7 @@ def test_table_panel_count(monkeypatch):
     monkeypatch.setattr(quadrature, "_gk15", counted)
     density = as_fn1d("exp(1.469*t) + 0.291 + 1.15*(1/(t + 0.475))")
     builtin_weight("increasing", 0.0, 1.0).cumulative(density, 0.0, 1.0, QuadConfig(abs_tol=1e-10))
-    assert panels[0] == 15
+    assert panels[0] == 5
 
 
 _TABLE_CASES = {
@@ -323,7 +324,7 @@ _TABLE_CASES = {
 }
 # integrate's |K15 - G7| estimate misses its error next to the square-root end
 # point: at 1e-12 it is off by 2.3e-12 and reports 7.0e-13, while the table's
-# total is within 3e-16 of 2/3
+# total is within 4.5e-15 of 2/3
 _SQRT_MISSES = pytest.mark.xfail(strict=True, reason="integrate's estimate misses at sqrt's end")
 
 
