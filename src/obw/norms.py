@@ -14,8 +14,8 @@ __all__ = ["Triple", "norm_inf", "norm_p", "norm_triple", "conjugate"]
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _N_CHEB = 1024
-_N_REFINE = 8
-# The _N_CHEB Chebyshev extreme points of [-1, 1], ascending; norm_inf maps
+_N_PEAKS = 8
+# The _N_CHEB Chebyshev extreme points of [-1, 1], ascending; _scan maps
 # them onto [c, d], where mid + half * u is monotone in u, so the samples
 # come out sorted.
 _CHEB_UNIT = np.array(sorted(math.cos(math.pi * k / (_N_CHEB - 1)) for k in range(_N_CHEB)))
@@ -69,16 +69,16 @@ def _golden_max(g: Callable[[float], float], lo: float, hi: float, tol: float) -
     return best
 
 
-def _abs_at(g: Callable[[float], float], t: float) -> float:
-    """|g(t)|; ValueError naming t where it is not finite."""
-    v = abs(g(t))
+def _value(g: Callable[[float], float], t: float) -> float:
+    """g(t); ValueError naming t where it is not finite."""
+    v = g(t)
     if not math.isfinite(v):
         raise ValueError(f"non-finite evaluation at t={t}")
     return v
 
 
-def _grid_abs(g: Callable[[float], float], ts: np.ndarray) -> np.ndarray | None:
-    """|g| on ts in one array call, where g has a `grid` (expr.as_fn1d's
+def _grid_values(g: Callable[[float], float], ts: np.ndarray) -> np.ndarray | None:
+    """g on ts in one array call, where g has a `grid` (expr.as_fn1d's
     derivatives do). None where it has none, or where some sample divided
     by zero, overflowed, left the reals or is not finite: only there can
     the scalar g raise or fall back to finite differences."""
@@ -87,43 +87,107 @@ def _grid_abs(g: Callable[[float], float], ts: np.ndarray) -> np.ndarray | None:
         return None
     with np.errstate(divide="raise", over="raise", invalid="raise", under="ignore"):
         try:
-            vals = np.abs(grid(ts))
+            vals = grid(ts)
         except ArithmeticError:  # a raised flag: the scalar g decides
             return None
     return vals if np.isfinite(vals).all() else None
 
 
-def norm_inf(g: Callable[[float], float], c: float, d: float) -> float:
-    """Sup-norm estimate of |g| on [c, d].
+def _bisect_root(g: Callable[[float], float], lo: float, hi: float, lo_positive: bool,
+                 tol: float) -> float:
+    """A root of g in (lo, hi), where g changes sign, by bisection on the
+    scalar g to width tol."""
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        v = _value(g, mid)
+        if v == 0.0:
+            return mid
+        if (v > 0.0) == lo_positive:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
-    Dense Chebyshev-spaced sampling followed by golden-section refinement
-    around the best candidates. An estimate, not a certificate; never less
-    than the max sampled value.
 
-    Where g has a `grid`, the samples are taken in one array call and only
-    choose the candidates: every value returned is one of the scalar g, at
-    a candidate or in its refinement.
+def _scan(g: Callable[[float], float], c: float, d: float) -> tuple[float, list[float]]:
+    """The sup of |g| on [c, d] and the roots of g inside (c, d), ascending,
+    both read from one sampling of g on the _N_CHEB Chebyshev points.
+
+    Sup: each of the (up to) _N_PEAKS largest sampled local maxima of |g|
+    is refined by golden section on both halves of its bracket, since a
+    bracket can span two lobes of a feature narrower than the sampling.
+    Roots: each sign change between samples is refined by bisection on the
+    scalar g. Where g has a `grid`, the samples are taken in one array call
+    and only choose the peaks and the sign changes: every value returned is
+    one of the scalar g.
     """
     if not d > c:
-        raise ValueError("norm_inf requires c < d")
+        raise ValueError("derivative norms require c < d")
     mid = 0.5 * (c + d)
     half = 0.5 * (d - c)
     ts_array = mid + half * _CHEB_UNIT
     ts = ts_array.tolist()
-    vals = _grid_abs(g, ts_array)
+    vals = _grid_values(g, ts_array)
     on_grid = vals is not None
     if not on_grid:
-        vals = np.array([_abs_at(g, t) for t in ts])
-    # the _N_REFINE largest, ties in sample order (a stable sort)
-    ranked = np.argsort(-vals, kind="stable")[:_N_REFINE].tolist()
-    best = max(_abs_at(g, ts[i]) for i in ranked) if on_grid else float(vals[ranked[0]])
+        vals = np.array([_value(g, t) for t in ts])
     tol = 1e-12 * max(1.0, d - c)
-    for i in ranked:
-        lo = ts[max(i - 1, 0)]
-        hi = ts[min(i + 1, len(ts) - 1)]
-        if hi > lo:
-            best = max(best, _golden_max(lambda t: abs(g(t)), lo, hi, tol))
-    return best
+
+    # local maxima: at least both neighbours and above one (so a plateau
+    # gives its two ends); the ends of [c, d] have one neighbour
+    mags = np.abs(vals)
+    left = np.concatenate(([-np.inf], mags[:-1]))
+    right = np.concatenate((mags[1:], [-np.inf]))
+    peaks = np.flatnonzero((mags >= left) & (mags >= right) & ((mags > left) | (mags > right)))
+    # the _N_PEAKS largest, ties in sample order (a stable sort)
+    peaks = peaks[np.argsort(-mags[peaks], kind="stable")[:_N_PEAKS]].tolist()
+    sup = max(abs(_value(g, ts[i])) for i in peaks) if on_grid else float(mags[peaks[0]])
+    last = len(ts) - 1
+    for i in peaks:
+        for lo, hi in ((ts[max(i - 1, 0)], ts[i]), (ts[i], ts[min(i + 1, last)])):
+            if hi > lo:
+                sup = max(sup, _golden_max(lambda t: abs(g(t)), lo, hi, tol))
+
+    # sign changes between consecutive nonzero samples
+    nonzero = np.flatnonzero(vals)
+    positive = vals[nonzero] > 0.0
+    roots: list[float] = []
+    for k in np.flatnonzero(positive[:-1] != positive[1:]).tolist():
+        i, j = nonzero[k], nonzero[k + 1]
+        root = _bisect_root(g, ts[i], ts[j], bool(positive[k]), tol)
+        if c < root < d and (not roots or root > roots[-1]):
+            roots.append(root)
+    return sup, roots
+
+
+def _norm_lp(
+    g: Callable[[float], float],
+    p: float,
+    c: float,
+    d: float,
+    cfg: QuadConfig,
+    roots: list[float],
+) -> float:
+    """(int_c^d |g|^p)^(1/p), the integral split at the roots of g, where
+    |g|^p has a kink that the K15 - G7 estimate cannot see."""
+    if not 1 <= p < math.inf:
+        raise ValueError(f"norm_p requires finite p >= 1, got p={p:g}")
+    try:
+        val = integrate(lambda t: abs(g(t)) ** p, c, d, cfg, breaks=roots)[0]
+    except QuadratureError as exc:
+        raise QuadratureError(f"L{p:g} norm of f' on [{c:g}, {d:g}]: {exc}") from None
+    val = max(val, 0.0)
+    return val if p == 1 else val ** (1.0 / p)
+
+
+def norm_inf(g: Callable[[float], float], c: float, d: float) -> float:
+    """Sup-norm estimate of |g| on [c, d]: `_scan`'s dense Chebyshev-spaced
+    sampling and golden-section refinement of the largest sampled peaks.
+    An estimate, not a certificate; never less than the max sampled value.
+    """
+    return _scan(g, c, d)[0]
 
 
 def norm_p(
@@ -133,19 +197,13 @@ def norm_p(
     d: float,
     cfg: QuadConfig = DEFAULT_CONFIG,
 ) -> float:
-    """L_p norm (int_c^d |g|^p)^(1/p); p = 1 gives the L1 norm.
+    """L_p norm (int_c^d |g|^p)^(1/p); p = 1 gives the L1 norm. The
+    integral is split at the roots of g that `_scan` finds.
 
     g is a derivative f', so a QuadratureError says which norm of f'
     failed, e.g. when f' is not in L_p.
     """
-    if not 1 <= p < math.inf:
-        raise ValueError(f"norm_p requires finite p >= 1, got p={p:g}")
-    try:
-        val = integrate(lambda t: abs(g(t)) ** p, c, d, cfg)[0]
-    except QuadratureError as exc:
-        raise QuadratureError(f"L{p:g} norm of f' on [{c:g}, {d:g}]: {exc}") from None
-    val = max(val, 0.0)
-    return val if p == 1 else val ** (1.0 / p)
+    return _norm_lp(g, p, c, d, cfg, _scan(g, c, d)[1])
 
 
 def norm_triple(
@@ -155,5 +213,6 @@ def norm_triple(
     d: float,
     cfg: QuadConfig = DEFAULT_CONFIG,
 ) -> Triple:
-    """Sup, L_p, and L1 norms of g on [c, d]."""
-    return Triple(norm_inf(g, c, d), norm_p(g, p, c, d, cfg), norm_p(g, 1.0, c, d, cfg))
+    """Sup, L_p, and L1 norms of g on [c, d], from one `_scan` of g."""
+    sup, roots = _scan(g, c, d)
+    return Triple(sup, _norm_lp(g, p, c, d, cfg, roots), _norm_lp(g, 1.0, c, d, cfg, roots))

@@ -15,7 +15,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -139,28 +139,44 @@ def integrate(
     c: float,
     d: float,
     cfg: QuadConfig = DEFAULT_CONFIG,
+    breaks: Sequence[float] = (),
     _table: Optional["Cumulative"] = None,
 ) -> tuple[float, float]:
     """Adaptive bisection with a nested G7/K15 rule pair.
 
     Returns (value, error estimate). Raises QuadratureError if the
     subdivision budget is exhausted before the tolerance is met.
+    `breaks`, strictly increasing inside (c, d), are points where g may
+    have a kink: the refinement starts from the pieces between them, which
+    share abs_tol and max_subdivisions (ValueError for other breaks).
     `_table` is the sink `cumulative` passes: each panel's estimate is then
     `_table_panels`' tail estimate, and the leaves are handed to the table.
     """
     if c > d:
         raise ValueError("integrate requires c <= d")
+    spans = [(c, d)]
+    if breaks:
+        spans = list(zip((c, *breaks), (*breaks, d)))
+        if not all(lo < hi for lo, hi in spans):
+            raise ValueError(f"breaks must increase strictly inside ({c}, {d})")
     if c == d:
         return 0.0, 0.0
-    if _table is None:
-        (val, err), values, panels = _gk15(g, c, d), None, None
-    else:
-        panels = _table_panels(g)
-        ((val, err, values),) = panels((c, d))
+    panels = None if _table is None else _table_panels(g)
     # heap of (-err, tiebreak, c, d, val, err, values): the unique tiebreak keeps
     # it deterministic; values are a table panel's 15 integrand values, else None
-    heap = [(-err, 0, c, d, val, err, values)]
-    total, total_err, n = val, err, 1
+    heap = []
+    total = total_err = 0.0
+    for lo, hi in spans:
+        if panels is None:
+            val, err = _gk15(g, lo, hi)
+            values = None
+        else:
+            ((val, err, values),) = panels((lo, hi))
+        heap.append((-err, len(heap), lo, hi, val, err, values))
+        total += val
+        total_err += err
+    heapq.heapify(heap)
+    n = len(heap)
     while total_err > cfg.abs_tol:
         if n >= cfg.max_subdivisions:
             raise QuadratureError(

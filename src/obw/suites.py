@@ -14,7 +14,7 @@ from .corpus import (
 )
 from .functionals import tau, tau_combination, tau_decomposed
 from .kernel import TauParams, kernel_integral
-from .norms import Triple, norm_inf, norm_p
+from .norms import Triple, _norm_lp, _scan
 from .quadrature import DEFAULT_CONFIG, QuadConfig, derivative_callable
 
 __all__ = ["Suite", "SuiteReport", "run_verify_suites", "P_GRID"]
@@ -60,9 +60,10 @@ class SuiteReport:
 def run_verify_suites(cfg: QuadConfig = DEFAULT_CONFIG) -> SuiteReport:
     """Identity, soundness, reduction, and equivalent-forms sweeps.
 
-    Each quantity is computed once, at the level it depends on: f' and its
-    sup and L1 norms per function, its L_p norm per (function, p), the
-    kernel norms per (weight, x, pair, p), and tau per configuration.
+    Each quantity is computed once, at the level it depends on: f', one
+    scan of it and its sup and L1 norms per function, its L_p norm per
+    (function, p), the kernel norms per (weight, x, pair, p), and tau per
+    configuration.
     """
     report = SuiteReport()
     a, b = 0.0, 1.0  # every corpus weight and x lies on [a, b]
@@ -71,8 +72,9 @@ def run_verify_suites(cfg: QuadConfig = DEFAULT_CONFIG) -> SuiteReport:
     functions = []  # (f, f', {p: norms of f'}); the sup and L1 norms do not depend on p
     for f in corpus_functions():
         fprime = derivative_callable(f)
-        inf, one = norm_inf(fprime, a, b), norm_p(fprime, 1.0, a, b, cfg)
-        norms = {p: Triple(inf, norm_p(fprime, p, a, b, cfg), one) for p in P_GRID}
+        sup, roots = _scan(fprime, a, b)  # once per f: its samples serve every p
+        one = _norm_lp(fprime, 1.0, a, b, cfg, roots)
+        norms = {p: Triple(sup, _norm_lp(fprime, p, a, b, cfg, roots), one) for p in P_GRID}
         functions.append((f, fprime, norms))
 
     for w in weights:

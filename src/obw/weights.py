@@ -273,7 +273,10 @@ def _rough(e: float) -> bool:
 
 
 def _power(a: float, b: float, p: float, q: float) -> Weight:
-    """w(t) = (t-a)^p (b-t)^q with p, q > -1 (integrable endpoint behavior)."""
+    """w(t) = (t-a)^p (b-t)^q with finite p, q > -1 (integrable endpoint behavior)."""
+    for name, value in (("p", p), ("q", q)):
+        if not math.isfinite(value):  # NaN and inf both pass the test below
+            raise ValueError(f"power weight requires a finite exponent, got {name}={value:g}")
     if p <= -1 or q <= -1:
         raise ValueError("power weight requires p > -1 and q > -1 for integrability")
     # here, not at the top: no other weight needs a special function, and

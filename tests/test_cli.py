@@ -303,6 +303,14 @@ class TestWeightSpecs:
         assert code == 1
         assert "integrability" in err
 
+    @pytest.mark.parametrize("spec, named", [
+        ("power:p=nan", "p=nan"), ("power:p=inf", "p=inf"), ("power:q=nan", "q=nan"),
+    ])
+    def test_non_finite_exponent_is_named(self, capsys, spec, named):
+        code, out, err = run(capsys, "bounds", "--x", "0.5", "--function", "t^2", "--weight", spec)
+        assert (code, out) == (1, "")
+        assert err == f"error: power weight requires a finite exponent, got {named}\n"
+
 
 @pytest.mark.parametrize("command", ["audit", "sharpness"])
 @pytest.mark.parametrize("item", ["1:", ":1", "1", "a:b", ""])

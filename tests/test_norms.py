@@ -1,10 +1,22 @@
+import functools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from obw.expr import as_fn1d
-from obw.norms import _CHEB_UNIT, Triple, _grid_abs, conjugate, norm_inf, norm_p, norm_triple
+from obw.norms import (
+    _CHEB_UNIT,
+    Triple,
+    _grid_values,
+    _scan,
+    conjugate,
+    norm_inf,
+    norm_p,
+    norm_triple,
+)
+from obw.quadrature import QuadConfig
 
 
 class TestNormInf:
@@ -161,7 +173,7 @@ class TestGridPath:
     @pytest.mark.parametrize("c, d", [(0.0, 1.0), (0.13, 2.9), (0.31, 0.3100001)])
     def test_same_value_as_the_scalar_loop(self, source, c, d):
         g = as_fn1d(source).derivative
-        assert _grid_abs(g, 0.5 * (c + d) + 0.5 * (d - c) * _CHEB_UNIT) is not None
+        assert _grid_values(g, 0.5 * (c + d) + 0.5 * (d - c) * _CHEB_UNIT) is not None
         assert norm_inf(g, c, d) == norm_inf(lambda t: g(t), c, d)
 
     @pytest.mark.parametrize("source", [
@@ -185,4 +197,65 @@ class TestGridPath:
         assert norm_inf(as_fn1d(source).derivative, 0.0, 1.0) == pytest.approx(sup, rel=1e-12)
 
     def test_plain_callable_has_no_grid(self):
-        assert _grid_abs(math.cos, np.linspace(0.0, 1.0, 5)) is None
+        assert _grid_values(math.cos, np.linspace(0.0, 1.0, 5)) is None
+
+
+# f with roots of f' inside [c, d], where |f'|^p has a kink: benchmark-style
+# densities with one and with two roots, and a sum of two waves on an
+# offset interval
+ROOT_CASES = [
+    ("(t + 0.549)^1.17 + 1.13*(exp(-1.421*t) + 0.245)", 0.0, 1.0),
+    ("1/(t + 0.468) + 1.27*(sqrt(t + 0.384))", 0.0, 1.0),
+    ("sqrt(t + 0.228) + 0.88*(0.469 + sin(2.859*t)^2)", 0.0, 1.0),
+    ("1/(t + 0.407) + 0.8*(0.505 + sin(2.173*t)^2)", 0.0, 1.0),
+    ("0.567 + sin(2.746*t)^2 + 1.13*(1/(t + 0.571))", 0.0, 1.0),
+    ("cos(5.58*t) + 0.9*sin(1.811*t + 0.098)", 0.317, 1.201),
+]
+
+
+@functools.cache
+def mp_reference(source, c, d, p):
+    """(L1 norm, L_p norm to the p) of f' on [c, d] with mpmath: the L1 norm
+    in closed form, sum |f(r_k+1) - f(r_k)| over the roots r_k of f' and the
+    ends, and the L_p integral split at the roots."""
+    env = {name: getattr(mpmath, name) for name in ("sin", "cos", "exp", "log", "sqrt")}
+    with mpmath.workdps(30):
+        f = lambda t: eval(source.replace("^", "**"), env, {"t": t})  # noqa: S307
+        df = lambda t: mpmath.diff(f, t)
+        grid = [mpmath.mpf(c) + (mpmath.mpf(d) - c) * k / 400 for k in range(401)]
+        signs = [df(t) > 0 for t in grid]
+        roots = [mpmath.findroot(df, (lo, hi), solver="anderson")
+                 for lo, hi, s, s_next in zip(grid, grid[1:], signs, signs[1:]) if s != s_next]
+        assert roots  # every case has a kink to split at
+        points = [mpmath.mpf(c), *roots, mpmath.mpf(d)]
+        one = sum(abs(f(v) - f(u)) for u, v in zip(points, points[1:]))
+        pth = mpmath.quad(lambda t: abs(df(t)) ** p, points)
+        return float(one), float(pth)
+
+
+class TestAccuracyAcrossRoots:
+    """The L1 and L_p integrals are split at the roots of f', so both meet
+    the tolerance there; an unsplit |f'| missed it by up to 1.9e-7."""
+
+    @pytest.mark.parametrize("tol", [1e-8, 1e-10, 1e-12])
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    @pytest.mark.parametrize("source, c, d", ROOT_CASES)
+    def test_within_tol_of_mpmath(self, source, c, d, p, tol):
+        norms = norm_triple(as_fn1d(source).derivative, p, c, d, QuadConfig(abs_tol=tol))
+        one, pth = mp_reference(source, c, d, p)
+        assert abs(norms.one - one) <= tol
+        assert abs(norms.p**p - pth) <= tol
+
+    def test_roots_are_found(self):
+        # both roots of f' = 2 sin(2.746 t) cos(2.746 t) 2.746 - 1.13 / (t + 0.571)^2
+        g = as_fn1d(ROOT_CASES[4][0]).derivative
+        _, roots = _scan(g, 0.0, 1.0)
+        assert len(roots) == 2
+        assert all(abs(g(r)) < 1e-9 for r in roots)
+
+    def test_printed_digits(self):
+        # the closed form gives 4.44841644e-01; the unsplit integral printed ...452e-01
+        g = as_fn1d(ROOT_CASES[0][0]).derivative
+        assert f"{norm_triple(g, 2.0, 0.0, 1.0).one:.8e}" == "4.44841644e-01"
+        bump = as_fn1d("t + exp(-((t-0.61)/0.001)^2)").derivative
+        assert f"{norm_triple(bump, 2.0, 0.0, 1.0).inf:.8e}" == "8.58763885e+02"

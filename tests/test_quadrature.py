@@ -1,3 +1,4 @@
+import heapq
 import math
 
 import mpmath
@@ -70,6 +71,95 @@ class TestIntegrate:
     def test_reversed_endpoints_rejected(self):
         with pytest.raises(ValueError):
             integrate(lambda t: t, 1, 0)
+
+
+def reference_integrate(g, c, d, cfg):
+    """`integrate` before breaks: one heap seeded with the panel [c, d]."""
+    val, err = quadrature._gk15(g, c, d)
+    heap = [(-err, 0, c, d, val, err)]
+    total, total_err, n = val, err, 1
+    while total_err > cfg.abs_tol:
+        if n >= cfg.max_subdivisions:
+            raise QuadratureError("no convergence")
+        _, _, lo, hi, v_old, e_old = heapq.heappop(heap)
+        mid = 0.5 * (lo + hi)
+        v1, e1 = quadrature._gk15(g, lo, mid)
+        v2, e2 = quadrature._gk15(g, mid, hi)
+        total += (v1 + v2) - v_old
+        total_err += (e1 + e2) - e_old
+        heapq.heappush(heap, (-e1, 2 * n, lo, mid, v1, e1))
+        heapq.heappush(heap, (-e2, 2 * n + 1, mid, hi, v2, e2))
+        n += 1
+    return total, total_err
+
+
+def kinked(t):
+    """Kinks at 0.3 and 0.71, the breaks of BREAKS."""
+    return abs(t - 0.3) + abs(math.sin(2.0 * (t - 0.71))) + math.exp(t)
+
+
+BREAKS = (0.3, 0.71)
+
+
+class TestBreaks:
+    @pytest.mark.parametrize("tol", [1e-8, 1e-12])
+    @pytest.mark.parametrize("g, c, d", [
+        (kinked, 0.0, 1.0),
+        (math.exp, -1.0, 2.5),
+        (lambda t: math.sin(40 * t) * t**0.1, 0.0, 1.0),
+    ])
+    def test_no_breaks_is_the_single_heap(self, g, c, d, tol):
+        cfg = QuadConfig(abs_tol=tol)
+        expected = reference_integrate(g, c, d, cfg)
+        assert integrate(g, c, d, cfg) == expected
+        assert integrate(g, c, d, cfg, breaks=()) == expected
+        assert integrate(g, c, d, cfg, breaks=[]) == expected
+
+    @pytest.mark.parametrize("tol", [1e-8, 1e-12])
+    def test_pieces_share_the_tolerance(self, tol):
+        cfg = QuadConfig(abs_tol=tol)
+        value, err = integrate(kinked, 0.0, 1.0, cfg, breaks=BREAKS)
+        edges = (0.0, *BREAKS, 1.0)
+        pieces = sum(integrate(kinked, lo, hi, cfg)[0] for lo, hi in zip(edges, edges[1:]))
+        assert abs(value - pieces) <= tol
+        assert err <= tol
+        with mpmath.workdps(30):
+            exact = mpmath.quad(lambda t: abs(t - 0.3) + abs(mpmath.sin(2 * (t - 0.71)))
+                                + mpmath.exp(t), [0, *BREAKS, 1])
+        assert abs(value - float(exact)) <= tol
+
+    def test_breaks_spare_the_kinks(self):
+        # the pieces are smooth, so splitting there takes fewer panels
+        panels = []
+        for breaks in ((), BREAKS):
+            seen = []
+            integrate(lambda t: seen.append(t) or kinked(t), 0.0, 1.0,
+                      QuadConfig(abs_tol=1e-12), breaks=breaks)
+            panels.append(len(seen) // 15)
+        assert panels[1] < panels[0] / 2
+
+    @pytest.mark.parametrize("breaks", [
+        [0.0], [1.0], [-0.1], [1.5], [0.6, 0.3], [0.3, 0.3], [0.2, 0.4, 0.3],
+    ])
+    def test_bad_breaks_rejected(self, breaks):
+        with pytest.raises(ValueError, match="breaks must increase strictly inside"):
+            integrate(math.exp, 0.0, 1.0, breaks=breaks)
+
+    def test_break_in_an_empty_interval_rejected(self):
+        with pytest.raises(ValueError, match="breaks"):
+            integrate(math.exp, 0.5, 0.5, breaks=[0.5])
+
+    def test_pieces_share_the_subdivision_budget(self):
+        # four pieces take four of the budget's five panels before any bisection
+        g = lambda t: math.sin(40 * t) * t**0.1
+        cfg = QuadConfig(abs_tol=1e-14, max_subdivisions=5)
+        with pytest.raises(QuadratureError,
+                           match=r"no convergence after 5 subdivisions .* on \[0\.0, 1\.0\]"):
+            integrate(g, 0.0, 1.0, cfg, breaks=[0.25, 0.5, 0.75])
+        with pytest.raises(QuadratureError,
+                           match=r"no convergence after 4 subdivisions .* on \[0\.0, 1\.0\]"):
+            integrate(g, 0.0, 1.0, QuadConfig(abs_tol=1e-14, max_subdivisions=3),
+                      breaks=[0.25, 0.5, 0.75])
 
 
 class TestKronrodConstants:

@@ -95,6 +95,15 @@ class TestBuiltins:
         with pytest.raises(ValueError, match="integrability"):
             builtin_weight("power", 0, 1, p=-1.0, q=0.0)
 
+    @pytest.mark.parametrize("p, q, named", [
+        (math.nan, 0.0, "p=nan"), (math.inf, 0.0, "p=inf"), (-math.inf, 0.0, "p=-inf"),
+        (0.5, math.nan, "q=nan"), (0.5, math.inf, "q=inf"),
+    ])
+    def test_non_finite_power_exponent(self, p, q, named):
+        # NaN and inf pass `p <= -1`; the check names the exponent and its value
+        with pytest.raises(ValueError, match=f"finite exponent, got {named}$"):
+            builtin_weight("power", 0, 1, p=p, q=q)
+
     @pytest.mark.parametrize(
         "name,params",
         [

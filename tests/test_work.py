@@ -248,8 +248,8 @@ def test_compiled_expression_is_one_call(source):
 
 def test_verify_computes_each_norm_and_deviation_once(monkeypatch):
     # every corpus weight is on [0, 1], so the norms depend only on f, and
-    # the sup and L1 norms not on p either
-    calls = {"norm_inf": 0, "norm_p": 0, "tau": 0}
+    # the scan of f' (its sup and roots) and the L1 norm not on p either
+    calls = {"_scan": 0, "_norm_lp": 0, "tau": 0}
 
     def counted(name):
         fn = getattr(obw.suites, name)
@@ -267,8 +267,8 @@ def test_verify_computes_each_norm_and_deviation_once(monkeypatch):
         len(corpus_functions()) * len(corpus_weights()) * len(corpus_x_values()) * len(COEFF_PAIRS)
     )
     assert report.passed
-    assert calls["norm_inf"] == len(corpus_functions())
-    assert calls["norm_p"] == len(corpus_functions()) * (1 + len(obw.suites.P_GRID))
+    assert calls["_scan"] == len(corpus_functions())
+    assert calls["_norm_lp"] == len(corpus_functions()) * (1 + len(obw.suites.P_GRID))
     assert calls["tau"] == report.identity.checked == n_configs
     assert report.soundness.checked == 3 * n_configs
     assert report.reduction.checked == 36
