@@ -30,7 +30,7 @@ from .kernel import (
     kernel_sup,
     peano_kernel,
 )
-from .norms import Triple, conjugate, norm_inf, norm_p, norm_triple
+from .norms import Triple, conjugate, norm_triple
 from .quadrature import (
     DegenerateIntervalError,
     Fn1D,

@@ -181,15 +181,6 @@ def corollary_bounds(
     return lhs, bounds_paper(params, w, norms, p)
 
 
-@dataclass(frozen=True)
-class _Witness(Fn1D):
-    """A sharpness witness and the kinks of its derivative: a sweep splits
-    each branch integral at those inside the branch (`_split_integral`),
-    so that no quadrature panel straddles one."""
-
-    kinks: tuple[float, ...] = ()
-
-
 def sign_kernel_fn(params: TauParams) -> Fn1D:
     """Piecewise-linear f whose derivative is the sign of the kernel.
 
@@ -204,7 +195,7 @@ def sign_kernel_fn(params: TauParams) -> Fn1D:
     def deriv(t: float) -> float:
         return 1.0 if t <= x else -1.0
 
-    return _Witness(fn=fn, derivative=deriv, name="sign-kernel", kinks=(x,))
+    return Fn1D(fn=fn, derivative=deriv, name="sign-kernel", kinks=(x,))
 
 
 class _AtX:
@@ -221,16 +212,7 @@ class _AtX:
         self.total = w.total
         self.moment = functools.cache(w.moment)
         self.moment_l1 = functools.cache(w.moment_l1)
-        self.integrate_against = functools.cache(functools.partial(_split_integral, w))
-
-
-def _split_integral(w: Weight, g: _Witness, c: float, d: float, cfg: QuadConfig) -> float:
-    """int_c^d g w, summed over the pieces between g's kinks inside (c, d)."""
-    ends = [c, *(k for k in g.kinks if c < k < d), d]
-    total = w.integrate_against(g, ends[0], ends[1], cfg)
-    for lo, hi in zip(ends[1:], ends[2:]):
-        total += w.integrate_against(g, lo, hi, cfg)
-    return total
+        self.integrate_against = functools.cache(w.integrate_against)
 
 
 @dataclass(frozen=True)
@@ -265,7 +247,7 @@ def sharpness_search(
         at = _AtX(w)
         # one witness per x, so `at` keeps its integrals: the sign kernel
         # depends on x alone, the hat also on whether alpha >= beta
-        witnesses: dict[bool, _Witness] = {}
+        witnesses: dict[bool, Fn1D] = {}
         for alpha, beta in coeff_grid:
             params = TauParams(a=w.a, b=w.b, x=x, alpha=alpha, beta=beta)
             if kind == "exact_inf":  # the sup norm of f' is 1
@@ -283,7 +265,7 @@ def sharpness_search(
 _HAT_WIDTH = 1e-3
 
 
-def _hat_fn(params: TauParams) -> _Witness:
+def _hat_fn(params: TauParams) -> Fn1D:
     """f whose derivative is a unit-mass hat just inside the peak branch."""
     delta = _HAT_WIDTH * (params.b - params.a)
     if params.alpha >= params.beta:
@@ -302,7 +284,7 @@ def _hat_fn(params: TauParams) -> _Witness:
     def deriv(t: float) -> float:
         return sign * (height if lo < t <= hi else 0.0)
 
-    return _Witness(fn=fn, derivative=deriv, name="hat", kinks=(lo, hi))
+    return Fn1D(fn=fn, derivative=deriv, name="hat", kinks=(lo, hi))
 
 
 @dataclass(frozen=True)

@@ -38,12 +38,12 @@ class DensityModel:
 
     One `Weight.cumulative` table of the unscaled f w is built when the
     model is made; its total is m (ValueError unless m > 0), and
-    F_w(x) = table(x) / m. `density` is f / m, its derivative (and the
-    derivative's `grid`, where it has one) scaled the same way, and
-    `cdf_integral()` is int_a^b F_w, the table's `area()` / m, read from
-    its leaves when called. `cfg` is the model's tolerance: its table, its
-    derivative norms and every integral the functions below take of it
-    use it.
+    F_w(x) = table(x) / m. `density` is f / m with f's kinks, its
+    derivative (and the derivative's `grid`, where it has one) scaled the
+    same way, and `cdf_integral()` is int_a^b F_w, the table's `area()` / m,
+    read from its leaves when called. `cfg` is the model's tolerance: its
+    table, its derivative norms and every integral the functions below take
+    of it use it.
     """
 
     f: Fn1D
@@ -66,7 +66,8 @@ class DensityModel:
         scaled = None if deriv is None else (lambda t: deriv(t) / mass)
         if hasattr(deriv, "grid"):  # element by element the same division
             scaled.grid = lambda ts: deriv.grid(ts) / mass
-        density = Fn1D(fn=lambda t: f.fn(t) / mass, derivative=scaled, name=f.name)
+        density = Fn1D(fn=lambda t: f.fn(t) / mass, derivative=scaled, name=f.name,
+                       kinks=f.kinks)
         object.__setattr__(self, "density", density)
         # F_w: x -> int_a^x f w / m; ValueError outside [a, b]
         object.__setattr__(self, "cdf", lambda x: table(x) / mass)

@@ -17,7 +17,7 @@ from typing import NoReturn, Sequence
 
 from .bounds import AuditRow, SharpnessRow, audit_paper_vs_exact, bound_set, sharpness_search
 from .cdf import CdfReport, DensityModel, cdf_report
-from .corpus import function_by_name
+from .corpus import FUNCTION_SOURCES
 from .expr import ParseError, as_fn1d, compile_expr, parse
 from .kernel import TauParams
 from .quadrature import Fn1D, QuadConfig, QuadratureError
@@ -152,8 +152,9 @@ _SIGN_CHECK_NODES = tuple(math.cos(math.pi * (k + 0.5) / 129) for k in reversed(
 
 def _check_samples(fn, a: float, b: float, flag: str, nonnegative: bool = False) -> None:
     """Sample fn on a grid inside (a, b); a point with no real value (fn
-    raises ValueError), or with `nonnegative` a negative value, raises
-    ValueError naming flag and t.
+    raises ValueError) or where fn's arithmetic fails (ArithmeticError:
+    a division by zero, an overflow), or with `nonnegative` a negative
+    value, raises ValueError naming flag and t.
 
     NaN and infinite values are left to the quadrature, which rejects them.
     """
@@ -164,6 +165,8 @@ def _check_samples(fn, a: float, b: float, flag: str, nonnegative: bool = False)
             v = fn(t)
         except ValueError as exc:
             raise ValueError(f"{flag} is not real at t={t:.9g}: {exc}") from None
+        except ArithmeticError as exc:
+            raise ValueError(f"{flag} fails at t={t:.9g}: {type(exc).__name__}: {exc}") from None
         if nonnegative and v < 0:
             raise ValueError(f"{flag} is negative at t={t:.9g}: value {v:.9g}")
 
@@ -176,10 +179,8 @@ def _expression(text: str, flag: str, a: float, b: float, nonnegative: bool = Fa
 
 
 def _function(text: str, a: float, b: float) -> Fn1D:
-    try:
-        return function_by_name(text)
-    except ValueError:
-        return _expression(text, "--function", a, b)
+    """--function: a registry name stands for its expression."""
+    return _expression(FUNCTION_SOURCES.get(text, text), "--function", a, b)
 
 
 def _weight_expr(text: str, a: float, b: float, cfg: QuadConfig) -> Weight:

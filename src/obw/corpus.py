@@ -2,39 +2,27 @@
 
 from __future__ import annotations
 
-import math
+import functools
 
+from .expr import as_fn1d
 from .quadrature import Fn1D
 from .weights import Weight, builtin_weight
 
-__all__ = [
-    "corpus_functions",
-    "corpus_weights",
-    "corpus_x_values",
-    "COEFF_PAIRS",
-    "function_by_name",
-]
+__all__ = ["corpus_functions", "corpus_weights", "corpus_x_values", "COEFF_PAIRS",
+           "FUNCTION_SOURCES"]
 
 COEFF_PAIRS = ((1.0, 1.0), (2.0, 1.0))
 
+# name -> expression in t: `obw bounds --function <name>` reads the source
+FUNCTION_SOURCES = {"linear": "t", "quadratic": "t^2", "cubic": "t^3", "quartic": "t^4",
+                    "sine": "sin(t)", "exponential": "exp(t)"}
 
+
+@functools.cache
 def corpus_functions() -> tuple[Fn1D, ...]:
-    """Six smooth test functions: polynomials up to degree 4, sin, exp."""
-    return (
-        Fn1D(fn=lambda t: t, derivative=lambda t: 1.0, name="linear"),
-        Fn1D(fn=lambda t: t * t, derivative=lambda t: 2 * t, name="quadratic"),
-        Fn1D(fn=lambda t: t**3, derivative=lambda t: 3 * t * t, name="cubic"),
-        Fn1D(fn=lambda t: t**4, derivative=lambda t: 4 * t**3, name="quartic"),
-        Fn1D(fn=math.sin, derivative=math.cos, name="sine"),
-        Fn1D(fn=math.exp, derivative=math.exp, name="exponential"),
-    )
-
-
-def function_by_name(name: str) -> Fn1D:
-    for f in corpus_functions():
-        if f.name == name:
-            return f
-    raise ValueError(f"unknown registry function: {name!r}")
+    """Six smooth test functions: polynomials up to degree 4, sin, exp;
+    compiled on first call (not at import) and shared after it."""
+    return tuple(as_fn1d(source, name) for name, source in FUNCTION_SOURCES.items())
 
 
 def corpus_weights(a: float = 0.0, b: float = 1.0) -> tuple[Weight, ...]:

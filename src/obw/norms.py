@@ -10,7 +10,7 @@ import numpy as np
 
 from .quadrature import DEFAULT_CONFIG, QuadConfig, QuadratureError, integrate
 
-__all__ = ["Triple", "norm_inf", "norm_p", "norm_triple", "conjugate"]
+__all__ = ["Triple", "norm_triple", "conjugate"]
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _N_CHEB = 1024
@@ -180,30 +180,6 @@ def _norm_lp(
         raise QuadratureError(f"L{p:g} norm of f' on [{c:g}, {d:g}]: {exc}") from None
     val = max(val, 0.0)
     return val if p == 1 else val ** (1.0 / p)
-
-
-def norm_inf(g: Callable[[float], float], c: float, d: float) -> float:
-    """Sup-norm estimate of |g| on [c, d]: `_scan`'s dense Chebyshev-spaced
-    sampling and golden-section refinement of the largest sampled peaks.
-    An estimate, not a certificate; never less than the max sampled value.
-    """
-    return _scan(g, c, d)[0]
-
-
-def norm_p(
-    g: Callable[[float], float],
-    p: float,
-    c: float,
-    d: float,
-    cfg: QuadConfig = DEFAULT_CONFIG,
-) -> float:
-    """L_p norm (int_c^d |g|^p)^(1/p); p = 1 gives the L1 norm. The
-    integral is split at the roots of g that `_scan` finds.
-
-    g is a derivative f', so a QuadratureError says which norm of f'
-    failed, e.g. when f' is not in L_p.
-    """
-    return _norm_lp(g, p, c, d, cfg, _scan(g, c, d)[1])
 
 
 def norm_triple(

@@ -47,12 +47,15 @@ class Fn1D:
 
     `derivative` is its closed-form derivative, where one is known: the
     derivative norms and bounds read it through `derivative_callable`,
-    which raises when it is None.
+    which raises when it is None. `kinks`, ascending, are the points where
+    f or its derivative has a corner or a jump: `Weight.integrate_against`
+    splits its integral there, so that no quadrature panel straddles one.
     """
 
     fn: Callable[[float], float]
     derivative: Optional[Callable[[float], float]] = None
     name: str = ""
+    kinks: tuple[float, ...] = ()
 
     def __call__(self, t: float) -> float:
         return self.fn(t)

@@ -106,15 +106,21 @@ class Weight:
         return [(d, c, d, lambda t: g(t) * fn(t), None, False)]
 
     def integrate_against(self, g, c: float, d: float, cfg: QuadConfig = DEFAULT_CONFIG) -> float:
-        """Oriented integral of g(t) w(t) over [c, d]."""
-        geval = getattr(g, "fn", g)
+        """Oriented integral of g(t) w(t) over [c, d], split at g's kinks
+        (an `Fn1D`'s `kinks`) inside it: the sum over each stretch between
+        them of its substitution's pieces."""
         if d < c:
-            return -self.integrate_against(geval, d, c, cfg)
+            return -self.integrate_against(g, d, c, cfg)
         if c == d:
             return 0.0
+        geval = getattr(g, "fn", g)
+        ends = [c, *(k for k in getattr(g, "kinks", ()) if c < k < d), d]
         total = 0.0
-        for _, s_lo, s_hi, h, _, _ in self._pieces(geval, c, d):
-            total += integrate(h, s_lo, s_hi, cfg)[0]
+        for lo, hi in zip(ends, ends[1:]):
+            stretch = 0.0
+            for _, s_lo, s_hi, h, _, _ in self._pieces(geval, lo, hi):
+                stretch += integrate(h, s_lo, s_hi, cfg)[0]
+            total += stretch
         return total
 
     def cumulative(
@@ -274,9 +280,6 @@ def _rough(e: float) -> bool:
 
 def _power(a: float, b: float, p: float, q: float) -> Weight:
     """w(t) = (t-a)^p (b-t)^q with finite p, q > -1 (integrable endpoint behavior)."""
-    for name, value in (("p", p), ("q", q)):
-        if not math.isfinite(value):  # NaN and inf both pass the test below
-            raise ValueError(f"power weight requires a finite exponent, got {name}={value:g}")
     if p <= -1 or q <= -1:
         raise ValueError("power weight requires p > -1 and q > -1 for integrability")
     # here, not at the top: no other weight needs a special function, and
@@ -384,34 +387,42 @@ def tabulated_weight(
     return w
 
 
+# each built-in weight name and the parameters it takes
+_PARAMETERS = {"uniform": (), "increasing": (), "decreasing": (), "arcsine": (),
+               "power": ("p", "q"), "exponential": ("lam",), "exp": ("lam",),
+               "truncnorm": ("mu", "sigma")}
+
+
 def builtin_weight(spec: str, a: float, b: float, **params: float) -> Weight:
     """Construct a built-in weight by name.
 
     Supported: uniform; power (p, q exponents); exponential (lam);
     truncnorm (mu, sigma); plus the shorthands increasing = power(1, 0),
     decreasing = power(0, 1), arcsine = power(-1/2, -1/2). An unknown name
-    or parameter raises WeightSpecError.
+    or parameter raises WeightSpecError, a NaN or infinite one ValueError
+    naming it.
     """
     name = spec.strip().lower()
-    if name == "uniform":
-        w = _uniform(a, b)
-    elif name == "increasing":
-        w = replace(_power(a, b, 1.0, 0.0), name="increasing")
-    elif name == "decreasing":
-        w = replace(_power(a, b, 0.0, 1.0), name="decreasing")
-    elif name == "arcsine":
-        w = replace(_power(a, b, -0.5, -0.5), name="arcsine")
-    elif name == "power":
-        w = _power(a, b, params.pop("p", 1.0), params.pop("q", 0.0))
-    elif name in ("exponential", "exp"):
-        w = _exponential(a, b, params.pop("lam", 1.0))
-    elif name == "truncnorm":
-        mu = params.pop("mu", 0.5 * (a + b))
-        sigma = params.pop("sigma", 0.25 * (b - a))
-        w = _truncnorm(a, b, mu, sigma)
-    else:
+    if name not in _PARAMETERS:
         raise WeightSpecError(f"unknown weight name: {spec!r}")
-    if params:
-        key = next(iter(params))
-        raise WeightSpecError(f"unknown parameter {key!r} for weight {name!r}")
-    return w
+    for key in params:
+        if key not in _PARAMETERS[name]:
+            raise WeightSpecError(f"unknown parameter {key!r} for weight {name!r}")
+    kind = "exponent" if name == "power" else "parameter"
+    for key, value in params.items():
+        if not math.isfinite(value):  # NaN and inf pass every range check
+            raise ValueError(f"{name} weight requires a finite {kind}, got {key}={value:g}")
+    if name == "uniform":
+        return _uniform(a, b)
+    if name == "increasing":
+        return replace(_power(a, b, 1.0, 0.0), name="increasing")
+    if name == "decreasing":
+        return replace(_power(a, b, 0.0, 1.0), name="decreasing")
+    if name == "arcsine":
+        return replace(_power(a, b, -0.5, -0.5), name="arcsine")
+    if name == "power":
+        return _power(a, b, params.get("p", 1.0), params.get("q", 0.0))
+    if name == "truncnorm":
+        mu = params.get("mu", 0.5 * (a + b))
+        return _truncnorm(a, b, mu, params.get("sigma", 0.25 * (b - a)))
+    return _exponential(a, b, params.get("lam", 1.0))  # exponential, exp

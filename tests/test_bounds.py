@@ -23,7 +23,7 @@ from obw.bounds import (
 from obw.corpus import corpus_functions, corpus_weights
 from obw.expr import compile_expr, parse
 from obw.functionals import tau
-from obw.kernel import TauParams, _branches, kernel_l1, kernel_sup, peano_kernel
+from obw.kernel import TauParams, kernel_l1, kernel_sup, peano_kernel
 from obw.norms import Triple, norm_triple
 from obw.quadrature import Fn1D, derivative_callable
 from obw.weights import Weight, builtin_weight, tabulated_weight
@@ -286,21 +286,6 @@ def sweep_pairs():
 SWEEP_XS = (0.05, 0.37, 0.5, 0.93)
 
 
-def hat_tau(params, w):
-    """tau of the hat witness, each branch integral summed over the pieces
-    between the hat's kinks inside the branch."""
-    f = _hat_fn(params)
-
-    def branch(c, d):
-        ends = [c, *(k for k in f.kinks if c < k < d), d]
-        total = w.integrate_against(f, ends[0], ends[1])
-        for lo, hi in zip(ends[1:], ends[2:]):
-            total += w.integrate_against(f, lo, hi)
-        return total
-
-    return f(params.x) - sum(coef * branch(c, d) for coef, c, d, _ in _branches(params, w))
-
-
 def row_reference(sweep, w):
     """The numbers of one sweep row, computed on their own in the sweep's order."""
     if sweep == "audit":
@@ -311,7 +296,7 @@ def row_reference(sweep, w):
         return lambda params: (
             kernel_l1(params, w), abs(tau(sign_kernel_fn(params), w, params))
         )
-    return lambda params: (kernel_sup(params, w), abs(hat_tau(params, w)))
+    return lambda params: (kernel_sup(params, w), abs(tau(_hat_fn(params), w, params)))
 
 
 def run_sweep(sweep, w, xs, pairs):
@@ -354,6 +339,20 @@ class TestSweepRows:
 
 
 class TestHatWitness:
+    @pytest.mark.parametrize("name, kwargs", [
+        ("uniform", {}), ("arcsine", {}), ("power", {"p": -0.4, "q": 0.3}),
+    ], ids=["uniform", "arcsine", "power:p=-0.4,q=0.3"])
+    @pytest.mark.parametrize("x", [0.25, 0.5, 0.75])
+    def test_tau_is_its_sweep_row(self, name, kwargs, x):
+        # the hat carries its kinks, so tau splits where the sweep splits;
+        # unsplit, tau read 1 on the uniform weight at x = 0.25, not 0.998
+        w = builtin_weight(name, 0.0, 1.0, **kwargs)
+        pairs = [(1.0, 0.0), (0.0, 1.0)]
+        _, rows = sharpness_search(w, [x], pairs, kind="exact_one")
+        for row, pair in zip(rows, pairs):
+            params = params_at(x, *pair)
+            assert abs(tau(_hat_fn(params), w, params)) / kernel_sup(params, w) == row.ratio
+
     @pytest.mark.parametrize("x", [0.25, 0.5, 0.75])
     def test_ratio_sees_the_ramp(self, uniform, x):
         # on [a, x] the hat's f is 0, then a ramp of width delta up to 1 at x,

@@ -15,6 +15,7 @@ import obw.weights
 from obw.bounds import AuditRow, SharpnessRow
 from obw.cdf import CdfReport
 from obw.cli import main
+from obw.corpus import FUNCTION_SOURCES
 
 
 def run(capsys, *argv):
@@ -94,6 +95,11 @@ class TestBoundsCommand:
         code, out, _ = run(capsys, "bounds", "--x", "0.5", "--function", "quadratic")
         assert code == 0
         assert "tau = -8.33333333e-02" in out
+
+    @pytest.mark.parametrize("name", sorted(FUNCTION_SOURCES))
+    def test_registry_name_is_its_expression(self, capsys, name):
+        argv = ("bounds", "--x", "0.37", "--weight", "arcsine", "--p", "3", "--function")
+        assert run(capsys, *argv, name) == run(capsys, *argv, FUNCTION_SOURCES[name])
 
     def test_kink_at_a_panel_midpoint(self, capsys):
         # f' of abs(t - 0.5) is 0/0 at t = 0.5, the first GK15 midpoint: the
@@ -311,6 +317,19 @@ class TestWeightSpecs:
         assert (code, out) == (1, "")
         assert err == f"error: power weight requires a finite exponent, got {named}\n"
 
+    @pytest.mark.parametrize("spec, named", [
+        ("exponential:lam=nan", "exponential weight requires a finite parameter, got lam=nan"),
+        ("exponential:lam=inf", "exponential weight requires a finite parameter, got lam=inf"),
+        ("truncnorm:sigma=nan", "truncnorm weight requires a finite parameter, got sigma=nan"),
+        ("truncnorm:sigma=inf", "truncnorm weight requires a finite parameter, got sigma=inf"),
+        ("truncnorm:mu=nan", "truncnorm weight requires a finite parameter, got mu=nan"),
+    ])
+    def test_non_finite_parameter_is_named(self, capsys, spec, named):
+        # each read as a zero weight mass on [0, 0.5] before
+        code, out, err = run(capsys, "bounds", "--x", "0.5", "--function", "t^2", "--weight", spec)
+        assert (code, out) == (1, "")
+        assert err == f"error: {named}\n"
+
 
 @pytest.mark.parametrize("command", ["audit", "sharpness"])
 @pytest.mark.parametrize("item", ["1:", ":1", "1", "a:b", ""])
@@ -397,6 +416,21 @@ def test_complex_function_is_compute_error(capsys, source):
     assert code == 1
     assert out == ""
     assert err.startswith("error: --function is not real at t=")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, flag, kind, t", [
+    (("bounds", "--x", "0.3", "--function", "1/(t-0.5)"), "--function", "ZeroDivisionError", "0.5"),
+    (("bounds", "--x", "0.3", "--function", "t", "--weight-expr", "1/(t-0.5)^2"),
+     "--weight-expr", "ZeroDivisionError", "0.5"),
+    (("cdf", "--x", "0.3", "--density", "1/(t-0.5)^2"), "--density", "ZeroDivisionError", "0.5"),
+    (("bounds", "--x", "0.3", "--function", "exp(1000*t)"), "--function", "OverflowError",
+     "0.712228349"),
+], ids=["function-division", "weight-expr-division", "density-division", "function-overflow"])
+def test_arithmetic_failure_on_a_sample_is_named(capsys, argv, flag, kind, t):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {flag} fails at t={t}: {kind}: ")
     assert "Traceback" not in err
 
 

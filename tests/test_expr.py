@@ -452,7 +452,7 @@ class TestGrid:
     @given(FINITE_TREES, POINTS)
     @settings(max_examples=300, deadline=None)
     def test_clean_array_run_means_a_finite_scalar_value(self, tree, t):
-        # norm_inf's grid path rests on this for _d: with finite literals, an
+        # `_scan`'s grid path rests on this for _d: with finite literals, an
         # array run that raises no floating-point error and ends finite is a
         # point where the scalar function raises nothing and is finite
         code = _code(tree)

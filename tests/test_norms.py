@@ -5,18 +5,28 @@ import mpmath
 import numpy as np
 import pytest
 
+from obw.corpus import corpus_functions
 from obw.expr import as_fn1d
 from obw.norms import (
     _CHEB_UNIT,
     Triple,
     _grid_values,
+    _norm_lp,
     _scan,
     conjugate,
-    norm_inf,
-    norm_p,
     norm_triple,
 )
-from obw.quadrature import QuadConfig
+from obw.quadrature import DEFAULT_CONFIG, QuadConfig
+
+
+def norm_inf(g, c, d):
+    """The sup norm that `norm_triple` reports: `_scan`'s refined maximum."""
+    return _scan(g, c, d)[0]
+
+
+def norm_p(g, p, c, d, cfg=DEFAULT_CONFIG):
+    """The L_p norm that `norm_triple` reports, split at `_scan`'s roots."""
+    return _norm_lp(g, p, c, d, cfg, _scan(g, c, d)[1])
 
 
 class TestNormInf:
@@ -195,6 +205,14 @@ class TestGridPath:
     def test_narrow_features_are_found(self, source, sup):
         # a sampler that resolves f' more coarsely than today's grid misses both
         assert norm_inf(as_fn1d(source).derivative, 0.0, 1.0) == pytest.approx(sup, rel=1e-12)
+
+    def test_every_corpus_derivative_has_a_grid(self):
+        # the registry functions are expressions, so verify's one scan per
+        # function samples f' in one array call
+        ts = 0.5 + 0.5 * _CHEB_UNIT
+        for f in corpus_functions():
+            assert _grid_values(f.derivative, ts) is not None
+        assert corpus_functions() is corpus_functions()  # compiled once
 
     def test_plain_callable_has_no_grid(self):
         assert _grid_values(math.cos, np.linspace(0.0, 1.0, 5)) is None

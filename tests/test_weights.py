@@ -5,8 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from obw.quadrature import DegenerateIntervalError, QuadConfig, integrate
-from obw.weights import DomainError, builtin_weight, tabulated_weight
+from obw.quadrature import DegenerateIntervalError, Fn1D, QuadConfig, integrate
+from obw.weights import DomainError, WeightSpecError, builtin_weight, tabulated_weight
 
 
 def numeric_moment(w, c, d):
@@ -103,6 +103,25 @@ class TestBuiltins:
         # NaN and inf pass `p <= -1`; the check names the exponent and its value
         with pytest.raises(ValueError, match=f"finite exponent, got {named}$"):
             builtin_weight("power", 0, 1, p=p, q=q)
+
+    @pytest.mark.parametrize("name, params, named", [
+        ("exponential", {"lam": math.nan}, "lam=nan"),
+        ("exponential", {"lam": math.inf}, "lam=inf"),
+        ("exp", {"lam": -math.inf}, "lam=-inf"),
+        ("truncnorm", {"sigma": math.nan}, "sigma=nan"),
+        ("truncnorm", {"sigma": math.inf}, "sigma=inf"),
+        ("truncnorm", {"mu": math.nan, "sigma": 0.2}, "mu=nan"),
+    ])
+    def test_non_finite_parameter(self, name, params, named):
+        # NaN passes `sigma <= 0`, and a NaN lam gave "zero weight mass"
+        with pytest.raises(ValueError, match=f"^{name} weight requires a finite parameter, "
+                                             f"got {named}$"):
+            builtin_weight(name, 0, 1, **params)
+
+    def test_unknown_parameter_comes_before_its_value(self):
+        # a usage error (WeightSpecError), whatever the value
+        with pytest.raises(WeightSpecError, match="unknown parameter 'foo'"):
+            builtin_weight("exponential", 0, 1, foo=math.nan)
 
     @pytest.mark.parametrize(
         "name,params",
@@ -381,6 +400,47 @@ class TestCumulativeAccuracy:
             table = w.cumulative(g, 0.0, 1.0, QuadConfig(abs_tol=tol))
             worst = max(abs(table(t) - ref) for t, ref in zip(ts, refs))
             assert worst <= tol, (tol, worst)
+
+
+# The largest Kronrod abscissa on [-1, 1]: a kink between it and a panel's
+# end is seen by none of the panel's nodes.
+_LAST_NODE = 0.991455371120812639206854697526329
+
+
+def _sliver_kink(e):
+    """A point in the sliver of the first panel of int_0^1 g w: in t on
+    [0, 1] for e None, else in s = t^e on the left half, which the power
+    family's substitution integrates."""
+    u = 0.5 + 0.5 * (1 + _LAST_NODE) / 2  # the sliver's middle, in [0, 1]
+    return u if e is None else (0.5**e * u) ** (1 / e)
+
+
+class TestKinks:
+    """`integrate_against` splits at an `Fn1D`'s kinks inside [c, d]."""
+
+    WEIGHTS = [("uniform", {}, None), ("arcsine", {}, 0.5), ("power", {"p": -0.4, "q": 0.3}, 0.6)]
+
+    @pytest.mark.parametrize("name, params, e", WEIGHTS, ids=[w[0] for w in WEIGHTS])
+    def test_kink_in_the_sliver_against_mpmath(self, name, params, e):
+        k = _sliver_kink(e)
+        w = builtin_weight(name, 0, 1, **params)
+        g = lambda t: abs(t - k) + 0.1  # noqa: E731
+        ref = _cumulative_reference(
+            name, params, lambda t: abs(t - k) + mpmath.mpf(0.1), [0.0, 0.5, 1.0], [k]
+        )[-1]
+        cfg = QuadConfig(abs_tol=1e-12)
+        assert abs(w.integrate_against(Fn1D(fn=g, kinks=(k,)), 0.0, 1.0, cfg) - ref) <= 1e-12
+        # unsplit, no node of the first panel sees the kink
+        assert abs(w.integrate_against(g, 0.0, 1.0, cfg) - ref) > 1e-8
+
+    def test_stretches_sum_in_order(self):
+        w = builtin_weight("arcsine", 0, 1)
+        f = Fn1D(fn=lambda t: abs(t - 0.3) + abs(t - 0.8), kinks=(-1.0, 0.3, 0.8, 1.0))
+        stretches = ((0.1, 0.3), (0.3, 0.8), (0.8, 0.9))
+        parts = [w.integrate_against(f.fn, lo, hi) for lo, hi in stretches]
+        assert w.integrate_against(f, 0.1, 0.9) == (parts[0] + parts[1]) + parts[2]
+        # reversed, the kinks are kept
+        assert w.integrate_against(f, 0.9, 0.1) == -((parts[0] + parts[1]) + parts[2])
 
 
 def _kink_primitive(t):
