@@ -146,6 +146,17 @@ def _grid_size(text: str) -> int:
     return n
 
 
+def _exponent(text: str) -> float:
+    """--p: the derivative norm's exponent, a finite number > 1."""
+    try:
+        p = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not 1 < p < math.inf:  # also rejects NaN
+        raise argparse.ArgumentTypeError(f"must be a finite number > 1, got {p:g}")
+    return p
+
+
 # 129 Chebyshev points of the first kind on [-1, 1], ascending.
 _SIGN_CHECK_NODES = tuple(math.cos(math.pi * (k + 0.5) / 129) for k in reversed(range(129)))
 
@@ -342,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     weight.add_argument("--weight", default=None, help="builtin weight spec (default uniform)")
     weight.add_argument("--weight-expr", default=None, help="weight as an expression in t")
     p_bounds.add_argument("--function", required=True, help="expression in t or registry name")
-    p_bounds.add_argument("--p", type=float, default=2.0)
+    p_bounds.add_argument("--p", type=_exponent, default=2.0)
     p_bounds.add_argument("--norm", choices=("inf", "p", "one"), default=None,
                           help="restrict the report to one branch")
 
@@ -369,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     at.add_argument("--x-grid", type=_grid_size, default=None)
     p_cdf.add_argument("--alpha", type=float, default=1.0)
     p_cdf.add_argument("--beta", type=float, default=1.0)
-    p_cdf.add_argument("--p", type=float, default=2.0)
+    p_cdf.add_argument("--p", type=_exponent, default=2.0)
     return parser
 
 

@@ -11,11 +11,14 @@ jump point.
 kernel_l1 reads each branch from the weight's `moment_l1`, the integral
 of |m(anchor, t)| between the anchor and x: a closed form for the built-in
 weights, so it runs no quadrature, and one weighted integral of the
-distance to x (the Fubini form) for an expression weight. kernel_lq and
-kernel_integral read t -> m(anchor, t) inside their integrands from the
-weight's `closed_moment`: a closed form, or the one table an expression
-weight builds when it is made. No quadrature runs inside an integrand and
-no table is built per call.
+distance to x (the Fubini form) for an expression weight. kernel_lq reads
+an expression weight's branches from the leaves of the one table it
+builds when it is made (`Cumulative.power_integral`), with no quadrature
+and no query of the table. For the built-in weights kernel_lq, and
+kernel_integral for every weight, read t -> m(anchor, t) inside their
+integrands from the weight's `closed_moment`: a closed form, or that
+table. No quadrature runs inside an integrand and no table is built per
+call.
 
 kernel_integral(f', ...) is the left side of the kernel representation
 int rho(x, t) f'(t) dt = tau(f); its residual is that integral minus
@@ -115,11 +118,24 @@ def kernel_l1(params: TauParams, w: Weight, cfg: QuadConfig = DEFAULT_CONFIG) ->
 def kernel_lq(
     params: TauParams, w: Weight, q: float, cfg: QuadConfig = DEFAULT_CONFIG
 ) -> float:
-    """Exact (int_a^b |rho(x, t)|^q dt)^(1/q) for q > 1."""
+    """Exact (int_a^b |rho(x, t)|^q dt)^(1/q) for q > 1.
+
+    A branch of a tabulated weight anchored at an end of its table is read
+    from the table's leaves (`Cumulative.power_integral`) when the
+    estimate is within the branch's share of cfg.abs_tol; otherwise, and
+    for the built-in weights, it is one integral of |coef m(anchor, t)|^q.
+    """
     if q <= 1:
         raise ValueError("kernel_lq requires q > 1")
+    branches = _branches(params, w)
+    table = w.table
     total = 0.0
-    for coef, c, d, anchor in _branches(params, w):
+    for coef, c, d, anchor in branches:
+        if table is not None and anchor in (table.c, table.d):
+            value, err = table.power_integral(anchor, params.x, q, coef)
+            if err <= cfg.abs_tol / len(branches):
+                total += value
+                continue
         m = partial(w.closed_moment, anchor)
         total += integrate(lambda t: abs(coef * m(t)) ** q, c, d, cfg)[0]
     return total ** (1.0 / q)

@@ -171,13 +171,17 @@ def _norm_lp(
     roots: list[float],
 ) -> float:
     """(int_c^d |g|^p)^(1/p), the integral split at the roots of g, where
-    |g|^p has a kink that the K15 - G7 estimate cannot see."""
+    |g|^p has a kink that the K15 - G7 estimate cannot see. A failed
+    integral, or |g|^p overflowing, raises QuadratureError naming the norm."""
     if not 1 <= p < math.inf:
-        raise ValueError(f"norm_p requires finite p >= 1, got p={p:g}")
+        raise ValueError(f"L_p norm requires finite p >= 1, got p={p:g}")
+    name = f"L{p:g} norm of f' on [{c:g}, {d:g}]"
     try:
         val = integrate(lambda t: abs(g(t)) ** p, c, d, cfg, breaks=roots)[0]
     except QuadratureError as exc:
-        raise QuadratureError(f"L{p:g} norm of f' on [{c:g}, {d:g}]: {exc}") from None
+        raise QuadratureError(f"{name}: {exc}") from None
+    except OverflowError:
+        raise QuadratureError(f"{name}: |f'|^{p:g} overflows") from None
     val = max(val, 0.0)
     return val if p == 1 else val ** (1.0 / p)
 

@@ -131,9 +131,10 @@ def _gk15(g: Callable[[float], float], c: float, d: float) -> tuple[float, float
     resg *= half
     diff = abs(resk - resg)
     err = diff
-    scaled = (200.0 * diff) ** 1.5
-    if scaled < err:
-        err = scaled
+    if 200.0 * diff < 1.0:  # else (200 diff)^1.5 >= diff, and may overflow
+        scaled = (200.0 * diff) ** 1.5
+        if scaled < err:
+            err = scaled
     return resk, err
 
 
@@ -209,9 +210,9 @@ def integrate(
 
 # The abscissae of one panel on [-1, 1] in the order _gk15 evaluates them.
 _NODES = (0.0,) + tuple(s for x in _XGK[:7] for s in (-x, x))
-# P_{k+1}(s) = A_k s P_k(s) - B_k P_{k-1}(s): one (A_k, B_k) per coefficient
-# of a leaf's antiderivative (degree 15).
-_LEGENDRE_STEPS = tuple(((2 * k + 1) / (k + 1), k / (k + 1)) for k in range(16))
+# P_{k+1}(s) = A_k s P_k(s) - B_k P_{k-1}(s): (A_k, B_k) for k < 24, the rows
+# of `_gauss_legendre`; a leaf's antiderivative (degree 15) reads the first 16.
+_LEGENDRE_STEPS = tuple(((2 * k + 1) / (k + 1), k / (k + 1)) for k in range(24))
 
 
 def _legendre_rows(xs, degree: int) -> list[list[float]]:
@@ -223,6 +224,16 @@ def _legendre_rows(xs, degree: int) -> list[list[float]]:
             row.append(a_k * x * row[k] - b_k * row[k - 1])
         rows.append(row)
     return rows
+
+
+def _series(coef, s):
+    """sum_k coef[k] P_k(s), by the recurrence; s a float or a numpy array."""
+    acc = 0.0
+    p_prev, p = 0.0, 1.0
+    for c, (a_k, b_k) in zip(coef, _LEGENDRE_STEPS):
+        acc += c * p
+        p_prev, p = p, a_k * s * p - b_k * p_prev
+    return acc
 
 
 def _inverse(m: list[list[float]]) -> list[list[float]]:
@@ -267,7 +278,7 @@ def _leaf_matrices() -> tuple[np.ndarray, np.ndarray]:
 @functools.cache
 def _gauss_legendre() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The 24-point Gauss-Legendre nodes and weights on [-1, 1], and
-    P_0, ..., P_15 at each node (one row per node), built once.
+    P_0, ..., P_23 at each node (one row per node), built once.
 
     Newton's method on P_24 from the usual cosine guesses, P_24 and its
     derivative by the Legendre recurrence; in plain Python, as
@@ -276,9 +287,7 @@ def _gauss_legendre() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     n = 24
 
     def p_and_slope(x: float) -> tuple[float, float]:
-        p_prev, p = 1.0, x
-        for k in range(1, n):
-            p_prev, p = p, ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
+        *_, p_prev, p = _legendre_rows((x,), n)[0]
         return p, n * (x * p - p_prev) / (x * x - 1.0)
 
     nodes, weights = [], []
@@ -291,7 +300,7 @@ def _gauss_legendre() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         dp = p_and_slope(x)[1]
         nodes.append(x)
         weights.append(2.0 / ((1.0 - x * x) * dp * dp))
-    return np.array(nodes), np.array(weights), np.array(_legendre_rows(nodes, 15))
+    return np.array(nodes), np.array(weights), np.array(_legendre_rows(nodes, n - 1))
 
 
 def _jacobi_moments(gamma: float, count: int) -> list[float]:
@@ -301,6 +310,17 @@ def _jacobi_moments(gamma: float, count: int) -> list[float]:
     for k in range(1, count):
         moments.append(moments[-1] * (gamma - k + 1.0) / (gamma + k + 1.0))
     return moments
+
+
+@functools.lru_cache(maxsize=16)
+def _jacobi_rule(gamma: float) -> np.ndarray:
+    """The 24 x 24 map from a function's values at the 24 Gauss-Legendre
+    nodes to the terms c_k M_k, k < 24, c_k the Legendre coefficients of
+    its interpolant through the nodes and M_k `_jacobi_moments`: they sum
+    to the integral of the interpolant times (1 + u)^gamma over [-1, 1]."""
+    _, weights, legendre = _gauss_legendre()
+    moments = np.array(_jacobi_moments(gamma, 24)) * (np.arange(24) + 0.5)
+    return moments[:, None] * (legendre * weights[:, None]).T
 
 
 def _product(m: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -348,6 +368,7 @@ class Cumulative:
         self._mids: list[float] = []
         self._halves: list[float] = []
         self._coef: list[list[float]] = []
+        self._coef_rows = np.zeros((0, 16))  # _coef as an array
         self._prefix: list[float] = []
 
     def _fill(self, leaves: list[tuple]) -> None:
@@ -358,7 +379,8 @@ class Cumulative:
         self._lefts = list(lo)
         self._mids = [0.5 * (u + v) for u, v in zip(lo, hi)]
         self._halves = halves.tolist()
-        self._coef = (_product(integ, np.array(block)) * halves[:, None]).tolist()
+        self._coef_rows = _product(integ, np.array(block)) * halves[:, None]
+        self._coef = self._coef_rows.tolist()
         self._prefix = [0.0, *itertools.accumulate(kvals)][:-1]
 
     def __call__(self, t: float) -> float:
@@ -369,13 +391,7 @@ class Cumulative:
         if t == self.d:
             return self.total
         i = bisect.bisect_right(self._lefts, t) - 1
-        s = (t - self._mids[i]) / self._halves[i]
-        acc = 0.0
-        p_prev, p = 0.0, 1.0
-        for coef, (a_k, b_k) in zip(self._coef[i], _LEGENDRE_STEPS):
-            acc += coef * p
-            p_prev, p = p, a_k * s * p - b_k * p_prev
-        return self._prefix[i] + acc
+        return self._prefix[i] + _series(self._coef[i], (t - self._mids[i]) / self._halves[i])
 
     def area(self, gamma: float = 0.0) -> float:
         """int T(s) s^gamma ds over [c, d], T the table's interpolant.
@@ -403,11 +419,61 @@ class Cumulative:
         first *= self._halves[0] ** (gamma + 1.0)
         nodes, weights, legendre = _gauss_legendre()
         halves = np.array(self._halves[1:])[:, None]
-        values = _product(legendre, np.array(self._coef[1:]).reshape(-1, 16))
+        values = _product(legendre[:, :16], self._coef_rows[1:])
         values += np.array(self._prefix[1:])[:, None]
         s = np.array(self._mids[1:])[:, None] + halves * nodes
         rest = (values * s**gamma * weights).sum(axis=1) * halves[:, 0]
         return math.fsum([first, *rest.tolist()])
+
+    def power_integral(
+        self, anchor: float, x: float, q: float, scale: float = 1.0
+    ) -> tuple[float, float]:
+        """(int |scale (T(t) - T(anchor))|^q dt between anchor and x, an
+        estimate of its error), T the table's interpolant and anchor c or d.
+
+        Read from the leaves, as `area` is; g is not evaluated again. Away
+        from the anchor's leaf T - T(anchor) does not vanish: each whole
+        leaf takes the 24-point Gauss-Legendre rule (error about
+        rho^(15 - 48), as in `area`), and so does the piece of the leaf that
+        x cuts, its series evaluated at the nodes mapped onto the piece. On
+        the anchor's piece, of half-width h, T - T(anchor) = h (1 + u) r(u),
+        with r a polynomial and u = -1 at the anchor (u mirrored at d): |r|^q
+        is projected onto P_0, ..., P_23 from the nodes and integrated
+        against (1 + u)^q by `_jacobi_moments`. The estimate, of that piece
+        alone, is the size of its last four terms.
+        """
+        right = anchor == self.d
+        if not (right or anchor == self.c):
+            raise ValueError(f"anchor {anchor} is not an end of [{self.c}, {self.d}]")
+        if not self.c <= x <= self.d:
+            raise ValueError(f"x={x} outside the table's [{self.c}, {self.d}]")
+        if x == anchor:
+            return 0.0, 0.0
+        nodes, weights, legendre = _gauss_legendre()
+        last = len(self._lefts) - 1
+        i = bisect.bisect_right(self._lefts, x) - 1  # the leaf that holds x
+        cut = x > self._lefts[i]
+        # T at the nodes of each leaf between the anchor and x, in order of t
+        whole = slice(i + cut, last + 1) if right else slice(0, i)
+        values = _product(legendre[:, :16], self._coef_rows[whole])
+        values += np.array(self._prefix[whole])[:, None]
+        halves = self._halves[whole]
+        if cut:  # and at the nodes mapped onto the piece of leaf i
+            end = self._lefts[i + 1] if i < last else self.d
+            lo, hi = (x, end) if right else (self._lefts[i], x)
+            h, half = 0.5 * (hi - lo), self._halves[i]
+            s = (0.5 * (lo + hi) - self._mids[i]) / half + (h / half) * nodes
+            piece = self._prefix[i] + _series(self._coef[i], s)
+            values = np.vstack((piece, values) if right else (values, piece))
+            halves = [h, *halves] if right else [*halves, h]
+        values = scale * (values - (self.total if right else 0.0))
+        if right:  # mirrored, u -> -u (the nodes are symmetric): the anchor's piece first
+            values, halves = values[::-1, ::-1], halves[::-1]
+        h = halves[0]
+        hr = np.abs(values[0] / (1.0 + nodes)) ** q  # h r(u) at the nodes
+        terms = _product(_jacobi_rule(q), hr[None, :])[0]
+        others = np.einsum("ij,j,i->", np.abs(values[1:]) ** q, weights, halves[1:])
+        return math.fsum((h * terms.sum(), others)), float(h * np.abs(terms[-4:]).sum())
 
 
 def cumulative(

@@ -9,6 +9,7 @@ from typing import Callable, Optional
 
 from .quadrature import (
     DEFAULT_CONFIG,
+    Cumulative,
     DegenerateIntervalError,
     QuadConfig,
     QuadratureError,
@@ -55,7 +56,8 @@ class Weight:
     int g w dt = int_{s_lo}^{s_hi} h(s) ds, where s = |t - a|^e maps
     [lo, hi] onto [s_lo, s_hi], increasing, or s = |t - b|^e decreasing
     when `reverse`; e None stands for s = t. (Plain tuples: they are built
-    on every call.)
+    on every call.) `table`, for a weight given only as a function, is the
+    table t -> m(a, t) that `closed_moment` reads; None for the built-ins.
     """
 
     name: str
@@ -65,6 +67,7 @@ class Weight:
     closed_moment: Callable[[float, float], float]
     moment_l1: Callable[[float, float, QuadConfig], float]
     substitution: Optional[Callable[..., list[tuple]]] = field(default=None, repr=False)
+    table: Optional[Cumulative] = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         _check_domain(self.a, self.b)
@@ -383,6 +386,7 @@ def tabulated_weight(
         fn=fn,
         closed_moment=lambda c, d: table(d) - table(c),
         moment_l1=moment_l1,
+        table=table,
     )
     return w
 

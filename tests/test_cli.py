@@ -128,14 +128,35 @@ class TestBoundsCommand:
         )
         assert code == 1
 
-    @pytest.mark.parametrize("argv, kind", [
-        (("--function", "1/t"), "OverflowError"),
+    @pytest.mark.parametrize("argv, norm", [
+        (("--function", "1/t"), "L2"),
+        (("--function", "1/t", "--p", "3"), "L3"),
     ])
-    def test_arithmetic_error_is_compute_error(self, capsys, argv, kind):
+    def test_arithmetic_error_is_compute_error(self, capsys, argv, norm):
+        # |f'|^p = t^(-2p) overflows near 0: the message says which norm failed
         code, out, err = run(capsys, "bounds", "--x", "0.5", *argv)
         assert code == 1
         assert out == ""
-        assert f"error: arithmetic failure ({kind}" in err
+        assert err.startswith(f"error: {norm} norm of f' on [0, 1]: |f'|^")
+        assert "overflows" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", [
+        ("bounds", "--x", "0.5", "--function", "t"),
+        ("cdf", "--density", "2*t", "--x", "0.5"),
+    ], ids=["bounds", "cdf"])
+    @pytest.mark.parametrize("p", ["inf", "-inf", "nan", "1e400", "0.5", "1", "0", "-3"])
+    def test_p_out_of_range_is_usage_error(self, capsys, command, p):
+        code, out, err = run(capsys, *command, "--p", p)
+        assert code == 2
+        assert out == ""
+        assert err == (f"usage error: argument --p: must be a finite number > 1, "
+                       f"got {float(p):g}\n")
+
+    @pytest.mark.parametrize("command", ["bounds", "cdf"])
+    def test_p_not_a_number_is_usage_error(self, capsys, command):
+        code, _, err = run(capsys, command, "--p", "two")
+        assert code == 2
+        assert err.startswith("usage error: argument --p: invalid float value: 'two'")
 
     def test_divergent_norm_is_named(self, capsys):
         # f' = 1/(2 sqrt(t)) is not in L2: the message says which norm failed

@@ -17,8 +17,8 @@ from obw.kernel import (
     kernel_sup,
     peano_kernel,
 )
-from obw.quadrature import Fn1D, QuadConfig, derivative_callable, integrate
-from obw.weights import builtin_weight
+from obw.quadrature import Cumulative, Fn1D, QuadConfig, derivative_callable, integrate
+from obw.weights import builtin_weight, tabulated_weight
 
 # Both two-coefficient and one-branch (alpha or beta zero) configurations.
 COEFF_PAIRS_EXTENDED = ((1.0, 1.0), (2.0, 1.0), (1.0, 0.0), (0.0, 1.0), (3.0, 5.0))
@@ -171,6 +171,80 @@ CLOSED_FORM_TOLS = (1e-10, 1e-13)
 def power_integral(p, q, k, c, d):
     """int_c^d s^(p+k) (1-s)^q ds on [0, 1], from the regularized betainc."""
     return beta_fn(p + 1 + k, q + 1) * (betainc(p + 1 + k, q + 1, d) - betainc(p + 1 + k, q + 1, c))
+
+
+def adaptive_kernel_lq(params, w, q, cfg):
+    """The adaptive form: one integral of |coef m(anchor, t)|^q per branch,
+    m read from the weight's closed_moment at each node."""
+    total = 0.0
+    for share, c, d, anchor in ((params.alpha, params.a, params.x, params.a),
+                                (params.beta, params.x, params.b, params.b)):
+        if share > 0:
+            coef = share / params.weight_sum / w.mass(c, d)
+            total += integrate(lambda t: abs(coef * w.closed_moment(anchor, t)) ** q,
+                               c, d, cfg)[0]
+    return total ** (1.0 / q)
+
+
+class TestKernelLqOnATable:
+    """kernel_lq on a tabulated weight reads its branches from the leaves."""
+
+    WEIGHTS = {"1+t": lambda t: 1 + t, "bump": lambda t: 1 + 0.8 * math.sin(9 * t) ** 2,
+               "sqrt": math.sqrt}
+
+    @pytest.mark.parametrize("x", [0.01, 0.3, 0.5, 0.93])
+    @pytest.mark.parametrize("q", [4 / 3, 1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("name", sorted(WEIGHTS))
+    def test_matches_the_adaptive_form(self, name, q, x):
+        cfg = QuadConfig(abs_tol=1e-12)
+        w = tabulated_weight(name, self.WEIGHTS[name], 0.0, 1.0, cfg)
+        for alpha, beta in ((1.0, 1.0), (1.0, 0.0), (0.3, 2.0)):
+            params = TauParams(a=0.0, b=1.0, x=x, alpha=alpha, beta=beta)
+            expected = adaptive_kernel_lq(params, w, q, QuadConfig(abs_tol=1e-14))
+            assert kernel_lq(params, w, q, cfg) == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("q", [4 / 3, 3.0])
+    def test_tiny_weight(self, q):
+        # rho does not change when w is scaled; |m|^q alone would underflow
+        params = TauParams(a=0.0, b=1.0, x=0.3, alpha=1.0, beta=2.0)
+        tiny = tabulated_weight("tiny", lambda t: 1e-300 * (1 + t), 0.0, 1.0)
+        expected = kernel_lq(params, tabulated_weight("1+t", self.WEIGHTS["1+t"], 0.0, 1.0), q)
+        assert kernel_lq(params, tiny, q) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("alpha, beta", [(1.0, 1.0), (1.0, 0.0), (0.0, 2.0)])
+    def test_estimate_above_its_share_falls_back(self, monkeypatch, alpha, beta):
+        cfg = QuadConfig(abs_tol=1e-10)
+        w = tabulated_weight("bump", self.WEIGHTS["bump"], 0.0, 1.0, cfg)
+        params = TauParams(a=0.0, b=1.0, x=0.3, alpha=alpha, beta=beta)
+        monkeypatch.setattr(Cumulative, "power_integral",
+                            lambda self, anchor, x, q, scale=1.0: (math.nan, 1.01e-10))
+        assert kernel_lq(params, w, 1.5, cfg) == adaptive_kernel_lq(params, w, 1.5, cfg)
+
+    def test_one_branch_falls_back_alone(self, monkeypatch):
+        cfg = QuadConfig(abs_tol=1e-12)
+        w = tabulated_weight("bump", self.WEIGHTS["bump"], 0.0, 1.0, cfg)
+        params = TauParams(a=0.0, b=1.0, x=0.3, alpha=1.0, beta=1.0)
+        read = Cumulative.power_integral
+        anchors = []
+
+        def right_estimate_too_large(self, anchor, x, q, scale=1.0):
+            anchors.append(anchor)
+            value, err = read(self, anchor, x, q, scale)
+            return value, (err if anchor == 0.0 else 0.51e-12)
+
+        monkeypatch.setattr(Cumulative, "power_integral", right_estimate_too_large)
+        got = kernel_lq(params, w, 2.0, cfg)
+        assert anchors == [0.0, 1.0]
+        assert got == pytest.approx(adaptive_kernel_lq(params, w, 2.0, cfg), abs=2e-12)
+
+    def test_anchor_inside_the_table_is_adaptive(self, monkeypatch):
+        # a weight tabulated on [0, 2] and a kernel on [0, 1]: the right
+        # anchor is not an end of the table
+        cfg = QuadConfig(abs_tol=1e-12)
+        w = tabulated_weight("1+t", self.WEIGHTS["1+t"], 0.0, 2.0, cfg)
+        params = TauParams(a=0.0, b=1.0, x=0.4, alpha=0.0, beta=1.0)
+        monkeypatch.setattr(Cumulative, "power_integral", None)
+        assert kernel_lq(params, w, 3.0, cfg) == adaptive_kernel_lq(params, w, 3.0, cfg)
 
 
 class TestKernelL1ClosedForms:

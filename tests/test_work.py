@@ -2,10 +2,12 @@
 
 Deterministic counts, no wall time: kernel_l1 runs no quadrature for a
 built-in weight and takes an expression weight's moments outside any
-integrand, kernel_lq, kernel_integral and the CDF report read
-moments and F_w from closed forms or tables built before their integrals,
-an expression weight's moments run no quadrature, and a compiled expression
-is one Python call.
+integrand, kernel_lq reads an expression weight's branches from its
+table's leaves with no quadrature and no query, kernel_lq on a built-in
+weight, kernel_integral and the CDF report read moments and F_w from
+closed forms or tables built before their integrals, an expression
+weight's moments run no quadrature, and a compiled expression is one
+Python call.
 """
 
 import math
@@ -104,6 +106,36 @@ def test_kernel_lq_and_kernel_integral_do_not_nest(counts, alpha, beta):
     assert counts["nested"] == 0
     assert counts["moment"] <= 6  # the branch masses of each call
     assert counts["integrate"] >= 2
+
+
+@pytest.mark.parametrize("q", [4 / 3, 1.5, 2.0, 3.0])
+@pytest.mark.parametrize("alpha, beta", [(1.0, 1.0), (2.0, 0.0), (0.0, 3.0)])
+def test_kernel_lq_reads_an_expression_weight_from_its_leaves(counts, monkeypatch, q, alpha,
+                                                              beta):
+    # after the weight (and its table) is built, kernel_lq runs no quadrature
+    # and queries the table only for the branch masses, inside Weight.moment
+    w = expression_weight()
+    built = counts["integrate"]
+    moment, query = Weight.moment, quadrature.Cumulative.__call__
+    inside, queries = [0], {"in_moment": 0, "other": 0}
+
+    def flagged_moment(self, *args):
+        inside[0] += 1
+        try:
+            return moment(self, *args)
+        finally:
+            inside[0] -= 1
+
+    def counted_query(self, t):
+        queries["in_moment" if inside[0] else "other"] += 1
+        return query(self, t)
+
+    monkeypatch.setattr(Weight, "moment", flagged_moment)
+    monkeypatch.setattr(quadrature.Cumulative, "__call__", counted_query)
+    kernel_lq(TauParams(a=0.0, b=1.0, x=0.3, alpha=alpha, beta=beta), w, q)
+    assert counts["integrate"] == built
+    assert queries["other"] == 0
+    assert queries["in_moment"] <= 6  # two a mass, and the total once
 
 
 def test_expression_weight_moments_run_no_quadrature(counts, capsys):
