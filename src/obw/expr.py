@@ -421,7 +421,8 @@ def as_fn1d(source: str, name: str = "") -> Fn1D:
     from one walk of the tree and compiled together once. Points where the
     derivative fails to evaluate (abs at zero, sqrt at zero) fall back to
     second-order finite differences: central ones, else forward ones where
-    the central stencil leaves the expression's real domain.
+    the central stencil leaves the expression's real domain. Where the
+    forward stencil fails too (log at zero), a ValueError names t.
 
     The derivative also has `grid(ts)`: `_d` on a numpy array of t in one
     call, the same code run on numpy's functions, with IEEE values (inf,
@@ -443,9 +444,12 @@ def as_fn1d(source: str, name: str = "") -> Fn1D:
             return v
         h = _FD_STEP * max(1.0, abs(t))
         try:
-            return (fn(t + h) - fn(t - h)) / (2 * h)
-        except ValueError:
-            return (-3.0 * fn(t) + 4.0 * fn(t + h) - fn(t + 2 * h)) / (2 * h)
+            try:
+                return (fn(t + h) - fn(t - h)) / (2 * h)
+            except ValueError:
+                return (-3.0 * fn(t) + 4.0 * fn(t + h) - fn(t + 2 * h)) / (2 * h)
+        except (ValueError, ArithmeticError) as exc:
+            raise ValueError(f"f' fails at t={t:.9g}: {type(exc).__name__}: {exc}") from None
 
     # a derivative that does not depend on t returns one number
     deriv.grid = lambda ts: np.broadcast_to(dgrid(ts), ts.shape)

@@ -193,6 +193,10 @@ def norm_triple(
     d: float,
     cfg: QuadConfig = DEFAULT_CONFIG,
 ) -> Triple:
-    """Sup, L_p, and L1 norms of g on [c, d], from one `_scan` of g."""
-    sup, roots = _scan(g, c, d)
+    """Sup, L_p, and L1 norms of g on [c, d], from one `_scan` of g. Where
+    g has no value at a point, the ValueError names the norm."""
+    try:
+        sup, roots = _scan(g, c, d)
+    except ValueError as exc:
+        raise ValueError(f"sup norm of f' on [{c:g}, {d:g}]: {exc}") from None
     return Triple(sup, _norm_lp(g, p, c, d, cfg, roots), _norm_lp(g, 1.0, c, d, cfg, roots))

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Optional
 
 from .quadrature import (
@@ -45,7 +45,8 @@ class Weight:
     by Fubini is int |x - s| w(s) ds over the same stretch (the kernel's L1
     branch): in closed form for the built-in weights, each written about
     its anchor so little cancels (a series on a short truncated-normal
-    branch); one quadrature at cfg for a weight given only as a function.
+    branch, and incomplete Beta series for the power family); one
+    quadrature at cfg for a weight given only as a function.
     `substitution(g, c, d)`, when present,
     describes int_c^d g(t) w(t) dt as a list of pieces, each a change of
     variable that regularizes w at an end where it is singular or has an
@@ -226,7 +227,27 @@ def _exponential(a: float, b: float, lam: float) -> Weight:
     )
 
 
-_SERIES_TERMS = 60  # truncnorm moment_l1 on a short branch: 10^60 / 62! < 1e-24
+_SERIES_TERMS = 60  # truncnorm on a short interval: 10^60 / 61! < 1e-24
+
+
+def _hermite_series(w0: float, z: float, r: float, n: int) -> float:
+    """sum_k w0 He_k(z) r^k / (k+n)!, summed until two terms in a row fall
+    below 1e-17 of the sum (He_(k+1) = z He_k - k He_(k-1)).
+
+    With w0 = w(c), z = (c - mu) / sigma and r = -h / sigma this is the
+    Taylor series about c of the truncated normal's moments over [c, c+h],
+    since w^(k)(c) = (-1/sigma)^k He_k(z) w(c): m(c, c+h) is h times the sum
+    at n = 1, and int |c + h - s| w ds over the same stretch h^2 times the
+    sum at n = 2. For |r| < 1/4 the terms fall like |z r|^k / (k+n)!, and
+    |z r| < |z| / 4 < 10 unless w0 underflows to 0 (and with it every term).
+    """
+    prev, term, total = 0.0, w0 / math.factorial(n), 0.0
+    for k in range(_SERIES_TERMS):
+        total += term
+        prev, term = term, (z * r * term - k * r * r * prev / (k + n)) / (k + n + 1)
+        if abs(prev) + abs(term) <= 1e-17 * abs(total):
+            break
+    return total
 
 
 def _truncnorm(a: float, b: float, mu: float, sigma: float) -> Weight:
@@ -239,6 +260,10 @@ def _truncnorm(a: float, b: float, mu: float, sigma: float) -> Weight:
         return math.exp(-0.5 * ((t - mu) / sigma) ** 2)
 
     def closed(c: float, d: float) -> float:
+        h = d - c
+        if abs(h) < 0.25 * sigma:
+            # the erfc difference below cancels on a short interval
+            return h * _hermite_series(fn(c), (c - mu) / sigma, -h / sigma, 1)
         # erfc differences on the side of mu the interval leans to, so a
         # mass in a tail is not a difference of two erf values near +-1
         uc, ud = (c - mu) / s2, (d - mu) / s2
@@ -249,19 +274,8 @@ def _truncnorm(a: float, b: float, mu: float, sigma: float) -> Weight:
     def moment_l1(anchor: float, x: float, cfg: QuadConfig) -> float:
         h = x - anchor
         if abs(h) < 0.25 * sigma:
-            # the form below cancels as (sigma / h)^2 on a short branch: sum
-            # the Taylor series about the anchor instead, int |x - s| w ds =
-            # sum_k w^(k)(anchor) h^(k+2) / (k+2)!, where w^(k) = (-1/sigma)^k
-            # He_k(z) w and He_(k+1) = z He_k - k He_(k-1). term is
-            # w(anchor) He_k(z) r^k / (k+2)!, r = -h / sigma; the terms fall
-            # like |z r|^k / (k+2)!, and |z r| < |z| / 4 < 10 unless w(anchor)
-            # underflows to 0 (and with it every term)
-            z, r = (anchor - mu) / sigma, -h / sigma
-            prev, term, total = 0.0, 0.5 * fn(anchor), 0.0
-            for k in range(_SERIES_TERMS):
-                total += term
-                prev, term = term, (z * r * term - k * r * r * prev / (k + 2)) / (k + 3)
-            return h * h * total
+            # the form below cancels as (sigma / h)^2 on a short branch
+            return h * h * _hermite_series(fn(anchor), (anchor - mu) / sigma, -h / sigma, 2)
         # int (x - s) w ds = (x - mu) m - int (s - mu) w ds, and
         # (s - mu) w(s) is the derivative of -sigma^2 w(s)
         return (x - mu) * closed(anchor, x) - sigma * sigma * (fn(anchor) - fn(x))
@@ -276,6 +290,60 @@ def _truncnorm(a: float, b: float, mu: float, sigma: float) -> Weight:
     )
 
 
+# The incomplete Beta integrals int_0^z (z - u)^shift u^(x-1) (1-u)^(y-1) du
+# (shift 0: B_z(x, y); shift 1: the L1 branch) are read as series in z up to
+# _Z_MAX only: past it a moment is taken from the other end of the domain.
+_Z_MAX = 0.85
+_LOG_EPS = math.log(1e-17)  # Horner stops at the degree n where z^n < 1e-17
+_DEGREES = int(_LOG_EPS / math.log(_Z_MAX)) + 1  # that n at z = _Z_MAX (241)
+_FAR_MAX = 4.0  # far exponent y up to which the alternating series is summed
+
+
+@lru_cache(maxsize=256)
+def _coefficients(x: float, y: float, shift: int) -> tuple[float, ...]:
+    """(1-y)_k / (k! (x+k)), over (x+k+1) too for shift 1, highest k first:
+    the power series of (1-u)^(y-1) integrated term by term (DLMF 8.17(v)).
+    It ends after y terms for an integer y."""
+    coefs, rising = [], 1.0
+    for k in range(_DEGREES):
+        if rising == 0.0:
+            break
+        coefs.append(rising / (x + k) / (x + k + 1) if shift else rising / (x + k))
+        rising *= (k + 1 - y) / (k + 1)
+    return tuple(reversed(coefs))
+
+
+def _beta_series(x: float, y: float, z: float, shift: int) -> float:
+    """int_0^z (z - u)^shift u^(x-1) (1-u)^(y-1) du for 0 <= z <= _Z_MAX.
+
+    z^(x+shift) times the series in z, each term positive where y <= 1 and
+    only the first where 1 < y <= 2. For y above _FAR_MAX, where the
+    alternating terms would cancel to a fraction 3^-(y-1) of their size,
+    the all-positive form z^x (1-z)^y sum (x+y)_k z^k / (x)_(k+1) (DLMF
+    8.17.8) is summed instead; for shift 1 its terms are the difference of
+    the forms of z B_z(x, y) and B_z(x+1, y).
+    """
+    if z == 0.0:
+        return 0.0
+    if y > _FAR_MAX:
+        total, term, k = 0.0, 1.0 / x, 0
+        while True:
+            part = term * (x + y + k * y) / ((x + y) * (x + k + 1)) if shift else term
+            total += part
+            ratio = z * (x + y + k) / (x + k + 1)  # falls with k, towards z
+            if ratio < 1.0 and part <= 1e-17 * total:
+                # z <= _Z_MAX, so 1 - z is within half an ulp
+                return z ** (x + shift) * (1.0 - z) ** y * total
+            term *= ratio
+            k += 1
+    coefs = _coefficients(x, y, shift)
+    n = int(_LOG_EPS / math.log(z)) + 1
+    total = 0.0
+    for c in coefs[-n:]:
+        total = total * z + c
+    return z ** (x + shift) * total
+
+
 def _rough(e: float) -> bool:
     """Whether (t-a)^e, -1 < e, is singular or has an unbounded slope at a."""
     return e < 0 or 0 < e < 1
@@ -285,15 +353,11 @@ def _power(a: float, b: float, p: float, q: float) -> Weight:
     """w(t) = (t-a)^p (b-t)^q with finite p, q > -1 (integrable endpoint behavior)."""
     if p <= -1 or q <= -1:
         raise ValueError("power weight requires p > -1 and q > -1 for integrability")
-    # here, not at the top: no other weight needs a special function, and
-    # scipy.special is most of a fresh process's start-up
-    from scipy.special import beta as beta_fn, betainc
-
+    _check_domain(a, b)  # before B is read at a point of [a, b]
     span = b - a
-    bfull = beta_fn(p + 1, q + 1)
-    bcoef = bfull * span ** (p + q + 1)
+    x, y = p + 1, q + 1
+    scale = span ** (p + q + 1)
     l1coef = span ** (p + q + 2)
-    bleft, bright = beta_fn(p + 2, q + 1), beta_fn(q + 2, p + 1)
 
     def fn(t: float) -> float:
         u, v = t - a, b - t
@@ -301,22 +365,50 @@ def _power(a: float, b: float, p: float, q: float) -> Weight:
         right = 1.0 if q == 0 else (math.inf if (v == 0 and q < 0) else v ** q)
         return left * right
 
-    def closed(c: float, d: float) -> float:
-        # read from the nearer end, so a mass that ends at b is not 1 - I_z
-        if c + d > a + b:
-            yc, yd = (b - c) / span, (b - d) / span
-            return bcoef * (betainc(q + 1, p + 1, yc) - betainc(q + 1, p + 1, yd))
-        zc, zd = (c - a) / span, (d - a) / span
-        return bcoef * (betainc(p + 1, q + 1, zd) - betainc(p + 1, q + 1, zc))
+    # A value at t is read as the series from the end on t's side of split
+    # (a share of span): the mean of the Beta(x, y) distribution, clamped
+    # to the series' reach. Past split it is the complete B less the series
+    # from the other end, over that end's own distance (never 1 - z), and
+    # the L1 branch there is B (z - mean) plus the mirrored branch, two
+    # terms of one sign unless the mean was clamped. B is the two series
+    # met at split, so no Gamma function overflows (p = 200).
+    mean = x / (x + y)
+    split = min(max(mean, 1.0 - _Z_MAX), _Z_MAX)
+    t_split = a + split * span
+    bfull = _beta_series(x, y, (t_split - a) / span, 0) + _beta_series(y, x, (b - t_split) / span, 0)
 
-    def moment_l1(anchor: float, x: float, cfg: QuadConfig) -> float:
-        # int_0^z (z - u) u^p (1-u)^q du, z the branch length over span,
-        # mirrored (p and q swapped) for the branch anchored at b
+    def from_a(t: float) -> float:
+        # int_a^t w / scale
+        z = (t - a) / span
+        if z <= split:
+            return _beta_series(x, y, z, 0)
+        return bfull - _beta_series(y, x, (b - t) / span, 0)
+
+    def from_b(t: float) -> float:
+        # int_t^b w / scale
+        z = (t - a) / span
+        if z > split:
+            return _beta_series(y, x, (b - t) / span, 0)
+        return bfull - _beta_series(x, y, z, 0)
+
+    def closed(c: float, d: float) -> float:
+        # from the end the interval leans to, so a short interval near an
+        # end is not a difference of two values near B
+        if c + d > 2.0 * t_split:
+            return scale * (from_b(c) - from_b(d))
+        return scale * (from_a(d) - from_a(c))
+
+    def moment_l1(anchor: float, t: float, cfg: QuadConfig) -> float:
+        # int_0^z (z - u) u^(x-1) (1-u)^(y-1) du, z the branch length over
+        # span, mirrored (x and y swapped) for the branch anchored at b
+        za, zb = (t - a) / span, (b - t) / span
         if anchor == a:
-            z, near, far, bnext = (x - a) / span, p + 1, q + 1, bleft
-        else:
-            z, near, far, bnext = (b - x) / span, q + 1, p + 1, bright
-        return l1coef * (z * bfull * betainc(near, far, z) - bnext * betainc(near + 1, far, z))
+            if za <= split:
+                return l1coef * _beta_series(x, y, za, 1)
+            return l1coef * (bfull * (za - mean) + _beta_series(y, x, zb, 1))
+        if za > split:
+            return l1coef * _beta_series(y, x, zb, 1)
+        return l1coef * (bfull * (zb - y / (x + y)) + _beta_series(x, y, za, 1))
 
     mid = 0.5 * (a + b)
     ep, eq = 1.0 + p, 1.0 + q

@@ -166,6 +166,12 @@ class TestBoundsCommand:
         assert err.startswith("error: L2 norm of f' on [0, 1]: no convergence after 1000")
         assert "Traceback" not in err
 
+    def test_derivative_without_a_value_is_named(self, capsys):
+        # f' = 1/t is sampled at t = 0, where its stencils evaluate log(0)
+        code, out, err = run(capsys, "bounds", "--x", "0.5", "--function", "log(t)")
+        assert (code, out) == (1, "")
+        assert err == "error: sup norm of f' on [0, 1]: f' fails at t=0: ValueError: math domain error\n"
+
     def test_weight_expr_table_out_of_subdivisions_is_named(self, capsys):
         code, out, err = run(
             capsys, "bounds", "--x", "0.5", "--function", "t^2",

@@ -270,6 +270,12 @@ class TestAsFn1d:
         assert math.isfinite(d) and abs(d) < 2e-3
         assert d == (-3.0 * f(0.0) + 4.0 * f(h) - f(2 * h)) / (2 * h)
 
+    def test_no_stencil_names_t(self):
+        # d/dt log(t) = 1/t divides by zero at t = 0, and both stencils reach log(0)
+        f = as_fn1d("log(t)")
+        with pytest.raises(ValueError, match=r"^f' fails at t=0: ValueError: math domain error$"):
+            f.derivative(0.0)
+
     def test_central_stencil_at_a_kink(self):
         # the symbolic derivative of abs(t - 0.5)^3 is 0/0 at t = 0.5
         f = as_fn1d("abs(t-0.5)^3")

@@ -1,4 +1,4 @@
-"""A fresh process loads SciPy only for a power-family weight."""
+"""No command loads SciPy in a fresh process."""
 
 import json
 import os
@@ -49,11 +49,17 @@ def test_scipy_stays_unloaded(argv):
     assert not scipy
 
 
-def test_power_family_loads_scipy(capsys):
-    argv = ("audit", "--weights", "power:p=-0.3", "--x-grid", "9")
+@pytest.mark.parametrize("argv", [
+    ("audit", "--weights", "power:p=-0.3", "--x-grid", "9"),
+    ("audit", "--weights", "power:p=-0.49,q=0.7", "--x-grid", "9"),
+    ("cdf", "--density", "2*t", "--weight", "arcsine", "--x", "0.5"),
+    ("audit",),
+    ("verify",),
+], ids=["audit-power", "audit-power-two-keys", "cdf-arcsine", "audit-default", "verify"])
+def test_no_command_loads_scipy(argv, capsys):
     code, out, err, scipy = fresh(*argv)
     assert (code, err) == (0, "")
-    assert scipy
+    assert not scipy
     assert main(list(argv)) == 0
     assert out == capsys.readouterr().out
 

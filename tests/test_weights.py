@@ -498,3 +498,111 @@ class TestMass:
         w = tabulated_weight("zero", lambda t: 0.0, 0, 1)
         with pytest.raises(DegenerateIntervalError):
             w.mass(0.2, 0.7)
+
+
+# the power family's reference integrals at 60 digits, each read from its own
+# end: int_0^z and int_z^1 of u^p (1-u)^q, and the L1 branches
+# int_0^z (z - u) u^p (1-u)^q du and int_z^1 (u - z) u^p (1-u)^q du
+def _power_references(p, q, z, a=0.0, b=1.0):
+    """At t = z on [0, 1], or at t = z on [a, b] (then scaled to [0, 1])."""
+    with mpmath.workdps(60):
+        P, Q = mpmath.mpf(p), mpmath.mpf(q)
+        Z, ZB = (z - mpmath.mpf(a)) / (b - a), (b - mpmath.mpf(z)) / (b - a)
+        left = mpmath.betainc(P + 1, Q + 1, 0, Z)
+        right = mpmath.betainc(Q + 1, P + 1, 0, ZB)
+        return (float(left), float(right),
+                float(Z * left - mpmath.betainc(P + 2, Q + 1, 0, Z)),
+                float(ZB * right - mpmath.betainc(Q + 2, P + 1, 0, ZB)))
+
+
+_NEAR = (1e-9, 1e-7, 1e-5, 1e-3, 0.01, 0.1, 0.15, 0.3, 0.49, 0.5)
+_POWER_ZS = sorted({*_NEAR, *(1.0 - z for z in _NEAR), 0.17, 0.51, 0.7, 0.835, 0.84})
+
+
+class TestBetaSeries:
+    """The power family's moments from the incomplete Beta series, against
+    mpmath at 60 digits."""
+
+    WEIGHTS = [("increasing", 1.0, 0.0), ("decreasing", 0.0, 1.0), ("arcsine", -0.5, -0.5),
+               ("power", -0.4, 0.0), ("power", 0.0, -0.38), ("power", 1.0, -0.33),
+               ("power", -0.49, 0.7), ("power", 2.5, -0.31)]
+
+    @pytest.mark.parametrize("name, p, q", WEIGHTS, ids=[f"{n}({p:g},{q:g})" for n, p, q in WEIGHTS])
+    def test_against_mpmath_at_both_anchors(self, name, p, q):
+        w = builtin_weight(name, 0.0, 1.0, **({"p": p, "q": q} if name == "power" else {}))
+        for z in _POWER_ZS:
+            left, right, l1_left, l1_right = _power_references(p, q, z)
+            assert w.closed_moment(0.0, z) == pytest.approx(left, rel=2e-14, abs=0), z
+            assert w.closed_moment(z, 1.0) == pytest.approx(right, rel=2e-14, abs=0), z
+            assert w.moment_l1(0.0, z, None) == pytest.approx(l1_left, rel=2e-14, abs=0), z
+            assert w.moment_l1(1.0, z, None) == pytest.approx(l1_right, rel=2e-14, abs=0), z
+
+    @given(
+        p=st.floats(-1.0, 3.0, exclude_min=True),
+        q=st.floats(-1.0, 3.0, exclude_min=True),
+        ts=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
+        z=st.floats(1e-9, 1.0 - 1e-9),
+    )
+    @example(p=-0.5, q=-0.5, ts=[0.0, 0.5, 1.0], z=0.5)
+    @example(p=3.0, q=-0.99, ts=[0.0, 0.9, 1.0], z=0.9)
+    @settings(max_examples=60, deadline=None)
+    def test_additive_and_l1_against_mpmath(self, p, q, ts, z):
+        w = builtin_weight("power", 0.0, 1.0, p=p, q=q)
+        c, d, e = sorted(ts)
+        assert w.moment(c, d) + w.moment(d, e) == pytest.approx(w.moment(c, e), rel=0, abs=1e-14 * w.total)
+        # an exponent near -1 puts a mass of about 1 / (1 + exponent) next to
+        # its end, and a moment read past the split is that mass less the
+        # integral from the other end: the relative error grows with it
+        rel = 2e-14 + 2e-15 / (1.0 + min(p, q, 0.0))
+        _, _, l1_left, l1_right = _power_references(p, q, z)
+        assert w.moment_l1(0.0, z, None) == pytest.approx(l1_left, rel=rel, abs=0)
+        assert w.moment_l1(1.0, z, None) == pytest.approx(l1_right, rel=rel, abs=0)
+
+    def test_large_exponents_total(self):
+        # G(201) overflows a double; B(201, 31) is the sum of the two series
+        w = builtin_weight("power", 0.0, 1.0, p=200.0, q=30.0)
+        with mpmath.workdps(60):
+            expected = float(mpmath.beta(201, 31))
+        assert w.total == pytest.approx(expected, rel=2e-15, abs=0)
+
+    @pytest.mark.parametrize("p, q", [(200.0, 30.0), (12.0, 7.0), (0.5, 8.5), (8.5, 0.5)])
+    def test_large_far_exponent(self, p, q):
+        # the alternating series would cancel: the all-positive one is summed
+        w = builtin_weight("power", 0.0, 1.0, p=p, q=q)
+        for z in (1e-3, 0.1, 0.3, 0.5, 0.7, 0.86, 0.9, 0.99):
+            for got, expected in zip(
+                (w.closed_moment(0.0, z), w.closed_moment(z, 1.0),
+                 w.moment_l1(0.0, z, None), w.moment_l1(1.0, z, None)),
+                _power_references(p, q, z),
+            ):
+                if expected > 1e-290:  # not a subnormal
+                    assert got == pytest.approx(expected, rel=1e-13, abs=0), z
+
+    def test_stretched_interval(self):
+        # m scales as L^(p+q+1), the L1 branch as L^(p+q+2)
+        p, q, a, b = -0.49, 0.7, -1.0, 2.0
+        w = builtin_weight("power", a, b, p=p, q=q)
+        for t in (-1.0 + 1e-7, -0.997, 0.5, 1.99, 2.0 - 1e-7):
+            left, right, l1_left, l1_right = _power_references(p, q, t, a, b)
+            assert w.closed_moment(a, t) == pytest.approx(3 ** (p + q + 1) * left, rel=2e-14, abs=0)
+            assert w.closed_moment(t, b) == pytest.approx(3 ** (p + q + 1) * right, rel=2e-14, abs=0)
+            assert w.moment_l1(a, t, None) == pytest.approx(3 ** (p + q + 2) * l1_left, rel=2e-14, abs=0)
+            assert w.moment_l1(b, t, None) == pytest.approx(3 ** (p + q + 2) * l1_right, rel=2e-14, abs=0)
+
+
+class TestTruncnormShortMass:
+    @pytest.mark.parametrize("mu, sigma", [(0.5, 0.25), (0.2, 0.1), (0.9, 0.3)])
+    def test_against_mpmath(self, mu, sigma):
+        # below sigma / 4 the mass is its Taylor series about c: the erfc
+        # difference lost 3.3e-11 relative at h = 1e-6 and 3.0e-10 at 1e-8.
+        # w(c) = exp(-z^2 / 2) itself is good to about z^2 ulps
+        w = builtin_weight("truncnorm", 0.0, 1.0, mu=mu, sigma=sigma)
+        for c in (0.0, 0.3, 0.5, 0.97):
+            rel = 4e-15 * (1.0 + ((c - mu) / sigma) ** 2)
+            for h in (1e-8, 1e-6, -1e-6, 1e-4, 0.2 * sigma, -0.2 * sigma):
+                if not 0.0 <= c + h <= 1.0:
+                    continue
+                with mpmath.workdps(60):
+                    expected = float(mpmath.quad(
+                        lambda t: mpmath.exp(-((t - mu) / mpmath.mpf(sigma)) ** 2 / 2), [c, c + h]))
+                assert w.moment(c, c + h) == pytest.approx(expected, rel=rel, abs=0), (c, h)
