@@ -158,7 +158,7 @@ def corollary_bounds(
     beta: float = 1.0,
     cfg: QuadConfig = DEFAULT_CONFIG,
 ) -> tuple[float, Triple]:
-    """Specialized bound statements, each built by direct substitution.
+    """Specialized bound statements, each the general one with parameters fixed.
 
     equal_coeffs fixes alpha = beta; midpoint fixes x at the interval
     midpoint; midpoint_equal fixes both. Returns (measured left-hand
@@ -198,18 +198,20 @@ def sign_kernel_fn(params: TauParams) -> Fn1D:
     return Fn1D(fn=fn, derivative=deriv, name="sign-kernel", kinks=(x,))
 
 
-class _AtX:
-    """A weight's masses, first moments and witness integrals at one x of
-    `sharpness_search`, where `kernel_l1`, `kernel_sup` and `tau` take it in
-    place of the weight. Each is taken on first use, so a side that no pair
-    weights is never taken, and read back by every later pair; a failed call
-    is not kept, so a pair that needs it raises as against the weight.
+class _Cached:
+    """A weight's masses, first moments and weighted integrals, kept: the
+    view `sharpness_search` builds at each x, where `kernel_l1`,
+    `kernel_sup` and `tau` take it in place of the weight, and `verify`
+    builds per weight for tau's three forms. Each is taken on first use, so
+    a side that no pair weights is never taken, and read back by every later
+    call; a failed call is not kept, so a call that needs it raises as
+    against the weight.
     """
 
     mass = Weight.mass  # the one degenerate-mass rule, over the kept moments
 
     def __init__(self, w: Weight) -> None:
-        self.total = w.total
+        self.a, self.b, self.total = w.a, w.b, w.total
         self.moment = functools.cache(w.moment)
         self.moment_l1 = functools.cache(w.moment_l1)
         self.integrate_against = functools.cache(w.integrate_against)
@@ -244,7 +246,7 @@ def sharpness_search(
         raise ValueError(f"unknown sharpness kind: {kind!r}")
     rows = []
     for x in x_grid:
-        at = _AtX(w)
+        at = _Cached(w)
         # one witness per x, so `at` keeps its integrals: the sign kernel
         # depends on x alone, the hat also on whether alpha >= beta
         witnesses: dict[bool, Fn1D] = {}

@@ -2,8 +2,14 @@
 weighted integral means.
 
 `integrate` has the one refinement loop: it bisects the panel with the
-largest estimate until the estimates sum to at most abs_tol. A cumulative
-table is built by that loop; only its per-panel estimate differs.
+largest estimate until the estimates sum to at most abs_tol. The loop has
+two panel rules: G7/K15 (`_gk15`) on every panel but the one that touches
+an algebraic end point named in `ends`, where g = |t - e|^gamma H(t) with H
+smooth; that panel takes `_end_panel`, which integrates (1 + u)^gamma
+times H's interpolant through the same 15 nodes by the modified moments of
+(1 + u)^gamma, as QUADPACK's QAWS does (Piessens, de Doncker-Kapenga,
+Ueberhuber and Kahaner, *QUADPACK*, Springer 1983). A cumulative table is
+built by that loop; only its per-panel estimate differs.
 """
 
 from __future__ import annotations
@@ -144,6 +150,7 @@ def integrate(
     d: float,
     cfg: QuadConfig = DEFAULT_CONFIG,
     breaks: Sequence[float] = (),
+    ends: Sequence[tuple[float, float]] = (),
     _table: Optional["Cumulative"] = None,
 ) -> tuple[float, float]:
     """Adaptive bisection with a nested G7/K15 rule pair.
@@ -153,6 +160,12 @@ def integrate(
     `breaks`, strictly increasing inside (c, d), are points where g may
     have a kink: the refinement starts from the pieces between them, which
     share abs_tol and max_subdivisions (ValueError for other breaks).
+    `ends` are pairs (e, gamma), gamma > -1, each an algebraic end point
+    where g = |t - e|^gamma H(t), H smooth: where e is c or d, the panel
+    that touches it takes `_end_panel`, and of its two halves only the one
+    that still touches e keeps that rule; other pairs are ignored. When
+    both c and d are named, the refinement starts from the two halves of
+    [c, d] (unless `breaks` split it already).
     `_table` is the sink `cumulative` passes: each panel's estimate is then
     `_table_panels`' tail estimate, and the leaves are handed to the table.
     """
@@ -165,18 +178,21 @@ def integrate(
             raise ValueError(f"breaks must increase strictly inside ({c}, {d})")
     if c == d:
         return 0.0, 0.0
+    gammas = dict(ends)
+    left, right = gammas.get(c), gammas.get(d)
+    if left is not None and right is not None and len(spans) == 1:
+        spans = [(c, 0.5 * (c + d)), (0.5 * (c + d), d)]
     panels = None if _table is None else _table_panels(g)
-    # heap of (-err, tiebreak, c, d, val, err, values): the unique tiebreak keeps
-    # it deterministic; values are a table panel's 15 integrand values, else None
+    # heap of (-err, tiebreak, c, d, val, err, values, end): the unique tiebreak
+    # keeps it deterministic; values are a table panel's 15 integrand values,
+    # else None; end is (gamma, right) on the panel at an algebraic end, else None
     heap = []
     total = total_err = 0.0
     for lo, hi in spans:
-        if panels is None:
-            val, err = _gk15(g, lo, hi)
-            values = None
-        else:
-            ((val, err, values),) = panels((lo, hi))
-        heap.append((-err, len(heap), lo, hi, val, err, values))
+        end = ((left, False) if lo == c and left is not None
+               else (right, True) if hi == d and right is not None else None)
+        val, err, values = _panel(g, lo, hi, end, panels)
+        heap.append((-err, len(heap), lo, hi, val, err, values, end))
         total += val
         total_err += err
     heapq.heapify(heap)
@@ -187,9 +203,14 @@ def integrate(
                 f"no convergence after {n} subdivisions "
                 f"(err={total_err:.3e} on [{c}, {d}])"
             )
-        _, _, lo, hi, v_old, e_old, _ = heapq.heappop(heap)
+        _, _, lo, hi, v_old, e_old, _, end = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
-        if panels is None:
+        # only the half that still touches the algebraic end keeps its rule
+        end1, end2 = (None, end) if end is not None and end[1] else (end, None)
+        if end is not None:
+            v1, e1, x1 = _panel(g, lo, mid, end1, panels)
+            v2, e2, x2 = _panel(g, mid, hi, end2, panels)
+        elif panels is None:
             v1, e1 = _gk15(g, lo, mid)
             v2, e2 = _gk15(g, mid, hi)
             x1 = x2 = None
@@ -197,8 +218,8 @@ def integrate(
             (v1, e1, x1), (v2, e2, x2) = panels((lo, mid), (mid, hi))
         total += (v1 + v2) - v_old
         total_err += (e1 + e2) - e_old
-        heapq.heappush(heap, (-e1, 2 * n, lo, mid, v1, e1, x1))
-        heapq.heappush(heap, (-e2, 2 * n + 1, mid, hi, v2, e2, x2))
+        heapq.heappush(heap, (-e1, 2 * n, lo, mid, v1, e1, x1, end1))
+        heapq.heappush(heap, (-e2, 2 * n + 1, mid, hi, v2, e2, x2, end2))
         n += 1
     if _table is not None:
         _table._fill(sorted(heap, key=operator.itemgetter(2)))
@@ -206,10 +227,22 @@ def integrate(
     return total, total_err
 
 
+def _panel(g, lo: float, hi: float, end: Optional[tuple[float, bool]], panels) -> tuple:
+    """(value, estimate, values) of one panel of `integrate`: `_end_panel`
+    where end = (gamma, right) names its algebraic end, else G7/K15, or a
+    table's rule when `panels` is one."""
+    if end is not None:
+        return _end_panel(g, lo, hi, *end, table=panels is not None)
+    if panels is None:
+        return (*_gk15(g, lo, hi), None)
+    return panels((lo, hi))[0]
+
+
 # --- cumulative tables -----------------------------------------------------
 
 # The abscissae of one panel on [-1, 1] in the order _gk15 evaluates them.
 _NODES = (0.0,) + tuple(s for x in _XGK[:7] for s in (-x, x))
+_ONE_PLUS = tuple(1.0 + u for u in _NODES)  # their distances from u = -1
 # P_{k+1}(s) = A_k s P_k(s) - B_k P_{k-1}(s): (A_k, B_k) for k < 24, the rows
 # of `_gauss_legendre`; a leaf's antiderivative (degree 15) reads the first 16.
 _LEGENDRE_STEPS = tuple(((2 * k + 1) / (k + 1), k / (k + 1)) for k in range(24))
@@ -250,12 +283,13 @@ def _inverse(m: list[list[float]]) -> list[list[float]]:
 
 
 @functools.cache
-def _leaf_matrices() -> tuple[np.ndarray, np.ndarray]:
+def _leaf_matrices() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The maps from one leaf's 15 values (in _NODES order), built once.
 
     Let p = sum_n a_n P_n be the degree-14 Legendre interpolant through the
     values. The first map (16 x 15) gives the Legendre coefficients of
-    s -> int_{-1}^s p; the second (4 x 15), 4 a_n / (2n + 1) for n = 11..14.
+    s -> int_{-1}^s p; the second (4 x 15), 4 a_n / (2n + 1) for n = 11..14;
+    the third (15 x 15), a_0, ..., a_14.
     As |int_{-1}^s P_n| <= 2 / (2n + 1), the leaf's width times their sum
     in magnitude is 4 times a bound on the partial integrals of p's last four
     terms: an estimate of p's error (Aurentz and Trefethen, "Chopping a
@@ -272,7 +306,7 @@ def _leaf_matrices() -> tuple[np.ndarray, np.ndarray]:
         integ[n + 1, n] = 1.0 / (2 * n + 1)
         integ[n - 1, n] = -1.0 / (2 * n + 1)
     tail = 4.0 * to_coef[11:] / np.arange(23, 31, 2)[:, None]
-    return _product(integ, to_coef.T).T, tail
+    return _product(integ, to_coef.T).T, tail, to_coef
 
 
 @functools.cache
@@ -323,6 +357,69 @@ def _jacobi_rule(gamma: float) -> np.ndarray:
     return moments[:, None] * (legendre * weights[:, None]).T
 
 
+def _end_integral(gamma: float, coef, r):
+    """int_{-1}^{2r-1} (1 + u)^gamma p(u) du, p = sum_k coef_k P_k of degree
+    below 24 and r in [0, 1], a float or an array: the share r of [-1, 1]
+    from its end, so that no 1 + u cancels next to it. It is r^(gamma + 1)
+    int_{-1}^1 (1 + v)^gamma p(-1 + r (1 + v)) dv, which `_jacobi_rule`
+    takes exactly from p at the 24 nodes."""
+    nodes = _gauss_legendre()[0]
+    r = np.asarray(r)
+    values = _series(coef, np.multiply.outer(r, 1.0 + nodes) - 1.0)
+    return r ** (gamma + 1.0) * (values * _jacobi_rule(gamma).sum(axis=0)).sum(axis=-1)
+
+
+@functools.lru_cache(maxsize=16)
+def _end_rule(gamma: float) -> tuple[np.ndarray, np.ndarray]:
+    """The two 5 x 15 maps of a panel at an algebraic end, built once per
+    gamma: on [-1, 1], u = -1 at the end, g = (1 + u)^gamma H(u), and they
+    read H at _NODES.
+
+    With c_k the Legendre coefficients of H's degree-14 interpolant
+    (`_leaf_matrices`' third map), the first row of each gives sum_k M_k
+    c_k, the integral of (1 + u)^gamma times the interpolant (M_k
+    `_jacobi_moments`). The other four give 4 M_k c_k for k = 11..14 in the
+    first map: the size of the last four terms, times 4 as in
+    `_leaf_matrices`, is `integrate`'s estimate. In the second they give
+    4 B_k c_k, B_k the largest |int_{-1}^s (1 + u)^gamma P_k| over 128
+    points s: a table's estimate of its queries, which read partial
+    integrals. For gamma > 0, B_k exceeds |M_k| up to a thousandfold.
+    """
+    to_coef = _leaf_matrices()[2]
+    moments = _jacobi_moments(gamma, 15)
+    value = _product(to_coef.T, np.array([moments]))
+    grid = np.linspace(0.0, 1.0, 129)[1:]
+    sup = [np.abs(_end_integral(gamma, np.eye(15)[k], grid)).max() for k in range(11, 15)]
+    return tuple(np.vstack((value, 4.0 * np.array(b)[:, None] * to_coef[11:]))
+                 for b in (moments[11:], sup))
+
+
+def _end_panel(
+    g: Callable[[float], float], lo: float, hi: float, gamma: float, right: bool, table: bool
+) -> tuple[float, float, list[float]]:
+    """One panel [lo, hi] whose end lo (hi when `right`) is algebraic:
+    g = |t - end|^gamma H(t) there, H smooth.
+
+    g is evaluated at _NODES mapped with u = -1 at that end, and each value
+    divided by (|t - end| / half)^gamma, the node's distance from the end
+    as t was rounded (exact, as t lies within half of the end), so the
+    quotients are half^gamma H(t) even where t's rounding is a large share
+    of that distance. Returns (value, estimate, the 15 quotients): the value
+    exact when H is a polynomial of degree 14, and `_end_rule`'s estimate
+    of it or, for a `table`, of its queries.
+    """
+    half = 0.5 * (hi - lo)
+    end, step = (hi, -half) if right else (lo, half)
+    values = []
+    for s in _ONE_PLUS:
+        t = end + step * s
+        values.append(g(t) / (abs(t - end) / half) ** gamma)
+    if not all(map(math.isfinite, values)):
+        raise QuadratureError(f"non-finite integrand value near t={end}")
+    value, *tail = _product(_end_rule(gamma)[1 if table else 0], np.array([values]))[0].tolist()
+    return half * value, half * sum(map(abs, tail)), values
+
+
 def _product(m: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """m applied to each row of `rows` (rows @ m.T), without BLAS."""
     return np.einsum("ij,kj->ki", m, rows)
@@ -358,7 +455,11 @@ class Cumulative:
     interpolant; g is not evaluated again. `total` and `error` are the
     integral over [c, d] and the sum of its leaves' tail estimates, within
     which every query is expected (a heuristic, not a bound). The ends read
-    exactly 0.0 at c and `total` at d, with no interpolant.
+    exactly 0.0 at c and `total` at d, with no interpolant. A leaf at an
+    algebraic end of `cumulative`'s `ends` keeps gamma and the Legendre
+    coefficients of H's interpolant through its 15 quotients (`_end_panel`):
+    a query there reads int (1 + u)^gamma H from the end (`_end_integral`),
+    counted from 0 at c, or taken from `total` at d.
     """
 
     def __init__(self, c: float, d: float) -> None:
@@ -370,10 +471,11 @@ class Cumulative:
         self._coef: list[list[float]] = []
         self._coef_rows = np.zeros((0, 16))  # _coef as an array
         self._prefix: list[float] = []
+        self._ends: dict[int, tuple[float, bool, list[float]]] = {}  # leaf: (gamma, right, coef)
 
     def _fill(self, leaves: list[tuple]) -> None:
         """Take `integrate`'s heap entries for a table, sorted by panel."""
-        _, _, lo, hi, kvals, _, block = zip(*leaves)
+        _, _, lo, hi, kvals, _, block, ends = zip(*leaves)
         integ = _leaf_matrices()[0]
         halves = 0.5 * (np.array(hi) - np.array(lo))
         self._lefts = list(lo)
@@ -382,6 +484,11 @@ class Cumulative:
         self._coef_rows = _product(integ, np.array(block)) * halves[:, None]
         self._coef = self._coef_rows.tolist()
         self._prefix = [0.0, *itertools.accumulate(kvals)][:-1]
+        to_coef = _leaf_matrices()[2]
+        self._ends = {
+            i: (*end, _product(to_coef, np.array([block[i]]))[0].tolist())
+            for i, end in enumerate(ends) if end is not None
+        }
 
     def __call__(self, t: float) -> float:
         if not self.c <= t <= self.d:
@@ -391,56 +498,51 @@ class Cumulative:
         if t == self.d:
             return self.total
         i = bisect.bisect_right(self._lefts, t) - 1
+        if i in self._ends:
+            gamma, right, coef = self._ends[i]
+            r = 0.5 * ((self.d - t) if right else (t - self.c)) / self._halves[i]
+            part = self._halves[i] * float(_end_integral(gamma, coef, r))
+            return self.total - part if right else part
         return self._prefix[i] + _series(self._coef[i], (t - self._mids[i]) / self._halves[i])
 
-    def area(self, gamma: float = 0.0) -> float:
-        """int T(s) s^gamma ds over [c, d], T the table's interpolant.
-
-        Read from the leaves; g is not evaluated again. As int_{-1}^1 P_k
-        = 2 delta_k0, a leaf gives 2 half (prefix + coef_0) when gamma = 0.
-        Otherwise the table must start at s = 0 (ValueError): the leaf at 0
-        is exact through `_jacobi_moments`, and every other leaf, a dyadic
-        piece of [0, d] with mid >= 3 half, takes the 24-point
-        Gauss-Legendre rule, whose error there is about rho^(15 - 48),
-        rho = 3 + sqrt(8).
+    def area(self) -> float:
+        """int_c^d T, T the table's interpolant, read from the leaves; g is
+        not evaluated again. As int_{-1}^1 P_k = 2 delta_k0, a leaf gives
+        2 half (prefix + coef_0). On an end leaf, T is half times
+        int_{-1}^s (1 + u)^gamma H from the end, so its integral over the
+        leaf is half^2 int (1 - u)(1 + u)^gamma H = half^2 sum_k c_k (2 M_k
+        - M'_k), M_k and M'_k `_jacobi_moments` at gamma and gamma + 1: that
+        at c, and 2 half total less it at d.
         """
-        if gamma == 0.0:
-            return math.fsum(
-                2.0 * half * (prefix + coef[0])
-                for half, prefix, coef in zip(self._halves, self._prefix, self._coef)
-            )
-        if self.c != 0.0:
-            raise ValueError(f"area with gamma={gamma} needs a table from 0, not {self.c}")
-        if not self._coef:
-            return 0.0
-        # the first leaf's prefix is 0
-        moments = _jacobi_moments(gamma, 16)
-        first = math.fsum(map(operator.mul, self._coef[0], moments))
-        first *= self._halves[0] ** (gamma + 1.0)
-        nodes, weights, legendre = _gauss_legendre()
-        halves = np.array(self._halves[1:])[:, None]
-        values = _product(legendre[:, :16], self._coef_rows[1:])
-        values += np.array(self._prefix[1:])[:, None]
-        s = np.array(self._mids[1:])[:, None] + halves * nodes
-        rest = (values * s**gamma * weights).sum(axis=1) * halves[:, 0]
-        return math.fsum([first, *rest.tolist()])
+        parts = [
+            2.0 * half * (prefix + coef[0])
+            for half, prefix, coef in zip(self._halves, self._prefix, self._coef)
+        ]
+        for i, (gamma, right, coef) in self._ends.items():
+            half = self._halves[i]
+            moments = zip(_jacobi_moments(gamma, 15), _jacobi_moments(gamma + 1.0, 15))
+            inner = half * half * math.fsum(c * (2.0 * m - m1) for c, (m, m1) in zip(coef, moments))
+            parts[i] = 2.0 * half * self.total - inner if right else inner
+        return math.fsum(parts)
 
     def power_integral(
         self, anchor: float, x: float, q: float, scale: float = 1.0
     ) -> tuple[float, float]:
         """(int |scale (T(t) - T(anchor))|^q dt between anchor and x, an
-        estimate of its error), T the table's interpolant and anchor c or d.
+        estimate of its error), T the interpolant of a table built with no
+        `ends` and anchor c or d.
 
         Read from the leaves, as `area` is; g is not evaluated again. Away
         from the anchor's leaf T - T(anchor) does not vanish: each whole
         leaf takes the 24-point Gauss-Legendre rule (error about
-        rho^(15 - 48), as in `area`), and so does the piece of the leaf that
-        x cuts, its series evaluated at the nodes mapped onto the piece. On
-        the anchor's piece, of half-width h, T - T(anchor) = h (1 + u) r(u),
-        with r a polynomial and u = -1 at the anchor (u mirrored at d): |r|^q
-        is projected onto P_0, ..., P_23 from the nodes and integrated
-        against (1 + u)^q by `_jacobi_moments`. The estimate, of that piece
-        alone, is the size of its last four terms.
+        rho^(15 - 48), rho = 3 + sqrt(8), as a dyadic leaf's middle lies at
+        least 3 half-widths from the anchor), and so does the piece of the
+        leaf that x cuts, its series evaluated at the nodes mapped onto the
+        piece. On the anchor's piece, of half-width h, T - T(anchor) =
+        h (1 + u) r(u), with r a polynomial and u = -1 at the anchor (u
+        mirrored at d): |r|^q is projected onto P_0, ..., P_23 from the nodes
+        and integrated against (1 + u)^q by `_jacobi_moments`. The estimate,
+        of that piece alone, is the size of its last four terms.
         """
         right = anchor == self.d
         if not (right or anchor == self.c):
@@ -481,14 +583,16 @@ def cumulative(
     c: float,
     d: float,
     cfg: QuadConfig = DEFAULT_CONFIG,
+    ends: Sequence[tuple[float, float]] = (),
 ) -> Cumulative:
     """The table t -> int_c^t g on [c, d], built now by one `integrate` call.
 
     Its work is counted there. Every query is expected within cfg.abs_tol,
     which its leaves' estimates sum to at most; QuadratureError otherwise.
+    `ends` are `integrate`'s: a leaf at an algebraic end takes its end rule.
     """
     table = Cumulative(c, d)
-    table.total, table.error = integrate(g, c, d, cfg, _table=table)
+    table.total, table.error = integrate(g, c, d, cfg, ends=ends, _table=table)
     return table
 
 

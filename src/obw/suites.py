@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .bounds import bounds_cerone, bounds_exact, bounds_paper, kernel_norms
+from .bounds import _Cached, bounds_cerone, bounds_exact, bounds_paper, kernel_norms
 from .corpus import (
     COEFF_PAIRS,
     corpus_functions,
@@ -63,7 +63,8 @@ def run_verify_suites(cfg: QuadConfig = DEFAULT_CONFIG) -> SuiteReport:
     Each quantity is computed once, at the level it depends on: f', one
     scan of it and its sup and L1 norms per function, its L_p norm per
     (function, p), the kernel norms per (weight, x, pair, p), and tau per
-    configuration.
+    configuration. tau's three forms read one view of each weight
+    (`bounds._Cached`), so each weighted integral and mass is taken once.
     """
     report = SuiteReport()
     a, b = 0.0, 1.0  # every corpus weight and x lies on [a, b]
@@ -78,13 +79,14 @@ def run_verify_suites(cfg: QuadConfig = DEFAULT_CONFIG) -> SuiteReport:
         functions.append((f, fprime, norms))
 
     for w in weights:
+        cached = _Cached(w)
         for x in xs:
             for alpha, beta in COEFF_PAIRS:
                 params = TauParams(a=a, b=b, x=x, alpha=alpha, beta=beta)
                 kernels = {p: kernel_norms(params, w, p, cfg) for p in P_GRID}
                 for f, fprime, norms in functions:
                     label = f"{f.name}/{w.name}/x={x:g}/({alpha:g},{beta:g})"
-                    t0 = tau(f, w, params, cfg)
+                    t0 = tau(f, cached, params, cfg)
 
                     res = kernel_integral(fprime, params, w, cfg) - t0
                     report.identity.checked += 1
@@ -102,8 +104,8 @@ def run_verify_suites(cfg: QuadConfig = DEFAULT_CONFIG) -> SuiteReport:
                                     f"exact_{branch}={bval:.6e} (p={p})"
                                 )
 
-                    t1 = tau_combination(f, w, params, cfg)
-                    t2 = tau_decomposed(f, w, params, cfg)
+                    t1 = tau_combination(f, cached, params, cfg)
+                    t2 = tau_decomposed(f, cached, params, cfg)
                     report.equivalence.checked += 1
                     if abs(t0 - t1) > EQUIVALENCE_TOL or abs(t0 - t2) > EQUIVALENCE_TOL:
                         report.equivalence.failures.append(

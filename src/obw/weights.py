@@ -47,18 +47,13 @@ class Weight:
     its anchor so little cancels (a series on a short truncated-normal
     branch, and incomplete Beta series for the power family); one
     quadrature at cfg for a weight given only as a function.
-    `substitution(g, c, d)`, when present,
-    describes int_c^d g(t) w(t) dt as a list of pieces, each a change of
-    variable that regularizes w at an end where it is singular or has an
-    unbounded slope; otherwise the product g w is integrated as it is.
-    A piece is a tuple
-    (hi, s_lo, s_hi, h, e, reverse) for the stretch [lo, hi] of t that
-    starts where the previous piece ends (at c for the first): there
-    int g w dt = int_{s_lo}^{s_hi} h(s) ds, where s = |t - a|^e maps
-    [lo, hi] onto [s_lo, s_hi], increasing, or s = |t - b|^e decreasing
-    when `reverse`; e None stands for s = t. (Plain tuples: they are built
-    on every call.) `table`, for a weight given only as a function, is the
-    table t -> m(a, t) that `closed_moment` reads; None for the built-ins.
+    `ends` are pairs (e, gamma): an end e of [a, b] where w is |t - e|^gamma
+    times a function smooth there, gamma not a non-negative integer (the
+    power family's singular or rough ends). `integrate_against` and
+    `cumulative` hand them to `quadrature.integrate`, whose panel at such an
+    end takes its algebraic end rule, so w is integrated as it is, with no
+    change of variable. `table`, for a weight given only as a function, is
+    the table t -> m(a, t) that `closed_moment` reads; None for the built-ins.
     """
 
     name: str
@@ -67,7 +62,7 @@ class Weight:
     fn: Callable[[float], float]
     closed_moment: Callable[[float, float], float]
     moment_l1: Callable[[float, float, QuadConfig], float]
-    substitution: Optional[Callable[..., list[tuple]]] = field(default=None, repr=False)
+    ends: tuple[tuple[float, float], ...] = ()
     table: Optional[Cumulative] = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
@@ -102,85 +97,36 @@ class Weight:
             raise DegenerateIntervalError(f"zero weight mass on [{c}, {d}]")
         return m
 
-    def _pieces(self, g, c: float, d: float) -> list[tuple]:
-        """The substitution's pieces of int_c^d g w, or the one plain piece."""
-        if self.substitution is not None:
-            return self.substitution(g, c, d)
-        fn = self.fn
-        return [(d, c, d, lambda t: g(t) * fn(t), None, False)]
-
     def integrate_against(self, g, c: float, d: float, cfg: QuadConfig = DEFAULT_CONFIG) -> float:
         """Oriented integral of g(t) w(t) over [c, d], split at g's kinks
-        (an `Fn1D`'s `kinks`) inside it: the sum over each stretch between
-        them of its substitution's pieces."""
+        (an `Fn1D`'s `kinks`) inside it: one `integrate` of g w per stretch
+        between them, summed in order, with the weight's `ends`."""
         if d < c:
             return -self.integrate_against(g, d, c, cfg)
         if c == d:
             return 0.0
-        geval = getattr(g, "fn", g)
-        ends = [c, *(k for k in getattr(g, "kinks", ()) if c < k < d), d]
+        geval, fn = getattr(g, "fn", g), self.fn
+        cuts = [c, *(k for k in getattr(g, "kinks", ()) if c < k < d), d]
         total = 0.0
-        for lo, hi in zip(ends, ends[1:]):
-            stretch = 0.0
-            for _, s_lo, s_hi, h, _, _ in self._pieces(geval, lo, hi):
-                stretch += integrate(h, s_lo, s_hi, cfg)[0]
-            total += stretch
+        for lo, hi in zip(cuts, cuts[1:]):
+            total += integrate(lambda t: geval(t) * fn(t), lo, hi, cfg, ends=self.ends)[0]
         return total
 
-    def cumulative(
-        self, f, c: float, d: float, cfg: QuadConfig = DEFAULT_CONFIG
-    ) -> Callable[[float], float]:
-        """t -> int_c^t f w for t in [c, d], from tables built now.
+    def cumulative(self, f, c: float, d: float, cfg: QuadConfig = DEFAULT_CONFIG) -> Cumulative:
+        """The table t -> int_c^t f w for t in [c, d], built now.
 
-        One quadrature.cumulative table per piece of the substitution, each
-        to its share of cfg.abs_tol, so every query is expected within
-        abs_tol; a query evaluates neither f nor w, and a QuadratureError
-        names the piece's stretch of t. `area()` is the tables' integral over
-        [c, d], read from their leaves (`Cumulative.area`); a piece
-        substituted at an end of the domain must reach it (else ValueError).
+        One quadrature.cumulative of f w with the weight's `ends`, so every
+        query is expected within abs_tol and evaluates neither f nor w; a
+        QuadratureError names the table's stretch of t. Its `area()` is its
+        integral over [c, d], read from its leaves (`Cumulative.area`).
         """
-        feval = getattr(f, "fn", f)
+        feval, fn = getattr(f, "fn", f), self.fn
         if not c <= d:
             raise ValueError("cumulative requires c <= d")
-        pieces = self._pieces(feval, c, d)
-        share = replace(cfg, abs_tol=cfg.abs_tol / max(len(pieces), 1))
-        parts = []
-        before, lo = 0.0, c
-        for hi, s_lo, s_hi, h, e, reverse in pieces:
-            try:
-                table = cumulative(h, s_lo, s_hi, share)
-            except QuadratureError as exc:
-                raise QuadratureError(f"table of f*w on [{lo:g}, {hi:g}]: {exc}") from None
-            parts.append((hi, e, reverse, self.b if reverse else self.a, table, before))
-            before += table.total
-            lo = hi
-
-        def integral(t: float) -> float:
-            if not c <= t <= d:
-                raise ValueError(f"t={t} outside [{c}, {d}]")
-            for hi, e, reverse, anchor, table, base in parts:
-                if t <= hi:
-                    if e is None:
-                        return base + table(t)
-                    s = abs(t - anchor) ** e
-                    return base + (table.total - table(s) if reverse else table(s))
-            return 0.0  # no pieces: c == d
-
-        def area() -> float:
-            # piece by piece; where s = |t - anchor|^e, dt = s^(1/e - 1) ds / e
-            total, lo = 0.0, c
-            for hi, e, reverse, _, table, base in parts:
-                if e is None:
-                    total += base * (hi - lo) + table.area()
-                elif reverse:
-                    total += (base + table.total) * (hi - lo) - table.area(1.0 / e - 1.0) / e
-                else:
-                    total += base * (hi - lo) + table.area(1.0 / e - 1.0) / e
-                lo = hi
-            return total
-
-        integral.area = area
-        return integral
+        try:
+            return cumulative(lambda t: feval(t) * fn(t), c, d, cfg, self.ends)
+        except QuadratureError as exc:
+            raise QuadratureError(f"table of f*w on [{c:g}, {d:g}]: {exc}") from None
 
 
 def _uniform(a: float, b: float) -> Weight:
@@ -344,11 +290,6 @@ def _beta_series(x: float, y: float, z: float, shift: int) -> float:
     return z ** (x + shift) * total
 
 
-def _rough(e: float) -> bool:
-    """Whether (t-a)^e, -1 < e, is singular or has an unbounded slope at a."""
-    return e < 0 or 0 < e < 1
-
-
 def _power(a: float, b: float, p: float, q: float) -> Weight:
     """w(t) = (t-a)^p (b-t)^q with finite p, q > -1 (integrable endpoint behavior)."""
     if p <= -1 or q <= -1:
@@ -410,38 +351,6 @@ def _power(a: float, b: float, p: float, q: float) -> Weight:
             return l1coef * _beta_series(y, x, zb, 1)
         return l1coef * (bfull * (zb - y / (x + y)) + _beta_series(x, y, za, 1))
 
-    mid = 0.5 * (a + b)
-    ep, eq = 1.0 + p, 1.0 + q
-
-    def substitution(g, c: float, d: float) -> list[tuple]:
-        # Split at the domain midpoint; substitute near an endpoint where w
-        # is singular or has an unbounded derivative, so the adaptive engine
-        # only ever sees bounded integrands with bounded slope there.
-        pieces = []
-        lo, hi = c, min(d, mid)
-        if lo < hi:
-            if _rough(p):
-                def left(s: float) -> float:
-                    # s = (t-a)^(1+p) turns (t-a)^p dt into ds/(1+p)
-                    t = a + s ** (1.0 / ep)
-                    return g(t) * (b - t) ** q / ep
-
-                pieces.append((hi, (lo - a) ** ep, (hi - a) ** ep, left, ep, False))
-            else:
-                pieces.append((hi, lo, hi, lambda t: g(t) * fn(t), None, False))
-        lo, hi = max(c, mid), d
-        if lo < hi:
-            if _rough(q):
-                def right(s: float) -> float:
-                    # s = (b-t)^(1+q), decreasing in t
-                    t = b - s ** (1.0 / eq)
-                    return g(t) * (t - a) ** p / eq
-
-                pieces.append((hi, (b - hi) ** eq, (b - lo) ** eq, right, eq, True))
-            else:
-                pieces.append((hi, lo, hi, lambda t: g(t) * fn(t), None, False))
-        return pieces
-
     return Weight(
         name=f"power(p={p:g},q={q:g})",
         a=a,
@@ -449,7 +358,7 @@ def _power(a: float, b: float, p: float, q: float) -> Weight:
         fn=fn,
         closed_moment=closed,
         moment_l1=moment_l1,
-        substitution=substitution if (_rough(p) or _rough(q)) else None,
+        ends=tuple((e, g) for e, g in ((a, p), (b, q)) if g < 0 or g != int(g)),
     )
 
 

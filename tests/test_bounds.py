@@ -216,6 +216,16 @@ class TestSharpness:
         with pytest.raises(ValueError, match="unknown sharpness kind"):
             sharpness_search(uniform, [0.5], [(1.0, 1.0)], kind="bogus")
 
+    @pytest.mark.parametrize("pair", [(1.0, 0.0), (0.0, 1.0)])
+    @pytest.mark.parametrize("p, q", [(-0.55, 0.58), (-0.37, -0.36)])
+    def test_sign_kernel_ratio_is_one_on_power_weights(self, p, q, pair):
+        # the sign kernel attains the bound, |tau| = ||rho||_1, on both shapes
+        # of the corpus-sweep power weights; a branch integral off by 1e-11
+        # would be divided by a mass m(x, b) of about 3e-3 near b
+        w = builtin_weight("power", 0, 1, p=p, q=q)
+        _, rows = sharpness_search(w, [k / 30 for k in range(1, 30)], [pair], kind="exact_inf")
+        assert max(abs(row.ratio - 1.0) for row in rows) <= 1e-12
+
 
 class TestAudit:
     def test_uniform_rows_unflagged(self, uniform):

@@ -228,12 +228,6 @@ class TestExpectationIdentity:
             assert abs(expectation_identity_check(model)) <= 1e-8
 
 
-# E[X w(X)] is one integrate_against at the model's tolerance; where a power
-# exponent lies in (0, 1), its substituted integrand is not smooth at the end,
-# and integrate's |K15 - G7| estimate misses its error there
-_E_SIDE_MISSES = pytest.mark.xfail(
-    strict=True, reason="integrate_against misses 1e-12 where an exponent is in (0, 1)"
-)
 TIGHT_WEIGHTS = [
     ("arcsine", {}),
     ("power", {"p": -0.4}),
@@ -245,9 +239,7 @@ TIGHT_WEIGHTS = [
     ("truncnorm", {}),
 ]
 TIGHT_CASES = [
-    pytest.param(name, params, density, id=f"{name}{params}-{density}",
-                 marks=[_E_SIDE_MISSES] if (params, density) == (
-                     {"p": -0.4, "q": 0.3}, "1 + 0.5*sin(3*t) + t^2") else [])
+    pytest.param(name, params, density, id=f"{name}{params}-{density}")
     for name, params in TIGHT_WEIGHTS
     for density in ("1 + 0.5*sin(3*t) + t^2", "exp(t) + 0.2")
 ]
@@ -264,8 +256,8 @@ def test_expectation_identity_at_tight_tolerance(name, params, density):
 
 class TestCliPowerWeight:
     def test_smooth_density_on_a_weight_with_fractional_exponents(self, capsys):
-        # (b - t)^0.2 has an unbounded slope at b: the power weight's endpoint
-        # substitution covers it, so the 1e-10 identity check passes
+        # (b - t)^0.2 has an unbounded slope at b: the panels at both ends take
+        # the algebraic end rule, so the 1e-10 identity check passes
         argv = ["cdf", "--density", "1 + 0.5*sin(3*t) + t^2", "--weight", "power:p=-0.3,q=0.2",
                 "--x", "0.9", "--alpha", "1", "--beta", "2"]
         assert main(argv) == 0

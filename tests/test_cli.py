@@ -742,10 +742,10 @@ class TestCdfCommand:
         assert "error: density 0*t has weighted mass 0" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("weight, stretch", [("arcsine", "[0, 0.5]"), ("uniform", "[0, 1]")])
+    @pytest.mark.parametrize("weight, stretch", [("arcsine", "[0, 1]"), ("uniform", "[0, 1]")])
     def test_table_out_of_subdivisions_is_named(self, capsys, weight, stretch):
-        # the arcsine table's first piece runs in s = sqrt(t): the message
-        # names the piece's stretch of t
+        # one table of f*w on [a, b], the arcsine table's end leaves included:
+        # the message names its stretch of t
         code, out, err = run(
             capsys, "cdf", "--density", "1 + sin(40*t)^2", "--weight", weight,
             "--x", "0.5", "--max-subdiv", "2",

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from obw.quadrature import DegenerateIntervalError, Fn1D, QuadConfig, integrate
+from obw.quadrature import DegenerateIntervalError, Fn1D, QuadConfig, integrate, weighted_mean
 from obw.weights import DomainError, WeightSpecError, builtin_weight, tabulated_weight
 
 
@@ -280,19 +280,23 @@ class TestCumulativeArea:
         ("truncnorm", {}),
     ]
 
+    @pytest.mark.parametrize("tol", [1e-9, 1e-12])
     @pytest.mark.parametrize("name, params", WEIGHTS, ids=[f"{n}{p}" for n, p in WEIGHTS])
-    def test_against_mpmath(self, name, params):
-        # every query is within 1e-12, so the area over [0, 1] is too
+    def test_against_mpmath(self, name, params, tol):
+        # every query is within tol, so the area over [0, 1] is too
         w = builtin_weight(name, 0, 1, **params)
-        cfg = QuadConfig(abs_tol=1e-12)
+        cfg = QuadConfig(abs_tol=tol)
         table = w.cumulative(lambda t: math.exp(t) * math.cos(3 * t), 0.0, 1.0, cfg)
         ref = _area_reference(name, params, lambda t: mpmath.exp(t) * mpmath.cos(3 * t))
-        assert abs(table.area() - ref) <= 1e-12
+        assert abs(table.area() - ref) <= tol
 
-    def test_substituted_piece_must_reach_its_end(self):
+    def test_end_leaf_at_d_only(self):
+        # [0.2, 1] reaches the algebraic end at 1 only: int_0.2^1 m(0.2, t) dt
+        # = int_0.2^1 (1 - s) w(s) ds
         table = builtin_weight("arcsine", 0, 1).cumulative(lambda t: 1.0, 0.2, 1.0)
-        with pytest.raises(ValueError, match="from 0"):
-            table.area()
+        with mpmath.workdps(30):
+            ref = mpmath.quad(lambda s: (1 - s) / mpmath.sqrt(s * (1 - s)), [0.2, 1])
+        assert abs(table.area() - float(ref)) <= 1e-10
 
     def test_plain_pieces_on_a_subinterval(self):
         # int_0.2^0.7 (t - 0.2) dt on the uniform weight
@@ -380,8 +384,10 @@ class TestCumulativeAccuracy:
     WEIGHTS = [
         ("uniform", {}),
         ("arcsine", {}),
+        ("power", {"p": -0.4, "q": 0.0}),
         ("power", {"p": 0.5, "q": -0.3}),
         ("power", {"p": -0.4, "q": 0.3}),
+        ("power", {"p": -0.8, "q": -0.7}),
         ("truncnorm", {"mu": 0.2, "sigma": 0.05}),
         ("exponential", {"lam": 30.0}),
     ]
@@ -402,27 +408,103 @@ class TestCumulativeAccuracy:
             assert worst <= tol, (tol, worst)
 
 
+class TestEndLeaves:
+    """A table's leaves at the power family's algebraic ends: queries next
+    to each end, inside those leaves, within abs_tol of mpmath."""
+
+    WEIGHTS = [
+        ("arcsine", {}, (0, -1)),
+        ("power", {"p": -0.4, "q": 0.0}, (0,)),
+        ("power", {"p": -0.4, "q": 0.3}, (0, -1)),
+        ("power", {"p": 0.5, "q": -0.3}, (0, -1)),
+        ("power", {"p": -0.8, "q": -0.7}, (0, -1)),
+    ]
+    TS = [0.0, 1e-12, 1e-9, 1e-6, 1e-3, 0.02, 0.1, 0.5, 0.9, 0.98, 1 - 1e-3, 1 - 1e-6, 1 - 1e-9,
+          1.0]
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-12])
+    @pytest.mark.parametrize("name, params, leaves", WEIGHTS,
+                             ids=[f"{n}{p}" for n, p, _ in WEIGHTS])
+    def test_queries_next_to_the_ends(self, name, params, leaves, tol):
+        g = lambda t: math.exp(t) * math.cos(3 * t)  # noqa: E731
+        refs = _cumulative_reference(
+            name, params, lambda t: mpmath.exp(t) * mpmath.cos(3 * t), self.TS, [])
+        table = builtin_weight(name, 0, 1, **params).cumulative(g, 0.0, 1.0, QuadConfig(abs_tol=tol))
+        last = len(table._lefts) - 1
+        assert set(table._ends) == {last if i < 0 else i for i in leaves}
+        for t, ref in zip(self.TS, refs):
+            assert abs(table(t) - ref) <= tol, t
+        # the points next to the ends lie in the end leaves
+        assert table._lefts[1] > 1e-3 and table._lefts[last] < 1 - 1e-3
+
+
+class TestWeightedMeanNextToTheEnds:
+    """weighted_mean on power weights within 1e-13 relative of mpmath, on
+    ranges that reach an end, lie within 1e-9 of one, or cross the middle."""
+
+    EXPONENTS = [(-0.5, -0.5), (-0.4, 0.3), (0.5, -0.3), (-0.8, -0.7), (-0.49, 0.7), (1.5, 0.58)]
+    RANGES = [(0.0, 1e-9), (0.0, 1e-3), (1e-9, 0.3), (0.0, 0.3), (1 - 1e-9, 1.0), (0.7, 1.0),
+              (0.2, 0.8), (0.0, 1.0), (1e-9, 1.0), (0.3, 0.5 + 1e-9)]
+    # f = 1 + t - 2 t^2 + t^3: its mean is a sum of incomplete Beta integrals
+    COEFFICIENTS = (1.0, 1.0, -2.0, 1.0)
+
+    def mean_and_reference(self, p, q, c, d):
+        w = builtin_weight("power", 0, 1, p=p, q=q)
+        f = lambda t: sum(a * t**k for k, a in enumerate(self.COEFFICIENTS))  # noqa: E731
+        with mpmath.workdps(40):
+            def beta(k):
+                return mpmath.betainc(p + 1 + k, q + 1, c, d)
+
+            mass = float(beta(0))
+            ref = float(sum(a * beta(k) for k, a in enumerate(self.COEFFICIENTS)) / beta(0))
+        if mass < 1e-12 * w.total:  # a positive exponent leaves no mass next to its end
+            with pytest.raises(DegenerateIntervalError):
+                weighted_mean(f, w, c, d)
+            return None, None
+        return weighted_mean(f, w, c, d, QuadConfig(abs_tol=1e-15 * mass)), ref
+
+    @pytest.mark.parametrize("c, d", RANGES)
+    @pytest.mark.parametrize("p, q", EXPONENTS)
+    def test_against_mpmath(self, p, q, c, d):
+        mean, ref = self.mean_and_reference(p, q, c, d)
+        if mean is not None:
+            assert abs(mean - ref) <= 1e-13 * abs(ref)
+
+    @pytest.mark.parametrize("c, d", [(0.7, 1 - 1e-9), (1e-9, 1 - 1e-9), (0.7, 1 - 1e-6)])
+    @pytest.mark.parametrize("p, q", EXPONENTS)
+    def test_short_of_the_end_at_b(self, p, q, c, d):
+        # a range that stops short of b reaches b by no panel, so G7/K15 meets
+        # |b - t|^q, which the float t near b samples no finer than ulp(1)/2,
+        # 5e-8 of a distance of 1e-9: within 2e-12 relative where q < 0 (it
+        # is 9e-13 at q = -0.7), and 1e-13 elsewhere
+        mean, ref = self.mean_and_reference(p, q, c, d)
+        assert abs(mean - ref) <= (2e-12 if q < 0 else 1e-13) * abs(ref)
+
+
 # The largest Kronrod abscissa on [-1, 1]: a kink between it and a panel's
 # end is seen by none of the panel's nodes.
 _LAST_NODE = 0.991455371120812639206854697526329
 
 
-def _sliver_kink(e):
-    """A point in the sliver of the first panel of int_0^1 g w: in t on
-    [0, 1] for e None, else in s = t^e on the left half, which the power
-    family's substitution integrates."""
-    u = 0.5 + 0.5 * (1 + _LAST_NODE) / 2  # the sliver's middle, in [0, 1]
-    return u if e is None else (0.5**e * u) ** (1 / e)
+def _sliver_kink(lo, hi):
+    """The middle of the sliver between the panel [lo, hi]'s last node and
+    hi: a point of t that none of the panel's 15 nodes sees. For an end
+    panel, whose nodes are mapped from the end lo, it is the same sliver."""
+    half = 0.5 * (hi - lo)
+    return lo + half + half * (1 + _LAST_NODE) / 2
 
 
 class TestKinks:
     """`integrate_against` splits at an `Fn1D`'s kinks inside [c, d]."""
 
-    WEIGHTS = [("uniform", {}, None), ("arcsine", {}, 0.5), ("power", {"p": -0.4, "q": 0.3}, 0.6)]
+    # (name, params, the first panel of int_0^1 g w): both ends of arcsine and
+    # of the power weight are algebraic, so their first panel is the end
+    # panel on [0, 0.5]
+    WEIGHTS = [("uniform", {}, 1.0), ("arcsine", {}, 0.5), ("power", {"p": -0.4, "q": 0.3}, 0.5)]
 
-    @pytest.mark.parametrize("name, params, e", WEIGHTS, ids=[w[0] for w in WEIGHTS])
-    def test_kink_in_the_sliver_against_mpmath(self, name, params, e):
-        k = _sliver_kink(e)
+    @pytest.mark.parametrize("name, params, hi", WEIGHTS, ids=[w[0] for w in WEIGHTS])
+    def test_kink_in_the_sliver_against_mpmath(self, name, params, hi):
+        k = _sliver_kink(0.0, hi)
         w = builtin_weight(name, 0, 1, **params)
         g = lambda t: abs(t - k) + 0.1  # noqa: E731
         ref = _cumulative_reference(

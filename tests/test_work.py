@@ -23,6 +23,7 @@ from obw import quadrature
 from obw.cdf import DensityModel, cdf_report, expectation_identity_check
 from obw.corpus import COEFF_PAIRS, corpus_functions, corpus_weights, corpus_x_values
 from obw.expr import as_fn1d, compile_expr, parse
+from obw.functionals import tau, tau_combination, tau_decomposed
 from obw.kernel import TauParams, kernel_integral, kernel_l1, kernel_lq
 from obw.quadrature import QuadConfig
 from obw.weights import Weight, builtin_weight, tabulated_weight
@@ -329,6 +330,36 @@ def test_verify_computes_each_kernel_norm_once(monkeypatch, counts):
     assert calls["kernel_lq"] == n_kernels * len(obw.suites.P_GRID) == 90
     assert calls["kernel_integral"] == calls["tau"] == n_kernels * len(corpus_functions()) == 180
     assert counts["integrate"] <= 1656
+
+
+def test_verify_takes_each_weighted_mean_once(monkeypatch):
+    # tau, tau_combination and tau_decomposed read one cached view of each
+    # weight, so each weighted integral over [a, x], [x, b] and [a, b] is
+    # taken once: 1 244 G7/K15 panels, against 2 270 when each form took its own
+    panels = [0]
+    gk15 = quadrature._gk15
+
+    def counted(*args):
+        panels[0] += 1
+        return gk15(*args)
+
+    monkeypatch.setattr(quadrature, "_gk15", counted)
+    assert obw.suites.run_verify_suites().passed
+    assert panels[0] == 1244
+
+
+def test_cached_view_is_bit_identical():
+    # the three forms of tau through the view verify reads equal the
+    # uncached calls on every configuration it checks
+    cfg = QuadConfig()
+    for w in corpus_weights():
+        cached = obw.bounds._Cached(w)
+        for x in corpus_x_values():
+            for alpha, beta in COEFF_PAIRS:
+                params = TauParams(a=0.0, b=1.0, x=x, alpha=alpha, beta=beta)
+                for f in corpus_functions():
+                    for form in (tau, tau_combination, tau_decomposed):
+                        assert form(f, cached, params, cfg) == form(f, w, params, cfg)
 
 
 def test_table_panel_count(monkeypatch):
