@@ -8,8 +8,10 @@ an algebraic end point named in `ends`, where g = |t - e|^gamma H(t) with H
 smooth; that panel takes `_end_panel`, which integrates (1 + u)^gamma
 times H's interpolant through the same 15 nodes by the modified moments of
 (1 + u)^gamma, as QUADPACK's QAWS does (Piessens, de Doncker-Kapenga,
-Ueberhuber and Kahaner, *QUADPACK*, Springer 1983). A cumulative table is
-built by that loop; only its per-panel estimate differs.
+Ueberhuber and Kahaner, *QUADPACK*, Springer 1983). A G7/K15 panel next to
+such an end reads each value as at its node before rounding
+(`_exact_distances`). A cumulative table is built by that loop; only its
+per-panel estimate differs.
 """
 
 from __future__ import annotations
@@ -163,9 +165,14 @@ def integrate(
     `ends` are pairs (e, gamma), gamma > -1, each an algebraic end point
     where g = |t - e|^gamma H(t), H smooth: where e is c or d, the panel
     that touches it takes `_end_panel`, and of its two halves only the one
-    that still touches e keeps that rule; other pairs are ignored. When
-    both c and d are named, the refinement starts from the two halves of
-    [c, d] (unless `breaks` split it already).
+    that still touches e keeps that rule; a G7/K15 panel next to a named e
+    reads g through `_exact_distances` (see `_panel`). When both c and d
+    are named, the refinement starts from the four quarters of [c, d]
+    (unless `breaks` split it already): on a half, H holds the other end's
+    |t - e|^gamma one panel width away, where the tail of H's degree-14
+    interpolant is about (3 + 8^(1/2))^-11 = 4e-9 of H, so each half would
+    be bisected at any usual abs_tol; on a quarter, three widths away,
+    it is about (7 + 48^(1/2))^-11 = 3e-13.
     `_table` is the sink `cumulative` passes: each panel's estimate is then
     `_table_panels`' tail estimate, and the leaves are handed to the table.
     """
@@ -178,20 +185,30 @@ def integrate(
             raise ValueError(f"breaks must increase strictly inside ({c}, {d})")
     if c == d:
         return 0.0, 0.0
-    gammas = dict(ends)
-    left, right = gammas.get(c), gammas.get(d)
-    if left is not None and right is not None and len(spans) == 1:
-        spans = [(c, 0.5 * (c + d)), (0.5 * (c + d), d)]
     panels = None if _table is None else _table_panels(g)
+    left = right = None
+    near = ()  # the named ends e != 0, as `_panel` takes them
+    if ends:
+        gammas = dict(ends)
+        left, right = gammas.get(c), gammas.get(d)
+        near = [(e, gamma, _CLOSE * abs(e)) for e, gamma in ends if e]
+        if left is not None and right is not None and len(spans) == 1:
+            mid = 0.5 * (c + d)
+            spans = list(itertools.pairwise((c, 0.5 * (c + mid), mid, 0.5 * (mid + d), d)))
+    plain = panels is None and not near  # a panel at no end is G7/K15 as it stands
     # heap of (-err, tiebreak, c, d, val, err, values, end): the unique tiebreak
     # keeps it deterministic; values are a table panel's 15 integrand values,
     # else None; end is (gamma, right) on the panel at an algebraic end, else None
     heap = []
     total = total_err = 0.0
     for lo, hi in spans:
-        end = ((left, False) if lo == c and left is not None
-               else (right, True) if hi == d and right is not None else None)
-        val, err, values = _panel(g, lo, hi, end, panels)
+        end = ((left, False) if left is not None and lo == c
+               else (right, True) if right is not None and hi == d else None)
+        if end is None and plain:
+            val, err = _gk15(g, lo, hi)
+            values = None
+        else:
+            val, err, values = _panel(g, lo, hi, end, panels, near)
         heap.append((-err, len(heap), lo, hi, val, err, values, end))
         total += val
         total_err += err
@@ -205,17 +222,18 @@ def integrate(
             )
         _, _, lo, hi, v_old, e_old, _, end = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
-        # only the half that still touches the algebraic end keeps its rule
-        end1, end2 = (None, end) if end is not None and end[1] else (end, None)
-        if end is not None:
-            v1, e1, x1 = _panel(g, lo, mid, end1, panels)
-            v2, e2, x2 = _panel(g, mid, hi, end2, panels)
-        elif panels is None:
+        if end is None and plain:
             v1, e1 = _gk15(g, lo, mid)
             v2, e2 = _gk15(g, mid, hi)
-            x1 = x2 = None
-        else:
+            x1 = x2 = end1 = end2 = None
+        elif end is None and panels is not None:  # a table's two panels in one call
             (v1, e1, x1), (v2, e2, x2) = panels((lo, mid), (mid, hi))
+            end1 = end2 = None
+        else:
+            # only the half that still touches the algebraic end keeps its rule
+            end1, end2 = (None, end) if end is not None and end[1] else (end, None)
+            v1, e1, x1 = _panel(g, lo, mid, end1, panels, near)
+            v2, e2, x2 = _panel(g, mid, hi, end2, panels, near)
         total += (v1 + v2) - v_old
         total_err += (e1 + e2) - e_old
         heapq.heappush(heap, (-e1, 2 * n, lo, mid, v1, e1, x1, end1))
@@ -227,15 +245,50 @@ def integrate(
     return total, total_err
 
 
-def _panel(g, lo: float, hi: float, end: Optional[tuple[float, bool]], panels) -> tuple:
+def _panel(g, lo: float, hi: float, end: Optional[tuple[float, bool]], panels, near) -> tuple:
     """(value, estimate, values) of one panel of `integrate`: `_end_panel`
     where end = (gamma, right) names its algebraic end, else G7/K15, or a
-    table's rule when `panels` is one."""
+    table's rule when `panels` is one. `near` are the named ends e != 0, as
+    (e, gamma, _CLOSE |e|): a G7/K15 panel closer than _CLOSE |e| to such
+    an end reads g through `_exact_distances`."""
     if end is not None:
         return _end_panel(g, lo, hi, *end, table=panels is not None)
-    if panels is None:
-        return (*_gk15(g, lo, hi), None)
-    return panels((lo, hi))[0]
+    if panels is not None:
+        return panels((lo, hi))[0]
+    if near:  # e lies outside [lo, hi], so one of lo - e and e - hi is its distance
+        close = [(e, gamma) for e, gamma, reach in near if max(lo - e, e - hi) < reach]
+        if close:
+            g = _exact_distances(g, lo, hi, close)
+    return (*_gk15(g, lo, hi), None)
+
+
+# Next to an algebraic end e != 0, a G7/K15 panel's float midpoint and nodes
+# are rounded to ulp(e), a share ulp(e) / |t - e| of their distance from e,
+# and g = |t - e|^gamma H moves by gamma times that share. `_panel` reads g
+# through `_exact_distances` on a panel within _CLOSE |e| of e; farther away
+# the share is below 2^-46, as ulp(e) <= 2^-52 |e|.
+_CLOSE = 2.0**-6
+
+
+def _exact_distances(g, lo: float, hi: float, ends) -> Callable[[float], float]:
+    """g for `_gk15` on [lo, hi], each value at a node t times
+    (|s - e| / |t - e|)^gamma for each (e, gamma) of `ends`, s the node of
+    [lo, hi] that t rounds: s - e = m + dx, m the midpoint of lo - e and
+    hi - e (exact differences, as lo and hi lie within a factor 2 of e),
+    and dx the node's offset as `_gk15` takes it. So the value is
+    |s - e|^gamma H(t), H smooth, which `_gk15` weighs as the value at s."""
+    half = 0.5 * (hi - lo)
+    offsets = iter([0.0, *(s * (half * x) for x in _XGK[:7] for s in (-1.0, 1.0))])
+    mids = [(e, gamma, 0.5 * ((lo - e) + (hi - e))) for e, gamma in ends]
+
+    def exact(t: float) -> float:
+        dx, value = next(offsets), g(t)
+        for e, gamma, m in mids:
+            if t != e:
+                value *= (abs(m + dx) / abs(t - e)) ** gamma
+        return value
+
+    return exact
 
 
 # --- cumulative tables -----------------------------------------------------
@@ -401,12 +454,13 @@ def _end_panel(
     g = |t - end|^gamma H(t) there, H smooth.
 
     g is evaluated at _NODES mapped with u = -1 at that end, and each value
-    divided by (|t - end| / half)^gamma, the node's distance from the end
-    as t was rounded (exact, as t lies within half of the end), so the
-    quotients are half^gamma H(t) even where t's rounding is a large share
-    of that distance. Returns (value, estimate, the 15 quotients): the value
-    exact when H is a polynomial of degree 14, and `_end_rule`'s estimate
-    of it or, for a `table`, of its queries.
+    divided by (|t - end| / half)^gamma: the distance of t as it was
+    rounded, taken as the weight takes it (the power family's w divides by
+    the same rounded t - a or b - t), so the quotients are half^gamma H(t)
+    even where t's rounding is a large share of that distance. Returns
+    (value, estimate, the 15 quotients): the value exact when H is a
+    polynomial of degree 14, and `_end_rule`'s estimate of it or, for a
+    `table`, of its queries.
     """
     half = 0.5 * (hi - lo)
     end, step = (hi, -half) if right else (lo, half)
@@ -549,6 +603,8 @@ class Cumulative:
             raise ValueError(f"anchor {anchor} is not an end of [{self.c}, {self.d}]")
         if not self.c <= x <= self.d:
             raise ValueError(f"x={x} outside the table's [{self.c}, {self.d}]")
+        if self._ends:  # an end leaf's rows hold H's antiderivative, not T's
+            raise ValueError("power_integral reads a table built with no ends")
         if x == anchor:
             return 0.0, 0.0
         nodes, weights, legendre = _gauss_legendre()

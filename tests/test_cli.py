@@ -742,17 +742,20 @@ class TestCdfCommand:
         assert "error: density 0*t has weighted mass 0" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("weight, stretch", [("arcsine", "[0, 1]"), ("uniform", "[0, 1]")])
-    def test_table_out_of_subdivisions_is_named(self, capsys, weight, stretch):
+    @pytest.mark.parametrize("weight, stretch, panels",
+                             [("arcsine", "[0, 1]", 4), ("uniform", "[0, 1]", 2)])
+    def test_table_out_of_subdivisions_is_named(self, capsys, weight, stretch, panels):
         # one table of f*w on [a, b], the arcsine table's end leaves included:
-        # the message names its stretch of t
+        # the message names its stretch of t. With both ends algebraic the
+        # table starts from the four quarters of [a, b], past a budget of 2
         code, out, err = run(
             capsys, "cdf", "--density", "1 + sin(40*t)^2", "--weight", weight,
             "--x", "0.5", "--max-subdiv", "2",
         )
         assert code == 1
         assert out == ""
-        assert err.startswith(f"error: table of f*w on {stretch}: no convergence after 2 ")
+        assert err.startswith(
+            f"error: table of f*w on {stretch}: no convergence after {panels} ")
         assert "Traceback" not in err
 
     def test_failed_identity_check_is_compute_error(self, capsys):

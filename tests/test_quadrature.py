@@ -212,7 +212,7 @@ class TestEndRule:
     @pytest.mark.parametrize("gamma", [-0.5, 0.3])
     def test_only_the_end_half_keeps_the_rule(self, monkeypatch, gamma):
         # each panel that takes the end rule touches the end; the first ones are
-        # [0, 1] and, with both ends named, the halves of [0, 1]
+        # [0, 1] and, with both ends named, the outer quarters of [0, 1]
         seen = []
         end_panel = quadrature._end_panel
 
@@ -223,7 +223,7 @@ class TestEndRule:
         monkeypatch.setattr(quadrature, "_end_panel", spy)
         g = lambda t: math.sin(30 * t) * t**gamma * (1 - t) ** gamma  # noqa: E731
         integrate(g, 0.0, 1.0, QuadConfig(abs_tol=1e-12), ends=[(0.0, gamma), (1.0, gamma)])
-        assert seen[:2] == [(0.0, 0.5), (0.5, 1.0)]
+        assert seen[:2] == [(0.0, 0.25), (0.75, 1.0)]
         assert len(seen) > 2
         assert all(lo == 0.0 or hi == 1.0 for lo, hi in seen)
         seen.clear()
@@ -491,6 +491,11 @@ class TestPowerIntegral:
             table.power_integral(0.5, 0.7, 2.0)
         with pytest.raises(ValueError, match="outside"):
             table.power_integral(0.0, 1.5, 2.0)
+
+    def test_table_with_ends_is_refused(self):
+        table = cumulative(lambda t: t**-0.5, 0.0, 1.0, ends=((0.0, -0.5),))
+        with pytest.raises(ValueError, match="no ends"):
+            table.power_integral(0.0, 0.4, 2.0)
 
     def test_legendre_rows_through_degree_23(self):
         nodes, _, legendre = quadrature._gauss_legendre()

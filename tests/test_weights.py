@@ -338,8 +338,8 @@ def _sum_of_terms(terms, m):
 def _cumulative_reference(name, params, g, ts, breaks):
     """mpmath's int_0^t g w at each t of ts (ascending from 0 to 1, through
     0.5); `breaks` are points of t where g is not smooth. A power weight's
-    halves are taken in u = t^(1+p) and v = (1-t)^(1+q), as its substitution
-    takes them, where the integrand is smooth enough for mpmath."""
+    halves are taken in u = t^(1+p) and v = (1-t)^(1+q), where the integrand
+    has no singular end and is smooth enough for mpmath."""
     refs, acc = [0.0], mpmath.mpf(0)
     with mpmath.workdps(20):
         if name in ("arcsine", "power"):
@@ -444,20 +444,24 @@ class TestWeightedMeanNextToTheEnds:
 
     EXPONENTS = [(-0.5, -0.5), (-0.4, 0.3), (0.5, -0.3), (-0.8, -0.7), (-0.49, 0.7), (1.5, 0.58)]
     RANGES = [(0.0, 1e-9), (0.0, 1e-3), (1e-9, 0.3), (0.0, 0.3), (1 - 1e-9, 1.0), (0.7, 1.0),
-              (0.2, 0.8), (0.0, 1.0), (1e-9, 1.0), (0.3, 0.5 + 1e-9)]
-    # f = 1 + t - 2 t^2 + t^3: its mean is a sum of incomplete Beta integrals
+              (0.2, 0.8), (0.0, 1.0), (1e-9, 1.0), (0.3, 0.5 + 1e-9), (0.7, 1 - 1e-9),
+              (1e-9, 1 - 1e-9), (0.7, 1 - 1e-6), (1 - 5e-9, 1 - 1e-9), (1 - 3e-6, 1 - 1e-6)]
+    # f = 1 + s - 2 s^2 + s^3, s = t - a: its mean is a sum of incomplete Beta integrals
     COEFFICIENTS = (1.0, 1.0, -2.0, 1.0)
 
-    def mean_and_reference(self, p, q, c, d):
-        w = builtin_weight("power", 0, 1, p=p, q=q)
-        f = lambda t: sum(a * t**k for k, a in enumerate(self.COEFFICIENTS))  # noqa: E731
+    def mean_and_reference(self, p, q, c, d, a=0.0):
+        """On [a, a + 1]; c and d are offsets from a."""
+        w = builtin_weight("power", a, a + 1, p=p, q=q)
+        c, d = a + c, a + d
+        terms = list(enumerate(self.COEFFICIENTS))
+        f = lambda t: sum(coef * (t - a) ** n for n, coef in terms)  # noqa: E731
         with mpmath.workdps(40):
-            def beta(k):
-                return mpmath.betainc(p + 1 + k, q + 1, c, d)
+            def beta(n):
+                return mpmath.betainc(p + 1 + n, q + 1, mpmath.mpf(c) - a, mpmath.mpf(d) - a)
 
             mass = float(beta(0))
-            ref = float(sum(a * beta(k) for k, a in enumerate(self.COEFFICIENTS)) / beta(0))
-        if mass < 1e-12 * w.total:  # a positive exponent leaves no mass next to its end
+            ref = float(sum(coef * beta(n) for n, coef in terms) / beta(0))
+        if mass < 1e-13 * w.total:  # a positive exponent leaves no mass next to its end
             with pytest.raises(DegenerateIntervalError):
                 weighted_mean(f, w, c, d)
             return None, None
@@ -470,15 +474,15 @@ class TestWeightedMeanNextToTheEnds:
         if mean is not None:
             assert abs(mean - ref) <= 1e-13 * abs(ref)
 
-    @pytest.mark.parametrize("c, d", [(0.7, 1 - 1e-9), (1e-9, 1 - 1e-9), (0.7, 1 - 1e-6)])
-    @pytest.mark.parametrize("p, q", EXPONENTS)
-    def test_short_of_the_end_at_b(self, p, q, c, d):
-        # a range that stops short of b reaches b by no panel, so G7/K15 meets
-        # |b - t|^q, which the float t near b samples no finer than ulp(1)/2,
-        # 5e-8 of a distance of 1e-9: within 2e-12 relative where q < 0 (it
-        # is 9e-13 at q = -0.7), and 1e-13 elsewhere
-        mean, ref = self.mean_and_reference(p, q, c, d)
-        assert abs(mean - ref) <= (2e-12 if q < 0 else 1e-13) * abs(ref)
+    @pytest.mark.parametrize("c, d", [(1e-9, 0.3), (1e-9, 5e-9), (0.7, 1 - 1e-9),
+                                      (1 - 5e-9, 1 - 1e-9)])
+    @pytest.mark.parametrize("p, q", [(-0.5, -0.5), (-0.8, 0.58)])
+    def test_on_a_domain_away_from_zero(self, p, q, c, d):
+        # on [1, 2] a float next to either end is placed no finer than
+        # ulp(1) / 2, a large share of a distance of 1e-9
+        mean, ref = self.mean_and_reference(p, q, c, d, a=1.0)
+        if mean is not None:
+            assert abs(mean - ref) <= 1e-13 * abs(ref)
 
 
 # The largest Kronrod abscissa on [-1, 1]: a kink between it and a panel's
