@@ -14,7 +14,7 @@ import numpy as np
 from .functionals import tau
 from .kernel import TauParams, _sides, kernel_l1, kernel_lq, kernel_sup
 from .norms import Triple, conjugate, norm_triple
-from .quadrature import DEFAULT_CONFIG, Fn1D, QuadConfig, derivative_callable
+from .quadrature import DEFAULT_CONFIG, Fn1D, QuadConfig
 from .weights import Weight
 
 __all__ = [
@@ -103,8 +103,7 @@ def bound_set(
     cfg: QuadConfig = DEFAULT_CONFIG,
 ) -> BoundSet:
     """Measured deviation plus both bound families for one configuration."""
-    fprime = derivative_callable(f)
-    norms = norm_triple(fprime, p, params.a, params.b, cfg)
+    norms = norm_triple(f, p, params.a, params.b, cfg)
     return BoundSet(
         paper=bounds_paper(params, w, norms, p),
         exact=bounds_exact(kernel_norms(params, w, p, cfg), norms),
@@ -175,8 +174,7 @@ def corollary_bounds(
         params = TauParams(a=a, b=b, x=mid, alpha=1.0, beta=1.0)
     else:
         raise ValueError(f"unknown corollary mode: {mode!r}")
-    fprime = derivative_callable(f)
-    norms = norm_triple(fprime, p, a, b, cfg)
+    norms = norm_triple(f, p, a, b, cfg)
     lhs = abs(tau(f, w, params, cfg))
     return lhs, bounds_paper(params, w, norms, p)
 

@@ -12,13 +12,7 @@ from .bounds import bounds_paper
 from .kernel import TauParams
 from .functionals import tau
 from .norms import Triple, conjugate, norm_triple
-from .quadrature import (
-    DEFAULT_CONFIG,
-    Fn1D,
-    QuadConfig,
-    QuadratureError,
-    derivative_callable,
-)
+from .quadrature import DEFAULT_CONFIG, Fn1D, QuadConfig, QuadratureError
 from .weights import Weight
 
 __all__ = [
@@ -82,7 +76,7 @@ class DensityModel:
         return self.weight.b
 
     def norms(self, p: float) -> Triple:
-        return norm_triple(derivative_callable(self.density), p, self.a, self.b, self.cfg)
+        return norm_triple(self.density, p, self.a, self.b, self.cfg)
 
 
 def cdf_bound_general(

@@ -71,6 +71,7 @@ _FUNCTIONS: dict[str, Callable[[float], float]] = {
     "abs": abs,
     "sqrt": math.sqrt,
 }
+_CONSTANTS = {"pi": math.pi, "e": math.e}
 
 
 # --- tokenizer -----------------------------------------------------------
@@ -80,6 +81,10 @@ class _Token:
     kind: str  # "num", "ident", "op", "lparen", "rparen", "end"
     text: str
     offset: int
+
+
+# the kinds of the one-character tokens
+_SINGLE = {**dict.fromkeys("+-*/^", "op"), "(": "lparen", ")": "rparen"}
 
 
 def _tokenize(source: str) -> list[_Token]:
@@ -117,19 +122,10 @@ def _tokenize(source: str) -> list[_Token]:
             tokens.append(_Token("ident", source[i:j], i))
             i = j
             continue
-        if ch in "+-*/^":
-            tokens.append(_Token("op", ch, i))
-            i += 1
-            continue
-        if ch == "(":
-            tokens.append(_Token("lparen", ch, i))
-            i += 1
-            continue
-        if ch == ")":
-            tokens.append(_Token("rparen", ch, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
+        if ch not in _SINGLE:
+            raise ParseError(f"unexpected character {ch!r}", i)
+        tokens.append(_Token(_SINGLE[ch], ch, i))
+        i += 1
     tokens.append(_Token("end", "", n))
     return tokens
 
@@ -198,10 +194,8 @@ class _Parser:
         if tok.kind == "ident":
             if tok.text == "t":
                 return Var()
-            if tok.text == "pi":
-                return Num(math.pi)
-            if tok.text == "e":
-                return Num(math.e)
+            if tok.text in _CONSTANTS:
+                return Num(_CONSTANTS[tok.text])
             if tok.text in _FUNCTIONS:
                 if self.peek().kind != "lparen":
                     raise ParseError(f"{tok.text} requires a parenthesized argument", self.peek().offset)

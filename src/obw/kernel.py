@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
-from .quadrature import DEFAULT_CONFIG, QuadConfig, integrate
+from .quadrature import DEFAULT_CONFIG, QuadConfig, QuadratureError, integrate
 from .weights import Weight
 
 __all__ = [
@@ -91,6 +91,17 @@ def _branches(params: TauParams, w: Weight) -> list[tuple[float, float, float, f
     return [(share / s / w.mass(c, d), c, d, anchor) for share, c, d, anchor in _sides(params)]
 
 
+def _branch_integral(name: str, g: Callable[[float], float], c: float, d: float,
+                     anchor: float, cfg: QuadConfig) -> float:
+    """int_c^d g on a branch; a QuadratureError names the quantity and the
+    branch, left where it is anchored at c."""
+    try:
+        return integrate(g, c, d, cfg)[0]
+    except QuadratureError as exc:
+        side = "left" if anchor == c else "right"
+        raise QuadratureError(f"{name} {side} branch on [{c:g}, {d:g}]: {exc}") from None
+
+
 def peano_kernel(params: TauParams, w: Weight, t: float) -> float:
     """rho(x, t): oriented two-branch kernel, <= 0 on the right branch.
 
@@ -137,7 +148,7 @@ def kernel_lq(
                 total += value
                 continue
         m = partial(w.closed_moment, anchor)
-        total += integrate(lambda t: abs(coef * m(t)) ** q, c, d, cfg)[0]
+        total += _branch_integral("kernel_lq", lambda t: abs(coef * m(t)) ** q, c, d, anchor, cfg)
     return total ** (1.0 / q)
 
 
@@ -154,5 +165,6 @@ def kernel_integral(
     total = 0.0
     for coef, c, d, anchor in _branches(params, w):
         m = partial(w.closed_moment, anchor)
-        total += integrate(lambda t: coef * m(t) * g(t), c, d, cfg)[0]
+        total += _branch_integral(
+            "kernel_integral", lambda t: coef * m(t) * g(t), c, d, anchor, cfg)
     return total

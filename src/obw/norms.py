@@ -1,4 +1,6 @@
-"""Lebesgue norms of a derivative on a subinterval."""
+"""Lebesgue norms of a derivative f' on a subinterval: the sup and the roots
+of f' from one scan, the L_p norm from |f'|^p integrated between the roots,
+and the L1 norm from f itself, its total variation over them."""
 
 from __future__ import annotations
 
@@ -8,7 +10,14 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .quadrature import DEFAULT_CONFIG, QuadConfig, QuadratureError, integrate
+from .quadrature import (
+    DEFAULT_CONFIG,
+    Fn1D,
+    QuadConfig,
+    QuadratureError,
+    derivative_callable,
+    integrate,
+)
 
 __all__ = ["Triple", "norm_triple", "conjugate"]
 
@@ -173,8 +182,8 @@ def _norm_lp(
     """(int_c^d |g|^p)^(1/p), the integral split at the roots of g, where
     |g|^p has a kink that the K15 - G7 estimate cannot see. A failed
     integral, or |g|^p overflowing, raises QuadratureError naming the norm."""
-    if not 1 <= p < math.inf:
-        raise ValueError(f"L_p norm requires finite p >= 1, got p={p:g}")
+    if not 1 < p < math.inf:
+        raise ValueError(f"L_p norm requires finite p > 1, got p={p:g}")
     name = f"L{p:g} norm of f' on [{c:g}, {d:g}]"
     try:
         val = integrate(lambda t: abs(g(t)) ** p, c, d, cfg, breaks=roots)[0]
@@ -182,21 +191,35 @@ def _norm_lp(
         raise QuadratureError(f"{name}: {exc}") from None
     except OverflowError:
         raise QuadratureError(f"{name}: |f'|^{p:g} overflows") from None
-    val = max(val, 0.0)
-    return val if p == 1 else val ** (1.0 / p)
+    return max(val, 0.0) ** (1.0 / p)
+
+
+def _variation(f: Callable[[float], float], c: float, d: float, roots: list[float]) -> float:
+    """||f'||_1 on [c, d]: the total variation of f, which is monotone
+    between c, the roots of f' and d. Where f has no finite value at one of
+    them, the ValueError names the norm and t."""
+    vals = []
+    for t in (c, *roots, d):
+        try:
+            vals.append(_value(f, t))
+        except (ValueError, ArithmeticError) as exc:
+            raise ValueError(f"L1 norm of f' on [{c:g}, {d:g}]: f fails at t={t}: {exc}") from None
+    return math.fsum(abs(v - u) for u, v in zip(vals, vals[1:]))
 
 
 def norm_triple(
-    g: Callable[[float], float],
+    f: Fn1D,
     p: float,
     c: float,
     d: float,
     cfg: QuadConfig = DEFAULT_CONFIG,
 ) -> Triple:
-    """Sup, L_p, and L1 norms of g on [c, d], from one `_scan` of g. Where
-    g has no value at a point, the ValueError names the norm."""
+    """Sup, L_p, and L1 norms of f' on [c, d], from one `_scan` of f': the
+    L_p norm integrates |f'|^p, and the L1 norm is f's variation. Where f or
+    f' has no value at a point, the ValueError names the norm."""
+    g = derivative_callable(f)
     try:
         sup, roots = _scan(g, c, d)
     except ValueError as exc:
         raise ValueError(f"sup norm of f' on [{c:g}, {d:g}]: {exc}") from None
-    return Triple(sup, _norm_lp(g, p, c, d, cfg, roots), _norm_lp(g, 1.0, c, d, cfg, roots))
+    return Triple(sup, _norm_lp(g, p, c, d, cfg, roots), _variation(f, c, d, roots))

@@ -53,11 +53,12 @@ class DegenerateIntervalError(ValueError):
 class Fn1D:
     """Scalar function of one real variable.
 
-    `derivative` is its closed-form derivative, where one is known: the
-    derivative norms and bounds read it through `derivative_callable`,
-    which raises when it is None. `kinks`, ascending, are the points where
-    f or its derivative has a corner or a jump: `Weight.integrate_against`
-    splits its integral there, so that no quadrature panel straddles one.
+    `derivative` is its closed-form derivative, where one is known:
+    `norms.norm_triple` takes f, reads f' through `derivative_callable`,
+    which raises when it is None, and reads f for the L1 norm of f'. `kinks`,
+    ascending, are the points where f or its derivative has a corner or a
+    jump: `Weight.integrate_against` splits its integral there, so that no
+    quadrature panel straddles one.
     """
 
     fn: Callable[[float], float]

@@ -14,7 +14,7 @@ from .corpus import (
 )
 from .functionals import tau, tau_combination, tau_decomposed
 from .kernel import TauParams, kernel_integral
-from .norms import Triple, _norm_lp, _scan
+from .norms import Triple, _norm_lp, _scan, _variation
 from .quadrature import DEFAULT_CONFIG, QuadConfig, derivative_callable
 
 __all__ = ["Suite", "SuiteReport", "run_verify_suites", "P_GRID"]
@@ -61,10 +61,11 @@ def run_verify_suites(cfg: QuadConfig = DEFAULT_CONFIG) -> SuiteReport:
     """Identity, soundness, reduction, and equivalent-forms sweeps.
 
     Each quantity is computed once, at the level it depends on: f', one
-    scan of it and its sup and L1 norms per function, its L_p norm per
-    (function, p), the kernel norms per (weight, x, pair, p), and tau per
-    configuration. tau's three forms read one view of each weight
-    (`bounds._Cached`), so each weighted integral and mass is taken once.
+    scan of it, its sup norm and f's variation (the L1 norm of f') per
+    function, the L_p norm of f' per (function, p), the kernel norms per
+    (weight, x, pair, p), and tau per configuration. tau's three forms
+    read one view of each weight (`bounds._Cached`), so each weighted
+    integral and mass is taken once.
     """
     report = SuiteReport()
     a, b = 0.0, 1.0  # every corpus weight and x lies on [a, b]
@@ -74,7 +75,7 @@ def run_verify_suites(cfg: QuadConfig = DEFAULT_CONFIG) -> SuiteReport:
     for f in corpus_functions():
         fprime = derivative_callable(f)
         sup, roots = _scan(fprime, a, b)  # once per f: its samples serve every p
-        one = _norm_lp(fprime, 1.0, a, b, cfg, roots)
+        one = _variation(f, a, b, roots)
         norms = {p: Triple(sup, _norm_lp(fprime, p, a, b, cfg, roots), one) for p in P_GRID}
         functions.append((f, fprime, norms))
 

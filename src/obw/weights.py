@@ -100,7 +100,8 @@ class Weight:
     def integrate_against(self, g, c: float, d: float, cfg: QuadConfig = DEFAULT_CONFIG) -> float:
         """Oriented integral of g(t) w(t) over [c, d], split at g's kinks
         (an `Fn1D`'s `kinks`) inside it: one `integrate` of g w per stretch
-        between them, summed in order, with the weight's `ends`."""
+        between them, summed in order, with the weight's `ends`. A
+        QuadratureError names the integral and [c, d]."""
         if d < c:
             return -self.integrate_against(g, d, c, cfg)
         if c == d:
@@ -108,8 +109,11 @@ class Weight:
         geval, fn = getattr(g, "fn", g), self.fn
         cuts = [c, *(k for k in getattr(g, "kinks", ()) if c < k < d), d]
         total = 0.0
-        for lo, hi in zip(cuts, cuts[1:]):
-            total += integrate(lambda t: geval(t) * fn(t), lo, hi, cfg, ends=self.ends)[0]
+        try:
+            for lo, hi in zip(cuts, cuts[1:]):
+                total += integrate(lambda t: geval(t) * fn(t), lo, hi, cfg, ends=self.ends)[0]
+        except QuadratureError as exc:
+            raise QuadratureError(f"integral of f*w on [{c:g}, {d:g}]: {exc}") from None
         return total
 
     def cumulative(self, f, c: float, d: float, cfg: QuadConfig = DEFAULT_CONFIG) -> Cumulative:
@@ -130,14 +134,8 @@ class Weight:
 
 
 def _uniform(a: float, b: float) -> Weight:
-    return Weight(
-        name="uniform",
-        a=a,
-        b=b,
-        fn=lambda t: 1.0,
-        closed_moment=lambda c, d: d - c,
-        moment_l1=lambda anchor, x, cfg: 0.5 * (x - anchor) ** 2,
-    )
+    return Weight("uniform", a, b, lambda t: 1.0, lambda c, d: d - c,
+                  lambda anchor, x, cfg: 0.5 * (x - anchor) ** 2)
 
 
 def _phi(u: float) -> float:
@@ -163,14 +161,8 @@ def _exponential(a: float, b: float, lam: float) -> Weight:
         # int (x - s) e^(-lam s) ds from anchor to x, about the anchor
         return math.exp(-lam * anchor) * _phi(lam * (x - anchor)) / (lam * lam)
 
-    return Weight(
-        name=f"exponential(lam={lam:g})",
-        a=a,
-        b=b,
-        fn=lambda t: math.exp(-lam * t),
-        closed_moment=closed,
-        moment_l1=moment_l1,
-    )
+    name = f"exponential(lam={lam:g})"
+    return Weight(name, a, b, lambda t: math.exp(-lam * t), closed, moment_l1)
 
 
 _SERIES_TERMS = 60  # truncnorm on a short interval: 10^60 / 61! < 1e-24
@@ -226,14 +218,7 @@ def _truncnorm(a: float, b: float, mu: float, sigma: float) -> Weight:
         # (s - mu) w(s) is the derivative of -sigma^2 w(s)
         return (x - mu) * closed(anchor, x) - sigma * sigma * (fn(anchor) - fn(x))
 
-    return Weight(
-        name=f"truncnorm(mu={mu:g},sigma={sigma:g})",
-        a=a,
-        b=b,
-        fn=fn,
-        closed_moment=closed,
-        moment_l1=moment_l1,
-    )
+    return Weight(f"truncnorm(mu={mu:g},sigma={sigma:g})", a, b, fn, closed, moment_l1)
 
 
 # The incomplete Beta integrals int_0^z (z - u)^shift u^(x-1) (1-u)^(y-1) du
@@ -351,15 +336,8 @@ def _power(a: float, b: float, p: float, q: float) -> Weight:
             return l1coef * _beta_series(y, x, zb, 1)
         return l1coef * (bfull * (zb - y / (x + y)) + _beta_series(x, y, za, 1))
 
-    return Weight(
-        name=f"power(p={p:g},q={q:g})",
-        a=a,
-        b=b,
-        fn=fn,
-        closed_moment=closed,
-        moment_l1=moment_l1,
-        ends=tuple((e, g) for e, g in ((a, p), (b, q)) if g < 0 or g != int(g)),
-    )
+    ends = tuple((e, g) for e, g in ((a, p), (b, q)) if g < 0 or g != int(g))
+    return Weight(f"power(p={p:g},q={q:g})", a, b, fn, closed, moment_l1, ends)
 
 
 def tabulated_weight(
@@ -380,18 +358,12 @@ def tabulated_weight(
             return w.integrate_against(lambda s: x - s, anchor, x, cfg)
         return w.integrate_against(lambda s: s - x, x, anchor, cfg)
 
-    w = Weight(
-        name=name,
-        a=a,
-        b=b,
-        fn=fn,
-        closed_moment=lambda c, d: table(d) - table(c),
-        moment_l1=moment_l1,
-        table=table,
-    )
+    w = Weight(name, a, b, fn, lambda c, d: table(d) - table(c), moment_l1, table=table)
     return w
 
 
+# the power weights with a name of their own, and their exponents (p, q)
+_POWER_SHORTHANDS = {"increasing": (1.0, 0.0), "decreasing": (0.0, 1.0), "arcsine": (-0.5, -0.5)}
 # each built-in weight name and the parameters it takes
 _PARAMETERS = {"uniform": (), "increasing": (), "decreasing": (), "arcsine": (),
                "power": ("p", "q"), "exponential": ("lam",), "exp": ("lam",),
@@ -419,12 +391,8 @@ def builtin_weight(spec: str, a: float, b: float, **params: float) -> Weight:
             raise ValueError(f"{name} weight requires a finite {kind}, got {key}={value:g}")
     if name == "uniform":
         return _uniform(a, b)
-    if name == "increasing":
-        return replace(_power(a, b, 1.0, 0.0), name="increasing")
-    if name == "decreasing":
-        return replace(_power(a, b, 0.0, 1.0), name="decreasing")
-    if name == "arcsine":
-        return replace(_power(a, b, -0.5, -0.5), name="arcsine")
+    if name in _POWER_SHORTHANDS:
+        return replace(_power(a, b, *_POWER_SHORTHANDS[name]), name=name)
     if name == "power":
         return _power(a, b, params.get("p", 1.0), params.get("q", 0.0))
     if name == "truncnorm":

@@ -25,7 +25,7 @@ from obw.expr import compile_expr, parse
 from obw.functionals import tau
 from obw.kernel import TauParams, kernel_l1, kernel_sup, peano_kernel
 from obw.norms import Triple, norm_triple
-from obw.quadrature import Fn1D, derivative_callable
+from obw.quadrature import Fn1D
 from obw.weights import Weight, builtin_weight, tabulated_weight
 
 
@@ -166,8 +166,7 @@ class TestCorollaries:
     def test_equal_coeffs_is_substitution(self, expdecay, sine):
         lhs, triple = corollary_bounds("equal_coeffs", sine, expdecay, 2.0, 0, 1, x=0.3)
         params = params_at(0.3)
-        fprime = derivative_callable(sine)
-        norms = norm_triple(fprime, 2.0, 0, 1)
+        norms = norm_triple(sine, 2.0, 0, 1)
         general = bounds_paper(params, expdecay, norms, 2.0)
         for got, want in zip(triple, general):
             assert got == pytest.approx(want, abs=1e-12)
@@ -177,14 +176,12 @@ class TestCorollaries:
         _, triple = corollary_bounds(
             "midpoint", sine, uniform, 2.0, 0, 1, alpha=2.0, beta=1.0
         )
-        fprime = derivative_callable(sine)
-        norms = norm_triple(fprime, 2.0, 0, 1)
+        norms = norm_triple(sine, 2.0, 0, 1)
         assert triple.inf == pytest.approx(0.25 * norms.inf, abs=1e-10)
 
     def test_midpoint_equal_agrees_with_single_point(self, uniform, quadratic):
         lhs, triple = corollary_bounds("midpoint_equal", quadratic, uniform, 2.0, 0, 1)
-        fprime = derivative_callable(quadratic)
-        norms = norm_triple(fprime, 2.0, 0, 1)
+        norms = norm_triple(quadratic, 2.0, 0, 1)
         legacy = bounds_dragomir(0.5, 0, 1, norms, 2.0)
         assert triple.inf == pytest.approx(legacy.inf, abs=1e-12)
         assert lhs <= triple.inf

@@ -18,6 +18,11 @@ from obw.cli import main
 from obw.corpus import FUNCTION_SOURCES
 
 
+# f' jumps from s - 1 to s + 1 at k, past the outermost G7/K15 node of
+# [0, 1/2], with no sign change: its L1 norm is (s - 1) k + (s + 1) (1 - k)
+_SLIVER_JUMP = "abs(t - 0.4979137307079855) + 1.7953266111634716*t"
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -109,6 +114,17 @@ class TestBoundsCommand:
         for name in ("norm_inf", "norm_p", "norm_one"):
             assert f"{name} = 1.00000000e+00" in out
 
+    @pytest.mark.parametrize("argv, line", [
+        # f' = 1/(2 sqrt(t)): the integral of |f'| printed 9.99999999e-01
+        (("--x", "0.3", "--function", "sqrt(t)", "--p", "1.5"), "norm_one = 1.00000000e+00"),
+        # the integral of |f'| printed 1.79532661e+00
+        (("--x", "0.5", "--function", _SLIVER_JUMP), "norm_one = 1.79949915e+00"),
+    ], ids=["algebraic-end", "jump"])
+    def test_l1_norm_is_the_variation_of_f(self, capsys, argv, line):
+        code, out, _ = run(capsys, "bounds", *argv)
+        assert code == 0
+        assert line in out.splitlines()
+
     def test_weight_expression(self, capsys):
         code, out, _ = run(
             capsys,
@@ -180,6 +196,15 @@ class TestBoundsCommand:
         assert code == 1
         assert out == ""
         assert err.startswith("error: --weight-expr table on [0, 1]: no convergence after 2 ")
+        assert "Traceback" not in err
+
+    def test_kernel_lq_out_of_subdivisions_is_named(self, capsys):
+        code, out, err = run(
+            capsys, "bounds", "--x", "0.5", "--function", "t", "--weight", "arcsine",
+            "--p", "1.5", "--max-subdiv", "2", "--tol", "1e-13",
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: kernel_lq left branch on [0, 0.5]: no convergence after 2 ")
         assert "Traceback" not in err
 
     def test_zero_weight_is_compute_error(self, capsys):
@@ -665,6 +690,13 @@ class TestSharpnessCommand:
         best = float(err.split()[2])
         assert best >= 0.999
 
+    def test_tau_out_of_subdivisions_is_named(self, capsys):
+        # tau's integral of f*w over [x, b] at the first x, 0.1
+        code, out, err = run(capsys, "sharpness", "--weight", "arcsine", "--max-subdiv", "2")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: integral of f*w on [0.1, 1]: no convergence after 2 ")
+        assert "Traceback" not in err
+
 
 class TestCdfCommand:
     def test_single_row(self, capsys):
@@ -757,6 +789,11 @@ class TestCdfCommand:
         assert err.startswith(
             f"error: table of f*w on {stretch}: no convergence after {panels} ")
         assert "Traceback" not in err
+
+    def test_bound_one_follows_the_variation(self, capsys):
+        code, out, _ = run(capsys, "cdf", "--density", _SLIVER_JUMP, "--x", "0.5")
+        assert code == 0
+        assert out.splitlines()[1].split(",")[6] == "3.91991959e-01"
 
     def test_failed_identity_check_is_compute_error(self, capsys):
         code, out, err = run(

@@ -17,7 +17,14 @@ from obw.kernel import (
     kernel_sup,
     peano_kernel,
 )
-from obw.quadrature import Cumulative, Fn1D, QuadConfig, derivative_callable, integrate
+from obw.quadrature import (
+    Cumulative,
+    Fn1D,
+    QuadConfig,
+    QuadratureError,
+    derivative_callable,
+    integrate,
+)
 from obw.weights import builtin_weight, tabulated_weight
 
 # Both two-coefficient and one-branch (alpha or beta zero) configurations.
@@ -137,6 +144,14 @@ class TestKernelNorms:
         assert kernel_lq(params, expdecay, 1.5) == pytest.approx(
             brute_kernel_lq(params, expdecay, 1.5), abs=1e-6
         )
+
+    @pytest.mark.parametrize("alpha, beta, named", [
+        (1.0, 0.0, "left branch on [0, 0.5]"), (0.0, 1.0, "right branch on [0.5, 1]"),
+    ])
+    def test_lq_out_of_subdivisions_names_the_branch(self, alpha, beta, named):
+        cfg = QuadConfig(abs_tol=1e-13, max_subdivisions=2)
+        with pytest.raises(QuadratureError, match=re.escape(f"kernel_lq {named}: no convergence")):
+            kernel_lq(mid_params(alpha, beta), builtin_weight("arcsine", 0, 1), 3.0, cfg)
 
     def test_sup_equal_coefficients(self, uniform):
         assert kernel_sup(mid_params(), uniform) == pytest.approx(0.5)
@@ -402,6 +417,15 @@ class TestKernelIntegral:
         )
         got = kernel_integral(lambda t: math.cos(3 * t), params, w)
         assert got == pytest.approx(expected, abs=1e-10)
+
+    @pytest.mark.parametrize("side, branch", [("left", "[0, 0.3]"), ("right", "[0.3, 1]")])
+    def test_out_of_subdivisions_names_the_branch(self, uniform, side, branch):
+        # g oscillates on one branch only, which alone runs out of subdivisions
+        g = lambda t: math.sin(400 * t) if (t <= 0.3) == (side == "left") else 1.0
+        cfg = QuadConfig(abs_tol=1e-12, max_subdivisions=2)
+        named = re.escape(f"kernel_integral {side} branch on {branch}: no convergence")
+        with pytest.raises(QuadratureError, match=named):
+            kernel_integral(g, mid_params(x=0.3), uniform, cfg)
 
 
 def identity_residual(f, params, w):

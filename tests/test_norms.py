@@ -16,7 +16,7 @@ from obw.norms import (
     conjugate,
     norm_triple,
 )
-from obw.quadrature import DEFAULT_CONFIG, QuadConfig
+from obw.quadrature import DEFAULT_CONFIG, Fn1D, QuadConfig
 
 
 def norm_inf(g, c, d):
@@ -54,7 +54,9 @@ class TestNormInf:
 
 class TestNormP:
     def test_l1(self):
-        assert norm_p(lambda t: 2 * t, 1, 0, 1) == pytest.approx(1.0, abs=1e-10)
+        # the L1 norm is not integrated: norm_triple reads it from f
+        f = Fn1D(fn=lambda t: t * t, derivative=lambda t: 2 * t)
+        assert norm_triple(f, 2.0, 0, 1).one == pytest.approx(1.0, abs=1e-10)
 
     def test_l2(self):
         assert norm_p(lambda t: 2 * t, 2, 0, 1) == pytest.approx(
@@ -68,22 +70,26 @@ class TestNormP:
         with pytest.raises(ValueError):
             norm_p(lambda t: t, 0.5, 0, 1)
 
+    def test_p_one_rejected(self):
+        with pytest.raises(ValueError, match="finite p > 1, got p=1"):
+            norm_p(lambda t: t, 1.0, 0, 1)
+
     @pytest.mark.parametrize("p", [math.inf, math.nan])
     def test_non_finite_p_rejected(self, p):
         # the zero function would give 0 ** (1 / inf) = 1 and a NaN bound
-        with pytest.raises(ValueError, match=f"finite p >= 1, got p={p:g}"):
+        with pytest.raises(ValueError, match=f"finite p > 1, got p={p:g}"):
             norm_p(lambda t: 0.0, p, 0, 1)
 
 
 class TestProperties:
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
     def test_monotonicity_on_unit_interval(self, p):
-        g = lambda t: math.exp(t) * math.sin(5 * t)
-        one = norm_p(g, 1, 0, 1)
-        mid = norm_p(g, p, 0, 1)
-        top = norm_inf(g, 0, 1)
-        assert one <= mid + 1e-9
-        assert mid <= top + 1e-9
+        # f' = e^t sin(5 t)
+        f = Fn1D(fn=lambda t: math.exp(t) * (math.sin(5 * t) - 5 * math.cos(5 * t)) / 26,
+                 derivative=lambda t: math.exp(t) * math.sin(5 * t))
+        norms = norm_triple(f, p, 0, 1)
+        assert norms.one <= norms.p + 1e-9
+        assert norms.p <= norms.inf + 1e-9
 
     def test_subinterval_never_exceeds_full(self):
         g = lambda t: math.cos(9 * t)
@@ -105,7 +111,7 @@ class TestProperties:
         assert tuple(u) == (2.0, 3.0, 5.0)
 
     def test_triple_bundle(self):
-        triple = norm_triple(lambda t: 2 * t, 2.0, 0, 1)
+        triple = norm_triple(Fn1D(fn=lambda t: t * t, derivative=lambda t: 2 * t), 2.0, 0, 1)
         assert triple.inf == pytest.approx(2.0, abs=1e-10)
         assert triple.p == pytest.approx(2 / math.sqrt(3), abs=1e-10)
         assert triple.one == pytest.approx(1.0, abs=1e-10)
@@ -252,14 +258,15 @@ def mp_reference(source, c, d, p):
 
 
 class TestAccuracyAcrossRoots:
-    """The L1 and L_p integrals are split at the roots of f', so both meet
-    the tolerance there; an unsplit |f'| missed it by up to 1.9e-7."""
+    """The L_p integral is split at the roots of f', and the L1 norm is f's
+    variation over them, so both meet the tolerance there; an unsplit
+    integral of |f'| missed it by up to 1.9e-7."""
 
     @pytest.mark.parametrize("tol", [1e-8, 1e-10, 1e-12])
     @pytest.mark.parametrize("p", [1.5, 3.0])
     @pytest.mark.parametrize("source, c, d", ROOT_CASES)
     def test_within_tol_of_mpmath(self, source, c, d, p, tol):
-        norms = norm_triple(as_fn1d(source).derivative, p, c, d, QuadConfig(abs_tol=tol))
+        norms = norm_triple(as_fn1d(source), p, c, d, QuadConfig(abs_tol=tol))
         one, pth = mp_reference(source, c, d, p)
         assert abs(norms.one - one) <= tol
         assert abs(norms.p**p - pth) <= tol
@@ -273,7 +280,51 @@ class TestAccuracyAcrossRoots:
 
     def test_printed_digits(self):
         # the closed form gives 4.44841644e-01; the unsplit integral printed ...452e-01
-        g = as_fn1d(ROOT_CASES[0][0]).derivative
-        assert f"{norm_triple(g, 2.0, 0.0, 1.0).one:.8e}" == "4.44841644e-01"
-        bump = as_fn1d("t + exp(-((t-0.61)/0.001)^2)").derivative
+        f = as_fn1d(ROOT_CASES[0][0])
+        assert f"{norm_triple(f, 2.0, 0.0, 1.0).one:.8e}" == "4.44841644e-01"
+        bump = as_fn1d("t + exp(-((t-0.61)/0.001)^2)")
         assert f"{norm_triple(bump, 2.0, 0.0, 1.0).inf:.8e}" == "8.58763885e+02"
+
+
+# The outermost G7/K15 node on [-1, 1]. Past a panel's outermost node, a jump
+# of f' is seen by none of the panel's nodes.
+_XGK_OUTER = 0.991455371120812639206854697526329
+
+
+class TestVariation:
+    """The L1 norm of f' is f's total variation over the roots of f', exact
+    where the integral of |f'| missed the tolerance."""
+
+    @pytest.mark.parametrize("tol", [1e-10, 1e-12])
+    def test_algebraic_end(self, tol):
+        # f' = 1/(2 sqrt(t)); the integral read 1 - 6.8e-10 at 1e-10, 1 - 3.0e-11 at 1e-12
+        norms = norm_triple(as_fn1d("sqrt(t)"), 1.5, 0.0, 1.0, QuadConfig(abs_tol=tol))
+        assert norms.one == 1.0
+
+    @pytest.mark.parametrize("tol", [1e-10, 1e-12])
+    @pytest.mark.parametrize("s", [1.2, 1.8, 7.5])
+    @pytest.mark.parametrize("share", [0.3, 0.9])
+    @pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (0.0, 0.5), (0.5, 1.0)])
+    def test_jump_without_a_sign_change(self, lo, hi, share, s, tol):
+        # f' jumps from s - 1 to s + 1 at k, a share of the way from the
+        # panel's outermost node to its end: no root splits there, and the
+        # integral of |f'| missed by up to 8e-3
+        node = 0.5 * (lo + hi) + 0.5 * (hi - lo) * _XGK_OUTER
+        k = node + share * (hi - node)
+        f = as_fn1d(f"abs(t - {k!r}) + {s!r}*t")
+        one = norm_triple(f, 2.0, 0.0, 1.0, QuadConfig(abs_tol=tol)).one
+        assert abs(one - ((s - 1) * k + (s + 1) * (1 - k))) <= tol
+
+    @pytest.mark.parametrize("fails", [
+        lambda t: t == 0.0, lambda t: abs(t - 0.5) < 1e-9, lambda t: t == 1.0,
+    ], ids=["c", "root", "d"])
+    @pytest.mark.parametrize("failure", [
+        lambda: math.log(0.0), lambda: 1.0 / 0.0, lambda: math.inf,
+    ], ids=["domain", "division", "non-finite"])
+    def test_failure_of_f_is_named(self, fails, failure):
+        # f' = t - 1/2 is finite everywhere, so only the variation reads the failure
+        f = Fn1D(fn=lambda t: failure() if fails(t) else 0.5 * (t - 0.5) ** 2,
+                 derivative=lambda t: t - 0.5)
+        with pytest.raises(ValueError, match=r"^L1 norm of f' on \[0, 1\]: f fails at t=") as info:
+            norm_triple(f, 2.0, 0.0, 1.0)
+        assert fails(float(str(info.value).split("t=")[1].split(":")[0]))

@@ -281,7 +281,8 @@ def test_compiled_expression_is_one_call(source):
 
 def test_verify_computes_each_norm_and_deviation_once(monkeypatch):
     # every corpus weight is on [0, 1], so the norms depend only on f, and
-    # the scan of f' (its sup and roots) and the L1 norm not on p either
+    # the scan of f' (its sup and roots) and the L1 norm (f's variation over
+    # the roots) not on p either; only the L_p norm integrates
     calls = {"_scan": 0, "_norm_lp": 0, "tau": 0}
 
     def counted(name):
@@ -301,7 +302,7 @@ def test_verify_computes_each_norm_and_deviation_once(monkeypatch):
     )
     assert report.passed
     assert calls["_scan"] == len(corpus_functions())
-    assert calls["_norm_lp"] == len(corpus_functions()) * (1 + len(obw.suites.P_GRID))
+    assert calls["_norm_lp"] == len(corpus_functions()) * len(obw.suites.P_GRID)
     assert calls["tau"] == report.identity.checked == n_configs
     assert report.soundness.checked == 3 * n_configs
     assert report.reduction.checked == 36
@@ -335,7 +336,8 @@ def test_verify_computes_each_kernel_norm_once(monkeypatch, counts):
 def test_verify_takes_each_weighted_mean_once(monkeypatch):
     # tau, tau_combination and tau_decomposed read one cached view of each
     # weight, so each weighted integral over [a, x], [x, b] and [a, b] is
-    # taken once: 1 244 G7/K15 panels, against 2 270 when each form took its own
+    # taken once: 1 238 G7/K15 panels, against 2 270 when each form took its own
+    # (and the L1 norm of each f' was integrated, one more panel per function)
     panels = [0]
     gk15 = quadrature._gk15
 
@@ -345,7 +347,7 @@ def test_verify_takes_each_weighted_mean_once(monkeypatch):
 
     monkeypatch.setattr(quadrature, "_gk15", counted)
     assert obw.suites.run_verify_suites().passed
-    assert panels[0] == 1244
+    assert panels[0] == 1238
 
 
 def test_cached_view_is_bit_identical():
