@@ -7,7 +7,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -29,6 +29,8 @@ __all__ = [
     "sign_kernel_fn",
     "sharpness_search",
     "SharpnessRow",
+    "audit_grid",
+    "audit_columns",
     "audit_paper_vs_exact",
     "AuditRow",
 ]
@@ -301,42 +303,52 @@ class AuditRow:
     flagged: bool
 
 
-def audit_paper_vs_exact(
+def audit_grid(xs: Sequence, pairs: Sequence[tuple]) -> tuple[list, list, list]:
+    """The x, alpha and beta columns of one weight's audit rows: x-major,
+    so row i * len(pairs) + j is xs[i] with pairs[j]."""
+    return ([x for x in xs for _ in pairs], [alpha for _ in xs for alpha, _ in pairs],
+            [beta for _ in xs for _, beta in pairs])
+
+
+def audit_columns(
     weight_list: Iterable[Weight],
     x_grid: Sequence[float],
     coeff_grid: Sequence[tuple[float, float]],
     cfg: QuadConfig = DEFAULT_CONFIG,
-) -> list[AuditRow]:
-    """Compare the printed sup-norm bound factor with the exact kernel L1.
+) -> Iterator[tuple[str, list[float], list[float], list[float], list[bool]]]:
+    """The audit as columns: per weight, in order, its name and the lists
+    of the printed sup-norm factor, the exact kernel L1 factor, their ratio
+    (inf where the exact factor is 0) and the flag (the ratio below
+    1 - 1e-9), in the row order of `audit_grid`. A weight's columns are
+    taken when its turn comes.
 
-    A row is flagged when the printed factor falls below the sound one.
-    The exact factor is attained: the sign-kernel function (`sign_kernel_fn`,
-    unit derivative sup norm) has |tau| equal to it, so on a flagged row
-    that witness exceeds the printed bound (`sharpness_search` reports it).
-
-    Per weight and x, w(x) and each weighted side's mass, (d - c)^2 and
-    first moment are taken once; the pairs combine them as numpy columns,
-    in the operations and order of `_paper_factors`' inf bracket and of
-    `kernel_l1`, so each row is bit-equal to the row computed on its own.
-    Where anything fails at an x, its rows are computed on their own, in
-    order: the first that fails raises what it raises alone.
+    The pairs are checked once per weight, at the first x: `TauParams`
+    and the OverflowError of the L_p bracket's coef ** q. At a later x only
+    what depends on x is checked: x > a if a pair weights the left side and
+    x < b if one weights the right (a NaN x fails both). Per x, w(x) and
+    each weighted side's mass, (d - c)^2 and first moment are taken once;
+    the pairs combine them as numpy columns, in the operations and order of
+    `_paper_factors`' inf bracket and of `kernel_l1`, so each entry is
+    bit-equal to the row computed on its own. Where anything fails at an x,
+    its rows are computed on their own, in order: the first that fails
+    raises what it raises alone.
     """
     xs, pairs = list(x_grid), list(coeff_grid)
     if not pairs:  # no rows, so nothing is read
-        return []
+        return
     coefs = [np.array([pair[k] for pair in pairs], dtype=float) for k in (0, 1)]
-    weighted = [bool((coef > 0).any()) for coef in coefs]
+    left, right = (bool((coef > 0).any()) for coef in coefs)
     s = np.array([alpha + beta for alpha, beta in pairs], dtype=float)
-    rows: list[AuditRow] = []
     for w in weight_list:
         per_x = []
-        for x in xs:
+        for i, x in enumerate(xs):
             try:
-                for alpha, beta in pairs:
-                    TauParams(w.a, w.b, x, alpha, beta)
-                    alpha**2.0, beta**2.0  # the OverflowError of the L_p bracket's coef ** q
-                per_x.append([w.eval(x), *_side(w, w.a, x, weighted[0], cfg),
-                              *_side(w, w.b, x, weighted[1], cfg)])
+                if i == 0 or (left and not x > w.a) or (right and not x < w.b):
+                    for alpha, beta in pairs:
+                        TauParams(w.a, w.b, x, alpha, beta)
+                        alpha**2.0, beta**2.0  # the OverflowError of the L_p bracket's coef ** q
+                per_x.append([w.eval(x), *_side(w, w.a, x, left, cfg),
+                              *_side(w, w.b, x, right, cfg)])
                 continue
             except Exception as exc:
                 error = exc
@@ -352,11 +364,31 @@ def audit_paper_vs_exact(
                 exact = exact + np.where(coef > 0, coef / s / mass * first, 0.0)
             paper = inf_term * wx / (2.0 * s)
             ratio = np.where(exact > 0, paper / exact, math.inf)
-        rows += map(
-            AuditRow, [w.name] * paper.size, [x for x in xs for _ in pairs],
-            [alpha for _ in xs for alpha, _ in pairs], [beta for _ in xs for _, beta in pairs],
-            *(v.ravel().tolist() for v in (paper, exact, ratio, ratio < 1.0 - 1e-9)),
-        )
+        yield (w.name, *(v.ravel().tolist() for v in (paper, exact, ratio, ratio < 1.0 - 1e-9)))
+
+
+def audit_paper_vs_exact(
+    weight_list: Iterable[Weight],
+    x_grid: Sequence[float],
+    coeff_grid: Sequence[tuple[float, float]],
+    cfg: QuadConfig = DEFAULT_CONFIG,
+) -> list[AuditRow]:
+    """Compare the printed sup-norm bound factor with the exact kernel L1.
+
+    A row is flagged when the printed factor falls below the sound one.
+    The exact factor is attained: the sign-kernel function (`sign_kernel_fn`,
+    unit derivative sup norm) has |tau| equal to it, so on a flagged row
+    that witness exceeds the printed bound (`sharpness_search` reports it).
+
+    A row view of `audit_columns`, which checks each pair once per weight
+    and takes each per-x quantity once: per weight, x-major, in the order
+    of the grids. `obw audit` writes those columns without building rows.
+    """
+    xs, pairs = list(x_grid), list(coeff_grid)
+    grid = audit_grid(xs, pairs)
+    rows: list[AuditRow] = []
+    for name, *values in audit_columns(weight_list, xs, pairs, cfg):
+        rows += map(AuditRow, [name] * len(values[0]), *grid, *values)
     return rows
 
 

@@ -12,7 +12,7 @@ from .bounds import bounds_paper
 from .kernel import TauParams
 from .functionals import tau
 from .norms import Triple, conjugate, norm_triple
-from .quadrature import DEFAULT_CONFIG, Fn1D, QuadConfig, QuadratureError
+from .quadrature import DEFAULT_CONFIG, DegenerateIntervalError, Fn1D, QuadConfig, QuadratureError
 from .weights import Weight
 
 __all__ = [
@@ -31,13 +31,13 @@ class DensityModel:
     m = int_a^b f w is f's weighted mass, so the density has mass one.
 
     One `Weight.cumulative` table of the unscaled f w is built when the
-    model is made; its total is m (ValueError unless m > 0), and
-    F_w(x) = table(x) / m. `density` is f / m with f's kinks, its
-    derivative (and the derivative's `grid`, where it has one) scaled the
-    same way, and `cdf_integral()` is int_a^b F_w, the table's `area()` / m,
-    read from its leaves when called. `cfg` is the model's tolerance: its
-    table, its derivative norms and every integral the functions below take
-    of it use it.
+    model is made; its total is m (DegenerateIntervalError, a ValueError,
+    unless m > 0), and F_w(x) = table(x) / m. `density` is f / m with f's
+    kinks, its derivative (and the derivative's `grid`, where it has one)
+    scaled the same way, and `cdf_integral()` is int_a^b F_w, the table's
+    `area()` / m, read from its leaves when called. `cfg` is the model's
+    tolerance: its table, its derivative norms and every integral the
+    functions below take of it use it.
     """
 
     f: Fn1D
@@ -52,7 +52,7 @@ class DensityModel:
         table = self.weight.cumulative(f, self.a, self.b, self.cfg)
         mass = table(self.b)
         if not mass > 0:
-            raise ValueError(
+            raise DegenerateIntervalError(
                 f"density {f.name or 'f'} has weighted mass {mass:.10g} on "
                 f"[{self.a:g}, {self.b:g}]; it must be positive"
             )

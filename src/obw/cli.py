@@ -13,16 +13,17 @@ import re
 import sys
 from dataclasses import fields
 from operator import attrgetter
-from typing import NoReturn, Sequence
+from typing import Iterable, NoReturn, Sequence
 
-from .bounds import AuditRow, SharpnessRow, audit_paper_vs_exact, bound_set, sharpness_search
+from .bounds import (AuditRow, SharpnessRow, audit_columns, audit_grid, bound_set,
+                     sharpness_search)
 from .cdf import CdfReport, DensityModel, cdf_report
 from .corpus import FUNCTION_SOURCES
 from .expr import ParseError, as_fn1d, compile_expr, parse
 from .kernel import TauParams
-from .quadrature import Fn1D, QuadConfig, QuadratureError
+from .quadrature import DegenerateIntervalError, Fn1D, QuadConfig, QuadratureError
 from .suites import run_verify_suites
-from .weights import Weight, WeightSpecError, builtin_weight, tabulated_weight
+from .weights import Weight, WeightSpecError, _check_domain, builtin_weight, tabulated_weight
 
 __all__ = ["main", "build_parser"]
 
@@ -62,7 +63,8 @@ def _fmt(v) -> str:
     return str(v)
 
 
-_FORMATS = {"str": "%s", "float": "%.8e", "bool": "%d"}  # _fmt's forms, by declared type
+# _fmt's forms, by declared type; "text" is a cell already formatted, written as it is
+_FORMATS = {"str": "%s", "float": "%.8e", "bool": "%d", "text": "%s"}
 
 
 @functools.cache
@@ -73,19 +75,24 @@ def _csv_field(text: str) -> str:
     return buf.getvalue()[:-2]
 
 
-def _csv(names: Sequence[str], types: Sequence[str], columns: Sequence[Sequence]) -> str:
-    """CSV of columns of the given types, headed by names: one %-template
-    a row, after a str value is quoted as csv.writer quotes it."""
+def _csv(names: Sequence[str], types: Sequence[str],
+         blocks: Iterable[Sequence[Sequence]]) -> str:
+    """CSV headed by names, then each block of columns of the given types
+    in turn, each block read when its turn comes: one %-template a row,
+    after a str value is quoted as csv.writer quotes it."""
     template = ",".join(_FORMATS[t] for t in types) + "\n"
-    columns = [map(_csv_field, c) if t == "str" else c for t, c in zip(types, columns)]
-    return ",".join(names) + "\n" + "".join(map(template.__mod__, zip(*columns)))
+    text = [",".join(names) + "\n"]
+    for columns in blocks:
+        columns = [map(_csv_field, c) if t == "str" else c for t, c in zip(types, columns)]
+        text.append("".join(map(template.__mod__, zip(*columns))))
+    return "".join(text)
 
 
 def _table(row_type, rows) -> str:
     """CSV of dataclass rows, headed by the names of row_type's fields."""
     fs = fields(row_type)
     return _csv([f.name for f in fs], [f.type for f in fs],
-                [list(map(attrgetter(f.name), rows)) for f in fs])
+                [[list(map(attrgetter(f.name), rows)) for f in fs]])
 
 
 def _write(path, text: str) -> None:
@@ -198,10 +205,14 @@ def _weight_expr(text: str, a: float, b: float, cfg: QuadConfig) -> Weight:
     """The weight w(t) = text: not negative on the sample grid, with positive mass."""
     fn = compile_expr(parse(text))
     _check_samples(fn, a, b, "--weight-expr", nonnegative=True)
+    _check_domain(a, b)  # before the table, so a bad domain keeps its own message
     try:
         w = tabulated_weight(text, fn, a, b, cfg)
     except QuadratureError as exc:
         raise QuadratureError(f"--weight-expr table on [{a:g}, {b:g}]: {exc}") from None
+    except (ValueError, ArithmeticError) as exc:  # at a point between the samples
+        raise ValueError(
+            f"--weight-expr table on [{a:g}, {b:g}]: {type(exc).__name__}: {exc}") from None
     if not w.total > 0:
         raise ValueError(f"--weight-expr has no positive mass on [{a:g}, {b:g}]")
     return w
@@ -241,7 +252,7 @@ def _cmd_bounds(args, cfg: QuadConfig) -> tuple[str, int]:
     if args.format == "json":
         text = json.dumps({k: _fmt(v) for k, v in record.items()}, indent=2) + "\n"
     elif args.format == "csv":
-        text = _csv(list(record), ["float"] * len(record), [[v] for v in record.values()])
+        text = _csv(list(record), ["float"] * len(record), [[[v] for v in record.values()]])
     else:
         text = "".join(f"{k} = {_fmt(v)}\n" for k, v in record.items())
     return text, EXIT_OK
@@ -256,8 +267,16 @@ def _cmd_verify(args, cfg: QuadConfig) -> tuple[str, int]:
 def _cmd_audit(args, cfg: QuadConfig) -> tuple[str, int]:
     xs = _interior_grid(args.a, args.b, args.x_grid)
     weights = _weights(args.weights, args.a, args.b)
-    rows = audit_paper_vs_exact(weights, xs, args.alphas, cfg)
-    return _table(AuditRow, rows), EXIT_OK
+    pairs = args.alphas
+    # x, alpha and beta as text, each value formatted once: every weight
+    # has the same grid, and each value repeats along it
+    cell = _FORMATS["float"].__mod__
+    grid = audit_grid(list(map(cell, xs)), [(cell(alpha), cell(beta)) for alpha, beta in pairs])
+    blocks = ([[name] * len(values[0]), *grid, *values]  # one block per weight
+              for name, *values in audit_columns(weights, xs, pairs, cfg))
+    fs = fields(AuditRow)
+    types = ["text" if f.name in ("x", "alpha", "beta") else f.type for f in fs]
+    return _csv([f.name for f in fs], types, blocks), EXIT_OK
 
 
 def _cmd_sharpness(args, cfg: QuadConfig) -> tuple[str, int]:
@@ -278,7 +297,13 @@ def _cmd_cdf(args, cfg: QuadConfig) -> tuple[str, int]:
     if args.x is not None:
         _check_x(args.x, w)
     density = _expression(args.density, "--density", args.a, args.b, nonnegative=True)
-    model = DensityModel(density, w, cfg)
+    try:
+        model = DensityModel(density, w, cfg)
+    except DegenerateIntervalError:  # no positive mass, which the model names
+        raise
+    except (ValueError, ArithmeticError) as exc:  # at a point between the samples
+        raise ValueError(
+            f"--density table on [{args.a:g}, {args.b:g}]: {type(exc).__name__}: {exc}") from None
     rows = cdf_report(model, xs, args.alpha, args.beta, args.p)
     return _table(CdfReport, rows), EXIT_OK
 

@@ -12,10 +12,11 @@ from hypothesis import strategies as st
 import obw.cdf
 import obw.cli
 import obw.weights
-from obw.bounds import AuditRow, SharpnessRow
+from obw.bounds import AuditRow, SharpnessRow, audit_paper_vs_exact
 from obw.cdf import CdfReport
 from obw.cli import main
 from obw.corpus import FUNCTION_SOURCES
+from obw.weights import builtin_weight
 
 
 # f' jumps from s - 1 to s + 1 at k, past the outermost G7/K15 node of
@@ -502,6 +503,42 @@ def test_constant_without_real_value_is_named(capsys, command, flag, source):
     assert err == f"error: {flag} is not real at t=3.70676434e-05: math domain error\n"
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (("bounds", "--x", "0.5", "--function", "t", "--weight-expr"), "--weight-expr"),
+    (("cdf", "--x", "0.5", "--density"), "--density"),
+], ids=["weight-expr", "density"])
+def test_no_real_value_between_samples_names_the_flag(capsys, argv, flag):
+    # not real only for |t - 0.3| < 1e-3, which no sample meets but a node
+    # of the table's quadrature does
+    code, out, err = run(capsys, *argv, "((t-0.3)^2 - 1e-6)^0.5")
+    assert (code, out) == (1, "")
+    assert err == f"error: {flag} table on [0, 1]: ValueError: math domain error\n"
+
+
+@pytest.mark.parametrize("argv, flag, maker", [
+    (("bounds", "--x", "0.5", "--function", "t", "--weight-expr", "1 + t"), "--weight-expr",
+     "tabulated_weight"),
+    (("cdf", "--x", "0.5", "--density", "1 + t"), "--density", "DensityModel"),
+], ids=["weight-expr", "density"])
+def test_arithmetic_failure_in_a_table_names_the_flag(capsys, monkeypatch, argv, flag, maker):
+    def fails(*args):
+        raise ZeroDivisionError("float division by zero")
+
+    monkeypatch.setattr(obw.cli, maker, fails)
+    assert run(capsys, *argv) == (
+        1, "", f"error: {flag} table on [0, 1]: ZeroDivisionError: float division by zero\n")
+
+
+def test_table_keeps_its_other_errors(capsys):
+    # the domain and the density's mass are not the expression's failures
+    code, _, err = run(capsys, "bounds", "--x", "0.5", "--function", "t", "--weight-expr", "1",
+                       "--a", "nan")
+    assert (code, err) == (1, "error: weight domain requires finite a < b, got [nan, 1]\n")
+    code, _, err = run(capsys, "cdf", "--x", "0.5", "--density", "0*t")
+    assert (code, err) == (1, "error: density 0*t has weighted mass 0 on [0, 1]; "
+                              "it must be positive\n")
+
+
 # 3 001 terms: the parser builds a sum in a loop, so no nesting limit applies
 _LONG_SUM = "+".join(["t"] * 3001)
 
@@ -650,6 +687,40 @@ class TestAuditCommand:
             '"truncnorm(mu=0.5,sigma=0.32)",3.33333333e-01,1.00000000e+00,0.00000000e+00,'
             "2.49739260e-01,1.38120790e-01,1.80812215e+00,0"
         )
+
+    def test_columns_match_the_row_view(self, capsys):
+        # the CLI writes audit_columns with no rows; the rows it would write
+        # are the library's, through csv.writer
+        code, out, err = run(capsys, "audit", "--weights",
+                             "truncnorm:mu=0.5,sigma=0.32,power:p=-0.4,q=0.3,uniform",
+                             "--x-grid", "7", "--alphas", "1:0,0:1,2.5:0.75,1e-3:4")
+        assert (code, err) == (0, "")
+        weights = [builtin_weight("truncnorm", 0.0, 1.0, mu=0.5, sigma=0.32),
+                   builtin_weight("power", 0.0, 1.0, p=-0.4, q=0.3),
+                   builtin_weight("uniform", 0.0, 1.0)]
+        rows = audit_paper_vs_exact(weights, obw.cli._interior_grid(0.0, 1.0, 7),
+                                    [(1.0, 0.0), (0.0, 1.0), (2.5, 0.75), (1e-3, 4.0)])
+        assert len(rows) == 3 * 7 * 4
+        assert out == csv_writer_table(AuditRow, rows)
+
+    @pytest.mark.parametrize("weights, alphas, bounds", [
+        ("uniform,decreasing", "1:1,-1:2", ()),
+        ("decreasing,uniform", "0:1,1:0,0:1e200", ()),
+        ("uniform,truncnorm:mu=0,sigma=0.01", "1:1", (0.9, 1.0)),
+    ], ids=["coefficient", "overflow", "mass-of-the-second-weight"])
+    def test_failing_row_reads_as_in_the_library(self, capsys, weights, alphas, bounds):
+        a, b = bounds or (0.0, 1.0)
+        argv = ["audit", "--weights", weights, "--x-grid", "3", "--alphas", alphas,
+                "--a", str(a), "--b", str(b)]
+        with pytest.raises((ValueError, ArithmeticError)) as got:
+            audit_paper_vs_exact(obw.cli._weights(weights, a, b), obw.cli._interior_grid(a, b, 3),
+                                 obw.cli._coeff_pairs(alphas))
+        exc = got.value
+        if isinstance(exc, ArithmeticError):
+            line = f"error: arithmetic failure ({type(exc).__name__}: {exc})\n"
+        else:
+            line = f"error: {exc}\n"
+        assert run(capsys, *argv) == (1, "", line)
 
 
 def csv_writer_table(row_type, rows):

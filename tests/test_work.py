@@ -243,6 +243,42 @@ def test_sweep_work_does_not_grow_with_pairs(counts, w, sweep):
     assert (few["integrate"] > 0) == (sweep != "audit" or w.name == "expr")
 
 
+@pytest.mark.parametrize("n", [3, 40])
+def test_audit_checks_each_pair_once_per_weight(monkeypatch, n):
+    # the pairs are checked at the first x; a later x checks only x against
+    # a and b, so the TauParams built do not grow with the grid
+    built = []
+    post_init = TauParams.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(TauParams, "__post_init__", counted)
+    weights = [builtin_weight(name, 0.0, 1.0) for name in ("decreasing", "arcsine")]
+    xs = [(k + 1) / (n + 1) for k in range(n)]
+    rows = obw.bounds.audit_paper_vs_exact(weights, xs, MANY_PAIRS)
+    assert len(rows) == len(weights) * n * len(MANY_PAIRS)
+    assert len(built) <= len(weights) * len(MANY_PAIRS)
+
+
+def test_cli_audit_builds_no_rows(monkeypatch, capsys):
+    built = []
+    init = obw.bounds.AuditRow.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(obw.bounds.AuditRow, "__init__", counted)
+    argv = ["audit", "--weights", "uniform,arcsine", "--x-grid", "9", "--alphas", "1:1,2:0"]
+    assert obw.cli.main(argv) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 2 * 9 * 2
+    assert built == []
+    obw.bounds.audit_paper_vs_exact([builtin_weight("uniform", 0.0, 1.0)], [0.5], [(1.0, 1.0)])
+    assert len(built) == 1  # the counter sees a row when one is built
+
+
 def test_counters_see_nested_quadrature(counts):
     # an integrand that integrates: the counters must notice
     quadrature.integrate(lambda t: quadrature.integrate(lambda s: s * t, 0.0, 1.0)[0], 0.0, 1.0)
