@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import math
 import operator
+import re
 from dataclasses import dataclass
 from types import CodeType
-from typing import Callable, Union
+from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
@@ -76,57 +77,32 @@ _CONSTANTS = {"pi": math.pi, "e": math.e}
 
 # --- tokenizer -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "num", "ident", "op", "lparen", "rparen", "end"
     text: str
     offset: int
 
 
-# the kinds of the one-character tokens
-_SINGLE = {**dict.fromkeys("+-*/^", "op"), "(": "lparen", ")": "rparen"}
+# One token after optional whitespace, its kind the name of its group. \d is
+# a Unicode decimal digit, exactly what float reads; `bad` is any other
+# character.
+_TOKEN = re.compile(
+    r"\s*(?:(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)|(?P<ident>\w+)"
+    r"|(?P<op>[-+*/^])|(?P<lparen>\()|(?P<rparen>\))|(?P<bad>\S))"
+)
 
 
 def _tokenize(source: str) -> list[_Token]:
     tokens = []
-    i = 0
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit() or ch == ".":
-            j = i
-            seen_dot = False
-            while j < n and (source[j].isdigit() or (source[j] == "." and not seen_dot)):
-                seen_dot = seen_dot or source[j] == "."
-                j += 1
-            if j == i + 1 and ch == ".":
-                raise ParseError("a number needs a digit, found a lone '.'", i)
-            if j < n and source[j] in "eE":
-                k = j + 1
-                if k < n and source[k] in "+-":
-                    k += 1
-                if k < n and source[k].isdigit():
-                    while k < n and source[k].isdigit():
-                        k += 1
-                    j = k
-            tokens.append(_Token("num", source[i:j], i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            tokens.append(_Token("ident", source[i:j], i))
-            i = j
-            continue
-        if ch not in _SINGLE:
-            raise ParseError(f"unexpected character {ch!r}", i)
-        tokens.append(_Token(_SINGLE[ch], ch, i))
-        i += 1
-    tokens.append(_Token("end", "", n))
+    for m in _TOKEN.finditer(source):
+        kind = m.lastgroup
+        text, offset = m[kind], m.start(kind)
+        if kind == "bad" or (kind == "ident" and not (text[0].isalpha() or text[0] == "_")):
+            if text == ".":
+                raise ParseError("a number needs a digit, found a lone '.'", offset)
+            raise ParseError(f"unexpected character {text[0]!r}", offset)
+        tokens.append(_Token(kind, text, offset))
+    tokens.append(_Token("end", "", len(source)))
     return tokens
 
 

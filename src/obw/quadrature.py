@@ -76,8 +76,8 @@ class QuadConfig:
     max_subdivisions: int = 1000
 
     def __post_init__(self) -> None:
-        if not self.abs_tol > 0:
-            raise ValueError("abs_tol must be positive")
+        if not 0 < self.abs_tol < math.inf:
+            raise ValueError("abs_tol must be finite and positive")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be >= 1")
 

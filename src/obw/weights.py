@@ -98,23 +98,18 @@ class Weight:
         return m
 
     def integrate_against(self, g, c: float, d: float, cfg: QuadConfig = DEFAULT_CONFIG) -> float:
-        """Oriented integral of g(t) w(t) over [c, d], split at g's kinks
-        (an `Fn1D`'s `kinks`) inside it: one `integrate` of g w per stretch
-        between them, summed in order, with the weight's `ends`. A
-        QuadratureError names the integral and [c, d]."""
+        """Oriented integral of g(t) w(t) over [c, d]: one `integrate` of
+        g w with the weight's `ends`, and g's kinks (an `Fn1D`'s `kinks`)
+        inside it as `breaks`. A QuadratureError names the integral and
+        [c, d]."""
         if d < c:
             return -self.integrate_against(g, d, c, cfg)
-        if c == d:
-            return 0.0
         geval, fn = getattr(g, "fn", g), self.fn
-        cuts = [c, *(k for k in getattr(g, "kinks", ()) if c < k < d), d]
-        total = 0.0
+        kinks = sorted({k for k in getattr(g, "kinks", ()) if c < k < d})
         try:
-            for lo, hi in zip(cuts, cuts[1:]):
-                total += integrate(lambda t: geval(t) * fn(t), lo, hi, cfg, ends=self.ends)[0]
+            return integrate(lambda t: geval(t) * fn(t), c, d, cfg, breaks=kinks, ends=self.ends)[0]
         except QuadratureError as exc:
             raise QuadratureError(f"integral of f*w on [{c:g}, {d:g}]: {exc}") from None
-        return total
 
     def cumulative(self, f, c: float, d: float, cfg: QuadConfig = DEFAULT_CONFIG) -> Cumulative:
         """The table t -> int_c^t f w for t in [c, d], built now.
@@ -349,7 +344,8 @@ def tabulated_weight(
     `moment_l1` has no closed form here: one `integrate_against` at cfg.
     """
     _check_domain(a, b)
-    table = cumulative(fn, a, b, replace(cfg, abs_tol=cfg.abs_tol / 2))
+    # the smallest positive tolerance would halve to 0
+    table = cumulative(fn, a, b, replace(cfg, abs_tol=cfg.abs_tol / 2 or cfg.abs_tol))
 
     def moment_l1(anchor: float, x: float, cfg: QuadConfig) -> float:
         # the Fubini form int |x - s| w(s) ds, signed per side so that no

@@ -1072,6 +1072,41 @@ def test_number_without_digit_is_usage_error(capsys, source):
     assert err.startswith("usage error: a number needs a digit")
 
 
+@pytest.mark.parametrize("source, offset", [("²*t", 0), ("1²", 1), ("t + ①", 4)])
+def test_digit_float_does_not_read_is_usage_error(capsys, source, offset):
+    # str.isdigit holds for \u00b2 and \u2460, but they are no decimal digits
+    code, out, err = run(capsys, "bounds", "--x", "0.5", "--function", source)
+    assert (code, out) == (2, "")
+    assert err == f"usage error: unexpected character {source[offset]!r} (at offset {offset})\n"
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1"])
+def test_tolerance_that_cannot_be_met_is_a_compute_error(capsys, monkeypatch, tol):
+    argv = ("bounds", "--x", "0.3", "--function", "sin(40*t)", "--weight", "arcsine")
+    expected = (1, "", "error: abs_tol must be finite and positive\n")
+    assert run(capsys, *argv, "--tol", tol) == expected
+    monkeypatch.setenv("OBW_TOL", tol)
+    assert run(capsys, *argv) == expected
+
+
+def test_smallest_tolerance_reaches_the_table(capsys):
+    # the table of an expression weight is built to half the tolerance
+    code, out, err = run(capsys, "bounds", "--x", "0.5", "--function", "t",
+                         "--weight-expr", "1", "--tol", "5e-324")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: --weight-expr table on [0, 1]: no convergence after ")
+
+
+@pytest.mark.parametrize("weight", [("--weight", "uniform"), ("--weight", "arcsine"),
+                                    ("--weight-expr", "1+t")], ids=lambda w: w[1])
+def test_exact_p_next_to_p_one_is_a_bound(capsys, weight):
+    code, out, err = run(capsys, "bounds", "--x", "0.3", "--function", "t^2",
+                         "--p", "1.000001", *weight)
+    assert (code, err) == (0, "")
+    values = dict(line.split(" = ") for line in out.splitlines())
+    assert float(values["exact_p"]) >= abs(float(values["tau"])) > 0
+
+
 @pytest.mark.parametrize("value", ["-1e-3", "-1E-3", "-.1e-2", "-0.001"])
 def test_negative_number_is_a_value(capsys, value):
     # argparse's own pattern reads only plain decimals as negative numbers

@@ -1,4 +1,5 @@
 import math
+import re
 import struct
 import sys
 
@@ -156,6 +157,109 @@ class TestParseErrors:
         with pytest.raises(ParseError) as err:
             parse("1 + $")
         assert err.value.offset == 4
+
+
+    @pytest.mark.parametrize("source, message", [
+        ("²*t", "unexpected character '²' (at offset 0)"),
+        ("1²", "unexpected character '²' (at offset 1)"),
+        ("t + ①", "unexpected character '①' (at offset 4)"),
+        ("¼", "unexpected character '¼' (at offset 0)"),
+        ("1e²", "trailing input 'e²' (at offset 1)"),
+    ])
+    def test_a_digit_float_does_not_read(self, source, message):
+        # \u00b2 and \u2460 are digits to str.isdigit but not decimal digits
+        with pytest.raises(ParseError) as err:
+            parse(source)
+        assert str(err.value) == message
+
+    def test_decimal_digits_of_any_script(self):
+        assert value("\u0663*t + \u0968.5", 2.0) == 8.5  # Arabic-Indic 3, Devanagari 2
+
+
+def scanner(source):
+    """Oracle: the character scanner the regular-expression lexer replaced.
+
+    Returns the tokens it read, as (kind, text, offset) with the end token,
+    and the (message, offset) of the ParseError that stopped it, else None.
+    A number token may hold digits that float does not read (str.isdigit).
+    """
+    single = {**dict.fromkeys("+-*/^", "op"), "(": "lparen", ")": "rparen"}
+    tokens = []
+    i = 0
+    n = len(source)
+    while i < n:
+        ch = source[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch.isdigit() or ch == ".":
+            j = i
+            seen_dot = False
+            while j < n and (source[j].isdigit() or (source[j] == "." and not seen_dot)):
+                seen_dot = seen_dot or source[j] == "."
+                j += 1
+            if j == i + 1 and ch == ".":
+                return tokens, ("a number needs a digit, found a lone '.'", i)
+            if j < n and source[j] in "eE":
+                k = j + 1
+                if k < n and source[k] in "+-":
+                    k += 1
+                if k < n and source[k].isdigit():
+                    while k < n and source[k].isdigit():
+                        k += 1
+                    j = k
+            tokens.append(("num", source[i:j], i))
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (source[j].isalnum() or source[j] == "_"):
+                j += 1
+            tokens.append(("ident", source[i:j], i))
+            i = j
+            continue
+        if ch not in single:
+            return tokens, (f"unexpected character {ch!r}", i)
+        tokens.append((single[ch], ch, i))
+        i += 1
+    tokens.append(("end", "", n))
+    return tokens, None
+
+
+# the grammar's characters, letters and decimal digits of other scripts,
+# whitespace of several kinds, digits and numerals that are not decimal,
+# and characters no token starts with
+LEXER_CHARS = ("0123456789.eE+-*/^()t_sinpx" "éπЖ" "\u0663\u0968\uff17"
+               " \t\n\u00a0\u2003\x1c" "²①¼Ⅻ" "$,;\u0301")
+
+
+class TestLexer:
+    @settings(max_examples=1000, deadline=None)
+    @given(st.text(st.sampled_from(LEXER_CHARS), max_size=12))
+    def test_matches_the_character_scanner(self, source):
+        tokens, error = scanner(source)
+        try:
+            got = obw.expr._tokenize(source)
+        except ParseError as exc:
+            got = (str(exc), exc.offset)
+        if any(kind == "num" and not ch.isdecimal() and ch.isdigit()
+               for kind, text, _ in tokens for ch in text):
+            # the scanner read a digit float does not read: the lexer
+            # rejects it, or reads an identifier no expression knows
+            with pytest.raises(ParseError):
+                parse(source)
+        elif error is None:
+            assert got == tokens
+        else:
+            assert got == (f"{error[0]} (at offset {error[1]})", error[1])
+
+    def test_character_classes_are_the_scanners(self):
+        # \s, \w and \d against str.isspace, str.isalnum and str.isdecimal,
+        # on every code point; surrogates are left out, as no text holds them
+        chars = "".join(chr(c) for c in range(sys.maxunicode + 1) if not 0xD800 <= c < 0xE000)
+        assert re.findall(r"\s", chars) == [c for c in chars if c.isspace()]
+        assert re.findall(r"\w", chars) == [c for c in chars if c.isalnum() or c == "_"]
+        assert re.findall(r"\d", chars) == [c for c in chars if c.isdecimal()]
 
 
 # Each source with the grouping it must parse to, written in Python.

@@ -1,12 +1,16 @@
 import math
 import re
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 from scipy.special import beta as beta_fn
 from scipy.special import betainc, hyp2f1
 
+import obw.kernel
+from obw.bounds import conjugate
 from obw.corpus import corpus_functions, corpus_weights
 from obw.functionals import tau
 from obw.kernel import (
@@ -260,6 +264,78 @@ class TestKernelLqOnATable:
         params = TauParams(a=0.0, b=1.0, x=0.4, alpha=0.0, beta=1.0)
         monkeypatch.setattr(Cumulative, "power_integral", None)
         assert kernel_lq(params, w, 3.0, cfg) == adaptive_kernel_lq(params, w, 3.0, cfg)
+
+
+def lq_by_levels(x, q, mass, dt_dm):
+    """mpmath oracle: ||rho||_q on [0, 1] for alpha = beta = 1, where
+    |rho| = u / 2 on each branch, u = m(anchor, t) / m(anchor, x) in [0, 1].
+
+    Each branch is int_0^1 u^q (dt / du) du, with u = exp(-s / q) so that
+    the peak of u^q at x spreads over s in [0, inf): u^q du = -u^(q+1) ds / q.
+    mass(t) is m(0, t) up to a constant, and dt_dm(m) is 1 / w at the t
+    where mass(t) = m."""
+    with mpmath.workdps(30):
+        q, x = mpmath.mpf(q), mpmath.mpf(x)
+        total, mx, m1 = 0, mass(x), mass(1)
+        for lo, span in ((mass(0), mx - mass(0)), (m1, mx - m1)):  # m = lo + u span
+            def branch(s):
+                u = mpmath.exp(-s / q)
+                return u ** (q + 1) * abs(span) * dt_dm(lo + u * span)
+            total += mpmath.quad(branch, [0, 1, 10, mpmath.inf]) / q
+        return float(total ** (1 / q) / 2)
+
+
+class TestKernelLqNextToPOne:
+    """As p -> 1, q = p / (p - 1) grows, |rho|^q peaks ever more narrowly
+    at x and its integral sinks below abs_tol: then it is read relative to
+    sup |rho|, from breaks that halve the distance to x."""
+
+    P_VALUES = [1.001, 1.000001, 1 + 2**-52]
+
+    @pytest.mark.parametrize("p", P_VALUES)
+    def test_uniform_and_a_table_of_one(self, p):
+        q = conjugate(p)
+        exact = 0.5 * (q + 1) ** (-1 / q)
+        table = tabulated_weight("1", lambda t: 1.0, 0.0, 1.0)
+        for w in (builtin_weight("uniform", 0.0, 1.0), table):
+            for x in (0.3, 0.5, 0.93):
+                assert kernel_lq(mid_params(x=x), w, q) == pytest.approx(exact, rel=1e-15, abs=0)
+
+    @pytest.mark.parametrize("p", P_VALUES)
+    @pytest.mark.parametrize("name", ["arcsine", "exponential", "exp(-10t) table"])
+    def test_against_mpmath(self, name, p):
+        # exp(-10 t) falls by e^-7 over the right branch, so its peak at x is
+        # narrower than the first panel of [x, 1] sees
+        if name == "arcsine":
+            w = builtin_weight(name, 0.0, 1.0)
+            mass, dt_dm = lambda t: mpmath.asin(mpmath.sqrt(t)), lambda m: mpmath.sin(2 * m)
+        else:
+            w = (builtin_weight(name, 0.0, 1.0, lam=10.0) if name == "exponential"
+                 else tabulated_weight(name, lambda t: math.exp(-10 * t), 0.0, 1.0))
+            mass, dt_dm = lambda t: -mpmath.exp(-10 * t), lambda m: -0.1 / m
+        q = conjugate(p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an overflow in the leaf read is not shown
+            got = kernel_lq(mid_params(x=0.3), w, q)
+        assert got == pytest.approx(lq_by_levels(0.3, q, mass, dt_dm), rel=1e-14, abs=0)
+
+    def test_overflow_in_the_leaf_read_falls_back(self, monkeypatch):
+        cfg = QuadConfig(abs_tol=1e-12)
+        w = tabulated_weight("1+t", lambda t: 1 + t, 0.0, 1.0, cfg)
+        params = mid_params(x=0.3)
+        expected = adaptive_kernel_lq(params, w, 3.0, cfg)
+
+        def overflow(self, anchor, x, q, scale=1.0):
+            raise OverflowError(34, "Numerical result out of range")
+
+        monkeypatch.setattr(Cumulative, "power_integral", overflow)
+        assert kernel_lq(params, w, 3.0, cfg) == expected
+
+    def test_no_integral_is_the_bound(self, monkeypatch):
+        # where even int |rho / S|^q reads 0, the norm is bounded by S (b - a)^(1/q)
+        monkeypatch.setattr(obw.kernel, "_branch_integral", lambda *args: 0.0)
+        params = TauParams(a=0.0, b=2.0, x=0.3, alpha=1.0, beta=3.0)
+        assert kernel_lq(params, builtin_weight("uniform", 0.0, 2.0), 1e6) == 0.75 * 2.0 ** 1e-6
 
 
 class TestKernelL1ClosedForms:

@@ -519,14 +519,16 @@ class TestKinks:
         # unsplit, no node of the first panel sees the kink
         assert abs(w.integrate_against(g, 0.0, 1.0, cfg) - ref) > 1e-8
 
-    def test_stretches_sum_in_order(self):
+    def test_one_integral_with_the_kinks_as_breaks(self):
         w = builtin_weight("arcsine", 0, 1)
-        f = Fn1D(fn=lambda t: abs(t - 0.3) + abs(t - 0.8), kinks=(-1.0, 0.3, 0.8, 1.0))
-        stretches = ((0.1, 0.3), (0.3, 0.8), (0.8, 0.9))
-        parts = [w.integrate_against(f.fn, lo, hi) for lo, hi in stretches]
-        assert w.integrate_against(f, 0.1, 0.9) == (parts[0] + parts[1]) + parts[2]
+        # a repeated kink, and kinks at or outside [c, d], are no breaks
+        f = Fn1D(fn=lambda t: abs(t - 0.3) + abs(t - 0.8),
+                 kinks=(-1.0, 0.1, 0.3, 0.3, 0.8, 0.9, 1.0))
+        g = lambda t: f.fn(t) * w.fn(t)  # noqa: E731
+        expected = integrate(g, 0.1, 0.9, breaks=(0.3, 0.8), ends=w.ends)[0]
+        assert w.integrate_against(f, 0.1, 0.9) == expected
         # reversed, the kinks are kept
-        assert w.integrate_against(f, 0.9, 0.1) == -((parts[0] + parts[1]) + parts[2])
+        assert w.integrate_against(f, 0.9, 0.1) == -expected
 
 
 def _kink_primitive(t):
