@@ -201,18 +201,24 @@ def _function(text: str, a: float, b: float) -> Fn1D:
     return _expression(FUNCTION_SOURCES.get(text, text), "--function", a, b)
 
 
+def _flag_table(flag: str, a: float, b: float, build):
+    """build(), the table of flag's expression on [a, b]; a failure names the flag."""
+    try:
+        return build()
+    except DegenerateIntervalError:  # no positive mass, which the model names
+        raise
+    except QuadratureError as exc:
+        raise QuadratureError(f"{flag} table on [{a:g}, {b:g}]: {exc}") from None
+    except (ValueError, ArithmeticError) as exc:  # at a point between the samples
+        raise ValueError(f"{flag} table on [{a:g}, {b:g}]: {type(exc).__name__}: {exc}") from None
+
+
 def _weight_expr(text: str, a: float, b: float, cfg: QuadConfig) -> Weight:
     """The weight w(t) = text: not negative on the sample grid, with positive mass."""
     fn = compile_expr(parse(text))
+    _check_domain(a, b)  # before the samples, so a bad domain keeps its own message
     _check_samples(fn, a, b, "--weight-expr", nonnegative=True)
-    _check_domain(a, b)  # before the table, so a bad domain keeps its own message
-    try:
-        w = tabulated_weight(text, fn, a, b, cfg)
-    except QuadratureError as exc:
-        raise QuadratureError(f"--weight-expr table on [{a:g}, {b:g}]: {exc}") from None
-    except (ValueError, ArithmeticError) as exc:  # at a point between the samples
-        raise ValueError(
-            f"--weight-expr table on [{a:g}, {b:g}]: {type(exc).__name__}: {exc}") from None
+    w = _flag_table("--weight-expr", a, b, lambda: tabulated_weight(text, fn, a, b, cfg))
     if not w.total > 0:
         raise ValueError(f"--weight-expr has no positive mass on [{a:g}, {b:g}]")
     return w
@@ -297,13 +303,7 @@ def _cmd_cdf(args, cfg: QuadConfig) -> tuple[str, int]:
     if args.x is not None:
         _check_x(args.x, w)
     density = _expression(args.density, "--density", args.a, args.b, nonnegative=True)
-    try:
-        model = DensityModel(density, w, cfg)
-    except DegenerateIntervalError:  # no positive mass, which the model names
-        raise
-    except (ValueError, ArithmeticError) as exc:  # at a point between the samples
-        raise ValueError(
-            f"--density table on [{args.a:g}, {args.b:g}]: {type(exc).__name__}: {exc}") from None
+    model = _flag_table("--density", args.a, args.b, lambda: DensityModel(density, w, cfg))
     rows = cdf_report(model, xs, args.alpha, args.beta, args.p)
     return _table(CdfReport, rows), EXIT_OK
 

@@ -2,16 +2,17 @@
 weighted integral means.
 
 `integrate` has the one refinement loop: it bisects the panel with the
-largest estimate until the estimates sum to at most abs_tol. The loop has
-two panel rules: G7/K15 (`_gk15`) on every panel but the one that touches
-an algebraic end point named in `ends`, where g = |t - e|^gamma H(t) with H
-smooth; that panel takes `_end_panel`, which integrates (1 + u)^gamma
-times H's interpolant through the same 15 nodes by the modified moments of
-(1 + u)^gamma, as QUADPACK's QAWS does (Piessens, de Doncker-Kapenga,
-Ueberhuber and Kahaner, *QUADPACK*, Springer 1983). A G7/K15 panel next to
-such an end reads each value as at its node before rounding
-(`_exact_distances`). A cumulative table is built by that loop; only its
-per-panel estimate differs.
+largest estimate until the estimates sum to at most abs_tol. Every panel
+of it, in its first pass and in each bisection, is made by `_panel`, which
+picks one of three rules. The panel that touches an algebraic end point
+named in `ends`, where g = |t - e|^gamma H(t) with H smooth, takes
+`_end_panel`: it integrates (1 + u)^gamma times H's interpolant through
+the 15 Kronrod nodes by the modified moments of (1 + u)^gamma, as
+QUADPACK's QAWS does (Piessens, de Doncker-Kapenga, Ueberhuber and
+Kahaner, *QUADPACK*, Springer 1983). Every other panel takes G7/K15
+(`_gk15`); next to a named end it reads each value as at its node before
+rounding (`_exact_distances`). A cumulative table is built by that loop;
+its G7/K15 panels record their 15 values, and only their estimate differs.
 """
 
 from __future__ import annotations
@@ -174,8 +175,9 @@ def integrate(
     interpolant is about (3 + 8^(1/2))^-11 = 4e-9 of H, so each half would
     be bisected at any usual abs_tol; on a quarter, three widths away,
     it is about (7 + 48^(1/2))^-11 = 3e-13.
-    `_table` is the sink `cumulative` passes: each panel's estimate is then
-    `_table_panels`' tail estimate, and the leaves are handed to the table.
+    `_table` is the sink `cumulative` passes: `_panel` then gives each
+    G7/K15 panel a table's tail estimate, and the leaves are handed to the
+    table.
     """
     if c > d:
         raise ValueError("integrate requires c <= d")
@@ -186,7 +188,7 @@ def integrate(
             raise ValueError(f"breaks must increase strictly inside ({c}, {d})")
     if c == d:
         return 0.0, 0.0
-    panels = None if _table is None else _table_panels(g)
+    table = _table is not None
     left = right = None
     near = ()  # the named ends e != 0, as `_panel` takes them
     if ends:
@@ -196,7 +198,6 @@ def integrate(
         if left is not None and right is not None and len(spans) == 1:
             mid = 0.5 * (c + d)
             spans = list(itertools.pairwise((c, 0.5 * (c + mid), mid, 0.5 * (mid + d), d)))
-    plain = panels is None and not near  # a panel at no end is G7/K15 as it stands
     # heap of (-err, tiebreak, c, d, val, err, values, end): the unique tiebreak
     # keeps it deterministic; values are a table panel's 15 integrand values,
     # else None; end is (gamma, right) on the panel at an algebraic end, else None
@@ -205,11 +206,7 @@ def integrate(
     for lo, hi in spans:
         end = ((left, False) if left is not None and lo == c
                else (right, True) if right is not None and hi == d else None)
-        if end is None and plain:
-            val, err = _gk15(g, lo, hi)
-            values = None
-        else:
-            val, err, values = _panel(g, lo, hi, end, panels, near)
+        val, err, values = _panel(g, lo, hi, end, table, near)
         heap.append((-err, len(heap), lo, hi, val, err, values, end))
         total += val
         total_err += err
@@ -223,18 +220,10 @@ def integrate(
             )
         _, _, lo, hi, v_old, e_old, _, end = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
-        if end is None and plain:
-            v1, e1 = _gk15(g, lo, mid)
-            v2, e2 = _gk15(g, mid, hi)
-            x1 = x2 = end1 = end2 = None
-        elif end is None and panels is not None:  # a table's two panels in one call
-            (v1, e1, x1), (v2, e2, x2) = panels((lo, mid), (mid, hi))
-            end1 = end2 = None
-        else:
-            # only the half that still touches the algebraic end keeps its rule
-            end1, end2 = (None, end) if end is not None and end[1] else (end, None)
-            v1, e1, x1 = _panel(g, lo, mid, end1, panels, near)
-            v2, e2, x2 = _panel(g, mid, hi, end2, panels, near)
+        # only the half that still touches the algebraic end keeps its rule
+        end1, end2 = (None, end) if end is not None and end[1] else (end, None)
+        v1, e1, x1 = _panel(g, lo, mid, end1, table, near)
+        v2, e2, x2 = _panel(g, mid, hi, end2, table, near)
         total += (v1 + v2) - v_old
         total_err += (e1 + e2) - e_old
         heapq.heappush(heap, (-e1, 2 * n, lo, mid, v1, e1, x1, end1))
@@ -246,16 +235,27 @@ def integrate(
     return total, total_err
 
 
-def _panel(g, lo: float, hi: float, end: Optional[tuple[float, bool]], panels, near) -> tuple:
-    """(value, estimate, values) of one panel of `integrate`: `_end_panel`
-    where end = (gamma, right) names its algebraic end, else G7/K15, or a
-    table's rule when `panels` is one. `near` are the named ends e != 0, as
-    (e, gamma, _CLOSE |e|): a G7/K15 panel closer than _CLOSE |e| to such
-    an end reads g through `_exact_distances`."""
+def _panel(g, lo: float, hi: float, end: Optional[tuple[float, bool]], table: bool, near) -> tuple:
+    """(value, estimate, values) of one panel of `integrate`, the one place
+    a panel is made. Where end = (gamma, right) names its algebraic end,
+    `_end_panel`, and values are its 15 quotients. Else G7/K15: for a
+    `table`, with its 15 values recorded and `_leaf_matrices`' tail
+    estimate of the interpolant that queries read (an estimate, not a
+    bound); else with values None, g read through `_exact_distances` on a
+    panel closer than _CLOSE |e| to a named end of `near`, the (e, gamma,
+    _CLOSE |e|) of each named end e != 0."""
     if end is not None:
-        return _end_panel(g, lo, hi, *end, table=panels is not None)
-    if panels is not None:
-        return panels((lo, hi))[0]
+        return _end_panel(g, lo, hi, *end, table=table)
+    if table:
+        values: list[float] = []
+
+        def record(t: float) -> float:
+            values.append(v := g(t))
+            return v
+
+        value = _gk15(record, lo, hi)[0]
+        tail = _product(_leaf_matrices()[1], np.array([values]))
+        return value, float(np.abs(tail).sum()) * (hi - lo), values
     if near:  # e lies outside [lo, hi], so one of lo - e and e - hi is its distance
         close = [(e, gamma) for e, gamma, reach in near if max(lo - e, e - hi) < reach]
         if close:
@@ -478,28 +478,6 @@ def _end_panel(
 def _product(m: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """m applied to each row of `rows` (rows @ m.T), without BLAS."""
     return np.einsum("ij,kj->ki", m, rows)
-
-
-def _table_panels(g: Callable[[float], float]) -> Callable[..., list[tuple]]:
-    """The panel rule of a cumulative table: spans -> (K15 value, estimate,
-    the 15 values) per span: `_leaf_matrices`' tail estimate of the error
-    of the interpolant that queries read, an estimate and not a bound.
-    """
-    tail = _leaf_matrices()[1]
-    values: list[float] = []
-
-    def record(t: float) -> float:
-        values.append(v := g(t))
-        return v
-
-    def panels(*spans: tuple[float, float]) -> list[tuple]:
-        kvals = [_gk15(record, lo, hi)[0] for lo, hi in spans]
-        block = np.array(values).reshape(len(spans), 15)
-        values.clear()
-        est = np.abs(_product(tail, block)).sum(axis=1) * [hi - lo for lo, hi in spans]
-        return list(zip(kvals, est.tolist(), block))
-
-    return panels
 
 
 class Cumulative:

@@ -31,6 +31,8 @@ class WeightSpecError(ValueError):
 def _check_domain(a: float, b: float) -> None:
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise ValueError(f"weight domain requires finite a < b, got [{a:g}, {b:g}]")
+    if math.isinf(b - a):
+        raise ValueError(f"weight domain requires a finite length b - a, got [{a:g}, {b:g}]")
 
 
 @dataclass(frozen=True)
@@ -116,16 +118,13 @@ class Weight:
 
         One quadrature.cumulative of f w with the weight's `ends`, so every
         query is expected within abs_tol and evaluates neither f nor w; a
-        QuadratureError names the table's stretch of t. Its `area()` is its
-        integral over [c, d], read from its leaves (`Cumulative.area`).
+        QuadratureError is `integrate`'s, which names [c, d]. Its `area()`
+        is its integral over [c, d], read from its leaves (`Cumulative.area`).
         """
         feval, fn = getattr(f, "fn", f), self.fn
         if not c <= d:
             raise ValueError("cumulative requires c <= d")
-        try:
-            return cumulative(lambda t: feval(t) * fn(t), c, d, cfg, self.ends)
-        except QuadratureError as exc:
-            raise QuadratureError(f"table of f*w on [{c:g}, {d:g}]: {exc}") from None
+        return cumulative(lambda t: feval(t) * fn(t), c, d, cfg, self.ends)
 
 
 def _uniform(a: float, b: float) -> Weight:

@@ -539,6 +539,25 @@ def test_table_keeps_its_other_errors(capsys):
                               "it must be positive\n")
 
 
+_HUGE = ("--a", "-1e308", "--b", "1e308")
+
+
+@pytest.mark.parametrize("argv", [
+    ("audit", *_HUGE, "--x-grid", "3"),
+    ("bounds", *_HUGE, "--x", "0", "--function", "t", "--weight", "arcsine"),
+    ("bounds", *_HUGE, "--x", "0", "--function", "t", "--weight", "truncnorm"),
+    ("bounds", *_HUGE, "--x", "0", "--function", "t", "--weight-expr", "1"),
+    ("cdf", "--density", "1", *_HUGE, "--x", "0"),
+], ids=["audit", "arcsine", "truncnorm", "weight-expr", "cdf"])
+def test_domain_whose_length_overflows_is_named(capsys, argv):
+    # a and b are finite, but b - a is not
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == ("error: weight domain requires a finite length b - a, "
+                   "got [-1e+308, 1e+308]\n")
+    assert "Traceback" not in err
+
+
 # 3 001 terms: the parser builds a sum in a loop, so no nesting limit applies
 _LONG_SUM = "+".join(["t"] * 3001)
 
@@ -849,8 +868,9 @@ class TestCdfCommand:
                              [("arcsine", "[0, 1]", 4), ("uniform", "[0, 1]", 2)])
     def test_table_out_of_subdivisions_is_named(self, capsys, weight, stretch, panels):
         # one table of f*w on [a, b], the arcsine table's end leaves included:
-        # the message names its stretch of t. With both ends algebraic the
-        # table starts from the four quarters of [a, b], past a budget of 2
+        # the message names the flag and its stretch of t. With both ends
+        # algebraic the table starts from the four quarters of [a, b], past a
+        # budget of 2
         code, out, err = run(
             capsys, "cdf", "--density", "1 + sin(40*t)^2", "--weight", weight,
             "--x", "0.5", "--max-subdiv", "2",
@@ -858,7 +878,7 @@ class TestCdfCommand:
         assert code == 1
         assert out == ""
         assert err.startswith(
-            f"error: table of f*w on {stretch}: no convergence after {panels} ")
+            f"error: --density table on {stretch}: no convergence after {panels} ")
         assert "Traceback" not in err
 
     def test_bound_one_follows_the_variation(self, capsys):

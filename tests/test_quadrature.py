@@ -250,6 +250,43 @@ class TestEndRule:
             integrate(lambda t: math.inf, 0.0, 1.0, ends=[(0.0, -0.5)])
 
 
+_TOL = QuadConfig(abs_tol=1e-12)
+_WAVE = lambda t: 1.0 + math.sin(40.0 * t) ** 2  # noqa: E731
+
+
+@pytest.mark.parametrize("make", [
+    lambda: integrate(_WAVE, 0.0, 1.0, _TOL),
+    lambda: integrate(lambda t: kinked(t) * _WAVE(t), 0.0, 1.0, _TOL, breaks=BREAKS),
+    # a named end e = 2 outside [1, 1.99]: the panels next to it read exact distances
+    lambda: integrate(lambda t: (2.0 - t) ** -0.5 * _WAVE(t), 1.0, 1.99, _TOL,
+                      ends=[(2.0, -0.5)]),
+    lambda: integrate(lambda t: (t * (1.0 - t)) ** -0.5 * _WAVE(t), 0.0, 1.0, _TOL,
+                      ends=[(0.0, -0.5), (1.0, -0.5)]),
+    lambda: cumulative(_WAVE, 0.0, 1.0, _TOL),
+    lambda: cumulative(lambda t: t**-0.4 * _WAVE(t), 0.0, 1.0, _TOL, ends=[(0.0, -0.4)]),
+], ids=["plain", "breaks", "near-end", "both-ends", "table", "table-ends"])
+def test_panel_makes_every_panel(monkeypatch, make):
+    # `_panel` is the one place a panel of `integrate` is made: every G7/K15
+    # panel and every end panel goes through it, in the first pass and in
+    # each bisection
+    calls = {"_panel": 0, "_gk15": 0, "_end_panel": 0}
+
+    def counted(name):
+        fn = getattr(quadrature, name)
+
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return spy
+
+    for name in calls:
+        monkeypatch.setattr(quadrature, name, counted(name))
+    make()
+    assert calls["_gk15"] > 10
+    assert calls["_panel"] == calls["_gk15"] + calls["_end_panel"]
+
+
 class TestKronrodConstants:
     """The G7/K15 pair at full precision: the K15 rule is exact to degree 22."""
 
