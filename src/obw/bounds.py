@@ -7,7 +7,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -187,33 +187,25 @@ def sign_kernel_fn(params: TauParams) -> Fn1D:
     f' = +1 left of x and -1 right of it, so the integral of rho f'
     equals the kernel L1 norm and the sup-norm bound is attained.
     """
-    x = params.x
+    return _sign_kernel(params.x)
 
-    def fn(t: float) -> float:
-        return t if t <= x else 2.0 * x - t
 
-    def deriv(t: float) -> float:
-        return 1.0 if t <= x else -1.0
-
-    return Fn1D(fn=fn, derivative=deriv, name="sign-kernel", kinks=(x,))
+def _sign_kernel(x: float) -> Fn1D:
+    return Fn1D(fn=lambda t: t if t <= x else 2.0 * x - t,
+                derivative=lambda t: 1.0 if t <= x else -1.0, name="sign-kernel", kinks=(x,))
 
 
 class _Cached:
-    """A weight's masses, first moments and weighted integrals, kept: the
-    view `sharpness_search` builds at each x, where `kernel_l1`,
-    `kernel_sup` and `tau` take it in place of the weight, and `verify`
-    builds per weight for tau's three forms. Each is taken on first use, so
-    a side that no pair weights is never taken, and read back by every later
-    call; a failed call is not kept, so a call that needs it raises as
-    against the weight.
-    """
+    """A weight's masses and weighted integrals, kept: `verify`'s view of
+    each weight for tau's three forms. Each is taken on first use and read
+    back later; a failed call is not kept, so a call that needs it raises as
+    against the weight."""
 
     mass = Weight.mass  # the one degenerate-mass rule, over the kept moments
 
     def __init__(self, w: Weight) -> None:
         self.a, self.b, self.total = w.a, w.b, w.total
         self.moment = functools.cache(w.moment)
-        self.moment_l1 = functools.cache(w.moment_l1)
         self.integrate_against = functools.cache(w.integrate_against)
 
 
@@ -240,26 +232,40 @@ def sharpness_search(
     Hoelder equality for the sup-norm branch; exact_one uses a narrow
     hat derivative concentrated where |rho| peaks and only approaches 1.
     Ratios within quadrature noise (1e-12) count as ties, which resolve
-    toward smaller x.
+    toward smaller x. A column core on `_sweep`: per x, each weighted
+    `_side` and each witness's integral on a side its pairs weight are
+    taken once; the pairs combine them as `kernel_l1` or `kernel_sup` and
+    `tau` do, so each ratio is bit-equal to its row computed on its own.
     """
     if kind not in ("exact_inf", "exact_one"):
         raise ValueError(f"unknown sharpness kind: {kind!r}")
-    rows = []
-    for x in x_grid:
-        at = _Cached(w)
-        # one witness per x, so `at` keeps its integrals: the sign kernel
-        # depends on x alone, the hat also on whether alpha >= beta
-        witnesses: dict[bool, Fn1D] = {}
-        for alpha, beta in coeff_grid:
-            params = TauParams(a=w.a, b=w.b, x=x, alpha=alpha, beta=beta)
-            if kind == "exact_inf":  # the sup norm of f' is 1
-                side, witness, bound = True, sign_kernel_fn, kernel_l1(params, at, cfg)
-            else:  # the hat derivative has unit L1 mass by construction
-                side, witness, bound = alpha >= beta, _hat_fn, kernel_sup(params, at)
-            if side not in witnesses:
-                witnesses[side] = witness(params)
-            dev = abs(tau(witnesses[side], at, params, cfg))
-            rows.append(SharpnessRow(x, alpha, beta, dev / bound if bound > 0 else 0.0))
+    xs, pairs = list(x_grid), list(coeff_grid)
+    if not (xs and pairs):
+        raise ValueError(f"sharpness_search: {'coeff_grid' if xs else 'x_grid'} is empty")
+    inf = kind == "exact_inf"  # reads a side's mass and first moment; exact_one, its mass
+    # a pair's witness: the sign kernel, or the hat, up where alpha >= beta
+    ups = [inf or alpha >= beta for alpha, beta in pairs]
+    need = sorted({(up, k) for up, pair in zip(ups, pairs) for k in (0, 1) if pair[k] > 0})
+
+    def read(x: float, left: bool, right: bool) -> list:
+        side = [_side(w, w.a, x, (1 + inf) * left, cfg), _side(w, w.b, x, (1 + inf) * right, cfg)]
+        f = {up: _sign_kernel(x) if inf else _hat(w.a, w.b, x, up) for up in set(ups)}
+        ends = ((w.a, x), (x, w.b))
+        integral = {(up, k): w.integrate_against(f[up], *ends[k], cfg) for up, k in need}
+        ratios = []
+        for (alpha, beta), up in zip(pairs, ups):
+            s = alpha + beta
+            branches = [(share / s / side[k][0], k) for k, share in enumerate((alpha, beta))
+                        if share > 0]
+            bound = sum(coef * side[k][1] for coef, k in branches) if inf else max(alpha, beta) / s
+            dev = abs(f[up](x) - sum(coef * integral[up, k] for coef, k in branches))
+            ratios.append(dev / bound if bound > 0 else 0.0)
+        return ratios
+
+    ratios = _sweep(w, xs, pairs, read, lambda params: (
+        kernel_l1(params, w, cfg) if inf else kernel_sup(params, w),
+        tau((sign_kernel_fn if inf else _hat_fn)(params), w, params, cfg)))
+    rows = list(map(SharpnessRow, *audit_grid(xs, pairs), ratios.ravel().tolist()))
     best = max(rows, key=lambda r: (round(r.ratio, 12), -r.x))
     return best, rows
 
@@ -269,24 +275,16 @@ _HAT_WIDTH = 1e-3
 
 def _hat_fn(params: TauParams) -> Fn1D:
     """f whose derivative is a unit-mass hat just inside the peak branch."""
-    delta = _HAT_WIDTH * (params.b - params.a)
-    if params.alpha >= params.beta:
-        lo, hi, sign = params.x - delta, params.x, 1.0
-    else:
-        lo, hi, sign = params.x, params.x + delta, -1.0
+    return _hat(params.a, params.b, params.x, params.alpha >= params.beta)
+
+
+def _hat(a: float, b: float, x: float, up: bool) -> Fn1D:
+    delta = _HAT_WIDTH * (b - a)
+    lo, hi, sign = (x - delta, x, 1.0) if up else (x, x + delta, -1.0)
     height = 1.0 / delta
-
-    def fn(t: float) -> float:
-        if t <= lo:
-            return 0.0
-        if t >= hi:
-            return sign
-        return sign * ((t - lo) * height)
-
-    def deriv(t: float) -> float:
-        return sign * (height if lo < t <= hi else 0.0)
-
-    return Fn1D(fn=fn, derivative=deriv, name="hat", kinks=(lo, hi))
+    return Fn1D(fn=lambda t: 0.0 if t <= lo else sign if t >= hi else sign * ((t - lo) * height),
+                derivative=lambda t: sign * (height if lo < t <= hi else 0.0),
+                name="hat", kinks=(lo, hi))
 
 
 @dataclass(frozen=True)
@@ -322,44 +320,26 @@ def audit_columns(
     1 - 1e-9), in the row order of `audit_grid`. A weight's columns are
     taken when its turn comes.
 
-    The pairs are checked once per weight, at the first x: `TauParams`
-    and the OverflowError of the L_p bracket's coef ** q. At a later x only
-    what depends on x is checked: x > a if a pair weights the left side and
-    x < b if one weights the right (a NaN x fails both). Per x, w(x) and
-    each weighted side's mass, (d - c)^2 and first moment are taken once;
-    the pairs combine them as numpy columns, in the operations and order of
-    `_paper_factors`' inf bracket and of `kernel_l1`, so each entry is
-    bit-equal to the row computed on its own. Where anything fails at an x,
-    its rows are computed on their own, in order: the first that fails
-    raises what it raises alone.
+    A column core on `_sweep`, whose pair check also takes the L_p
+    bracket's coef ** q (its OverflowError). Per x, w(x) and each weighted
+    side's `_side` are taken once; the pairs combine them as numpy columns,
+    in the operations and order of `_paper_factors`' inf bracket and of
+    `kernel_l1`, so each entry is bit-equal to the row computed on its own.
     """
     xs, pairs = list(x_grid), list(coeff_grid)
     if not pairs:  # no rows, so nothing is read
         return
     coefs = [np.array([pair[k] for pair in pairs], dtype=float) for k in (0, 1)]
-    left, right = (bool((coef > 0).any()) for coef in coefs)
     s = np.array([alpha + beta for alpha, beta in pairs], dtype=float)
     for w in weight_list:
-        per_x = []
-        for i, x in enumerate(xs):
-            try:
-                if i == 0 or (left and not x > w.a) or (right and not x < w.b):
-                    for alpha, beta in pairs:
-                        TauParams(w.a, w.b, x, alpha, beta)
-                        alpha**2.0, beta**2.0  # the OverflowError of the L_p bracket's coef ** q
-                per_x.append([w.eval(x), *_side(w, w.a, x, left, cfg),
-                              *_side(w, w.b, x, right, cfg)])
-                continue
-            except Exception as exc:
-                error = exc
-            for alpha, beta in pairs:  # outside the handler, so no error is chained to it
-                params = TauParams(w.a, w.b, x, alpha, beta)
-                _paper_factors(params, w, 2.0), kernel_l1(params, w, cfg)
-            raise error
-        wx, *sides = np.array(per_x, dtype=float).reshape(-1, 7).T[..., None]
+        per_x = _sweep(w, xs, pairs, lambda x, left, right: [
+            w.eval(x), *_side(w, w.a, x, 3 * left, cfg), *_side(w, w.b, x, 3 * right, cfg)],
+            lambda params: (_paper_factors(params, w, 2.0), kernel_l1(params, w, cfg)),
+            check=lambda alpha, beta: (alpha**2.0, beta**2.0))
+        wx, *sides = per_x.reshape(-1, 7).T[..., None]
         inf_term = exact = 0.0
         with np.errstate(all="ignore"):  # silent inf and nan, as on Python floats
-            for coef, (mass, span2, first) in zip(coefs, (sides[:3], sides[3:])):
+            for coef, (mass, first, span2) in zip(coefs, (sides[:3], sides[3:])):
                 inf_term = inf_term + np.where(coef > 0, coef * span2 / mass, 0.0)
                 exact = exact + np.where(coef > 0, coef / s / mass * first, 0.0)
             paper = inf_term * wx / (2.0 * s)
@@ -392,10 +372,35 @@ def audit_paper_vs_exact(
     return rows
 
 
-def _side(w: Weight, anchor: float, x: float, weighted: bool, cfg: QuadConfig) -> list:
-    """The mass, (d - c)^2 and first moment of the side [c, d] of x that
-    ends at anchor, or nan where no pair weights it."""
-    if not weighted:
-        return [math.nan] * 3
-    c, d = sorted((anchor, x))
-    return [float(w.mass(c, d)), (d - c) ** 2, w.moment_l1(anchor, x, cfg)]
+def _sweep(w: Weight, xs: list, pairs: list, read: Callable, row: Callable,
+           check: Callable = lambda alpha, beta: None) -> np.ndarray:
+    """The column cores' scaffold: read(x, left, right) per x, as the rows of
+    an array; left (right) says a pair weights that side. The pairs are
+    checked (`TauParams`, then check(alpha, beta)) at the first x; later only
+    x > a if left and x < b if right (a NaN x fails both). Where anything
+    fails at an x, row(params) runs per pair in order, outside the handler:
+    the first that fails raises what it raises on its own."""
+    left, right = (any(pair[k] > 0 for pair in pairs) for k in (0, 1))
+    per_x = []
+    for i, x in enumerate(xs):
+        try:
+            if i == 0 or (left and not x > w.a) or (right and not x < w.b):
+                for alpha, beta in pairs:
+                    TauParams(w.a, w.b, x, alpha, beta), check(alpha, beta)
+            per_x.append(read(x, left, right))
+            continue
+        except Exception as exc:
+            error = exc
+        for alpha, beta in pairs:
+            row(TauParams(w.a, w.b, x, alpha, beta))
+        raise error
+    return np.array(per_x, dtype=float)
+
+
+def _side(w: Weight, anchor: float, x: float, parts: int, cfg: QuadConfig) -> list:
+    """The first `parts` of the mass, the first moment and (d - c)^2 of the
+    side [c, d] of x that ends at anchor, and nan for the rest."""
+    c, d = (x, anchor) if anchor > x else (anchor, x)
+    return [float(w.mass(c, d)) if parts else math.nan,
+            w.moment_l1(anchor, x, cfg) if parts > 1 else math.nan,
+            (d - c) ** 2 if parts > 2 else math.nan]

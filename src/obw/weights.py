@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 from typing import Callable, Optional
@@ -33,6 +34,8 @@ def _check_domain(a: float, b: float) -> None:
         raise ValueError(f"weight domain requires finite a < b, got [{a:g}, {b:g}]")
     if math.isinf(b - a):
         raise ValueError(f"weight domain requires a finite length b - a, got [{a:g}, {b:g}]")
+    if (b - a) * (b - a) < sys.float_info.min:  # a branch's integral of t would underflow
+        raise ValueError(f"weight domain [{a:g}, {b:g}] is too short: (b - a)^2 underflows")
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,8 @@ from dataclasses import replace
 from functools import partial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 
 from obw.bounds import (
@@ -213,6 +215,13 @@ class TestSharpness:
         with pytest.raises(ValueError, match="unknown sharpness kind"):
             sharpness_search(uniform, [0.5], [(1.0, 1.0)], kind="bogus")
 
+    @pytest.mark.parametrize("xs, pairs, name", [
+        ([], [(1.0, 1.0)], "x_grid"), ([0.5], [], "coeff_grid"), ([], [], "x_grid"),
+    ])
+    def test_empty_grid_is_named(self, uniform, xs, pairs, name):
+        with pytest.raises(ValueError, match=rf"^sharpness_search: {name} is empty$"):
+            sharpness_search(uniform, iter(xs), iter(pairs))
+
     @pytest.mark.parametrize("pair", [(1.0, 0.0), (0.0, 1.0)])
     @pytest.mark.parametrize("p, q", [(-0.55, 0.58), (-0.37, -0.36)])
     def test_sign_kernel_ratio_is_one_on_power_weights(self, p, q, pair):
@@ -343,6 +352,53 @@ class TestSweepRows:
         with pytest.raises(type(expected.value)) as got:
             run_sweep(sweep, w, [x], [*before, bad])
         assert str(got.value) == str(expected.value)
+
+
+@st.composite
+def sharpness_sweeps(draw):
+    """A built-in weight of every family on a random domain, an x grid with
+    points within 1e-12 of a and of b, and pairs with zero coefficients."""
+    a = draw(st.sampled_from([0.0, -1.5, 2.0]))
+    b = a + draw(st.sampled_from([1.0, 0.3, 4.0]))
+    name, kwargs = draw(st.sampled_from([
+        ("uniform", {}), ("increasing", {}), ("decreasing", {}), ("arcsine", {}),
+        ("power", {"p": draw(st.floats(-0.9, 2.0)), "q": draw(st.floats(-0.9, 2.0))}),
+        ("exponential", {"lam": draw(st.floats(-5.0, 5.0))}),
+        ("truncnorm", {"mu": a + (b - a) * draw(st.floats(-0.5, 1.5)),
+                       "sigma": (b - a) * draw(st.floats(0.02, 1.0))}),
+    ]))
+    near = st.floats(0.0, 1e-12)
+    inside = st.floats(a, b)
+    x = st.one_of(inside, inside, inside, near.map(lambda d: a + d), near.map(lambda d: b - d))
+    coef = st.one_of(st.just(0.0), st.floats(0.1, 5.0))
+    pair = st.tuples(coef, coef).filter(lambda pair: pair != (0.0, 0.0))
+    pairs = draw(st.lists(pair, min_size=1, max_size=3))
+    return builtin_weight(name, a, b, **kwargs), draw(st.lists(x, min_size=1, max_size=4)), pairs
+
+
+@pytest.mark.parametrize("sweep", ["exact_inf", "exact_one"])
+@given(case=sharpness_sweeps())
+@settings(max_examples=60, deadline=None)
+def test_sharpness_rows_are_their_row_references(sweep, case):
+    # every ratio is bit-equal to kernel_l1 or kernel_sup against tau of the
+    # witness, computed on its own; where a row fails, the sweep raises what
+    # the first failing row raises
+    w, xs, pairs = case
+    reference = row_reference(sweep, w)
+    expected = []
+    try:
+        for x in xs:
+            for alpha, beta in pairs:
+                bound, dev = reference(TauParams(w.a, w.b, x, alpha, beta))
+                expected.append(dev / bound if bound > 0 else 0.0)
+    except Exception as exc:
+        with pytest.raises(type(exc)) as got:
+            sharpness_search(w, xs, pairs, kind=sweep)
+        assert (type(got.value), str(got.value)) == (type(exc), str(exc))
+        return
+    _, rows = sharpness_search(w, xs, pairs, kind=sweep)
+    assert [(r.x, r.alpha, r.beta) for r in rows] == [(x, *pair) for x in xs for pair in pairs]
+    assert [repr(r.ratio) for r in rows] == [repr(ratio) for ratio in expected]
 
 
 class TestHatWitness:

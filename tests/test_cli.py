@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -558,6 +559,22 @@ def test_domain_whose_length_overflows_is_named(capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("bounds", "--x", "5e-301", "--function", "t"),
+    ("bounds", "--x", "5e-301", "--function", "t", "--weight-expr", "1"),
+    ("sharpness", "--x-grid", "3"),
+    ("audit", "--x-grid", "3"),
+    ("cdf", "--density", "1", "--x", "5e-301"),
+], ids=["bounds", "weight-expr", "sharpness", "audit", "cdf"])
+@pytest.mark.parametrize("b", ["1e-300", "1e-160"])
+def test_domain_whose_squared_length_underflows_is_named(capsys, argv, b):
+    # a branch's integral of t, about (b - a)^2, would read 0: tau was printed
+    # as x itself, and exact_inf as 0
+    code, out, err = run(capsys, *argv, "--a", "0", "--b", b)
+    assert (code, out) == (1, "")
+    assert err == f"error: weight domain [0, {b}] is too short: (b - a)^2 underflows\n"
+
+
 # 3 001 terms: the parser builds a sum in a loop, so no nesting limit applies
 _LONG_SUM = "+".join(["t"] * 3001)
 
@@ -786,6 +803,34 @@ class TestSharpnessCommand:
         assert (code, out) == (1, "")
         assert err.startswith("error: integral of f*w on [0.1, 1]: no convergence after 2 ")
         assert "Traceback" not in err
+
+
+# stdout followed by stderr of the six sharpness invocations of the benchmark's
+# corpus-sweep round at seed 61, as the row-wise sweep wrote them
+_PINNED_SHARPNESS = [
+    (("--weight", "power:p=-0.55,q=0.58", "--x-grid", "29", "--alphas", "3.51:1.46,1.0:0.0,0.0:1.0",
+      "--kind", "exact_inf"), "00a101eb2ea89e8ec181973006d81a1b96d684142d687694a577f0686da908e2"),
+    (("--weight", "power:p=-0.55,q=0.58", "--x-grid", "29", "--alphas", "3.51:1.46,1.0:0.0,0.0:1.0",
+      "--kind", "exact_one"), "1307e173fd255cd4968c4616805f00a32a853d92e7f27d8d7ec278f9be510615"),
+    (("--weight", "power:p=-0.37,q=-0.36", "--x-grid", "29", "--alphas", "0.72:2.45,1.0:0.0,0.0:1.0",
+      "--kind", "exact_inf"), "3bac884f325b1a54446745de63d3049fe0d92da7a9f4a35cd5783bc1c9b15ba6"),
+    (("--weight", "power:p=-0.37,q=-0.36", "--x-grid", "29", "--alphas", "0.72:2.45,1.0:0.0,0.0:1.0",
+      "--kind", "exact_one"), "bc4833733737cf7e7efd0e20a1377e75a8e7f8a68159a0a329f0ef28b9f33180"),
+    (("--weight", "exponential:lam=1.35", "--x-grid", "49",
+      "--alphas", "1.0:1.0,1.0:0.0,0.0:1.0,1.42:3.07,4.98:3.24", "--kind", "exact_inf"),
+     "b03344407c28e92e39ff12bff261241e13aff53b5023de4b3245f9660def349e"),
+    (("--weight", "truncnorm:sigma=0.27", "--x-grid", "49",
+      "--alphas", "1.0:1.0,1.0:0.0,0.0:1.0,4.64:1.39,3.09:4.18", "--kind", "exact_one"),
+     "c8bdce5f9e082b48a16de67e786c7ca40050cd0dcdce89a738e72699b008687a"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", _PINNED_SHARPNESS,
+                         ids=[f"{argv[1]}-{argv[-1]}" for argv, _ in _PINNED_SHARPNESS])
+def test_sharpness_output_is_pinned(capsys, argv, digest):
+    code, out, err = run(capsys, "sharpness", *argv, "--tol", "1e-10")
+    assert code == 0
+    assert hashlib.sha256((out + err).encode()).hexdigest() == digest
 
 
 class TestCdfCommand:

@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import mpmath
 import pytest
@@ -569,6 +570,28 @@ class TestTabulatedWeight:
 def test_builtin_weight_requires_finite_domain(name, a, b):
     with pytest.raises(ValueError, match=r"weight domain requires finite a < b"):
         builtin_weight(name, a, b)
+
+
+_BUILDERS = {
+    **{name: partial(builtin_weight, name) for name in
+       ("uniform", "decreasing", "arcsine", "power", "exponential", "truncnorm")},
+    "tabulated": partial(tabulated_weight, "one", lambda t: 1.0),
+}
+
+
+@pytest.mark.parametrize("maker", _BUILDERS.values(), ids=list(_BUILDERS))
+@pytest.mark.parametrize("a, b", [(0.0, 1e-300), (-1e-160, 1e-160), (0.0, 1.49e-154)])
+def test_domain_whose_squared_length_underflows_is_rejected(maker, a, b):
+    # (b - a)^2 below the smallest normal float: a branch's integral of t
+    # underflows, so a weighted mean would read 0 where it is about x
+    with pytest.raises(ValueError, match=r"weight domain \[.*\] is too short: \(b - a\)\^2 underflows"):
+        maker(a, b)
+
+
+@pytest.mark.parametrize("maker", _BUILDERS.values(), ids=list(_BUILDERS))
+def test_shortest_domain_is_accepted(maker):
+    w = maker(0.0, 1.5e-154)  # (b - a)^2 = 2.25e-308, just above 2.2250738585072014e-308
+    assert w.b - w.a == 1.5e-154
 
 
 class TestMass:

@@ -262,6 +262,35 @@ def test_audit_checks_each_pair_once_per_weight(monkeypatch, n):
     assert len(built) <= len(weights) * len(MANY_PAIRS)
 
 
+@pytest.mark.parametrize("n", [3, 40])
+@pytest.mark.parametrize("kind", ["exact_inf", "exact_one"])
+def test_sharpness_checks_each_pair_once_and_builds_no_view(monkeypatch, n, kind):
+    # the pairs are checked at the first x, a later x checks only x against a
+    # and b, and the witnesses are built from x alone: the TauParams built do
+    # not grow with the grid, and no cached view of the weight is built
+    built, views = [], []
+    post_init, view_init = TauParams.__post_init__, obw.bounds._Cached.__init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    def counted_view(self, w):
+        views.append(w)
+        view_init(self, w)
+
+    monkeypatch.setattr(TauParams, "__post_init__", counted)
+    monkeypatch.setattr(obw.bounds._Cached, "__init__", counted_view)
+    w = builtin_weight("arcsine", 0.0, 1.0)
+    xs = [(k + 1) / (n + 1) for k in range(n)]
+    _, rows = obw.bounds.sharpness_search(w, xs, MANY_PAIRS, kind=kind)
+    assert len(rows) == n * len(MANY_PAIRS)
+    assert len(built) <= len(MANY_PAIRS)
+    assert views == []
+    obw.bounds._Cached(w)
+    assert len(views) == 1  # the counter sees a view when one is built
+
+
 def test_cli_audit_builds_no_rows(monkeypatch, capsys):
     built = []
     init = obw.bounds.AuditRow.__init__
