@@ -4,7 +4,6 @@ audit sweeps."""
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
@@ -193,20 +192,6 @@ def sign_kernel_fn(params: TauParams) -> Fn1D:
 def _sign_kernel(x: float) -> Fn1D:
     return Fn1D(fn=lambda t: t if t <= x else 2.0 * x - t,
                 derivative=lambda t: 1.0 if t <= x else -1.0, name="sign-kernel", kinks=(x,))
-
-
-class _Cached:
-    """A weight's masses and weighted integrals, kept: `verify`'s view of
-    each weight for tau's three forms. Each is taken on first use and read
-    back later; a failed call is not kept, so a call that needs it raises as
-    against the weight."""
-
-    mass = Weight.mass  # the one degenerate-mass rule, over the kept moments
-
-    def __init__(self, w: Weight) -> None:
-        self.a, self.b, self.total = w.a, w.b, w.total
-        self.moment = functools.cache(w.moment)
-        self.integrate_against = functools.cache(w.integrate_against)
 
 
 @dataclass(frozen=True)

@@ -11,14 +11,13 @@ jump point.
 kernel_l1 reads each branch from the weight's `moment_l1`, the integral
 of |m(anchor, t)| between the anchor and x: a closed form for the built-in
 weights, so it runs no quadrature, and one weighted integral of the
-distance to x (the Fubini form) for an expression weight. kernel_lq reads
-an expression weight's branches from the leaves of the one table it
-builds when it is made (`Cumulative.power_integral`), with no quadrature
-and no query of the table. For the built-in weights kernel_lq, and
-kernel_integral for every weight, read t -> m(anchor, t) inside their
-integrands from the weight's `closed_moment`: a closed form, or that
-table. No quadrature runs inside an integrand and no table is built per
-call.
+distance to x (the Fubini form) for an expression weight. kernel_lq takes
+one normalised pass per branch (`_lq_side`). It and kernel_integral read
+t -> m(anchor, t) inside their integrands from the weight's
+`closed_moment`: a closed form, or an expression weight's table, so no
+quadrature runs inside an integrand and no table is built per call. A
+branch's J and its int m g (`_moment_integral`) do not depend on alpha and
+beta, so `suites` takes each once for every pair.
 
 kernel_integral(f', ...) is the left side of the kernel representation
 int rho(x, t) f'(t) dt = tau(f); its residual is that integral minus
@@ -28,11 +27,9 @@ int rho(x, t) f'(t) dt = tau(f); its residual is that integral minus
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Sequence
-
-import numpy as np
 
 from .quadrature import DEFAULT_CONFIG, QuadConfig, QuadratureError, integrate
 from .weights import Weight
@@ -94,11 +91,12 @@ def _branches(params: TauParams, w: Weight) -> list[tuple[float, float, float, f
 
 
 def _branch_integral(name: str, g: Callable[[float], float], c: float, d: float,
-                     anchor: float, cfg: QuadConfig, breaks: Sequence[float] = ()) -> float:
-    """int_c^d g on a branch, from `breaks` inside it; a QuadratureError
-    names the quantity and the branch, left where it is anchored at c."""
+                     anchor: float, cfg: QuadConfig, breaks: Sequence[float] = (),
+                     ends: Sequence[tuple[float, float]] = ()) -> float:
+    """int_c^d g on a branch from `breaks` inside it, with `integrate`'s `ends`; a
+    QuadratureError names the quantity and the branch, left if anchored at c."""
     try:
-        return integrate(g, c, d, cfg, breaks)[0]
+        return integrate(g, c, d, cfg, breaks, ends)[0]
     except QuadratureError as exc:
         side = "left" if anchor == c else "right"
         raise QuadratureError(f"{name} {side} branch on [{c:g}, {d:g}]: {exc}") from None
@@ -131,49 +129,55 @@ def kernel_l1(params: TauParams, w: Weight, cfg: QuadConfig = DEFAULT_CONFIG) ->
 def kernel_lq(
     params: TauParams, w: Weight, q: float, cfg: QuadConfig = DEFAULT_CONFIG
 ) -> float:
-    """Exact (int_a^b |rho(x, t)|^q dt)^(1/q) for q > 1.
-
-    A branch of a tabulated weight anchored at an end of its table is read
-    from the table's leaves (`Cumulative.power_integral`) when the
-    estimate is within the branch's share of cfg.abs_tol; otherwise, and
-    for the built-in weights, it is one integral of |coef m(anchor, t)|^q.
-
-    As q grows, |rho|^q peaks ever more narrowly at x, and its integral
-    sinks below abs_tol (near q = 30 on [0, 1]), then underflows (near
-    q = 1000). Below abs_tol the norm is read relative to S = `kernel_sup`:
-    S (int |rho / S|^q)^(1/q), where |rho / S| peaks at 1, each branch one
-    integral from breaks at distances (d - c) 2^-k from x, k < 60, so a
-    panel next to the peak is no wider than its distance from x. Where
-    that integral is 0 as well, the bound S (b - a)^(1/q).
-    """
+    """Exact (int_a^b |rho(x, t)|^q dt)^(1/q) for q > 1: one normalised pass
+    per branch (`_lq_side`), the Js combined by `_lq_norm`."""
     if q <= 1:
         raise ValueError("kernel_lq requires q > 1")
-    branches = _branches(params, w)
-    table = w.table
-    total = 0.0
-    for coef, c, d, anchor in branches:
-        if table is not None and anchor in (table.c, table.d):
-            try:
-                with np.errstate(over="raise"):
-                    value, err = table.power_integral(anchor, params.x, q, coef)
-            except (OverflowError, FloatingPointError):  # |h r|^q, or 2^(q + 1) for q >= 1023
-                err = math.inf
-            if err <= cfg.abs_tol / len(branches):
-                total += value
-                continue
-        m = partial(w.closed_moment, anchor)
-        total += _branch_integral("kernel_lq", lambda t: abs(coef * m(t)) ** q, c, d, anchor, cfg)
-    if total >= cfg.abs_tol:
-        return total ** (1.0 / q)
-    sup = kernel_sup(params, w)
-    total = 0.0
-    for coef, c, d, anchor in branches:
-        m, scale = partial(w.closed_moment, anchor), coef / sup
-        x, step = (d, c - d) if anchor == c else (c, d - c)
-        breaks = sorted({t for k in range(1, 60) if c < (t := x + step * 0.5**k) < d})
-        total += _branch_integral(
-            "kernel_lq", lambda t: abs(scale * m(t)) ** q, c, d, anchor, cfg, breaks)
-    return sup * (total if total > 0 else params.b - params.a) ** (1.0 / q)
+    sides = _sides(params)
+    masses = [w.mass(c, d) for _, c, d, _ in sides]  # rejects a branch without mass first
+    values = [_lq_side(w, anchor, params.x, mass, q, share / params.weight_sum, cfg)
+              for (share, _, _, anchor), mass in zip(sides, masses)]
+    return _lq_norm(params, [share for share, *_ in sides], values, q)
+
+
+def _lq_norm(params: TauParams, shares: Sequence[float], values: Sequence[float],
+             q: float) -> float:
+    """||rho||_q from each branch's share of alpha + beta and its J, relative to
+    S = sup |rho| so no share^q underflows: S (sum (share / max(alpha, beta))^q
+    J)^(1/q), and where that sum reads 0, the bound S (b - a)^(1/q)."""
+    top = max(params.alpha, params.beta)
+    total = sum((share / top) ** q * value for share, value in zip(shares, values))
+    return top / params.weight_sum * (total if total > 0 else params.b - params.a) ** (1.0 / q)
+
+
+def _lq_side(w: Weight, anchor: float, x: float, mass: float, q: float, r: float,
+             cfg: QuadConfig) -> float:
+    """J = int |m(anchor, t) / mass|^q, which peaks at 1 at x, on the branch
+    between anchor and x, to min(abs_tol, abs_tol / (2 r^q)), r (at least)
+    its share of alpha + beta, so the r^q J of int |rho|^q sum within abs_tol.
+
+    Next to x it falls like exp(-|t - x| / h), h = mass / (q w(x)): breaks go
+    at x -+ 4^k h, k >= 0, inside the branch (none where w(x) = 0). At the
+    anchor it is |t - anchor|^gamma times a smooth function, gamma = q (1 + e)
+    with e the weight's exponent there (`Weight.exponents`), and the anchor is
+    an algebraic end where gamma < 2.5 is at least 0.1 from an integer (next
+    to one the end rule's estimate vanishes).
+    """
+    c, d, toward = (x, anchor, 1.0) if anchor > x else (anchor, x, -1.0)  # toward: into it
+    wx = w.eval(x)
+    h = mass / (q * wx) if wx > 0 else math.inf
+    breaks = set()
+    while 0 < h < d - c:
+        if c < (t := x + toward * h) < d:
+            breaks.add(t)
+        h *= 4.0
+    e = dict(zip((w.a, w.b), w.exponents)).get(anchor)
+    gamma = math.inf if e is None else q * (1.0 + e)
+    ends = ((anchor, gamma),) if gamma < 2.5 and abs(gamma - round(gamma)) >= 0.1 else ()
+    m = partial(w.closed_moment, anchor)
+    tol = cfg.abs_tol / (2.0 * r**q) if 2.0 * r**q > 1.0 else cfg.abs_tol
+    return _branch_integral("kernel_lq", lambda t: abs(m(t) / mass) ** q, c, d, anchor,
+                            replace(cfg, abs_tol=tol), sorted(breaks), ends)
 
 
 def kernel_sup(params: TauParams, w: Weight) -> float:
@@ -185,10 +189,13 @@ def kernel_sup(params: TauParams, w: Weight) -> float:
 def kernel_integral(
     g: Callable[[float], float], params: TauParams, w: Weight, cfg: QuadConfig = DEFAULT_CONFIG
 ) -> float:
-    """int_a^b rho(x, t) g(t) dt, one integral per branch; tau(f) for g = f'."""
-    total = 0.0
-    for coef, c, d, anchor in _branches(params, w):
-        m = partial(w.closed_moment, anchor)
-        total += _branch_integral(
-            "kernel_integral", lambda t: coef * m(t) * g(t), c, d, anchor, cfg)
-    return total
+    """int_a^b rho(x, t) g(t) dt, one `_moment_integral` per branch; tau(f) for g = f'."""
+    return sum(coef * _moment_integral(w, anchor, c, d, g, cfg)
+               for coef, c, d, anchor in _branches(params, w))
+
+
+def _moment_integral(w: Weight, anchor: float, c: float, d: float, g: Callable[[float], float],
+                     cfg: QuadConfig) -> float:
+    """int_c^d m(anchor, t) g(t) dt on the branch [c, d] anchored at anchor."""
+    m = partial(w.closed_moment, anchor)
+    return _branch_integral("kernel_integral", lambda t: m(t) * g(t), c, d, anchor, cfg)

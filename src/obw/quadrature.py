@@ -502,7 +502,6 @@ class Cumulative:
         self._mids: list[float] = []
         self._halves: list[float] = []
         self._coef: list[list[float]] = []
-        self._coef_rows = np.zeros((0, 16))  # _coef as an array
         self._prefix: list[float] = []
         self._ends: dict[int, tuple[float, bool, list[float]]] = {}  # leaf: (gamma, right, coef)
 
@@ -514,8 +513,7 @@ class Cumulative:
         self._lefts = list(lo)
         self._mids = [0.5 * (u + v) for u, v in zip(lo, hi)]
         self._halves = halves.tolist()
-        self._coef_rows = _product(integ, np.array(block)) * halves[:, None]
-        self._coef = self._coef_rows.tolist()
+        self._coef = (_product(integ, np.array(block)) * halves[:, None]).tolist()
         self._prefix = [0.0, *itertools.accumulate(kvals)][:-1]
         to_coef = _leaf_matrices()[2]
         self._ends = {
@@ -557,60 +555,6 @@ class Cumulative:
             inner = half * half * math.fsum(c * (2.0 * m - m1) for c, (m, m1) in zip(coef, moments))
             parts[i] = 2.0 * half * self.total - inner if right else inner
         return math.fsum(parts)
-
-    def power_integral(
-        self, anchor: float, x: float, q: float, scale: float = 1.0
-    ) -> tuple[float, float]:
-        """(int |scale (T(t) - T(anchor))|^q dt between anchor and x, an
-        estimate of its error), T the interpolant of a table built with no
-        `ends` and anchor c or d.
-
-        Read from the leaves, as `area` is; g is not evaluated again. Away
-        from the anchor's leaf T - T(anchor) does not vanish: each whole
-        leaf takes the 24-point Gauss-Legendre rule (error about
-        rho^(15 - 48), rho = 3 + sqrt(8), as a dyadic leaf's middle lies at
-        least 3 half-widths from the anchor), and so does the piece of the
-        leaf that x cuts, its series evaluated at the nodes mapped onto the
-        piece. On the anchor's piece, of half-width h, T - T(anchor) =
-        h (1 + u) r(u), with r a polynomial and u = -1 at the anchor (u
-        mirrored at d): |r|^q is projected onto P_0, ..., P_23 from the nodes
-        and integrated against (1 + u)^q by `_jacobi_moments`. The estimate,
-        of that piece alone, is the size of its last four terms.
-        """
-        right = anchor == self.d
-        if not (right or anchor == self.c):
-            raise ValueError(f"anchor {anchor} is not an end of [{self.c}, {self.d}]")
-        if not self.c <= x <= self.d:
-            raise ValueError(f"x={x} outside the table's [{self.c}, {self.d}]")
-        if self._ends:  # an end leaf's rows hold H's antiderivative, not T's
-            raise ValueError("power_integral reads a table built with no ends")
-        if x == anchor:
-            return 0.0, 0.0
-        nodes, weights, legendre = _gauss_legendre()
-        last = len(self._lefts) - 1
-        i = bisect.bisect_right(self._lefts, x) - 1  # the leaf that holds x
-        cut = x > self._lefts[i]
-        # T at the nodes of each leaf between the anchor and x, in order of t
-        whole = slice(i + cut, last + 1) if right else slice(0, i)
-        values = _product(legendre[:, :16], self._coef_rows[whole])
-        values += np.array(self._prefix[whole])[:, None]
-        halves = self._halves[whole]
-        if cut:  # and at the nodes mapped onto the piece of leaf i
-            end = self._lefts[i + 1] if i < last else self.d
-            lo, hi = (x, end) if right else (self._lefts[i], x)
-            h, half = 0.5 * (hi - lo), self._halves[i]
-            s = (0.5 * (lo + hi) - self._mids[i]) / half + (h / half) * nodes
-            piece = self._prefix[i] + _series(self._coef[i], s)
-            values = np.vstack((piece, values) if right else (values, piece))
-            halves = [h, *halves] if right else [*halves, h]
-        values = scale * (values - (self.total if right else 0.0))
-        if right:  # mirrored, u -> -u (the nodes are symmetric): the anchor's piece first
-            values, halves = values[::-1, ::-1], halves[::-1]
-        h = halves[0]
-        hr = np.abs(values[0] / (1.0 + nodes)) ** q  # h r(u) at the nodes
-        terms = _product(_jacobi_rule(q), hr[None, :])[0]
-        others = np.einsum("ij,j,i->", np.abs(values[1:]) ** q, weights, halves[1:])
-        return math.fsum((h * terms.sum(), others)), float(h * np.abs(terms[-4:]).sum())
 
 
 def cumulative(

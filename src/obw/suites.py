@@ -4,18 +4,15 @@ acceptance tests."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator, Sequence
 
-from .bounds import _Cached, bounds_cerone, bounds_exact, bounds_paper, kernel_norms
-from .corpus import (
-    COEFF_PAIRS,
-    corpus_functions,
-    corpus_weights,
-    corpus_x_values,
-)
+from .bounds import _sweep, bounds_cerone, bounds_exact, bounds_paper, kernel_norms
+from .corpus import COEFF_PAIRS, corpus_functions, corpus_weights, corpus_x_values
 from .functionals import tau, tau_combination, tau_decomposed
-from .kernel import TauParams, kernel_integral
-from .norms import Triple, _norm_lp, _scan, _variation
+from .kernel import TauParams, _lq_norm, _lq_side, _moment_integral, kernel_integral
+from .norms import Triple, _norm_lp, _scan, _variation, conjugate
 from .quadrature import DEFAULT_CONFIG, QuadConfig, derivative_callable
+from .weights import Weight
 
 __all__ = ["Suite", "SuiteReport", "run_verify_suites", "P_GRID"]
 
@@ -62,15 +59,12 @@ def run_verify_suites(cfg: QuadConfig = DEFAULT_CONFIG) -> SuiteReport:
 
     Each quantity is computed once, at the level it depends on: f', one
     scan of it, its sup norm and f's variation (the L1 norm of f') per
-    function, the L_p norm of f' per (function, p), the kernel norms per
-    (weight, x, pair, p), and tau per configuration. tau's three forms
-    read one view of each weight (`bounds._Cached`), so each weighted
-    integral and mass is taken once.
+    function, the L_p norm of f' per (function, p), and each weighted
+    integral once per (weight, x, side), which the pairs only combine
+    (`_configurations`).
     """
     report = SuiteReport()
     a, b = 0.0, 1.0  # every corpus weight and x lies on [a, b]
-    weights = corpus_weights(a, b)
-    xs = corpus_x_values(a, b)
     functions = []  # (f, f', {p: norms of f'}); the sup and L1 norms do not depend on p
     for f in corpus_functions():
         fprime = derivative_callable(f)
@@ -79,40 +73,32 @@ def run_verify_suites(cfg: QuadConfig = DEFAULT_CONFIG) -> SuiteReport:
         norms = {p: Triple(sup, _norm_lp(fprime, p, a, b, cfg, roots), one) for p in P_GRID}
         functions.append((f, fprime, norms))
 
+    weights, xs = corpus_weights(a, b), corpus_x_values(a, b)
     for w in weights:
-        cached = _Cached(w)
-        for x in xs:
-            for alpha, beta in COEFF_PAIRS:
-                params = TauParams(a=a, b=b, x=x, alpha=alpha, beta=beta)
-                kernels = {p: kernel_norms(params, w, p, cfg) for p in P_GRID}
-                for f, fprime, norms in functions:
-                    label = f"{f.name}/{w.name}/x={x:g}/({alpha:g},{beta:g})"
-                    t0 = tau(f, cached, params, cfg)
+        for params, kernels, forms in _configurations(w, xs, COEFF_PAIRS, functions, cfg):
+            for (f, _, norms), (t0, res, t1, t2) in zip(functions, forms):
+                label = f"{f.name}/{w.name}/x={params.x:g}/({params.alpha:g},{params.beta:g})"
+                report.identity.checked += 1
+                if abs(res) > IDENTITY_TOL:
+                    report.identity.failures.append(f"{label}: residual {res:.3e}")
 
-                    res = kernel_integral(fprime, params, w, cfg) - t0
-                    report.identity.checked += 1
-                    if abs(res) > IDENTITY_TOL:
-                        report.identity.failures.append(f"{label}: residual {res:.3e}")
+                dev = abs(t0)
+                for p in P_GRID:
+                    exact = bounds_exact(kernels[p], norms[p])
+                    report.soundness.checked += 1
+                    for branch, bval in zip(("inf", "p", "one"), exact):
+                        if dev > bval * (1.0 + SOUNDNESS_RTOL) + 1e-12:
+                            report.soundness.failures.append(
+                                f"{label}: |tau|={dev:.6e} > "
+                                f"exact_{branch}={bval:.6e} (p={p})"
+                            )
 
-                    dev = abs(t0)
-                    for p in P_GRID:
-                        exact = bounds_exact(kernels[p], norms[p])
-                        report.soundness.checked += 1
-                        for branch, bval in zip(("inf", "p", "one"), exact):
-                            if dev > bval * (1.0 + SOUNDNESS_RTOL) + 1e-12:
-                                report.soundness.failures.append(
-                                    f"{label}: |tau|={dev:.6e} > "
-                                    f"exact_{branch}={bval:.6e} (p={p})"
-                                )
-
-                    t1 = tau_combination(f, cached, params, cfg)
-                    t2 = tau_decomposed(f, cached, params, cfg)
-                    report.equivalence.checked += 1
-                    if abs(t0 - t1) > EQUIVALENCE_TOL or abs(t0 - t2) > EQUIVALENCE_TOL:
-                        report.equivalence.failures.append(
-                            f"{label}: tau={t0:.3e} combination={t1:.3e} "
-                            f"decomposed={t2:.3e}"
-                        )
+                report.equivalence.checked += 1
+                if abs(t0 - t1) > EQUIVALENCE_TOL or abs(t0 - t2) > EQUIVALENCE_TOL:
+                    report.equivalence.failures.append(
+                        f"{label}: tau={t0:.3e} combination={t1:.3e} "
+                        f"decomposed={t2:.3e}"
+                    )
 
     # Uniform-weight reduction to the unweighted two-coefficient bounds.
     uniform = weights[0]
@@ -132,3 +118,62 @@ def run_verify_suites(cfg: QuadConfig = DEFAULT_CONFIG) -> SuiteReport:
                         f"vs legacy {lv:.15e}"
                     )
     return report
+
+
+def _configurations(w: Weight, xs: Sequence[float], pairs: Sequence[tuple[float, float]],
+                    functions: list, cfg: QuadConfig) -> Iterator[tuple]:
+    """Per (x, pair), (params, {p: `kernel_norms`}, per (f, f', _) of
+    `functions`: tau, kernel_integral(f') - tau, tau_combination and
+    tau_decomposed). A column core on `bounds._sweep`, each pair weighting
+    both sides: per (x, side) the mass, `moment_l1`, each q's J (to the
+    largest share of the pairs), and per function int f w and int m f', are
+    taken once, and int f w over [a, b] once per function. The pairs combine
+    them as the calls on their own do: each value is bit-equal to its call,
+    ||rho||_q within abs_tol."""
+    a, b = w.a, w.b
+    qs = [conjugate(p) for p in P_GRID]
+    full: list[float] = []  # int f w over [a, b] per function, taken at the first x
+
+    def read(x: float, left: bool, right: bool) -> list[float]:
+        sides = []  # per side: mass, first moment, J per q, int f w and int m f' per function
+        for k, anchor in enumerate((a, b)):
+            c, d = (x, anchor) if anchor > x else (anchor, x)
+            mass, r = w.mass(c, d), max(pair[k] / sum(pair) for pair in pairs)
+            sides.append((mass, w.moment_l1(anchor, x, cfg),
+                          [_lq_side(w, anchor, x, mass, q, r, cfg) for q in qs],
+                          [w.integrate_against(f, c, d, cfg) for f, _, _ in functions],
+                          [_moment_integral(w, anchor, c, d, g, cfg) for _, g, _ in functions]))
+        full[:] = full or [w.integrate_against(f, a, b, cfg) for f, _, _ in functions]
+        (m_left, *_, left_fw, _), (m_right, *_) = sides
+        row = []
+        for alpha, beta in pairs:
+            params, s = TauParams(a, b, x, alpha, beta), alpha + beta
+            branches = [(share / s / side[0], side) for share, side in zip((alpha, beta), sides)]
+            row += [sum(coef * side[1] for coef, side in branches), max(alpha, beta) / s]
+            row += [_lq_norm(params, (alpha, beta), [side[2][j] for side in sides], q)
+                    for j, q in enumerate(qs)]
+            frac = beta / s * (w.total / m_right)  # tau_decomposed's
+            for i, (f, _, _) in enumerate(functions):
+                fx = f(x)
+                t0 = fx - sum(coef * side[3][i] for coef, side in branches)
+                combination = sum(share * (fx - side[3][i] / side[0])
+                                  for share, side in zip((alpha, beta), sides)) / s
+                decomposed = fx - ((1.0 - frac) * (left_fw[i] / m_left)
+                                   + frac * (full[i] / w.total))
+                residual = sum(coef * side[4][i] for coef, side in branches) - t0
+                row += [t0, residual, combination, decomposed]
+        return row
+
+    def alone(params: TauParams) -> None:
+        for p in P_GRID:
+            kernel_norms(params, w, p, cfg)
+        for f, fprime, _ in functions:
+            tau(f, w, params, cfg), kernel_integral(fprime, params, w, cfg)
+            tau_combination(f, w, params, cfg), tau_decomposed(f, w, params, cfg)
+
+    values = _sweep(w, xs, pairs, read, alone).reshape(len(xs), len(pairs), -1).tolist()
+    for x, per_pair in zip(xs, values):
+        for (alpha, beta), (l1, sup, *rest) in zip(pairs, per_pair):
+            yield (TauParams(a, b, x, alpha, beta),
+                   {p: Triple(l1, lq, sup) for p, lq in zip(P_GRID, rest)},
+                   list(zip(*[iter(rest[len(P_GRID):])] * 4)))

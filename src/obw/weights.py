@@ -34,8 +34,11 @@ def _check_domain(a: float, b: float) -> None:
         raise ValueError(f"weight domain requires finite a < b, got [{a:g}, {b:g}]")
     if math.isinf(b - a):
         raise ValueError(f"weight domain requires a finite length b - a, got [{a:g}, {b:g}]")
-    if (b - a) * (b - a) < sys.float_info.min:  # a branch's integral of t would underflow
+    square = (b - a) * (b - a)  # about a branch's integral of t, such as moment_l1
+    if square < sys.float_info.min:
         raise ValueError(f"weight domain [{a:g}, {b:g}] is too short: (b - a)^2 underflows")
+    if math.isinf(square):
+        raise ValueError(f"weight domain [{a:g}, {b:g}] is too long: (b - a)^2 overflows")
 
 
 @dataclass(frozen=True)
@@ -59,6 +62,8 @@ class Weight:
     end takes its algebraic end rule, so w is integrated as it is, with no
     change of variable. `table`, for a weight given only as a function, is
     the table t -> m(a, t) that `closed_moment` reads; None for the built-ins.
+    `exponents` are w's exponents at a and at b, integers included (0 where w
+    is positive there), None where not known; `kernel_lq` reads them.
     """
 
     name: str
@@ -69,6 +74,7 @@ class Weight:
     moment_l1: Callable[[float, float, QuadConfig], float]
     ends: tuple[tuple[float, float], ...] = ()
     table: Optional[Cumulative] = field(default=None, repr=False)
+    exponents: tuple[Optional[float], Optional[float]] = (None, None)
 
     def __post_init__(self) -> None:
         _check_domain(self.a, self.b)
@@ -132,7 +138,7 @@ class Weight:
 
 def _uniform(a: float, b: float) -> Weight:
     return Weight("uniform", a, b, lambda t: 1.0, lambda c, d: d - c,
-                  lambda anchor, x, cfg: 0.5 * (x - anchor) ** 2)
+                  lambda anchor, x, cfg: 0.5 * (x - anchor) ** 2, exponents=(0.0, 0.0))
 
 
 def _phi(u: float) -> float:
@@ -159,7 +165,8 @@ def _exponential(a: float, b: float, lam: float) -> Weight:
         return math.exp(-lam * anchor) * _phi(lam * (x - anchor)) / (lam * lam)
 
     name = f"exponential(lam={lam:g})"
-    return Weight(name, a, b, lambda t: math.exp(-lam * t), closed, moment_l1)
+    return Weight(name, a, b, lambda t: math.exp(-lam * t), closed, moment_l1,
+                  exponents=(0.0, 0.0))
 
 
 _SERIES_TERMS = 60  # truncnorm on a short interval: 10^60 / 61! < 1e-24
@@ -215,7 +222,8 @@ def _truncnorm(a: float, b: float, mu: float, sigma: float) -> Weight:
         # (s - mu) w(s) is the derivative of -sigma^2 w(s)
         return (x - mu) * closed(anchor, x) - sigma * sigma * (fn(anchor) - fn(x))
 
-    return Weight(f"truncnorm(mu={mu:g},sigma={sigma:g})", a, b, fn, closed, moment_l1)
+    return Weight(f"truncnorm(mu={mu:g},sigma={sigma:g})", a, b, fn, closed, moment_l1,
+                  exponents=(0.0, 0.0))
 
 
 # The incomplete Beta integrals int_0^z (z - u)^shift u^(x-1) (1-u)^(y-1) du
@@ -334,7 +342,8 @@ def _power(a: float, b: float, p: float, q: float) -> Weight:
         return l1coef * (bfull * (zb - y / (x + y)) + _beta_series(x, y, za, 1))
 
     ends = tuple((e, g) for e, g in ((a, p), (b, q)) if g < 0 or g != int(g))
-    return Weight(f"power(p={p:g},q={q:g})", a, b, fn, closed, moment_l1, ends)
+    return Weight(f"power(p={p:g},q={q:g})", a, b, fn, closed, moment_l1, ends,
+                  exponents=(p, q))
 
 
 def tabulated_weight(
@@ -356,8 +365,17 @@ def tabulated_weight(
             return w.integrate_against(lambda s: x - s, anchor, x, cfg)
         return w.integrate_against(lambda s: s - x, x, anchor, cfg)
 
-    w = Weight(name, a, b, fn, lambda c, d: table(d) - table(c), moment_l1, table=table)
+    w = Weight(name, a, b, fn, lambda c, d: table(d) - table(c), moment_l1, table=table,
+               exponents=(_positive_end(fn, a), _positive_end(fn, b)))
     return w
+
+
+def _positive_end(fn: Callable[[float], float], t: float) -> Optional[float]:
+    """0, the exponent of fn at t, where fn(t) is positive and finite; else None."""
+    try:
+        return 0.0 if 0 < fn(t) < math.inf else None
+    except (ArithmeticError, ValueError):
+        return None
 
 
 # the power weights with a name of their own, and their exponents (p, q)

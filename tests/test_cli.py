@@ -203,7 +203,7 @@ class TestBoundsCommand:
     def test_kernel_lq_out_of_subdivisions_is_named(self, capsys):
         code, out, err = run(
             capsys, "bounds", "--x", "0.5", "--function", "t", "--weight", "arcsine",
-            "--p", "1.5", "--max-subdiv", "2", "--tol", "1e-13",
+            "--p", "1.9", "--max-subdiv", "2", "--tol", "1e-13",
         )
         assert (code, out) == (1, "")
         assert err.startswith("error: kernel_lq left branch on [0, 0.5]: no convergence after 2 ")
@@ -573,6 +573,18 @@ def test_domain_whose_squared_length_underflows_is_named(capsys, argv, b):
     code, out, err = run(capsys, *argv, "--a", "0", "--b", b)
     assert (code, out) == (1, "")
     assert err == f"error: weight domain [0, {b}] is too short: (b - a)^2 underflows\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("sharpness", "--x-grid", "3"),
+    ("bounds", "--x", "0", "--function", "t"),
+    ("audit", "--x-grid", "3"),
+], ids=["sharpness", "bounds", "audit"])
+def test_domain_whose_squared_length_overflows_is_named(capsys, argv):
+    # b - a is finite, but the uniform weight's moment_l1, about (b - a)^2, is not
+    code, out, err = run(capsys, *argv, "--a", "-1e200", "--b", "1e200")
+    assert (code, out) == (1, "")
+    assert err == "error: weight domain [-1e+200, 1e+200] is too long: (b - a)^2 overflows\n"
 
 
 # 3 001 terms: the parser builds a sum in a loop, so no nesting limit applies

@@ -10,8 +10,10 @@ from scipy.special import beta as beta_fn
 from scipy.special import betainc, hyp2f1
 
 import obw.kernel
-from obw.bounds import conjugate
+from obw.bounds import bound_set, conjugate
+from obw.cli import main
 from obw.corpus import corpus_functions, corpus_weights
+from obw.expr import as_fn1d
 from obw.functionals import tau
 from obw.kernel import (
     TauParams,
@@ -22,7 +24,6 @@ from obw.kernel import (
     peano_kernel,
 )
 from obw.quadrature import (
-    Cumulative,
     Fn1D,
     QuadConfig,
     QuadratureError,
@@ -30,6 +31,8 @@ from obw.quadrature import (
     integrate,
 )
 from obw.weights import builtin_weight, tabulated_weight
+import oracle
+from oracle import lq_by_levels
 
 # Both two-coefficient and one-branch (alpha or beta zero) configurations.
 COEFF_PAIRS_EXTENDED = ((1.0, 1.0), (2.0, 1.0), (1.0, 0.0), (0.0, 1.0), (3.0, 5.0))
@@ -153,9 +156,11 @@ class TestKernelNorms:
         (1.0, 0.0, "left branch on [0, 0.5]"), (0.0, 1.0, "right branch on [0.5, 1]"),
     ])
     def test_lq_out_of_subdivisions_names_the_branch(self, alpha, beta, named):
+        # q = 19/9: on the arcsine weight |m|^q is |t - anchor|^(19/18) times a
+        # smooth function, too near an integer to take the end rule
         cfg = QuadConfig(abs_tol=1e-13, max_subdivisions=2)
         with pytest.raises(QuadratureError, match=re.escape(f"kernel_lq {named}: no convergence")):
-            kernel_lq(mid_params(alpha, beta), builtin_weight("arcsine", 0, 1), 3.0, cfg)
+            kernel_lq(mid_params(alpha, beta), builtin_weight("arcsine", 0, 1), conjugate(1.9), cfg)
 
     def test_sup_equal_coefficients(self, uniform):
         assert kernel_sup(mid_params(), uniform) == pytest.approx(0.5)
@@ -206,7 +211,8 @@ def adaptive_kernel_lq(params, w, q, cfg):
 
 
 class TestKernelLqOnATable:
-    """kernel_lq on a tabulated weight reads its branches from the leaves."""
+    """kernel_lq on a tabulated weight, m read from its table through
+    closed_moment, agrees with the adaptive form."""
 
     WEIGHTS = {"1+t": lambda t: 1 + t, "bump": lambda t: 1 + 0.8 * math.sin(9 * t) ** 2,
                "sqrt": math.sqrt}
@@ -230,65 +236,21 @@ class TestKernelLqOnATable:
         expected = kernel_lq(params, tabulated_weight("1+t", self.WEIGHTS["1+t"], 0.0, 1.0), q)
         assert kernel_lq(params, tiny, q) == pytest.approx(expected, rel=1e-12)
 
-    @pytest.mark.parametrize("alpha, beta", [(1.0, 1.0), (1.0, 0.0), (0.0, 2.0)])
-    def test_estimate_above_its_share_falls_back(self, monkeypatch, alpha, beta):
-        cfg = QuadConfig(abs_tol=1e-10)
-        w = tabulated_weight("bump", self.WEIGHTS["bump"], 0.0, 1.0, cfg)
-        params = TauParams(a=0.0, b=1.0, x=0.3, alpha=alpha, beta=beta)
-        monkeypatch.setattr(Cumulative, "power_integral",
-                            lambda self, anchor, x, q, scale=1.0: (math.nan, 1.01e-10))
-        assert kernel_lq(params, w, 1.5, cfg) == adaptive_kernel_lq(params, w, 1.5, cfg)
-
-    def test_one_branch_falls_back_alone(self, monkeypatch):
-        cfg = QuadConfig(abs_tol=1e-12)
-        w = tabulated_weight("bump", self.WEIGHTS["bump"], 0.0, 1.0, cfg)
-        params = TauParams(a=0.0, b=1.0, x=0.3, alpha=1.0, beta=1.0)
-        read = Cumulative.power_integral
-        anchors = []
-
-        def right_estimate_too_large(self, anchor, x, q, scale=1.0):
-            anchors.append(anchor)
-            value, err = read(self, anchor, x, q, scale)
-            return value, (err if anchor == 0.0 else 0.51e-12)
-
-        monkeypatch.setattr(Cumulative, "power_integral", right_estimate_too_large)
-        got = kernel_lq(params, w, 2.0, cfg)
-        assert anchors == [0.0, 1.0]
-        assert got == pytest.approx(adaptive_kernel_lq(params, w, 2.0, cfg), abs=2e-12)
-
-    def test_anchor_inside_the_table_is_adaptive(self, monkeypatch):
+    def test_anchor_inside_the_table_is_adaptive(self):
         # a weight tabulated on [0, 2] and a kernel on [0, 1]: the right
-        # anchor is not an end of the table
+        # anchor is not an end of the table, so no exponent is known there
         cfg = QuadConfig(abs_tol=1e-12)
         w = tabulated_weight("1+t", self.WEIGHTS["1+t"], 0.0, 2.0, cfg)
         params = TauParams(a=0.0, b=1.0, x=0.4, alpha=0.0, beta=1.0)
-        monkeypatch.setattr(Cumulative, "power_integral", None)
-        assert kernel_lq(params, w, 3.0, cfg) == adaptive_kernel_lq(params, w, 3.0, cfg)
-
-
-def lq_by_levels(x, q, mass, dt_dm):
-    """mpmath oracle: ||rho||_q on [0, 1] for alpha = beta = 1, where
-    |rho| = u / 2 on each branch, u = m(anchor, t) / m(anchor, x) in [0, 1].
-
-    Each branch is int_0^1 u^q (dt / du) du, with u = exp(-s / q) so that
-    the peak of u^q at x spreads over s in [0, inf): u^q du = -u^(q+1) ds / q.
-    mass(t) is m(0, t) up to a constant, and dt_dm(m) is 1 / w at the t
-    where mass(t) = m."""
-    with mpmath.workdps(30):
-        q, x = mpmath.mpf(q), mpmath.mpf(x)
-        total, mx, m1 = 0, mass(x), mass(1)
-        for lo, span in ((mass(0), mx - mass(0)), (m1, mx - m1)):  # m = lo + u span
-            def branch(s):
-                u = mpmath.exp(-s / q)
-                return u ** (q + 1) * abs(span) * dt_dm(lo + u * span)
-            total += mpmath.quad(branch, [0, 1, 10, mpmath.inf]) / q
-        return float(total ** (1 / q) / 2)
+        expected = adaptive_kernel_lq(params, w, 3.0, QuadConfig(abs_tol=1e-14))
+        assert kernel_lq(params, w, 3.0, cfg) == pytest.approx(expected, abs=1e-12)
 
 
 class TestKernelLqNextToPOne:
     """As p -> 1, q = p / (p - 1) grows, |rho|^q peaks ever more narrowly
-    at x and its integral sinks below abs_tol: then it is read relative to
-    sup |rho|, from breaks that halve the distance to x."""
+    at x and its integral sinks below abs_tol: each branch's J is taken from
+    breaks graded by 4 from the width of that peak, and the norm is read
+    relative to sup |rho|."""
 
     P_VALUES = [1.001, 1.000001, 1 + 2**-52]
 
@@ -319,23 +281,69 @@ class TestKernelLqNextToPOne:
             got = kernel_lq(mid_params(x=0.3), w, q)
         assert got == pytest.approx(lq_by_levels(0.3, q, mass, dt_dm), rel=1e-14, abs=0)
 
-    def test_overflow_in_the_leaf_read_falls_back(self, monkeypatch):
-        cfg = QuadConfig(abs_tol=1e-12)
-        w = tabulated_weight("1+t", lambda t: 1 + t, 0.0, 1.0, cfg)
-        params = mid_params(x=0.3)
-        expected = adaptive_kernel_lq(params, w, 3.0, cfg)
-
-        def overflow(self, anchor, x, q, scale=1.0):
-            raise OverflowError(34, "Numerical result out of range")
-
-        monkeypatch.setattr(Cumulative, "power_integral", overflow)
-        assert kernel_lq(params, w, 3.0, cfg) == expected
-
     def test_no_integral_is_the_bound(self, monkeypatch):
         # where even int |rho / S|^q reads 0, the norm is bounded by S (b - a)^(1/q)
         monkeypatch.setattr(obw.kernel, "_branch_integral", lambda *args: 0.0)
         params = TauParams(a=0.0, b=2.0, x=0.3, alpha=1.0, beta=3.0)
         assert kernel_lq(params, builtin_weight("uniform", 0.0, 2.0), 1e6) == 0.75 * 2.0 ** 1e-6
+
+
+# A fixed subset of a survey of kernel_lq against the oracle (10 built-in
+# weights x 6 x x 6 p x 2 pairs, at two tolerances): every weight, x, p and
+# pair appears, and so do the cases where the two-pass kernel_lq this pass
+# replaced was beyond tol (exponential lam=30 and truncnorm at p = 1.05,
+# arcsine and power(-0.4, 0.3) at p = 4).
+SURVEY = [
+    ("uniform", {}, 0.81, 1.5, (1, 2)),
+    ("uniform", {}, 0.05, 3.0, (1, 1)),
+    ("exponential", {"lam": 1}, 0.13, 2.0, (1, 2)),
+    ("exponential", {"lam": 10}, 0.95, 1.2, (1, 1)),
+    ("exponential", {"lam": 30}, 0.05, 1.05, (1, 1)),
+    ("exponential", {"lam": 30}, 0.3, 1.05, (1, 1)),
+    ("truncnorm", {"mu": 0.5, "sigma": 0.1}, 0.95, 1.05, (1, 1)),
+    ("truncnorm", {"mu": 0.5, "sigma": 0.1}, 0.5, 1.2, (1, 2)),
+    ("increasing", {}, 0.3, 4.0, (1, 1)),
+    ("decreasing", {}, 0.81, 1.2, (1, 2)),
+    ("arcsine", {}, 0.5, 4.0, (1, 1)),
+    ("arcsine", {}, 0.13, 3.0, (1, 2)),
+    ("power", {"p": -0.4, "q": 0.3}, 0.13, 4.0, (1, 2)),
+    ("power", {"p": 2.5, "q": 0.7}, 0.5, 1.5, (1, 1)),
+]
+
+
+def test_kernel_lq_against_the_oracle(capsys):
+    # int |rho|^q within tol of the oracle at 1e-10 and 1e-12, and the norm
+    # never more than 1e-9 relative below it
+    for name, params, x, p, (alpha, beta) in SURVEY:
+        q = conjugate(p)
+        norm, integral = oracle.kernel_lq(name, params, x, alpha, beta, q)
+        w = builtin_weight(name, 0.0, 1.0, **params)
+        for tol in (1e-10, 1e-12):
+            got = kernel_lq(mid_params(alpha, beta, x), w, q, QuadConfig(abs_tol=tol))
+            case = (name, params, x, p, alpha, beta, tol)
+            assert abs(got**q - integral) <= tol, case
+            assert got >= norm * (1 - 1e-9), case
+    # the always-sound exact_p of `obw bounds --x X --function t^2 --weight
+    # exponential:lam=30 --p 1.05`, ||rho||_q ||f'||_p, f' = 2t
+    p, w = 1.05, builtin_weight("exponential", 0.0, 1.0, lam=30.0)
+    for x in (0.05, 0.3):
+        norm_q = oracle.kernel_lq("exponential", {"lam": 30}, x, 1, 1, conjugate(p))[0]
+        expected = norm_q * oracle.norm_p(lambda t: 2 * t, p)
+        got = bound_set(as_fn1d("t^2"), w, mid_params(x=x), p).exact.p
+        assert got == pytest.approx(expected, rel=1e-9, abs=0)
+        argv = ["bounds", "--x", str(x), "--function", "t^2", "--weight", "exponential:lam=30",
+                "--p", str(p)]
+        assert main(argv) == 0
+        assert f"exact_p = {expected:.8e}" in capsys.readouterr().out.splitlines()
+
+
+def test_oracle_forms_agree():
+    # the graded split of oracle.kernel_lq against the change of variable of
+    # lq_by_levels
+    q = conjugate(1.2)
+    got = oracle.kernel_lq("exponential", {"lam": 10}, 0.3, 1, 1, q)[0]
+    mass, dt_dm = lambda t: -mpmath.exp(-10 * t), lambda m: -0.1 / m
+    assert got == pytest.approx(lq_by_levels(0.3, q, mass, dt_dm), rel=1e-14, abs=0)
 
 
 class TestKernelL1ClosedForms:

@@ -1,4 +1,3 @@
-import functools
 import heapq
 import math
 
@@ -414,7 +413,7 @@ class TestArea:
 
     @pytest.mark.parametrize("gamma", [1.0, 2 / 3, 0.25, -0.23, -1 / 3, 9.0, 4 / 3, 1.5, 3.0])
     def test_jacobi_moments_against_mpmath(self, gamma):
-        # through degree 23: power_integral reads 24 of them
+        # through degree 23: `_jacobi_rule` reads 24 of them
         moments = quadrature._jacobi_moments(gamma, 24)
         with mpmath.workdps(30):
             for k, m_k in enumerate(moments):
@@ -440,106 +439,13 @@ class TestArea:
         assert cumulative(math.exp, 0.0, 0.0).area() == 0.0
 
 
-class TestPowerIntegral:
-    """Cumulative.power_integral: int |T(t) - T(anchor)|^q dt between an
-    end of the table and x, read from the leaves."""
-
-    # (name, w, its antiderivative in mpmath, c, d): a one-leaf table, tables
-    # of several leaves, and weights that vanish at an end
-    WEIGHTS = [
-        ("1+t", lambda t: 1 + t, lambda t: t + t * t / 2, 0.0, 1.3),
-        ("exp", lambda t: math.exp(-3 * t) + 0.2, lambda t: -mpmath.exp(-3 * t) / 3 + 0.2 * t,
-         0.0, 1.3),
-        ("cos", lambda t: math.cos(5 * t) + 1.2, lambda t: mpmath.sin(5 * t) / 5 + 1.2 * t,
-         -0.4, 1.1),
-        ("t^2", lambda t: t * t, lambda t: t**3 / 3, 0.0, 1.0),
-        ("t^0.5", math.sqrt, lambda t: 2 * mpmath.mpf(t) ** 1.5 / 3, 0.0, 1.0),
-        ("(1-t)^2", lambda t: (1 - t) ** 2, lambda t: -((1 - t) ** 3) / 3, 0.0, 1.0),
-    ]
-    QS = [4 / 3, 1.5, 2.0, 3.0]
-
-    @staticmethod
-    def points(table, right):
-        """x in the anchor's leaf, on a leaf boundary, inside the leaf next
-        to it, and at the far end."""
-        c, d, lefts = table.c, table.d, table._lefts
-        bounds = [*lefts[1:], d] if not right else [c, *lefts[1:]]
-        near = bounds[0] if not right else bounds[-1]
-        anchor = d if right else c
-        xs = [0.5 * (anchor + near), 0.97 * anchor + 0.03 * near, c if right else d]
-        if len(lefts) > 1:
-            following = bounds[1] if not right else bounds[-2]
-            xs += [near, 0.5 * (near + following)]
-        return xs
-
-    @staticmethod
-    @functools.cache
-    def reference(name, q, anchor, x):
-        _, _, antiderivative, _, _ = next(w for w in TestPowerIntegral.WEIGHTS if w[0] == name)
-        with mpmath.workdps(25):
-            zero = antiderivative(anchor)
-            return float(mpmath.quad(lambda t: abs(antiderivative(t) - zero) ** q,
-                                     sorted((anchor, x))))
-
-    @pytest.mark.parametrize("tol", [1e-8, 1e-12])
-    @pytest.mark.parametrize("q", QS, ids=["4/3", "3/2", "2", "3"])
-    @pytest.mark.parametrize("name, w, antiderivative, c, d", WEIGHTS, ids=[w[0] for w in WEIGHTS])
-    def test_against_mpmath(self, name, w, antiderivative, c, d, q, tol):
-        table = cumulative(w, c, d, QuadConfig(abs_tol=tol))
-        for anchor in (c, d):
-            for x in self.points(table, anchor == d):
-                value, err = table.power_integral(anchor, x, q)
-                assert abs(value - self.reference(name, q, anchor, x)) <= tol, (anchor, x)
-                assert err <= tol, (anchor, x)
-
-    def test_one_leaf_and_several(self):
-        assert len(cumulative(lambda t: 1 + t, 0.0, 1.3, QuadConfig(abs_tol=1e-12))._lefts) == 1
-        assert len(cumulative(math.sqrt, 0.0, 1.0, QuadConfig(abs_tol=1e-12))._lefts) > 3
-
-    def test_scale(self):
-        table = cumulative(lambda t: math.cos(5 * t) + 1.2, -0.4, 1.1)
-        for anchor in (-0.4, 1.1):
-            value = table.power_integral(anchor, 0.3, 1.5)[0]
-            scaled = table.power_integral(anchor, 0.3, 1.5, 1e-200)[0]
-            assert scaled == pytest.approx(1e-300 * value, rel=1e-13)
-
-    def test_no_evaluation_and_no_query(self, monkeypatch):
-        evals = [0]
-
-        def g(t):
-            evals[0] += 1
-            return math.exp(t)
-
-        table = cumulative(g, 0.0, 1.0, QuadConfig(abs_tol=1e-12))
-        built = evals[0]
-
-        def no_query(self, t):
-            raise AssertionError("queried")
-
-        monkeypatch.setattr(quadrature.Cumulative, "__call__", no_query)
-        table.power_integral(0.0, 0.4, 1.5), table.power_integral(1.0, 0.4, 1.5)
-        assert evals[0] == built
-
-    def test_ends_and_bad_arguments(self):
-        table = cumulative(math.exp, 0.0, 1.0)
-        assert table.power_integral(0.0, 0.0, 2.0) == (0.0, 0.0)
-        assert table.power_integral(1.0, 1.0, 2.0) == (0.0, 0.0)
-        with pytest.raises(ValueError, match="not an end"):
-            table.power_integral(0.5, 0.7, 2.0)
-        with pytest.raises(ValueError, match="outside"):
-            table.power_integral(0.0, 1.5, 2.0)
-
-    def test_table_with_ends_is_refused(self):
-        table = cumulative(lambda t: t**-0.5, 0.0, 1.0, ends=((0.0, -0.5),))
-        with pytest.raises(ValueError, match="no ends"):
-            table.power_integral(0.0, 0.4, 2.0)
-
-    def test_legendre_rows_through_degree_23(self):
-        nodes, _, legendre = quadrature._gauss_legendre()
-        assert legendre.shape == (24, 24)
-        for k in range(24):
-            column = legval(nodes, [0.0] * k + [1.0])
-            assert max(abs(legendre[:, k] - column)) <= 1e-14, k
+def test_legendre_rows_through_degree_23():
+    # the rows `_jacobi_rule` reads
+    nodes, _, legendre = quadrature._gauss_legendre()
+    assert legendre.shape == (24, 24)
+    for k in range(24):
+        column = legval(nodes, [0.0] * k + [1.0])
+        assert max(abs(legendre[:, k] - column)) <= 1e-14, k
 
 
 class TestGk15Estimate:

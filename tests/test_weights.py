@@ -594,6 +594,20 @@ def test_shortest_domain_is_accepted(maker):
     assert w.b - w.a == 1.5e-154
 
 
+@pytest.mark.parametrize("maker", _BUILDERS.values(), ids=list(_BUILDERS))
+@pytest.mark.parametrize("a, b", [(-1e200, 1e200), (0.0, 1.35e154)])
+def test_domain_whose_squared_length_overflows_is_rejected(maker, a, b):
+    # (b - a)^2 above the largest float: the uniform weight's moment_l1 raised
+    # an unnamed OverflowError
+    with pytest.raises(ValueError, match=r"weight domain \[.*\] is too long: \(b - a\)\^2 overflows"):
+        maker(a, b)
+
+
+def test_longest_domain_is_accepted():
+    w = builtin_weight("uniform", 0.0, 1.3e154)  # (b - a)^2 = 1.69e308, below the largest float
+    assert w.moment_l1(0.0, w.b, None) == 0.5 * 1.3e154**2
+
+
 class TestMass:
     def test_degenerate_branch_is_rejected(self):
         w = builtin_weight("decreasing", 0, 1)

@@ -2,12 +2,11 @@
 
 Deterministic counts, no wall time: kernel_l1 runs no quadrature for a
 built-in weight and takes an expression weight's moments outside any
-integrand, kernel_lq reads an expression weight's branches from its
-table's leaves with no quadrature and no query, kernel_lq on a built-in
-weight, kernel_integral and the CDF report read moments and F_w from
-closed forms or tables built before their integrals, an expression
-weight's moments run no quadrature, and a compiled expression is one
-Python call.
+integrand, kernel_lq takes one integral per branch, kernel_lq,
+kernel_integral and the CDF report read moments and F_w from closed forms
+or tables built before their integrals, an expression weight's moments run
+no quadrature, verify takes each integral once per (x, side) and lets the
+pairs combine them, and a compiled expression is one Python call.
 """
 
 import math
@@ -111,32 +110,16 @@ def test_kernel_lq_and_kernel_integral_do_not_nest(counts, alpha, beta):
 
 @pytest.mark.parametrize("q", [4 / 3, 1.5, 2.0, 3.0])
 @pytest.mark.parametrize("alpha, beta", [(1.0, 1.0), (2.0, 0.0), (0.0, 3.0)])
-def test_kernel_lq_reads_an_expression_weight_from_its_leaves(counts, monkeypatch, q, alpha,
-                                                              beta):
-    # after the weight (and its table) is built, kernel_lq runs no quadrature
-    # and queries the table only for the branch masses, inside Weight.moment
+def test_kernel_lq_takes_one_integral_per_branch(counts, q, alpha, beta):
+    # after the weight (and its table) is built, kernel_lq integrates each
+    # branch once, reading m from the table through closed_moment, and takes
+    # each branch mass once
     w = expression_weight()
-    built = counts["integrate"]
-    moment, query = Weight.moment, quadrature.Cumulative.__call__
-    inside, queries = [0], {"in_moment": 0, "other": 0}
-
-    def flagged_moment(self, *args):
-        inside[0] += 1
-        try:
-            return moment(self, *args)
-        finally:
-            inside[0] -= 1
-
-    def counted_query(self, t):
-        queries["in_moment" if inside[0] else "other"] += 1
-        return query(self, t)
-
-    monkeypatch.setattr(Weight, "moment", flagged_moment)
-    monkeypatch.setattr(quadrature.Cumulative, "__call__", counted_query)
+    w.total
+    counts.update(dict.fromkeys(counts, 0))
     kernel_lq(TauParams(a=0.0, b=1.0, x=0.3, alpha=alpha, beta=beta), w, q)
-    assert counts["integrate"] == built
-    assert queries["other"] == 0
-    assert queries["in_moment"] <= 6  # two a mass, and the total once
+    branches = (alpha > 0) + (beta > 0)
+    assert counts == {"moment": branches, "integrate": branches, "nested": 0, "in_moment": 0}
 
 
 def test_expression_weight_moments_run_no_quadrature(counts, capsys):
@@ -264,31 +247,23 @@ def test_audit_checks_each_pair_once_per_weight(monkeypatch, n):
 
 @pytest.mark.parametrize("n", [3, 40])
 @pytest.mark.parametrize("kind", ["exact_inf", "exact_one"])
-def test_sharpness_checks_each_pair_once_and_builds_no_view(monkeypatch, n, kind):
+def test_sharpness_checks_each_pair_once(monkeypatch, n, kind):
     # the pairs are checked at the first x, a later x checks only x against a
     # and b, and the witnesses are built from x alone: the TauParams built do
-    # not grow with the grid, and no cached view of the weight is built
-    built, views = [], []
-    post_init, view_init = TauParams.__post_init__, obw.bounds._Cached.__init__
+    # not grow with the grid
+    built = []
+    post_init = TauParams.__post_init__
 
     def counted(self):
         built.append(self)
         post_init(self)
 
-    def counted_view(self, w):
-        views.append(w)
-        view_init(self, w)
-
     monkeypatch.setattr(TauParams, "__post_init__", counted)
-    monkeypatch.setattr(obw.bounds._Cached, "__init__", counted_view)
     w = builtin_weight("arcsine", 0.0, 1.0)
     xs = [(k + 1) / (n + 1) for k in range(n)]
     _, rows = obw.bounds.sharpness_search(w, xs, MANY_PAIRS, kind=kind)
     assert len(rows) == n * len(MANY_PAIRS)
     assert len(built) <= len(MANY_PAIRS)
-    assert views == []
-    obw.bounds._Cached(w)
-    assert len(views) == 1  # the counter sees a view when one is built
 
 
 def test_cli_audit_builds_no_rows(monkeypatch, capsys):
@@ -347,7 +322,8 @@ def test_compiled_expression_is_one_call(source):
 def test_verify_computes_each_norm_and_deviation_once(monkeypatch):
     # every corpus weight is on [0, 1], so the norms depend only on f, and
     # the scan of f' (its sup and roots) and the L1 norm (f's variation over
-    # the roots) not on p either; only the L_p norm integrates
+    # the roots) not on p either; only the L_p norm integrates. tau is read
+    # from the integrals per (x, side), so it is never called on its own
     calls = {"_scan": 0, "_norm_lp": 0, "tau": 0}
 
     def counted(name):
@@ -368,41 +344,48 @@ def test_verify_computes_each_norm_and_deviation_once(monkeypatch):
     assert report.passed
     assert calls["_scan"] == len(corpus_functions())
     assert calls["_norm_lp"] == len(corpus_functions()) * len(obw.suites.P_GRID)
-    assert calls["tau"] == report.identity.checked == n_configs
+    assert calls["tau"] == 0
+    assert report.identity.checked == n_configs
     assert report.soundness.checked == 3 * n_configs
     assert report.reduction.checked == 36
 
 
 def test_verify_computes_each_kernel_norm_once(monkeypatch, counts):
-    # the kernel norms depend on (weight, x, pair, p), not on f; the identity
-    # integrates rho f' once per configuration and reads tau from the sweep
-    calls = {"kernel_lq": 0, "kernel_integral": 0, "tau": 0}
+    # per (weight, x, side): J once per q, int m f' and int f w once per f,
+    # whatever the pairs; int f w over [a, b] once per (weight, f). The
+    # pairs take no kernel_lq, kernel_integral or tau of their own. 498
+    # integrals, against 1 656 allowed (768 taken) when each pair took its own
+    calls = {"_lq_side": 0, "_moment_integral": 0, "integrate_against": 0,
+             "kernel_lq": 0, "kernel_integral": 0, "tau": 0}
 
-    def counted(module, name):
-        fn = getattr(module, name)
+    def counted(owner, name):
+        fn = getattr(owner, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
             return fn(*args, **kwargs)
 
-        monkeypatch.setattr(module, name, wrapper)
+        monkeypatch.setattr(owner, name, wrapper)
 
+    for name in ("_lq_side", "_moment_integral", "kernel_integral", "tau"):
+        counted(obw.suites, name)
     counted(obw.bounds, "kernel_lq")
-    counted(obw.suites, "kernel_integral")
-    counted(obw.suites, "tau")
+    counted(Weight, "integrate_against")
     report = obw.suites.run_verify_suites()
-    n_kernels = len(corpus_weights()) * len(corpus_x_values()) * len(COEFF_PAIRS)
+    sides = len(corpus_weights()) * len(corpus_x_values()) * 2
+    n_functions = len(corpus_functions())
     assert report.passed
-    assert calls["kernel_lq"] == n_kernels * len(obw.suites.P_GRID) == 90
-    assert calls["kernel_integral"] == calls["tau"] == n_kernels * len(corpus_functions()) == 180
-    assert counts["integrate"] <= 1656
+    assert calls["_lq_side"] == sides * len(obw.suites.P_GRID) == 90
+    assert calls["_moment_integral"] == sides * n_functions == 180
+    assert calls["integrate_against"] == (sides + len(corpus_weights())) * n_functions == 210
+    assert calls["kernel_lq"] == calls["kernel_integral"] == calls["tau"] == 0
+    assert counts["integrate"] == 498
 
 
 def test_verify_takes_each_weighted_mean_once(monkeypatch):
-    # tau, tau_combination and tau_decomposed read one cached view of each
-    # weight, so each weighted integral over [a, x], [x, b] and [a, b] is
-    # taken once: 1 238 G7/K15 panels, against 2 270 when each form took its own
-    # (and the L1 norm of each f' was integrated, one more panel per function)
+    # each integral once per (x, side), the pairs only combining them:
+    # 647 G7/K15 panels, against 1 238 when each pair took its own kernel
+    # integrals (and 2 270 when each form of tau took its own means)
     panels = [0]
     gk15 = quadrature._gk15
 
@@ -412,21 +395,29 @@ def test_verify_takes_each_weighted_mean_once(monkeypatch):
 
     monkeypatch.setattr(quadrature, "_gk15", counted)
     assert obw.suites.run_verify_suites().passed
-    assert panels[0] == 1238
+    assert panels[0] == 647
 
 
-def test_cached_view_is_bit_identical():
-    # the three forms of tau through the view verify reads equal the
-    # uncached calls on every configuration it checks
+def test_verify_forms_are_their_calls_on_their_own():
+    # tau, its identity residual, tau_combination and tau_decomposed as
+    # verify combines them equal the public calls bit for bit; the kernel
+    # norms too, but ||rho||_q, whose Js verify takes to the tightest
+    # tolerance a pair asks, within that tolerance
     cfg = QuadConfig()
+    functions = [(f, f.derivative, None) for f in corpus_functions()]
     for w in corpus_weights():
-        cached = obw.bounds._Cached(w)
-        for x in corpus_x_values():
-            for alpha, beta in COEFF_PAIRS:
-                params = TauParams(a=0.0, b=1.0, x=x, alpha=alpha, beta=beta)
-                for f in corpus_functions():
-                    for form in (tau, tau_combination, tau_decomposed):
-                        assert form(f, cached, params, cfg) == form(f, w, params, cfg)
+        configurations = obw.suites._configurations(
+            w, corpus_x_values(), COEFF_PAIRS, functions, cfg)
+        for params, kernels, forms in configurations:
+            for p, kernel in kernels.items():
+                alone = obw.bounds.kernel_norms(params, w, p, cfg)
+                assert (kernel.inf, kernel.one) == (alone.inf, alone.one)
+                assert kernel.p == pytest.approx(alone.p, rel=0, abs=cfg.abs_tol)
+            for f, (t0, res, t1, t2) in zip(corpus_functions(), forms):
+                assert t0 == tau(f, w, params, cfg)
+                assert res == kernel_integral(f.derivative, params, w, cfg) - t0
+                assert t1 == tau_combination(f, w, params, cfg)
+                assert t2 == tau_decomposed(f, w, params, cfg)
 
 
 def test_table_panel_count(monkeypatch):
