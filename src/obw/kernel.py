@@ -158,22 +158,22 @@ def _lq_side(w: Weight, anchor: float, x: float, mass: float, q: float, r: float
 
     Next to x it falls like exp(-|t - x| / h), h = mass / (q w(x)): breaks go
     at x -+ 4^k h, k >= 0, inside the branch (none where w(x) = 0). At the
-    anchor it is |t - anchor|^gamma times a smooth function, gamma = q (1 + e)
-    with e the weight's exponent there (`Weight.exponents`), and the anchor is
-    an algebraic end where gamma < 2.5 is at least 0.1 from an integer (next
-    to one the end rule's estimate vanishes).
+    anchor it is |t - anchor|^gamma H(t), gamma = q (1 + e), e the weight's
+    exponent there (`Weight.exponents`); where gamma < 2.5 is at least 0.1
+    from an integer (next to one the end rule's estimate vanishes) the anchor
+    is an algebraic end, with a break halfway to x: the rule misses a kink of
+    H just beyond x (t^0.5 at x = 1.2e-4 read 2e-8 off as 2.7e-9).
     """
     c, d, toward = (x, anchor, 1.0) if anchor > x else (anchor, x, -1.0)  # toward: into it
-    wx = w.eval(x)
-    h = mass / (q * wx) if wx > 0 else math.inf
-    breaks = set()
+    e = dict(zip((w.a, w.b), w.exponents)).get(anchor)
+    gamma = math.inf if e is None else q * (1.0 + e)
+    ends = ((anchor, gamma),) if gamma < 2.5 and abs(gamma - round(gamma)) >= 0.1 else ()
+    h = mass / (q * wx) if (wx := w.eval(x)) > 0 else math.inf
+    breaks = {0.5 * (c + d)} if ends else set()
     while 0 < h < d - c:
         if c < (t := x + toward * h) < d:
             breaks.add(t)
         h *= 4.0
-    e = dict(zip((w.a, w.b), w.exponents)).get(anchor)
-    gamma = math.inf if e is None else q * (1.0 + e)
-    ends = ((anchor, gamma),) if gamma < 2.5 and abs(gamma - round(gamma)) >= 0.1 else ()
     m = partial(w.closed_moment, anchor)
     tol = cfg.abs_tol / (2.0 * r**q) if 2.0 * r**q > 1.0 else cfg.abs_tol
     return _branch_integral("kernel_lq", lambda t: abs(m(t) / mass) ** q, c, d, anchor,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import mpmath
 
-__all__ = ["lq_by_levels", "moment", "weight_value", "kernel_lq", "norm_p"]
+__all__ = ["lq_by_levels", "moment", "weight_value", "kernel_lq", "branch_lq", "norm_p"]
 
 DPS = 30
 LQ_DPS = 20
@@ -103,6 +103,20 @@ def kernel_lq(name, params, x, alpha, beta, q):
             total += mpmath.quad(lambda t: abs(coef * moment(name, params, anchor, t)) ** q,
                                  sorted([c, *cuts, d]))
         return float(total ** (1 / q)), float(total)
+
+
+def branch_lq(antiderivative, anchor, x, q):
+    """J = int |m(anchor, t) / m(anchor, x)|^q between anchor and x, where
+    m(c, d) = antiderivative(d) - antiderivative(c) and antiderivative is an
+    mpmath function; cut at x -+ |x - anchor| 2^-k, k = 1..12, toward the
+    peak of the integrand at x."""
+    with mpmath.workdps(LQ_DPS):
+        anchor, x, q = mpmath.mpf(anchor), mpmath.mpf(x), mpmath.mpf(q)
+        zero = antiderivative(anchor)
+        mass = antiderivative(x) - zero
+        cuts = [x + (anchor - x) / 2**k for k in range(1, 13)]
+        return float(mpmath.quad(lambda t: abs((antiderivative(t) - zero) / mass) ** q,
+                                 sorted([anchor, *cuts, x])))
 
 
 def norm_p(fprime, p, c=0, d=1):

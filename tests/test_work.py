@@ -384,7 +384,7 @@ def test_verify_computes_each_kernel_norm_once(monkeypatch, counts):
 
 def test_verify_takes_each_weighted_mean_once(monkeypatch):
     # each integral once per (x, side), the pairs only combining them:
-    # 647 G7/K15 panels, against 1 238 when each pair took its own kernel
+    # 667 G7/K15 panels, against 1 238 when each pair took its own kernel
     # integrals (and 2 270 when each form of tau took its own means)
     panels = [0]
     gk15 = quadrature._gk15
@@ -395,7 +395,7 @@ def test_verify_takes_each_weighted_mean_once(monkeypatch):
 
     monkeypatch.setattr(quadrature, "_gk15", counted)
     assert obw.suites.run_verify_suites().passed
-    assert panels[0] == 647
+    assert panels[0] == 667
 
 
 def test_verify_forms_are_their_calls_on_their_own():
