@@ -13,11 +13,11 @@ of |m(anchor, t)| between the anchor and x: a closed form for the built-in
 weights, so it runs no quadrature, and one weighted integral of the
 distance to x (the Fubini form) for an expression weight. kernel_lq takes
 one normalised pass per branch (`_lq_side`). It and kernel_integral read
-t -> m(anchor, t) inside their integrands from the weight's
-`closed_moment`: a closed form, or an expression weight's table, so no
-quadrature runs inside an integrand and no table is built per call. A
-branch's J and its int m g (`_moment_integral`) do not depend on alpha and
-beta, so `suites` takes each once for every pair.
+t -> m(anchor, t) inside their integrands through one callable per branch,
+the weight's `moment_from(anchor)`: a closed form, or one read of an
+expression weight's table, so no quadrature runs inside an integrand and no
+table is built per call. A branch's J and its int m g (`_moment_integral`)
+do not depend on alpha and beta, so `suites` takes each once for every pair.
 
 kernel_integral(f', ...) is the left side of the kernel representation
 int rho(x, t) f'(t) dt = tau(f); its residual is that integral minus
@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import partial
 from typing import Callable, Sequence
 
 from .quadrature import DEFAULT_CONFIG, QuadConfig, QuadratureError, integrate
@@ -174,7 +173,7 @@ def _lq_side(w: Weight, anchor: float, x: float, mass: float, q: float, r: float
         if c < (t := x + toward * h) < d:
             breaks.add(t)
         h *= 4.0
-    m = partial(w.closed_moment, anchor)
+    m = w.moment_from(anchor)
     tol = cfg.abs_tol / (2.0 * r**q) if 2.0 * r**q > 1.0 else cfg.abs_tol
     return _branch_integral("kernel_lq", lambda t: abs(m(t) / mass) ** q, c, d, anchor,
                             replace(cfg, abs_tol=tol), sorted(breaks), ends)
@@ -197,5 +196,5 @@ def kernel_integral(
 def _moment_integral(w: Weight, anchor: float, c: float, d: float, g: Callable[[float], float],
                      cfg: QuadConfig) -> float:
     """int_c^d m(anchor, t) g(t) dt on the branch [c, d] anchored at anchor."""
-    m = partial(w.closed_moment, anchor)
+    m = w.moment_from(anchor)
     return _branch_integral("kernel_integral", lambda t: m(t) * g(t), c, d, anchor, cfg)

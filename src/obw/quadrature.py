@@ -13,6 +13,9 @@ Kahaner, *QUADPACK*, Springer 1983). Every other panel takes G7/K15
 (`_gk15`); next to a named end it reads each value as at its node before
 rounding (`_exact_distances`). A cumulative table is built by that loop;
 its G7/K15 panels record their 15 values, and only their estimate differs.
+The inner kernels, `_gk15`, a leaf's Legendre series `_series` and a table
+panel's tail estimate, are generated once as straight-line code (`_compiled`)
+that keeps the float operations of their loop forms.
 """
 
 from __future__ import annotations
@@ -115,37 +118,61 @@ _WG = (
 )
 
 
-def _gk15(g: Callable[[float], float], c: float, d: float) -> tuple[float, float]:
-    """One Gauss-Kronrod panel; returns (kronrod value, error estimate).
+def _compiled(name: str, lines: list[str]) -> Callable:
+    """The function `name` that `lines` define, compiled once. Its constants
+    are float literals written by repr, which reads back the same float, and
+    its only free names are isfinite (math.isfinite) and QuadratureError."""
+    namespace = {"isfinite": math.isfinite, "QuadratureError": QuadratureError}
+    exec(compile("\n".join(lines) + "\n", f"<obw.quadrature.{name}>", "exec"), namespace)
+    return namespace[name]
+
+
+def _gk15_code() -> list[str]:
+    """The source of `_gk15(g, c, d, values=None)`, one Gauss-Kronrod panel,
+    which returns (kronrod value, error estimate): straight-line code from
+    _XGK, _WGK and _WG, with no loop and no table lookup.
 
     g is evaluated at the panel's midpoint, then at mid - dx and mid + dx
-    for each abscissa of _XGK in turn: the order _NODES records.
+    for each abscissa of _XGK in turn: the order _NODES records, which is
+    also the order in which a non-finite value is found and named. K15 and
+    G7 are summed in that order too, and the estimate is min(|K15 - G7|,
+    (200 |K15 - G7|)^1.5). Given a list `values`, the 15 values are
+    appended to it in that order.
     """
-    half = 0.5 * (d - c)
-    mid = 0.5 * (c + d)
-    fc = g(mid)
-    if not math.isfinite(fc):
-        raise QuadratureError(f"non-finite integrand value at t={mid}")
-    resk = _WGK[7] * fc
-    resg = _WG[3] * fc
-    for j in range(7):
-        dx = half * _XGK[j]
-        f1 = g(mid - dx)
-        f2 = g(mid + dx)
-        if not (math.isfinite(f1) and math.isfinite(f2)):
-            raise QuadratureError(f"non-finite integrand value near t={mid - dx}")
-        resk += _WGK[j] * (f1 + f2)
-        if j % 2 == 1:
-            resg += _WG[j // 2] * (f1 + f2)
-    resk *= half
-    resg *= half
-    diff = abs(resk - resg)
-    err = diff
-    if 200.0 * diff < 1.0:  # else (200 diff)^1.5 >= diff, and may overflow
-        scaled = (200.0 * diff) ** 1.5
-        if scaled < err:
-            err = scaled
-    return resk, err
+    lines = [
+        "def _gk15(g, c, d, values=None):",
+        "    half = 0.5 * (d - c)",
+        "    mid = 0.5 * (c + d)",
+        "    f0 = g(mid)",
+        "    if not isfinite(f0):",
+        "        raise QuadratureError(f'non-finite integrand value at t={mid}')",
+    ]
+    for j, x in enumerate(_XGK[:7]):
+        lines += [
+            f"    dx = half * {x!r}",
+            f"    f{2 * j + 1} = g(mid - dx)",
+            f"    f{2 * j + 2} = g(mid + dx)",
+            f"    if not (isfinite(f{2 * j + 1}) and isfinite(f{2 * j + 2})):",
+            "        raise QuadratureError(f'non-finite integrand value near t={mid - dx}')",
+        ]
+    pairs = [f"(f{2 * j + 1} + f{2 * j + 2})" for j in range(7)]
+    kronrod = [f"{_WGK[7]!r} * f0", *(f"{w!r} * {pair}" for w, pair in zip(_WGK, pairs))]
+    gauss = [f"{_WG[3]!r} * f0", *(f"{w!r} * {pair}" for w, pair in zip(_WG, pairs[1::2]))]
+    return lines + [
+        f"    resk = ({' + '.join(kronrod)}) * half",  # added left to right
+        f"    resg = ({' + '.join(gauss)}) * half",
+        "    if values is not None:",
+        f"        values += {', '.join(f'f{n}' for n in range(15))}",
+        "    diff = abs(resk - resg)",
+        "    if 200.0 * diff < 1.0:  # else (200 diff)^1.5 >= diff, and may overflow",
+        "        scaled = (200.0 * diff) ** 1.5",
+        "        if scaled < diff:",
+        "            return resk, scaled",
+        "    return resk, diff",
+    ]
+
+
+_gk15 = _compiled("_gk15", _gk15_code())
 
 
 def integrate(
@@ -248,14 +275,8 @@ def _panel(g, lo: float, hi: float, end: Optional[tuple[float, bool]], table: bo
         return _end_panel(g, lo, hi, *end, table=table)
     if table:
         values: list[float] = []
-
-        def record(t: float) -> float:
-            values.append(v := g(t))
-            return v
-
-        value = _gk15(record, lo, hi)[0]
-        tail = _product(_leaf_matrices()[1], np.array([values]))
-        return value, float(np.abs(tail).sum()) * (hi - lo), values
+        value = _gk15(g, lo, hi, values)[0]
+        return value, _leaf_matrices()[1](values) * (hi - lo), values
     if near:  # e lies outside [lo, hi], so one of lo - e and e - hi is its distance
         close = [(e, gamma) for e, gamma, reach in near if max(lo - e, e - hi) < reach]
         if close:
@@ -313,14 +334,26 @@ def _legendre_rows(xs, degree: int) -> list[list[float]]:
     return rows
 
 
-def _series(coef, s):
-    """sum_k coef[k] P_k(s), by the recurrence; s a float or a numpy array."""
-    acc = 0.0
-    p_prev, p = 0.0, 1.0
-    for c, (a_k, b_k) in zip(coef, _LEGENDRE_STEPS):
-        acc += c * p
-        p_prev, p = p, a_k * s * p - b_k * p_prev
-    return acc
+_SERIES_TERMS = 16  # a leaf's antiderivative: degree 15
+
+
+def _series_code() -> list[str]:
+    """The source of `_series(coef, s)`: sum_k coef[k] P_k(s) for the
+    _SERIES_TERMS coefficients, s a float or a numpy array, straight-line.
+    P_1 = s and P_{k+1} = (A_k s) P_k - B_k P_{k-1} (_LEGENDRE_STEPS), and
+    the terms are added from k = 0 up, after 0.0: the float operations of
+    the recurrence's loop, so the value is the loop's, bit for bit."""
+    n = _SERIES_TERMS
+    lines = ["def _series(coef, s):", f"    {', '.join(f'c{k}' for k in range(n))} = coef",
+             "    p1 = s"]
+    for k, (a_k, b_k) in enumerate(_LEGENDRE_STEPS[1:n - 1], start=1):
+        previous = f"{b_k!r}" if k == 1 else f"{b_k!r} * p{k - 1}"  # P_0 = 1.0
+        lines.append(f"    p{k + 1} = {a_k!r} * s * p{k} - {previous}")
+    terms = ["0.0 + c0", *(f"c{k} * p{k}" for k in range(1, n))]
+    return lines + [f"    return {' + '.join(terms)}"]
+
+
+_series = _compiled("_series", _series_code())
 
 
 def _inverse(m: list[list[float]]) -> list[list[float]]:
@@ -337,20 +370,20 @@ def _inverse(m: list[list[float]]) -> list[list[float]]:
 
 
 @functools.cache
-def _leaf_matrices() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _leaf_matrices() -> tuple[np.ndarray, Callable[[Sequence[float]], float], np.ndarray]:
     """The maps from one leaf's 15 values (in _NODES order), built once.
 
     Let p = sum_n a_n P_n be the degree-14 Legendre interpolant through the
     values. The first map (16 x 15) gives the Legendre coefficients of
-    s -> int_{-1}^s p; the second (4 x 15), 4 a_n / (2n + 1) for n = 11..14;
-    the third (15 x 15), a_0, ..., a_14.
-    As |int_{-1}^s P_n| <= 2 / (2n + 1), the leaf's width times their sum
-    in magnitude is 4 times a bound on the partial integrals of p's last four
-    terms: an estimate of p's error (Aurentz and Trefethen, "Chopping a
-    Chebyshev series", ACM TOMS 43(4), 2017). Why 4: for a kink |s - r| in
-    the leaf, r in [-0.99, 0.99], p's error reaches 1.84 times the plain
-    bound. Built in plain Python and applied by `_product`, so no BLAS or
-    LAPACK routine runs (their first call costs resident memory).
+    s -> int_{-1}^s p; the second, sum |4 a_n / (2n + 1)| over n = 11..14
+    (`_tail_code`); the third (15 x 15), a_0, ..., a_14.
+    As |int_{-1}^s P_n| <= 2 / (2n + 1), the leaf's width times that sum is
+    4 times a bound on the partial integrals of p's last four terms: an
+    estimate of p's error (Aurentz and Trefethen, "Chopping a Chebyshev
+    series", ACM TOMS 43(4), 2017). Why 4: for a kink |s - r| in the leaf,
+    r in [-0.99, 0.99], p's error reaches 1.84 times the plain bound. Built
+    in plain Python and applied by `_product`, so no BLAS or LAPACK routine
+    runs (their first call costs resident memory).
     """
     to_coef = np.array(_inverse(_legendre_rows(_NODES, 14)))
     # int_{-1}^s P_n = (P_{n+1} - P_{n-1}) / (2n + 1) for n >= 1, and s + 1 for n = 0
@@ -359,8 +392,26 @@ def _leaf_matrices() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     for n in range(1, 15):
         integ[n + 1, n] = 1.0 / (2 * n + 1)
         integ[n - 1, n] = -1.0 / (2 * n + 1)
-    tail = 4.0 * to_coef[11:] / np.arange(23, 31, 2)[:, None]
-    return _product(integ, to_coef.T).T, tail, to_coef
+    tail = (4.0 * to_coef[11:] / np.arange(23, 31, 2)[:, None]).tolist()
+    return _product(integ, to_coef.T).T, _compiled("_tail", _tail_code(tail)), to_coef
+
+
+def _tail_code(rows: list[list[float]]) -> list[str]:
+    """The source of `_tail(values)`: sum |row . values| over the rows, on
+    plain floats, straight-line. Each dot product is summed in the order of
+    numpy's einsum (`_product`) on two-lane (128-bit) SIMD: the even and the
+    odd terms in two lanes, each lane from its terms 6, 4, 2, 0 and then on
+    from 8 (the odd one from 7 down to 1 and then on from 9), the two lanes
+    added last. So a table's estimates, and the leaves it is cut into, are
+    those of `_product` applied to the rows as a matrix."""
+    def dot(row: list[float]) -> str:
+        lanes = []
+        for order in ((6, 4, 2, 0, 8, 10, 12, 14), (7, 5, 3, 1, 9, 11, 13)):
+            lanes.append(f"({' + '.join(f'{row[n]!r} * v{n}' for n in order)})")
+        return f"abs({lanes[0]} + {lanes[1]})"
+
+    return ["def _tail(values):", f"    {', '.join(f'v{n}' for n in range(15))} = values",
+            f"    return {' + '.join(map(dot, rows))}"]
 
 
 @functools.cache
@@ -412,15 +463,28 @@ def _jacobi_rule(gamma: float) -> np.ndarray:
 
 
 def _end_integral(gamma: float, coef, r):
-    """int_{-1}^{2r-1} (1 + u)^gamma p(u) du, p = sum_k coef_k P_k of degree
-    below 24 and r in [0, 1], a float or an array: the share r of [-1, 1]
-    from its end, so that no 1 + u cancels next to it. It is r^(gamma + 1)
-    int_{-1}^1 (1 + v)^gamma p(-1 + r (1 + v)) dv, which `_jacobi_rule`
-    takes exactly from p at the 24 nodes."""
+    """int_{-1}^{2r-1} (1 + u)^gamma p(u) du, p = sum_k coef_k P_k for the
+    _SERIES_TERMS coefficients of `_series` and r in [0, 1], a float or an
+    array: the share r of [-1, 1] from its end, so that no 1 + u cancels
+    next to it. It is r^(gamma + 1) int_{-1}^1 (1 + v)^gamma p(-1 + r (1 + v))
+    dv, which `_jacobi_rule` takes exactly from p at the 24 nodes."""
     nodes = _gauss_legendre()[0]
     r = np.asarray(r)
     values = _series(coef, np.multiply.outer(r, 1.0 + nodes) - 1.0)
     return r ** (gamma + 1.0) * (values * _jacobi_rule(gamma).sum(axis=0)).sum(axis=-1)
+
+
+_END_GRID = np.linspace(0.0, 1.0, 129)[1:]  # the 128 shares r that B_k is the largest over
+
+
+@functools.cache
+def _end_legendre() -> np.ndarray:
+    """P_11, ..., P_14 at the 128 x 24 points where `_end_integral` reads p
+    for the shares r of _END_GRID, by one pass of the recurrence, built once
+    for every gamma. They are the values `_series` gives for a coefficient
+    row with one 1.0, so each B_k is the one `_end_integral` of P_k gives."""
+    points = np.multiply.outer(_END_GRID, 1.0 + _gauss_legendre()[0]) - 1.0
+    return np.array(_legendre_rows((points,), 14)[0][11:])
 
 
 @functools.lru_cache(maxsize=16)
@@ -442,10 +506,11 @@ def _end_rule(gamma: float) -> tuple[np.ndarray, np.ndarray]:
     to_coef = _leaf_matrices()[2]
     moments = _jacobi_moments(gamma, 15)
     value = _product(to_coef.T, np.array([moments]))
-    grid = np.linspace(0.0, 1.0, 129)[1:]
-    sup = [np.abs(_end_integral(gamma, np.eye(15)[k], grid)).max() for k in range(11, 15)]
+    rule = _jacobi_rule(gamma).sum(axis=0)
+    # `_end_integral` of P_11, ..., P_14 at each share r of _END_GRID
+    partials = _END_GRID ** (gamma + 1.0) * (_end_legendre() * rule).sum(axis=-1)
     return tuple(np.vstack((value, 4.0 * np.array(b)[:, None] * to_coef[11:]))
-                 for b in (moments[11:], sup))
+                 for b in (moments[11:], np.abs(partials).max(axis=-1)))
 
 
 def _end_panel(
@@ -516,18 +581,18 @@ class Cumulative:
         self._coef = (_product(integ, np.array(block)) * halves[:, None]).tolist()
         self._prefix = [0.0, *itertools.accumulate(kvals)][:-1]
         to_coef = _leaf_matrices()[2]
-        self._ends = {
-            i: (*end, _product(to_coef, np.array([block[i]]))[0].tolist())
+        self._ends = {  # H's 15 coefficients, and a 0.0 for `_series`' sixteenth
+            i: (*end, [*_product(to_coef, np.array([block[i]]))[0].tolist(), 0.0])
             for i, end in enumerate(ends) if end is not None
         }
 
     def __call__(self, t: float) -> float:
-        if not self.c <= t <= self.d:
+        if not self.c < t < self.d:
+            if t == self.c:
+                return 0.0
+            if t == self.d:
+                return self.total
             raise ValueError(f"t={t} outside the table's [{self.c}, {self.d}]")
-        if t == self.c:
-            return 0.0
-        if t == self.d:
-            return self.total
         i = bisect.bisect_right(self._lefts, t) - 1
         if i in self._ends:
             gamma, right, coef = self._ends[i]

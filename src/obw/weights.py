@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field, replace
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from typing import Callable, Optional
 
 from .quadrature import (
@@ -61,7 +61,8 @@ class Weight:
     `cumulative` hand them to `quadrature.integrate`, whose panel at such an
     end takes its algebraic end rule, so w is integrated as it is, with no
     change of variable. `table`, for a weight given only as a function, is
-    the table t -> m(a, t) that `closed_moment` reads; None for the built-ins.
+    the table t -> m(a, t) that `closed_moment` and `moment_from` read; None
+    for the built-ins.
     `exponents` are w's exponents at a and at b, integers included (0 where w
     is positive there), None where not known; `kernel_lq` reads them.
     """
@@ -92,6 +93,16 @@ class Weight:
         if c == d:
             return 0.0
         return self.closed_moment(c, d)
+
+    def moment_from(self, anchor: float) -> Callable[[float], float]:
+        """t -> m(anchor, t), equal to closed_moment(anchor, t) bit for bit:
+        the kernel's branch anchored at anchor reads it at every node. With a
+        `table`, it is one read of the table less T(anchor), read once now;
+        else the closed form with anchor bound."""
+        if self.table is None:
+            return partial(self.closed_moment, anchor)
+        read, base = self.table.__call__, self.table(anchor)
+        return lambda t: read(t) - base
 
     @cached_property
     def total(self) -> float:
@@ -280,6 +291,24 @@ def _beta_series(x: float, y: float, z: float, shift: int) -> float:
     return z ** (x + shift) * total
 
 
+def _moment_scale(a: float, b: float, p: float, q: float, power: float,
+                  least: float = sys.float_info.min) -> float:
+    """(b - a)^power, a scale of the power weight's moments; ValueError
+    naming the domain, the exponents and the power where it overflows or
+    falls below `least`: by default the smallest normal float, below which
+    the mass scale reads a positive mass as 0."""
+    try:
+        scale = (b - a) ** power
+    except OverflowError:
+        kind, flow = "long", "overflows"
+    else:
+        if scale >= least:
+            return scale
+        kind, flow = "short", "underflows"
+    raise ValueError(f"weight domain [{a:g}, {b:g}] is too {kind} for p={p:g}, q={q:g}: "
+                     f"(b - a)^{power:g} {flow}")
+
+
 def _power(a: float, b: float, p: float, q: float) -> Weight:
     """w(t) = (t-a)^p (b-t)^q with finite p, q > -1 (integrable endpoint behavior)."""
     if p <= -1 or q <= -1:
@@ -287,8 +316,10 @@ def _power(a: float, b: float, p: float, q: float) -> Weight:
     _check_domain(a, b)  # before B is read at a point of [a, b]
     span = b - a
     x, y = p + 1, q + 1
-    scale = span ** (p + q + 1)
-    l1coef = span ** (p + q + 2)
+    scale = _moment_scale(a, b, p, q, p + q + 1)
+    # the L1 branch's scale may underflow: the shortest domain _check_domain
+    # takes, [0, 1.5e-154], has (b - a)^3 = 3e-462 for the decreasing weight
+    l1coef = _moment_scale(a, b, p, q, p + q + 2, least=0.0)
 
     def fn(t: float) -> float:
         u, v = t - a, b - t

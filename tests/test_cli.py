@@ -587,6 +587,24 @@ def test_domain_whose_squared_length_overflows_is_named(capsys, argv):
     assert err == "error: weight domain [-1e+200, 1e+200] is too long: (b - a)^2 overflows\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("audit", "--weights", "decreasing", "--a", "0", "--b", "1e110", "--x-grid", "3"),
+     "[0, 1e+110] is too long for p=0, q=1: (b - a)^3 overflows"),
+    (("audit", "--weights", "power:p=200,q=0", "--a", "0", "--b", "100", "--x-grid", "3"),
+     "[0, 100] is too long for p=200, q=0: (b - a)^201 overflows"),
+    (("bounds", "--weight", "power:p=200,q=0", "--a", "0", "--b", "0.01", "--x", "0.005",
+      "--function", "t"), "[0, 0.01] is too short for p=200, q=0: (b - a)^201 underflows"),
+    (("audit", "--weights", "power:p=3,q=3", "--a", "0", "--b", "1e-100", "--x-grid", "3"),
+     "[0, 1e-100] is too short for p=3, q=3: (b - a)^7 underflows"),
+], ids=["decreasing-long", "p200-long", "p200-short", "p3q3-short"])
+def test_power_moment_scale_out_of_range_is_named(capsys, argv, message):
+    # an overflow printed only "arithmetic failure (OverflowError: ...)", and
+    # an underflow of (b - a)^(p + q + 1) a zero weight mass
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: weight domain {message}\n"
+
+
 # 3 001 terms: the parser builds a sum in a loop, so no nesting limit applies
 _LONG_SUM = "+".join(["t"] * 3001)
 
@@ -841,6 +859,39 @@ _PINNED_SHARPNESS = [
                          ids=[f"{argv[1]}-{argv[-1]}" for argv, _ in _PINNED_SHARPNESS])
 def test_sharpness_output_is_pinned(capsys, argv, digest):
     code, out, err = run(capsys, "sharpness", *argv, "--tol", "1e-10")
+    assert code == 0
+    assert hashlib.sha256((out + err).encode()).hexdigest() == digest
+
+
+# stdout followed by stderr of four seed-61 invocations of the benchmark that
+# read tables: two expr-queries bounds at --tol 1e-12, where kernel_lq reads
+# m from the weight's table and names its anchor as an end (gamma = 1.5 at
+# --p 3, 4/3 at --p 4), and two cdf-grid reports on weights with algebraic
+# ends, whose tables take the end rule
+_PINNED_TABLES = [
+    (("bounds", "--a", "-0.08", "--b", "0.941", "--x", "0.1807", "--alpha", "0.0", "--beta", "1.0",
+      "--weight-expr", "0.428 + sin(2.876*t)^2 + 1.11*(0.905 - 0.596*t)",
+      "--function", "0.736*(sqrt(t + 0.404) + 0.62*(sin(1.084*t - 0.688)))",
+      "--p", "3.0", "--tol", "1e-12"),
+     "7fb686a4a975c030e985ac3ca26e07887810169503e2f383a3038a498a2838c5"),
+    (("bounds", "--a", "0.116", "--b", "1.038", "--x", "0.5114", "--alpha", "2.82", "--beta", "2.41",
+      "--weight-expr", "(t + 0.414)^1.29 + 1.45*(0.445 + 0.52*t)",
+      "--function", "0.108*((t + 0.112)^3 + 0.89*(exp(1.392*t)))", "--p", "4.0", "--tol", "1e-12"),
+     "be4d0f5d069aa81fdd019a070ed8c2ef8b0dc876a8231c08f2dbe9b22c037a2f"),
+    (("cdf", "--density", "(t + 0.471)^1.48 + 1.38*(1.049 - 0.727*t)", "--weight", "arcsine",
+      "--alpha", "3.04", "--beta", "2.49", "--p", "3.0", "--tol", "1e-12", "--x-grid", "4"),
+     "8836655eae16253292af7df14e36ce52bbd9f2fb40b626a467f328f604ca5d08"),
+    (("cdf", "--density", "exp(-1.132*t) + 0.179 + 0.99*(0.463 + sin(2.339*t)^2)",
+      "--weight", "power:p=-0.4", "--alpha", "3.03", "--beta", "3.04", "--p", "2.0",
+      "--tol", "1e-12", "--x-grid", "4"),
+     "f8d3657fd61f75935535ce0927693487c1c8649819a4024a46c2f72f8c32cabb"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", _PINNED_TABLES,
+                         ids=["bounds-p3", "bounds-p4", "cdf-arcsine", "cdf-power"])
+def test_table_output_is_pinned(capsys, argv, digest):
+    code, out, err = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256((out + err).encode()).hexdigest() == digest
 

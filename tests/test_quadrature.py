@@ -5,6 +5,7 @@ import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import numpy as np
 from numpy.polynomial.legendre import legval
 
 from obw.corpus import corpus_functions
@@ -560,3 +561,169 @@ class TestDerivativeFallback:
             assert antiderivative(0.9) - antiderivative(0.2) == pytest.approx(
                 numeric, abs=1e-10
             )
+
+
+# --- the straight-line kernels against their loop forms ----------------------
+
+def gk15_loop(g, c, d, values=None):
+    """`_gk15` as a loop over _XGK: the reference its straight-line code keeps."""
+    half = 0.5 * (d - c)
+    mid = 0.5 * (c + d)
+    fc = g(mid)
+    if not math.isfinite(fc):
+        raise QuadratureError(f"non-finite integrand value at t={mid}")
+    recorded = [fc]
+    resk = quadrature._WGK[7] * fc
+    resg = quadrature._WG[3] * fc
+    for j in range(7):
+        dx = half * quadrature._XGK[j]
+        f1 = g(mid - dx)
+        f2 = g(mid + dx)
+        if not (math.isfinite(f1) and math.isfinite(f2)):
+            raise QuadratureError(f"non-finite integrand value near t={mid - dx}")
+        recorded += [f1, f2]
+        resk += quadrature._WGK[j] * (f1 + f2)
+        if j % 2 == 1:
+            resg += quadrature._WG[j // 2] * (f1 + f2)
+    resk *= half
+    resg *= half
+    diff = abs(resk - resg)
+    err = diff
+    if 200.0 * diff < 1.0:
+        scaled = (200.0 * diff) ** 1.5
+        if scaled < err:
+            err = scaled
+    if values is not None:
+        values += recorded
+    return resk, err
+
+
+def series_loop(coef, s):
+    """`_series` as the loop of the Legendre recurrence: its reference."""
+    acc = 0.0
+    p_prev, p = 0.0, 1.0
+    for c, (a_k, b_k) in zip(coef, quadrature._LEGENDRE_STEPS):
+        acc += c * p
+        p_prev, p = p, a_k * s * p - b_k * p_prev
+    return acc
+
+
+def tail_loop(values):
+    """The table's tail estimate as a loop: sum |row . values| over
+    `_leaf_matrices`' four rows, each dot product in two lanes, even and odd
+    terms, from terms 6 and 7 down to 0 and 1 and then on from 8 and 9."""
+    rows = (4.0 * quadrature._leaf_matrices()[2][11:] / np.arange(23, 31, 2)[:, None]).tolist()
+    total = 0.0
+    for row in rows:
+        lanes = [0.0, 0.0]
+        for n in (6, 4, 2, 0, 8, 10, 12, 14, 7, 5, 3, 1, 9, 11, 13):
+            lanes[n % 2] += row[n] * values[n]
+        total += abs(lanes[0] + lanes[1])
+    return total
+
+
+def bits(v):
+    return float(v).hex()
+
+
+_FINITE = st.floats(-1e3, 1e3, allow_nan=False)
+
+
+@st.composite
+def smooth_integrands(draw):
+    """A random smooth integrand: a sum of a scaled exponential, a sinusoid
+    and a power of a shifted t, kept away from its pole."""
+    amp, rate, freq, phase, shift, power = (
+        draw(st.floats(-10, 10)), draw(st.floats(-5, 5)), draw(st.floats(0, 30)),
+        draw(st.floats(-3, 3)), draw(st.floats(25, 40)), draw(st.integers(-3, 4)))
+    return lambda t: amp * math.exp(rate * t) + math.sin(freq * t + phase) + (t + shift) ** power
+
+
+class TestStraightLineKernels:
+    """`_gk15`, `_series` and the table's tail estimate are generated
+    straight-line code; each is bit for bit its loop form."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(smooth_integrands(), st.floats(-20, 20), st.floats(1e-9, 20))
+    def test_panel_is_the_loop(self, g, c, width):
+        d = c + width
+        nodes, values, expected = [], [], []
+
+        def spy(t):
+            nodes.append(t)
+            return g(t)
+
+        value, err = quadrature._gk15(spy, c, d, values)
+        loop_value, loop_err = gk15_loop(g, c, d, expected)
+        assert (bits(value), bits(err)) == (bits(loop_value), bits(loop_err))
+        assert list(map(bits, values)) == list(map(bits, expected))
+        # the 15 nodes, and the values appended, are in _NODES order
+        half, mid = 0.5 * (d - c), 0.5 * (c + d)
+        assert nodes == [mid + half * u for u in quadrature._NODES]
+        assert values == [g(t) for t in nodes]
+        assert quadrature._gk15(g, c, d) == (value, err)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 14), st.sampled_from([math.inf, -math.inf, math.nan]),
+           st.floats(-5, 5), st.floats(1e-6, 5))
+    def test_non_finite_value_is_named_as_the_loop_names_it(self, node, bad, c, width):
+        d = c + width
+        half, mid = 0.5 * (d - c), 0.5 * (c + d)
+        at = mid + half * quadrature._NODES[node]
+        calls = []
+
+        def g(t):
+            calls.append(t)
+            return bad if t == at else math.cos(t)
+
+        with pytest.raises(QuadratureError) as loop_error:
+            gk15_loop(g, c, d)
+        loop_calls, calls[:] = calls[:], []
+        values = []
+        with pytest.raises(QuadratureError) as error:
+            quadrature._gk15(g, c, d, values)
+        assert str(error.value) == str(loop_error.value)
+        assert str(error.value).startswith("non-finite integrand value ")
+        assert calls == loop_calls  # no node is evaluated past the pair that fails
+        assert values == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_FINITE, min_size=quadrature._SERIES_TERMS, max_size=quadrature._SERIES_TERMS),
+           st.floats(-1, 1))
+    def test_series_is_the_loop(self, coef, s):
+        assert bits(quadrature._series(coef, s)) == bits(series_loop(coef, s))
+        points = np.array([-1.0, s, 0.5 * s, 1.0])
+        assert np.array_equal(quadrature._series(coef, points), series_loop(coef, points))
+
+    def test_series_sums_the_legendre_polynomials(self):
+        for k in range(quadrature._SERIES_TERMS):
+            coef = [0.0] * quadrature._SERIES_TERMS
+            coef[k] = 1.0
+            for s in (-1.0, -0.3, 0.0, 0.77, 1.0):
+                assert quadrature._series(coef, s) == pytest.approx(legval(s, coef), abs=1e-14)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_FINITE, min_size=15, max_size=15))
+    def test_tail_estimate_is_the_loop(self, values):
+        tail = quadrature._leaf_matrices()[1](values)
+        assert bits(tail) == bits(tail_loop(values))
+        # the four coefficients' sizes, as the matrix of `_leaf_matrices` gives them
+        rows = 4.0 * quadrature._leaf_matrices()[2][11:] / np.arange(23, 31, 2)[:, None]
+        assert tail == pytest.approx(float(np.abs(rows @ np.array(values)).sum()),
+                                     rel=1e-12, abs=1e-12 * max(map(abs, values)))
+
+    @pytest.mark.parametrize("gamma", [-0.9, -0.5, -0.37, 0.58, 4 / 3, 1.5, 2.2])
+    def test_end_rule_bounds_are_the_four_calls(self, gamma):
+        # B_11..B_14 from one pass over the 128 x 24 points, against one
+        # `_end_integral` of each P_k alone through the loop series
+        nodes = quadrature._gauss_legendre()[0]
+        grid = np.linspace(0.0, 1.0, 129)[1:]
+        rule = quadrature._jacobi_rule(gamma).sum(axis=0)
+        sup = []
+        for k in range(11, 15):
+            values = series_loop(np.eye(15)[k], np.multiply.outer(grid, 1.0 + nodes) - 1.0)
+            sup.append(np.abs(grid ** (gamma + 1.0) * (values * rule).sum(axis=-1)).max())
+        to_coef = quadrature._leaf_matrices()[2]
+        value = quadrature._product(to_coef.T, np.array([quadrature._jacobi_moments(gamma, 15)]))
+        expected = np.vstack((value, 4.0 * np.array(sup)[:, None] * to_coef[11:]))
+        assert np.array_equal(quadrature._end_rule(gamma)[1], expected)

@@ -1,13 +1,20 @@
 import math
-from functools import partial
+from functools import cache, partial
 
 import mpmath
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from obw.quadrature import DegenerateIntervalError, Fn1D, QuadConfig, integrate, weighted_mean
-from obw.weights import DomainError, WeightSpecError, builtin_weight, tabulated_weight
+from obw.quadrature import (
+    DegenerateIntervalError,
+    Fn1D,
+    QuadConfig,
+    cumulative,
+    integrate,
+    weighted_mean,
+)
+from obw.weights import DomainError, Weight, WeightSpecError, builtin_weight, tabulated_weight
 
 
 def numeric_moment(w, c, d):
@@ -606,6 +613,105 @@ def test_domain_whose_squared_length_overflows_is_rejected(maker, a, b):
 def test_longest_domain_is_accepted():
     w = builtin_weight("uniform", 0.0, 1.3e154)  # (b - a)^2 = 1.69e308, below the largest float
     assert w.moment_l1(0.0, w.b, None) == 0.5 * 1.3e154**2
+
+
+@pytest.mark.parametrize("name, params, b, message", [
+    ("decreasing", {}, 1e110, "too long for p=0, q=1: (b - a)^3 overflows"),
+    ("power", {"p": 2.0, "q": 1.0}, 1e110, "too long for p=2, q=1: (b - a)^4 overflows"),
+    ("power", {"p": 200.0, "q": 0.0}, 100.0, "too long for p=200, q=0: (b - a)^201 overflows"),
+    ("power", {"p": 200.0, "q": 0.0}, 0.01, "too short for p=200, q=0: (b - a)^201 underflows"),
+    ("power", {"p": 3.0, "q": 3.0}, 1e-100, "too short for p=3, q=3: (b - a)^7 underflows"),
+    ("power", {"p": 300.0, "q": 0.5}, 0.05, "too short for p=300, q=0.5: (b - a)^301.5 underflows"),
+], ids=["decreasing-long", "p2q1-long", "p200-long", "p200-short", "p3q3-short", "p300-short"])
+def test_power_moment_scale_out_of_range_is_rejected(name, params, b, message):
+    # (b - a)^(p + q + 1) scales every moment and (b - a)^(p + q + 2) the L1
+    # branch: an overflow was an unnamed OverflowError, an underflow of the
+    # first a zero mass on a domain that has one
+    with pytest.raises(ValueError) as error:
+        builtin_weight(name, 0.0, b, **params)
+    assert str(error.value) == f"weight domain [0, {b:g}] is {message}"
+
+
+@pytest.mark.parametrize("name, params, b", [
+    ("decreasing", {}, 5e102),  # (b - a)^3 = 1.25e308
+    ("arcsine", {}, 1e110),  # (b - a)^1
+    ("power", {"p": 200.0, "q": 0.0}, 30.0),  # (b - a)^202 = 3.1e298
+    ("power", {"p": 200.0, "q": 0.0}, 0.03),  # (b - a)^201 = 2.5e-306
+    ("power", {"p": -0.9, "q": -0.9}, 1e-150),  # (b - a)^-0.8
+], ids=["decreasing", "arcsine", "p200-long", "p200-short", "negative-power"])
+def test_power_moment_scale_in_range_is_accepted(name, params, b):
+    w = builtin_weight(name, 0.0, b, **params)
+    assert 0 < w.total < math.inf
+    assert 0 < w.mass(0.5 * b, b) <= w.total
+
+
+@cache
+def _end_leaf_weight():
+    """t^-0.4 (1 - t)^0.3 on [0, 1] read from a table whose leaves at 0 and
+    at 1 take the algebraic end rule, as a tabulated weight reads its table."""
+    fn = lambda t: t**-0.4 * (1.0 - t) ** 0.3  # noqa: E731
+    table = cumulative(fn, 0.0, 1.0, QuadConfig(abs_tol=1e-12), ends=((0.0, -0.4), (1.0, 0.3)))
+    assert set(table._ends) == {0, len(table._lefts) - 1}
+    return Weight("ends", 0.0, 1.0, fn, lambda c, d: table(d) - table(c), None, table=table)
+
+
+class TestMomentFrom:
+    """`Weight.moment_from(anchor)`, the reader a kernel branch integrates, is
+    closed_moment(anchor, t) bit for bit: for a table, one read less T(anchor)."""
+
+    TABLES = {
+        "1+t": (lambda t: 1.0 + t, 0.0, 1.0),
+        "kink": (lambda t: abs(t - 0.37) + 0.1, 0.0, 1.0),
+        "sqrt": (math.sqrt, 0.0, 1.0),
+        "steep": (lambda t: math.exp(-100.0 * t), 0.0, 1.0),
+        "wide": (lambda t: 1.0 + t, 0.0, 2.0),  # anchor 1.0 lies inside the table
+    }
+
+    @staticmethod
+    def points(w):
+        lefts = w.table._lefts
+        rights = [*lefts[1:], w.b]
+        mids = [0.5 * (u + v) for u, v in zip(lefts, rights)]
+        near = [w.a + 1e-300, w.a + 1e-9, w.b - 1e-9, math.nextafter(w.b, w.a)]
+        return [w.a, w.b, *lefts, *mids, *near]
+
+    @staticmethod
+    def weights():
+        for name, (fn, a, b) in TestMomentFrom.TABLES.items():
+            yield name, tabulated_weight(name, fn, a, b, QuadConfig(abs_tol=1e-12))
+        yield "ends", _end_leaf_weight()
+
+    def test_tables(self):
+        for name, w in self.weights():
+            anchors = (w.a, w.b, 1.0) if name == "wide" else (w.a, w.b)
+            for anchor in anchors:
+                read = w.moment_from(anchor)
+                for t in [*self.points(w), anchor]:
+                    assert read(t).hex() == w.closed_moment(anchor, t).hex(), (name, anchor, t)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(0.0, 1.0))
+    def test_random_points_on_end_leaves(self, share):
+        w = _end_leaf_weight()
+        t = w.a + share * (w.b - w.a)
+        for anchor in (w.a, w.b):
+            assert w.moment_from(anchor)(t).hex() == w.closed_moment(anchor, t).hex()
+
+    def test_outside_the_table_is_rejected(self):
+        w = tabulated_weight("1+t", lambda t: 1.0 + t, 0.0, 1.0)
+        with pytest.raises(ValueError, match="outside the table"):
+            w.moment_from(0.0)(1.5)
+
+    @pytest.mark.parametrize("name, params", [
+        ("uniform", {}), ("arcsine", {}), ("power", {"p": -0.4, "q": 0.3}),
+        ("exponential", {"lam": 1.7}), ("truncnorm", {"mu": 0.45, "sigma": 0.3}),
+    ])
+    def test_builtin_weights(self, name, params):
+        w = builtin_weight(name, 0.0, 1.0, **params)
+        for anchor in (0.0, 1.0):
+            read = w.moment_from(anchor)
+            for t in (0.0, 1e-9, 0.3, 0.5, 0.999, 1.0):
+                assert read(t) == w.closed_moment(anchor, t)
 
 
 class TestMass:
