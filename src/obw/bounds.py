@@ -221,6 +221,8 @@ def sharpness_search(
     `_side` and each witness's integral on a side its pairs weight are
     taken once; the pairs combine them as `kernel_l1` or `kernel_sup` and
     `tau` do, so each ratio is bit-equal to its row computed on its own.
+    The hat's `levels` make its plateau a closed mass, so on a side only its
+    ramp is integrated, here and in `tau` alike.
     """
     if kind not in ("exact_inf", "exact_one"):
         raise ValueError(f"unknown sharpness kind: {kind!r}")
@@ -264,12 +266,17 @@ def _hat_fn(params: TauParams) -> Fn1D:
 
 
 def _hat(a: float, b: float, x: float, up: bool) -> Fn1D:
+    """The hat witness at x, delta = _HAT_WIDTH (b - a): up, f is 0 to
+    x - delta, then a ramp up to 1 at x, then 1; else 0 to x, then a ramp
+    down to -1 at x + delta, then -1. Its `levels` (0, None, +-1) say so, and
+    `integrate_against` takes the plateau from the weight's moment and
+    integrates the ramp alone."""
     delta = _HAT_WIDTH * (b - a)
     lo, hi, sign = (x - delta, x, 1.0) if up else (x, x + delta, -1.0)
     height = 1.0 / delta
     return Fn1D(fn=lambda t: 0.0 if t <= lo else sign if t >= hi else sign * ((t - lo) * height),
                 derivative=lambda t: sign * (height if lo < t <= hi else 0.0),
-                name="hat", kinks=(lo, hi))
+                name="hat", kinks=(lo, hi), levels=(0.0, None, sign))
 
 
 @dataclass(frozen=True)

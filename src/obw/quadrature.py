@@ -62,13 +62,23 @@ class Fn1D:
     which raises when it is None, and reads f for the L1 norm of f'. `kinks`,
     ascending, are the points where f or its derivative has a corner or a
     jump: `Weight.integrate_against` splits its integral there, so that no
-    quadrature panel straddles one.
+    quadrature panel straddles one. `levels`, empty or one per span between
+    consecutive kinks (the first from -inf, the last to +inf), is f's
+    constant value on each span, None where f is not constant there:
+    `Weight.integrate_against` takes a constant span from the weight's
+    moment and evaluates f only on the others.
     """
 
     fn: Callable[[float], float]
     derivative: Optional[Callable[[float], float]] = None
     name: str = ""
     kinks: tuple[float, ...] = ()
+    levels: tuple[Optional[float], ...] = ()
+
+    def __post_init__(self) -> None:
+        if self.levels and len(self.levels) != len(self.kinks) + 1:
+            raise ValueError(f"levels must hold len(kinks) + 1 = {len(self.kinks) + 1} "
+                             f"values, got {len(self.levels)}")
 
     def __call__(self, t: float) -> float:
         return self.fn(t)

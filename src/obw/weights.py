@@ -122,14 +122,43 @@ class Weight:
     def integrate_against(self, g, c: float, d: float, cfg: QuadConfig = DEFAULT_CONFIG) -> float:
         """Oriented integral of g(t) w(t) over [c, d]: one `integrate` of
         g w with the weight's `ends`, and g's kinks (an `Fn1D`'s `kinks`)
-        inside it as `breaks`. A QuadratureError names the integral and
-        [c, d]."""
+        inside it as `breaks`. Where g has `levels`, each constant span's
+        share [u, v] of [c, d] adds level * m(u, v) (nothing at level 0),
+        and `integrate` runs only on each maximal run of the other spans,
+        with the kinks inside it as breaks and abs_tol split evenly across
+        the runs, so g is evaluated on no constant span. A QuadratureError
+        names the integral and [c, d]."""
         if d < c:
             return -self.integrate_against(g, d, c, cfg)
         geval, fn = getattr(g, "fn", g), self.fn
-        kinks = sorted({k for k in getattr(g, "kinks", ()) if c < k < d})
+        kinks, levels = getattr(g, "kinks", ()), getattr(g, "levels", ())
+
+        def product(t: float) -> float:
+            return geval(t) * fn(t)
+
         try:
-            return integrate(lambda t: geval(t) * fn(t), c, d, cfg, breaks=kinks, ends=self.ends)[0]
+            if not levels:
+                breaks = sorted({k for k in kinks if c < k < d})
+                return integrate(product, c, d, cfg, breaks=breaks, ends=self.ends)[0]
+            # (u, v, level) of each span's share of [c, d], runs of None merged
+            pieces: list[list] = []
+            for lo, hi, level in zip((-math.inf, *kinks), (*kinks, math.inf), levels):
+                u, v = max(lo, c), min(hi, d)
+                if u < v:
+                    if level is None and pieces and pieces[-1][2] is None:
+                        pieces[-1][1] = v
+                    else:
+                        pieces.append([u, v, level])
+            runs = sum(level is None for *_, level in pieces)
+            run_cfg = replace(cfg, abs_tol=cfg.abs_tol / runs) if runs > 1 else cfg
+            total = 0.0
+            for u, v, level in pieces:
+                if level is None:
+                    breaks = sorted({k for k in kinks if u < k < v})
+                    total += integrate(product, u, v, run_cfg, breaks=breaks, ends=self.ends)[0]
+                elif level:
+                    total += level * self.moment(u, v)
+            return total
         except QuadratureError as exc:
             raise QuadratureError(f"integral of f*w on [{c:g}, {d:g}]: {exc}") from None
 
@@ -338,6 +367,12 @@ def _power(a: float, b: float, p: float, q: float) -> Weight:
     split = min(max(mean, 1.0 - _Z_MAX), _Z_MAX)
     t_split = a + split * span
     bfull = _beta_series(x, y, (t_split - a) / span, 0) + _beta_series(y, x, (b - t_split) / span, 0)
+    # the total, scale B(x, y), can underflow where the scale alone does not
+    # (p = q = 150 on [0, 0.1] reads 0); below ulp(0) / 1e-13, its 1e-13 share
+    # is 0, and `Weight.mass` would take any positive mass for a true one
+    if scale * bfull < math.ulp(0.0) / 1e-13:
+        raise ValueError(f"weight domain [{a:g}, {b:g}] is too short for p={p:g}, q={q:g}: "
+                         f"the mass (b - a)^{p + q + 1:g} B({x:g}, {y:g}) underflows")
 
     def from_a(t: float) -> float:
         # int_a^t w / scale

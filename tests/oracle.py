@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import mpmath
 
-__all__ = ["lq_by_levels", "moment", "weight_value", "kernel_lq", "branch_lq", "norm_p"]
+__all__ = ["lq_by_levels", "moment", "weight_value", "kernel_lq", "branch_lq", "norm_p",
+           "hat_tau"]
 
 DPS = 30
 LQ_DPS = 20
@@ -123,3 +124,27 @@ def norm_p(fprime, p, c=0, d=1):
     """(int_c^d |f'|^p)^(1/p), f' an mpmath function smooth on [c, d]."""
     with mpmath.workdps(DPS):
         return float(mpmath.quad(lambda t: abs(fprime(t)) ** p, [c, d]) ** (1 / mpmath.mpf(p)))
+
+
+def hat_tau(name, params, x, alpha, beta, delta=1e-3):
+    """tau of the sharpness hat (`bounds._hat`) of a built-in weight on
+    [0, 1], at 30 digits: f is 0, then a ramp of width delta, then +1 (up,
+    where alpha >= beta: the ramp ends at x) or -1 (the ramp starts at x).
+    Each side's integral of f w is split at x - delta, x and x + delta, so
+    every piece is smooth inside; x - delta and x + delta are float sums, as
+    in obw."""
+    up = alpha >= beta
+    lo, hi, sign = (x - delta, x, 1) if up else (x, x + delta, -1)
+    with mpmath.workdps(DPS):
+        def fw(t):
+            f = 0 if t <= lo else sign if t >= hi else sign * (t - lo) / delta
+            return f * weight_value(name, params, t)
+
+        cuts = [0, x - delta, x, x + delta, 1]
+        s = mpmath.mpf(alpha) + beta
+        tau = mpmath.mpf(sign if up else 0)  # f(x)
+        for share, c, d in ((alpha, 0, x), (beta, x, 1)):
+            if share > 0:
+                points = [mpmath.mpf(t) for t in cuts if c <= t <= d]
+                tau -= share / s / moment(name, params, c, d) * mpmath.quad(fw, points)
+        return float(tau)

@@ -27,8 +27,9 @@ from obw.expr import compile_expr, parse
 from obw.functionals import tau
 from obw.kernel import TauParams, kernel_l1, kernel_sup, peano_kernel
 from obw.norms import Triple, norm_triple
-from obw.quadrature import Fn1D
+from obw.quadrature import Fn1D, QuadConfig
 from obw.weights import Weight, builtin_weight, tabulated_weight
+import oracle
 
 
 def unit_norms():
@@ -424,6 +425,25 @@ class TestHatWitness:
         _, rows = sharpness_search(uniform, [x], [(1.0, 0.0), (0.0, 1.0)], kind="exact_one")
         assert rows[0].ratio == pytest.approx(1.0 - 1e-3 / (2 * x), abs=1e-13)
         assert rows[1].ratio == pytest.approx(1.0 - 1e-3 / (2 * (1 - x)), abs=1e-13)
+
+    @pytest.mark.parametrize("name, params", [
+        ("power", {"p": -0.55, "q": 0.58}), ("arcsine", {}), ("truncnorm", {"sigma": 0.27}),
+        ("exponential", {"lam": 30.0}),
+    ], ids=["power:p=-0.55,q=0.58", "arcsine", "truncnorm:sigma=0.27", "exponential:lam=30"])
+    @pytest.mark.parametrize("tol", [1e-10, 1e-8])
+    def test_ratios_against_mpmath(self, name, params, tol):
+        # bench/check.py only checks that an exact_one ratio lies in (0, 1]
+        w = builtin_weight(name, 0.0, 1.0, **params)
+        xs, pairs = [0.05, 0.25, 0.5, 0.9], [(1.0, 0.0), (0.0, 1.0), (3.66, 3.59), (1.0, 2.5)]
+        _, rows = sharpness_search(w, xs, pairs, kind="exact_one", cfg=QuadConfig(abs_tol=tol))
+        for row in rows:
+            s = row.alpha + row.beta
+            ref = abs(oracle.hat_tau(name, params, row.x, row.alpha, row.beta)) * s / max(
+                row.alpha, row.beta)
+            assert row.ratio == pytest.approx(ref, rel=1e-9, abs=0.0)
+            if (name, row.x, row.alpha, tol) == ("exponential", 0.25, 3.66, 1e-8):
+                # 0.999991615508 (mpmath), where a quadrature of the plateau read ...615
+                assert f"{row.ratio:.8e}" == "9.99991616e-01"
 
 
 def column_weights():

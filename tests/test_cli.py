@@ -596,10 +596,13 @@ def test_domain_whose_squared_length_overflows_is_named(capsys, argv):
       "--function", "t"), "[0, 0.01] is too short for p=200, q=0: (b - a)^201 underflows"),
     (("audit", "--weights", "power:p=3,q=3", "--a", "0", "--b", "1e-100", "--x-grid", "3"),
      "[0, 1e-100] is too short for p=3, q=3: (b - a)^7 underflows"),
-], ids=["decreasing-long", "p200-long", "p200-short", "p3q3-short"])
+    (("bounds", "--weight", "power:p=150,q=150", "--a", "0", "--b", "0.1", "--x", "0.05",
+      "--function", "t"),
+     "[0, 0.1] is too short for p=150, q=150: the mass (b - a)^301 B(151, 151) underflows"),
+], ids=["decreasing-long", "p200-long", "p200-short", "p3q3-short", "p150q150-total"])
 def test_power_moment_scale_out_of_range_is_named(capsys, argv, message):
     # an overflow printed only "arithmetic failure (OverflowError: ...)", and
-    # an underflow of (b - a)^(p + q + 1) a zero weight mass
+    # an underflow of (b - a)^(p + q + 1), or of the total, a zero weight mass
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
     assert err == f"error: weight domain {message}\n"

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from functools import cache, partial
 
 import mpmath
@@ -6,10 +7,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from obw.bounds import _hat
 from obw.quadrature import (
     DegenerateIntervalError,
     Fn1D,
     QuadConfig,
+    QuadratureError,
     cumulative,
     integrate,
     weighted_mean,
@@ -539,6 +542,90 @@ class TestKinks:
         assert w.integrate_against(f, 0.9, 0.1) == -expected
 
 
+
+def _stepped(fn):
+    """f = 2 up to 0.3, fn on [0.3, 0.6] and -1.5 past it, with its levels."""
+    return Fn1D(fn=lambda t: 2.0 if t < 0.3 else -1.5 if t > 0.6 else fn(t),
+                kinks=(0.3, 0.6), levels=(2.0, None, -1.5))
+
+
+class TestLevels:
+    """`integrate_against` takes an `Fn1D`'s constant spans from the
+    weight's moments and integrates only the rest."""
+
+    @pytest.mark.parametrize("name, params", [("uniform", {}), ("arcsine", {}),
+                                              ("exponential", {"lam": 2.0})])
+    def test_moments_plus_the_quadrature_of_the_rest(self, name, params):
+        w = builtin_weight(name, 0, 1, **params)
+        f = _stepped(math.sin)
+        ramp = integrate(lambda t: math.sin(t) * w.fn(t), 0.3, 0.6, ends=w.ends)[0]
+        expected = 0.0 + 2.0 * w.moment(0.1, 0.3) + ramp + -1.5 * w.moment(0.6, 0.9)
+        assert w.integrate_against(f, 0.1, 0.9) == expected
+        assert w.integrate_against(f, 0.9, 0.1) == -expected  # reversed
+        # [c, d] inside one span: a constant reads its moment alone
+        assert w.integrate_against(f, 0.65, 0.8) == -1.5 * w.moment(0.65, 0.8)
+        assert w.integrate_against(f, 0.35, 0.5) == integrate(
+            lambda t: math.sin(t) * w.fn(t), 0.35, 0.5, ends=w.ends)[0]
+
+    @pytest.mark.parametrize("up", [True, False], ids=["up", "down"])
+    def test_hat_is_evaluated_on_its_ramp_only(self, up):
+        # the uniform weight's hat at x = 0.25: one G7/K15 panel on the ramp
+        hat = _hat(0.0, 1.0, 0.25, up)
+        seen = []
+        counted = replace(hat, fn=lambda t: seen.append(t) or hat.fn(t))
+        lo, hi = hat.kinks
+        value = builtin_weight("uniform", 0, 1).integrate_against(counted, 0.0, 1.0)
+        assert len(seen) == 15 and all(lo < t < hi for t in seen)
+        # +-(delta / 2 on the ramp, and the plateau's mass m(0.25, 1) or m(0.251, 1))
+        assert value == pytest.approx(0.0005 + 0.75 if up else -0.0005 - 0.749, abs=1e-15)
+
+    def test_two_runs_within_abs_tol_of_mpmath(self, monkeypatch):
+        # f is smooth on [0, 0.3] and [0.6, 1] and 0.5 between: two runs,
+        # each with half of abs_tol, on a weight with two algebraic ends
+        name, params = "power", {"p": -0.4, "q": 0.3}
+        w = builtin_weight(name, 0, 1, **params)
+        f = Fn1D(fn=lambda t: math.cos(3 * t) if t < 0.3 else 0.5 if t <= 0.6 else math.exp(t),
+                 kinks=(0.3, 0.6), levels=(None, 0.5, None))
+        g = lambda t: mpmath.cos(3 * t) if t < 0.3 else 0.5 if t <= 0.6 else mpmath.exp(t)  # noqa: E731
+        ref = _cumulative_reference(name, params, g, [0.0, 0.5, 1.0], [0.3, 0.6])[-1]
+        calls = []
+
+        def recorded(g, c, d, cfg, **kwargs):
+            calls.append((c, d, cfg.abs_tol))
+            return integrate(g, c, d, cfg, **kwargs)
+
+        monkeypatch.setattr("obw.weights.integrate", recorded)
+        cfg = QuadConfig(abs_tol=1e-12)
+        assert abs(w.integrate_against(f, 0.0, 1.0, cfg) - ref) <= 1e-12
+        assert calls == [(0.0, 0.3, 5e-13), (0.6, 1.0, 5e-13)]
+
+    def test_adjacent_non_constant_spans_are_one_run(self, monkeypatch):
+        calls = []
+
+        def recorded(g, c, d, cfg, breaks=(), **kwargs):
+            calls.append((c, d, tuple(breaks), cfg.abs_tol))
+            return integrate(g, c, d, cfg, breaks, **kwargs)
+
+        monkeypatch.setattr("obw.weights.integrate", recorded)
+        f = Fn1D(fn=lambda t: abs(t - 0.5) if t > 0.2 else 0.0, kinks=(0.2, 0.5, 0.5),
+                 levels=(0.0, None, 1.0, None))
+        builtin_weight("uniform", 0, 1).integrate_against(f, 0.0, 1.0)
+        # a zero level adds nothing; the empty span [0.5, 0.5] parts no run
+        assert calls == [(0.2, 1.0, (0.5,), 1e-10)]
+
+    def test_quadrature_error_names_the_callers_interval(self):
+        f = _stepped(lambda t: math.sin(1000 * t))
+        with pytest.raises(QuadratureError, match=r"^integral of f\*w on \[0\.1, 0\.9\]: "):
+            builtin_weight("uniform", 0, 1).integrate_against(
+                f, 0.1, 0.9, QuadConfig(abs_tol=1e-14, max_subdivisions=2))
+
+    @pytest.mark.parametrize("kinks, levels", [((0.5,), (1.0,)), ((), (1.0, None)),
+                                               ((0.2, 0.4), (1.0, None, 2.0, 3.0))])
+    def test_levels_of_the_wrong_length_are_rejected(self, kinks, levels):
+        with pytest.raises(ValueError, match=r"^levels must hold len\(kinks\) \+ 1 = "):
+            Fn1D(fn=lambda t: t, kinks=kinks, levels=levels)
+
+
 def _kink_primitive(t):
     # int_0^t (|s - 0.37| + 0.1) ds
     return 0.1 * t + ((t - 0.37) * abs(t - 0.37) + 0.37 * 0.37) / 2
@@ -622,11 +709,15 @@ def test_longest_domain_is_accepted():
     ("power", {"p": 200.0, "q": 0.0}, 0.01, "too short for p=200, q=0: (b - a)^201 underflows"),
     ("power", {"p": 3.0, "q": 3.0}, 1e-100, "too short for p=3, q=3: (b - a)^7 underflows"),
     ("power", {"p": 300.0, "q": 0.5}, 0.05, "too short for p=300, q=0.5: (b - a)^301.5 underflows"),
-], ids=["decreasing-long", "p2q1-long", "p200-long", "p200-short", "p3q3-short", "p300-short"])
+    ("power", {"p": 150.0, "q": 150.0}, 0.1,
+     "too short for p=150, q=150: the mass (b - a)^301 B(151, 151) underflows"),
+], ids=["decreasing-long", "p2q1-long", "p200-long", "p200-short", "p3q3-short", "p300-short",
+        "p150q150-total"])
 def test_power_moment_scale_out_of_range_is_rejected(name, params, b, message):
     # (b - a)^(p + q + 1) scales every moment and (b - a)^(p + q + 2) the L1
     # branch: an overflow was an unnamed OverflowError, an underflow of the
-    # first a zero mass on a domain that has one
+    # first a zero mass on a domain that has one; so was the total's, where
+    # (b - a)^301 = 1e-301 is normal but B(151, 151) = 1e-92 takes it to 0
     with pytest.raises(ValueError) as error:
         builtin_weight(name, 0.0, b, **params)
     assert str(error.value) == f"weight domain [0, {b:g}] is {message}"

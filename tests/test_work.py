@@ -11,6 +11,7 @@ pairs combine them, and a compiled expression is one Python call.
 
 import math
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -202,12 +203,21 @@ MANY_PAIRS = [*FEW_PAIRS, (1.0, 0.0), (0.0, 1.0), (3.0, 3.0), (0.5, 4.0), (4.0, 
 @pytest.mark.parametrize("w", [builtin_weight("arcsine", 0.0, 1.0), expression_weight()],
                          ids=["arcsine", "expression"])
 @pytest.mark.parametrize("sweep", ["audit", "exact_inf", "exact_one"])
-def test_sweep_work_does_not_grow_with_pairs(counts, w, sweep):
+def test_sweep_work_does_not_grow_with_pairs(counts, monkeypatch, w, sweep):
     # per x and side, the masses, first moments and witness integrals are
     # taken once; the pairs only combine them (FEW_PAIRS weights both sides
     # of both hat orientations, so MANY_PAIRS needs nothing more)
     xs = [0.2, 0.5, 0.9]
     w.total  # once per weight
+    on_ramp = []  # per evaluation of a hat, whether t lies on its ramp [lo, hi]
+    hat = obw.bounds._hat
+
+    def recorded_hat(a, b, x, up):
+        f = hat(a, b, x, up)
+        lo, hi = f.kinks
+        return replace(f, fn=lambda t: on_ramp.append(lo <= t <= hi) or f.fn(t))
+
+    monkeypatch.setattr(obw.bounds, "_hat", recorded_hat)
 
     def work(pairs):
         for key in counts:
@@ -220,7 +230,10 @@ def test_sweep_work_does_not_grow_with_pairs(counts, w, sweep):
 
     few = work(FEW_PAIRS)
     assert work(MANY_PAIRS) == few
-    assert few["moment"] == 2 * len(xs)  # m(a, x) and m(x, b)
+    # m(a, x) and m(x, b); the hat's plateau adds m(x, b) up and m(x + delta, b) down
+    assert few["moment"] == (4 if sweep == "exact_one" else 2) * len(xs)
+    if sweep == "exact_one":  # the hat is evaluated on its ramp only, f(x) at one end
+        assert on_ramp and all(on_ramp)
     assert few["nested"] == 0
     # quadrature runs for the witness integrals and an expression weight's moment_l1
     assert (few["integrate"] > 0) == (sweep != "audit" or w.name == "expr")
