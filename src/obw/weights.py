@@ -120,47 +120,49 @@ class Weight:
         return m
 
     def integrate_against(self, g, c: float, d: float, cfg: QuadConfig = DEFAULT_CONFIG) -> float:
-        """Oriented integral of g(t) w(t) over [c, d]: one `integrate` of
-        g w with the weight's `ends`, and g's kinks (an `Fn1D`'s `kinks`)
-        inside it as `breaks`. Where g has `levels`, each constant span's
-        share [u, v] of [c, d] adds level * m(u, v) (nothing at level 0),
-        and `integrate` runs only on each maximal run of the other spans,
-        with the kinks inside it as breaks and abs_tol split evenly across
-        the runs, so g is evaluated on no constant span. A QuadratureError
-        names the integral and [c, d]."""
+        """Oriented integral of g(t) w(t) over [c, d], split at g's kinks
+        (an `Fn1D`'s `kinks`). Where g has `levels`, each constant span's
+        share [u, v] of [c, d] adds level * m(u, v) (nothing at level 0), so
+        it has the accuracy of `moment`: exact for a built-in weight, and
+        the table's own tolerance, not cfg's, for a tabulated one. Each
+        maximal run of the other spans, all of [c, d] when g has no
+        `levels`, is one `integrate` of g w with the weight's `ends` and the
+        kinks inside it as `breaks`, abs_tol split evenly across the runs;
+        so g is evaluated on no constant span. A QuadratureError names the
+        integral and [c, d]."""
         if d < c:
             return -self.integrate_against(g, d, c, cfg)
+        if c == d:
+            return 0.0
         geval, fn = getattr(g, "fn", g), self.fn
-        kinks, levels = getattr(g, "kinks", ()), getattr(g, "levels", ())
+        kinks = getattr(g, "kinks", ())
+        levels = getattr(g, "levels", ()) or (None,) * (len(kinks) + 1)
 
         def product(t: float) -> float:
             return geval(t) * fn(t)
 
+        # (u, v, level) of each span's share of [c, d], runs of None merged
+        pieces: list[list] = []
+        for lo, hi, level in zip((-math.inf, *kinks), (*kinks, math.inf), levels):
+            u, v = max(lo, c), min(hi, d)
+            if u < v:
+                if level is None and pieces and pieces[-1][2] is None:
+                    pieces[-1][1] = v
+                else:
+                    pieces.append([u, v, level])
+        runs = sum(level is None for *_, level in pieces)
+        run_cfg = replace(cfg, abs_tol=cfg.abs_tol / runs) if runs > 1 else cfg
+        total = 0.0
         try:
-            if not levels:
-                breaks = sorted({k for k in kinks if c < k < d})
-                return integrate(product, c, d, cfg, breaks=breaks, ends=self.ends)[0]
-            # (u, v, level) of each span's share of [c, d], runs of None merged
-            pieces: list[list] = []
-            for lo, hi, level in zip((-math.inf, *kinks), (*kinks, math.inf), levels):
-                u, v = max(lo, c), min(hi, d)
-                if u < v:
-                    if level is None and pieces and pieces[-1][2] is None:
-                        pieces[-1][1] = v
-                    else:
-                        pieces.append([u, v, level])
-            runs = sum(level is None for *_, level in pieces)
-            run_cfg = replace(cfg, abs_tol=cfg.abs_tol / runs) if runs > 1 else cfg
-            total = 0.0
             for u, v, level in pieces:
                 if level is None:
                     breaks = sorted({k for k in kinks if u < k < v})
                     total += integrate(product, u, v, run_cfg, breaks=breaks, ends=self.ends)[0]
                 elif level:
                     total += level * self.moment(u, v)
-            return total
         except QuadratureError as exc:
             raise QuadratureError(f"integral of f*w on [{c:g}, {d:g}]: {exc}") from None
+        return total
 
     def cumulative(self, f, c: float, d: float, cfg: QuadConfig = DEFAULT_CONFIG) -> Cumulative:
         """The table t -> int_c^t f w for t in [c, d], built now.

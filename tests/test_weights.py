@@ -619,6 +619,26 @@ class TestLevels:
             builtin_weight("uniform", 0, 1).integrate_against(
                 f, 0.1, 0.9, QuadConfig(abs_tol=1e-14, max_subdivisions=2))
 
+    def test_without_levels_is_one_integrate(self):
+        # every span a run: one integrate over [c, d] at cfg, with the
+        # kinks inside it as breaks, its value bit for bit
+        w = builtin_weight("power", 0, 1, p=-0.4, q=0.3)
+        f = Fn1D(fn=math.cos, kinks=(-0.5, 0.3, 0.6, 2.0))
+        cfg = QuadConfig(abs_tol=1e-12)
+        expected = integrate(lambda t: math.cos(t) * w.fn(t), 0.1, 0.9, cfg, breaks=[0.3, 0.6],
+                             ends=w.ends)[0]
+        assert w.integrate_against(f, 0.1, 0.9, cfg) == expected
+        assert w.integrate_against(f, 0.4, 0.4, cfg) == 0.0
+
+    def test_a_tabulated_weights_plateau_reads_its_table(self):
+        # a constant span has the accuracy of the weight's moment: a table
+        # built to 1e-8 is read as it is, whatever the caller's abs_tol
+        w = tabulated_weight("1 + t", lambda t: 1 + t, 0.0, 1.0, QuadConfig(abs_tol=1e-8))
+        f = Fn1D(fn=lambda t: 1.0, kinks=(0.5,), levels=(None, 1.0))
+        cfg = QuadConfig(abs_tol=1e-14)
+        head = integrate(lambda t: 1 + t, 0.2, 0.5, cfg)[0]
+        assert w.integrate_against(f, 0.2, 0.9, cfg) == head + w.moment(0.5, 0.9)
+
     @pytest.mark.parametrize("kinks, levels", [((0.5,), (1.0,)), ((), (1.0, None)),
                                                ((0.2, 0.4), (1.0, None, 2.0, 3.0))])
     def test_levels_of_the_wrong_length_are_rejected(self, kinks, levels):
