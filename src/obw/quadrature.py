@@ -328,9 +328,9 @@ def _exact_distances(g, lo: float, hi: float, ends) -> Callable[[float], float]:
 # The abscissae of one panel on [-1, 1] in the order _gk15 evaluates them.
 _NODES = (0.0,) + tuple(s for x in _XGK[:7] for s in (-x, x))
 _ONE_PLUS = tuple(1.0 + u for u in _NODES)  # their distances from u = -1
-# P_{k+1}(s) = A_k s P_k(s) - B_k P_{k-1}(s): (A_k, B_k) for k < 24, the rows
-# of `_gauss_legendre`; a leaf's antiderivative (degree 15) reads the first 16.
-_LEGENDRE_STEPS = tuple(((2 * k + 1) / (k + 1), k / (k + 1)) for k in range(24))
+# P_{k+1}(s) = A_k s P_k(s) - B_k P_{k-1}(s): (A_k, B_k) for k < 16, the rows
+# a leaf's antiderivative (degree 15) reads in the loop form of `_series`.
+_LEGENDRE_STEPS = tuple(((2 * k + 1) / (k + 1), k / (k + 1)) for k in range(16))
 
 
 def _legendre_rows(xs, degree: int) -> list[list[float]]:
@@ -386,7 +386,8 @@ def _leaf_matrices() -> tuple[np.ndarray, Callable[[Sequence[float]], float], np
     Let p = sum_n a_n P_n be the degree-14 Legendre interpolant through the
     values. The first map (16 x 15) gives the Legendre coefficients of
     s -> int_{-1}^s p; the second, sum |4 a_n / (2n + 1)| over n = 11..14
-    (`_tail_code`); the third (15 x 15), a_0, ..., a_14.
+    (`_tail_code`); the third (15 x 15), a_0, ..., a_14: an end leaf keeps
+    H's, and `_end_rule` builds its value row from it.
     As |int_{-1}^s P_n| <= 2 / (2n + 1), the leaf's width times that sum is
     4 times a bound on the partial integrals of p's last four terms: an
     estimate of p's error (Aurentz and Trefethen, "Chopping a Chebyshev
@@ -424,34 +425,6 @@ def _tail_code(rows: list[list[float]]) -> list[str]:
             f"    return {' + '.join(map(dot, rows))}"]
 
 
-@functools.cache
-def _gauss_legendre() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The 24-point Gauss-Legendre nodes and weights on [-1, 1], and
-    P_0, ..., P_23 at each node (one row per node), built once.
-
-    Newton's method on P_24 from the usual cosine guesses, P_24 and its
-    derivative by the Legendre recurrence; in plain Python, as
-    `_leaf_matrices` is, so no LAPACK routine runs.
-    """
-    n = 24
-
-    def p_and_slope(x: float) -> tuple[float, float]:
-        *_, p_prev, p = _legendre_rows((x,), n)[0]
-        return p, n * (x * p - p_prev) / (x * x - 1.0)
-
-    nodes, weights = [], []
-    for i in range(1, n + 1):
-        x, step = math.cos(math.pi * (i - 0.25) / (n + 0.5)), 1.0
-        while abs(step) > 1e-15:  # quadratic: the step after this one is below rounding
-            p, dp = p_and_slope(x)
-            step = p / dp
-            x -= step
-        dp = p_and_slope(x)[1]
-        nodes.append(x)
-        weights.append(2.0 / ((1.0 - x * x) * dp * dp))
-    return np.array(nodes), np.array(weights), np.array(_legendre_rows(nodes, n - 1))
-
-
 def _jacobi_moments(gamma: float, count: int) -> list[float]:
     """M_k = int_{-1}^1 (1 + u)^gamma P_k(u) du for k < count, gamma > -1:
     M_0 = 2^(gamma+1) / (gamma+1) and M_k = M_{k-1} (gamma-k+1) / (gamma+k+1)."""
@@ -461,27 +434,17 @@ def _jacobi_moments(gamma: float, count: int) -> list[float]:
     return moments
 
 
-@functools.lru_cache(maxsize=16)
-def _jacobi_rule(gamma: float) -> np.ndarray:
-    """The 24 x 24 map from a function's values at the 24 Gauss-Legendre
-    nodes to the terms c_k M_k, k < 24, c_k the Legendre coefficients of
-    its interpolant through the nodes and M_k `_jacobi_moments`: they sum
-    to the integral of the interpolant times (1 + u)^gamma over [-1, 1]."""
-    _, weights, legendre = _gauss_legendre()
-    moments = np.array(_jacobi_moments(gamma, 24)) * (np.arange(24) + 0.5)
-    return moments[:, None] * (legendre * weights[:, None]).T
-
-
-def _end_integral(gamma: float, coef, r):
+def _end_integral(gamma: float, coef: list[float], r: float) -> float:
     """int_{-1}^{2r-1} (1 + u)^gamma p(u) du, p = sum_k coef_k P_k for the
-    _SERIES_TERMS coefficients of `_series` and r in [0, 1], a float or an
-    array: the share r of [-1, 1] from its end, so that no 1 + u cancels
-    next to it. It is r^(gamma + 1) int_{-1}^1 (1 + v)^gamma p(-1 + r (1 + v))
-    dv, which `_jacobi_rule` takes exactly from p at the 24 nodes."""
-    nodes = _gauss_legendre()[0]
-    r = np.asarray(r)
-    values = _series(coef, np.multiply.outer(r, 1.0 + nodes) - 1.0)
-    return r ** (gamma + 1.0) * (values * _jacobi_rule(gamma).sum(axis=0)).sum(axis=-1)
+    _SERIES_TERMS coefficients of `_series`, of degree 14, and r in (0, 1]:
+    the share r of [-1, 1] from its end, so that no 1 + u cancels next to
+    it. It is r^(gamma + 1) int_{-1}^1 (1 + v)^gamma p(-1 + r (1 + v)) dv,
+    (1 + v)^gamma times a polynomial of degree 14, which the end panel's
+    value row W (`_end_rule`) takes exactly from its values at _NODES."""
+    acc = 0.0
+    for w, s in zip(_end_rule(gamma)[0], _ONE_PLUS):
+        acc += w * _series(coef, r * s - 1.0)
+    return r ** (gamma + 1.0) * acc
 
 
 _END_GRID = np.linspace(0.0, 1.0, 129)[1:]  # the 128 shares r that B_k is the largest over
@@ -489,38 +452,40 @@ _END_GRID = np.linspace(0.0, 1.0, 129)[1:]  # the 128 shares r that B_k is the l
 
 @functools.cache
 def _end_legendre() -> np.ndarray:
-    """P_11, ..., P_14 at the 128 x 24 points where `_end_integral` reads p
+    """P_11, ..., P_14 at the 128 x 15 points where `_end_integral` reads p
     for the shares r of _END_GRID, by one pass of the recurrence, built once
     for every gamma. They are the values `_series` gives for a coefficient
-    row with one 1.0, so each B_k is the one `_end_integral` of P_k gives."""
-    points = np.multiply.outer(_END_GRID, 1.0 + _gauss_legendre()[0]) - 1.0
+    row with one 1.0."""
+    points = np.multiply.outer(_END_GRID, _ONE_PLUS) - 1.0
     return np.array(_legendre_rows((points,), 14)[0][11:])
 
 
 @functools.lru_cache(maxsize=16)
-def _end_rule(gamma: float) -> tuple[np.ndarray, np.ndarray]:
-    """The two 5 x 15 maps of a panel at an algebraic end, built once per
+def _end_rule(gamma: float) -> tuple[list[float], np.ndarray, np.ndarray]:
+    """The end panel's value row W and its two 5 x 15 maps, built once per
     gamma: on [-1, 1], u = -1 at the end, g = (1 + u)^gamma H(u), and they
     read H at _NODES.
 
-    With c_k the Legendre coefficients of H's degree-14 interpolant
-    (`_leaf_matrices`' third map), the first row of each gives sum_k M_k
-    c_k, the integral of (1 + u)^gamma times the interpolant (M_k
-    `_jacobi_moments`). The other four give 4 M_k c_k for k = 11..14 in the
-    first map: the size of the last four terms, times 4 as in
-    `_leaf_matrices`, is `integrate`'s estimate. In the second they give
-    4 B_k c_k, B_k the largest |int_{-1}^s (1 + u)^gamma P_k| over 128
-    points s: a table's estimate of its queries, which read partial
-    integrals. For gamma > 0, B_k exceeds |M_k| up to a thousandfold.
+    With C the map to the Legendre coefficients c_k of H's degree-14
+    interpolant (`_leaf_matrices`' third map), W_j = sum_k M_k C_kj (M_k
+    `_jacobi_moments`), so W . H = sum_k M_k c_k, the integral of
+    (1 + u)^gamma times the interpolant. W is the first row of each map.
+    The other four give 4 M_k c_k for k = 11..14 in the first map: the
+    size of the last four terms, times 4 as in `_leaf_matrices`, is
+    `integrate`'s estimate. In the second they give 4 B_k c_k, B_k the
+    largest |int_{-1}^s (1 + u)^gamma P_k| over 128 points s, each read
+    through W as `_end_integral` reads it: a table's estimate of its queries,
+    which read partial integrals. For gamma > 0, B_k exceeds |M_k| up to a
+    thousandfold.
     """
     to_coef = _leaf_matrices()[2]
     moments = _jacobi_moments(gamma, 15)
     value = _product(to_coef.T, np.array([moments]))
-    rule = _jacobi_rule(gamma).sum(axis=0)
-    # `_end_integral` of P_11, ..., P_14 at each share r of _END_GRID
-    partials = _END_GRID ** (gamma + 1.0) * (_end_legendre() * rule).sum(axis=-1)
-    return tuple(np.vstack((value, 4.0 * np.array(b)[:, None] * to_coef[11:]))
-                 for b in (moments[11:], np.abs(partials).max(axis=-1)))
+    # the integral of P_11, ..., P_14 up to each share r of _END_GRID
+    partials = _END_GRID ** (gamma + 1.0) * (_end_legendre() * value[0]).sum(axis=-1)
+    maps = (np.vstack((value, 4.0 * np.array(b)[:, None] * to_coef[11:]))
+            for b in (moments[11:], np.abs(partials).max(axis=-1)))
+    return (value[0].tolist(), *maps)
 
 
 def _end_panel(
@@ -546,7 +511,7 @@ def _end_panel(
         values.append(g(t) / (abs(t - end) / half) ** gamma)
     if not all(map(math.isfinite, values)):
         raise QuadratureError(f"non-finite integrand value near t={end}")
-    value, *tail = _product(_end_rule(gamma)[1 if table else 0], np.array([values]))[0].tolist()
+    value, *tail = _product(_end_rule(gamma)[2 if table else 1], np.array([values]))[0].tolist()
     return half * value, half * sum(map(abs, tail)), values
 
 
@@ -566,8 +531,9 @@ class Cumulative:
     exactly 0.0 at c and `total` at d, with no interpolant. A leaf at an
     algebraic end of `cumulative`'s `ends` keeps gamma and the Legendre
     coefficients of H's interpolant through its 15 quotients (`_end_panel`):
-    a query there reads int (1 + u)^gamma H from the end (`_end_integral`),
-    counted from 0 at c, or taken from `total` at d.
+    a query there reads int (1 + u)^gamma H from the end through the end
+    panel's value row at the 15 nodes mapped onto its share of the leaf
+    (`_end_integral`), counted from 0 at c, or taken from `total` at d.
     """
 
     def __init__(self, c: float, d: float) -> None:
@@ -607,7 +573,7 @@ class Cumulative:
         if i in self._ends:
             gamma, right, coef = self._ends[i]
             r = 0.5 * ((self.d - t) if right else (t - self.c)) / self._halves[i]
-            part = self._halves[i] * float(_end_integral(gamma, coef, r))
+            part = self._halves[i] * _end_integral(gamma, coef, r)
             return self.total - part if right else part
         return self._prefix[i] + _series(self._coef[i], (t - self._mids[i]) / self._halves[i])
 

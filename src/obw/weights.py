@@ -55,16 +55,11 @@ class Weight:
     its anchor so little cancels (a series on a short truncated-normal
     branch, and incomplete Beta series for the power family); one
     quadrature at cfg for a weight given only as a function.
-    `ends` are pairs (e, gamma): an end e of [a, b] where w is |t - e|^gamma
-    times a function smooth there, gamma not a non-negative integer (the
-    power family's singular or rough ends). `integrate_against` and
-    `cumulative` hand them to `quadrature.integrate`, whose panel at such an
-    end takes its algebraic end rule, so w is integrated as it is, with no
-    change of variable. `table`, for a weight given only as a function, is
-    the table t -> m(a, t) that `closed_moment` and `moment_from` read; None
-    for the built-ins.
-    `exponents` are w's exponents at a and at b, integers included (0 where w
-    is positive there), None where not known; `kernel_lq` reads them.
+    `table`, for a weight given only as a function, is the table
+    t -> m(a, t) that `closed_moment` and `moment_from` read; None for the
+    built-ins. `exponents` are w's exponents at a and at b, integers
+    included (0 where w is positive there), None where not known:
+    `kernel_lq` reads them, and `ends` is derived from them.
     """
 
     name: str
@@ -73,7 +68,6 @@ class Weight:
     fn: Callable[[float], float]
     closed_moment: Callable[[float, float], float]
     moment_l1: Callable[[float, float, QuadConfig], float]
-    ends: tuple[tuple[float, float], ...] = ()
     table: Optional[Cumulative] = field(default=None, repr=False)
     exponents: tuple[Optional[float], Optional[float]] = (None, None)
 
@@ -103,6 +97,18 @@ class Weight:
             return partial(self.closed_moment, anchor)
         read, base = self.table.__call__, self.table(anchor)
         return lambda t: read(t) - base
+
+    @cached_property
+    def ends(self) -> tuple[tuple[float, float], ...]:
+        """The pairs (e, gamma) of each end e of [a, b] whose exponent gamma
+        is known and not a non-negative integer (the power family's singular
+        or rough ends): there w is |t - e|^gamma times a function smooth
+        there. `integrate_against` and `cumulative` hand them to
+        `quadrature.integrate`, whose panel at such an end takes its
+        algebraic end rule, so w is integrated as it is, with no change of
+        variable."""
+        return tuple((e, gamma) for e, gamma in zip((self.a, self.b), self.exponents)
+                     if gamma is not None and (gamma < 0 or gamma != int(gamma)))
 
     @cached_property
     def total(self) -> float:
@@ -322,18 +328,17 @@ def _beta_series(x: float, y: float, z: float, shift: int) -> float:
     return z ** (x + shift) * total
 
 
-def _moment_scale(a: float, b: float, p: float, q: float, power: float,
-                  least: float = sys.float_info.min) -> float:
+def _moment_scale(a: float, b: float, p: float, q: float, power: float) -> float:
     """(b - a)^power, a scale of the power weight's moments; ValueError
     naming the domain, the exponents and the power where it overflows or
-    falls below `least`: by default the smallest normal float, below which
-    the mass scale reads a positive mass as 0."""
+    falls below the smallest normal float, where a positive mass or L1
+    branch would read 0 or lose its digits."""
     try:
         scale = (b - a) ** power
     except OverflowError:
         kind, flow = "long", "overflows"
     else:
-        if scale >= least:
+        if scale >= sys.float_info.min:
             return scale
         kind, flow = "short", "underflows"
     raise ValueError(f"weight domain [{a:g}, {b:g}] is too {kind} for p={p:g}, q={q:g}: "
@@ -348,9 +353,7 @@ def _power(a: float, b: float, p: float, q: float) -> Weight:
     span = b - a
     x, y = p + 1, q + 1
     scale = _moment_scale(a, b, p, q, p + q + 1)
-    # the L1 branch's scale may underflow: the shortest domain _check_domain
-    # takes, [0, 1.5e-154], has (b - a)^3 = 3e-462 for the decreasing weight
-    l1coef = _moment_scale(a, b, p, q, p + q + 2, least=0.0)
+    l1coef = _moment_scale(a, b, p, q, p + q + 2)
 
     def fn(t: float) -> float:
         u, v = t - a, b - t
@@ -370,9 +373,9 @@ def _power(a: float, b: float, p: float, q: float) -> Weight:
     t_split = a + split * span
     bfull = _beta_series(x, y, (t_split - a) / span, 0) + _beta_series(y, x, (b - t_split) / span, 0)
     # the total, scale B(x, y), can underflow where the scale alone does not
-    # (p = q = 150 on [0, 0.1] reads 0); below ulp(0) / 1e-13, its 1e-13 share
-    # is 0, and `Weight.mass` would take any positive mass for a true one
-    if scale * bfull < math.ulp(0.0) / 1e-13:
+    # (p = q = 150 on [0, 0.1] reads 0); below the smallest normal float a
+    # branch's 1 / mass can overflow (p = 200 on [0, 0.03]: 1.2e-308, tau -inf)
+    if scale * bfull < sys.float_info.min:
         raise ValueError(f"weight domain [{a:g}, {b:g}] is too short for p={p:g}, q={q:g}: "
                          f"the mass (b - a)^{p + q + 1:g} B({x:g}, {y:g}) underflows")
 
@@ -409,9 +412,7 @@ def _power(a: float, b: float, p: float, q: float) -> Weight:
             return l1coef * _beta_series(y, x, zb, 1)
         return l1coef * (bfull * (zb - y / (x + y)) + _beta_series(x, y, za, 1))
 
-    ends = tuple((e, g) for e, g in ((a, p), (b, q)) if g < 0 or g != int(g))
-    return Weight(f"power(p={p:g},q={q:g})", a, b, fn, closed, moment_l1, ends,
-                  exponents=(p, q))
+    return Weight(f"power(p={p:g},q={q:g})", a, b, fn, closed, moment_l1, exponents=(p, q))
 
 
 def tabulated_weight(

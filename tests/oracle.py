@@ -1,5 +1,6 @@
 """The mpmath reference values the tests compare obw against, at 30 digits
-(20 for `kernel_lq`, which is compared at 1e-12 and takes half the time).
+(20 for `kernel_lq`, which is compared at 1e-12 and takes half the time, and
+60 for `end_integral`, a sum of alternating terms far larger than itself).
 
 `lq_by_levels` reads ||rho||_q through a change of variable that spreads the
 peak of |rho|^q at x; `kernel_lq` splits each branch at points graded toward
@@ -12,10 +13,11 @@ from __future__ import annotations
 import mpmath
 
 __all__ = ["lq_by_levels", "moment", "weight_value", "kernel_lq", "branch_lq", "norm_p",
-           "hat_tau"]
+           "hat_tau", "end_integral"]
 
 DPS = 30
 LQ_DPS = 20
+END_DPS = 60
 
 # the exponents (p, q) of the power family's named members on [0, 1]
 _POWER = {"increasing": (1, 0), "decreasing": (0, 1), "arcsine": (-0.5, -0.5)}
@@ -148,3 +150,20 @@ def hat_tau(name, params, x, alpha, beta, delta=1e-3):
                 points = [mpmath.mpf(t) for t in cuts if c <= t <= d]
                 tau -= share / s / moment(name, params, c, d) * mpmath.quad(fw, points)
         return float(tau)
+
+
+def end_integral(gamma, coef, r):
+    """int_{-1}^{2r-1} (1 + u)^gamma sum_k coef_k P_k(u) du, exactly up to
+    60 digits. Each P_k is written in powers of 1 + u,
+    P_k(u) = sum_m (-1)^(k+m) C(k, m) C(k+m, m) ((1 + u) / 2)^m, and
+    integrated term by term: int_{-1}^{2r-1} (1 + u)^(gamma+m) du is
+    (2r)^(gamma+m+1) / (gamma+m+1)."""
+    with mpmath.workdps(END_DPS):
+        gamma, two_r = mpmath.mpf(gamma), 2 * mpmath.mpf(r)
+        total = 0
+        for k, c in enumerate(coef):
+            for m in range(k + 1):
+                power = gamma + m + 1
+                total += (mpmath.mpf(c) * (-1) ** (k + m) * mpmath.binomial(k, m)
+                          * mpmath.binomial(k + m, m) * two_r**power / (2**m * power))
+        return float(total)

@@ -599,10 +599,18 @@ def test_domain_whose_squared_length_overflows_is_named(capsys, argv):
     (("bounds", "--weight", "power:p=150,q=150", "--a", "0", "--b", "0.1", "--x", "0.05",
       "--function", "t"),
      "[0, 0.1] is too short for p=150, q=150: the mass (b - a)^301 B(151, 151) underflows"),
-], ids=["decreasing-long", "p200-long", "p200-short", "p3q3-short", "p150q150-total"])
+    (("bounds", "--weight", "power:p=200,q=0", "--a", "0", "--b", "0.03", "--x", "0.029",
+      "--function", "t"),
+     "[0, 0.03] is too short for p=200, q=0: the mass (b - a)^201 B(201, 1) underflows"),
+    (("bounds", "--weight", "decreasing", "--a", "0", "--b", "1.5e-154", "--x", "7.5e-155",
+      "--function", "t"), "[0, 1.5e-154] is too short for p=0, q=1: (b - a)^3 underflows"),
+], ids=["decreasing-long", "p200-long", "p200-short", "p3q3-short", "p150q150-total",
+        "p200-subnormal-total", "decreasing-l1-short"])
 def test_power_moment_scale_out_of_range_is_named(capsys, argv, message):
-    # an overflow printed only "arithmetic failure (OverflowError: ...)", and
-    # an underflow of (b - a)^(p + q + 1), or of the total, a zero weight mass
+    # an overflow printed only "arithmetic failure (OverflowError: ...)"; an
+    # underflow of (b - a)^(p + q + 1), or of the total, a zero weight mass; a
+    # subnormal total tau = -inf; and an underflow of (b - a)^(p + q + 2)
+    # exact_inf = 0
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
     assert err == f"error: weight domain {message}\n"

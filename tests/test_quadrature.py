@@ -1,5 +1,6 @@
 import heapq
 import math
+import random
 
 import mpmath
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 import numpy as np
 from numpy.polynomial.legendre import legval
 
+import oracle
 from obw.corpus import corpus_functions
 from obw import quadrature
 from obw.quadrature import (
@@ -193,6 +195,20 @@ class TestEndRule:
                                           gamma, True, False)[0]
             assert abs(left - moments[k]) <= 1e-15 * moments[0], k
             assert abs(right - moments[k]) <= 1e-15 * moments[0], k
+
+    def test_end_integral_against_the_exact_partial_integral(self):
+        # 300 seeded end leaves: H's coefficients falling as 2^-k, as a smooth
+        # H's do, and shares r of the leaf from 1e-4 to 1. The bound is 4e-15
+        # of sum |c_k| times int_{-1}^{2r-1} (1 + u)^gamma.
+        rng = random.Random(34)
+        gammas = [-0.99, -0.9, -0.5, -0.37, -0.3, 0.3, 0.58, 1.05, 1.5, 2.2]
+        for i in range(300):
+            gamma = gammas[i % len(gammas)]
+            coef = [rng.uniform(-1.0, 1.0) * 0.5**k for k in range(15)] + [0.0]
+            r = 1.0 if i % 30 == 0 else 1e-4 if i % 30 == 15 else 10.0 ** rng.uniform(-4.0, 0.0)
+            got = quadrature._end_integral(gamma, coef, r)
+            bound = 4e-15 * sum(map(abs, coef)) * (2 * r) ** (gamma + 1) / (gamma + 1)
+            assert abs(got - oracle.end_integral(gamma, coef, r)) <= bound, (i, gamma, r)
 
     @pytest.mark.parametrize("gamma", GAMMAS)
     def test_estimate_is_the_weighted_tail(self, gamma):
@@ -414,21 +430,13 @@ class TestArea:
 
     @pytest.mark.parametrize("gamma", [1.0, 2 / 3, 0.25, -0.23, -1 / 3, 9.0, 4 / 3, 1.5, 3.0])
     def test_jacobi_moments_against_mpmath(self, gamma):
-        # through degree 23: `_jacobi_rule` reads 24 of them
+        # the recurrence through degree 23: `_end_rule` reads the first 15, and
+        # `Cumulative.area` the first 15 at gamma and at gamma + 1
         moments = quadrature._jacobi_moments(gamma, 24)
         with mpmath.workdps(30):
             for k, m_k in enumerate(moments):
                 ref = mpmath.quad(lambda u: (1 + u) ** gamma * mpmath.legendre(k, u), [-1, 1])
                 assert abs(m_k - float(ref)) <= 4e-16 * moments[0], k
-
-    def test_gauss_legendre_rule(self):
-        # exact to degree 47: int_{-1}^1 u^k du
-        nodes, weights, _ = quadrature._gauss_legendre()
-        for k in range(0, 48, 3):
-            exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
-            assert math.fsum(w * x**k for x, w in zip(nodes, weights)) == pytest.approx(
-                exact, abs=1e-15
-            )
 
     def test_table_off_zero(self):
         table = cumulative(math.cos, 0.1, 1.3)
@@ -438,15 +446,6 @@ class TestArea:
 
     def test_empty_table(self):
         assert cumulative(math.exp, 0.0, 0.0).area() == 0.0
-
-
-def test_legendre_rows_through_degree_23():
-    # the rows `_jacobi_rule` reads
-    nodes, _, legendre = quadrature._gauss_legendre()
-    assert legendre.shape == (24, 24)
-    for k in range(24):
-        column = legval(nodes, [0.0] * k + [1.0])
-        assert max(abs(legendre[:, k] - column)) <= 1e-14, k
 
 
 class TestGk15Estimate:
@@ -714,16 +713,18 @@ class TestStraightLineKernels:
 
     @pytest.mark.parametrize("gamma", [-0.9, -0.5, -0.37, 0.58, 4 / 3, 1.5, 2.2])
     def test_end_rule_bounds_are_the_four_calls(self, gamma):
-        # B_11..B_14 from one pass over the 128 x 24 points, against one
-        # `_end_integral` of each P_k alone through the loop series
-        nodes = quadrature._gauss_legendre()[0]
+        # B_11..B_14 from one pass over the 128 x 15 points, against the
+        # value row W applied to each P_k alone through the loop series, as
+        # `_end_integral` reads a share r
         grid = np.linspace(0.0, 1.0, 129)[1:]
-        rule = quadrature._jacobi_rule(gamma).sum(axis=0)
+        points = np.multiply.outer(grid, quadrature._ONE_PLUS) - 1.0
+        weights, _, table_rule = quadrature._end_rule(gamma)
         sup = []
         for k in range(11, 15):
-            values = series_loop(np.eye(15)[k], np.multiply.outer(grid, 1.0 + nodes) - 1.0)
-            sup.append(np.abs(grid ** (gamma + 1.0) * (values * rule).sum(axis=-1)).max())
+            values = series_loop(np.eye(quadrature._SERIES_TERMS)[k], points)
+            sup.append(np.abs(grid ** (gamma + 1.0) * (values * weights).sum(axis=-1)).max())
         to_coef = quadrature._leaf_matrices()[2]
         value = quadrature._product(to_coef.T, np.array([quadrature._jacobi_moments(gamma, 15)]))
+        assert weights == value[0].tolist()
         expected = np.vstack((value, 4.0 * np.array(sup)[:, None] * to_coef[11:]))
-        assert np.array_equal(quadrature._end_rule(gamma)[1], expected)
+        assert np.array_equal(table_rule, expected)

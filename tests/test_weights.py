@@ -702,9 +702,20 @@ def test_domain_whose_squared_length_underflows_is_rejected(maker, a, b):
         maker(a, b)
 
 
-@pytest.mark.parametrize("maker", _BUILDERS.values(), ids=list(_BUILDERS))
-def test_shortest_domain_is_accepted(maker):
-    w = maker(0.0, 1.5e-154)  # (b - a)^2 = 2.25e-308, just above 2.2250738585072014e-308
+# where p + q = 1, the L1 branch's scale (b - a)^3 = 3.4e-462 underflows: the
+# decreasing weight printed exact_inf = 0 below |tau| on this domain
+_SHORTEST_REFUSED = {"decreasing": "p=0, q=1", "power": "p=1, q=0"}
+
+
+@pytest.mark.parametrize("name", list(_BUILDERS))
+def test_shortest_domain_is_accepted(name):
+    if name in _SHORTEST_REFUSED:
+        with pytest.raises(ValueError) as error:
+            _BUILDERS[name](0.0, 1.5e-154)
+        assert str(error.value) == (f"weight domain [0, 1.5e-154] is too short for "
+                                    f"{_SHORTEST_REFUSED[name]}: (b - a)^3 underflows")
+        return
+    w = _BUILDERS[name](0.0, 1.5e-154)  # (b - a)^2 = 2.25e-308, just above 2.2250738585072014e-308
     assert w.b - w.a == 1.5e-154
 
 
@@ -731,26 +742,39 @@ def test_longest_domain_is_accepted():
     ("power", {"p": 300.0, "q": 0.5}, 0.05, "too short for p=300, q=0.5: (b - a)^301.5 underflows"),
     ("power", {"p": 150.0, "q": 150.0}, 0.1,
      "too short for p=150, q=150: the mass (b - a)^301 B(151, 151) underflows"),
+    ("power", {"p": 200.0, "q": 0.0}, 0.03,
+     "too short for p=200, q=0: the mass (b - a)^201 B(201, 1) underflows"),
+    ("decreasing", {}, 1.5e-154, "too short for p=0, q=1: (b - a)^3 underflows"),
 ], ids=["decreasing-long", "p2q1-long", "p200-long", "p200-short", "p3q3-short", "p300-short",
-        "p150q150-total"])
+        "p150q150-total", "p200-subnormal-total", "decreasing-l1-short"])
 def test_power_moment_scale_out_of_range_is_rejected(name, params, b, message):
     # (b - a)^(p + q + 1) scales every moment and (b - a)^(p + q + 2) the L1
     # branch: an overflow was an unnamed OverflowError, an underflow of the
-    # first a zero mass on a domain that has one; so was the total's, where
-    # (b - a)^301 = 1e-301 is normal but B(151, 151) = 1e-92 takes it to 0
+    # first a zero mass on a domain that has one, and of the second an L1
+    # branch of 0 (exact_inf = 0 below |tau|); so was the total's underflow,
+    # where (b - a)^301 = 1e-301 is normal but B(151, 151) = 1e-92 takes it to
+    # 0, and a subnormal total, 1.2e-308 on [0, 0.03] at p = 200, made a
+    # branch's 1 / mass overflow (tau = -inf)
     with pytest.raises(ValueError) as error:
         builtin_weight(name, 0.0, b, **params)
     assert str(error.value) == f"weight domain [0, {b:g}] is {message}"
 
 
-@pytest.mark.parametrize("name, params, b", [
-    ("decreasing", {}, 5e102),  # (b - a)^3 = 1.25e308
-    ("arcsine", {}, 1e110),  # (b - a)^1
-    ("power", {"p": 200.0, "q": 0.0}, 30.0),  # (b - a)^202 = 3.1e298
-    ("power", {"p": 200.0, "q": 0.0}, 0.03),  # (b - a)^201 = 2.5e-306
-    ("power", {"p": -0.9, "q": -0.9}, 1e-150),  # (b - a)^-0.8
+@pytest.mark.parametrize("name, params, b, refused", [
+    ("decreasing", {}, 5e102, None),  # (b - a)^3 = 1.25e308
+    ("arcsine", {}, 1e110, None),  # (b - a)^1
+    ("power", {"p": 200.0, "q": 0.0}, 30.0, None),  # (b - a)^202 = 3.1e298
+    # (b - a)^201 = 2.5e-306 is normal, but the total, that over 201, is not
+    ("power", {"p": 200.0, "q": 0.0}, 0.03,
+     "too short for p=200, q=0: the mass (b - a)^201 B(201, 1) underflows"),
+    ("power", {"p": -0.9, "q": -0.9}, 1e-150, None),  # (b - a)^-0.8
 ], ids=["decreasing", "arcsine", "p200-long", "p200-short", "negative-power"])
-def test_power_moment_scale_in_range_is_accepted(name, params, b):
+def test_power_moment_scale_in_range_is_accepted(name, params, b, refused):
+    if refused:
+        with pytest.raises(ValueError) as error:
+            builtin_weight(name, 0.0, b, **params)
+        assert str(error.value) == f"weight domain [0, {b:g}] is {refused}"
+        return
     w = builtin_weight(name, 0.0, b, **params)
     assert 0 < w.total < math.inf
     assert 0 < w.mass(0.5 * b, b) <= w.total
