@@ -33,11 +33,12 @@ class DensityModel:
     One `Weight.cumulative` table of the unscaled f w is built when the
     model is made; its total is m (DegenerateIntervalError, a ValueError,
     unless m > 0), and F_w(x) = table(x) / m. `density` is f / m with f's
-    kinks, its derivative (and the derivative's `grid`, where it has one)
-    scaled the same way, and `cdf_integral()` is int_a^b F_w, the table's
-    `area()` / m, read from its leaves when called. `cfg` is the model's
-    tolerance: its table, its derivative norms and every integral the
-    functions below take of it use it.
+    kinks, its derivative (and the derivative's `grid`, where it has one,
+    which `norms._scan` reads under its own error policy) scaled the same
+    way, and `cdf_integral()` is int_a^b F_w, the table's `area()` / m,
+    read from its leaves when called. `cfg` is the model's tolerance: its
+    table, its derivative norms and every integral the functions below
+    take of it use it.
     """
 
     f: Fn1D

@@ -396,9 +396,10 @@ def as_fn1d(source: str, name: str = "") -> Fn1D:
 
     The derivative also has `grid(ts)`: `_d` on a numpy array of t in one
     call, the same code run on numpy's functions, with IEEE values (inf,
-    nan) where the scalar derivative raises or falls back, and numpy's
-    floating-point error handling. numpy's exp, log and pow may differ from
-    math's in the last bit.
+    nan) where the scalar derivative raises or falls back; the caller sets
+    numpy's floating-point error policy (`norms._scan` ignores its flags
+    and reads those samples again through the scalar derivative). numpy's
+    exp, log and pow may differ from math's in the last bit.
     """
     code = _code(parse(source))
     scalar = _bind(code, _NAMESPACE)

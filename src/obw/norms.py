@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -86,22 +86,6 @@ def _value(g: Callable[[float], float], t: float) -> float:
     return v
 
 
-def _grid_values(g: Callable[[float], float], ts: np.ndarray) -> np.ndarray | None:
-    """g on ts in one array call, where g has a `grid` (expr.as_fn1d's
-    derivatives do). None where it has none, or where some sample divided
-    by zero, overflowed, left the reals or is not finite: only there can
-    the scalar g raise or fall back to finite differences."""
-    grid = getattr(g, "grid", None)
-    if grid is None:
-        return None
-    with np.errstate(divide="raise", over="raise", invalid="raise", under="ignore"):
-        try:
-            vals = grid(ts)
-        except ArithmeticError:  # a raised flag: the scalar g decides
-            return None
-    return vals if np.isfinite(vals).all() else None
-
-
 def _bisect_root(g: Callable[[float], float], lo: float, hi: float, lo_positive: bool,
                  tol: float) -> float:
     """A root of g in (lo, hi), where g changes sign, by bisection on the
@@ -125,12 +109,13 @@ def _scan(g: Callable[[float], float], c: float, d: float) -> tuple[float, list[
     both read from one sampling of g on the _N_CHEB Chebyshev points.
 
     Sup: each of the (up to) _N_PEAKS largest sampled local maxima of |g|
-    is refined by golden section on both halves of its bracket, since a
-    bracket can span two lobes of a feature narrower than the sampling.
-    Roots: each sign change between samples is refined by bisection on the
-    scalar g. Where g has a `grid`, the samples are taken in one array call
-    and only choose the peaks and the sign changes: every value returned is
-    one of the scalar g.
+    is read again from the scalar g and refined by golden section on both
+    halves of its bracket, since a bracket can span two lobes of a feature
+    narrower than the sampling. Roots: each sign change between samples is
+    refined by bisection on the scalar g. Where g has a `grid`, the samples
+    are taken in one array call, its flags ignored; only those not finite
+    are read again through the scalar g (its finite differences, or a
+    ValueError naming t). So every value returned is one of the scalar g.
     """
     if not d > c:
         raise ValueError("derivative norms require c < d")
@@ -138,10 +123,14 @@ def _scan(g: Callable[[float], float], c: float, d: float) -> tuple[float, list[
     half = 0.5 * (d - c)
     ts_array = mid + half * _CHEB_UNIT
     ts = ts_array.tolist()
-    vals = _grid_values(g, ts_array)
-    on_grid = vals is not None
-    if not on_grid:
+    grid = getattr(g, "grid", None)
+    if grid is None:
         vals = np.array([_value(g, t) for t in ts])
+    else:
+        with np.errstate(all="ignore"):
+            vals = np.array(grid(ts_array))
+        for i in np.flatnonzero(~np.isfinite(vals)).tolist():
+            vals[i] = _value(g, ts[i])
     tol = 1e-12 * max(1.0, d - c)
 
     # local maxima: at least both neighbours and above one (so a plateau
@@ -152,7 +141,7 @@ def _scan(g: Callable[[float], float], c: float, d: float) -> tuple[float, list[
     peaks = np.flatnonzero((mags >= left) & (mags >= right) & ((mags > left) | (mags > right)))
     # the _N_PEAKS largest, ties in sample order (a stable sort)
     peaks = peaks[np.argsort(-mags[peaks], kind="stable")[:_N_PEAKS]].tolist()
-    sup = max(abs(_value(g, ts[i])) for i in peaks) if on_grid else float(mags[peaks[0]])
+    sup = max(abs(_value(g, ts[i])) for i in peaks)
     last = len(ts) - 1
     for i in peaks:
         for lo, hi in ((ts[max(i - 1, 0)], ts[i]), (ts[i], ts[min(i + 1, last)])):
@@ -207,6 +196,21 @@ def _variation(f: Callable[[float], float], c: float, d: float, roots: list[floa
     return math.fsum(abs(v - u) for u, v in zip(vals, vals[1:]))
 
 
+def _norm_triples(f: Fn1D, ps: Sequence[float], c: float, d: float,
+                  cfg: QuadConfig) -> dict[float, Triple]:
+    """{p: sup, L_p and L1 norms of f' on [c, d]} from one `_scan` of f':
+    its sup and roots serve every p, each L_p norm integrates |f'|^p
+    between the roots, and the L1 norm is f's variation over them."""
+    g = derivative_callable(f)
+    try:
+        sup, roots = _scan(g, c, d)
+    except ValueError as exc:
+        raise ValueError(f"sup norm of f' on [{c:g}, {d:g}]: {exc}") from None
+    lps = [_norm_lp(g, p, c, d, cfg, roots) for p in ps]
+    one = _variation(f, c, d, roots)
+    return {p: Triple(sup, lp, one) for p, lp in zip(ps, lps)}
+
+
 def norm_triple(
     f: Fn1D,
     p: float,
@@ -217,9 +221,4 @@ def norm_triple(
     """Sup, L_p, and L1 norms of f' on [c, d], from one `_scan` of f': the
     L_p norm integrates |f'|^p, and the L1 norm is f's variation. Where f or
     f' has no value at a point, the ValueError names the norm."""
-    g = derivative_callable(f)
-    try:
-        sup, roots = _scan(g, c, d)
-    except ValueError as exc:
-        raise ValueError(f"sup norm of f' on [{c:g}, {d:g}]: {exc}") from None
-    return Triple(sup, _norm_lp(g, p, c, d, cfg, roots), _variation(f, c, d, roots))
+    return _norm_triples(f, (p,), c, d, cfg)[p]

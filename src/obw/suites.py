@@ -10,7 +10,7 @@ from .bounds import _sweep, bounds_cerone, bounds_exact, bounds_paper, kernel_no
 from .corpus import COEFF_PAIRS, corpus_functions, corpus_weights, corpus_x_values
 from .functionals import tau, tau_combination, tau_decomposed
 from .kernel import TauParams, _lq_norm, _lq_side, _moment_integral, kernel_integral
-from .norms import Triple, _norm_lp, _scan, _variation, conjugate
+from .norms import Triple, _norm_triples, conjugate
 from .quadrature import DEFAULT_CONFIG, QuadConfig, derivative_callable
 from .weights import Weight
 
@@ -67,11 +67,7 @@ def run_verify_suites(cfg: QuadConfig = DEFAULT_CONFIG) -> SuiteReport:
     a, b = 0.0, 1.0  # every corpus weight and x lies on [a, b]
     functions = []  # (f, f', {p: norms of f'}); the sup and L1 norms do not depend on p
     for f in corpus_functions():
-        fprime = derivative_callable(f)
-        sup, roots = _scan(fprime, a, b)  # once per f: its samples serve every p
-        one = _variation(f, a, b, roots)
-        norms = {p: Triple(sup, _norm_lp(fprime, p, a, b, cfg, roots), one) for p in P_GRID}
-        functions.append((f, fprime, norms))
+        functions.append((f, derivative_callable(f), _norm_triples(f, P_GRID, a, b, cfg)))
 
     weights, xs = corpus_weights(a, b), corpus_x_values(a, b)
     for w in weights:

@@ -2,15 +2,14 @@ import functools
 import math
 
 import mpmath
-import numpy as np
 import pytest
 
 from obw.corpus import corpus_functions
 from obw.expr import as_fn1d
 from obw.norms import (
     _CHEB_UNIT,
+    _N_PEAKS,
     Triple,
-    _grid_values,
     _norm_lp,
     _scan,
     conjugate,
@@ -180,17 +179,43 @@ GRID_FUNCTIONS = [
 ]
 
 
+def sample_reads(g, c, d):
+    """`_scan(g, c, d)`, and its reads of the scalar g that fall on one of
+    its samples, in order; g's `grid`, where it has one, is kept."""
+    samples = set((0.5 * (c + d) + 0.5 * (d - c) * _CHEB_UNIT).tolist())
+    reads = []
+
+    def spy(t):
+        reads.append(t)
+        return g(t)
+
+    if hasattr(g, "grid"):
+        spy.grid = g.grid
+    return _scan(spy, c, d), [t for t in reads if t in samples]
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestGridPath:
-    """norm_inf on an expression's derivative samples it in one array call
-    (its `grid`); a plain callable takes the scalar loop."""
+    """`_scan` samples an expression's derivative in one array call (its
+    `grid`), with numpy's flags ignored, and reads the scalar g again only
+    at the samples that come back not finite and at the peaks; a plain
+    callable is read at every sample."""
 
     @pytest.mark.parametrize("source", GRID_FUNCTIONS)
     @pytest.mark.parametrize("c, d", [(0.0, 1.0), (0.13, 2.9), (0.31, 0.3100001)])
     def test_same_value_as_the_scalar_loop(self, source, c, d):
         g = as_fn1d(source).derivative
-        assert _grid_values(g, 0.5 * (c + d) + 0.5 * (d - c) * _CHEB_UNIT) is not None
-        assert norm_inf(g, c, d) == norm_inf(lambda t: g(t), c, d)
+        (sup, _), reads = sample_reads(g, c, d)
+        assert len(reads) <= _N_PEAKS  # the peaks' re-reads alone
+        assert sup == norm_inf(lambda t: g(t), c, d)
+
+    def test_only_the_flagged_sample_is_read_again(self):
+        # the array call reads 0/0 at t = 0 alone, so the scalar f' is read
+        # there and at the (up to) 8 peaks, not at all 1 024 samples
+        g = as_fn1d("sqrt(t^2) + exp(-((t-0.61)/0.001)^2)").derivative
+        result, reads = sample_reads(g, 0.0, 1.0)
+        assert len(reads) <= 1 + _N_PEAKS
+        assert result == _scan(lambda t: g(t), 0.0, 1.0)
 
     @pytest.mark.parametrize("source", [
         "sqrt(t)", "log(t)", "abs(t-0.5)", "exp(800*t)", "1/(t-0.5)",
@@ -215,13 +240,14 @@ class TestGridPath:
     def test_every_corpus_derivative_has_a_grid(self):
         # the registry functions are expressions, so verify's one scan per
         # function samples f' in one array call
-        ts = 0.5 + 0.5 * _CHEB_UNIT
         for f in corpus_functions():
-            assert _grid_values(f.derivative, ts) is not None
+            assert len(sample_reads(f.derivative, 0.0, 1.0)[1]) <= _N_PEAKS
         assert corpus_functions() is corpus_functions()  # compiled once
 
     def test_plain_callable_has_no_grid(self):
-        assert _grid_values(math.cos, np.linspace(0.0, 1.0, 5)) is None
+        # so it is read through the scalar g at every sample
+        reads = sample_reads(math.cos, 0.0, 1.0)[1]
+        assert set(reads) == set((0.5 + 0.5 * _CHEB_UNIT).tolist())
 
 
 # f with roots of f' inside [c, d], where |f'|^p has a kink: benchmark-style

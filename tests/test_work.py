@@ -18,6 +18,7 @@ import pytest
 import obw.bounds
 import obw.cli
 import obw.expr
+import obw.norms
 import obw.suites
 from obw import quadrature
 from obw.cdf import DensityModel, cdf_report, expectation_identity_check
@@ -339,17 +340,15 @@ def test_verify_computes_each_norm_and_deviation_once(monkeypatch):
     # from the integrals per (x, side), so it is never called on its own
     calls = {"_scan": 0, "_norm_lp": 0, "tau": 0}
 
-    def counted(name):
-        fn = getattr(obw.suites, name)
-
+    def counted(name, fn):
         def wrapper(*args, **kwargs):
             calls[name] += 1
             return fn(*args, **kwargs)
 
         return wrapper
 
-    for name in calls:
-        monkeypatch.setattr(obw.suites, name, counted(name))
+    for module, name in ((obw.norms, "_scan"), (obw.norms, "_norm_lp"), (obw.suites, "tau")):
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     report = obw.suites.run_verify_suites()
     n_configs = (
         len(corpus_functions()) * len(corpus_weights()) * len(corpus_x_values()) * len(COEFF_PAIRS)
