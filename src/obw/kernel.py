@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
-from .quadrature import DEFAULT_CONFIG, QuadConfig, QuadratureError, integrate
+from .quadrature import DEFAULT_CONFIG, QuadConfig, QuadratureError, _takes_end_rule, integrate
 from .weights import Weight
 
 __all__ = [
@@ -158,15 +158,15 @@ def _lq_side(w: Weight, anchor: float, x: float, mass: float, q: float, r: float
     Next to x it falls like exp(-|t - x| / h), h = mass / (q w(x)): breaks go
     at x -+ 4^k h, k >= 0, inside the branch (none where w(x) = 0). At the
     anchor it is |t - anchor|^gamma H(t), gamma = q (1 + e), e the weight's
-    exponent there (`Weight.exponents`); where gamma < 2.5 is at least 0.1
-    from an integer (next to one the end rule's estimate vanishes) the anchor
-    is an algebraic end, with a break halfway to x: the rule misses a kink of
-    H just beyond x (t^0.5 at x = 1.2e-4 read 2e-8 off as 2.7e-9).
+    exponent there (`Weight.exponents`); where gamma < 2.5 takes the end rule
+    (`quadrature._takes_end_rule`) the anchor is an algebraic end, with a
+    break halfway to x: the rule misses a kink of H just beyond x (t^0.5 at
+    x = 1.2e-4 read 2e-8 off as 2.7e-9).
     """
     c, d, toward = (x, anchor, 1.0) if anchor > x else (anchor, x, -1.0)  # toward: into it
     e = dict(zip((w.a, w.b), w.exponents)).get(anchor)
     gamma = math.inf if e is None else q * (1.0 + e)
-    ends = ((anchor, gamma),) if gamma < 2.5 and abs(gamma - round(gamma)) >= 0.1 else ()
+    ends = ((anchor, gamma),) if gamma < 2.5 and _takes_end_rule(gamma) else ()
     h = mass / (q * wx) if (wx := w.eval(x)) > 0 else math.inf
     breaks = {0.5 * (c + d)} if ends else set()
     while 0 < h < d - c:

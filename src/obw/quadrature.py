@@ -9,10 +9,11 @@ named in `ends`, where g = |t - e|^gamma H(t) with H smooth, takes
 `_end_panel`: it integrates (1 + u)^gamma times H's interpolant through
 the 15 Kronrod nodes by the modified moments of (1 + u)^gamma, as
 QUADPACK's QAWS does (Piessens, de Doncker-Kapenga, Ueberhuber and
-Kahaner, *QUADPACK*, Springer 1983). Every other panel takes G7/K15
-(`_gk15`); next to a named end it reads each value as at its node before
-rounding (`_exact_distances`). A cumulative table is built by that loop;
-its G7/K15 panels record their 15 values, and only their estimate differs.
+Kahaner, *QUADPACK*, Springer 1983), at the ends `_takes_end_rule` names.
+Every other panel takes G7/K15 (`_gk15`); next to a named end it reads
+each value as at its node before rounding (`_exact_distances`). A
+cumulative table is built by that loop; its G7/K15 panels record their
+15 values and take another estimate, while an end panel has one.
 The inner kernels, `_gk15`, a leaf's Legendre series `_series` and a table
 panel's tail estimate, are generated once as straight-line code (`_compiled`)
 that keeps the float operations of their loop forms.
@@ -26,6 +27,7 @@ import heapq
 import itertools
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -212,9 +214,8 @@ def integrate(
     interpolant is about (3 + 8^(1/2))^-11 = 4e-9 of H, so each half would
     be bisected at any usual abs_tol; on a quarter, three widths away,
     it is about (7 + 48^(1/2))^-11 = 3e-13.
-    `_table` is the sink `cumulative` passes: `_panel` then gives each
-    G7/K15 panel a table's tail estimate, and the leaves are handed to the
-    table.
+    `_table` is the sink `cumulative` passes: `_panel` gives each G7/K15
+    panel a table's tail estimate, and the leaves are handed to the table.
     """
     if c > d:
         raise ValueError("integrate requires c <= d")
@@ -226,8 +227,7 @@ def integrate(
     if c == d:
         return 0.0, 0.0
     table = _table is not None
-    left = right = None
-    near = ()  # the named ends e != 0, as `_panel` takes them
+    left, right, near = None, None, ()  # near: the named ends e != 0, as `_panel` takes them
     if ends:
         gammas = dict(ends)
         left, right = gammas.get(c), gammas.get(d)
@@ -275,18 +275,17 @@ def integrate(
 def _panel(g, lo: float, hi: float, end: Optional[tuple[float, bool]], table: bool, near) -> tuple:
     """(value, estimate, values) of one panel of `integrate`, the one place
     a panel is made. Where end = (gamma, right) names its algebraic end,
-    `_end_panel`, and values are its 15 quotients. Else G7/K15: for a
-    `table`, with its 15 values recorded and `_leaf_matrices`' tail
-    estimate of the interpolant that queries read (an estimate, not a
-    bound); else with values None, g read through `_exact_distances` on a
-    panel closer than _CLOSE |e| to a named end of `near`, the (e, gamma,
-    _CLOSE |e|) of each named end e != 0."""
+    `_end_panel`, table or not, and values are its 15 quotients. Else
+    G7/K15: for a `table`, with its 15 values recorded and
+    `_leaf_matrices`' tail estimate of the interpolant that queries read
+    (an estimate, not a bound); else with values None, g read through
+    `_exact_distances` on a panel closer than _CLOSE |e| to a named end of
+    `near`, the (e, gamma, _CLOSE |e|) of each named end e != 0."""
     if end is not None:
-        return _end_panel(g, lo, hi, *end, table=table)
+        return _end_panel(g, lo, hi, *end)
     if table:
-        values: list[float] = []
-        value = _gk15(g, lo, hi, values)[0]
-        return value, _leaf_matrices()[1](values) * (hi - lo), values
+        values: list[float] = []  # filled by _gk15 before the tail reads it
+        return _gk15(g, lo, hi, values)[0], _leaf_matrices()[1](values) * (hi - lo), values
     if near:  # e lies outside [lo, hi], so one of lo - e and e - hi is its distance
         close = [(e, gamma) for e, gamma, reach in near if max(lo - e, e - hi) < reach]
         if close:
@@ -453,44 +452,48 @@ _END_GRID = np.linspace(0.0, 1.0, 129)[1:]  # the 128 shares r that B_k is the l
 @functools.cache
 def _end_legendre() -> np.ndarray:
     """P_11, ..., P_14 at the 128 x 15 points where `_end_integral` reads p
-    for the shares r of _END_GRID, by one pass of the recurrence, built once
-    for every gamma. They are the values `_series` gives for a coefficient
-    row with one 1.0."""
+    for the shares of _END_GRID, as `_series` gives them, built once."""
     points = np.multiply.outer(_END_GRID, _ONE_PLUS) - 1.0
     return np.array(_legendre_rows((points,), 14)[0][11:])
 
 
 @functools.lru_cache(maxsize=16)
-def _end_rule(gamma: float) -> tuple[list[float], np.ndarray, np.ndarray]:
-    """The end panel's value row W and its two 5 x 15 maps, built once per
+def _end_rule(gamma: float) -> tuple[list[float], np.ndarray]:
+    """The end panel's value row W and its 5 x 15 map, built once per
     gamma: on [-1, 1], u = -1 at the end, g = (1 + u)^gamma H(u), and they
     read H at _NODES.
 
     With C the map to the Legendre coefficients c_k of H's degree-14
     interpolant (`_leaf_matrices`' third map), W_j = sum_k M_k C_kj (M_k
     `_jacobi_moments`), so W . H = sum_k M_k c_k, the integral of
-    (1 + u)^gamma times the interpolant. W is the first row of each map.
-    The other four give 4 M_k c_k for k = 11..14 in the first map: the
-    size of the last four terms, times 4 as in `_leaf_matrices`, is
-    `integrate`'s estimate. In the second they give 4 B_k c_k, B_k the
-    largest |int_{-1}^s (1 + u)^gamma P_k| over 128 points s, each read
-    through W as `_end_integral` reads it: a table's estimate of its queries,
-    which read partial integrals. For gamma > 0, B_k exceeds |M_k| up to a
-    thousandfold.
+    (1 + u)^gamma times the interpolant. W is the map's first row; the
+    other four give 4 B_k c_k for k = 11..14, B_k the largest
+    |int_{-1}^s (1 + u)^gamma P_k| over 128 points s as `_end_integral`
+    reads it: the one estimate, of a panel and of a table's queries. Not
+    |M_k|, which is 0 for k > gamma at an integer gamma and tiny next to
+    one, where the interpolant's error is not (Aurentz and Trefethen).
     """
     to_coef = _leaf_matrices()[2]
-    moments = _jacobi_moments(gamma, 15)
-    value = _product(to_coef.T, np.array([moments]))
+    value = _product(to_coef.T, np.array([_jacobi_moments(gamma, 15)]))
     # the integral of P_11, ..., P_14 up to each share r of _END_GRID
     partials = _END_GRID ** (gamma + 1.0) * (_end_legendre() * value[0]).sum(axis=-1)
-    maps = (np.vstack((value, 4.0 * np.array(b)[:, None] * to_coef[11:]))
-            for b in (moments[11:], np.abs(partials).max(axis=-1)))
-    return (value[0].tolist(), *maps)
+    bounds = np.abs(partials).max(axis=-1)
+    return value[0].tolist(), np.vstack((value, 4.0 * bounds[:, None] * to_coef[11:]))
 
 
-def _end_panel(
-    g: Callable[[float], float], lo: float, hi: float, gamma: float, right: bool, table: bool
-) -> tuple[float, float, list[float]]:
+_END_REACH = math.log(sys.float_info.min) / math.log(1.0 - _XGK[0])  # about 148.7
+
+
+def _takes_end_rule(gamma: Optional[float]) -> bool:
+    """Whether an end of exponent gamma (None where not known) takes the end
+    rule: gamma is known, not a non-negative integer (g is smooth there, and
+    G7/K15 takes it) and below the rule's reach, _END_REACH, past which its
+    divisor at the outermost node, (1 - _XGK[0])^gamma, is not a normal float."""
+    return gamma is not None and gamma < _END_REACH and (gamma < 0 or gamma != int(gamma))
+
+
+def _end_panel(g: Callable[[float], float], lo: float, hi: float, gamma: float,
+               right: bool) -> tuple[float, float, list[float]]:
     """One panel [lo, hi] whose end lo (hi when `right`) is algebraic:
     g = |t - end|^gamma H(t) there, H smooth.
 
@@ -500,18 +503,15 @@ def _end_panel(
     the same rounded t - a or b - t), so the quotients are half^gamma H(t)
     even where t's rounding is a large share of that distance. Returns
     (value, estimate, the 15 quotients): the value exact when H is a
-    polynomial of degree 14, and `_end_rule`'s estimate of it or, for a
-    `table`, of its queries.
+    polynomial of degree 14, and `_end_rule`'s one estimate.
     """
     half = 0.5 * (hi - lo)
     end, step = (hi, -half) if right else (lo, half)
-    values = []
-    for s in _ONE_PLUS:
-        t = end + step * s
-        values.append(g(t) / (abs(t - end) / half) ** gamma)
+    nodes = [end + step * s for s in _ONE_PLUS]
+    values = [g(t) / (abs(t - end) / half) ** gamma for t in nodes]
     if not all(map(math.isfinite, values)):
         raise QuadratureError(f"non-finite integrand value near t={end}")
-    value, *tail = _product(_end_rule(gamma)[2 if table else 1], np.array([values]))[0].tolist()
+    value, *tail = _product(_end_rule(gamma)[1], np.array([values]))[0].tolist()
     return half * value, half * sum(map(abs, tail)), values
 
 

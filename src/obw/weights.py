@@ -14,6 +14,7 @@ from .quadrature import (
     DegenerateIntervalError,
     QuadConfig,
     QuadratureError,
+    _takes_end_rule,
     cumulative,
     integrate,
 )
@@ -101,14 +102,12 @@ class Weight:
     @cached_property
     def ends(self) -> tuple[tuple[float, float], ...]:
         """The pairs (e, gamma) of each end e of [a, b] whose exponent gamma
-        is known and not a non-negative integer (the power family's singular
-        or rough ends): there w is |t - e|^gamma times a function smooth
-        there. `integrate_against` and `cumulative` hand them to
-        `quadrature.integrate`, whose panel at such an end takes its
-        algebraic end rule, so w is integrated as it is, with no change of
-        variable."""
+        takes the end rule by `quadrature._takes_end_rule` (the power family's
+        singular or rough ends): there w is |t - e|^gamma times a function
+        smooth there. `integrate_against` and `cumulative` hand them to
+        `quadrature.integrate`, whose end panel integrates w as it is."""
         return tuple((e, gamma) for e, gamma in zip((self.a, self.b), self.exponents)
-                     if gamma is not None and (gamma < 0 or gamma != int(gamma)))
+                     if _takes_end_rule(gamma))
 
     @cached_property
     def total(self) -> float:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import mpmath
 
 __all__ = ["lq_by_levels", "moment", "weight_value", "kernel_lq", "branch_lq", "norm_p",
-           "hat_tau", "end_integral"]
+           "hat_tau", "end_integral", "power_exp"]
 
 DPS = 30
 LQ_DPS = 20
@@ -162,8 +162,16 @@ def end_integral(gamma, coef, r):
         gamma, two_r = mpmath.mpf(gamma), 2 * mpmath.mpf(r)
         total = 0
         for k, c in enumerate(coef):
-            for m in range(k + 1):
+            for m in range(k + 1 if c else 0):
                 power = gamma + m + 1
                 total += (mpmath.mpf(c) * (-1) ** (k + m) * mpmath.binomial(k, m)
                           * mpmath.binomial(k + m, m) * two_r**power / (2**m * power))
         return float(total)
+
+
+def power_exp(gamma, lam):
+    """int_0^1 t^gamma e^(-lam t) dt = lam^-(gamma+1) int_0^lam s^gamma e^-s ds,
+    mpmath's lower incomplete gamma function."""
+    with mpmath.workdps(DPS):
+        gamma, lam = mpmath.mpf(gamma), mpmath.mpf(lam)
+        return float(mpmath.gammainc(gamma + 1, 0, lam) / lam ** (gamma + 1))

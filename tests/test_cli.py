@@ -202,7 +202,7 @@ class TestBoundsCommand:
 
     def test_kernel_lq_out_of_subdivisions_is_named(self, capsys):
         code, out, err = run(
-            capsys, "bounds", "--x", "0.5", "--function", "t", "--weight", "arcsine",
+            capsys, "bounds", "--x", "0.5", "--function", "t", "--weight", "exponential:lam=30",
             "--p", "1.9", "--max-subdiv", "2", "--tol", "1e-13",
         )
         assert (code, out) == (1, "")
@@ -614,6 +614,18 @@ def test_power_moment_scale_out_of_range_is_named(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
     assert err == f"error: weight domain {message}\n"
+
+
+@pytest.mark.parametrize("p, expected", [("200.5", -0.05357216822), ("158.5", -0.05028070005)])
+def test_exponent_past_the_end_rules_reach(capsys, p, expected):
+    # the end rule divides by (1 - 0.9915)^p at its outermost node, which
+    # falls to 0 past p = 148.7 (a division by zero); G7/K15 takes such an
+    # end. The values are mpmath's
+    code, out, err = run(capsys, "bounds", "--weight", f"power:p={p},q=0", "--x", "0.95",
+                         "--function", "exp(t)")
+    assert (code, err) == (0, "")
+    tau = float(next(line for line in out.splitlines() if line.startswith("tau = "))[6:])
+    assert tau == pytest.approx(expected, abs=1e-9)
 
 
 # 3 001 terms: the parser builds a sum in a loop, so no nesting limit applies

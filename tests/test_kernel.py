@@ -157,11 +157,12 @@ class TestKernelNorms:
         (1.0, 0.0, "left branch on [0, 0.5]"), (0.0, 1.0, "right branch on [0.5, 1]"),
     ])
     def test_lq_out_of_subdivisions_names_the_branch(self, alpha, beta, named):
-        # q = 19/9: on the arcsine weight |m|^q is |t - anchor|^(19/18) times a
-        # smooth function, too near an integer to take the end rule
+        # q = 19/9: on the steep exponential weight |m|^q peaks narrowly at x,
+        # which two subdivisions do not resolve to 1e-13
         cfg = QuadConfig(abs_tol=1e-13, max_subdivisions=2)
+        w = builtin_weight("exponential", 0, 1, lam=30)
         with pytest.raises(QuadratureError, match=re.escape(f"kernel_lq {named}: no convergence")):
-            kernel_lq(mid_params(alpha, beta), builtin_weight("arcsine", 0, 1), conjugate(1.9), cfg)
+            kernel_lq(mid_params(alpha, beta), w, conjugate(1.9), cfg)
 
     def test_sup_equal_coefficients(self, uniform):
         assert kernel_sup(mid_params(), uniform) == pytest.approx(0.5)

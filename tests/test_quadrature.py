@@ -190,9 +190,9 @@ class TestEndRule:
         for k in range(15):
             p_k = lambda u: quadrature._legendre_rows([u], 14)[0][k]  # noqa: E731
             left = quadrature._end_panel(lambda t: t**gamma * p_k(node[t]), 0.0, 2.0, gamma,
-                                         False, False)[0]
+                                         False)[0]
             right = quadrature._end_panel(lambda t: (-t) ** gamma * p_k(node[-t]), -2.0, 0.0,
-                                          gamma, True, False)[0]
+                                          gamma, True)[0]
             assert abs(left - moments[k]) <= 1e-15 * moments[0], k
             assert abs(right - moments[k]) <= 1e-15 * moments[0], k
 
@@ -213,17 +213,48 @@ class TestEndRule:
     @pytest.mark.parametrize("gamma", GAMMAS)
     def test_estimate_is_the_weighted_tail(self, gamma):
         # H of degree <= 10 has no P_11..P_14 terms, so the estimate is at
-        # rounding level; a P_14 term of size eps reads 4 half |M_14| eps
+        # rounding level; a P_14 term of size eps reads 4 half B_14 eps, B_14
+        # the largest |int_{-1}^{2r-1} (1 + u)^gamma P_14| over the 128 shares
+        # r = j / 128 of the panel from its end
         moments = quadrature._jacobi_moments(gamma, 15)
         half, eps = 0.25, 1e-6
         poly = lambda u: sum((-1) ** k * u**k / (k + 1) for k in range(11))  # noqa: E731
         p14 = legendre(14)
         g = lambda t: (t / half) ** gamma * poly(t / half - 1)  # noqa: E731
-        _, err, _ = quadrature._end_panel(g, 0.0, 2 * half, gamma, False, False)
+        _, err, _ = quadrature._end_panel(g, 0.0, 2 * half, gamma, False)
         assert err <= 1e-14 * moments[0]
         g = lambda t: (t / half) ** gamma * (poly(t / half - 1) + eps * p14(t / half - 1))  # noqa: E731
-        _, err, _ = quadrature._end_panel(g, 0.0, 2 * half, gamma, False, False)
-        assert err == pytest.approx(4 * half * abs(moments[14]) * eps, rel=1e-6)
+        _, err, _ = quadrature._end_panel(g, 0.0, 2 * half, gamma, False)
+        b14 = max(abs(oracle.end_integral(gamma, [0.0] * 14 + [1.0], j / 128)) for j in range(1, 129))
+        assert err == pytest.approx(4 * half * b14 * eps, rel=1e-6)
+
+    @pytest.mark.parametrize("gamma", [k + d for k in range(1, 7)
+                                       for d in (-1e-6, -1e-12, 1e-12, 1e-6)])
+    def test_next_to_an_integer_exponent(self, gamma):
+        # int_0^1 t^gamma e^(-lam t) with the end named: next to an integer
+        # gamma, M_k = int (1 + u)^gamma P_k is tiny for k > gamma, but the
+        # error of H's interpolant is not; the estimate must cover it
+        for lam in (30, 60, 120):
+            ref = oracle.power_exp(gamma, lam)
+            for tol in (1e-10, 1e-12):
+                value, err = integrate(lambda t: t**gamma * math.exp(-lam * t), 0.0, 1.0,
+                                       QuadConfig(abs_tol=tol), ends=((0.0, gamma),))
+                assert abs(value - ref) <= tol, (lam, tol)
+                assert err >= abs(value - ref), (lam, tol)
+
+    @pytest.mark.parametrize("gamma", [k + d for k in range(1, 4)
+                                       for d in (-1e-6, -1e-12, 1e-12, 1e-6)])
+    def test_next_to_an_integer_exponent_at_b(self, gamma):
+        # the same integrals mirrored, t -> 1 - t: the power weight's exponent
+        # q at b, through the weight's own ends
+        w = builtin_weight("power", 0.0, 1.0, p=0.0, q=gamma)
+        assert w.ends == ((1.0, gamma),)
+        for lam in (30, 120):
+            ref = oracle.power_exp(gamma, lam)
+            for tol in (1e-10, 1e-12):
+                value = w.integrate_against(lambda t: math.exp(-lam * (1.0 - t)), 0.0, 1.0,
+                                            QuadConfig(abs_tol=tol))
+                assert abs(value - ref) <= tol, (lam, tol)
 
     @pytest.mark.parametrize("gamma", [-0.5, 0.3])
     def test_only_the_end_half_keeps_the_rule(self, monkeypatch, gamma):
@@ -718,7 +749,7 @@ class TestStraightLineKernels:
         # `_end_integral` reads a share r
         grid = np.linspace(0.0, 1.0, 129)[1:]
         points = np.multiply.outer(grid, quadrature._ONE_PLUS) - 1.0
-        weights, _, table_rule = quadrature._end_rule(gamma)
+        weights, rule = quadrature._end_rule(gamma)
         sup = []
         for k in range(11, 15):
             values = series_loop(np.eye(quadrature._SERIES_TERMS)[k], points)
@@ -727,4 +758,4 @@ class TestStraightLineKernels:
         value = quadrature._product(to_coef.T, np.array([quadrature._jacobi_moments(gamma, 15)]))
         assert weights == value[0].tolist()
         expected = np.vstack((value, 4.0 * np.array(sup)[:, None] * to_coef[11:]))
-        assert np.array_equal(table_rule, expected)
+        assert np.array_equal(rule, expected)
