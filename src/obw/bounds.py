@@ -45,6 +45,16 @@ class BoundSet:
     norms: Triple
 
 
+def _powered(coef: float, q: float, name: str) -> float:
+    """coef ** q of the printed L_p bracket; an overflow names the coefficient."""
+    try:
+        return coef**q
+    except OverflowError as exc:
+        raise OverflowError(
+            f"printed L_p bracket: {name}**q overflows at {name}={coef:g}, q={q:g} {exc}"
+        ) from exc
+
+
 def _paper_factors(params: TauParams, w: Weight, q: float) -> Triple:
     """Bracket factors of the printed closed forms; the sup factor does not
     depend on q."""
@@ -56,14 +66,7 @@ def _paper_factors(params: TauParams, w: Weight, q: float) -> Triple:
         # overflow would print a RuntimeWarning
         mass = float(w.mass(c, d))
         inf_term += coef * (d - c) ** 2 / mass
-        try:
-            powered = coef**q
-        except OverflowError as exc:
-            name = "alpha" if anchor == params.a else "beta"
-            raise OverflowError(
-                f"printed L_p bracket: {name}**q overflows at {name}={coef:g}, q={q:g} {exc}"
-            ) from exc
-        p_term += powered * (d - c) ** 2 / mass
+        p_term += _powered(coef, q, "alpha" if anchor == params.a else "beta") * (d - c) ** 2 / mass
     return Triple(
         inf_term * wx / (2.0 * s),
         (p_term * wx) ** (1.0 / q) / ((q + 1.0) ** (1.0 / q) * s),
@@ -219,10 +222,10 @@ def sharpness_search(
     Ratios within quadrature noise (1e-12) count as ties, which resolve
     toward smaller x. A column core on `_sweep`: per x, each weighted
     `_side` and each witness's integral on a side its pairs weight are
-    taken once; the pairs combine them as `kernel_l1` or `kernel_sup` and
-    `tau` do, so each ratio is bit-equal to its row computed on its own.
-    The hat's `levels` make its plateau a closed mass, so on a side only its
-    ramp is integrated, here and in `tau` alike.
+    taken once, and the pairs combine them as `kernel_l1` or `kernel_sup`
+    and `tau` do: each ratio is bit-equal to its row on its own, and a
+    failing read raises its row's error. The hat's `levels` make its
+    plateau a closed mass: on a side only its ramp is integrated, as in `tau`.
     """
     if kind not in ("exact_inf", "exact_one"):
         raise ValueError(f"unknown sharpness kind: {kind!r}")
@@ -249,20 +252,13 @@ def sharpness_search(
             ratios.append(dev / bound if bound > 0 else 0.0)
         return ratios
 
-    ratios = _sweep(w, xs, pairs, read, lambda params: (
-        kernel_l1(params, w, cfg) if inf else kernel_sup(params, w),
-        tau((sign_kernel_fn if inf else _hat_fn)(params), w, params, cfg)))
-    rows = list(map(SharpnessRow, *audit_grid(xs, pairs), ratios.ravel().tolist()))
+    ratios = [ratio for per_x in _sweep(w, xs, pairs, read) for ratio in per_x]
+    rows = list(map(SharpnessRow, *audit_grid(xs, pairs), ratios))
     best = max(rows, key=lambda r: (round(r.ratio, 12), -r.x))
     return best, rows
 
 
 _HAT_WIDTH = 1e-3
-
-
-def _hat_fn(params: TauParams) -> Fn1D:
-    """f whose derivative is a unit-mass hat just inside the peak branch."""
-    return _hat(params.a, params.b, params.x, params.alpha >= params.beta)
 
 
 def _hat(a: float, b: float, x: float, up: bool) -> Fn1D:
@@ -313,9 +309,9 @@ def audit_columns(
     taken when its turn comes.
 
     A column core on `_sweep`, whose pair check also takes the L_p
-    bracket's coef ** q (its OverflowError). Per x, w(x) and each weighted
-    side's `_side` are taken once; the pairs combine them as numpy columns,
-    in the operations and order of `_paper_factors`' inf bracket and of
+    bracket's coef ** q (`_powered`). Per x, w(x) and each weighted side's
+    `_side` are taken once; the pairs combine them as numpy columns, in the
+    operations and order of `_paper_factors`' inf bracket and of
     `kernel_l1`, so each entry is bit-equal to the row computed on its own.
     """
     xs, pairs = list(x_grid), list(coeff_grid)
@@ -326,9 +322,8 @@ def audit_columns(
     for w in weight_list:
         per_x = _sweep(w, xs, pairs, lambda x, left, right: [
             w.eval(x), *_side(w, w.a, x, 3 * left, cfg), *_side(w, w.b, x, 3 * right, cfg)],
-            lambda params: (_paper_factors(params, w, 2.0), kernel_l1(params, w, cfg)),
-            check=lambda alpha, beta: (alpha**2.0, beta**2.0))
-        wx, *sides = per_x.reshape(-1, 7).T[..., None]
+            check=lambda alpha, beta: (_powered(alpha, 2.0, "alpha"), _powered(beta, 2.0, "beta")))
+        wx, *sides = np.array(per_x, dtype=float).reshape(-1, 7).T[..., None]
         inf_term = exact = 0.0
         with np.errstate(all="ignore"):  # silent inf and nan, as on Python floats
             for coef, (mass, first, span2) in zip(coefs, (sides[:3], sides[3:])):
@@ -352,7 +347,7 @@ def audit_paper_vs_exact(
     unit derivative sup norm) has |tau| equal to it, so on a flagged row
     that witness exceeds the printed bound (`sharpness_search` reports it).
 
-    A row view of `audit_columns`, which checks each pair once per weight
+    A row view of `audit_columns`, which checks the pairs before it reads
     and takes each per-x quantity once: per weight, x-major, in the order
     of the grids. `obw audit` writes those columns without building rows.
     """
@@ -364,29 +359,21 @@ def audit_paper_vs_exact(
     return rows
 
 
-def _sweep(w: Weight, xs: list, pairs: list, read: Callable, row: Callable,
-           check: Callable = lambda alpha, beta: None) -> np.ndarray:
-    """The column cores' scaffold: read(x, left, right) per x, as the rows of
-    an array; left (right) says a pair weights that side. The pairs are
-    checked (`TauParams`, then check(alpha, beta)) at the first x; later only
-    x > a if left and x < b if right (a NaN x fails both). Where anything
-    fails at an x, row(params) runs per pair in order, outside the handler:
-    the first that fails raises what it raises on its own."""
+def _sweep(w: Weight, xs: list, pairs: list, read: Callable,
+           check: Callable = lambda alpha, beta: None) -> list:
+    """The column cores' scaffold: the list of read(x, left, right) per x;
+    left (right) says a pair weights that side. Before x is read the pairs
+    are checked (`TauParams`, then check(alpha, beta)): at the first x, and
+    later only x > a if left and x < b if right (a NaN x fails both). A
+    failing read raises its own error: the reads call what the rows call."""
     left, right = (any(pair[k] > 0 for pair in pairs) for k in (0, 1))
     per_x = []
     for i, x in enumerate(xs):
-        try:
-            if i == 0 or (left and not x > w.a) or (right and not x < w.b):
-                for alpha, beta in pairs:
-                    TauParams(w.a, w.b, x, alpha, beta), check(alpha, beta)
-            per_x.append(read(x, left, right))
-            continue
-        except Exception as exc:
-            error = exc
-        for alpha, beta in pairs:
-            row(TauParams(w.a, w.b, x, alpha, beta))
-        raise error
-    return np.array(per_x, dtype=float)
+        if i == 0 or (left and not x > w.a) or (right and not x < w.b):
+            for alpha, beta in pairs:
+                TauParams(w.a, w.b, x, alpha, beta), check(alpha, beta)
+        per_x.append(read(x, left, right))
+    return per_x
 
 
 def _side(w: Weight, anchor: float, x: float, parts: int, cfg: QuadConfig) -> list:

@@ -5,7 +5,7 @@ table."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .bounds import bounds_paper
@@ -25,7 +25,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class DensityModel:
     """Probability density read from f against a weight: f / m, where
     m = int_a^b f w is f's weighted mass, so the density has mass one.
@@ -38,19 +37,13 @@ class DensityModel:
     way, and `cdf_integral()` is int_a^b F_w, the table's `area()` / m,
     read from its leaves when called. `cfg` is the model's tolerance: its
     table, its derivative norms and every integral the functions below
-    take of it use it.
+    take of it use it. `a` and `b` are the weight's.
     """
 
-    f: Fn1D
-    weight: Weight
-    cfg: QuadConfig = field(default=DEFAULT_CONFIG, compare=False, repr=False)
-    density: Fn1D = field(init=False, compare=False, repr=False)
-    cdf: Callable[[float], float] = field(init=False, compare=False, repr=False)
-    cdf_integral: Callable[[], float] = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        f = self.f
-        table = self.weight.cumulative(f, self.a, self.b, self.cfg)
+    def __init__(self, f: Fn1D, weight: Weight, cfg: QuadConfig = DEFAULT_CONFIG) -> None:
+        self.f, self.weight, self.cfg = f, weight, cfg
+        self.a, self.b = weight.a, weight.b
+        table = weight.cumulative(f, self.a, self.b, cfg)
         mass = table(self.b)
         if not mass > 0:
             raise DegenerateIntervalError(
@@ -61,20 +54,11 @@ class DensityModel:
         scaled = None if deriv is None else (lambda t: deriv(t) / mass)
         if hasattr(deriv, "grid"):  # element by element the same division
             scaled.grid = lambda ts: deriv.grid(ts) / mass
-        density = Fn1D(fn=lambda t: f.fn(t) / mass, derivative=scaled, name=f.name,
-                       kinks=f.kinks)
-        object.__setattr__(self, "density", density)
+        self.density = Fn1D(fn=lambda t: f.fn(t) / mass, derivative=scaled, name=f.name,
+                            kinks=f.kinks)
         # F_w: x -> int_a^x f w / m; ValueError outside [a, b]
-        object.__setattr__(self, "cdf", lambda x: table(x) / mass)
-        object.__setattr__(self, "cdf_integral", lambda: table.area() / mass)
-
-    @property
-    def a(self) -> float:
-        return self.weight.a
-
-    @property
-    def b(self) -> float:
-        return self.weight.b
+        self.cdf: Callable[[float], float] = lambda x: table(x) / mass
+        self.cdf_integral: Callable[[], float] = lambda: table.area() / mass
 
     def norms(self, p: float) -> Triple:
         return norm_triple(self.density, p, self.a, self.b, self.cfg)

@@ -55,15 +55,8 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _fmt(v) -> str:
-    if isinstance(v, bool):
-        return "1" if v else "0"
-    if isinstance(v, float):
-        return f"{v:.8e}"  # 9 significant digits, fixed exponent style
-    return str(v)
-
-
-# _fmt's forms, by declared type; "text" is a cell already formatted, written as it is
+# a value's form by its declared type: a float to 9 significant digits in
+# exponent style; "text" is a cell already formatted, written as it is
 _FORMATS = {"str": "%s", "float": "%.8e", "bool": "%d", "text": "%s"}
 
 
@@ -255,12 +248,13 @@ def _cmd_bounds(args, cfg: QuadConfig) -> tuple[str, int]:
         keep = {"tau"} | {k for k in record if k.endswith(f"_{args.norm}")}
         record = {k: v for k, v in record.items() if k in keep}
 
+    cell = _FORMATS["float"].__mod__
     if args.format == "json":
-        text = json.dumps({k: _fmt(v) for k, v in record.items()}, indent=2) + "\n"
+        text = json.dumps({k: cell(v) for k, v in record.items()}, indent=2) + "\n"
     elif args.format == "csv":
         text = _csv(list(record), ["float"] * len(record), [[[v] for v in record.values()]])
     else:
-        text = "".join(f"{k} = {_fmt(v)}\n" for k, v in record.items())
+        text = "".join(f"{k} = {cell(v)}\n" for k, v in record.items())
     return text, EXIT_OK
 
 

@@ -512,7 +512,8 @@ def _end_panel(g: Callable[[float], float], lo: float, hi: float, gamma: float,
     if not all(map(math.isfinite, values)):
         raise QuadratureError(f"non-finite integrand value near t={end}")
     value, *tail = _product(_end_rule(gamma)[1], np.array([values]))[0].tolist()
-    return half * value, half * sum(map(abs, tail)), values
+    # left to right, as sum() adds floats only before Python 3.12
+    return half * value, half * functools.reduce(operator.add, map(abs, tail)), values
 
 
 def _product(m: np.ndarray, rows: np.ndarray) -> np.ndarray:

@@ -6,10 +6,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
-from .bounds import _sweep, bounds_cerone, bounds_exact, bounds_paper, kernel_norms
+from .bounds import _sweep, bounds_cerone, bounds_exact, bounds_paper
 from .corpus import COEFF_PAIRS, corpus_functions, corpus_weights, corpus_x_values
-from .functionals import tau, tau_combination, tau_decomposed
-from .kernel import TauParams, _lq_norm, _lq_side, _moment_integral, kernel_integral
+from .kernel import TauParams, _lq_norm, _lq_side, _moment_integral
 from .norms import Triple, _norm_triples, conjugate
 from .quadrature import DEFAULT_CONFIG, QuadConfig, derivative_callable
 from .weights import Weight
@@ -121,16 +120,16 @@ def _configurations(w: Weight, xs: Sequence[float], pairs: Sequence[tuple[float,
     """Per (x, pair), (params, {p: `kernel_norms`}, per (f, f', _) of
     `functions`: tau, kernel_integral(f') - tau, tau_combination and
     tau_decomposed). A column core on `bounds._sweep`, each pair weighting
-    both sides: per (x, side) the mass, `moment_l1`, each q's J (to the
-    largest share of the pairs), and per function int f w and int m f', are
-    taken once, and int f w over [a, b] once per function. The pairs combine
-    them as the calls on their own do: each value is bit-equal to its call,
-    ||rho||_q within abs_tol."""
+    both sides: int f w over [a, b] is taken once per function first, then
+    per (x, side) the mass, `moment_l1`, each q's J (to the largest share of
+    the pairs), and per function int f w and int m f'. The pairs combine
+    them as the calls on their own do, which never run: each value is
+    bit-equal to its call, ||rho||_q within abs_tol."""
     a, b = w.a, w.b
     qs = [conjugate(p) for p in P_GRID]
-    full: list[float] = []  # int f w over [a, b] per function, taken at the first x
+    full = [w.integrate_against(f, a, b, cfg) for f, _, _ in functions]
 
-    def read(x: float, left: bool, right: bool) -> list[float]:
+    def read(x: float, left: bool, right: bool) -> list[tuple]:
         sides = []  # per side: mass, first moment, J per q, int f w and int m f' per function
         for k, anchor in enumerate((a, b)):
             c, d = (x, anchor) if anchor > x else (anchor, x)
@@ -139,16 +138,17 @@ def _configurations(w: Weight, xs: Sequence[float], pairs: Sequence[tuple[float,
                           [_lq_side(w, anchor, x, mass, q, r, cfg) for q in qs],
                           [w.integrate_against(f, c, d, cfg) for f, _, _ in functions],
                           [_moment_integral(w, anchor, c, d, g, cfg) for _, g, _ in functions]))
-        full[:] = full or [w.integrate_against(f, a, b, cfg) for f, _, _ in functions]
         (m_left, *_, left_fw, _), (m_right, *_) = sides
         row = []
         for alpha, beta in pairs:
             params, s = TauParams(a, b, x, alpha, beta), alpha + beta
             branches = [(share / s / side[0], side) for share, side in zip((alpha, beta), sides)]
-            row += [sum(coef * side[1] for coef, side in branches), max(alpha, beta) / s]
-            row += [_lq_norm(params, (alpha, beta), [side[2][j] for side in sides], q)
-                    for j, q in enumerate(qs)]
+            l1, sup = sum(coef * side[1] for coef, side in branches), max(alpha, beta) / s
+            lq = [_lq_norm(params, (alpha, beta), [side[2][j] for side in sides], q)
+                  for j, q in enumerate(qs)]
+            kernels = {p: Triple(l1, norm, sup) for p, norm in zip(P_GRID, lq)}
             frac = beta / s * (w.total / m_right)  # tau_decomposed's
+            forms = []
             for i, (f, _, _) in enumerate(functions):
                 fx = f(x)
                 t0 = fx - sum(coef * side[3][i] for coef, side in branches)
@@ -157,19 +157,9 @@ def _configurations(w: Weight, xs: Sequence[float], pairs: Sequence[tuple[float,
                 decomposed = fx - ((1.0 - frac) * (left_fw[i] / m_left)
                                    + frac * (full[i] / w.total))
                 residual = sum(coef * side[4][i] for coef, side in branches) - t0
-                row += [t0, residual, combination, decomposed]
+                forms.append((t0, residual, combination, decomposed))
+            row.append((params, kernels, forms))
         return row
 
-    def alone(params: TauParams) -> None:
-        for p in P_GRID:
-            kernel_norms(params, w, p, cfg)
-        for f, fprime, _ in functions:
-            tau(f, w, params, cfg), kernel_integral(fprime, params, w, cfg)
-            tau_combination(f, w, params, cfg), tau_decomposed(f, w, params, cfg)
-
-    values = _sweep(w, xs, pairs, read, alone).reshape(len(xs), len(pairs), -1).tolist()
-    for x, per_pair in zip(xs, values):
-        for (alpha, beta), (l1, sup, *rest) in zip(pairs, per_pair):
-            yield (TauParams(a, b, x, alpha, beta),
-                   {p: Triple(l1, lq, sup) for p, lq in zip(P_GRID, rest)},
-                   list(zip(*[iter(rest[len(P_GRID):])] * 4)))
+    for row in _sweep(w, xs, pairs, read):
+        yield from row

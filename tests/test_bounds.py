@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 
 from obw.bounds import (
-    _hat_fn,
+    _hat,
     _paper_factors,
     audit_paper_vs_exact,
     bound_set,
@@ -27,7 +27,7 @@ from obw.expr import compile_expr, parse
 from obw.functionals import tau
 from obw.kernel import TauParams, kernel_l1, kernel_sup, peano_kernel
 from obw.norms import Triple, norm_triple
-from obw.quadrature import Fn1D, QuadConfig
+from obw.quadrature import DegenerateIntervalError, Fn1D, QuadConfig
 from obw.weights import Weight, builtin_weight, tabulated_weight
 import oracle
 
@@ -313,7 +313,8 @@ def row_reference(sweep, w):
         return lambda params: (
             kernel_l1(params, w), abs(tau(sign_kernel_fn(params), w, params))
         )
-    return lambda params: (kernel_sup(params, w), abs(tau(_hat_fn(params), w, params)))
+    return lambda params: (kernel_sup(params, w), abs(tau(
+        _hat(w.a, w.b, params.x, params.alpha >= params.beta), w, params)))
 
 
 def run_sweep(sweep, w, xs, pairs):
@@ -382,20 +383,30 @@ def sharpness_sweeps(draw):
 @settings(max_examples=60, deadline=None)
 def test_sharpness_rows_are_their_row_references(sweep, case):
     # every ratio is bit-equal to kernel_l1 or kernel_sup against tau of the
-    # witness, computed on its own; where a row fails, the sweep raises what
-    # the first failing row raises
+    # witness, computed on its own. At the first x where anything fails, the
+    # sweep raises what the first failing pair check raises, else what one
+    # of the rows that fail there raises on its own
     w, xs, pairs = case
     reference = row_reference(sweep, w)
-    expected = []
-    try:
-        for x in xs:
-            for alpha, beta in pairs:
-                bound, dev = reference(TauParams(w.a, w.b, x, alpha, beta))
+    expected, errors = [], []
+    for x in xs:
+        try:
+            rows = [TauParams(w.a, w.b, x, alpha, beta) for alpha, beta in pairs]
+        except ValueError as exc:
+            errors.append(exc)
+            break
+        for params in rows:
+            try:
+                bound, dev = reference(params)
                 expected.append(dev / bound if bound > 0 else 0.0)
-    except Exception as exc:
-        with pytest.raises(type(exc)) as got:
+            except Exception as exc:
+                errors.append(exc)
+        if errors:
+            break
+    if errors:
+        with pytest.raises(Exception) as got:
             sharpness_search(w, xs, pairs, kind=sweep)
-        assert (type(got.value), str(got.value)) == (type(exc), str(exc))
+        assert (type(got.value), str(got.value)) in {(type(e), str(e)) for e in errors}
         return
     _, rows = sharpness_search(w, xs, pairs, kind=sweep)
     assert [(r.x, r.alpha, r.beta) for r in rows] == [(x, *pair) for x in xs for pair in pairs]
@@ -415,7 +426,8 @@ class TestHatWitness:
         _, rows = sharpness_search(w, [x], pairs, kind="exact_one")
         for row, pair in zip(rows, pairs):
             params = params_at(x, *pair)
-            assert abs(tau(_hat_fn(params), w, params)) / kernel_sup(params, w) == row.ratio
+            hat = _hat(w.a, w.b, x, pair[0] >= pair[1])
+            assert abs(tau(hat, w, params)) / kernel_sup(params, w) == row.ratio
 
     @pytest.mark.parametrize("x", [0.25, 0.5, 0.75])
     def test_ratio_sees_the_ramp(self, uniform, x):
@@ -496,8 +508,8 @@ class TestAuditColumns:
         assert str(got.value) == str(expected.value)
 
     @pytest.mark.parametrize("xs, pairs, error", [
-        # a branch without mass at the first x, a coefficient error at the second
-        ([5e-324, 0.5], [(1.0, 1.0), (-1.0, 2.0)], "zero weight mass on [0.0, 5e-324]"),
+        # a branch without mass at the first x, where the pair check fails first
+        ([5e-324, 0.5], [(1.0, 1.0), (-1.0, 2.0)], "coefficients must be finite"),
         ([0.5, 5e-324], [(1.0, 1.0), (-1.0, 2.0)], "coefficients must be finite"),
         # a branch error at the last x, after a row that needs no left branch
         ([0.5, 1.0], [(0.0, 1.0), (1.0, 0.0)], "beta > 0 requires x < b"),
@@ -509,19 +521,39 @@ class TestAuditColumns:
         ([5e-324], [(0.0, 1.0), (-1.0, 2.0), (1.0, 1.0)], "coefficients must be finite"),
     ], ids=["mass-then-coef", "coef-then-mass", "branch-rule", "mass-at-last-x",
             "overflow-then-coef", "coef-then-overflow", "coef-before-mass"])
-    def test_first_failing_row_raises(self, xs, pairs, error):
+    def test_pairs_checked_before_reads(self, xs, pairs, error):
+        # at an x, the pairs are checked before anything is read; what fails
+        # raises what its row raises on its own
         w = builtin_weight("decreasing", 0.0, 1.0)
         with pytest.raises((ValueError, ArithmeticError)) as got:
             audit_paper_vs_exact([w], xs, pairs)
         assert error in str(got.value)
+        alone = set()
         for x in xs:
             for pair in pairs:
                 try:
                     audit_row_alone(w, x, pair)
-                except (ValueError, ArithmeticError) as alone:
-                    assert (type(got.value), str(got.value)) == (type(alone), str(alone))
-                    return
-        pytest.fail("no row fails on its own")
+                except (ValueError, ArithmeticError) as exc:
+                    alone.add((type(exc), str(exc)))
+        assert (type(got.value), str(got.value)) in alone
+
+    def test_failing_read_calls_no_row_function(self, monkeypatch):
+        # the left side of x = 5e-324 has no mass: the read raises that, and
+        # no row is computed again on its own
+        def row_function(*args, **kwargs):
+            raise AssertionError("a row function ran")
+
+        for name in ("obw.bounds.kernel_l1", "obw.bounds.kernel_sup", "obw.bounds.tau",
+                     "obw.bounds._paper_factors", "obw.functionals.tau"):
+            monkeypatch.setattr(name, row_function)
+        w = builtin_weight("decreasing", 0.0, 1.0)
+        pairs = [(0.0, 1.0), (1.0, 1.0)]
+        mass = r"^zero weight mass on \[0.0, 5e-324\]$"
+        with pytest.raises(DegenerateIntervalError, match=mass):
+            audit_paper_vs_exact([w], [5e-324], pairs)
+        for kind in ("exact_inf", "exact_one"):
+            with pytest.raises(DegenerateIntervalError, match=mass):
+                sharpness_search(w, [5e-324], pairs, kind=kind)
 
     def test_unweighted_side_never_taken(self, monkeypatch):
         taken = []

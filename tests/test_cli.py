@@ -812,13 +812,20 @@ class TestAuditCommand:
         assert run(capsys, *argv) == (1, "", line)
 
 
+def reference_cell(v) -> str:
+    """A bool as 1 or 0, a float to 9 significant digits in exponent style."""
+    if isinstance(v, bool):
+        return "1" if v else "0"
+    return f"{v:.8e}" if isinstance(v, float) else str(v)
+
+
 def csv_writer_table(row_type, rows):
-    """A table as csv.writer writes the rows with each value through _fmt."""
+    """A table as csv.writer writes the rows with each value through reference_cell."""
     names = [f.name for f in dataclasses.fields(row_type)]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(names)
-    writer.writerows([obw.cli._fmt(getattr(row, n)) for n in names] for row in rows)
+    writer.writerows([reference_cell(getattr(row, n)) for n in names] for row in rows)
     return buf.getvalue()
 
 

@@ -292,6 +292,34 @@ class TestEndRule:
         assert err <= tol
         assert abs(value - float(ref)) <= tol
 
+    def test_estimate_does_not_depend_on_sum(self, monkeypatch):
+        # from Python 3.12, sum() of floats is compensated; the estimate adds
+        # its four terms left to right whatever sum() does (through sum(), 10
+        # of these 400 panels read another estimate under the compensated one)
+        def compensated_sum(values, start=0):  # Neumaier's, as sum() takes floats from 3.12
+            total = comp = 0.0
+            for v in values:
+                t = total + v
+                comp += (total - t) + v if abs(total) >= abs(v) else (v - t) + total
+                total = t
+            return total + comp if comp and math.isfinite(comp) else total
+
+        monkeypatch.setattr(quadrature, "sum", compensated_sum, raising=False)
+        rng = random.Random(37)
+        for i in range(400):
+            gamma = [-0.5, -0.37, 0.3, 0.58, 1.5][i % 5]
+            lo = rng.uniform(0.0, 1.0)
+            hi = lo + 10.0 ** rng.uniform(-3.0, 0.0)
+            lam, omega = rng.uniform(-30.0, 30.0), rng.uniform(0.0, 40.0)
+
+            def g(t):
+                return abs(t - lo) ** gamma * math.exp(lam * (t - lo)) * math.cos(omega * (t - lo))
+
+            _, err, values = quadrature._end_panel(g, lo, hi, gamma, False)
+            e0, e1, e2, e3 = map(abs, quadrature._product(
+                quadrature._end_rule(gamma)[1], np.array([values]))[0, 1:].tolist())
+            assert err == 0.5 * (hi - lo) * (((e0 + e1) + e2) + e3), (i, gamma)
+
     def test_non_finite_value_is_named(self):
         with pytest.raises(QuadratureError, match="non-finite integrand value near t=0.0"):
             integrate(lambda t: math.inf, 0.0, 1.0, ends=[(0.0, -0.5)])

@@ -333,12 +333,16 @@ def test_compiled_expression_is_one_call(source):
     assert python_calls(f.fn, 0.3) == [f.fn.__code__.co_name]
 
 
+# the functions that compute one configuration on its own
+ROW_FUNCTIONS = ("tau", "tau_combination", "tau_decomposed", "kernel_integral", "kernel_norms")
+
+
 def test_verify_computes_each_norm_and_deviation_once(monkeypatch):
     # every corpus weight is on [0, 1], so the norms depend only on f, and
     # the scan of f' (its sup and roots) and the L1 norm (f's variation over
     # the roots) not on p either; only the L_p norm integrates. tau is read
-    # from the integrals per (x, side), so it is never called on its own
-    calls = {"_scan": 0, "_norm_lp": 0, "tau": 0}
+    # from the integrals per (x, side): suites binds no row function
+    calls = {"_scan": 0, "_norm_lp": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -347,8 +351,8 @@ def test_verify_computes_each_norm_and_deviation_once(monkeypatch):
 
         return wrapper
 
-    for module, name in ((obw.norms, "_scan"), (obw.norms, "_norm_lp"), (obw.suites, "tau")):
-        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    for name in ("_scan", "_norm_lp"):
+        monkeypatch.setattr(obw.norms, name, counted(name, getattr(obw.norms, name)))
     report = obw.suites.run_verify_suites()
     n_configs = (
         len(corpus_functions()) * len(corpus_weights()) * len(corpus_x_values()) * len(COEFF_PAIRS)
@@ -356,7 +360,7 @@ def test_verify_computes_each_norm_and_deviation_once(monkeypatch):
     assert report.passed
     assert calls["_scan"] == len(corpus_functions())
     assert calls["_norm_lp"] == len(corpus_functions()) * len(obw.suites.P_GRID)
-    assert calls["tau"] == 0
+    assert not set(ROW_FUNCTIONS) & set(vars(obw.suites))
     assert report.identity.checked == n_configs
     assert report.soundness.checked == 3 * n_configs
     assert report.reduction.checked == 36
@@ -365,10 +369,9 @@ def test_verify_computes_each_norm_and_deviation_once(monkeypatch):
 def test_verify_computes_each_kernel_norm_once(monkeypatch, counts):
     # per (weight, x, side): J once per q, int m f' and int f w once per f,
     # whatever the pairs; int f w over [a, b] once per (weight, f). The
-    # pairs take no kernel_lq, kernel_integral or tau of their own. 498
-    # integrals, against 1 656 allowed (768 taken) when each pair took its own
-    calls = {"_lq_side": 0, "_moment_integral": 0, "integrate_against": 0,
-             "kernel_lq": 0, "kernel_integral": 0, "tau": 0}
+    # pairs take no kernel_lq of their own, and suites binds no row function.
+    # 498 integrals, against 1 656 allowed (768 taken) when each pair took its own
+    calls = {"_lq_side": 0, "_moment_integral": 0, "integrate_against": 0, "kernel_lq": 0}
 
     def counted(owner, name):
         fn = getattr(owner, name)
@@ -379,7 +382,7 @@ def test_verify_computes_each_kernel_norm_once(monkeypatch, counts):
 
         monkeypatch.setattr(owner, name, wrapper)
 
-    for name in ("_lq_side", "_moment_integral", "kernel_integral", "tau"):
+    for name in ("_lq_side", "_moment_integral"):
         counted(obw.suites, name)
     counted(obw.bounds, "kernel_lq")
     counted(Weight, "integrate_against")
@@ -390,7 +393,8 @@ def test_verify_computes_each_kernel_norm_once(monkeypatch, counts):
     assert calls["_lq_side"] == sides * len(obw.suites.P_GRID) == 90
     assert calls["_moment_integral"] == sides * n_functions == 180
     assert calls["integrate_against"] == (sides + len(corpus_weights())) * n_functions == 210
-    assert calls["kernel_lq"] == calls["kernel_integral"] == calls["tau"] == 0
+    assert calls["kernel_lq"] == 0
+    assert not set(ROW_FUNCTIONS) & set(vars(obw.suites))
     assert counts["integrate"] == 498
 
 
