@@ -183,16 +183,12 @@ def corollary_bounds(
     return lhs, bounds_paper(params, w, norms, p)
 
 
-def sign_kernel_fn(params: TauParams) -> Fn1D:
-    """Piecewise-linear f whose derivative is the sign of the kernel.
+def sign_kernel_fn(x: float) -> Fn1D:
+    """Piecewise-linear f whose derivative is the sign of the kernel at x.
 
     f' = +1 left of x and -1 right of it, so the integral of rho f'
     equals the kernel L1 norm and the sup-norm bound is attained.
     """
-    return _sign_kernel(params.x)
-
-
-def _sign_kernel(x: float) -> Fn1D:
     return Fn1D(fn=lambda t: t if t <= x else 2.0 * x - t,
                 derivative=lambda t: 1.0 if t <= x else -1.0, name="sign-kernel", kinks=(x,))
 
@@ -223,8 +219,9 @@ def sharpness_search(
     toward smaller x. A column core on `_sweep`: per x, each weighted
     `_side` and each witness's integral on a side its pairs weight are
     taken once, and the pairs combine them as `kernel_l1` or `kernel_sup`
-    and `tau` do: each ratio is bit-equal to its row on its own, and a
-    failing read raises its row's error. The hat's `levels` make its
+    and `tau` do: each ratio is bit-equal to its row on its own. The read
+    takes the left side's mass (and moment), the right side's, then the
+    integrals, and raises the first that fails. The hat's `levels` make its
     plateau a closed mass: on a side only its ramp is integrated, as in `tau`.
     """
     if kind not in ("exact_inf", "exact_one"):
@@ -239,7 +236,7 @@ def sharpness_search(
 
     def read(x: float, left: bool, right: bool) -> list:
         side = [_side(w, w.a, x, (1 + inf) * left, cfg), _side(w, w.b, x, (1 + inf) * right, cfg)]
-        f = {up: _sign_kernel(x) if inf else _hat(w.a, w.b, x, up) for up in set(ups)}
+        f = {up: sign_kernel_fn(x) if inf else _hat(w.a, w.b, x, up) for up in set(ups)}
         ends = ((w.a, x), (x, w.b))
         integral = {(up, k): w.integrate_against(f[up], *ends[k], cfg) for up, k in need}
         ratios = []
@@ -313,6 +310,7 @@ def audit_columns(
     `_side` are taken once; the pairs combine them as numpy columns, in the
     operations and order of `_paper_factors`' inf bracket and of
     `kernel_l1`, so each entry is bit-equal to the row computed on its own.
+    The read takes w(x), then the left side, then the right side.
     """
     xs, pairs = list(x_grid), list(coeff_grid)
     if not pairs:  # no rows, so nothing is read
@@ -364,8 +362,11 @@ def _sweep(w: Weight, xs: list, pairs: list, read: Callable,
     """The column cores' scaffold: the list of read(x, left, right) per x;
     left (right) says a pair weights that side. Before x is read the pairs
     are checked (`TauParams`, then check(alpha, beta)): at the first x, and
-    later only x > a if left and x < b if right (a NaN x fails both). A
-    failing read raises its own error: the reads call what the rows call."""
+    later only x > a if left and x < b if right (a NaN x fails both). So
+    at an x a failing check wins over the read, and a failing read raises
+    the first of its quantities that fails, in the read's order, not the
+    pairs' (the left side's before the right side's): the reads call what
+    the rows call."""
     left, right = (any(pair[k] > 0 for pair in pairs) for k in (0, 1))
     per_x = []
     for i, x in enumerate(xs):

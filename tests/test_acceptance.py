@@ -121,7 +121,7 @@ def test_criterion_8_audit_reproducibility(report):
     w = builtin_weight("decreasing", 0, 1)
     (row,) = audit_paper_vs_exact([w], [0.9], [(1.0, 1.0)])
     params = TauParams(a=0, b=1, x=0.9, alpha=1.0, beta=1.0)
-    witness = abs(tau(sign_kernel_fn(params), w, params))
+    witness = abs(tau(sign_kernel_fn(params.x), w, params))
     ok = (
         math.isclose(row.paper_inf_factor, 0.090909, abs_tol=1e-5)
         and math.isclose(row.exact_inf_factor, 0.303030, abs_tol=1e-5)

@@ -11,6 +11,7 @@ from numpy.polynomial.legendre import leggauss
 from obw.bounds import (
     _hat,
     _paper_factors,
+    _powered,
     audit_paper_vs_exact,
     bound_set,
     bounds_cerone,
@@ -27,7 +28,7 @@ from obw.expr import compile_expr, parse
 from obw.functionals import tau
 from obw.kernel import TauParams, kernel_l1, kernel_sup, peano_kernel
 from obw.norms import Triple, norm_triple
-from obw.quadrature import DegenerateIntervalError, Fn1D, QuadConfig
+from obw.quadrature import DEFAULT_CONFIG, DegenerateIntervalError, Fn1D, QuadConfig
 from obw.weights import Weight, builtin_weight, tabulated_weight
 import oracle
 
@@ -249,7 +250,7 @@ class TestAudit:
         assert row.exact_inf_factor == pytest.approx(0.3030303, abs=1e-5)
         # the sign-kernel witness (unit sup-norm derivative) exceeds the printed bound
         params = params_at(0.9)
-        assert abs(tau(sign_kernel_fn(params), decreasing, params)) > row.paper_inf_factor
+        assert abs(tau(sign_kernel_fn(params.x), decreasing, params)) > row.paper_inf_factor
 
     def test_increasing_near_right_end_looser_unflagged(self, increasing):
         rows = audit_paper_vs_exact([increasing], [0.95], [(1.0, 1.0)])
@@ -266,7 +267,7 @@ class TestAudit:
         # Hoelder's equality: |tau(sign kernel)| is the exact factor the audit reports
         w = builtin_weight(name, 0.0, 1.0, **kwargs)
         params = params_at(x)
-        dev = abs(tau(sign_kernel_fn(params), w, params))
+        dev = abs(tau(sign_kernel_fn(params.x), w, params))
         (row,) = audit_paper_vs_exact([w], [x], [(1.0, 1.0)])
         assert dev == pytest.approx(kernel_l1(params, w), abs=1e-8)
         assert dev == pytest.approx(row.exact_inf_factor, abs=1e-8)
@@ -311,10 +312,48 @@ def row_reference(sweep, w):
         )
     if sweep == "exact_inf":
         return lambda params: (
-            kernel_l1(params, w), abs(tau(sign_kernel_fn(params), w, params))
+            kernel_l1(params, w), abs(tau(sign_kernel_fn(params.x), w, params))
         )
     return lambda params: (kernel_sup(params, w), abs(tau(
         _hat(w.a, w.b, params.x, params.alpha >= params.beta), w, params)))
+
+
+def sweep_steps(sweep, w, x, pairs):
+    """What a sweep takes at x, in its order, each as a call: the pair checks
+    (`TauParams`, and for the audit coef ** 2 of the L_p bracket), then the
+    read: w(x) for the audit, each weighted side's mass and first moment
+    (none for exact_one), left before right, then each witness's integral
+    on each side that a pair with that witness weights."""
+    a, b = w.a, w.b
+    steps = []
+    for alpha, beta in pairs:
+        steps.append(partial(TauParams, a, b, x, alpha, beta))
+        if sweep == "audit":
+            steps += [partial(_powered, alpha, 2.0, "alpha"), partial(_powered, beta, 2.0, "beta")]
+    if sweep == "audit":
+        steps.append(partial(w.eval, x))
+    weighted = [k for k in (0, 1) if any(pair[k] > 0 for pair in pairs)]
+    for k in weighted:
+        steps.append(partial(w.mass, *((a, x), (x, b))[k]))
+        if sweep != "exact_one":
+            steps.append(partial(w.moment_l1, (a, b)[k], x, DEFAULT_CONFIG))
+    if sweep != "audit":
+        need = sorted({(sweep == "exact_inf" or pair[0] >= pair[1], k)
+                       for pair in pairs for k in weighted if pair[k] > 0})
+        for up, k in need:
+            f = sign_kernel_fn(x) if sweep == "exact_inf" else _hat(a, b, x, up)
+            steps.append(partial(w.integrate_against, f, *((a, x), (x, b))[k]))
+    return steps
+
+
+def first_error(steps):
+    """(type, message) of the first call in steps that raises, else None."""
+    for step in steps:
+        try:
+            step()
+        except Exception as exc:
+            return type(exc), str(exc)
+    return None
 
 
 def run_sweep(sweep, w, xs, pairs):
@@ -384,30 +423,23 @@ def sharpness_sweeps(draw):
 def test_sharpness_rows_are_their_row_references(sweep, case):
     # every ratio is bit-equal to kernel_l1 or kernel_sup against tau of the
     # witness, computed on its own. At the first x where anything fails, the
-    # sweep raises what the first failing pair check raises, else what one
-    # of the rows that fail there raises on its own
+    # sweep raises the first failure in its order (`sweep_steps`), which a
+    # row at that x also raises on its own
     w, xs, pairs = case
     reference = row_reference(sweep, w)
-    expected, errors = [], []
+    expected = []
     for x in xs:
-        try:
-            rows = [TauParams(w.a, w.b, x, alpha, beta) for alpha, beta in pairs]
-        except ValueError as exc:
-            errors.append(exc)
-            break
-        for params in rows:
-            try:
-                bound, dev = reference(params)
-                expected.append(dev / bound if bound > 0 else 0.0)
-            except Exception as exc:
-                errors.append(exc)
-        if errors:
-            break
-    if errors:
-        with pytest.raises(Exception) as got:
-            sharpness_search(w, xs, pairs, kind=sweep)
-        assert (type(got.value), str(got.value)) in {(type(e), str(e)) for e in errors}
-        return
+        error = first_error(sweep_steps(sweep, w, x, pairs))
+        if error is not None:
+            with pytest.raises(Exception) as got:
+                sharpness_search(w, xs, pairs, kind=sweep)
+            assert (type(got.value), str(got.value)) == error
+            rows = [lambda pair=pair: reference(TauParams(w.a, w.b, x, *pair)) for pair in pairs]
+            assert error in {first_error([row]) for row in rows}
+            return
+        for alpha, beta in pairs:
+            bound, dev = reference(TauParams(w.a, w.b, x, alpha, beta))
+            expected.append(dev / bound if bound > 0 else 0.0)
     _, rows = sharpness_search(w, xs, pairs, kind=sweep)
     assert [(r.x, r.alpha, r.beta) for r in rows] == [(x, *pair) for x in xs for pair in pairs]
     assert [repr(r.ratio) for r in rows] == [repr(ratio) for ratio in expected]
@@ -507,35 +539,46 @@ class TestAuditColumns:
             audit_paper_vs_exact([w], COLUMN_XS, [*COLUMN_PAIRS, (0.0, 1e200)])
         assert str(got.value) == str(expected.value)
 
-    @pytest.mark.parametrize("xs, pairs, error", [
+    @pytest.mark.parametrize("xs, pairs, error, first_row", [
         # a branch without mass at the first x, where the pair check fails first
-        ([5e-324, 0.5], [(1.0, 1.0), (-1.0, 2.0)], "coefficients must be finite"),
-        ([0.5, 5e-324], [(1.0, 1.0), (-1.0, 2.0)], "coefficients must be finite"),
+        ([5e-324, 0.5], [(1.0, 1.0), (-1.0, 2.0)], "coefficients must be finite", False),
+        ([0.5, 5e-324], [(1.0, 1.0), (-1.0, 2.0)], "coefficients must be finite", True),
         # a branch error at the last x, after a row that needs no left branch
-        ([0.5, 1.0], [(0.0, 1.0), (1.0, 0.0)], "beta > 0 requires x < b"),
-        ([0.5, 5e-324], [(0.0, 1.0), (1.0, 0.0)], "zero weight mass on [0.0, 5e-324]"),
+        ([0.5, 1.0], [(0.0, 1.0), (1.0, 0.0)], "beta > 0 requires x < b", True),
+        ([0.5, 5e-324], [(0.0, 1.0), (1.0, 0.0)], "zero weight mass on [0.0, 5e-324]", True),
         # the L_p overflow and a coefficient error in the same x, either way round
-        ([0.5], [(0.0, 1e200), (-1.0, 2.0)], "Numerical result out of range"),
-        ([0.5], [(-1.0, 2.0), (0.0, 1e200)], "coefficients must be finite"),
+        ([0.5], [(0.0, 1e200), (-1.0, 2.0)], "Numerical result out of range", True),
+        ([0.5], [(-1.0, 2.0), (0.0, 1e200)], "coefficients must be finite", True),
         # a coefficient error before the first row that weights a massless side
-        ([5e-324], [(0.0, 1.0), (-1.0, 2.0), (1.0, 1.0)], "coefficients must be finite"),
+        ([5e-324], [(0.0, 1.0), (-1.0, 2.0), (1.0, 1.0)], "coefficients must be finite", True),
     ], ids=["mass-then-coef", "coef-then-mass", "branch-rule", "mass-at-last-x",
             "overflow-then-coef", "coef-then-overflow", "coef-before-mass"])
-    def test_pairs_checked_before_reads(self, xs, pairs, error):
-        # at an x, the pairs are checked before anything is read; what fails
-        # raises what its row raises on its own
+    def test_pairs_checked_before_reads(self, xs, pairs, error, first_row):
+        # at an x, the pairs are checked before anything is read, and the
+        # first failure in the sweep's order (`sweep_steps`) is raised; where
+        # first_row, that is what the first row failing on its own raises
         w = builtin_weight("decreasing", 0.0, 1.0)
         with pytest.raises((ValueError, ArithmeticError)) as got:
             audit_paper_vs_exact([w], xs, pairs)
         assert error in str(got.value)
-        alone = set()
-        for x in xs:
-            for pair in pairs:
-                try:
-                    audit_row_alone(w, x, pair)
-                except (ValueError, ArithmeticError) as exc:
-                    alone.add((type(exc), str(exc)))
-        assert (type(got.value), str(got.value)) in alone
+        raised = (type(got.value), str(got.value))
+        assert raised == first_error(step for x in xs for step in sweep_steps("audit", w, x, pairs))
+        alone = first_error(partial(audit_row_alone, w, x, pair) for x in xs for pair in pairs)
+        assert (raised == alone) is first_row
+
+    @pytest.mark.parametrize("sweep", ["audit", "exact_inf"])
+    def test_read_takes_the_left_side_first(self, sweep):
+        # both sides fail at x; the first pair weights the right side alone,
+        # but the read takes the left side's first moment first
+        def moment_l1(anchor, x, cfg):
+            raise ValueError(f"no first moment from {anchor}")
+
+        w = replace(builtin_weight("decreasing", 0.0, 1.0), moment_l1=moment_l1)
+        pairs = [(0.0, 1.0), (1.0, 0.0)]
+        with pytest.raises(ValueError, match=r"^no first moment from 1.0$"):
+            audit_row_alone(w, 0.5, pairs[0])
+        with pytest.raises(ValueError, match=r"^no first moment from 0.0$"):
+            run_sweep(sweep, w, [0.5], pairs)
 
     def test_failing_read_calls_no_row_function(self, monkeypatch):
         # the left side of x = 5e-324 has no mass: the read raises that, and
