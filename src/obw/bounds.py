@@ -62,9 +62,7 @@ def _paper_factors(params: TauParams, w: Weight, q: float) -> Triple:
     wx = w.eval(params.x)
     inf_term = p_term = 0.0
     for coef, c, d, anchor in _sides(params):
-        # a Python float: a closed moment may be a numpy scalar, whose
-        # overflow would print a RuntimeWarning
-        mass = float(w.mass(c, d))
+        mass = w.mass(c, d)
         inf_term += coef * (d - c) ** 2 / mass
         p_term += _powered(coef, q, "alpha" if anchor == params.a else "beta") * (d - c) ** 2 / mass
     return Triple(
@@ -381,6 +379,6 @@ def _side(w: Weight, anchor: float, x: float, parts: int, cfg: QuadConfig) -> li
     """The first `parts` of the mass, the first moment and (d - c)^2 of the
     side [c, d] of x that ends at anchor, and nan for the rest."""
     c, d = (x, anchor) if anchor > x else (anchor, x)
-    return [float(w.mass(c, d)) if parts else math.nan,
+    return [w.mass(c, d) if parts else math.nan,
             w.moment_l1(anchor, x, cfg) if parts > 1 else math.nan,
             (d - c) ** 2 if parts > 2 else math.nan]

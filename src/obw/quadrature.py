@@ -328,30 +328,18 @@ def _exact_distances(g, lo: float, hi: float, ends) -> Callable[[float], float]:
 _NODES = (0.0,) + tuple(s for x in _XGK[:7] for s in (-x, x))
 _ONE_PLUS = tuple(1.0 + u for u in _NODES)  # their distances from u = -1
 # P_{k+1}(s) = A_k s P_k(s) - B_k P_{k-1}(s): (A_k, B_k) for k < 16, the rows
-# a leaf's antiderivative (degree 15) reads in the loop form of `_series`.
+# of the one Legendre recurrence, `_series`, which also gives each P_k alone
+# (unit coefficients) to `_leaf_matrices` and `_end_legendre`.
 _LEGENDRE_STEPS = tuple(((2 * k + 1) / (k + 1), k / (k + 1)) for k in range(16))
-
-
-def _legendre_rows(xs, degree: int) -> list[list[float]]:
-    """P_0(x), ..., P_degree(x) for each x, one row per x."""
-    rows = []
-    for x in xs:
-        row = [1.0, x]
-        for k, (a_k, b_k) in enumerate(_LEGENDRE_STEPS[1:degree], start=1):
-            row.append(a_k * x * row[k] - b_k * row[k - 1])
-        rows.append(row)
-    return rows
-
-
 _SERIES_TERMS = 16  # a leaf's antiderivative: degree 15
 
 
 def _series_code() -> list[str]:
     """The source of `_series(coef, s)`: sum_k coef[k] P_k(s) for the
-    _SERIES_TERMS coefficients, s a float or a numpy array, straight-line.
-    P_1 = s and P_{k+1} = (A_k s) P_k - B_k P_{k-1} (_LEGENDRE_STEPS), and
-    the terms are added from k = 0 up, after 0.0: the float operations of
-    the recurrence's loop, so the value is the loop's, bit for bit."""
+    _SERIES_TERMS coefficients, s a float or a numpy array (`_end_legendre`
+    reads P_k on its points), straight-line. P_1 = s and P_{k+1} = (A_k s)
+    P_k - B_k P_{k-1} (_LEGENDRE_STEPS), added from k = 0 up, after 0.0:
+    the float operations of the recurrence's loop, bit for bit."""
     n = _SERIES_TERMS
     lines = ["def _series(coef, s):", f"    {', '.join(f'c{k}' for k in range(n))} = coef",
              "    p1 = s"]
@@ -363,6 +351,7 @@ def _series_code() -> list[str]:
 
 
 _series = _compiled("_series", _series_code())
+_UNITS = np.eye(_SERIES_TERMS).tolist()  # _series(_UNITS[k], s) is P_k(s)
 
 
 def _inverse(m: list[list[float]]) -> list[list[float]]:
@@ -391,11 +380,12 @@ def _leaf_matrices() -> tuple[np.ndarray, Callable[[Sequence[float]], float], np
     4 times a bound on the partial integrals of p's last four terms: an
     estimate of p's error (Aurentz and Trefethen, "Chopping a Chebyshev
     series", ACM TOMS 43(4), 2017). Why 4: for a kink |s - r| in the leaf,
-    r in [-0.99, 0.99], p's error reaches 1.84 times the plain bound. Built
-    in plain Python and applied by `_product`, so no BLAS or LAPACK routine
-    runs (their first call costs resident memory).
+    r in [-0.99, 0.99], p's error reaches 1.84 times the plain bound. The
+    Vandermonde matrix reads P_0, ..., P_14 at _NODES through `_series`.
+    Built in plain Python and applied by `_product`, so no BLAS or LAPACK
+    routine runs (their first call costs resident memory).
     """
-    to_coef = np.array(_inverse(_legendre_rows(_NODES, 14)))
+    to_coef = np.array(_inverse([[_series(unit, x) for unit in _UNITS[:15]] for x in _NODES]))
     # int_{-1}^s P_n = (P_{n+1} - P_{n-1}) / (2n + 1) for n >= 1, and s + 1 for n = 0
     integ = np.zeros((16, 15))
     integ[0, 0] = integ[1, 0] = 1.0
@@ -408,17 +398,9 @@ def _leaf_matrices() -> tuple[np.ndarray, Callable[[Sequence[float]], float], np
 
 def _tail_code(rows: list[list[float]]) -> list[str]:
     """The source of `_tail(values)`: sum |row . values| over the rows, on
-    plain floats, straight-line. Each dot product is summed in the order of
-    numpy's einsum (`_product`) on two-lane (128-bit) SIMD: the even and the
-    odd terms in two lanes, each lane from its terms 6, 4, 2, 0 and then on
-    from 8 (the odd one from 7 down to 1 and then on from 9), the two lanes
-    added last. So a table's estimates, and the leaves it is cut into, are
-    those of `_product` applied to the rows as a matrix."""
+    plain floats, straight-line, each dot product summed from n = 0 up."""
     def dot(row: list[float]) -> str:
-        lanes = []
-        for order in ((6, 4, 2, 0, 8, 10, 12, 14), (7, 5, 3, 1, 9, 11, 13)):
-            lanes.append(f"({' + '.join(f'{row[n]!r} * v{n}' for n in order)})")
-        return f"abs({lanes[0]} + {lanes[1]})"
+        return f"abs({' + '.join(f'{r!r} * v{n}' for n, r in enumerate(row))})"
 
     return ["def _tail(values):", f"    {', '.join(f'v{n}' for n in range(15))} = values",
             f"    return {' + '.join(map(dot, rows))}"]
@@ -452,9 +434,9 @@ _END_GRID = np.linspace(0.0, 1.0, 129)[1:]  # the 128 shares r that B_k is the l
 @functools.cache
 def _end_legendre() -> np.ndarray:
     """P_11, ..., P_14 at the 128 x 15 points where `_end_integral` reads p
-    for the shares of _END_GRID, as `_series` gives them, built once."""
+    for the shares of _END_GRID, through `_series` as it reads p, built once."""
     points = np.multiply.outer(_END_GRID, _ONE_PLUS) - 1.0
-    return np.array(_legendre_rows((points,), 14)[0][11:])
+    return np.array([_series(unit, points) for unit in _UNITS[11:15]])
 
 
 @functools.lru_cache(maxsize=16)

@@ -202,16 +202,31 @@ def _phi(u: float) -> float:
 def _exponential(a: float, b: float, lam: float) -> Weight:
     if lam == 0.0:
         return _uniform(a, b)
+    _check_domain(a, b)  # before the total is read
+    name, tiny = f"exponential(lam={lam:g})", sys.float_info.min
 
     def closed(c: float, d: float) -> float:
-        # about c, so a short interval is not a difference of near values
+        # about c, so a short interval is not a difference of near values;
+        # where lam (d - c) is not a normal float, the next term is below an ulp
+        if abs(lam * (d - c)) < tiny:
+            return math.exp(-lam * c) * (d - c)
         return -math.exp(-lam * c) * math.expm1(-lam * (d - c)) / lam
 
     def moment_l1(anchor: float, x: float, cfg: QuadConfig) -> float:
-        # int (x - s) e^(-lam s) ds from anchor to x, about the anchor
-        return math.exp(-lam * anchor) * _phi(lam * (x - anchor)) / (lam * lam)
+        # int (x - s) e^(-lam s) ds from anchor to x, about the anchor: h^2 / 2
+        # where (lam h)^2 is not a normal float, two divisions where lam^2 is not
+        h, scale = x - anchor, math.exp(-lam * anchor)
+        if (lam * h) * (lam * h) < tiny:
+            return scale * (0.5 * h * h)
+        if lam * lam < tiny:
+            return scale * _phi(lam * h) / lam / lam
+        return scale * _phi(lam * h) / (lam * lam)
 
-    name = f"exponential(lam={lam:g})"
+    try:  # e^(-lam a) is a factor of the total
+        if math.isinf(max(closed(a, b), math.exp(-lam * b))):
+            raise OverflowError
+    except OverflowError:
+        raise ValueError(f"{name} on [{a:g}, {b:g}]: e^(-lam t) or its mass overflows") from None
     return Weight(name, a, b, lambda t: math.exp(-lam * t), closed, moment_l1,
                   exponents=(0.0, 0.0))
 

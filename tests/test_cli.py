@@ -616,6 +616,32 @@ def test_power_moment_scale_out_of_range_is_named(capsys, argv, message):
     assert err == f"error: weight domain {message}\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ("bounds", "--x", "0.5", "--function", "t", "--weight", "exponential:lam=1e-170"),
+    ("audit", "--weights", "exponential:lam=1e-200", "--x-grid", "3"),
+    ("audit", "--weights", "exponential:lam=5e-324", "--x-grid", "3"),
+], ids=["bounds-1e-170", "audit-1e-200", "audit-5e-324"])
+def test_exponential_at_a_tiny_rate_runs(capsys, argv):
+    # lam^2 underflows to 0, which the L1 branch divided by
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert "nan" not in out
+
+
+def test_exponential_at_a_tiny_rate_is_uniform(capsys):
+    tiny = run(capsys, "bounds", "--x", "0.5", "--function", "t", "--weight",
+               "exponential:lam=1e-170")
+    assert tiny == run(capsys, "bounds", "--x", "0.5", "--function", "t", "--weight", "uniform")
+
+
+def test_exponential_overflow_is_named(capsys):
+    # e^1000 overflows at b = 1: it printed "arithmetic failure (OverflowError: ...)"
+    code, out, err = run(capsys, "bounds", "--x", "0.5", "--function", "t", "--weight",
+                         "exponential:lam=-1000")
+    assert (code, out) == (1, "")
+    assert err == "error: exponential(lam=-1000) on [0, 1]: e^(-lam t) or its mass overflows\n"
+
+
 @pytest.mark.parametrize("p, expected", [("200.5", -0.05357216822), ("158.5", -0.05028070005)])
 def test_exponent_past_the_end_rules_reach(capsys, p, expected):
     # the end rule divides by (1 - 0.9915)^p at its outermost node, which

@@ -184,11 +184,11 @@ class TestEndRule:
     def test_exact_through_degree_14(self, gamma):
         # on [0, 2] from the end 0, and on [-2, 0] from the end 0, |t| is
         # exactly 1 + u of the node u that g is evaluated at; P_k by the
-        # recurrence the rule is built from
+        # recurrence the rule is built from, in its loop form
         moments = quadrature._jacobi_moments(gamma, 15)
         node = dict(zip(quadrature._ONE_PLUS, quadrature._NODES))
         for k in range(15):
-            p_k = lambda u: quadrature._legendre_rows([u], 14)[0][k]  # noqa: E731
+            p_k = lambda u: series_loop(np.eye(quadrature._SERIES_TERMS)[k], u)  # noqa: E731
             left = quadrature._end_panel(lambda t: t**gamma * p_k(node[t]), 0.0, 2.0, gamma,
                                          False)[0]
             right = quadrature._end_panel(lambda t: (-t) ** gamma * p_k(node[-t]), -2.0, 0.0,
@@ -668,15 +668,14 @@ def series_loop(coef, s):
 
 def tail_loop(values):
     """The table's tail estimate as a loop: sum |row . values| over
-    `_leaf_matrices`' four rows, each dot product in two lanes, even and odd
-    terms, from terms 6 and 7 down to 0 and 1 and then on from 8 and 9."""
+    `_leaf_matrices`' four rows, each dot product summed from n = 0 up."""
     rows = (4.0 * quadrature._leaf_matrices()[2][11:] / np.arange(23, 31, 2)[:, None]).tolist()
     total = 0.0
     for row in rows:
-        lanes = [0.0, 0.0]
-        for n in (6, 4, 2, 0, 8, 10, 12, 14, 7, 5, 3, 1, 9, 11, 13):
-            lanes[n % 2] += row[n] * values[n]
-        total += abs(lanes[0] + lanes[1])
+        dot = 0.0
+        for n in range(15):
+            dot += row[n] * values[n]
+        total += abs(dot)
     return total
 
 

@@ -1,4 +1,5 @@
 import math
+import random
 from dataclasses import replace
 from functools import cache, partial
 
@@ -17,7 +18,14 @@ from obw.quadrature import (
     integrate,
     weighted_mean,
 )
-from obw.weights import DomainError, Weight, WeightSpecError, builtin_weight, tabulated_weight
+from obw.weights import (
+    DomainError,
+    Weight,
+    WeightSpecError,
+    _phi,
+    builtin_weight,
+    tabulated_weight,
+)
 
 
 def numeric_moment(w, c, d):
@@ -82,6 +90,57 @@ class TestMoment:
     def test_uniform_is_length(self, c, d):
         w = builtin_weight("uniform", 0, 1)
         assert w.moment(c, d) == pytest.approx(d - c, abs=1e-14)
+
+
+def _exponential_reference(lam, c, d, x=None):
+    """mpmath's int_c^d e^(-lam s) ds at 40 digits, or with x the L1
+    branch int |x - s| e^(-lam s) ds over the same stretch."""
+    with mpmath.workdps(40):
+        lam = mpmath.mpf(lam)
+        if x is None:
+            return mpmath.quad(lambda s: mpmath.exp(-lam * s), [c, d])
+        return mpmath.quad(lambda s: abs(x - s) * mpmath.exp(-lam * s), [c, d])
+
+
+class TestExponentialExtremeRates:
+    """Where lam h or (lam h)^2 is not a normal float, the masses and L1
+    branches take their leading term; elsewhere they are the closed forms."""
+
+    @pytest.mark.parametrize("lam", [2e-154, 1e-170, -1e-200, 1e-310, 1e-320, 5e-324])
+    def test_masses_and_branches_against_mpmath(self, lam):
+        w = builtin_weight("exponential", 0, 1, lam=lam)
+        for x in (1e-3, 0.3, 0.5, 0.97):
+            cases = [(w.mass(0.0, x), _exponential_reference(lam, 0, x)),
+                     (w.mass(x, 1.0), _exponential_reference(lam, x, 1)),
+                     (w.moment_l1(0.0, x, QuadConfig()), _exponential_reference(lam, 0, x, x)),
+                     (w.moment_l1(1.0, x, QuadConfig()), _exponential_reference(lam, x, 1, x))]
+            for got, ref in cases:
+                assert abs(got - ref) <= 1e-15 * abs(ref), (x, got, ref)
+
+    @pytest.mark.parametrize("lam", [1e-150, 1e-3, 1.35, 30.0, -2.0])
+    def test_normal_rates_keep_the_closed_forms(self, lam):
+        w = builtin_weight("exponential", 0, 1, lam=lam)
+        rng = random.Random(38)
+        for x in (rng.uniform(1e-3, 1 - 1e-3) for _ in range(50)):
+            for c, d in ((0.0, x), (x, 1.0)):
+                closed = -math.exp(-lam * c) * math.expm1(-lam * (d - c)) / lam
+                assert w.moment(c, d).hex() == closed.hex()
+            for anchor in (0.0, 1.0):
+                l1 = math.exp(-lam * anchor) * _phi(lam * (x - anchor)) / (lam * lam)
+                assert w.moment_l1(anchor, x, QuadConfig()).hex() == l1.hex()
+
+    def test_long_domain_with_a_subnormal_square_rate(self):
+        # lam^2 = 0 while (lam h)^2 = 1e-300 is normal: the branch is still
+        # h^2 / 2 to double precision
+        w = builtin_weight("exponential", 0, 1e20, lam=1e-170)
+        assert w.moment_l1(0.0, 1e20, QuadConfig()) == pytest.approx(5e39, rel=1e-15)
+        assert w.mass(0.0, 1e20) == pytest.approx(1e20, rel=1e-15)
+
+    @pytest.mark.parametrize("a, b, lam", [(0, 1, -1000.0), (0, 1, -710.0), (-1, 0, 710.0),
+                                           (0.5, 0.72, -1000.0)])
+    def test_overflow_names_the_weight_and_domain(self, a, b, lam):
+        with pytest.raises(ValueError, match=rf"exponential\(lam={lam:g}\) on \[{a:g}, {b:g}\]"):
+            builtin_weight("exponential", a, b, lam=lam)
 
 
 class TestBuiltins:
